@@ -427,6 +427,10 @@ let base_tests =
        fun () ->
          Sys.opaque_identity
            (Api.run_program ~config:cfg_revised Graph.empty script));
+    (* the same script decoded, as snapshot loading does *)
+    t "io/decode/n=100"
+      (let script = Dump.to_cypher market100 in
+       fun () -> Sys.opaque_identity (Dump.of_cypher Graph.empty script));
     (* io/* durability: journal append under both regimes, atomic
        snapshot write (tmp + fsync + rename), and full crash recovery
        (journal scan + checked replay, in memory) *)

@@ -5,6 +5,10 @@
 # attributable to a tree state; results hold name -> ns/run.
 set -e
 cd "$(dirname "$0")/.."
-sha=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
+# the measured tree: full sha, with -dirty when the work tree differs
+sha=$(git rev-parse HEAD 2>/dev/null || echo unknown)
+if [ "$sha" != unknown ] && [ -n "$(git status --porcelain 2>/dev/null)" ]; then
+  sha="$sha-dirty"
+fi
 dune build @bench
 exec dune exec bench/main.exe -- --json --sha "$sha" "$@"

@@ -179,20 +179,25 @@ let apply (g : Graph.t) ~(new_nodes : (int * position) list)
     match Hashtbl.find_opt rel_reps id with None -> id | Some rep -> rep
   in
   (* --- rebuild ------------------------------------------------------ *)
-  let keep_node (n : Graph.node) = node_map n.Graph.n_id = n.Graph.n_id in
-  let keep_rel (r : Graph.rel) = rel_map r.Graph.r_id = r.Graph.r_id in
-  let nodes = List.filter keep_node (Graph.nodes g) in
-  let rels =
-    List.filter_map
-      (fun (r : Graph.rel) ->
-        if keep_rel r then
-          Some { r with Graph.src = node_map r.Graph.src; tgt = node_map r.Graph.tgt }
-        else None)
-      (Graph.rels g)
-  in
-  let graph =
-    Graph.rebuild
-      ~prop_indexes:(Graph.prop_index_keys g)
-      ~next_id:(Graph.next_id g) ~tombs:(Graph.tombstones g) nodes rels
-  in
-  { graph; node_map; rel_map }
+  (* every class a singleton: the quotient is [g] itself, which also
+     keeps its backend and a still-valid CSR snapshot *)
+  let collapses reps = Hashtbl.fold (fun id rep acc -> acc || id <> rep) reps false in
+  if not (collapses node_reps || collapses rel_reps) then identity_result g
+  else
+    let keep_node (n : Graph.node) = node_map n.Graph.n_id = n.Graph.n_id in
+    let keep_rel (r : Graph.rel) = rel_map r.Graph.r_id = r.Graph.r_id in
+    let nodes = List.filter keep_node (Graph.nodes g) in
+    let rels =
+      List.filter_map
+        (fun (r : Graph.rel) ->
+          if keep_rel r then
+            Some { r with Graph.src = node_map r.Graph.src; tgt = node_map r.Graph.tgt }
+          else None)
+        (Graph.rels g)
+    in
+    let graph =
+      Graph.rebuild
+        ~prop_indexes:(Graph.prop_index_keys g)
+        ~next_id:(Graph.next_id g) ~tombs:(Graph.tombstones g) nodes rels
+    in
+    { graph; node_map; rel_map }

@@ -579,7 +579,12 @@ let durability_config = { Config.permissive with parallelism = 0 }
 
 (** [dump_roundtrip g] checks the {!Cypher_graph.Dump} contract directly:
     the snapshot image of [g] (indexes + dump script) reloads to an
-    isomorphic graph with the same registered indexes. *)
+    isomorphic graph with the same registered indexes.  The reload
+    decodes the script ({!Cypher_graph.Dump.of_cypher}); executing the
+    same script through {!Api.run_program} on the index-registered empty
+    graph is the reference it must match exactly — same image, same
+    entity ids, same [next_id] — and re-imaging the reload is a
+    fixpoint. *)
 let dump_roundtrip (g : Graph.t) : (unit, string) result =
   match Snapshot.parse (Snapshot.to_string g) with
   | Error e -> Error ("snapshot image does not reload: " ^ e)
@@ -588,9 +593,37 @@ let dump_roundtrip (g : Graph.t) : (unit, string) result =
         check (Iso.isomorphic g g') (fun () ->
             "snapshot reload is not isomorphic to the original graph")
       in
+      let* () =
+        check
+          (Graph.prop_index_keys g = Graph.prop_index_keys g')
+          (fun () -> "snapshot reload lost registered property indexes")
+      in
+      let indexed =
+        List.fold_left
+          (fun acc (label, key) -> Graph.add_prop_index ~label ~key acc)
+          Graph.empty (Graph.prop_index_keys g)
+      in
+      let* reference =
+        match Cypher_graph.Dump.to_cypher g with
+        | "" -> Ok indexed
+        | script -> (
+            match Api.run_program ~config:durability_config indexed script with
+            | Ok (r, _) -> Ok r
+            | Error e ->
+                Error ("dump script does not execute: " ^ Errors.to_string e))
+      in
+      let img = Snapshot.to_string g' in
+      let* () =
+        check
+          (img = Snapshot.to_string reference
+          && Graph.node_ids g' = Graph.node_ids reference
+          && Graph.rel_ids g' = Graph.rel_ids reference
+          && Graph.next_id g' = Graph.next_id reference)
+          (fun () -> "decoded snapshot differs from executing its script")
+      in
       check
-        (Graph.prop_index_keys g = Graph.prop_index_keys g')
-        (fun () -> "snapshot reload lost registered property indexes")
+        (Result.map Snapshot.to_string (Snapshot.parse img) = Ok img)
+        (fun () -> "re-imaging a reloaded snapshot is not a fixpoint")
 
 let corrupt_byte s i =
   String.mapi

@@ -124,3 +124,380 @@ let to_cypher (g : Graph.t) : string =
   match fragments with
   | [] -> ""
   | fragments -> "CREATE " ^ String.concat ",\n       " fragments ^ ";\n"
+
+(* ------------------------------------------------------------------ *)
+(* Reading                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* The inverse of the writer above: a recursive-descent reader for
+   exactly the grammar [value_literal] and [to_cypher] emit, so stored
+   images decode without the query front end.  Whitespace between
+   tokens is free; everything else the writer never produces (other
+   escapes, double-quoted strings, arithmetic beyond the four constant
+   expressions, relationship variables, chains) is an error.  Scalars
+   mean what the lexer would make of them: digits alone are an [Int],
+   a fraction or exponent makes a [Float], and integer literals beyond
+   [max_int] are refused. *)
+
+exception Bad of string
+
+type cursor = {
+  s : string;
+  mutable i : int;
+  names : (string, string) Hashtbl.t;
+      (* identifier interning: a graph repeats a handful of labels and
+         keys across every entity, and stores what the reader returns *)
+}
+
+let fail c fmt =
+  Printf.ksprintf (fun m -> raise (Bad (Printf.sprintf "%s at byte %d" m c.i))) fmt
+
+(* '\000' past the end: never a token start, so it only ever fails *)
+let peek c = if c.i < String.length c.s then c.s.[c.i] else '\000'
+let is_digit = function '0' .. '9' -> true | _ -> false
+
+let is_ident_char = function
+  | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true
+  | _ -> false
+
+let skip_ws c =
+  while match peek c with ' ' | '\t' | '\n' | '\r' -> true | _ -> false do
+    c.i <- c.i + 1
+  done
+
+let looking_at c w =
+  let n = String.length w in
+  c.i + n <= String.length c.s
+  &&
+  let rec go k = k = n || (c.s.[c.i + k] = w.[k] && go (k + 1)) in
+  go 0
+
+(* [expect c w] skips whitespace, then consumes the token [w] *)
+let expect c w =
+  skip_ws c;
+  if looking_at c w then c.i <- c.i + String.length w
+  else if c.i >= String.length c.s then fail c "expected %S, got end of input" w
+  else fail c "expected %S" w
+
+let intern c name =
+  match Hashtbl.find_opt c.names name with
+  | Some shared -> shared
+  | None ->
+      Hashtbl.add c.names name name;
+      name
+
+let read_ident c =
+  skip_ws c;
+  match peek c with
+  | 'a' .. 'z' | 'A' .. 'Z' | '_' ->
+      let start = c.i in
+      while is_ident_char (peek c) do
+        c.i <- c.i + 1
+      done;
+      String.sub c.s start (c.i - start)
+  | '`' ->
+      c.i <- c.i + 1;
+      let buf = Buffer.create 16 in
+      let rec go () =
+        if c.i >= String.length c.s then fail c "unterminated backtick identifier"
+        else if c.s.[c.i] <> '`' then begin
+          Buffer.add_char buf c.s.[c.i];
+          c.i <- c.i + 1;
+          go ()
+        end
+        else if c.i + 1 < String.length c.s && c.s.[c.i + 1] = '`' then begin
+          Buffer.add_char buf '`';
+          c.i <- c.i + 2;
+          go ()
+        end
+        else c.i <- c.i + 1
+      in
+      go ();
+      Buffer.contents buf
+  | _ -> fail c "expected an identifier"
+
+(* labels, keys and types, which the graph keeps *)
+let read_name c = intern c (read_ident c)
+
+let hex_digit c =
+  let d =
+    match peek c with
+    | '0' .. '9' as h -> Char.code h - Char.code '0'
+    | 'a' .. 'f' as h -> Char.code h - Char.code 'a' + 10
+    | 'A' .. 'F' as h -> Char.code h - Char.code 'A' + 10
+    | _ -> fail c "\\u escape expects four hex digits"
+  in
+  c.i <- c.i + 1;
+  d
+
+(* at the opening quote; the common escape-free string is one [sub] *)
+let read_string c =
+  c.i <- c.i + 1;
+  let start = c.i and len = String.length c.s in
+  let rec plain j =
+    if j >= len then fail c "unterminated string literal"
+    else match c.s.[j] with '\'' -> j | '\\' -> -1 | _ -> plain (j + 1)
+  in
+  match plain start with
+  | j when j >= 0 ->
+      c.i <- j + 1;
+      String.sub c.s start (j - start)
+  | _ ->
+      let buf = Buffer.create 32 in
+      let rec go () =
+        if c.i >= len then fail c "unterminated string literal"
+        else
+          match c.s.[c.i] with
+          | '\'' -> c.i <- c.i + 1
+          | '\\' ->
+              c.i <- c.i + 1;
+              (match peek c with
+              | 'u' ->
+                  c.i <- c.i + 1;
+                  let a = hex_digit c in
+                  let b = hex_digit c in
+                  let d = hex_digit c in
+                  let e = hex_digit c in
+                  let code = (((((a * 16) + b) * 16) + d) * 16) + e in
+                  if not (Uchar.is_valid code) then
+                    fail c "\\u%04x is not a valid code point" code;
+                  Buffer.add_utf_8_uchar buf (Uchar.of_int code)
+              | e ->
+                  let ch =
+                    match e with
+                    | 'n' -> '\n'
+                    | 't' -> '\t'
+                    | 'r' -> '\r'
+                    | 'b' -> '\b'
+                    | 'f' -> '\012'
+                    | '\\' | '\'' -> e
+                    | _ when c.i >= len -> fail c "unterminated string literal"
+                    | _ -> fail c "unknown escape '\\%c'" e
+                  in
+                  Buffer.add_char buf ch;
+                  c.i <- c.i + 1);
+              go ()
+          | ch ->
+              Buffer.add_char buf ch;
+              c.i <- c.i + 1;
+              go ()
+      in
+      go ();
+      Buffer.contents buf
+
+let read_number c =
+  let start = c.i in
+  let neg = peek c = '-' in
+  if neg then c.i <- c.i + 1;
+  let digits () =
+    let from = c.i in
+    while is_digit (peek c) do
+      c.i <- c.i + 1
+    done;
+    if c.i = from then fail c "expected a digit"
+  in
+  digits ();
+  let int_end = c.i in
+  let fraction =
+    peek c = '.'
+    && c.i + 1 < String.length c.s
+    && is_digit c.s.[c.i + 1]
+    && (c.i <- c.i + 1;
+        digits ();
+        true)
+  in
+  let exponent =
+    (match peek c with 'e' | 'E' -> true | _ -> false)
+    && (c.i <- c.i + 1;
+        (match peek c with '+' | '-' -> c.i <- c.i + 1 | _ -> ());
+        digits ();
+        true)
+  in
+  if fraction || exponent then
+    Value.Float (float_of_string (String.sub c.s start (c.i - start)))
+  else
+    let unsigned = if neg then start + 1 else start in
+    match int_of_string_opt (String.sub c.s unsigned (int_end - unsigned)) with
+    | Some n -> Value.Int (if neg then -n else n)
+    | None -> fail c "integer literal out of range"
+
+(* the values without a literal, as [value_literal] spells them *)
+let constants =
+  List.map
+    (fun v -> (value_literal v, v))
+    Value.
+      [ Int min_int; Float Float.nan; Float Float.infinity; Float Float.neg_infinity ]
+
+let rec read_value_at c : Value.t =
+  skip_ws c;
+  match peek c with
+  | '\'' -> Value.String (read_string c)
+  | '-' | '0' .. '9' -> read_number c
+  | '[' ->
+      c.i <- c.i + 1;
+      skip_ws c;
+      if peek c = ']' then (
+        c.i <- c.i + 1;
+        Value.List [])
+      else
+        let rec items acc =
+          let acc = read_value_at c :: acc in
+          skip_ws c;
+          match peek c with
+          | ',' ->
+              c.i <- c.i + 1;
+              items acc
+          | ']' ->
+              c.i <- c.i + 1;
+              Value.List (List.rev acc)
+          | _ -> fail c "expected ',' or ']' in a list"
+        in
+        items []
+  | '{' -> Value.Map (read_map c)
+  | '(' -> (
+      match List.find_opt (fun (text, _) -> looking_at c text) constants with
+      | Some (text, v) ->
+          c.i <- c.i + String.length text;
+          v
+      | None -> fail c "unknown constant expression")
+  | _ ->
+      let word w v =
+        if looking_at c w then (
+          c.i <- c.i + String.length w;
+          v)
+        else fail c "expected a value"
+      in
+      (match peek c with
+      | 'n' -> word "null" Value.Null
+      | 't' -> word "true" (Value.Bool true)
+      | 'f' -> word "false" (Value.Bool false)
+      | _ when c.i >= String.length c.s -> fail c "expected a value, got end of input"
+      | _ -> fail c "expected a value")
+
+(* at the opening brace *)
+and read_map c : Value.t Smap.t =
+  c.i <- c.i + 1;
+  skip_ws c;
+  if peek c = '}' then (
+    c.i <- c.i + 1;
+    Smap.empty)
+  else
+    let rec entries m =
+      let key = read_name c in
+      if Smap.mem key m then fail c "duplicate map key %S" key;
+      expect c ":";
+      let m = Smap.add key (read_value_at c) m in
+      skip_ws c;
+      match peek c with
+      | ',' ->
+          c.i <- c.i + 1;
+          entries m
+      | '}' ->
+          c.i <- c.i + 1;
+          m
+      | _ -> fail c "expected ',' or '}' in a map"
+    in
+    entries Smap.empty
+
+let cursor s = { s; i = 0; names = Hashtbl.create 64 }
+
+let at_end c =
+  skip_ws c;
+  if c.i < String.length c.s then fail c "trailing bytes after the end"
+
+(** [read_value s] is the value the literal [s] denotes: the inverse of
+    {!value_literal}.  [Error] on anything else; never raises. *)
+let read_value (s : string) : (Value.t, string) result =
+  let c = cursor s in
+  try
+    let v = read_value_at c in
+    at_end c;
+    Ok v
+  with Bad m -> Error ("value literal: " ^ m)
+
+(* [(var:L… {…})]: the variable, labels and property map as written *)
+let read_node_pattern c =
+  expect c "(";
+  let var = read_ident c in
+  let rec labels acc =
+    skip_ws c;
+    if peek c = ':' then (
+      c.i <- c.i + 1;
+      labels (read_name c :: acc))
+    else List.rev acc
+  in
+  let labels = labels [] in
+  skip_ws c;
+  let props = if peek c = '{' then read_map c else Smap.empty in
+  expect c ")";
+  (var, labels, props)
+
+(* what an entity stores of a pattern's map: CREATE's property
+   evaluation drops null-valued keys *)
+let stored props = Smap.filter (fun _ v -> not (Value.is_null v)) props
+
+(** [of_cypher g s] applies the script [s], as written by {!to_cypher},
+    to [g]: nodes and relationships are created in file order, so the
+    ids and [next_id] are those executing [s] as a CREATE statement on
+    [g] would give.  The empty (or blank) script leaves [g] unchanged.
+    [pos] is the byte offset the script starts at (default 0).  [Error]
+    on anything outside the grammar — including an unbound or rebound
+    node variable, a relationship endpoint with labels or properties,
+    and trailing bytes; never raises. *)
+let of_cypher ?(pos = 0) (g : Graph.t) (s : string) : (Graph.t, string) result
+    =
+  let c = cursor s in
+  c.i <- pos;
+  let vars : (string, Graph.node_id) Hashtbl.t = Hashtbl.create 1024 in
+  let endpoint what (var, labels, props) =
+    if labels <> [] || not (Smap.is_empty props) then
+      fail c "relationship %s `%s` carries labels or properties" what var;
+    match Hashtbl.find_opt vars var with
+    | Some id -> id
+    | None -> fail c "relationship %s `%s` is unbound" what var
+  in
+  let rec fragments g =
+    let ((var, labels, props) as node) = read_node_pattern c in
+    skip_ws c;
+    let g =
+      if peek c = '-' then begin
+        let src = endpoint "source" node in
+        expect c "-";
+        expect c "[";
+        expect c ":";
+        let r_type = read_name c in
+        skip_ws c;
+        let props = if peek c = '{' then read_map c else Smap.empty in
+        expect c "]";
+        expect c "->";
+        let tgt = endpoint "target" (read_node_pattern c) in
+        snd (Graph.create_rel ~src ~tgt ~r_type ~props:(stored props) g)
+      end
+      else begin
+        if Hashtbl.mem vars var then fail c "variable `%s` is bound twice" var;
+        let id, g = Graph.create_node ~labels ~props:(stored props) g in
+        Hashtbl.add vars var id;
+        g
+      end
+    in
+    skip_ws c;
+    match peek c with
+    | ',' ->
+        c.i <- c.i + 1;
+        fragments g
+    | ';' ->
+        c.i <- c.i + 1;
+        g
+    | _ -> fail c "expected ',' or ';' after a pattern"
+  in
+  try
+    if pos < 0 || pos > String.length s then fail c "start offset out of range";
+    skip_ws c;
+    if c.i >= String.length s then Ok g
+    else begin
+      expect c "CREATE";
+      let g = fragments g in
+      at_end c;
+      Ok g
+    end
+  with Bad m -> Error ("dump script: " ^ m)

@@ -1,11 +1,17 @@
-(** Serialisation of a property graph to an equivalent Cypher script.
+(** Serialisation of a property graph to an equivalent Cypher script,
+    and the reader that decodes it back.
 
     [to_cypher g] produces a single CREATE statement that rebuilds [g]
     (up to entity ids, under a monotone id mapping) when executed on the
     empty graph — the repository analogue of a database dump and the
     body of snapshot files.  Round-trip exactness (dump → parse →
     execute → {!Iso.isomorphic}) holds for every storable graph and is
-    fuzz-tested; see DESIGN.md. *)
+    fuzz-tested; see DESIGN.md.
+
+    {!of_cypher} and {!read_value} read exactly the grammar the writer
+    emits, without the query front end: storage decodes its own images
+    with them.  They build what executing the script or evaluating the
+    literal would. *)
 
 (** @raise Invalid_argument on a graph with dangling relationships or
     entity-valued properties — neither is expressible as a Cypher
@@ -21,3 +27,20 @@ val value_literal : Value.t -> string
 (** [quote_ident s] backtick-quotes [s] unless it is a plain identifier;
     embedded backticks are doubled. *)
 val quote_ident : string -> string
+
+(** [read_value s] is the value the literal [s] denotes — the inverse of
+    {!value_literal}, so [read_value (value_literal v) = Ok v] (nan
+    reads back as a nan).  [Error] on anything outside the literal
+    grammar, including bad escapes, duplicate map keys, unterminated
+    input and trailing bytes; never raises. *)
+val read_value : string -> (Value.t, string) result
+
+(** [of_cypher ?pos g s] applies the script [s] (from byte [pos],
+    default 0), as written by {!to_cypher}, to [g]: entities are
+    created with {!Graph.create_node} / {!Graph.create_rel} in file
+    order, so ids and {!Graph.next_id} match executing the script as a
+    CREATE statement on [g].  A blank script leaves [g] unchanged.
+    [Error] on anything outside the grammar — an unbound or rebound node
+    variable, a relationship endpoint carrying labels or properties, a
+    malformed value, trailing bytes; never raises. *)
+val of_cypher : ?pos:int -> Graph.t -> string -> (Graph.t, string) result

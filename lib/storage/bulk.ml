@@ -40,7 +40,8 @@
 
     with every field percent-encoded ({!Wal.pct_encode}), labels
     [;]-joined and properties rendered as a Cypher map literal
-    ({!Dump.value_literal}) — [-] marks an absent value.  Relationship
+    ({!Dump.value_literal}, read back with {!Dump.read_value}, as the
+    journal's parameter bindings are) — [-] marks an absent value.  Relationship
     endpoints are the {e raw} CSV ids, not internal node ids: snapshot
     compaction remaps internal ids (monotonically), so a frame that
     hard-coded them would silently rebind after a compact.  Instead
@@ -96,30 +97,13 @@ let fail_file file fmt =
 let enc_opt s = if s = "" then "-" else Wal.pct_encode s
 
 let enc_props (props : Props.t) =
-  if Props.is_empty props then "-"
-  else Wal.pct_encode (Dump.value_literal (Props.to_value props))
+  if Props.is_empty props then "-" else Wal.encode_params props
 
 let dec_opt s =
   if s = "-" then Some "" else Wal.pct_decode s
 
 let dec_props s : Props.t option =
-  if s = "-" then Some Props.empty
-  else
-    match Wal.pct_decode s with
-    | None -> None
-    | Some txt -> (
-        match Cypher_parser.Parser.parse_expr_string txt with
-        | Error _ -> None
-        | Ok e -> (
-            try
-              match
-                Cypher_eval.Eval.eval
-                  (Cypher_eval.Ctx.make Graph.empty Cypher_table.Record.empty)
-                  e
-              with
-              | Value.Map m -> Some m
-              | _ -> None
-            with _ -> None))
+  if s = "-" then Some Props.empty else Wal.decode_params s
 
 let split_labels s = List.filter (fun l -> l <> "") (String.split_on_char ';' s)
 

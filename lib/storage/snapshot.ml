@@ -11,25 +11,22 @@
     CREATE ...;\n
     v}
 
-    Loading re-registers the indexes on the empty graph and executes the
-    script through the ordinary [Api]; because the dump emits entities
-    in id order, the rebuilt graph is isomorphic to the original under a
-    monotone id mapping, which keeps journal replay on top of it
-    deterministic (see DESIGN.md).  Files are written to a temporary
-    sibling and renamed into place, so a crash mid-snapshot leaves the
-    previous snapshot intact. *)
+    Loading re-registers the indexes on the empty graph and decodes the
+    script with [Dump.of_cypher], the writer's own inverse, rather than
+    executing it through the query pipeline: the image is self-written
+    and CRC-checked, so there is nothing for the lexer, parser,
+    validator and CREATE semantics to add but time and heap.  The
+    decoder creates entities in file order, exactly as executing the
+    CREATE would, and the dump emits them in id order, so the rebuilt
+    graph is isomorphic to the original under a monotone id mapping,
+    which keeps journal replay on top of it deterministic (see
+    DESIGN.md).  Files are written to a temporary sibling and renamed
+    into place, so a crash mid-snapshot leaves the previous snapshot
+    intact. *)
 
-open Cypher_core
 open Cypher_graph
 
 let version_tag = "#cypher-snapshot v1"
-
-(* Replay is semantics-independent — the body is a single CREATE — so
-   any dialect that parses it will do; [permissive] accepts every dump
-   the engine can emit.  Counters and parallel fan-out are pure
-   overhead here. *)
-let replay_config =
-  Config.with_stats false (Config.with_parallelism 0 Config.permissive)
 
 let index_line (label, key) = Printf.sprintf "// index: %s %s" label key
 
@@ -48,14 +45,33 @@ let to_string (g : Graph.t) : string =
     ^ Dump.to_cypher g
   in
   Printf.sprintf "%s nodes=%d rels=%d crc=%s\n%s" version_tag
-    (List.length (Graph.nodes g))
-    (List.length (Graph.rels g))
+    (Graph.node_count g) (Graph.rel_count g)
     (Crc32.to_hex (Crc32.digest body))
     body
 
-(** [parse s] validates and executes a snapshot image, returning the
+(* [indexes body] reads the index lines heading [body]: the registered
+   (label, key) pairs and the offset the script starts at *)
+let indexes body =
+  let tag = "// index: " in
+  let rec go acc pos =
+    if
+      pos + String.length tag <= String.length body
+      && String.sub body pos (String.length tag) = tag
+    then
+      let eol =
+        Option.value ~default:(String.length body)
+          (String.index_from_opt body pos '\n')
+      in
+      match parse_index_line (String.sub body pos (eol - pos)) with
+      | Some ik -> go (ik :: acc) (min (eol + 1) (String.length body))
+      | None -> Error "snapshot: malformed index line"
+    else Ok (List.rev acc, pos)
+  in
+  go [] 0
+
+(** [parse s] validates and decodes a snapshot image, returning the
     rebuilt graph.  Never raises: version/checksum/count mismatches and
-    script failures all come back as [Error]. *)
+    script errors all come back as [Error]. *)
 let parse (s : string) : (Graph.t, string) result =
   let header, body =
     match String.index_opt s '\n' with
@@ -84,26 +100,21 @@ let parse (s : string) : (Graph.t, string) result =
         if Crc32.to_hex (Crc32.digest body) <> crc_s then
           Error "snapshot: body checksum mismatch"
         else
-          let lines = String.split_on_char '\n' body in
-          let indexes = List.filter_map parse_index_line lines in
-          let script =
-            String.concat "\n"
-              (List.filter (fun l -> parse_index_line l = None) lines)
+          let decoded =
+            Result.bind (indexes body) (fun (indexes, pos) ->
+                let g0 =
+                  List.fold_left
+                    (fun g (label, key) -> Graph.add_prop_index ~label ~key g)
+                    Graph.empty indexes
+                in
+                Result.map_error
+                  (fun e -> "snapshot: " ^ e)
+                  (Dump.of_cypher ~pos g0 body))
           in
-          let g0 =
-            List.fold_left
-              (fun g (label, key) -> Graph.add_prop_index ~label ~key g)
-              Graph.empty indexes
-          in
-          let run () =
-            if String.trim script = "" then Ok (g0, [])
-            else Api.run_program ~config:replay_config g0 script
-          in
-          match run () with
-          | Error e -> Error ("snapshot: script failed: " ^ Errors.to_string e)
-          | Ok (g, _) ->
-              let n = List.length (Graph.nodes g)
-              and m = List.length (Graph.rels g) in
+          match decoded with
+          | Error e -> Error e
+          | Ok g ->
+              let n = Graph.node_count g and m = Graph.rel_count g in
               if
                 Some n <> int_of_string_opt nodes_s
                 || Some m <> int_of_string_opt rels_s

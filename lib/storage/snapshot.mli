@@ -2,8 +2,8 @@
     {!Dump.to_cypher}.  Header line (version, entity counts, body
     CRC-32), then the registered property indexes, then a single CREATE
     statement rebuilding the graph.  Written atomically (temporary
-    sibling + rename), loaded by re-executing the script through the
-    ordinary [Api]. *)
+    sibling + rename), loaded by decoding the script with
+    {!Dump.of_cypher} (not by executing it). *)
 
 open Cypher_graph
 
@@ -12,9 +12,9 @@ open Cypher_graph
     (see {!Dump.to_cypher}). *)
 val to_string : Graph.t -> string
 
-(** [parse s] validates and executes a snapshot image, returning the
+(** [parse s] validates and decodes a snapshot image, returning the
     rebuilt graph (isomorphic to the dumped one).  Never raises:
-    version/checksum/count mismatches and script failures all come back
+    version/checksum/count mismatches and script errors all come back
     as [Error]. *)
 val parse : string -> (Graph.t, string) result
 

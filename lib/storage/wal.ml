@@ -184,30 +184,19 @@ let pct_decode s : string option =
 
 (* Parameter bindings travel as a percent-encoded Cypher map literal:
    [Dump.value_literal] renders every storable value as an expression
-   that evaluates back to exactly itself, and decoding re-parses and
-   re-evaluates it with the ordinary parser and evaluator — no second
-   serialization format to keep in sync.  Entity values (nodes,
-   relationships, paths) make [value_literal] raise, which surfaces as
-   a journal-append failure for the offending statement. *)
+   that evaluates back to exactly itself, and decoding reads it back
+   with [Dump.read_value], the writer's own inverse — no second
+   serialization format to keep in sync, and no query front end on the
+   recovery path.  Entity values (nodes, relationships, paths) make
+   [value_literal] raise, which surfaces as a journal-append failure
+   for the offending statement. *)
 let encode_params (params : Value.t Smap.t) : string =
   pct_encode (Dump.value_literal (Value.Map params))
 
 let decode_params s : Value.t Smap.t option =
-  match pct_decode s with
-  | None -> None
-  | Some txt -> (
-      match Cypher_parser.Parser.parse_expr_string txt with
-      | Error _ -> None
-      | Ok e -> (
-          try
-            match
-              Cypher_eval.Eval.eval
-                (Cypher_eval.Ctx.make Graph.empty Cypher_table.Record.empty)
-                e
-            with
-            | Value.Map m -> Some m
-            | _ -> None
-          with _ -> None))
+  match Option.map Dump.read_value (pct_decode s) with
+  | Some (Ok (Value.Map m)) -> Some m
+  | _ -> None
 
 let encode_meta r =
   let base =

@@ -49,6 +49,16 @@ val pct_encode : string -> string
 (** Inverse of {!pct_encode}; [None] on a malformed escape. *)
 val pct_decode : string -> string option
 
+(** [encode_params m] is the [p=] field value for the bindings [m]: a
+    percent-encoded {!Dump.value_literal} map.  Shared with the bulk
+    loader's property fields.
+    @raise Invalid_argument when a binding holds a graph entity. *)
+val encode_params : Value.t Cypher_util.Maps.Smap.t -> string
+
+(** Inverse of {!encode_params} via {!Dump.read_value}; [None] on a bad
+    escape or anything but a map literal. *)
+val decode_params : string -> Value.t Cypher_util.Maps.Smap.t option
+
 (** [scan_string s] parses records from the front of [s]: the records of
     the longest valid prefix, the byte length of that prefix, and —
     unless the prefix is all of [s] — where and why the scan stopped.

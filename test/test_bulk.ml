@@ -265,14 +265,48 @@ let frame_tests =
                      (Cypher_table.Record.find row "t")
                      (Value.String "HAS SPACE"))
             | rows -> Alcotest.failf "expected 1 row, got %d" (List.length rows)));
+    Test_util.case "frame property fields carry every storable value" (fun () ->
+        let props =
+          Props.of_list
+            [
+              ("nan", Value.Float Float.nan);
+              ("min", Value.Int min_int);
+              ("inf", Value.Float Float.neg_infinity);
+              ("s", Value.String "x% y\n'\\\001");
+              ("odd key`", Value.List [ Value.Float (-0.0); Value.Float 0.1 ]);
+            ]
+        in
+        let ids = Bulk.create_idmap () in
+        let frame = "N a%20b L " ^ Wal.encode_params props in
+        match Bulk.apply_frame ~ids Graph.empty frame with
+        | Error m -> Alcotest.failf "frame did not apply: %s" m
+        | Ok (g, _) -> (
+            match Graph.nodes g with
+            | [ n ] ->
+                Alcotest.(check bool) "props survive" true
+                  (Props.equal props n.Graph.n_props)
+            | ns -> Alcotest.failf "expected 1 node, got %d" (List.length ns)));
     Test_util.case "apply_frame rejects garbage" (fun () ->
         let ids = Bulk.create_idmap () in
         (match Bulk.apply_frame ~ids Graph.empty "X what" with
         | Ok _ -> Alcotest.fail "accepted a malformed line"
         | Error _ -> ());
-        match Bulk.apply_frame ~ids Graph.empty "R a b T -" with
+        (match Bulk.apply_frame ~ids Graph.empty "R a b T -" with
         | Ok _ -> Alcotest.fail "accepted an unresolved endpoint"
         | Error _ -> ());
+        List.iter
+          (fun props ->
+            match Bulk.apply_frame ~ids Graph.empty ("N a - " ^ props) with
+            | Ok _ -> Alcotest.failf "accepted the property field %S" props
+            | Error _ -> ())
+          [
+            "{k:%201,%20k:%202}" (* duplicate key *);
+            "{k:%20'x}" (* unterminated string *);
+            "{k:%201}x" (* trailing bytes *);
+            "[1]" (* not a map *);
+            "{k:%20'%5cq'}" (* bad escape *);
+            "{k:%201" (* unterminated map *);
+          ]);
   ]
 
 let suite = validation_tests @ storage_tests @ frame_tests

@@ -1,11 +1,14 @@
-(** Dump round-trip exactness: dump → parse → execute → isomorphic.
+(** Dump round-trip exactness: dump → parse → execute → isomorphic,
+    and dump → [Dump.of_cypher] → the very graph executing it builds.
 
     The snapshot subsystem stands on [Dump.to_cypher], so the dump must
     be round-trip exact for {e every} storable graph — including the
     adversarial corners pretty-printing never meets: reparse-exact
     floats, nan/infinity, [min_int], identifiers needing backtick
     quoting (with embedded backticks), keyword-shaped labels, control
-    characters in strings, self-loops and parallel edges. *)
+    characters in strings, self-loops and parallel edges.  Every
+    round-trip below also decodes the dump with the reader and requires
+    the executed graph back exactly (same script, same ids). *)
 
 open Cypher_graph
 open Test_util
@@ -32,8 +35,19 @@ let reload g =
     | Error e ->
         Alcotest.failf "dump did not reload: %s\n%s" (Errors.to_string e) script
 
+(* [g] reloads isomorphically, and the decoder builds exactly what
+   executing the dump built: same dump (entity ids included) and same
+   id counter *)
 let check_roundtrip ?(msg = "isomorphic") g =
-  Alcotest.check graph_iso_testable msg g (reload g)
+  let executed = reload g in
+  Alcotest.check graph_iso_testable msg g executed;
+  let script = Dump.to_cypher g in
+  match Dump.of_cypher Graph.empty script with
+  | Error e -> Alcotest.failf "dump did not decode: %s\n%s" e script
+  | Ok decoded ->
+      Alcotest.(check string) "decoded = executed" (Dump.to_cypher executed)
+        (Dump.to_cypher decoded);
+      Alcotest.(check int) "next_id" (Graph.next_id executed) (Graph.next_id decoded)
 
 let node_with props =
   let _, g = Graph.create_node ~labels:[ "N" ] ~props:(Props.of_list props) Graph.empty in
@@ -177,10 +191,80 @@ let fuzz_population_tests =
         for seed = 0 to 299 do
           let rng = Cypher_fuzz.Rng.make seed in
           let g = Cypher_fuzz.Gen.graph rng in
-          Alcotest.check graph_iso_testable
-            (Printf.sprintf "seed %d" seed)
-            g (reload g)
+          check_roundtrip ~msg:(Printf.sprintf "seed %d" seed) g
         done);
   ]
 
-let suite = literal_tests @ ident_tests @ shape_tests @ fuzz_population_tests
+(* ------------------------------------------------------------------ *)
+(* The literal reader                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* bit-exact, with every nan equal to every nan *)
+let rec same_value (a : Value.t) (b : Value.t) =
+  match (a, b) with
+  | Value.Float x, Value.Float y ->
+      (Float.is_nan x && Float.is_nan y)
+      || Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Value.List xs, Value.List ys ->
+      List.length xs = List.length ys && List.for_all2 same_value xs ys
+  | Value.Map xm, Value.Map ym -> Cypher_util.Maps.Smap.equal same_value xm ym
+  | (Value.Float _ | Value.List _ | Value.Map _), _ -> false
+  | _ -> a = b
+
+let vmap l = Value.Map (Cypher_util.Maps.smap_of_list l)
+
+(* the values the round-trip cases above store, plus the shapes only a
+   literal can take (nested maps with awkward keys, empty containers) *)
+let population =
+  [
+    vnull; vbool true; vbool false; vint 0; vint (-7);
+    vint min_int; vint max_int; vint (-max_int);
+    vfloat 0.1; vfloat 5e-324; vfloat 1.7976931348623157e308;
+    vfloat (1.0 /. 3.0); vfloat (-0.0); vfloat 0.0; vfloat 3.0; vfloat 1e20;
+    vfloat (-2.5e-7); vfloat 123456789012.5; vfloat Float.nan;
+    vfloat Float.infinity; vfloat Float.neg_infinity;
+    vstr ""; vstr "it's"; vstr "a\\b"; vstr "line1\nline2"; vstr "a\tb";
+    vstr "\r\b\012"; vstr "\x00\x01\x1f"; vstr "caf\xc3\xa9"; vstr "`{}[],:";
+    vlist []; vmap [];
+    vlist [ vint 1; vstr "it's"; vlist [ vbool true; vfloat 2.5 ]; vnull ];
+    vmap [ ("plain", vint 1); ("weird key", vstr "v"); ("a`b", vlist [ vfloat Float.nan ]) ];
+    vmap [ ("outer", vmap [ ("``", vmap []); ("x y", vlist [ vint min_int ]) ]) ];
+  ]
+
+let reader_tests =
+  [
+    case "read_value inverts value_literal over the population" (fun () ->
+        List.iter
+          (fun v ->
+            let lit = Dump.value_literal v in
+            match Dump.read_value lit with
+            | Ok v' ->
+                if not (same_value v v') then
+                  Alcotest.failf "%s read back as %s" lit (Value.to_string v')
+            | Error e -> Alcotest.failf "%s did not read: %s" lit e)
+          population);
+    case "read_value agrees with the lexer on what a scalar is" (fun () ->
+        (* digits alone are an integer, as the query language reads them *)
+        List.iter
+          (fun (text, v) ->
+            match Dump.read_value text with
+            | Ok v' when same_value v v' -> ()
+            | Ok v' -> Alcotest.failf "%s read as %s" text (Value.to_string v')
+            | Error e -> Alcotest.failf "%s: %s" text e)
+          [ ("1234567890123456", vint 1234567890123456); ("1e+20", vfloat 1e20);
+            ("-0.0", vfloat (-0.0)); ("\t[ 1 ,2 ]\n", vlist [ vint 1; vint 2 ]);
+            ("'\\u00e9'", vstr "\xc3\xa9") ]);
+    case "read_value refuses what value_literal never writes" (fun () ->
+        List.iter
+          (fun text ->
+            match Dump.read_value text with
+            | Error _ -> ()
+            | Ok v -> Alcotest.failf "%S read as %s" text (Value.to_string v))
+          [ ""; "nul"; "'abc"; "'a\\qb'"; "'\\u12'"; "'\\ud800'"; "\"dq\"";
+            "[1, 2"; "[1 2]"; "{a: 1, a: 2}"; "{a 1}"; "{`a: 1}"; "1 2"; "-";
+            "4611686018427387904"; "(1.0 / 2.0)"; "(0.0/0.0)"; "1e"; "$p" ]);
+  ]
+
+let suite =
+  literal_tests @ ident_tests @ shape_tests @ fuzz_population_tests
+  @ reader_tests

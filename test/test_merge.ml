@@ -77,6 +77,34 @@ let revised_tests =
           run_graph Graph.empty "UNWIND [1, 1, 1] AS x MERGE SAME (:X {v: x})"
         in
         Alcotest.(check int) "one node" 1 (Graph.node_count g));
+    case "a quotient with only singleton classes is the input graph" (fun () ->
+        (* no rebuild: the very same graph comes back, maps and all *)
+        let g = graph_of "CREATE (:X {v: 1})-[:T]->(:X {v: 2}), (:X {v: 3})" in
+        let q =
+          Cypher_core.Quotient.apply g
+            ~new_nodes:(List.map (fun id -> (id, (0, 0))) (Graph.node_ids g))
+            ~new_rels:(List.map (fun id -> (id, (0, 1))) (Graph.rel_ids g))
+            ~node_pos_matters:false ~rel_pos_matters:false
+        in
+        Alcotest.(check bool) "physically the input" true
+          (q.Cypher_core.Quotient.graph == g);
+        List.iter
+          (fun id ->
+            Alcotest.(check int) "node map is the identity" id
+              (q.Cypher_core.Quotient.node_map id))
+          (Graph.node_ids g));
+    case "non-collapsing MERGE SAME counts what MERGE ALL counts" (fun () ->
+        let stats src =
+          match Cypher_core.Api.run_string_full Graph.empty src with
+          | Ok r -> r.Cypher_core.Api.r_stats
+          | Error e -> Alcotest.fail (Errors.to_string e)
+        in
+        let pattern = " (:X {v: x})-[:T]->(:Y {v: x})" in
+        let same = stats ("UNWIND [1, 2, 3] AS x MERGE SAME" ^ pattern) in
+        let all = stats ("UNWIND [1, 2, 3] AS x MERGE ALL" ^ pattern) in
+        Alcotest.(check bool) "same counters" true (Cypher_core.Stats.equal same all);
+        Alcotest.(check int) "nodes" 6 same.Cypher_core.Stats.nodes_created;
+        Alcotest.(check int) "rels" 3 same.Cypher_core.Stats.rels_created);
     case "existing nodes only collapse with themselves" (fun () ->
         (* two pre-existing equal nodes stay distinct; merged row matches
            both, creating nothing *)

@@ -375,6 +375,12 @@ let wal_tests =
               ("z", vnull);
               ("l", vlist [ vint 1; vstr "x" ]);
               ("m", Value.Map (params_of [ ("k", vint 9) ]));
+              ("min", vint min_int);
+              ("nan", Value.Float Float.nan);
+              ("inf", Value.Float Float.infinity);
+              ("tiny", Value.Float 5e-324);
+              ("ctl", vstr "\001'\\\t");
+              ("odd key`", vlist [ Value.Map (params_of [ ("x y", vnull) ]) ]);
             ]
         in
         let r = wal_record ~params "CREATE (:N {v: $n})" in
@@ -386,6 +392,24 @@ let wal_tests =
             Alcotest.(check bool) "params survive" true
               (Smap.equal Value.equal_strict params r'.Wal.params)
         | rs -> Alcotest.failf "expected 1 record, got %d" (List.length rs));
+    case "a frame whose bindings do not read back is refused" (fun () ->
+        List.iter
+          (fun p ->
+            let payload =
+              "m=atomic o=fwd x=iso s=0,0,0,0,0,0,0,0,0,0,0 p=" ^ p ^ "\nRETURN 1"
+            in
+            let frame =
+              Printf.sprintf "%%%d %s\n%s\n" (String.length payload)
+                (Cypher_storage.Crc32.to_hex (Cypher_storage.Crc32.digest payload))
+                payload
+            in
+            match Wal.scan_string frame with
+            | [], 0, Some t ->
+                Alcotest.(check string) "reason" "malformed record metadata"
+                  t.Wal.t_reason
+            | rs, _, _ ->
+                Alcotest.failf "p=%s: %d record(s) kept" p (List.length rs))
+          [ "{k:%201,%20k:%202}"; "{k:%20$v}"; "[1]"; "{k:%201}%20x"; "{k:%20'" ]);
     case "empty bindings keep the pre-parameter byte format" (fun () ->
         let framed = Wal.encode (wal_record "CREATE (:N)") in
         Alcotest.(check bool) "no p= field" false (contains ~sub:" p=" framed);

@@ -155,6 +155,13 @@ let wal_tests =
 (* Snapshots                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* a snapshot image around [body] with a correct checksum, so only the
+   body's own validity is on trial *)
+let image ~nodes ~rels body =
+  Printf.sprintf "#cypher-snapshot v1 nodes=%d rels=%d crc=%s\n%s" nodes rels
+    (Cypher_storage.Crc32.to_hex (Cypher_storage.Crc32.digest body))
+    body
+
 let snapshot_tests =
   [
     case "snapshot round-trips a graph with a property index" (fun () ->
@@ -197,6 +204,68 @@ let snapshot_tests =
     case "read on a missing path is Ok None" (fun () ->
         Alcotest.(check bool) "none" true
           (Snapshot.read "/nonexistent/snap.cy" = Ok None));
+    case "decoding builds the graph executing the script builds" (fun () ->
+        (* deletions leave id gaps: the decoded graph renumbers exactly
+           as executing the dump on the empty graph does *)
+        let g =
+          graph_of "CREATE (:A {k: 0})-[:T]->(:B {k: 1}), (:C {k: 2})-[:U]->(:D)"
+        in
+        let g = run_graph g "MATCH (b:B) DETACH DELETE b" in
+        let decoded = ok_or_fail (Snapshot.parse (Snapshot.to_string g)) in
+        let executed =
+          run_graph ~config:Config.permissive Graph.empty (Cypher_graph.Dump.to_cypher g)
+        in
+        Alcotest.(check string) "same image" (Snapshot.to_string executed)
+          (Snapshot.to_string decoded);
+        Alcotest.(check (list int)) "rel ids" (Graph.rel_ids executed)
+          (Graph.rel_ids decoded);
+        Alcotest.(check int) "next_id" (Graph.next_id executed) (Graph.next_id decoded);
+        let img = Snapshot.to_string decoded in
+        Alcotest.(check string) "re-imaging is a fixpoint" img
+          (Snapshot.to_string (ok_or_fail (Snapshot.parse img))));
+    case "whitespace between tokens is free" (fun () ->
+        let g =
+          ok_or_fail
+            (Snapshot.parse
+               (image ~nodes:2 ~rels:1
+                  "\n  CREATE(n0:A{k:1}) ,\t(n1)\r\n,( n0 )-[ :T {w : 2.5} ]->( n1 ) ;\n\n"))
+        in
+        Alcotest.check graph_iso_testable "decoded"
+          (graph_of "CREATE (:A {k: 1})-[:T {w: 2.5}]->()")
+          g);
+    case "malformed bodies under a valid checksum are errors, never raises"
+      (fun () ->
+        List.iter
+          (fun (what, nodes, rels, body) ->
+            match Snapshot.parse (image ~nodes ~rels body) with
+            | Error _ -> ()
+            | Ok _ -> Alcotest.failf "%s: accepted %S" what body
+            | exception e ->
+                Alcotest.failf "%s: raised %s" what (Printexc.to_string e))
+          [
+            ("unbound endpoint", 2, 1, "CREATE (n0), (n1)-[:T]->(n0);\n");
+            ("unbound target", 2, 1, "CREATE (n0), (n0)-[:T]->(n9);\n");
+            ("rebound variable", 2, 0, "CREATE (n0), (n0);\n");
+            ("labelled endpoint", 2, 1, "CREATE (n0), (n1), (n0:A)-[:T]->(n1);\n");
+            ("propertied endpoint", 2, 1, "CREATE (n0), (n1), (n0)-[:T]->(n1 {k: 1});\n");
+            ("bad escape", 1, 0, "CREATE (n0 {s: 'a\\qb'});\n");
+            ("short \\u escape", 1, 0, "CREATE (n0 {s: '\\u12'});\n");
+            ("unterminated string", 1, 0, "CREATE (n0 {s: 'abc});\n");
+            ("unterminated script", 2, 0, "CREATE (n0), (n1)");
+            ("unterminated pattern", 1, 0, "CREATE (n0:A");
+            ("trailing bytes", 1, 0, "CREATE (n0);\nMATCH (n) RETURN n;\n");
+            ("second statement", 2, 0, "CREATE (n0);\nCREATE (n1);\n");
+            ("duplicate key", 1, 0, "CREATE (n0 {k: 1, k: 2});\n");
+            ("duplicate nested key", 1, 0, "CREATE (n0 {m: {a: 1, a: 2}});\n");
+            ("integer overflow", 1, 0, "CREATE (n0 {k: 4611686018427387904});\n");
+            ("arithmetic", 1, 0, "CREATE (n0 {k: (1 + 1)});\n");
+            ("relationship variable", 2, 1, "CREATE (n0), (n1), (n0)-[r:T]->(n1);\n");
+            ("chained pattern", 3, 2, "CREATE (n0), (n1), (n2), (n0)-[:T]->(n1)-[:T]->(n2);\n");
+            ("incoming arrow", 2, 1, "CREATE (n0), (n1), (n0)<-[:T]-(n1);\n");
+            ("not a CREATE", 0, 0, "MATCH (n) DELETE n;\n");
+            ("malformed index line", 1, 0, "// index: A\nCREATE (n0:A);\n");
+            ("count mismatch", 2, 0, "CREATE (n0);\n");
+          ]);
   ]
 
 (* ------------------------------------------------------------------ *)
