@@ -65,11 +65,6 @@ let cfg_revised_par =
    persistent maps on the read path *)
 let cfg_compact = Config.with_backend `Compact cfg_revised
 
-(* slot-compiled array rows instead of per-row persistent maps on the
-   materialising read path, alone and stacked on the compact backend *)
-let cfg_revised_slots = Config.with_rows `Slots cfg_revised
-let cfg_compact_slots = Config.with_rows `Slots cfg_compact
-
 let run_q config g q =
   match Api.run_query ~config g q with
   | Ok o -> o
@@ -544,11 +539,9 @@ let tier5 () =
         ("match/2hop/n=1e5", cfg_revised, q_2hop);
         ("match/2hop/n=1e5/compact", cfg_compact, q_2hop);
         (* the materialising variant (count(p) defeats the counting
-           fusion), record rows vs slot-compiled array rows *)
+           fusion) *)
         ("match/2hop-rows/n=1e5", cfg_revised, q_2hop_rows);
-        ("match/2hop-rows/n=1e5/slots", cfg_revised_slots, q_2hop_rows);
         ("match/2hop-rows/n=1e5/compact", cfg_compact, q_2hop_rows);
-        ("match/2hop-rows/n=1e5/compact/slots", cfg_compact_slots, q_2hop_rows);
         (* whole-graph BFS: persistent hash-table visited set vs the
            CSR dense-array frontier *)
         ("shortestpath/n=1e5", cfg_revised, q_sp);
@@ -927,9 +920,9 @@ let load_pinned path =
 (* the update-path entries: every one runs through the stats-threaded
    code with collection disabled, so their ratio against the pinned
    pre-observability numbers is the disabled-collector overhead.  The
-   two read-path entries at the end gate the `Records default through
-   the dual-representation Record: every accessor now dispatches on the
-   representation, and these hold that dispatch to the same budget *)
+   two read-path entries at the end hold the row pipeline (match
+   expansion, UNWIND and projection over slot rows) to the same
+   budget *)
 let overhead_subset =
   [
     "set/legacy/100";

@@ -1,6 +1,7 @@
 (** Execution configuration: which update semantics to run, in which
     driving-table order legacy clauses process records, which dialect to
-    validate against, and the query parameters. *)
+    validate against, the query parameters, and the physical knobs
+    (planner, parallelism, durability, graph backend, plan cache). *)
 
 open Cypher_util.Maps
 open Cypher_graph
@@ -45,15 +46,6 @@ type durability = Fsync | Buffered
     observationally identical (fuzz oracle 9). *)
 type backend = Graph.backend
 
-(** Row representation of the read pipeline.  [`Records] (default)
-    executes over persistent string-keyed maps; [`Slots] compiles each
-    clause's column set to a {!Cypher_table.Slots} layout at the clause
-    boundary and runs MATCH expansion, WHERE, UNWIND and projection over
-    flat value arrays (one allocation per row, index binds/lookups).
-    The two are observationally identical — the fuzz battery runs
-    byte-for-byte under either. *)
-type rows = [ `Records | `Slots ]
-
 type t = {
   mode : mode;
   order : order;
@@ -71,7 +63,6 @@ type t = {
       (** maximum number of compiled statements a {!Session} keeps in
           its LRU plan cache; [0] disables caching entirely *)
   backend : backend;
-  rows : rows;
 }
 
 (** Parses a [CYPHER_PARALLELISM]-style value: unset/empty/"0"/invalid
@@ -105,33 +96,20 @@ let backend_of_string : string option -> backend = function
     any code change. *)
 let default_backend = backend_of_string (Sys.getenv_opt "CYPHER_BACKEND")
 
-(** Parses a [CYPHER_ROWS]-style value: "slots" selects slot-compiled
-    array rows, anything else (including unset) the record default. *)
-let rows_of_string : string option -> rows = function
-  | Some "slots" -> `Slots
-  | _ -> `Records
-
-(** Process-wide default, read once from [CYPHER_ROWS] at startup:
-    every stock configuration below starts from it, so
-    [CYPHER_ROWS=slots dune exec ...] runs the whole process — tests
-    and fuzz oracles included — on slot-compiled rows without any code
-    change. *)
-let default_rows = rows_of_string (Sys.getenv_opt "CYPHER_ROWS")
-
 (** Cypher 9 as shipped: legacy update semantics, Figure 2–5 grammar,
     naive matching (its order-sensitive behaviours stay reproducible). *)
 let cypher9 =
   { mode = Legacy; order = Forward; match_mode = Isomorphic; planner = Off;
     parallelism = default_parallelism; durability = Fsync; collect_stats = true;
     dialect = Cypher_ast.Validate.Cypher9; params = Smap.empty;
-    plan_cache_capacity = 128; backend = default_backend; rows = default_rows }
+    plan_cache_capacity = 128; backend = default_backend }
 
 (** The paper's revised language: atomic semantics, Figure 10 grammar. *)
 let revised =
   { mode = Atomic; order = Forward; match_mode = Isomorphic; planner = On;
     parallelism = default_parallelism; durability = Fsync; collect_stats = true;
     dialect = Cypher_ast.Validate.Revised; params = Smap.empty;
-    plan_cache_capacity = 128; backend = default_backend; rows = default_rows }
+    plan_cache_capacity = 128; backend = default_backend }
 
 (** Everything the parser accepts, atomic semantics: used to experiment
     with the Section 6 proposal variants (MERGE GROUPING / WEAK /
@@ -140,7 +118,7 @@ let permissive =
   { mode = Atomic; order = Forward; match_mode = Isomorphic; planner = On;
     parallelism = default_parallelism; durability = Fsync; collect_stats = true;
     dialect = Cypher_ast.Validate.Permissive; params = Smap.empty;
-    plan_cache_capacity = 128; backend = default_backend; rows = default_rows }
+    plan_cache_capacity = 128; backend = default_backend }
 
 let with_order order t = { t with order }
 let with_match_mode match_mode t = { t with match_mode }
@@ -154,7 +132,6 @@ let with_param name v t = { t with params = Smap.add name v t.params }
 
 let with_plan_cache_capacity n t = { t with plan_cache_capacity = max 0 n }
 let with_backend backend t = { t with backend }
-let with_rows rows t = { t with rows }
 
 (** [arrange_rows config rows] applies the configured record order;
     identity under [Forward]. *)

@@ -1,7 +1,9 @@
 (** Execution configuration: which update semantics to run, in which
     driving-table order legacy clauses process records, which pattern
-    matching regime to use, which dialect to validate against, and the
-    query parameters. *)
+    matching regime to use, which dialect to validate against, the
+    query parameters, and the physical knobs (planner, parallelism,
+    durability, graph backend, plan cache).  Rows have a single
+    representation ({!Cypher_table.Record}), so there is no row knob. *)
 
 open Cypher_util.Maps
 open Cypher_graph
@@ -41,14 +43,6 @@ type durability = Fsync | Buffered
     observationally identical (fuzz oracle 9). *)
 type backend = Graph.backend
 
-(** Row representation of the read pipeline.  [`Records] (default)
-    executes over persistent string-keyed maps; [`Slots] compiles each
-    clause's column set to a {!Cypher_table.Slots} layout at the clause
-    boundary and runs MATCH expansion, WHERE, UNWIND and projection over
-    flat value arrays.  Observationally identical (fuzz battery under
-    [CYPHER_ROWS=slots]). *)
-type rows = [ `Records | `Slots ]
-
 type t = {
   mode : mode;
   order : order;
@@ -73,7 +67,6 @@ type t = {
       (** Maximum number of compiled statements a {!Session} keeps in
           its LRU plan cache; [0] disables caching entirely. *)
   backend : backend;
-  rows : rows;
 }
 
 (** Parses a [CYPHER_PARALLELISM]-style value: unset/empty/"0"/invalid
@@ -92,14 +85,6 @@ val backend_of_string : string option -> backend
 (** The process-wide default, read once from [CYPHER_BACKEND] at
     startup; the baseline of every stock configuration below. *)
 val default_backend : backend
-
-(** Parses a [CYPHER_ROWS]-style value: "slots" selects slot-compiled
-    array rows, anything else (including unset) the record default. *)
-val rows_of_string : string option -> rows
-
-(** The process-wide default, read once from [CYPHER_ROWS] at startup;
-    the baseline of every stock configuration below. *)
-val default_rows : rows
 
 (** Cypher 9 as shipped: legacy update semantics, Figure 2–5 grammar. *)
 val cypher9 : t
@@ -135,9 +120,6 @@ val with_plan_cache_capacity : int -> t -> t
 (** [with_backend b t] selects the physical graph layout serving
     reads. *)
 val with_backend : backend -> t -> t
-
-(** [with_rows r t] selects the read-pipeline row representation. *)
-val with_rows : rows -> t -> t
 
 (** [arrange_rows config rows] applies the configured record order;
     identity under [Forward]. *)

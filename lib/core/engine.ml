@@ -116,21 +116,14 @@ let hoisted_plans ?slot config g t patterns =
                       Plan_memo.store memo key plans;
                     plans))
 
-(* Slot seeding: under [Config.rows = `Slots] a read clause compiles
-   its output column set to a slot layout once, and re-lays each driving
-   row out as a flat value array over it before expansion.  Every bind
-   in the match/unwind inner loop is then an array copy plus an index
-   store, and every lookup an index load — no string-keyed map rebuilds
-   on the hot path.  Pattern variables start absent and are filled by
-   the matcher through the ordinary [Record] API, so the layout is
-   stable across the whole expansion and the final [Table.make]
-   projection is a no-op per row.  Identity under [`Records]. *)
-let row_seeder config columns =
-  match Runtime.rows_of config with
-  | `Records -> Fun.id
-  | `Slots ->
-      let tab = Slots.of_names columns in
-      Record.seed tab
+(* Slot seeding: a read clause compiles its output column set to a slot
+   layout once, and re-lays each driving row out over it before
+   expansion.  Every bind in the match/unwind inner loop is then an
+   array copy plus an index store, and every lookup an index load.
+   Pattern variables start absent and are filled by the matcher, so the
+   layout is stable across the whole expansion and the final
+   [Table.make] projection is a no-op per row. *)
+let row_seeder columns = Record.seed (Slots.of_names columns)
 
 let exec_match ?slot config (g, t) ~optional ~patterns ~where =
   let vars = List.concat_map pattern_vars patterns in
@@ -140,7 +133,7 @@ let exec_match ?slot config (g, t) ~optional ~patterns ~where =
      build their own *)
   Graph.ensure_csr g;
   let plans = hoisted_plans ?slot config g t patterns in
-  let seed = row_seeder config columns in
+  let seed = row_seeder columns in
   let mode = Runtime.match_mode_of config in
   let planner = Runtime.planner_on config in
   let pad row =
@@ -214,8 +207,7 @@ let exec_match_count ?slot config (g, t) ~patterns ~name =
   Graph.ensure_csr g;
   let plans = hoisted_plans ?slot config g t patterns in
   let seed =
-    row_seeder config
-      (Table.columns t @ List.concat_map pattern_vars patterns)
+    row_seeder (Table.columns t @ List.concat_map pattern_vars patterns)
   in
   let total =
     Table.fold
@@ -228,11 +220,11 @@ let exec_match_count ?slot config (g, t) ~patterns ~name =
             patterns)
       t 0
   in
-  (g, Table.make [ name ] [ Record.bind Record.empty name (Value.Int total) ])
+  (g, Table.make [ name ] [ Record.of_list [ (name, Value.Int total) ] ])
 
 let exec_unwind config (g, t) ~source ~alias =
   let columns = Table.columns t @ [ alias ] in
-  let seed = row_seeder config columns in
+  let seed = row_seeder columns in
   let expand row =
     match Eval.eval (ctx_of config g row) source with
     | Value.Null -> []

@@ -46,8 +46,7 @@ let scope_after bound (c : clause) =
       if proj.proj_star then add aliases else aliases
   | Set _ | Remove _ | Delete _ | Foreach _ -> bound
 
-let probe_row bound =
-  List.fold_left (fun r v -> Record.bind r v Value.Null) Record.empty bound
+let probe_row bound = Record.of_list (List.map (fun v -> (v, Value.Null)) bound)
 
 let indent prefix s =
   String.split_on_char '\n' s

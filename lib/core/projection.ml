@@ -93,27 +93,16 @@ let run config (g, t) (proj : projection) =
   let has_agg = List.exists (fun it -> expr_has_agg it.item_expr) items in
   let parallelism = Runtime.parallelism_of config in
   (* Builds one projected row by evaluating the items left to right.
-     Under [`Slots] the output layout is compiled once ([names] is
-     duplicate-free — checked above, so item positions and slots align)
-     and each row is a single array; under [`Records] the original
-     per-item map build.  Evaluation order is identical. *)
+     The output layout is compiled once ([names] is duplicate-free —
+     checked above, so item positions and slots align) and each row is a
+     single array. *)
   let mk_projected =
-    match Runtime.rows_of config with
-    | `Records ->
-        fun ctx ->
-          List.fold_left2
-            (fun acc name it ->
-              Record.bind acc name (Eval.eval ctx it.item_expr))
-            Record.empty names items
-    | `Slots ->
-        let tab = Cypher_table.Slots.of_names names in
-        let width = List.length names in
-        fun ctx ->
-          let cells = Array.make width Value.Null in
-          List.iteri
-            (fun i it -> cells.(i) <- Eval.eval ctx it.item_expr)
-            items;
-          Record.of_slots tab cells
+    let tab = Slots.of_names names in
+    let width = List.length names in
+    fun ctx ->
+      let cells = Array.make width Value.Null in
+      List.iteri (fun i it -> cells.(i) <- Eval.eval ctx it.item_expr) items;
+      Record.of_slots tab cells
   in
   let out_rows =
     if not has_agg then

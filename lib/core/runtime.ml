@@ -21,7 +21,6 @@ let planner_on config =
   match config.Config.planner with Config.On -> true | Config.Off -> false
 
 let parallelism_of config = config.Config.parallelism
-let rows_of config = config.Config.rows
 
 (** [ctx config graph row] is the evaluation context for one record,
     with parameters and the pattern oracle installed. *)

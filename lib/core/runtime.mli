@@ -17,7 +17,6 @@ val planner_on : Config.t -> bool
 
 (** The configured read-phase fan-out width (see {!Config.t}). *)
 val parallelism_of : Config.t -> int
-val rows_of : Config.t -> Config.rows
 
 (** [ctx config graph row] is the evaluation context for one record,
     with parameters and the oracles installed. *)

@@ -18,12 +18,12 @@ let error_to_string e = Printf.sprintf "CSV error at line %d: %s" e.line e.messa
 
 exception Csv_error of error
 
-(** [rows_of_string src] splits CSV text into rows of raw string
+(** [parse_numbered src] splits CSV text into rows of raw string
     fields, each paired with the 1-based line its first field starts on
     (quoted fields may span lines, so row index and line number
     diverge).  Handles quoted fields (with embedded commas, newlines and
     doubled quotes) and both LF and CRLF line endings. *)
-let rows_of_string src : (int * string list) list =
+let parse_numbered src : (int * string list) list =
   let rows = ref [] in
   let fields = ref [] in
   let buf = Buffer.create 32 in
@@ -92,8 +92,8 @@ let rows_of_string src : (int * string list) list =
   plain 0;
   List.rev !rows
 
-(** [parse_string src] is {!rows_of_string} without the line numbers. *)
-let parse_string src : string list list = List.map snd (rows_of_string src)
+(** [parse_string src] is {!parse_numbered} without the line numbers. *)
+let parse_string src : string list list = List.map snd (parse_numbered src)
 
 (** Types a raw field: empty → null; integer / float / boolean literals
     are recognised; anything else is a string. *)
@@ -124,6 +124,7 @@ let table_of_string ?(typed = true) src : Table.t =
         else if s = "" then Value.Null
         else Value.String s
       in
+      let tab = Slots.of_names header in
       let to_record i fields =
         if List.length fields <> List.length header then
           raise
@@ -134,10 +135,14 @@ let table_of_string ?(typed = true) src : Table.t =
                      (List.length fields) (List.length header);
                  line = i + 2;
                })
-        else
-          List.fold_left2
-            (fun r k v -> Record.bind r k (convert v))
-            Record.empty header fields
+        else begin
+          (* a repeated header name keeps its last field *)
+          let cells = Array.make (Slots.width tab) Slots.absent in
+          List.iter2
+            (fun k v -> cells.(Slots.index tab k) <- convert v)
+            header fields;
+          Record.of_slots tab cells
+        end
       in
       Table.make header (List.mapi to_record rows)
 

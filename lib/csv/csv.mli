@@ -23,12 +23,12 @@ exception Csv_error of error
     end of input reports the line its opening quote is on. *)
 val parse_string : string -> string list list
 
-(** [rows_of_string src] is {!parse_string} with each row paired with
+(** [parse_numbered src] is {!parse_string} with each row paired with
     the 1-based line its first field starts on (quoted fields may span
     lines, so row index and line number diverge) — the substrate for
     import-error reporting that points at the offending file line.
     @raise Csv_error like {!parse_string}. *)
-val rows_of_string : string -> (int * string list) list
+val parse_numbered : string -> (int * string list) list
 
 (** Types a raw field: empty or [null] → null; integer / float /
     boolean literals are recognised; anything else is a string. *)

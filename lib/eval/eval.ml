@@ -347,8 +347,9 @@ and eval_agg (ctx : Ctx.t) kind distinct arg : Value.t =
          shape — reads each row directly: same lookup and same error as
          the Var case of [eval], without allocating a per-row context.
          The lookup is layout-compiled against the first row
-         ({!Cypher_table.Record.compile_find}), so a slot-row group
-         reads each row by array probe instead of name resolution. *)
+         ({!Cypher_table.Record.compile_find}), so a group sharing one
+         layout reads each row by array probe instead of name
+         resolution. *)
       let compiled_find v =
         match rows with
         | [] -> fun row -> Cypher_table.Record.find_opt row v

@@ -144,25 +144,23 @@ let bind_var st var v =
 
 (** [compile_row_binder row0 var] compiles a conflict-checked binding
     site against the layout of [row0] — the row every row of this
-    pattern invocation descends from.  On a slot row the variable's slot
-    index is resolved here, once per invocation, so each per-embedding
-    bind is an array probe plus a copying store ({!Record.slot_bind}),
-    with no name resolution.  Sound because in-layout binds preserve the
-    slot table and out-of-layout binds only append to it, so an index
-    resolved against [row0] addresses the same variable in every
-    descendant row.  Map rows (and variables outside the layout) keep
-    the generic name-resolving path. *)
+    pattern invocation descends from.  The variable's slot index is
+    resolved here, once per invocation, so each per-embedding bind is an
+    array probe plus a copying store ({!Record.slot_bind}), with no name
+    resolution.  Sound because in-layout binds preserve the slot table
+    and out-of-layout binds only append to it, so an index resolved
+    against [row0] addresses the same variable in every descendant row.
+    Variables outside the layout keep the generic name-resolving
+    path. *)
 let compile_row_binder row0 (var : string option) :
     Record.t -> Value.t -> Record.t option =
   match var with
   | None -> fun row _ -> Some row
   | Some name -> (
-      match Record.slots_view row0 with
-      | Some (tab, _) ->
-          let i = Slots.index tab name in
-          if i < 0 then fun row v -> row_bind_var row var v
-          else fun row v -> Record.slot_bind row i v
-      | None -> fun row v -> row_bind_var row var v)
+      let tab, _ = Record.slots_view row0 in
+      let i = Slots.index tab name in
+      if i < 0 then fun row v -> row_bind_var row var v
+      else fun row v -> Record.slot_bind row i v)
 
 (** Candidate nodes for a node pattern: the binding if the variable is
     already bound, otherwise all graph nodes. *)
@@ -625,7 +623,7 @@ let anchor_candidates (ctx : Ctx.t) st (plan : Plan.t) : Value.node_id list =
 exception Not_deferrable
 
 (** [fold_pattern_planned_deferred ctx st plan p emit acc0] is the
-    slot-row fast path of {!fold_pattern_planned}: row construction is
+    fast path of {!fold_pattern_planned}: row construction is
     *deferred to the leaf*.  The recursion threads raw node/relationship
     ids through per-invocation scratch arrays and builds one cell array,
     one row and one state per *emitted* embedding — instead of a copied
@@ -633,8 +631,7 @@ exception Not_deferrable
     which fail a later hop and are thrown away.
 
     Applicability ([None] falls back to the eager fold):
-    - the driving row is a slot row and the pattern is anonymous and has
-      no variable-length step;
+    - the pattern is anonymous and has no variable-length step;
     - every pattern variable maps to a distinct, currently-absent slot of
       the row's layout — so every eager bind would have succeeded without
       conflict, and the leaf write-out produces the same cells;
@@ -663,193 +660,191 @@ exception Not_deferrable
 let fold_pattern_planned_deferred ?emit_row ?(natural = false) (ctx : Ctx.t)
     st (plan : Plan.t) (p : pattern) (emit : state -> 'a -> 'a) (acc0 : 'a) :
     'a option =
-  match Record.slots_view st.row with
-  | None -> None
-  | Some (tab, cells0) -> (
+  let tab, cells0 = Record.slots_view st.row in
+  if
+    p.pat_var <> None
+    || List.exists
+         (fun (h : Plan.hop) -> h.Plan.h_rp.rp_range <> None)
+         plan.Plan.p_hops
+  then None
+  else
+    try
+      let slot_of var =
+        match var with
+        | None -> -1
+        | Some name ->
+            let i = Slots.index tab name in
+            if i < 0 || Array.unsafe_get cells0 i != Slots.absent then
+              raise Not_deferrable;
+            i
+      in
+      let anchor_slot = slot_of plan.Plan.p_anchor.np_var in
+      let hops_arr = Array.of_list plan.Plan.p_hops in
+      let n_hops = Array.length hops_arr in
+      let far_slot =
+        Array.map (fun (h : Plan.hop) -> slot_of h.Plan.h_far.np_var) hops_arr
+      in
+      let rel_slot =
+        Array.map (fun (h : Plan.hop) -> slot_of h.Plan.h_rp.rp_var) hops_arr
+      in
+      let all_slots =
+        List.filter
+          (fun i -> i >= 0)
+          (anchor_slot :: (Array.to_list far_slot @ Array.to_list rel_slot))
+      in
       if
-        p.pat_var <> None
-        || List.exists
-             (fun (h : Plan.hop) -> h.Plan.h_rp.rp_range <> None)
-             plan.Plan.p_hops
-      then None
-      else
-        try
-          let slot_of var =
-            match var with
-            | None -> -1
-            | Some name ->
-                let i = Slots.index tab name in
-                if i < 0 || Array.unsafe_get cells0 i != Slots.absent then
-                  raise Not_deferrable;
-                i
-          in
-          let anchor_slot = slot_of plan.Plan.p_anchor.np_var in
-          let hops_arr = Array.of_list plan.Plan.p_hops in
-          let n_hops = Array.length hops_arr in
-          let far_slot =
-            Array.map (fun (h : Plan.hop) -> slot_of h.Plan.h_far.np_var) hops_arr
-          in
-          let rel_slot =
-            Array.map (fun (h : Plan.hop) -> slot_of h.Plan.h_rp.rp_var) hops_arr
-          in
-          let all_slots =
-            List.filter
-              (fun i -> i >= 0)
-              (anchor_slot :: (Array.to_list far_slot @ Array.to_list rel_slot))
-          in
-          if
-            List.length (List.sort_uniq Int.compare all_slots)
-            <> List.length all_slots
-          then raise Not_deferrable;
-          let pvars =
-            List.filter_map Fun.id
-              (p.pat_start.np_var
-              :: List.concat_map
-                   (fun (rp, np) -> [ rp.rp_var; np.np_var ])
-                   p.pat_steps)
-          in
-          let closed (_, e) =
-            List.for_all (fun v -> not (List.mem v pvars)) (expr_free_vars e)
-          in
-          if
-            not
-              (List.for_all closed plan.Plan.p_anchor.np_props
-              && Array.for_all
-                   (fun (h : Plan.hop) ->
-                     List.for_all closed h.Plan.h_far.np_props
-                     && List.for_all closed h.Plan.h_rp.rp_props)
-                   hops_arr)
-          then raise Not_deferrable;
-          if
-            natural
-            && not
-                 (plan.Plan.p_anchor.np_props = []
-                 && Array.for_all
-                      (fun (h : Plan.hop) ->
-                        h.Plan.h_far.np_props = [] && h.Plan.h_rp.rp_props = [])
-                      hops_arr)
-          then raise Not_deferrable;
-          let anchor_check = node_check ctx plan.Plan.p_anchor in
-          let csr = Graph.csr_view ctx.graph <> None in
-          let row0 = st.row in
-          let iso = st.mode = Iso in
-          let compile_adj (h : Plan.hop) =
-            if natural then
-              match
-                compile_adjacent_rev ctx.graph h.Plan.h_rp
-                  ~reversed:h.Plan.h_reversed
-              with
-              | Some a -> a
-              | None -> raise Not_deferrable
-            else
-              compile_adjacent ctx.graph h.Plan.h_rp
-                ~reversed:h.Plan.h_reversed
-          in
-          let compiled =
-            Array.map
-              (fun (h : Plan.hop) ->
-                ( h,
-                  node_check ctx h.Plan.h_far,
-                  compile_rel_check ctx ~csr h.Plan.h_rp,
-                  compile_adj h ))
-              hops_arr
-          in
-          (* the current branch's ids by hop depth; DFS writes depth [d]
-             before descending, so indices below the current depth always
-             hold this branch's ancestors *)
-          let far_ids = Array.make (max n_hops 1) 0 in
-          let rel_ids = Array.make (max n_hops 1) 0 in
-          let anchor_id = ref 0 in
-          let needed_later from_i pos =
-            let rec go j =
-              j < n_hops && (hops_arr.(j).Plan.h_src_pos = pos || go (j + 1))
-            in
-            go from_i
-          in
-          let anchor_store = needed_later 1 plan.Plan.p_anchor_pos in
-          let store =
-            Array.mapi
-              (fun i (h : Plan.hop) -> needed_later (i + 2) h.Plan.h_far_pos)
-              hops_arr
-          in
-          let leaf_row () =
-            let cells = Array.copy cells0 in
-            if anchor_slot >= 0 then
-              cells.(anchor_slot) <- Value.Node !anchor_id;
-            for d = 0 to n_hops - 1 do
-              if far_slot.(d) >= 0 then
-                cells.(far_slot.(d)) <- Value.Node far_ids.(d);
-              if rel_slot.(d) >= 0 then
-                cells.(rel_slot.(d)) <- Value.Rel rel_ids.(d)
-            done;
-            Record.of_slots tab cells
-          in
-          let emit_leaf =
-            match emit_row with
-            | Some f -> fun acc -> f (leaf_row ()) acc
-            | None ->
-                fun acc ->
-                  let used =
-                    if iso then begin
-                      let u = ref st.used in
-                      for d = 0 to n_hops - 1 do
-                        u := Iset.add rel_ids.(d) !u
-                      done;
-                      !u
-                    end
-                    else st.used
-                  in
-                  emit { row = leaf_row (); used; mode = st.mode } acc
-          in
-          let rec hops d last_pos last_id nodes_at acc =
-            if d >= n_hops then emit_leaf acc
-            else
-              let h, check, rcheck, adj = compiled.(d) in
-              let src_id =
-                if h.Plan.h_src_pos = last_pos then last_id
-                else Imap.find h.Plan.h_src_pos nodes_at
+        List.length (List.sort_uniq Int.compare all_slots)
+        <> List.length all_slots
+      then raise Not_deferrable;
+      let pvars =
+        List.filter_map Fun.id
+          (p.pat_start.np_var
+          :: List.concat_map
+               (fun (rp, np) -> [ rp.rp_var; np.np_var ])
+               p.pat_steps)
+      in
+      let closed (_, e) =
+        List.for_all (fun v -> not (List.mem v pvars)) (expr_free_vars e)
+      in
+      if
+        not
+          (List.for_all closed plan.Plan.p_anchor.np_props
+          && Array.for_all
+               (fun (h : Plan.hop) ->
+                 List.for_all closed h.Plan.h_far.np_props
+                 && List.for_all closed h.Plan.h_rp.rp_props)
+               hops_arr)
+      then raise Not_deferrable;
+      if
+        natural
+        && not
+             (plan.Plan.p_anchor.np_props = []
+             && Array.for_all
+                  (fun (h : Plan.hop) ->
+                    h.Plan.h_far.np_props = [] && h.Plan.h_rp.rp_props = [])
+                  hops_arr)
+      then raise Not_deferrable;
+      let anchor_check = node_check ctx plan.Plan.p_anchor in
+      let csr = Graph.csr_view ctx.graph <> None in
+      let row0 = st.row in
+      let iso = st.mode = Iso in
+      let compile_adj (h : Plan.hop) =
+        if natural then
+          match
+            compile_adjacent_rev ctx.graph h.Plan.h_rp
+              ~reversed:h.Plan.h_reversed
+          with
+          | Some a -> a
+          | None -> raise Not_deferrable
+        else
+          compile_adjacent ctx.graph h.Plan.h_rp
+            ~reversed:h.Plan.h_reversed
+      in
+      let compiled =
+        Array.map
+          (fun (h : Plan.hop) ->
+            ( h,
+              node_check ctx h.Plan.h_far,
+              compile_rel_check ctx ~csr h.Plan.h_rp,
+              compile_adj h ))
+          hops_arr
+      in
+      (* the current branch's ids by hop depth; DFS writes depth [d]
+         before descending, so indices below the current depth always
+         hold this branch's ancestors *)
+      let far_ids = Array.make (max n_hops 1) 0 in
+      let rel_ids = Array.make (max n_hops 1) 0 in
+      let anchor_id = ref 0 in
+      let needed_later from_i pos =
+        let rec go j =
+          j < n_hops && (hops_arr.(j).Plan.h_src_pos = pos || go (j + 1))
+        in
+        go from_i
+      in
+      let anchor_store = needed_later 1 plan.Plan.p_anchor_pos in
+      let store =
+        Array.mapi
+          (fun i (h : Plan.hop) -> needed_later (i + 2) h.Plan.h_far_pos)
+          hops_arr
+      in
+      let leaf_row () =
+        let cells = Array.copy cells0 in
+        if anchor_slot >= 0 then
+          cells.(anchor_slot) <- Value.Node !anchor_id;
+        for d = 0 to n_hops - 1 do
+          if far_slot.(d) >= 0 then
+            cells.(far_slot.(d)) <- Value.Node far_ids.(d);
+          if rel_slot.(d) >= 0 then
+            cells.(rel_slot.(d)) <- Value.Rel rel_ids.(d)
+        done;
+        Record.of_slots tab cells
+      in
+      let emit_leaf =
+        match emit_row with
+        | Some f -> fun acc -> f (leaf_row ()) acc
+        | None ->
+            fun acc ->
+              let used =
+                if iso then begin
+                  let u = ref st.used in
+                  for d = 0 to n_hops - 1 do
+                    u := Iset.add rel_ids.(d) !u
+                  done;
+                  !u
+                end
+                else st.used
               in
-              adj.adj src_id
-                (fun (r : Graph.rel) far acc ->
-                  let rid = r.Graph.r_id in
-                  let fresh =
-                    (not iso)
-                    || (not (Iset.mem rid st.used))
-                       &&
-                       let rec scan k =
-                         k >= d || (rel_ids.(k) <> rid && scan (k + 1))
-                       in
-                       scan 0
-                  in
-                  if not fresh then acc
-                  else if not (rcheck row0 r) then acc
-                  else if not (check row0 far) then acc
-                  else begin
-                    rel_ids.(d) <- rid;
-                    far_ids.(d) <- far;
-                    hops (d + 1) h.Plan.h_far_pos far
-                      (if store.(d) then Imap.add h.Plan.h_far_pos far nodes_at
-                       else nodes_at)
-                      acc
-                  end)
-                acc
+              emit { row = leaf_row (); used; mode = st.mode } acc
+      in
+      let rec hops d last_pos last_id nodes_at acc =
+        if d >= n_hops then emit_leaf acc
+        else
+          let h, check, rcheck, adj = compiled.(d) in
+          let src_id =
+            if h.Plan.h_src_pos = last_pos then last_id
+            else Imap.find h.Plan.h_src_pos nodes_at
           in
-          let anchor_pos = plan.Plan.p_anchor_pos in
-          Some
-            (List.fold_left
-               (fun acc id ->
-                 if not (anchor_check row0 id) then acc
-                 else begin
-                   anchor_id := id;
-                   hops 0 anchor_pos id
-                     (if anchor_store then Imap.singleton anchor_pos id
-                      else Imap.empty)
-                     acc
-                 end)
-               acc0
-               (let cands = anchor_candidates ctx st plan in
-                if natural then List.rev cands else cands))
-        with Not_deferrable -> None)
+          adj.adj src_id
+            (fun (r : Graph.rel) far acc ->
+              let rid = r.Graph.r_id in
+              let fresh =
+                (not iso)
+                || (not (Iset.mem rid st.used))
+                   &&
+                   let rec scan k =
+                     k >= d || (rel_ids.(k) <> rid && scan (k + 1))
+                   in
+                   scan 0
+              in
+              if not fresh then acc
+              else if not (rcheck row0 r) then acc
+              else if not (check row0 far) then acc
+              else begin
+                rel_ids.(d) <- rid;
+                far_ids.(d) <- far;
+                hops (d + 1) h.Plan.h_far_pos far
+                  (if store.(d) then Imap.add h.Plan.h_far_pos far nodes_at
+                   else nodes_at)
+                  acc
+              end)
+            acc
+      in
+      let anchor_pos = plan.Plan.p_anchor_pos in
+      Some
+        (List.fold_left
+           (fun acc id ->
+             if not (anchor_check row0 id) then acc
+             else begin
+               anchor_id := id;
+               hops 0 anchor_pos id
+                 (if anchor_store then Imap.singleton anchor_pos id
+                  else Imap.empty)
+                 acc
+             end)
+           acc0
+           (let cands = anchor_candidates ctx st plan in
+            if natural then List.rev cands else cands))
+    with Not_deferrable -> None
 
 (** Matches one whole path pattern following a {!Plan.t}: enumerate the
     anchor position first, then each hop from its already-bound side.
@@ -1144,8 +1139,8 @@ let match_patterns ?mode ?planner ?plans (ctx : Ctx.t)
     already in natural (forward) order — the whole match costs exactly
     one list spine, with no final reversal and no consistency
     projection needed downstream.  [None] when the shape doesn't
-    qualify (several patterns, no plan, map rows, property predicates,
-    persistent backend, ...) — the caller falls back to
+    qualify (several patterns, no plan, property predicates, persistent
+    backend, ...) — the caller falls back to
     {!match_patterns_rev}. *)
 let match_patterns_natural ?(mode = Iso) ?(planner = false) ?plans
     (ctx : Ctx.t) (patterns : pattern list) : Record.t list option =
@@ -1209,12 +1204,6 @@ let count_patterns ?(mode = Iso) ?(planner = false) ?plans (ctx : Ctx.t)
                 0)
   in
   count init 0 patterns
-
-(** [matches ?mode ?planner ctx patterns] decides (p, G, u) ⊨ π: is
-    there at least one embedding?  Used by MERGE to split the driving
-    table. *)
-let matches ?mode ?planner ctx patterns =
-  match_patterns ?mode ?planner ctx patterns <> []
 
 (* ------------------------------------------------------------------ *)
 (* Shortest paths                                                     *)

@@ -61,8 +61,8 @@ val match_patterns_rev :
     invocation layout, so the engine may adopt them without a
     consistency projection ({!Cypher_table.Table.of_consistent}).
     [None] when the shape doesn't qualify (several patterns, no plan,
-    map rows, property predicates, persistent backend); callers fall
-    back to {!match_patterns_rev}. *)
+    property predicates, persistent backend); callers fall back to
+    {!match_patterns_rev}. *)
 val match_patterns_natural :
   ?mode:mode ->
   ?planner:bool ->
@@ -83,12 +83,6 @@ val count_patterns :
   Cypher_eval.Ctx.t ->
   pattern list ->
   int
-
-(** [matches ?mode ?planner ctx patterns] decides (p, G, u) ⊨ π: is
-    there at least one embedding?  Used by MERGE to split the driving
-    table. *)
-val matches :
-  ?mode:mode -> ?planner:bool -> Cypher_eval.Ctx.t -> pattern list -> bool
 
 (** [shortest_paths ctx ~all pattern] evaluates
     [shortestPath((a)-[:T*]->(b))] (and [allShortestPaths]): a BFS over

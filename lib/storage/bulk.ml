@@ -192,7 +192,7 @@ type vnode = { vn_id : string; vn_labels : string list; vn_props : Props.t }
 type vrel = { vr_src : string; vr_tgt : string; vr_ty : string; vr_props : Props.t }
 
 let parse_csv file src =
-  match Csv.rows_of_string src with
+  match Csv.parse_numbered src with
   | [] -> fail_file file "empty file (expected a header row)"
   | header :: rows -> (header, rows)
   | exception Csv.Csv_error e -> fail_at file e.Csv.line "%s" e.Csv.message

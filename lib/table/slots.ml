@@ -6,8 +6,8 @@
     bind and lookup through a string-keyed map.  A slot table is that
     compiled layout: a deduplicated name array in first-occurrence
     order, plus the index permutation that lists slots in ascending name
-    order (so array rows can reproduce the persistent map's observable
-    key ordering exactly — see {!Record}).
+    order (so rows observe their keys in ascending name order, as the
+    semantics' finite maps do — see {!Record}).
 
     Lookup is a linear scan comparing physical equality before string
     contents: the names flowing in are AST/column strings shared by
@@ -71,13 +71,22 @@ let names t = Array.to_list t.names
     [width t]).  Memoized on [t]: the evaluator extends a clause's
     layout with the same loop variable (list comprehensions, reduce,
     pattern predicates) for every row, and must not compile a fresh
-    table per element. *)
+    table per element.
+
+    Extensions of a zero-width layout are never memoized.  The empty
+    record's layout lives for the whole process, and names bound onto
+    it come from clients (CSV headers, aliases, parameters); a memo
+    there would grow without bound in a long-running server.  Callers
+    that build a row name by name compile their layout once with
+    {!of_names} instead. *)
 let extend t name =
-  match
-    List.find_opt (fun (s, _) -> s == name || String.equal s name) t.exts
-  with
-  | Some (_, t') -> t'
-  | None ->
-      let t' = of_names (Array.to_list t.names @ [ name ]) in
-      t.exts <- (name, t') :: t.exts;
-      t'
+  if Array.length t.names = 0 then of_names [ name ]
+  else
+    match
+      List.find_opt (fun (s, _) -> s == name || String.equal s name) t.exts
+    with
+    | Some (_, t') -> t'
+    | None ->
+        let t' = of_names (Array.to_list t.names @ [ name ]) in
+        t.exts <- (name, t') :: t.exts;
+        t'

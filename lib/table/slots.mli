@@ -35,5 +35,6 @@ val of_names : string list -> t
 val names : t -> string list
 
 (** [extend t name] is [t] with [name] appended as slot [width t];
-    memoized on [t]. *)
+    memoized on [t] unless [t] has width 0 (the process-global empty
+    layout must not accumulate client-chosen names). *)
 val extend : t -> string -> t

@@ -37,10 +37,11 @@ let dedup_columns columns =
 (** [make columns rows] builds a table, padding every record to exactly
     [columns] (missing bindings become null, extra bindings are dropped)
     so the consistency invariant holds.  Column order is preserved
-    (first occurrence wins on duplicates). *)
+    (first occurrence wins on duplicates).  The target layout is
+    compiled once per call and shared by every re-laid-out row. *)
 let make columns rows =
   let columns = dedup_columns columns in
-  { columns; rows = List.map (fun r -> Record.project r columns) rows }
+  { columns; rows = List.map (Record.project (Slots.of_names columns)) rows }
 
 (** [make_rev columns rows_rev] is [make columns (List.rev rows_rev)] in
     one traversal: the reversal and the consistency projection share a
@@ -50,7 +51,8 @@ let make columns rows =
     large row list twice. *)
 let make_rev columns rows_rev =
   let columns = dedup_columns columns in
-  { columns; rows = List.rev_map (fun r -> Record.project r columns) rows_rev }
+  let project = Record.project (Slots.of_names columns) in
+  { columns; rows = List.rev_map project rows_rev }
 
 (** [of_consistent columns rows] adopts [rows] as-is — no per-row
     consistency projection.  Trusted constructor for engine-internal

@@ -283,48 +283,8 @@ let parallelism_checks =
         backends)
     settings
 
-(* ------------------------------------------------------------------ *)
-(* Planner × backend × row-representation sweep                       *)
-(* ------------------------------------------------------------------ *)
-
-(* The slot-compiled row pipeline is a pure representation change: for
-   every planner setting and physical backend, the sweep under
-   [Config.rows = `Slots] must produce byte-identical tables and graphs
-   to the record-row run — same rows, same order, same graph, so the
-   array-row fast paths (including the matcher's deferred and
-   natural-order enumerations) are unobservable. *)
-let rows_checks =
-  let settings =
-    [ ("planner-on", planner_on); ("planner-off", planner_off) ]
-  in
-  let backends = [ ("persistent", `Persistent); ("compact", `Compact) ] in
-  List.concat_map
-    (fun (plabel, cfg) ->
-      List.concat_map
-        (fun (blabel, backend) ->
-          let cfg = Config.with_backend backend cfg in
-          List.map
-            (fun src ->
-              Test_util.case
-                (Printf.sprintf "slots byte-identical to records (%s, %s): %s"
-                   plabel blabel src)
-                (fun () ->
-                  let rec_g, rec_t =
-                    run_with (Config.with_rows `Records cfg) src
-                  in
-                  let slot_g, slot_t =
-                    run_with (Config.with_rows `Slots cfg) src
-                  in
-                  Alcotest.(check string) "table bytes"
-                    (Table.to_string rec_t) (Table.to_string slot_t);
-                  Alcotest.(check string) "graph bytes"
-                    (Graph.to_string rec_g) (Graph.to_string slot_g)))
-            (read_queries @ update_queries))
-        backends)
-    settings
-
 let suite =
   List.map QCheck_alcotest.to_alcotest tests
   @ figure_checks @ planner_checks
   @ List.map QCheck_alcotest.to_alcotest planner_merge_checks
-  @ parallelism_checks @ rows_checks
+  @ parallelism_checks

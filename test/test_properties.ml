@@ -189,9 +189,10 @@ let fixpoint_tests =
         | Merge { patterns; _ } ->
             List.for_all
               (fun row ->
-                Cypher_matcher.Matcher.matches
+                Cypher_matcher.Matcher.match_patterns
                   (Cypher_eval.Ctx.make g row)
-                  patterns)
+                  patterns
+                <> [])
               (Table.rows table)
         | _ -> false);
   ]

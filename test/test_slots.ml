@@ -1,9 +1,9 @@
-(** The slot-compiled row pipeline: {!Cypher_table.Slots} layout
-    compilation, array-row {!Cypher_table.Record} semantics against the
-    map representation, and query-level byte-identity of
-    [Config.rows = `Slots] against the record default on the scope
-    shapes that stress a fixed layout — shadowing through WITH,
-    OPTIONAL MATCH null padding, FOREACH's nested scope. *)
+(** The slot-compiled row representation: {!Cypher_table.Slots} layout
+    compilation, {!Cypher_table.Record} semantics over array rows, and
+    query-level goldens on the scope shapes that stress a fixed layout —
+    shadowing through WITH, OPTIONAL MATCH null padding, FOREACH's
+    nested scope.  The goldens were captured from the string-keyed map
+    representation these rows replaced, on both backends. *)
 
 open Cypher_graph
 open Cypher_table
@@ -37,23 +37,48 @@ let slots_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Array rows vs map rows                                             *)
+(* Records                                                            *)
 (* ------------------------------------------------------------------ *)
 
 let bindings = [ ("x", Value.Int 1); ("y", Value.String "s") ]
 
 let record_tests =
   [
-    Test_util.case "seeded row observes exactly like the map row" (fun () ->
-        let m = Record.of_list bindings in
-        let a = Record.seed (Slots.of_names [ "x"; "y"; "z" ]) m in
-        Alcotest.(check bool) "equal" true (Record.equal m a);
-        Alcotest.(check (list string))
-          "keys ascend, absent slot invisible" [ "x"; "y" ] (Record.keys a);
+    Test_util.case "absent differs from an explicit null" (fun () ->
+        let a = Record.seed (Slots.of_names [ "x"; "y"; "z" ]) (Record.of_list bindings) in
         Alcotest.(check bool) "unbound layout name reads as absent" true
           (Record.find_opt a "z" = None);
+        Alcotest.(check bool) "not a member" false (Record.mem a "z");
         Alcotest.(check bool) "find pads with null" true
-          (Record.find a "z" = Value.Null));
+          (Record.find a "z" = Value.Null);
+        let n = Record.bind a "z" Value.Null in
+        Alcotest.(check bool) "explicit null is bound" true
+          (Record.find_opt n "z" = Some Value.Null);
+        Alcotest.(check (list string)) "absent slot invisible" [ "x"; "y" ]
+          (Record.keys a);
+        Alcotest.(check (list string)) "null slot visible" [ "x"; "y"; "z" ]
+          (Record.keys n);
+        Alcotest.(check bool) "absent row equals the unseeded row" true
+          (Record.equal a (Record.of_list bindings));
+        Alcotest.(check bool) "null row does not" false (Record.equal a n));
+    Test_util.case "keys and bindings ascend whatever the slot order"
+      (fun () ->
+        let r =
+          Record.of_list
+            [ ("b", Value.Int 2); ("c", Value.Int 3); ("a", Value.Int 1) ]
+        in
+        Alcotest.(check (list string)) "keys" [ "a"; "b"; "c" ] (Record.keys r);
+        Alcotest.(check (list string))
+          "binding names" [ "a"; "b"; "c" ]
+          (List.map fst (Record.bindings r));
+        let r' =
+          Record.of_list
+            [ ("a", Value.Int 1); ("b", Value.Int 2); ("c", Value.Int 3) ]
+        in
+        Alcotest.(check bool) "equal across slot orders" true (Record.equal r r');
+        Alcotest.(check int) "compare across slot orders" 0 (Record.compare r r');
+        Alcotest.(check string) "printing" "(a: 1, b: 2, c: 3)"
+          (Fmt.str "%a" Record.pp r));
     Test_util.case "slot_bind: store, idempotent rebind, conflict" (fun () ->
         let tab = Slots.of_names [ "x"; "y" ] in
         let r = Record.seed tab (Record.of_list [ ("x", Value.Int 1) ]) in
@@ -80,23 +105,40 @@ let record_tests =
         let r' = Record.bind r "w" (Value.Bool true) in
         Alcotest.(check bool) "new binding visible" true
           (Record.find_opt r' "w" = Some (Value.Bool true));
-        Alcotest.(check (list string)) "keys" [ "w"; "x" ] (Record.keys r'));
-    Test_util.case "compile_find probes slot rows, falls back on maps"
+        Alcotest.(check (list string)) "keys" [ "w"; "x" ] (Record.keys r');
+        let tab', _ = Record.slots_view r' in
+        Alcotest.(check (list string))
+          "appended as the last slot" [ "x"; "w" ] (Slots.names tab');
+        Alcotest.(check bool) "base row keeps its layout" true
+          (Record.find_opt r "w" = None));
+    Test_util.case "compile_find probes one layout, falls back on others"
       (fun () ->
         let tab = Slots.of_names [ "x"; "y" ] in
         let a = Record.seed tab (Record.of_list bindings) in
-        let m = Record.of_list [ ("x", Value.Int 42) ] in
+        let other = Record.of_list [ ("x", Value.Int 42) ] in
         let find = Record.compile_find a "x" in
         Alcotest.(check bool) "same-layout row" true
           (find a = Some (Value.Int 1));
-        Alcotest.(check bool) "map row falls back" true
-          (find m = Some (Value.Int 42));
+        Alcotest.(check bool) "other layout falls back" true
+          (find other = Some (Value.Int 42));
         let find_z = Record.compile_find a "zzz" in
         Alcotest.(check bool) "name outside the layout" true (find_z a = None));
+    Test_util.case "binds onto the empty record leave it unchanged" (fun () ->
+        (* the empty record's layout is process-global: a memoized
+           extension per client-chosen name would grow it forever *)
+        let before = Obj.reachable_words (Obj.repr Record.empty) in
+        for i = 1 to 10_000 do
+          let r = Record.bind Record.empty (Printf.sprintf "v%d" i) (Value.Int i) in
+          assert (Record.keys r = [ Printf.sprintf "v%d" i ])
+        done;
+        Alcotest.(check int) "reachable words" before
+          (Obj.reachable_words (Obj.repr Record.empty));
+        Alcotest.(check int) "memoized extensions" 0
+          (List.length (fst (Record.slots_view Record.empty)).Slots.exts));
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Query-level byte-identity: `Slots vs `Records                      *)
+(* Query-level goldens                                                *)
 (* ------------------------------------------------------------------ *)
 
 let setup =
@@ -106,29 +148,59 @@ let setup =
     "CREATE (:C {id: 5})";
   ]
 
-let scope_queries =
+let graph_of_nodes extra =
+  "graph {\n       (0:A {id: 1, x: 10})\n       (1:B {id: 2, "
+  ^ extra "2" ^ "x: 20})\n       (3:A {id: 3, x: 30})\n       (4:B {id: 4, "
+  ^ extra "4" ^ "x: 40})\n       (6:C {id: 5})\n"
+
+let setup_graph =
+  graph_of_nodes (fun _ -> "")
+  ^ "       (0)-[2:R]->(1)\n       (3)-[5:R]->(4)\n}"
+
+(* (query, expected table, expected graph) *)
+let goldens =
   [
     (* natural-order expansion (the inverted-enumeration fast path on
-       the compact backend): row order must be indistinguishable *)
-    "MATCH (a:A)-[r:R]->(b:B) RETURN a.id AS aid, b.id AS bid";
-    "MATCH (a)-[r]-(b) RETURN a.id AS aid, b.id AS bid";
+       the compact backend): row order is pinned *)
+    ( "MATCH (a:A)-[r:R]->(b:B) RETURN a.id AS aid, b.id AS bid",
+      "| aid | bid |\n| 1 | 2 |\n| 3 | 4 |",
+      setup_graph );
+    ( "MATCH (a)-[r]-(b) RETURN a.id AS aid, b.id AS bid",
+      "| aid | bid |\n| 1 | 2 |\n| 2 | 1 |\n| 3 | 4 |\n| 4 | 3 |",
+      setup_graph );
     (* WITH renaming and shadowing: the layout changes at each clause *)
-    "MATCH (a:A) WITH a.id AS n WITH n AS m, n * 2 AS n RETURN m, n";
-    "MATCH (a:A) WITH a.x AS x MATCH (b:B) WHERE b.x > x RETURN x, b.id AS \
-     bid";
+    ( "MATCH (a:A) WITH a.id AS n WITH n AS m, n * 2 AS n RETURN m, n",
+      "| m | n |\n| 1 | 2 |\n| 3 | 6 |",
+      setup_graph );
+    ( "MATCH (a:A) WITH a.x AS x MATCH (b:B) WHERE b.x > x RETURN x, b.id AS \
+       bid",
+      "| x | bid |\n| 10 | 2 |\n| 10 | 4 |\n| 30 | 4 |",
+      setup_graph );
     (* OPTIONAL MATCH pads pattern variables with nulls in-layout *)
-    "MATCH (a:A) OPTIONAL MATCH (a)-[:R]->(z:Missing) RETURN a.id AS aid, z";
-    "OPTIONAL MATCH (c:C)-[:R]->(z) RETURN c.id AS cid, z";
+    ( "MATCH (a:A) OPTIONAL MATCH (a)-[:R]->(z:Missing) RETURN a.id AS aid, z",
+      "| aid | z |\n| 1 | null |\n| 3 | null |",
+      setup_graph );
+    ( "OPTIONAL MATCH (c:C)-[:R]->(z) RETURN c.id AS cid, z",
+      "| cid | z |\n| null | null |",
+      setup_graph );
     (* UNWIND drives the slot row through expansion and filtering *)
-    "UNWIND [3, 1, 2] AS i WITH i WHERE i > 1 RETURN i ORDER BY i";
-    "MATCH (a:A) UNWIND [1, 2] AS k RETURN a.id AS aid, k";
-  ]
-
-let update_queries =
-  [
+    ( "UNWIND [3, 1, 2] AS i WITH i WHERE i > 1 RETURN i ORDER BY i",
+      "| i |\n| 2 |\n| 3 |",
+      setup_graph );
+    ( "MATCH (a:A) UNWIND [1, 2] AS k RETURN a.id AS aid, k",
+      "| aid | k |\n| 1 | 1 |\n| 1 | 2 |\n| 3 | 1 |\n| 3 | 2 |",
+      setup_graph );
     (* FOREACH opens a nested scope over the driving row *)
-    "MATCH (a:A) FOREACH (i IN [1, 2] | CREATE (:T {k: i, src: a.id}))";
-    "MATCH (a:A)-[:R]->(b:B) SET b.seen = a.id RETURN count(*) AS n";
+    ( "MATCH (a:A) FOREACH (i IN [1, 2] | CREATE (:T {k: i, src: a.id}))",
+      "| a |\n| #node(0) |\n| #node(3) |",
+      graph_of_nodes (fun _ -> "")
+      ^ "       (7:T {k: 1, src: 1})\n       (8:T {k: 2, src: 1})\n\
+        \       (9:T {k: 1, src: 3})\n       (10:T {k: 2, src: 3})\n\
+        \       (0)-[2:R]->(1)\n       (3)-[5:R]->(4)\n}" );
+    ( "MATCH (a:A)-[:R]->(b:B) SET b.seen = a.id RETURN count(*) AS n",
+      "| n |\n| 2 |",
+      graph_of_nodes (fun id -> if id = "2" then "seen: 1, " else "seen: 3, ")
+      ^ "       (0)-[2:R]->(1)\n       (3)-[5:R]->(4)\n}" );
   ]
 
 let run config g src =
@@ -139,27 +211,18 @@ let run config g src =
 
 let build config = List.fold_left (fun g src -> fst (run config g src)) Graph.empty setup
 
-let byte_identity_checks =
+let golden_checks =
   List.concat_map
     (fun (blabel, backend) ->
-      let base = Config.with_backend backend Config.revised in
+      let config = Config.with_backend backend Config.revised in
       List.map
-        (fun src ->
-          Test_util.case
-            (Printf.sprintf "slots = records bytes (%s): %s" blabel src)
+        (fun (src, table, graph) ->
+          Test_util.case (Printf.sprintf "golden (%s): %s" blabel src)
             (fun () ->
-              let run_rows rows =
-                let config = Config.with_rows rows base in
-                run config (build config) src
-              in
-              let rg, rt = run_rows `Records in
-              let sg, st = run_rows `Slots in
-              Alcotest.(check string) "table bytes" (Table.to_string rt)
-                (Table.to_string st);
-              Alcotest.(check string) "graph bytes" (Graph.to_string rg)
-                (Graph.to_string sg)))
-        (scope_queries @ update_queries))
+              let g, t = run config (build config) src in
+              Alcotest.(check string) "table bytes" table (Table.to_string t);
+              Alcotest.(check string) "graph bytes" graph (Graph.to_string g)))
+        goldens)
     [ ("persistent", `Persistent); ("compact", `Compact) ]
 
-let suite =
-  slots_tests @ record_tests @ byte_identity_checks
+let suite = slots_tests @ record_tests @ golden_checks

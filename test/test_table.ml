@@ -76,7 +76,9 @@ let suite =
         Alcotest.(check bool) "same bag" true (Table.equal_as_bags t1 t2);
         Alcotest.(check bool) "different bag" false (Table.equal_as_bags t1 t3));
     case "record project pads with null" (fun () ->
-        let rec_ = Record.project (r [ ("a", vint 1) ]) [ "a"; "b" ] in
+        let rec_ =
+          Record.project (Slots.of_names [ "a"; "b" ]) (r [ ("a", vint 1) ])
+        in
         check_value "a" (vint 1) (Record.find rec_ "a");
         check_value "b" vnull (Record.find rec_ "b"));
   ]
