@@ -283,8 +283,84 @@ let parallelism_checks =
         backends)
     settings
 
+(* ------------------------------------------------------------------ *)
+(* Planner × backend sweep against the map-row goldens                *)
+(* ------------------------------------------------------------------ *)
+
+(* Rows are flat arrays over a compiled slot layout; they replaced a
+   string-keyed map representation, and that change must be
+   unobservable.  For every planner setting and physical backend the
+   sweep's table and graph bytes must hash to the MD5 digests captured
+   from the map-row implementation — same rows, same order, same graph,
+   so the array-row fast paths (including the matcher's deferred and
+   natural-order enumerations) change nothing.  One entry per sweep
+   query, in [read_queries @ update_queries] order:
+   ((table, graph) planner on, (table, graph) planner off); both
+   backends share the digests. *)
+let map_row_goldens =
+  [
+    ( ("ddab9e0cd99a6ca4e87614725aee13a7", "3e6ea4756c65d7b8a5067861cd124de3"),
+      ("ddab9e0cd99a6ca4e87614725aee13a7", "3e6ea4756c65d7b8a5067861cd124de3") );
+    ( ("4cefa1ce22bc20b23e00e05d1dc28f8b", "3e6ea4756c65d7b8a5067861cd124de3"),
+      ("1919f1360d3ee1053a8fad12872d761e", "3e6ea4756c65d7b8a5067861cd124de3") );
+    ( ("12e264e077d918a166c00be70a0f0ad4", "3e6ea4756c65d7b8a5067861cd124de3"),
+      ("b039b27150138f01bec6abf6071eb9d0", "3e6ea4756c65d7b8a5067861cd124de3") );
+    ( ("854f3f42c8ab92fc76c183a7b745e11c", "3e6ea4756c65d7b8a5067861cd124de3"),
+      ("854f3f42c8ab92fc76c183a7b745e11c", "3e6ea4756c65d7b8a5067861cd124de3") );
+    ( ("58db80120e555e862ef86ce14b1b0f07", "3e6ea4756c65d7b8a5067861cd124de3"),
+      ("58db80120e555e862ef86ce14b1b0f07", "3e6ea4756c65d7b8a5067861cd124de3") );
+    ( ("11c3fd720ab2a1e501b76a693b38c806", "3e6ea4756c65d7b8a5067861cd124de3"),
+      ("11c3fd720ab2a1e501b76a693b38c806", "3e6ea4756c65d7b8a5067861cd124de3") );
+    ( ("e8af7339c53a9893943742dfb751fe8f", "3e6ea4756c65d7b8a5067861cd124de3"),
+      ("e8af7339c53a9893943742dfb751fe8f", "3e6ea4756c65d7b8a5067861cd124de3") );
+    ( ("1f5d43e6b14945cc67311e7430e603ce", "3e6ea4756c65d7b8a5067861cd124de3"),
+      ("1f5d43e6b14945cc67311e7430e603ce", "3e6ea4756c65d7b8a5067861cd124de3") );
+    ( ("181a588306b49a1f30b3c57ab863af1e", "3e6ea4756c65d7b8a5067861cd124de3"),
+      ("181a588306b49a1f30b3c57ab863af1e", "3e6ea4756c65d7b8a5067861cd124de3") );
+    ( ("df1eaa0a1ae7902717386a4ab5939c5a", "3e6ea4756c65d7b8a5067861cd124de3"),
+      ("df1eaa0a1ae7902717386a4ab5939c5a", "3e6ea4756c65d7b8a5067861cd124de3") );
+    ( ("e657f986fa04a24107484e1563baacf4", "a4fb419b804f8bd5e7458545fb153c38"),
+      ("e657f986fa04a24107484e1563baacf4", "a4fb419b804f8bd5e7458545fb153c38") );
+    ( ("e657f986fa04a24107484e1563baacf4", "f34bfbe03b1b2c6dab0f8199bb8123d9"),
+      ("e657f986fa04a24107484e1563baacf4", "f34bfbe03b1b2c6dab0f8199bb8123d9") );
+    ( ("bec04ca6e6fe6d5c6556a7b175d0b90f", "1d07c6534648ec86a2c299c087c8da2e"),
+      ("bec04ca6e6fe6d5c6556a7b175d0b90f", "1d07c6534648ec86a2c299c087c8da2e") );
+    ( ("d1f5e7bf3c632c25fb6ede6169c35e31", "9a57f5e4106e23da619cdf1246b1faed"),
+      ("d1f5e7bf3c632c25fb6ede6169c35e31", "9a57f5e4106e23da619cdf1246b1faed") );
+    ( ("7301a37f59d457d1a1020cb7966a9caf", "ebf402be617c809788e9bb6a1bd0c335"),
+      ("7301a37f59d457d1a1020cb7966a9caf", "9d190a99a85abe142828672453d90d0e") );
+  ]
+
+let golden_checks =
+  let digest s = Digest.to_hex (Digest.string s) in
+  let settings =
+    [ ("planner-on", planner_on, fst); ("planner-off", planner_off, snd) ]
+  in
+  let backends = [ ("persistent", `Persistent); ("compact", `Compact) ] in
+  let cases = List.combine (read_queries @ update_queries) map_row_goldens in
+  List.concat_map
+    (fun (plabel, cfg, pick) ->
+      List.concat_map
+        (fun (blabel, backend) ->
+          let cfg = Config.with_backend backend cfg in
+          List.map
+            (fun (src, golden) ->
+              Test_util.case
+                (Printf.sprintf "bytes match the map-row goldens (%s, %s): %s"
+                   plabel blabel src)
+                (fun () ->
+                  let g, t = run_with cfg src in
+                  let table_md5, graph_md5 = pick golden in
+                  Alcotest.(check string) "table bytes md5" table_md5
+                    (digest (Table.to_string t));
+                  Alcotest.(check string) "graph bytes md5" graph_md5
+                    (digest (Graph.to_string g))))
+            cases)
+        backends)
+    settings
+
 let suite =
   List.map QCheck_alcotest.to_alcotest tests
   @ figure_checks @ planner_checks
   @ List.map QCheck_alcotest.to_alcotest planner_merge_checks
-  @ parallelism_checks
+  @ parallelism_checks @ golden_checks
