@@ -86,10 +86,11 @@ type env = {
   mutable nodes : string list;  (** bound node variables, oldest first *)
   mutable rels : string list;  (** bound relationship variables *)
   mutable scalars : string list;  (** bound scalar (integer) variables *)
+  mutable paths : string list;  (** bound path variables *)
   mutable next : int;  (** fresh-name counter *)
 }
 
-let new_env () = { nodes = []; rels = []; scalars = []; next = 0 }
+let new_env () = { nodes = []; rels = []; scalars = []; paths = []; next = 0 }
 
 let fresh env prefix =
   let i = env.next in
@@ -111,7 +112,12 @@ let fresh_scalar env =
   env.scalars <- env.scalars @ [ v ];
   v
 
-let all_vars env = env.nodes @ env.rels @ env.scalars
+let fresh_path env =
+  let v = fresh env "p" in
+  env.paths <- env.paths @ [ v ];
+  v
+
+let all_vars env = env.nodes @ env.rels @ env.scalars @ env.paths
 
 (* ------------------------------------------------------------------ *)
 (* Expressions                                                        *)
@@ -171,10 +177,21 @@ let read_node_pat rng env =
   if env.nodes <> [] && Rng.chance rng 1 6 then
     { np_var = Some (Rng.pick_list rng env.nodes); np_labels = []; np_props = [] }
   else
+    let bound = env.nodes in
     let var = if Rng.chance rng 2 3 then Some (fresh_node env) else None in
     let labs = if Rng.chance rng 1 2 then [ a_label rng ] else [] in
     let props =
-      if Rng.chance rng 1 4 then [ (an_int_key rng, small_int rng) ] else []
+      if Rng.chance rng 1 4 then
+        (* sometimes the value reads an already-bound node's property:
+           planned when bound before the clause, naive otherwise *)
+        let key = an_int_key rng in
+        let value =
+          if bound <> [] && Rng.chance rng 1 3 then
+            Prop (Var (Rng.pick_list rng bound), key)
+          else small_int rng
+        in
+        [ (key, value) ]
+      else []
     in
     { np_var = var; np_labels = labs; np_props = props }
 
@@ -198,6 +215,7 @@ let read_rel_pat rng env =
     { rp_var = var; rp_types = types; rp_props = props; rp_dir = dir; rp_range = None }
 
 let read_pattern rng env =
+  let pat_var = if Rng.chance rng 1 6 then Some (fresh_path env) else None in
   let start = read_node_pat rng env in
   let n_steps = Rng.range rng 0 2 in
   let steps =
@@ -205,7 +223,7 @@ let read_pattern rng env =
         let rp = read_rel_pat rng env in
         (rp, read_node_pat rng env))
   in
-  { pat_var = None; pat_start = start; pat_steps = steps }
+  { pat_var; pat_start = start; pat_steps = steps }
 
 let gen_match rng env =
   let n_pats = if Rng.chance rng 1 4 then 2 else 1 in
@@ -388,6 +406,7 @@ let gen_with rng env =
   env.scalars <-
     List.filter (fun v -> List.mem v kept) env.scalars
     @ Option.to_list agg_alias;
+  env.paths <- List.filter (fun v -> List.mem v kept) env.paths;
   let where =
     if Rng.chance rng 1 4 then Some (predicate rng env) else None
   in
@@ -423,6 +442,8 @@ let gen_return rng env =
         (fun v ->
           if List.mem v env.nodes && Rng.chance rng 1 3 then
             { item_expr = Prop (Var v, an_int_key rng); item_alias = Some ("p_" ^ v) }
+          else if List.mem v env.paths then
+            { item_expr = Fn ("length", [ Var v ]); item_alias = Some ("len_" ^ v) }
           else { item_expr = Var v; item_alias = None })
         chosen
     in

@@ -113,17 +113,6 @@ let compile_rel_check (ctx : Ctx.t) ~csr (rp : rel_pat) :
     | _ -> fun row r -> rel_props_satisfy ctx row rp r
   else fun row r -> rel_satisfies ctx row rp r
 
-(** Would {!bind_var} succeed?  The conflicting-rebinding test alone,
-    without committing the binding — for leaf positions whose extended
-    state nothing will ever read (see {!count_pattern_planned}). *)
-let bind_check st var v =
-  match var with
-  | None -> true
-  | Some name -> (
-      match Record.find_opt st.row name with
-      | None -> true
-      | Some existing -> Value.equal_strict existing v)
-
 (** Binds [var] to [v] in [row], failing (None) on conflicting
     rebinding — the row-level core shared by {!bind_var} and the
     precompiled binding sites. *)
@@ -197,15 +186,16 @@ let match_node (ctx : Ctx.t) st (np : node_pat) : (state * Value.node_id) list =
 
 let flip = function Out -> In | In -> Out | Undirected -> Undirected
 
-(* [fold_adjacent g src_id rp ~reversed f acc] (below) folds [f] over
-   the relationships at [src_id] compatible with the direction of [rp]
-   (flipped under [~reversed], for hops traversed right-to-left),
-   pairing each with the node at the far end, in relationship-id order.
-   A single-type pattern is served from the typed adjacency index —
-   same id order as filtering the full neighbour list, but without
-   touching non-matching types.  Folding (rather than materialising a
-   neighbour list) keeps the per-hop allocation at zero; hop
-   enumeration is the innermost loop of every MATCH and MERGE.
+(* Hop enumeration folds [f] over the relationships at a node
+   compatible with the direction of the hop's relationship pattern
+   (flipped for hops traversed right-to-left), pairing each with the
+   node at the far end, in relationship-id order.  On the persistent
+   backend a single-type pattern is served from the typed adjacency
+   index — same id order as filtering the full neighbour list, but
+   without touching non-matching types.  Folding (rather than
+   materialising a neighbour list) keeps the per-hop allocation at
+   zero; hop enumeration is the innermost loop of every MATCH and
+   MERGE.
 
    Compact-backend fast path: the per-node CSR slices are
    relationship-id-sorted copies of the persistent adjacency sets, so
@@ -213,10 +203,10 @@ let flip = function Out -> In | In -> Out | Undirected -> Undirected
    path's enumeration, without set unions or per-rel map lookups.  The
    index-level core passes [f] the dense relationship index and the far
    node id, both plain ints — the relationship *record* is never
-   touched, so a caller that only needs ints (the counting leaf, the
-   BFS frontier) stays record-free.  Ordering the undirected merge
-   compares dense indices directly: the builder assigns them in id
-   order, so index order is id order. *)
+   touched, so a caller that only needs ints (the BFS frontier) stays
+   record-free.  Ordering the undirected merge compares dense indices
+   directly: the builder assigns them in id order, so index order is id
+   order. *)
 
 (** [compile_tymatch rp] resolves the pattern's type names to interned
     symbols, once — the per-relationship test is then an int comparison.
@@ -233,10 +223,9 @@ let compile_tymatch (rp : rel_pat) : int -> bool =
       let syms = List.filter_map Symtab.find types in
       fun t -> List.mem t syms
 
-(** The direction-and-type-resolved core of CSR hop enumeration; the
-    public entry points resolve [tymatch]/[dir] per call, the compiled
-    hot paths ({!compile_adjacent}, the shortest-path BFS) hoist that
-    resolution out of their loops. *)
+(** The direction-and-type-resolved core of CSR hop enumeration; its
+    callers ({!compile_adjacent}, the shortest-path BFS) resolve
+    [tymatch]/[dir] once, outside their loops. *)
 let fold_adjacent_csr_tyd (c : Graph.Csr.t) ~tymatch ~dir src_id
     (f : int -> Value.node_id -> 'a -> 'a) (acc : 'a) : 'a =
   let open Graph.Csr in
@@ -346,20 +335,9 @@ let fold_adjacent_csr_tyd_rev (c : Graph.Csr.t) ~tymatch ~dir src_id
         in
         merge (c.out_off.(i + 1) - 1) (c.in_off.(i + 1) - 1) acc
 
-let fold_adjacent_csr_idx (c : Graph.Csr.t) src_id (rp : rel_pat) ~reversed
-    (f : int -> Value.node_id -> 'a -> 'a) (acc : 'a) : 'a =
-  let tymatch = compile_tymatch rp in
-  let dir = if reversed then flip rp.rp_dir else rp.rp_dir in
-  fold_adjacent_csr_tyd c ~tymatch ~dir src_id f acc
-
-let fold_adjacent_csr (c : Graph.Csr.t) src_id (rp : rel_pat) ~reversed
-    (f : Graph.rel -> Value.node_id -> 'a -> 'a) (acc : 'a) : 'a =
-  fold_adjacent_csr_idx c src_id rp ~reversed
-    (fun j far acc -> f c.Graph.Csr.rel_recs.(j) far acc)
-    acc
-
 let fold_adjacent_maps (g : Graph.t) src_id (rp : rel_pat) ~reversed
-    (f : Graph.rel -> Value.node_id -> 'a -> 'a) (acc : 'a) : 'a =
+    (f : Value.rel_id -> Graph.rel -> Value.node_id -> 'a -> 'a) (acc : 'a) :
+    'a =
   let out_set, in_set =
     match rp.rp_types with
     | [ ty ] ->
@@ -373,13 +351,13 @@ let fold_adjacent_maps (g : Graph.t) src_id (rp : rel_pat) ~reversed
       Iset.fold
         (fun rid acc ->
           let r = Graph.rel_exn g rid in
-          f r r.Graph.tgt acc)
+          f rid r r.Graph.tgt acc)
         out_set acc
   | In ->
       Iset.fold
         (fun rid acc ->
           let r = Graph.rel_exn g rid in
-          f r r.Graph.src acc)
+          f rid r r.Graph.src acc)
         in_set acc
   | Undirected ->
       (* the incident set is a union of the two adjacency sets, so a
@@ -390,108 +368,84 @@ let fold_adjacent_maps (g : Graph.t) src_id (rp : rel_pat) ~reversed
           let far =
             if r.Graph.src = src_id then r.Graph.tgt else r.Graph.src
           in
-          f r far acc)
+          f rid r far acc)
         (Iset.union out_set in_set)
         acc
 
-let fold_adjacent (g : Graph.t) src_id (rp : rel_pat) ~reversed
-    (f : Graph.rel -> Value.node_id -> 'a -> 'a) (acc : 'a) : 'a =
-  match Graph.csr_view g with
-  | Some c -> fold_adjacent_csr c src_id rp ~reversed f acc
-  | None -> fold_adjacent_maps g src_id rp ~reversed f acc
-
 (** A hop's adjacency enumeration with everything resolvable per
     pattern invocation resolved up front: backend dispatch, traversal
-    direction, interned type symbols.  {!fold_adjacent} re-resolves all
-    three on every call — fine for one-off enumeration, measurable when
-    a hop is expanded from 10⁵ states.  The polymorphic field lets one
-    compiled value serve any accumulator type. *)
+    direction, interned type symbols — measurable when a hop is
+    expanded from 10⁵ states.  [f] receives the relationship's id
+    alongside its record: on the CSR backend the id comes from an int
+    arena, so a caller that needs no property or type check never
+    touches the record.  The polymorphic field lets one compiled value
+    serve any accumulator type. *)
 type adj = {
   adj :
-    'a. Value.node_id -> (Graph.rel -> Value.node_id -> 'a -> 'a) -> 'a -> 'a;
+    'a.
+    Value.node_id ->
+    (Value.rel_id -> Graph.rel -> Value.node_id -> 'a -> 'a) ->
+    'a ->
+    'a;
 }
 
-let compile_adjacent (g : Graph.t) (rp : rel_pat) ~reversed : adj =
+(** [compile_adjacent g rp ~reversed] compiles a hop's enumeration;
+    under [~descending] it runs in exactly reversed order, which only
+    the CSR backend offers (the persistent sets fold ascending only). *)
+let compile_adjacent ?(descending = false) (g : Graph.t) (rp : rel_pat)
+    ~reversed : adj =
   match Graph.csr_view g with
   | Some c ->
       let tymatch = compile_tymatch rp in
       let dir = if reversed then flip rp.rp_dir else rp.rp_dir in
-      let recs = c.Graph.Csr.rel_recs in
+      let ids = c.Graph.Csr.rel_id and recs = c.Graph.Csr.rel_recs in
+      let fold =
+        if descending then fold_adjacent_csr_tyd_rev else fold_adjacent_csr_tyd
+      in
       {
         adj =
           (fun src f acc ->
-            fold_adjacent_csr_tyd c ~tymatch ~dir src
-              (fun j far acc -> f recs.(j) far acc)
+            fold c ~tymatch ~dir src
+              (fun j far acc -> f ids.(j) recs.(j) far acc)
               acc);
       }
   | None ->
+      if descending then
+        Ctx.internal "descending adjacency requested on the persistent backend";
       { adj = (fun src f acc -> fold_adjacent_maps g src rp ~reversed f acc) }
-
-(** [compile_adjacent_rev] is {!compile_adjacent} enumerating in exactly
-    reversed order — only available on the CSR backend (the persistent
-    sets fold ascending only), hence the option. *)
-let compile_adjacent_rev (g : Graph.t) (rp : rel_pat) ~reversed : adj option =
-  match Graph.csr_view g with
-  | Some c ->
-      let tymatch = compile_tymatch rp in
-      let dir = if reversed then flip rp.rp_dir else rp.rp_dir in
-      let recs = c.Graph.Csr.rel_recs in
-      Some
-        {
-          adj =
-            (fun src f acc ->
-              fold_adjacent_csr_tyd_rev c ~tymatch ~dir src
-                (fun j far acc -> f recs.(j) far acc)
-                acc);
-        }
-  | None -> None
 
 (** Folds over the matches of a single (non-variable-length)
     relationship step from [src_id]: states extended with the
     relationship binding, the far node id, and the traversed
-    relationship, in relationship-id order. *)
-let fold_single_rel ?(reversed = false) ?bind ?check ?adj (ctx : Ctx.t) st
-    src_id (rp : rel_pat)
+    relationship, in relationship-id order.  The binding site, the
+    relationship check and the adjacency enumeration come compiled once
+    per pattern invocation. *)
+let fold_single_rel ~bind ~check ~adj st src_id
     (f : state -> Value.node_id -> Graph.rel -> 'a -> 'a) (acc : 'a) : 'a =
-  (* callers on the hot path pass binding sites, relationship checks and
-     adjacency enumeration compiled once per pattern invocation; the
-     defaults recompute them per relationship (or per state), which is
-     what the generic path always did *)
-  let bind =
-    match bind with
-    | Some b -> b
-    | None -> fun row v -> row_bind_var row rp.rp_var v
-  in
-  let check =
-    match check with
-    | Some c -> c
-    | None -> fun row r -> rel_satisfies ctx row rp r
-  in
-  let body (r : Graph.rel) far acc =
-    if not (rel_available st r.Graph.r_id) then acc
-    else if not (check st.row r) then acc
-    else
-      match bind st.row (Value.Rel r.Graph.r_id) with
-      | None -> acc
-      | Some row -> (
-          (* one state allocation for the used-set and row updates
-             together (the split use_rel-then-bind form allocated two) *)
-          match st.mode with
-          | Iso ->
-              f { st with used = Iset.add r.Graph.r_id st.used; row } far r acc
-          | Homo -> f (if row == st.row then st else { st with row }) far r acc)
-  in
-  match adj with
-  | Some a -> a.adj src_id body acc
-  | None -> fold_adjacent ctx.graph src_id rp ~reversed body acc
+  adj.adj src_id
+    (fun rid r far acc ->
+      if not (rel_available st rid) then acc
+      else if not (check st.row r) then acc
+      else
+        match bind st.row (Value.Rel rid) with
+        | None -> acc
+        | Some row -> (
+            (* one state allocation for the used-set and row updates
+               together (the split use_rel-then-bind form allocated two) *)
+            match st.mode with
+            | Iso -> f { st with used = Iset.add rid st.used; row } far r acc
+            | Homo -> f (if row == st.row then st else { st with row }) far r acc))
+    acc
 
 (** Matches a variable-length step: all edge-distinct walks from
-    [src_id] whose length lies within the range.  The relationship
-    variable (if any) binds to the list of traversed relationships.
-    Under [~reversed] the walk is explored from the step's right
-    endpoint but reported in the pattern's left-to-right order. *)
-let match_varlength ?(reversed = false) (ctx : Ctx.t) st src_id (rp : rel_pat)
-    lo hi : (state * Value.node_id * Graph.rel list) list =
+    [src_id] whose length lies within the range, enumerated through the
+    hop's compiled adjacency [adj] and relationship [check].  Each walk
+    comes with [st] extended by its edges (under [Iso]), its far node
+    and its relationships in the pattern's left-to-right order — under
+    [~reversed] the walk is explored from the step's right endpoint.
+    Binding the relationship variable is the caller's. *)
+let match_varlength ~reversed ~adj ~check st src_id lo hi :
+    (state * Value.node_id * Graph.rel list) list =
   let results = ref [] in
   (* [walk] keeps the walk's own edges distinct — under both matching
      regimes, so that unbounded ranges stay finite *)
@@ -501,33 +455,28 @@ let match_varlength ?(reversed = false) (ctx : Ctx.t) st src_id (rp : rel_pat)
       results := (st, node, rels) :: !results
     end;
     if match hi with Some h -> len < h | None -> true then
-      fold_adjacent ctx.graph node rp ~reversed
-        (fun (r : Graph.rel) far () ->
+      adj.adj node
+        (fun rid r far () ->
           if
-            (not (Iset.mem r.Graph.r_id walk))
-            && rel_available st r.Graph.r_id
-            && rel_satisfies ctx st.row rp r
+            (not (Iset.mem rid walk))
+            && rel_available st rid
+            && check st.row r
           then
-            explore
-              (use_rel st r.Graph.r_id)
-              (Iset.add r.Graph.r_id walk)
-              far (r :: rels_rev) (len + 1))
+            explore (use_rel st rid) (Iset.add rid walk) far (r :: rels_rev)
+              (len + 1))
         ()
   in
   explore st Iset.empty src_id [] 0;
-  List.filter_map
-    (fun (st, far, rels) ->
-      let rel_list =
-        Value.List (List.map (fun (r : Graph.rel) -> Value.Rel r.Graph.r_id) rels)
-      in
-      Option.map (fun st -> (st, far, rels)) (bind_var st rp.rp_var rel_list))
-    (List.rev !results)
+  List.rev !results
+
+let rel_list_value rels =
+  Value.List (List.map (fun (r : Graph.rel) -> Value.Rel r.Graph.r_id) rels)
 
 (** Folds [emit] over the matches of one whole path pattern left-to-right
     from state [st] — the naive enumeration: anchor on [pat_start], walk
     the steps in syntactic order.  [emit] is called once per embedding,
-    in traversal order; materialising a state list is just one choice of
-    [emit] (see {!match_pattern_naive}), counting is another
+    in traversal order; materialising a row list is one choice of
+    [emit] (see {!match_patterns_rev}), counting is another
     (see {!count_patterns}). *)
 let fold_pattern_naive (ctx : Ctx.t) st (p : pattern)
     (emit : state -> 'a -> 'a) (acc0 : 'a) : 'a =
@@ -582,16 +531,23 @@ let fold_pattern_naive (ctx : Ctx.t) st (p : pattern)
         in
         (match rp.rp_range with
         | None ->
-            fold_single_rel ~bind:rbind ~check:rcheck ~adj ctx st node_id rp
+            fold_single_rel ~bind:rbind ~check:rcheck ~adj st node_id
               (fun st far r acc ->
                 far_step st far (if named then [ r ] else []) acc)
               acc
         | Some (lo, hi) ->
             let lo = Option.value ~default:1 lo in
             List.fold_left
-              (fun acc (st, far, rels) -> far_step st far rels acc)
+              (fun acc (st, far, rels) ->
+                match rbind st.row (rel_list_value rels) with
+                | None -> acc
+                | Some row ->
+                    far_step
+                      (if row == st.row then st else { st with row })
+                      far rels acc)
               acc
-              (match_varlength ctx st node_id rp lo hi))
+              (match_varlength ~reversed:false ~adj ~check:rcheck st node_id
+                 lo hi))
   in
   List.fold_left
     (fun acc (st, start_id) ->
@@ -605,8 +561,8 @@ let fold_pattern_naive (ctx : Ctx.t) st (p : pattern)
 (* ------------------------------------------------------------------ *)
 
 (** Candidate nodes for a planned anchor.  Bound variables and index
-    lookups still pass through {!node_satisfies}, so an index bucket may
-    safely over-approximate (it is re-filtered). *)
+    lookups still pass through the anchor's {!node_check}, so an index
+    bucket may safely over-approximate (it is re-filtered). *)
 let anchor_candidates (ctx : Ctx.t) st (plan : Plan.t) : Value.node_id list =
   let np = plan.Plan.p_anchor in
   match plan.Plan.p_anchor_kind with
@@ -620,456 +576,272 @@ let anchor_candidates (ctx : Ctx.t) st (plan : Plan.t) : Value.node_id list =
   | Plan.Anchor_label label -> Graph.nodes_with_label ctx.graph label
   | Plan.Anchor_scan -> Graph.node_ids ctx.graph
 
-exception Not_deferrable
+(** What the planned fold does with each embedding: hand its state to
+    the rest of the pattern tuple, hand only its row to the consumer
+    (the last pattern — no used-set union, no state), or just tick the
+    accumulator (the last pattern under a fused count — no row
+    either). *)
+type 'a leaf =
+  | Emit of (state -> 'a -> 'a)
+  | Emit_row of (Record.t -> 'a -> 'a)
+  | Count of ('a -> 'a)
 
-(** [fold_pattern_planned_deferred ctx st plan p emit acc0] is the
-    fast path of {!fold_pattern_planned}: row construction is
-    *deferred to the leaf*.  The recursion threads raw node/relationship
-    ids through per-invocation scratch arrays and builds one cell array,
-    one row and one state per *emitted* embedding — instead of a copied
-    row plus a state record per hop of every partial embedding, most of
-    which fail a later hop and are thrown away.
+(** A compiled binding site: [Write i] is the variable's first
+    occurrence, its slot [i] absent in the invocation row; [Compare i]
+    tests the value against slot [i], set in the invocation row or by
+    an earlier site of the pattern; [Unbound] is an anonymous variable
+    (or a write nothing will read). *)
+type site = Unbound | Write of int | Compare of int
 
-    Applicability ([None] falls back to the eager fold):
-    - the pattern is anonymous and has no variable-length step;
-    - every pattern variable maps to a distinct, currently-absent slot of
-      the row's layout — so every eager bind would have succeeded without
-      conflict, and the leaf write-out produces the same cells;
-    - no property expression of the pattern reads a pattern variable —
-      so checking against the invocation's starting row evaluates
-      exactly as the eager fold's partial rows would.
+let site_bind cells site (v : Value.t) =
+  match site with
+  | Unbound -> true
+  | Write i ->
+      cells.(i) <- v;
+      true
+  | Compare i -> Value.equal_strict cells.(i) v
 
-    Under [Iso], within-pattern relationship distinctness is a linear
-    scan of the (≤ hop-count) scratch ids instead of a per-hop set
-    insert; the used-set union happens once per emitted row.  Traversal
-    order, check order and emitted rows are identical to the eager fold,
-    which is what keeps the two byte-identical through the pipeline.
+(* the id forms skip building the value for an anonymous site *)
+let site_bind_node cells site id =
+  site == Unbound || site_bind cells site (Value.Node id)
 
-    When [emit_row] is supplied the consumer wants rows only (the last
-    pattern of a tuple): the leaf then skips the used-set union and the
-    state allocation altogether and [emit] is never called.
+let site_bind_rel cells site id =
+  site == Unbound || site_bind cells site (Value.Rel id)
+
+(** The pattern's variables in the order the sites bind them: anchor,
+    then each hop's relationship and far node, then the path name. *)
+let site_vars (plan : Plan.t) (p : pattern) =
+  (plan.Plan.p_anchor.np_var
+  :: List.concat_map
+       (fun (h : Plan.hop) -> [ h.Plan.h_rp.rp_var; h.Plan.h_far.np_var ])
+       plan.Plan.p_hops)
+  @ [ p.pat_var ]
+
+(** Natural-order enumeration ({!match_patterns_natural}) applies to a
+    pattern on the CSR backend with no property map, no path name and
+    no variable-length hop, whose every variable lands in a distinct,
+    currently-absent slot of the row's layout: with no expressions to
+    evaluate, enumeration order is unobservable except through the row
+    order the caller is deliberately inverting, and the rows bind
+    exactly the layout's names. *)
+let natural_applies (ctx : Ctx.t) st (plan : Plan.t) (p : pattern) =
+  Graph.csr_view ctx.graph <> None
+  && p.pat_var = None
+  && plan.Plan.p_anchor.np_props = []
+  && List.for_all
+       (fun (h : Plan.hop) ->
+         h.Plan.h_rp.rp_range = None
+         && h.Plan.h_rp.rp_props = []
+         && h.Plan.h_far.np_props = [])
+       plan.Plan.p_hops
+  &&
+  let tab, cells = Record.slots_view st.row in
+  let slots =
+    List.filter_map (Option.map (Slots.index tab)) (site_vars plan p)
+  in
+  List.for_all (fun i -> i >= 0 && cells.(i) == Slots.absent) slots
+  && List.length (List.sort_uniq Int.compare slots) = List.length slots
+
+(** [fold_pattern_planned ctx st plan p leaf acc0] matches one whole
+    path pattern following a {!Plan.t}: enumerate the anchor position
+    first, then each hop from its already-bound side.  Rows are built
+    only at the leaf: the recursion threads raw ids through
+    per-invocation scratch — node ids by position, relationship ids by
+    depth, a variable-length hop's walk by depth — and writes bound
+    values into one scratch cell array, copied once per emitted row.
+
+    - Sites are compiled per invocation (see {!site}); a variable
+      outside the row's layout (MERGE rows are not seeded) extends the
+      layout once, here, before enumeration starts.
+    - Property expressions evaluate against the invocation row:
+      {!Plan.make} plans only patterns whose every free variable is
+      already bound there.
+    - Under [Iso], within-pattern relationship distinctness is a linear
+      scan of the scratch ids (walk edges included); the used-set union
+      happens once per emitted state.
+    - A variable-length hop is expanded by {!match_varlength} from a
+      state whose used set holds this branch's relationships so far.
+    - A named pattern assembles its path at the leaf, nodes in position
+      order and relationships in step order.
+
+    Check order per relationship: availability, relationship predicate,
+    relationship site, far-node check, far-node site.
 
     Under [~natural] the whole enumeration runs in exactly *reversed*
     traversal order — reversed anchor list, descending-id adjacency —
     so a consumer that prepends obtains the rows in natural (forward)
-    order without a final reversal.  Requires the CSR backend (the
-    persistent adjacency sets fold ascending only) and a fully
-    property-free pattern: with no expressions to evaluate, enumeration
-    order is unobservable except through the row order the caller is
-    deliberately inverting. *)
-let fold_pattern_planned_deferred ?emit_row ?(natural = false) (ctx : Ctx.t)
-    st (plan : Plan.t) (p : pattern) (emit : state -> 'a -> 'a) (acc0 : 'a) :
-    'a option =
-  let tab, cells0 = Record.slots_view st.row in
-  if
-    p.pat_var <> None
-    || List.exists
-         (fun (h : Plan.hop) -> h.Plan.h_rp.rp_range <> None)
-         plan.Plan.p_hops
-  then None
-  else
-    try
-      let slot_of var =
+    order without a final reversal; callers check {!natural_applies}
+    first. *)
+let fold_pattern_planned ?(natural = false) (ctx : Ctx.t) st (plan : Plan.t)
+    (p : pattern) (leaf : 'a leaf) (acc0 : 'a) : 'a =
+  let row0 = st.row in
+  let tab0, cells0 = Record.slots_view row0 in
+  let vars = site_vars plan p in
+  let tab =
+    List.fold_left
+      (fun tab var ->
         match var with
-        | None -> -1
+        | Some name when Slots.index tab name < 0 -> Slots.extend tab name
+        | _ -> tab)
+      tab0 vars
+  in
+  let cells = Array.make (Slots.width tab) Slots.absent in
+  Array.blit cells0 0 cells 0 (Array.length cells0);
+  (* sites in binding order; in a counting leaf a write only a later
+     compare reads is kept, every other write is dead *)
+  let sites =
+    List.fold_left
+      (fun (written, acc) var ->
+        match var with
+        | None -> (written, Unbound :: acc)
         | Some name ->
             let i = Slots.index tab name in
-            if i < 0 || Array.unsafe_get cells0 i != Slots.absent then
-              raise Not_deferrable;
-            i
-      in
-      let anchor_slot = slot_of plan.Plan.p_anchor.np_var in
-      let hops_arr = Array.of_list plan.Plan.p_hops in
-      let n_hops = Array.length hops_arr in
-      let far_slot =
-        Array.map (fun (h : Plan.hop) -> slot_of h.Plan.h_far.np_var) hops_arr
-      in
-      let rel_slot =
-        Array.map (fun (h : Plan.hop) -> slot_of h.Plan.h_rp.rp_var) hops_arr
-      in
-      let all_slots =
-        List.filter
-          (fun i -> i >= 0)
-          (anchor_slot :: (Array.to_list far_slot @ Array.to_list rel_slot))
-      in
-      if
-        List.length (List.sort_uniq Int.compare all_slots)
-        <> List.length all_slots
-      then raise Not_deferrable;
-      let pvars =
-        List.filter_map Fun.id
-          (p.pat_start.np_var
-          :: List.concat_map
-               (fun (rp, np) -> [ rp.rp_var; np.np_var ])
-               p.pat_steps)
-      in
-      let closed (_, e) =
-        List.for_all (fun v -> not (List.mem v pvars)) (expr_free_vars e)
-      in
-      if
-        not
-          (List.for_all closed plan.Plan.p_anchor.np_props
-          && Array.for_all
-               (fun (h : Plan.hop) ->
-                 List.for_all closed h.Plan.h_far.np_props
-                 && List.for_all closed h.Plan.h_rp.rp_props)
-               hops_arr)
-      then raise Not_deferrable;
-      if
-        natural
-        && not
-             (plan.Plan.p_anchor.np_props = []
-             && Array.for_all
-                  (fun (h : Plan.hop) ->
-                    h.Plan.h_far.np_props = [] && h.Plan.h_rp.rp_props = [])
-                  hops_arr)
-      then raise Not_deferrable;
-      let anchor_check = node_check ctx plan.Plan.p_anchor in
-      let csr = Graph.csr_view ctx.graph <> None in
-      let row0 = st.row in
-      let iso = st.mode = Iso in
-      let compile_adj (h : Plan.hop) =
-        if natural then
-          match
-            compile_adjacent_rev ctx.graph h.Plan.h_rp
-              ~reversed:h.Plan.h_reversed
-          with
-          | Some a -> a
-          | None -> raise Not_deferrable
-        else
-          compile_adjacent ctx.graph h.Plan.h_rp
-            ~reversed:h.Plan.h_reversed
-      in
-      let compiled =
-        Array.map
-          (fun (h : Plan.hop) ->
-            ( h,
-              node_check ctx h.Plan.h_far,
-              compile_rel_check ctx ~csr h.Plan.h_rp,
-              compile_adj h ))
-          hops_arr
-      in
-      (* the current branch's ids by hop depth; DFS writes depth [d]
-         before descending, so indices below the current depth always
-         hold this branch's ancestors *)
-      let far_ids = Array.make (max n_hops 1) 0 in
-      let rel_ids = Array.make (max n_hops 1) 0 in
-      let anchor_id = ref 0 in
-      let needed_later from_i pos =
-        let rec go j =
-          j < n_hops && (hops_arr.(j).Plan.h_src_pos = pos || go (j + 1))
-        in
-        go from_i
-      in
-      let anchor_store = needed_later 1 plan.Plan.p_anchor_pos in
-      let store =
-        Array.mapi
-          (fun i (h : Plan.hop) -> needed_later (i + 2) h.Plan.h_far_pos)
-          hops_arr
-      in
-      let leaf_row () =
-        let cells = Array.copy cells0 in
-        if anchor_slot >= 0 then
-          cells.(anchor_slot) <- Value.Node !anchor_id;
-        for d = 0 to n_hops - 1 do
-          if far_slot.(d) >= 0 then
-            cells.(far_slot.(d)) <- Value.Node far_ids.(d);
-          if rel_slot.(d) >= 0 then
-            cells.(rel_slot.(d)) <- Value.Rel rel_ids.(d)
-        done;
-        Record.of_slots tab cells
-      in
-      let emit_leaf =
-        match emit_row with
-        | Some f -> fun acc -> f (leaf_row ()) acc
-        | None ->
-            fun acc ->
-              let used =
-                if iso then begin
-                  let u = ref st.used in
-                  for d = 0 to n_hops - 1 do
-                    u := Iset.add rel_ids.(d) !u
-                  done;
-                  !u
-                end
-                else st.used
-              in
-              emit { row = leaf_row (); used; mode = st.mode } acc
-      in
-      let rec hops d last_pos last_id nodes_at acc =
-        if d >= n_hops then emit_leaf acc
-        else
-          let h, check, rcheck, adj = compiled.(d) in
-          let src_id =
-            if h.Plan.h_src_pos = last_pos then last_id
-            else Imap.find h.Plan.h_src_pos nodes_at
-          in
-          adj.adj src_id
-            (fun (r : Graph.rel) far acc ->
-              let rid = r.Graph.r_id in
-              let fresh =
-                (not iso)
-                || (not (Iset.mem rid st.used))
-                   &&
-                   let rec scan k =
-                     k >= d || (rel_ids.(k) <> rid && scan (k + 1))
-                   in
-                   scan 0
-              in
-              if not fresh then acc
-              else if not (rcheck row0 r) then acc
-              else if not (check row0 far) then acc
-              else begin
-                rel_ids.(d) <- rid;
-                far_ids.(d) <- far;
-                hops (d + 1) h.Plan.h_far_pos far
-                  (if store.(d) then Imap.add h.Plan.h_far_pos far nodes_at
-                   else nodes_at)
-                  acc
-              end)
-            acc
-      in
-      let anchor_pos = plan.Plan.p_anchor_pos in
-      Some
-        (List.fold_left
-           (fun acc id ->
-             if not (anchor_check row0 id) then acc
-             else begin
-               anchor_id := id;
-               hops 0 anchor_pos id
-                 (if anchor_store then Imap.singleton anchor_pos id
-                  else Imap.empty)
-                 acc
-             end)
-           acc0
-           (let cands = anchor_candidates ctx st plan in
-            if natural then List.rev cands else cands))
-    with Not_deferrable -> None
-
-(** Matches one whole path pattern following a {!Plan.t}: enumerate the
-    anchor position first, then each hop from its already-bound side.
-    Nodes and traversed relationships are collected by *position* and
-    *step index* so the final path value is assembled left-to-right
-    regardless of traversal order. *)
-let fold_pattern_planned_eager (ctx : Ctx.t) st (p : pattern) (plan : Plan.t)
-    (emit : state -> 'a -> 'a) (acc0 : 'a) : 'a =
-  let anchor_check = node_check ctx plan.Plan.p_anchor in
-  let anchor_bind = compile_row_binder st.row plan.Plan.p_anchor.np_var in
-  (* the path value is only assembled when the pattern is named; an
-     anonymous pattern skips the per-step relationship bookkeeping.
-     Far-node checks, binding sites and relationship predicates are
-     compiled once per hop, not once per embedding. *)
-  let named = p.pat_var <> None in
-  let csr = Graph.csr_view ctx.graph <> None in
-  (* The recursion threads the most recently bound position as a plain
-     (position, id) pair; the position map only receives entries some
-     *later-than-next* hop sources from (plans bind positions in hop
-     order, so nothing else ever reads it).  A chain pattern — each hop
-     leaving the previous hop's far node — therefore runs with the map
-     permanently empty.  A named pattern stores every position: path
-     assembly reads them all. *)
-  let hops_arr = Array.of_list plan.Plan.p_hops in
-  let needed_later from_i pos =
-    named
-    ||
-    let n = Array.length hops_arr in
-    let rec go j =
-      j < n && (hops_arr.(j).Plan.h_src_pos = pos || go (j + 1))
-    in
-    go from_i
+            if cells.(i) != Slots.absent || List.mem i written then
+              (written, Compare i :: acc)
+            else (i :: written, Write i :: acc))
+      ([], []) vars
+    |> snd |> List.rev
   in
-  let anchor_store = needed_later 1 plan.Plan.p_anchor_pos in
-  let compiled_hops =
-    List.mapi
-      (fun i (h : Plan.hop) ->
+  let sites =
+    match leaf with
+    | Count _ ->
+        List.map
+          (function
+            | Write i when not (List.mem (Compare i) sites) -> Unbound
+            | s -> s)
+          sites
+    | Emit _ | Emit_row _ -> sites
+  in
+  let no_writes = List.for_all (function Write _ -> false | _ -> true) sites in
+  let sites = Array.of_list sites in
+  let hops_arr = Array.of_list plan.Plan.p_hops in
+  let n_hops = Array.length hops_arr in
+  let anchor_site = sites.(0) and path_site = sites.((2 * n_hops) + 1) in
+  let csr = Graph.csr_view ctx.graph <> None in
+  let compiled =
+    Array.mapi
+      (fun d (h : Plan.hop) ->
         ( h,
           node_check ctx h.Plan.h_far,
-          compile_row_binder st.row h.Plan.h_far.np_var,
-          compile_row_binder st.row h.Plan.h_rp.rp_var,
           compile_rel_check ctx ~csr h.Plan.h_rp,
-          compile_adjacent ctx.graph h.Plan.h_rp ~reversed:h.Plan.h_reversed,
-          needed_later (i + 2) h.Plan.h_far_pos ))
-      plan.Plan.p_hops
+          compile_adjacent ~descending:natural ctx.graph h.Plan.h_rp
+            ~reversed:h.Plan.h_reversed,
+          sites.((2 * d) + 1),
+          sites.((2 * d) + 2) ))
+      hops_arr
   in
-  let rec hops st last_pos last_id nodes_at rels_at rest acc =
-    match rest with
-    | [] ->
-        if not named then emit st acc
-        else
-          let path =
-            Value.Path
-              {
-                Value.path_nodes =
-                  List.init plan.Plan.p_positions (fun i ->
-                      Imap.find i nodes_at);
-                path_rels =
-                  List.concat_map
-                    (fun (_, rels) ->
-                      List.map (fun (r : Graph.rel) -> r.Graph.r_id) rels)
-                    (Imap.bindings rels_at);
-              }
-          in
-          (match bind_var st p.pat_var path with
-          | None -> acc
-          | Some st -> emit st acc)
-    | ((h : Plan.hop), check, fbind, rbind, rcheck, adj, store) :: rest ->
-        let src_id =
-          if h.Plan.h_src_pos = last_pos then last_id
-          else Imap.find h.Plan.h_src_pos nodes_at
-        in
-        let reversed = h.Plan.h_reversed in
-        let far_step st far rels acc =
-          if not (check st.row far) then acc
-          else
-            match fbind st.row (Value.Node far) with
-            | None -> acc
-            | Some row ->
-                let st = if row == st.row then st else { st with row } in
-                hops st h.Plan.h_far_pos far
-                  (if store then Imap.add h.Plan.h_far_pos far nodes_at
-                   else nodes_at)
-                  (if named then Imap.add h.Plan.h_step rels rels_at
-                   else rels_at)
-                  rest acc
-        in
-        (match h.Plan.h_rp.rp_range with
-        | None ->
-            fold_single_rel ~reversed ~bind:rbind ~check:rcheck ~adj ctx st
-              src_id h.Plan.h_rp
-              (fun st far r acc ->
-                far_step st far (if named then [ r ] else []) acc)
-              acc
-        | Some (lo, hi) ->
-            let lo = Option.value ~default:1 lo in
-            List.fold_left
-              (fun acc (st, far, rels) -> far_step st far rels acc)
-              acc
-              (match_varlength ~reversed ctx st src_id h.Plan.h_rp lo hi))
+  let iso = st.mode = Iso in
+  (* the current branch by hop depth; DFS writes depth [d] before
+     descending, so entries below the current depth always hold this
+     branch's ancestors.  A variable-length hop leaves [rel_ids] at -1
+     and records its walk instead. *)
+  let pos_ids = Array.make plan.Plan.p_positions 0 in
+  let rel_ids = Array.make n_hops (-1) in
+  let walks = Array.make n_hops [] in
+  let fresh d rid =
+    (not iso)
+    || (not (Iset.mem rid st.used))
+       &&
+       let rec scan k =
+         k >= d
+         || rel_ids.(k) <> rid
+            && (walks.(k) == [] || not (List.mem rid walks.(k)))
+            && scan (k + 1)
+       in
+       scan 0
   in
+  let used_upto d =
+    if not iso then st.used
+    else
+      let u = ref st.used in
+      for k = 0 to d - 1 do
+        if rel_ids.(k) >= 0 then u := Iset.add rel_ids.(k) !u;
+        List.iter (fun rid -> u := Iset.add rid !u) walks.(k)
+      done;
+      !u
+  in
+  let path_value () =
+    let step_rels = Array.make n_hops [] in
+    Array.iteri
+      (fun d (h : Plan.hop) ->
+        step_rels.(h.Plan.h_step) <-
+          (if rel_ids.(d) >= 0 then [ rel_ids.(d) ] else walks.(d)))
+      hops_arr;
+    Value.Path
+      {
+        Value.path_nodes = Array.to_list pos_ids;
+        path_rels = List.concat (Array.to_list step_rels);
+      }
+  in
+  let leaf_row () =
+    if no_writes then row0 else Record.of_slots tab (Array.copy cells)
+  in
+  let at_leaf acc =
+    if path_site != Unbound && not (site_bind cells path_site (path_value ()))
+    then acc
+    else
+      match leaf with
+      | Count f -> f acc
+      | Emit_row f -> f (leaf_row ()) acc
+      | Emit f ->
+          f { row = leaf_row (); used = used_upto n_hops; mode = st.mode } acc
+  in
+  let rec hops d acc =
+    if d >= n_hops then at_leaf acc
+    else
+      let h, check, rcheck, adj, rel_site, far_site = compiled.(d) in
+      let far_step far acc =
+        if not (check row0 far) then acc
+        else if not (site_bind_node cells far_site far) then acc
+        else begin
+          pos_ids.(h.Plan.h_far_pos) <- far;
+          hops (d + 1) acc
+        end
+      in
+      let src_id = pos_ids.(h.Plan.h_src_pos) in
+      match h.Plan.h_rp.rp_range with
+      | None ->
+          adj.adj src_id
+            (fun rid r far acc ->
+              if not (fresh d rid) then acc
+              else if not (rcheck row0 r) then acc
+              else if not (site_bind_rel cells rel_site rid) then acc
+              else begin
+                rel_ids.(d) <- rid;
+                far_step far acc
+              end)
+            acc
+      | Some (lo, hi) ->
+          let from = { row = row0; used = used_upto d; mode = st.mode } in
+          List.fold_left
+            (fun acc (_, far, rels) ->
+              if
+                rel_site != Unbound
+                && not (site_bind cells rel_site (rel_list_value rels))
+              then acc
+              else begin
+                walks.(d) <- List.map (fun (r : Graph.rel) -> r.Graph.r_id) rels;
+                far_step far acc
+              end)
+            acc
+            (match_varlength ~reversed:h.Plan.h_reversed ~adj ~check:rcheck
+               from src_id
+               (Option.value ~default:1 lo)
+               hi)
+  in
+  let anchor_check = node_check ctx plan.Plan.p_anchor in
   let anchor_pos = plan.Plan.p_anchor_pos in
+  let cands = anchor_candidates ctx st plan in
   List.fold_left
     (fun acc id ->
-      if not (anchor_check st.row id) then acc
-      else
-        match anchor_bind st.row (Value.Node id) with
-        | None -> acc
-        | Some row ->
-            let st = if row == st.row then st else { st with row } in
-            hops st anchor_pos id
-              (if anchor_store then Imap.singleton anchor_pos id
-               else Imap.empty)
-              Imap.empty compiled_hops acc)
+      if not (anchor_check row0 id) then acc
+      else if not (site_bind_node cells anchor_site id) then acc
+      else begin
+        pos_ids.(anchor_pos) <- id;
+        hops 0 acc
+      end)
     acc0
-    (anchor_candidates ctx st plan)
-
-(** [emit_row], when supplied, replaces [emit] with a row-only consumer
-    (the callee may then skip per-embedding state bookkeeping — the
-    deferred fold does; the eager fold just adapts). *)
-let fold_pattern_planned ?emit_row (ctx : Ctx.t) st (p : pattern)
-    (plan : Plan.t) (emit : state -> 'a -> 'a) (acc0 : 'a) : 'a =
-  let emit =
-    match emit_row with Some f -> fun st acc -> f st.row acc | None -> emit
-  in
-  match fold_pattern_planned_deferred ?emit_row ctx st plan p emit acc0 with
-  | Some acc -> acc
-  | None -> fold_pattern_planned_eager ctx st p plan emit acc0
-
-(** [count_pattern_planned ctx st p plan] is
-    [fold_pattern_planned ctx st p plan (fun _ n -> n + 1) 0] with one
-    extra specialisation: on a final single-relationship anonymous hop of
-    an anonymous pattern, matching relationships are counted in place.
-    The state [far_step] would build there — relationship marked used,
-    far variable bound, a fresh record — is dead at the leaf, so only
-    the *checks* run (availability, relationship predicates, far-node
-    check, conflicting-rebind test), in exactly the generic path's
-    evaluation order.  Only sound for the last pattern of a MATCH tuple:
-    an earlier pattern's used-set is consulted by the patterns after it. *)
-let count_pattern_planned (ctx : Ctx.t) st (p : pattern) (plan : Plan.t) : int
-    =
-  if p.pat_var <> None then
-    fold_pattern_planned ctx st p plan (fun _ n -> n + 1) 0
-  else
-    let anchor_check = node_check ctx plan.Plan.p_anchor in
-    let compiled_hops =
-      List.map
-        (fun (h : Plan.hop) -> (h, node_check ctx h.Plan.h_far))
-        plan.Plan.p_hops
-    in
-    let rec hops st nodes_at rest acc =
-      match rest with
-      | [] -> acc + 1
-      | [ ((h : Plan.hop), check) ]
-        when h.Plan.h_rp.rp_range = None && h.Plan.h_rp.rp_var = None ->
-          (* final hop: count matching relationships without committing
-             the extension *)
-          let src_id = Imap.find h.Plan.h_src_pos nodes_at in
-          let rp = h.Plan.h_rp in
-          let far_var = h.Plan.h_far.np_var in
-          (match Graph.csr_view ctx.graph with
-          | Some c when rp.rp_props = [] ->
-              (* record-free on the compact backend: the slice's type
-                 filter subsumes [rel_satisfies] when the pattern has no
-                 property map, and the used-set test reads the id from
-                 the [rel_id] arena — the innermost loop touches only
-                 int arrays *)
-              fold_adjacent_csr_idx c src_id rp ~reversed:h.Plan.h_reversed
-                (fun j far acc ->
-                  if
-                    rel_available st c.Graph.Csr.rel_id.(j)
-                    && check st.row far
-                    && bind_check st far_var (Value.Node far)
-                  then acc + 1
-                  else acc)
-                acc
-          | _ ->
-              fold_adjacent ctx.graph src_id rp ~reversed:h.Plan.h_reversed
-                (fun (r : Graph.rel) far acc ->
-                  if
-                    rel_available st r.Graph.r_id
-                    && rel_satisfies ctx st.row rp r
-                    && check st.row far
-                    && bind_check st far_var (Value.Node far)
-                  then acc + 1
-                  else acc)
-                acc)
-      | ((h : Plan.hop), check) :: rest ->
-          let src_id = Imap.find h.Plan.h_src_pos nodes_at in
-          let far_step st far acc =
-            match
-              if check st.row far then
-                bind_var st h.Plan.h_far.np_var (Value.Node far)
-              else None
-            with
-            | None -> acc
-            | Some st -> hops st (Imap.add h.Plan.h_far_pos far nodes_at) rest acc
-          in
-          (match h.Plan.h_rp.rp_range with
-          | None ->
-              fold_single_rel ~reversed:h.Plan.h_reversed ctx st src_id
-                h.Plan.h_rp
-                (fun st far _r acc -> far_step st far acc)
-                acc
-          | Some (lo, hi) ->
-              let lo = Option.value ~default:1 lo in
-              List.fold_left
-                (fun acc (st, far, _rels) -> far_step st far acc)
-                acc
-                (match_varlength ~reversed:h.Plan.h_reversed ctx st src_id
-                   h.Plan.h_rp lo hi))
-    in
-    let starts =
-      List.filter_map
-        (fun id ->
-          if anchor_check st.row id then
-            Option.map
-              (fun st -> (st, Imap.singleton plan.Plan.p_anchor_pos id))
-              (bind_var st plan.Plan.p_anchor.np_var (Value.Node id))
-          else None)
-        (anchor_candidates ctx st plan)
-    in
-    List.fold_left
-      (fun acc (st, nodes_at) -> hops st nodes_at compiled_hops acc)
-      0 starts
+    (if natural then List.rev cands else cands)
 
 (** [match_patterns ?mode ?planner ?plans ctx patterns] computes all
     extensions of the context row that embed every pattern; under the
@@ -1105,25 +877,24 @@ let match_patterns_rev ?(mode = Iso) ?(planner = false) ?plans (ctx : Ctx.t)
      planned, which skips the per-embedding state bookkeeping nothing
      will read — so no intermediate state list is ever materialised.
      At 10⁵-row matches this saves several full list traversals. *)
-  let emit_last row acc = row :: acc in
   let rec go st i rest acc =
     match rest with
     | [] ->
-        (* unreachable while the [patterns = []] guard above holds; a
+        (* unreachable while the [patterns = []] guard below holds; a
            structured error keeps a server process alive if it breaks *)
         Ctx.internal "match_patterns_rev: empty pattern list reached the fold"
     | [ p ] -> (
         match plan_with (List.nth_opt hints i) st p with
         | Some plan ->
-            fold_pattern_planned ~emit_row:emit_last ctx st p plan
-              (fun st acc -> st.row :: acc)
+            fold_pattern_planned ctx st plan p
+              (Emit_row (fun row acc -> row :: acc))
               acc
         | None ->
             fold_pattern_naive ctx st p (fun st acc -> st.row :: acc) acc)
     | p :: rest -> (
         let emit st acc = go st (i + 1) rest acc in
         match plan_with (List.nth_opt hints i) st p with
-        | Some plan -> fold_pattern_planned ctx st p plan emit acc
+        | Some plan -> fold_pattern_planned ctx st plan p (Emit emit) acc
         | None -> fold_pattern_naive ctx st p emit acc)
   in
   match patterns with [] -> [ init.row ] | _ -> go init 0 patterns []
@@ -1139,9 +910,8 @@ let match_patterns ?mode ?planner ?plans (ctx : Ctx.t)
     already in natural (forward) order — the whole match costs exactly
     one list spine, with no final reversal and no consistency
     projection needed downstream.  [None] when the shape doesn't
-    qualify (several patterns, no plan, property predicates, persistent
-    backend, ...) — the caller falls back to
-    {!match_patterns_rev}. *)
+    qualify (several patterns, no plan, see {!natural_applies}) — the
+    caller falls back to {!match_patterns_rev}. *)
 let match_patterns_natural ?(mode = Iso) ?(planner = false) ?plans
     (ctx : Ctx.t) (patterns : pattern list) : Record.t list option =
   match patterns with
@@ -1157,21 +927,21 @@ let match_patterns_natural ?(mode = Iso) ?(planner = false) ?plans
         | None -> if planner then Plan.make ctx init.row p else None
       in
       match plan with
-      | None -> None
-      | Some plan ->
-          fold_pattern_planned_deferred
-            ~emit_row:(fun row acc -> row :: acc)
-            ~natural:true ctx init plan p
-            (fun st acc -> st.row :: acc)
-            [])
+      | Some plan when natural_applies ctx init plan p ->
+          Some
+            (fold_pattern_planned ~natural:true ctx init plan p
+               (Emit_row (fun row acc -> row :: acc))
+               [])
+      | _ -> None)
   | _ -> None
 
 (** [count_patterns ?mode ?planner ?plans ctx patterns] is
     [List.length (match_patterns ... )] without materialising any state
     list: each pattern's embeddings are folded over directly, recursing
-    into the remaining patterns per embedding.  Traversal (and therefore
-    any error raised by a property expression) follows exactly the order
-    of {!match_patterns}.  The engine uses this to fuse
+    into the remaining patterns per embedding, and the last pattern
+    only counts.  Traversal (and therefore any error raised by a
+    property expression) follows exactly the order of
+    {!match_patterns}.  The engine uses this to fuse
     [MATCH ... RETURN count( * )] — at 10⁵+ embeddings the dominant cost
     of the materialising path is allocating and promoting the result
     records, which a count never looks at. *)
@@ -1182,26 +952,18 @@ let count_patterns ?(mode = Iso) ?(planner = false) ?plans (ctx : Ctx.t)
   let hints = Option.value ~default:[] plans in
   let rec count st i = function
     | [] -> 1
-    | p :: rest ->
+    | p :: rest -> (
         let plan_for =
           match List.nth_opt hints i with
           | Some hint -> hint (* [Some None] forces naive enumeration *)
           | None -> if planner then Plan.make ctx st.row p else None
         in
-        let last = rest = [] in
-        (match plan_for with
-        | Some plan ->
-            if last then count_pattern_planned ctx st p plan
-            else
-              fold_pattern_planned ctx st p plan
-                (fun st' n -> n + count st' (i + 1) rest)
-                0
-        | None ->
-            if last then fold_pattern_naive ctx st p (fun _ n -> n + 1) 0
-            else
-              fold_pattern_naive ctx st p
-                (fun st' n -> n + count st' (i + 1) rest)
-                0)
+        let next st' n = n + count st' (i + 1) rest in
+        match (plan_for, rest) with
+        | Some plan, [] -> fold_pattern_planned ctx st plan p (Count succ) 0
+        | Some plan, _ -> fold_pattern_planned ctx st plan p (Emit next) 0
+        | None, [] -> fold_pattern_naive ctx st p (fun _ n -> n + 1) 0
+        | None, _ -> fold_pattern_naive ctx st p next 0)
   in
   count init 0 patterns
 
@@ -1257,7 +1019,7 @@ let shortest_paths (ctx : Ctx.t) ~all (p : pattern) : Value.t =
          search runs in CSR dense-index space: visited levels and
          predecessor lists are flat arrays over the node count, the
          frontier queue holds dense indices, and the adjacency fold is
-         the record-free {!fold_adjacent_csr_idx} — a relationship
+         the record-free {!fold_adjacent_csr_tyd} — a relationship
          record is only fetched when the pattern carries property
          predicates.  Discovery order (id-sorted slices, FIFO frontier,
          same predecessor cons order) matches the map path exactly, so
@@ -1347,8 +1109,8 @@ let shortest_paths (ctx : Ctx.t) ~all (p : pattern) : Value.t =
               let node = Queue.pop queue in
               let depth = Hashtbl.find level node in
               if expand_from depth then
-                fold_adjacent ctx.graph node rp ~reversed:false
-                  (fun (r : Graph.rel) far () ->
+                fold_adjacent_maps ctx.graph node rp ~reversed:false
+                  (fun _ (r : Graph.rel) far () ->
                     if rel_satisfies ctx ctx.row rp r then begin
                       (match Hashtbl.find_opt level far with
                       | None ->

@@ -292,7 +292,7 @@ let parallelism_checks =
    unobservable.  For every planner setting and physical backend the
    sweep's table and graph bytes must hash to the MD5 digests captured
    from the map-row implementation — same rows, same order, same graph,
-   so the array-row fast paths (including the matcher's deferred and
+   so the array-row fast paths (including the matcher's planned and
    natural-order enumerations) change nothing.  One entry per sweep
    query, in [read_queries @ update_queries] order:
    ((table, graph) planner on, (table, graph) planner off); both
@@ -331,25 +331,28 @@ let map_row_goldens =
       ("7301a37f59d457d1a1020cb7966a9caf", "9d190a99a85abe142828672453d90d0e") );
   ]
 
-let golden_checks =
+(* One check per (planner, backend, query): the table and graph bytes
+   hash to the query's golden digests; [what] names the golden set. *)
+let golden_sweep ~what cases =
   let digest s = Digest.to_hex (Digest.string s) in
   let settings =
     [ ("planner-on", planner_on, fst); ("planner-off", planner_off, snd) ]
   in
   let backends = [ ("persistent", `Persistent); ("compact", `Compact) ] in
-  let cases = List.combine (read_queries @ update_queries) map_row_goldens in
   List.concat_map
     (fun (plabel, cfg, pick) ->
       List.concat_map
         (fun (blabel, backend) ->
           let cfg = Config.with_backend backend cfg in
           List.map
-            (fun (src, golden) ->
+            (fun ((mode, src), golden) ->
               Test_util.case
-                (Printf.sprintf "bytes match the map-row goldens (%s, %s): %s"
-                   plabel blabel src)
+                (Printf.sprintf "bytes match the %s goldens (%s, %s%s): %s"
+                   what plabel blabel
+                   (if mode = Config.Homomorphic then ", homomorphic" else "")
+                   src)
                 (fun () ->
-                  let g, t = run_with cfg src in
+                  let g, t = run_with (Config.with_match_mode mode cfg) src in
                   let table_md5, graph_md5 = pick golden in
                   Alcotest.(check string) "table bytes md5" table_md5
                     (digest (Table.to_string t));
@@ -359,8 +362,131 @@ let golden_checks =
         backends)
     settings
 
+let golden_checks =
+  golden_sweep ~what:"map-row"
+    (List.combine
+       (List.map
+          (fun src -> (Config.Isomorphic, src))
+          (read_queries @ update_queries))
+       map_row_goldens)
+
+(* ------------------------------------------------------------------ *)
+(* Planned-fold shapes against goldens                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Queries whose planned patterns carry already-bound or repeated
+   variables, property expressions over bound variables, path names,
+   variable-length hops behind a non-start anchor, rows from outside a
+   seeded layout (MERGE), or end in a fused count over a pattern tuple —
+   plus one homomorphic query.  Their table and graph bytes, for both
+   planner settings and both backends, must hash to digests captured
+   before the planned enumeration was collapsed into one fold: the
+   planner-on row order is observable, so "same rows" is not enough. *)
+let fold_queries =
+  [
+    (Config.Isomorphic,
+     "MATCH (u:User) MATCH (v:Vendor)-[:OFFERS]->(p)<-[:ORDERED]-(u) RETURN \
+      v.id AS vid, p.id AS pid, u.id AS uid");
+    (Config.Isomorphic,
+     "MATCH (u:User), (v:Vendor) WHERE u.id % 5 = v.id MATCH \
+      (v)-[:OFFERS]->(p)<-[o:ORDERED]-(u) RETURN v.id AS vid, p.id AS pid, \
+      u.id AS uid, o AS o");
+    (Config.Isomorphic,
+     "MATCH (u:User)-[:ORDERED]->(p)<-[:ORDERED]-(w:User)-[:ORDERED]->(q)<-[:ORDERED]-(u) \
+      RETURN u.id AS uid, p.id AS pid, w.id AS wid, q.id AS qid");
+    (Config.Isomorphic,
+     "MATCH p = (a)<-[:ORDERED]-(u:User {id: 100013})-[:ORDERED]->(b)<-[:ORDERED]-(w)-[:ORDERED]->(a) \
+      RETURN p, a.id AS aid, b.id AS bid, w.id AS wid");
+    (Config.Isomorphic,
+     "MATCH (u:User) MATCH (u)-[:ORDERED]->(p {id: u.id}) RETURN u.id AS uid, \
+      p.id AS pid");
+    (Config.Isomorphic,
+     "MATCH (q:Product) WHERE q.id % 4 = 1 MATCH \
+      (u:User)-[:ORDERED]->(p:Product {id: q.id})<-[:OFFERS]-(v {id: (q.id - \
+      1000) % 3}) RETURN q.id AS qid, u.id AS uid, v.id AS vid");
+    (Config.Isomorphic,
+     "MATCH p = (x)<-[:ORDERED]-(u:User {id: 100007})-[:ORDERED]->(y) RETURN \
+      p, x.id AS xid, y.id AS yid");
+    (Config.Isomorphic,
+     "MATCH p = (v:Vendor)-[r:OFFERS]->(x)<-[:ORDERED]-(u:User {id: 100012}) \
+      RETURN p, r");
+    (Config.Isomorphic,
+     "MATCH (x)-[:OFFERS*1..2]->(p:Product)<-[:ORDERED]-(u:User {id: 100003}) \
+      RETURN x.id AS xid, p.id AS pid");
+    (Config.Isomorphic,
+     "MATCH path = (a)-[rs:OFFERS|ORDERED*1..3]-(b:User {id: 100005}) RETURN \
+      path, rs, a.id AS aid");
+    (Config.Isomorphic,
+     "MATCH (u:User), (p:Product) WHERE u.id % 13 = 0 AND p.id % 3 = 0 MERGE \
+      ALL (u)-[:ORDERED]->(p) RETURN count(*) AS n");
+    (Config.Isomorphic,
+     "MATCH (u:User) WHERE u.id % 9 = 0 MERGE ALL \
+      (u)-[r:ORDERED]->(p:Product {id: 1003}) RETURN u.id AS uid, p.id AS pid");
+    (Config.Isomorphic,
+     "MATCH (u:User)-[:ORDERED]->(p), (p)<-[:OFFERS]-(v) RETURN count(*) AS n");
+    (Config.Isomorphic,
+     "MATCH (a:User)-[:ORDERED]->(p)<-[:ORDERED]-(b:User), \
+      (p)<-[:OFFERS]-(v:Vendor) RETURN count(*) AS n");
+    (Config.Isomorphic,
+     "MATCH (v:Vendor {id: 1}) MATCH (v)-[:OFFERS]->(p)<-[:ORDERED*1..1]-(u) \
+      RETURN count(*) AS n");
+    (Config.Isomorphic,
+     "MATCH (v:Vendor {id: 0})-[:OFFERS]->(p)-[:OFFERS|ORDERED*1..2]-(x)-[:OFFERS|ORDERED]-(y) \
+      RETURN count(*) AS n");
+    (Config.Isomorphic,
+     "MATCH (u:User {id: 100003})-[:ORDERED]->(p)-[:OFFERS|ORDERED*1..2]-(x)-[:ORDERED]-(y:User) \
+      RETURN p.id AS pid, x.id AS xid, y.id AS yid");
+    (Config.Homomorphic,
+     "MATCH (u:User {id: 100004})-[:ORDERED]->(p)<-[:ORDERED]-(w), \
+      (w)-[:ORDERED]->(q)<-[:ORDERED]-(u) RETURN w.id AS wid, p.id AS pid, \
+      q.id AS qid");
+  ]
+
+let fold_goldens =
+  [
+    ( ("76c047b68b6c2b493ac65a350e1fe0a7", "3e6ea4756c65d7b8a5067861cd124de3"),
+      ("31c54196edc7450fd37dc9f7eefe8ff5", "3e6ea4756c65d7b8a5067861cd124de3") );
+    ( ("2eab704d431a654f7335e817514cee6f", "3e6ea4756c65d7b8a5067861cd124de3"),
+      ("2eab704d431a654f7335e817514cee6f", "3e6ea4756c65d7b8a5067861cd124de3") );
+    ( ("48ead9dfa21ff55e99cdba8bc3f0c6b7", "3e6ea4756c65d7b8a5067861cd124de3"),
+      ("48ead9dfa21ff55e99cdba8bc3f0c6b7", "3e6ea4756c65d7b8a5067861cd124de3") );
+    ( ("06976700585d6e2552700d066f474edd", "3e6ea4756c65d7b8a5067861cd124de3"),
+      ("fe8b1e5f171df274258be3ac51e989e2", "3e6ea4756c65d7b8a5067861cd124de3") );
+    ( ("86495dc7d58c575251828beca5ec29f0", "3e6ea4756c65d7b8a5067861cd124de3"),
+      ("86495dc7d58c575251828beca5ec29f0", "3e6ea4756c65d7b8a5067861cd124de3") );
+    ( ("0aeac42a7686a80f48e6e089b2d04cf1", "3e6ea4756c65d7b8a5067861cd124de3"),
+      ("0aeac42a7686a80f48e6e089b2d04cf1", "3e6ea4756c65d7b8a5067861cd124de3") );
+    ( ("edb19d17c769801743c5104def562a7a", "3e6ea4756c65d7b8a5067861cd124de3"),
+      ("f2ff956ea29ef6c8b7d5697f6d21d2a2", "3e6ea4756c65d7b8a5067861cd124de3") );
+    ( ("84ae99329641bb3304f034915075cce3", "3e6ea4756c65d7b8a5067861cd124de3"),
+      ("7b0e12d0e8a2c567b03a8b4f5849a82b", "3e6ea4756c65d7b8a5067861cd124de3") );
+    ( ("e012059379b5615f696845623f6ce277", "3e6ea4756c65d7b8a5067861cd124de3"),
+      ("e012059379b5615f696845623f6ce277", "3e6ea4756c65d7b8a5067861cd124de3") );
+    ( ("9461df7550c34feba488349ab31b9e2f", "3e6ea4756c65d7b8a5067861cd124de3"),
+      ("be2bb81b2c56286deca814ab0f7a4cda", "3e6ea4756c65d7b8a5067861cd124de3") );
+    ( ("010a453684f97eb232355a1a0b8a6a9b", "c027adc10627e8fc117318197712d2be"),
+      ("010a453684f97eb232355a1a0b8a6a9b", "c027adc10627e8fc117318197712d2be") );
+    ( ("90d408ce2133f0c2235cc6b999fb3377", "360c6a9483b1c040b9c0abad81d32243"),
+      ("90d408ce2133f0c2235cc6b999fb3377", "360c6a9483b1c040b9c0abad81d32243") );
+    ( ("e657f986fa04a24107484e1563baacf4", "3e6ea4756c65d7b8a5067861cd124de3"),
+      ("e657f986fa04a24107484e1563baacf4", "3e6ea4756c65d7b8a5067861cd124de3") );
+    ( ("16fe0bbf430f577bbb0ce59ae066648e", "3e6ea4756c65d7b8a5067861cd124de3"),
+      ("16fe0bbf430f577bbb0ce59ae066648e", "3e6ea4756c65d7b8a5067861cd124de3") );
+    ( ("dc474bac1e06a53bbcc8c5b34f6ced26", "3e6ea4756c65d7b8a5067861cd124de3"),
+      ("dc474bac1e06a53bbcc8c5b34f6ced26", "3e6ea4756c65d7b8a5067861cd124de3") );
+    ( ("1ea84edf36064fcb6d9b6b6426601d9c", "3e6ea4756c65d7b8a5067861cd124de3"),
+      ("1ea84edf36064fcb6d9b6b6426601d9c", "3e6ea4756c65d7b8a5067861cd124de3") );
+    ( ("4852f9a1703b9579898a19e898d32922", "3e6ea4756c65d7b8a5067861cd124de3"),
+      ("4852f9a1703b9579898a19e898d32922", "3e6ea4756c65d7b8a5067861cd124de3") );
+    ( ("5438c77fe3976a7e9cfd984f30184150", "3e6ea4756c65d7b8a5067861cd124de3"),
+      ("5438c77fe3976a7e9cfd984f30184150", "3e6ea4756c65d7b8a5067861cd124de3") );
+  ]
+
+let fold_golden_checks =
+  golden_sweep ~what:"planned-fold" (List.combine fold_queries fold_goldens)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest tests
   @ figure_checks @ planner_checks
   @ List.map QCheck_alcotest.to_alcotest planner_merge_checks
-  @ parallelism_checks @ golden_checks
+  @ parallelism_checks @ golden_checks @ fold_golden_checks
