@@ -80,6 +80,11 @@ let market100 =
 let market1000 =
   Fixtures.marketplace_graph ~vendors:20 ~products:300 ~users:680 ~orders_per_user:3
 
+(* 10^4 nodes, 23.4k relationships: construction at a size where the
+   graph outgrows the minor heap *)
+let market10k =
+  Fixtures.marketplace_graph ~vendors:200 ~products:3000 ~users:6800 ~orders_per_user:3
+
 let orders100 = Fixtures.orders_table 100
 let orders1000 = Fixtures.orders_table 1000
 
@@ -261,6 +266,25 @@ let wal_bytes_50 =
 
 let snapshot_100 = Snapshot.to_string market100
 
+(* [g] as the bulk loader's two CSV images; the [id] property, whose
+   column name the loader reserves, goes under [pid] *)
+let bulk_csvs g =
+  let nodes = Buffer.create (1 lsl 20) and rels = Buffer.create (1 lsl 20) in
+  Buffer.add_string nodes "id,labels,name,pid\n";
+  List.iter
+    (fun (n : Graph.node) ->
+      let prop k = Value.to_string (Props.get n.Graph.n_props k) in
+      Printf.bprintf nodes "%d,%s,%s,%s\n" n.Graph.n_id
+        (String.concat ";" (Cypher_util.Maps.Sset.elements n.Graph.labels))
+        (prop "name") (prop "id"))
+    (Graph.nodes g);
+  Buffer.add_string rels "src,tgt,type\n";
+  List.iter
+    (fun (r : Graph.rel) ->
+      Printf.bprintf rels "%d,%d,%s\n" r.Graph.src r.Graph.tgt r.Graph.r_type)
+    (Graph.rels g);
+  (Buffer.contents nodes, Buffer.contents rels)
+
 let bench_tmp suffix =
   let path = Filename.temp_file "cypher_bench" suffix in
   at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
@@ -426,6 +450,20 @@ let base_tests =
     t "io/decode/n=100"
       (let script = Dump.to_cypher market100 in
        fun () -> Sys.opaque_identity (Dump.of_cypher Graph.empty script));
+    t "io/decode/n=1e4"
+      (let script = Dump.to_cypher market10k in
+       fun () -> Sys.opaque_identity (Dump.of_cypher Graph.empty script));
+    (* the same graph as CSV through the bulk loader, in memory *)
+    t "io/bulk/n=1e4"
+      (let nodes, rels = bulk_csvs market10k in
+       let load () =
+         Cypher_storage.Bulk.load_strings
+           (Session.create ~config:cfg_revised Graph.empty)
+           ~nodes ~rels
+       in
+       (* a refused load would time the validator alone *)
+       (match load () with Ok _ -> () | Error e -> failwith (Errors.to_string e));
+       fun () -> Sys.opaque_identity (load ()));
     (* io/* durability: journal append under both regimes, atomic
        snapshot write (tmp + fsync + rename), and full crash recovery
        (journal scan + checked replay, in memory) *)
@@ -1006,7 +1044,7 @@ let check_overhead ~threshold pinned_path =
 let () =
   let json_path = ref None and sha = ref "unknown" in
   let overhead = ref None and large = ref false in
-  let server_only = ref false in
+  let server_only = ref false and only = ref [] in
   let rec parse_args = function
     | [] -> ()
     | "--json" :: path :: rest when String.length path >= 2
@@ -1032,6 +1070,9 @@ let () =
     | "--server" :: rest ->
         server_only := true;
         parse_args rest
+    | "--only" :: names :: rest ->
+        only := String.split_on_char ',' names;
+        parse_args rest
     | _ :: rest -> parse_args rest
   in
   parse_args (List.tl (Array.to_list Sys.argv));
@@ -1042,6 +1083,27 @@ let () =
      without paying for the full suite *)
   if !server_only then begin
     ignore (server_tier () : (string * float option) list * (string * string) list);
+    exit 0
+  end;
+  (* --only A,B: just those Bechamel entries, for an interleaved A/B
+     (bench/ab.sh) — no tiers, and JSON only when --json is given *)
+  if !only <> [] then begin
+    let results =
+      List.concat_map
+        (fun name ->
+          match List.find_opt (fun test -> Test.name test = name) tests with
+          | Some test -> run_test test
+          | None ->
+              Printf.eprintf "no benchmark entry %S\n" name;
+              exit 2)
+        !only
+    in
+    List.iter
+      (fun (name, est) ->
+        Printf.printf "%-32s %13s\n%!" name
+          (match est with Some ns -> pretty_time ns | None -> "n/a"))
+      results;
+    Option.iter (fun path -> write_json ~sha:!sha ~extra:[] path results) !json_path;
     exit 0
   end;
   if not par_meaningful then

@@ -22,12 +22,6 @@ let usage =
    [--no-group-commit]"
 
 let () =
-  (* server allocation profile: statement execution and response
-     rendering allocate short-lived values at a high rate across many
-     connections, and the default 256k-word minor heap drives minor
-     collections into the committer's serial section.  A 8M-word minor
-     heap keeps them out of the commit path. *)
-  Gc.set { (Gc.get ()) with Gc.minor_heap_size = 8 * 1024 * 1024 };
   let port = ref 0 in
   let host = ref "127.0.0.1" in
   let db = ref None in

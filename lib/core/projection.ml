@@ -9,6 +9,14 @@ module Ctx = Cypher_eval.Ctx
 module Eval = Cypher_eval.Eval
 module Pretty = Cypher_ast.Pretty
 
+(* grouping keys, hashed and compared under the total value order *)
+module Keytbl = Hashtbl.Make (struct
+  type t = Value.t
+
+  let equal a b = Value.compare_total a b = 0
+  let hash = Value.hash_total
+end)
+
 (** Output column name of a projection item: the alias, the variable
     name, or the printed expression. *)
 let item_name (it : proj_item) =
@@ -119,21 +127,30 @@ let run config (g, t) (proj : projection) =
       let key_items = List.filter (fun it -> not (expr_has_agg it.item_expr)) items in
       let key_of row =
         let ctx = Runtime.ctx config g row in
-        List.map (fun it -> Eval.eval ctx it.item_expr) key_items
+        Value.List (List.map (fun it -> Eval.eval ctx it.item_expr) key_items)
       in
       let groups =
         if key_items = [] then
           (* one global group, present even when the table is empty *)
-          [ ([], Table.rows t) ]
+          [ Table.rows t ]
         else
-          Cypher_util.Listx.group_by
+          (* keys are equal when the total order says so — the equality
+             DISTINCT uses; groups come out in first-occurrence order *)
+          let tbl = Keytbl.create 64 and order = ref [] in
+          List.iter
             (fun row ->
-              Fmt.str "%a" Fmt.(list ~sep:(any "\x00") Value.pp) (key_of row))
-            (Table.rows t)
-          |> List.map (fun (_, rows) -> (key_of (List.hd rows), rows))
+              let key = key_of row in
+              match Keytbl.find_opt tbl key with
+              | Some rows -> rows := row :: !rows
+              | None ->
+                  let rows = ref [ row ] in
+                  Keytbl.add tbl key rows;
+                  order := rows :: !order)
+            (Table.rows t);
+          List.rev_map (fun rows -> List.rev !rows) !order
       in
       List.map
-        (fun (_, rows) ->
+        (fun rows ->
           let source = match rows with r :: _ -> r | [] -> Record.empty in
           let ctx =
             Ctx.with_group (Runtime.ctx config g source) rows

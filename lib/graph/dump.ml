@@ -46,12 +46,17 @@ let quote_ident s =
     "`" ^ String.concat "``" (String.split_on_char '`' s) ^ "`"
 
 (* [%.12g] first (shorter and usually exact), [%.17g] when the short
-   form does not reparse to the same float *)
+   form does not reparse to the same float.  An integral float below
+   1e17 prints as bare digits under [%.17g], which would reload as an
+   [Int]: it gets a [.0] *)
 let float_literal f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
   else
     let short = Printf.sprintf "%.12g" f in
-    if float_of_string short = f then short else Printf.sprintf "%.17g" f
+    if float_of_string short = f then short
+    else
+      let long = Printf.sprintf "%.17g" f in
+      if String.exists (fun ch -> ch = '.' || ch = 'e') long then long else long ^ ".0"
 
 (** A Cypher expression that evaluates back to exactly [v].  Raises
     [Invalid_argument] on entity references ([Node]/[Rel]/[Path]), which
@@ -437,9 +442,10 @@ let read_node_pattern c =
 let stored props = Smap.filter (fun _ v -> not (Value.is_null v)) props
 
 (** [of_cypher g s] applies the script [s], as written by {!to_cypher},
-    to [g]: nodes and relationships are created in file order, so the
-    ids and [next_id] are those executing [s] as a CREATE statement on
-    [g] would give.  The empty (or blank) script leaves [g] unchanged.
+    to [g]: nodes and relationships get ids in file order and are added
+    in one {!Graph.add_batch}, so the ids and [next_id] are those
+    executing [s] as a CREATE statement on [g] would give.  The empty
+    (or blank) script leaves [g] unchanged.
     [pos] is the byte offset the script starts at (default 0).  [Error]
     on anything outside the grammar — including an unbound or rebound
     node variable, a relationship endpoint with labels or properties,
@@ -449,6 +455,14 @@ let of_cypher ?(pos = 0) (g : Graph.t) (s : string) : (Graph.t, string) result
   let c = cursor s in
   c.i <- pos;
   let vars : (string, Graph.node_id) Hashtbl.t = Hashtbl.create 1024 in
+  (* the script's entities, newest first, with the ids creating them in
+     file order would assign; the graph is built from them in one batch *)
+  let next = ref (Graph.next_id g) and nodes = ref [] and rels = ref [] in
+  let fresh () =
+    let id = !next in
+    incr next;
+    id
+  in
   let endpoint what (var, labels, props) =
     if labels <> [] || not (Smap.is_empty props) then
       fail c "relationship %s `%s` carries labels or properties" what var;
@@ -456,38 +470,34 @@ let of_cypher ?(pos = 0) (g : Graph.t) (s : string) : (Graph.t, string) result
     | Some id -> id
     | None -> fail c "relationship %s `%s` is unbound" what var
   in
-  let rec fragments g =
+  let rec fragments () =
     let ((var, labels, props) as node) = read_node_pattern c in
     skip_ws c;
-    let g =
-      if peek c = '-' then begin
-        let src = endpoint "source" node in
-        expect c "-";
-        expect c "[";
-        expect c ":";
-        let r_type = read_name c in
-        skip_ws c;
-        let props = if peek c = '{' then read_map c else Smap.empty in
-        expect c "]";
-        expect c "->";
-        let tgt = endpoint "target" (read_node_pattern c) in
-        snd (Graph.create_rel ~src ~tgt ~r_type ~props:(stored props) g)
-      end
-      else begin
-        if Hashtbl.mem vars var then fail c "variable `%s` is bound twice" var;
-        let id, g = Graph.create_node ~labels ~props:(stored props) g in
-        Hashtbl.add vars var id;
-        g
-      end
-    in
+    if peek c = '-' then begin
+      let src = endpoint "source" node in
+      expect c "-";
+      expect c "[";
+      expect c ":";
+      let r_type = read_name c in
+      skip_ws c;
+      let props = if peek c = '{' then read_map c else Smap.empty in
+      expect c "]";
+      expect c "->";
+      let tgt = endpoint "target" (read_node_pattern c) in
+      rels := { Graph.r_id = fresh (); src; tgt; r_type; r_props = stored props } :: !rels
+    end
+    else begin
+      if Hashtbl.mem vars var then fail c "variable `%s` is bound twice" var;
+      let n_id = fresh () in
+      nodes := { Graph.n_id; labels = Sset.of_list labels; n_props = stored props } :: !nodes;
+      Hashtbl.add vars var n_id
+    end;
     skip_ws c;
     match peek c with
     | ',' ->
         c.i <- c.i + 1;
-        fragments g
-    | ';' ->
-        c.i <- c.i + 1;
-        g
+        fragments ()
+    | ';' -> c.i <- c.i + 1
     | _ -> fail c "expected ',' or ';' after a pattern"
   in
   try
@@ -496,8 +506,10 @@ let of_cypher ?(pos = 0) (g : Graph.t) (s : string) : (Graph.t, string) result
     if c.i >= String.length s then Ok g
     else begin
       expect c "CREATE";
-      let g = fragments g in
+      fragments ();
       at_end c;
-      Ok g
+      (* every endpoint is a variable the script bound, so the batch's
+         own preconditions hold *)
+      Ok (Graph.add_batch g (List.rev !nodes) (List.rev !rels))
     end
   with Bad m -> Error ("dump script: " ^ m)

@@ -36,10 +36,11 @@ val quote_ident : string -> string
 val read_value : string -> (Value.t, string) result
 
 (** [of_cypher ?pos g s] applies the script [s] (from byte [pos],
-    default 0), as written by {!to_cypher}, to [g]: entities are
-    created with {!Graph.create_node} / {!Graph.create_rel} in file
-    order, so ids and {!Graph.next_id} match executing the script as a
-    CREATE statement on [g].  A blank script leaves [g] unchanged.
+    default 0), as written by {!to_cypher}, to [g]: entities get the
+    ids creating them in file order would give, and the whole script is
+    added in one {!Graph.add_batch}, so the graph, its ids and
+    {!Graph.next_id} match executing the script as a CREATE statement
+    on [g].  A blank script leaves [g] unchanged.
     [Error] on anything outside the grammar — an unbound or rebound node
     variable, a relationship endpoint carrying labels or properties, a
     malformed value, trailing bytes; never raises. *)

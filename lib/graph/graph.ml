@@ -671,6 +671,159 @@ let create_rel ~src ~tgt ~r_type ?(props = Props.empty) g =
     } )
 
 (* ------------------------------------------------------------------ *)
+(* Batch construction                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Loading a graph one [create_node]/[create_rel] at a time inserts into
+   every index once per entity: each insertion at a random key copies a
+   path of the persistent tree, and in a graph too big for the minor
+   heap most of those copies are promoted before they die, leaving the
+   major heap half slack.  The batch path below builds each structure
+   once instead: maps take their new keys in ascending order (only the
+   right spine is ever copied), and every id set is built whole from a
+   sorted run of the batch, then unioned into the set already there. *)
+
+(* [runs same a lo hi f] calls [f i j] for each maximal run
+   [a.(i) .. a.(j - 1)] of [a.(lo) .. a.(hi - 1)] whose elements [same]
+   relates to the run's first *)
+let runs same a lo hi f =
+  let i = ref lo in
+  while !i < hi do
+    let j = ref (!i + 1) in
+    while !j < hi && same a.(!i) a.(!j) do
+      incr j
+    done;
+    f !i !j;
+    i := !j
+  done
+
+let set_of_run id a i j = Iset.of_list (List.init (j - i) (fun k -> id a.(i + k)))
+let union_set s = function None -> Some s | Some old -> Some (Iset.union old s)
+
+(* [push groups k x] files [x] under [k], newest first *)
+let push groups k x =
+  match Hashtbl.find_opt groups k with
+  | Some xs -> xs := x :: !xs
+  | None -> Hashtbl.add groups k (ref [ x ])
+
+(* label or type index: one set per key of [groups] *)
+let index_batch groups idx =
+  Hashtbl.fold (fun k ids idx -> Smap.update k (union_set (Iset.of_list !ids)) idx) groups idx
+
+(* plain and typed adjacency on one side ([endpoint] is [src] or [tgt]) *)
+let adj_batch endpoint (rels : rel array) (adj, typed) =
+  let a = Array.copy rels in
+  Array.stable_sort
+    (fun x y ->
+      match Int.compare (endpoint x) (endpoint y) with
+      | 0 -> String.compare x.r_type y.r_type
+      | c -> c)
+    a;
+  let rid r = r.r_id in
+  let adj = ref adj and typed = ref typed in
+  runs
+    (fun x y -> endpoint x = endpoint y)
+    a 0 (Array.length a)
+    (fun i j ->
+      let n = endpoint a.(i) in
+      adj := Imap.update n (union_set (set_of_run rid a i j)) !adj;
+      let by_type = ref Smap.empty in
+      runs
+        (fun x y -> x.r_type = y.r_type)
+        a i j
+        (fun i j -> by_type := Smap.add a.(i).r_type (set_of_run rid a i j) !by_type);
+      typed :=
+        Imap.update n
+          (function
+            | None -> Some !by_type
+            | Some old ->
+                Some (Smap.union (fun _ s t -> Some (Iset.union s t)) old !by_type))
+          !typed);
+  (!adj, !typed)
+
+(* the registered property indexes, fed the batch's non-null values *)
+let pindex_batch (nodes : node array) pidx =
+  if Smap.is_empty pidx then pidx
+  else
+    let groups = Hashtbl.create 16 in
+    Array.iter
+      (fun n ->
+        Sset.iter
+          (fun l ->
+            match Smap.find_opt l pidx with
+            | None -> ()
+            | Some keys ->
+                Smap.iter
+                  (fun key _ ->
+                    match Props.get n.n_props key with
+                    | Value.Null -> ()
+                    | v -> push groups (l, key) (v, n.n_id))
+                  keys)
+          n.labels)
+      nodes;
+    Hashtbl.fold
+      (fun (l, key) pairs pidx ->
+        let a = Array.of_list (List.rev !pairs) in
+        Array.stable_sort (fun (v, _) (w, _) -> Value.compare_total v w) a;
+        let keys = Smap.find l pidx in
+        let vmap = ref (Smap.find key keys) in
+        runs
+          (fun (v, _) (w, _) -> Value.compare_total v w = 0)
+          a 0 (Array.length a)
+          (fun i j -> vmap := Vmap.update (fst a.(i)) (union_set (set_of_run snd a i j)) !vmap);
+        Smap.add l (Smap.add key !vmap keys) pidx)
+      groups pidx
+
+(* Adds fresh entities — ids absent from [g], each array ascending —
+   in one bottom-up pass.  A relationship endpoint found neither in [g]
+   nor in [nodes] is an [Invalid_argument] naming [caller]. *)
+let insert_batch ~caller g (nodes : node array) (rels : rel array) =
+  let node_map = Array.fold_left (fun m n -> Imap.add n.n_id n m) g.nodes nodes in
+  let endpoint side id =
+    if not (Imap.mem id node_map) then
+      invalid_arg (Printf.sprintf "%s: no %s node %d" caller side id)
+  in
+  Array.iter
+    (fun r ->
+      endpoint "source" r.src;
+      endpoint "target" r.tgt)
+    rels;
+  let out_adj, out_typed = adj_batch (fun r -> r.src) rels (g.out_adj, g.out_typed) in
+  let in_adj, in_typed = adj_batch (fun r -> r.tgt) rels (g.in_adj, g.in_typed) in
+  let labels = Hashtbl.create 16 and types = Hashtbl.create 16 in
+  Array.iter (fun n -> Sset.iter (fun l -> push labels l n.n_id) n.labels) nodes;
+  Array.iter (fun r -> push types r.r_type r.r_id) rels;
+  {
+    g with
+    nodes = node_map;
+    rels = Array.fold_left (fun m r -> Imap.add r.r_id r m) g.rels rels;
+    out_adj;
+    in_adj;
+    out_typed;
+    in_typed;
+    label_index = index_batch labels g.label_index;
+    type_index = index_batch types g.type_index;
+    prop_index = pindex_batch nodes g.prop_index;
+  }
+
+(** [add_batch g nodes rels] adds fresh node and relationship records
+    whose ids, merged in ascending order, are exactly [next_id g],
+    [next_id g + 1], ... — the ids the same entities would get from
+    {!create_node}/{!create_rel} applied in id order, whose result this
+    equals.  Relationship endpoints may be in [g] or in [nodes]. *)
+let add_batch g (nodes : node list) (rels : rel list) =
+  let rec supply next (ns : node list) (rs : rel list) =
+    match (ns, rs) with
+    | [], [] -> next
+    | n :: ns, _ when n.n_id = next -> supply (next + 1) ns rs
+    | _, r :: rs when r.r_id = next -> supply (next + 1) ns rs
+    | _ -> invalid_arg (Printf.sprintf "Graph.add_batch: id %d expected" next)
+  in
+  let next_id = supply g.next_id nodes rels in
+  insert_batch ~caller:"Graph.add_batch" { g with next_id } (Array.of_list nodes)
+    (Array.of_list rels)
+
+(* ------------------------------------------------------------------ *)
 (* In-place modification (persistent: returns a new graph)            *)
 (* ------------------------------------------------------------------ *)
 
@@ -919,7 +1072,8 @@ let count_with_prop g ~label ~key v =
 (* ------------------------------------------------------------------ *)
 
 (** [rebuild ~next_id ~tombs nodes rels] constructs a graph from entity
-    lists, recomputing adjacency and the type index.  Every relationship
+    lists in one bottom-up pass, as {!add_batch} does, recomputing
+    adjacency and every index.  Every relationship
     endpoint must be present in [nodes].  Used by the MERGE SAME
     quotient, which keeps only class representatives and remaps
     endpoints (Section 8.2).  [prop_indexes] re-registers (and rebuilds)
@@ -928,38 +1082,14 @@ let rebuild ?(prop_indexes = []) ~next_id ~tombs (node_list : node list)
     (rel_list : rel list) =
   let g =
     List.fold_left
-      (fun g (n : node) ->
-        {
-          g with
-          nodes = Imap.add n.n_id n g.nodes;
-          label_index = index_node n g.label_index;
-        })
+      (fun g (label, key) -> add_prop_index ~label ~key g)
       { empty with next_id; tombs }
-      node_list
+      prop_indexes
   in
-  let g =
-    List.fold_left
-      (fun g (r : rel) ->
-        if not (has_node g r.src && has_node g r.tgt) then
-          invalid_arg "Graph.rebuild: relationship endpoint missing";
-        let out_adj =
-          Imap.add r.src (Iset.add r.r_id (adj_find r.src g.out_adj)) g.out_adj
-        in
-        let in_adj =
-          Imap.add r.tgt (Iset.add r.r_id (adj_find r.tgt g.in_adj)) g.in_adj
-        in
-        {
-          g with
-          rels = Imap.add r.r_id r g.rels;
-          out_adj;
-          in_adj;
-          out_typed = tadj_add r.src r.r_type r.r_id g.out_typed;
-          in_typed = tadj_add r.tgt r.r_type r.r_id g.in_typed;
-          type_index = index_add r.r_type r.r_id g.type_index;
-        })
-      g rel_list
-  in
-  List.fold_left (fun g (label, key) -> add_prop_index ~label ~key g) g prop_indexes
+  let nodes = Array.of_list node_list and rels = Array.of_list rel_list in
+  Array.stable_sort (fun (a : node) b -> Int.compare a.n_id b.n_id) nodes;
+  Array.stable_sort (fun (a : rel) b -> Int.compare a.r_id b.r_id) rels;
+  insert_batch ~caller:"Graph.rebuild" g nodes rels
 
 (* ------------------------------------------------------------------ *)
 (* Entity views for the evaluator                                     *)

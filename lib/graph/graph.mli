@@ -215,6 +215,17 @@ val create_rel :
   src:node_id -> tgt:node_id -> r_type:string -> ?props:Props.t -> t ->
   rel_id * t
 
+(** [add_batch g nodes rels] adds fresh node and relationship records in
+    one bottom-up pass: each map takes its new keys in ascending order
+    and each id set is built once from the batch.  The records' ids,
+    merged in ascending order, must be exactly [next_id g],
+    [next_id g + 1], ... (each list ascending); the result equals
+    applying {!create_node}/{!create_rel} to them in id order.
+    Relationship endpoints may be nodes of [g] or of [nodes].
+    @raise Invalid_argument on an id out of sequence or a missing
+    endpoint. *)
+val add_batch : t -> node list -> rel list -> t
+
 (** {1 Modification (persistent: returns a new graph)} *)
 
 val set_node_prop : t -> node_id -> string -> Value.t -> t
@@ -276,7 +287,8 @@ val count_with_prop :
 (** {1 Wholesale reconstruction} *)
 
 (** [rebuild ~next_id ~tombs nodes rels] constructs a graph from entity
-    lists, recomputing adjacency and the type index.  Every relationship
+    lists in one bottom-up pass, as {!add_batch} does, recomputing
+    adjacency and every index.  Every relationship
     endpoint must be present in [nodes].  Used by the MERGE SAME
     quotient (Section 8.2).  [prop_indexes] re-registers (and rebuilds)
     the given property indexes on the result.

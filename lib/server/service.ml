@@ -305,6 +305,27 @@ let current_version t =
   | Some (v, _) -> v
   | None -> fst (Shared.current t.shared)
 
+(* [rss_kb=<VmRSS> hwm_kb=<VmHWM>] from /proc/self/status — the
+   resident set and its peak, the figure a memory budget is held to;
+   [None] where that file is absent *)
+let memory_line () =
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | exception Sys_error _ -> None
+  | status -> (
+      let kb key =
+        List.find_map
+          (fun l ->
+            if String.starts_with ~prefix:key l then
+              Scanf.sscanf_opt
+                (String.sub l (String.length key) (String.length l - String.length key))
+                " %d kB" Fun.id
+            else None)
+          (String.split_on_char '\n' status)
+      in
+      match (kb "VmRSS:", kb "VmHWM:") with
+      | Some rss, Some hwm -> Some (Printf.sprintf "rss_kb=%d hwm_kb=%d" rss hwm)
+      | _ -> None)
+
 let command t line =
   match line with
   | ":ping" -> [ ok_line ~rows:0 ~version:(current_version t) ]
@@ -332,6 +353,7 @@ let command t line =
             s.Shared.flush_failures;
           Printf.sprintf "depth=%d" (List.length t.frames);
         ]
+        @ Option.to_list (memory_line ())
       in
       List.map guard payload
       @ [ ok_line ~rows:(List.length payload) ~version:(current_version t) ]

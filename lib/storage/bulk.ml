@@ -129,55 +129,57 @@ let rel_line ~src ~tgt ~ty ~props =
     recovery it means journal corruption the CRC did not see. *)
 let apply_frame ~(ids : idmap) (g : Graph.t) (payload : string) :
     (Graph.t * Stats.t, string) result =
-  let nodes_created = ref 0 in
-  let rels_created = ref 0 in
   let exception Bad of string in
   let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt in
   let decode what dec s =
     match dec s with Some v -> v | None -> bad "bad %s field %S" what s
   in
+  (* the frame's entities, newest first, with the ids creating them in
+     line order would assign; the graph is built from them in one batch *)
+  let next = ref (Graph.next_id g) and nodes = ref [] and rels = ref [] in
+  let fresh () =
+    let id = !next in
+    incr next;
+    id
+  in
   try
-    let g =
-      List.fold_left
-        (fun g line ->
-          if line = "" then g
-          else
-            match String.split_on_char ' ' line with
-            | [ "N"; id; labels; props ] ->
-                let id = decode "id" Wal.pct_decode id in
-                let labels = split_labels (decode "labels" dec_opt labels) in
-                let props = decode "props" dec_props props in
-                let nid, g = Graph.create_node ~labels ~props g in
-                Hashtbl.replace ids id nid;
-                incr nodes_created;
-                g
-            | [ "R"; src; tgt; ty; props ] ->
-                let src = decode "src" Wal.pct_decode src in
-                let tgt = decode "tgt" Wal.pct_decode tgt in
-                let ty = decode "type" Wal.pct_decode ty in
-                let props = decode "props" dec_props props in
-                let resolve what raw =
-                  match Hashtbl.find_opt ids raw with
-                  | Some nid -> nid
-                  | None -> bad "unresolved %s node id %S" what raw
-                in
-                let _, g =
-                  Graph.create_rel ~src:(resolve "source" src)
-                    ~tgt:(resolve "target" tgt) ~r_type:ty ~props g
-                in
-                incr rels_created;
-                g
-            | _ -> bad "malformed bulk frame line %S" line)
-        g
-        (String.split_on_char '\n' payload)
-    in
+    List.iter
+      (fun line ->
+        if line <> "" then
+          match String.split_on_char ' ' line with
+          | [ "N"; id; labels; props ] ->
+              let id = decode "id" Wal.pct_decode id in
+              let labels = split_labels (decode "labels" dec_opt labels) in
+              let n_props = decode "props" dec_props props in
+              let n_id = fresh () in
+              nodes :=
+                { Graph.n_id; labels = Cypher_util.Maps.Sset.of_list labels; n_props }
+                :: !nodes;
+              Hashtbl.replace ids id n_id
+          | [ "R"; src; tgt; ty; props ] ->
+              let src = decode "src" Wal.pct_decode src in
+              let tgt = decode "tgt" Wal.pct_decode tgt in
+              let r_type = decode "type" Wal.pct_decode ty in
+              let r_props = decode "props" dec_props props in
+              let resolve what raw =
+                match Hashtbl.find_opt ids raw with
+                | Some nid -> nid
+                | None -> bad "unresolved %s node id %S" what raw
+              in
+              let src = resolve "source" src in
+              let tgt = resolve "target" tgt in
+              rels := { Graph.r_id = fresh (); src; tgt; r_type; r_props } :: !rels
+          | _ -> bad "malformed bulk frame line %S" line)
+      (String.split_on_char '\n' payload);
+    let nodes = List.rev !nodes and rels = List.rev !rels in
+    let g = Graph.add_batch g nodes rels in
     (* following the net-diff convention of [Stats]: properties and
        labels of created entities fold into the created counts *)
     let stats =
       {
         Stats.empty with
-        Stats.nodes_created = !nodes_created;
-        rels_created = !rels_created;
+        Stats.nodes_created = List.length nodes;
+        rels_created = List.length rels;
       }
     in
     Ok (g, stats)

@@ -34,7 +34,9 @@ val default_batch_size : int
 
 (** [apply_frame ~ids g payload] applies one bulk frame to [g],
     recording created nodes in [ids] and resolving relationship
-    endpoints through it; returns the new graph and the frame's update
+    endpoints through it; the frame's entities are added in one
+    {!Cypher_graph.Graph.add_batch}, with the ids creating them in line
+    order would give.  Returns the new graph and the frame's update
     counters (the journal checksum).  [Error] on a malformed line or an
     unresolvable endpoint.  Recovery replay calls this on [`Bulk]
     journal records with one [ids] shared across the whole replay. *)

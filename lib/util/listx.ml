@@ -14,24 +14,6 @@ let rec drop n l =
   | _, [] -> []
   | n, _ :: rest -> drop (n - 1) rest
 
-(** [group_by key l] groups consecutive-or-not elements of [l] by [key],
-    preserving first-occurrence order of groups and element order within
-    each group.  Keys are compared with polymorphic equality, so they must
-    be simple structural values. *)
-let group_by key l =
-  let tbl = Hashtbl.create 16 in
-  let order = ref [] in
-  let add x =
-    let k = key x in
-    match Hashtbl.find_opt tbl k with
-    | None ->
-        Hashtbl.add tbl k (ref [ x ]);
-        order := k :: !order
-    | Some r -> r := x :: !r
-  in
-  List.iter add l;
-  List.rev_map (fun k -> (k, List.rev !(Hashtbl.find tbl k))) !order
-
 (** [index_of p l] is the index of the first element satisfying [p]. *)
 let index_of p l =
   let rec loop i = function

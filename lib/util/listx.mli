@@ -7,11 +7,6 @@ val take : int -> 'a list -> 'a list
 (** [drop n l] is [l] without its first [n] elements. *)
 val drop : int -> 'a list -> 'a list
 
-(** [group_by key l] groups elements of [l] by [key], preserving
-    first-occurrence order of groups and element order within each
-    group.  Keys are compared with structural equality. *)
-val group_by : ('a -> 'b) -> 'a list -> ('b * 'a list) list
-
 (** [index_of p l] is the index of the first element satisfying [p]. *)
 val index_of : ('a -> bool) -> 'a list -> int option
 

@@ -309,4 +309,92 @@ let frame_tests =
           ]);
   ]
 
-let suite = validation_tests @ storage_tests @ frame_tests
+(* ------------------------------------------------------------------ *)
+(* A load builds what creating one entity at a time builds            *)
+(* ------------------------------------------------------------------ *)
+
+let csv_field = function
+  | Value.Int i -> string_of_int i
+  | Value.Float f -> Printf.sprintf "%.1f" f
+  | Value.String s -> s
+  | _ -> ""
+
+let csv_props props = List.map (fun k -> csv_field (Props.get props k)) [ "k"; "w" ]
+
+let equivalence_tests =
+  [
+    Test_util.case "a batched load equals the per-entity create sequence" (fun () ->
+        for seed = 1 to 30 do
+          let rng = Random.State.make [| seed |] in
+          let steps =
+            Test_util.random_steps rng ~nodes:[||] ~next_id:0
+              ~count:(1 + Random.State.int rng 60)
+          in
+          let row fields = String.concat "," fields ^ "\n" in
+          let nodes = Buffer.create 256 and rels = Buffer.create 256 in
+          Buffer.add_string nodes (row [ "id"; "labels"; "k"; "w" ]);
+          Buffer.add_string rels (row [ "src"; "tgt"; "type"; "k"; "w" ]);
+          List.iteri
+            (fun i -> function
+              | Test_util.Step_node (labels, props) ->
+                  Buffer.add_string nodes
+                    (row ((Printf.sprintf "v%d" i :: [ String.concat ";" labels ]) @ csv_props props))
+              | Test_util.Step_rel (src, tgt, ty, props) ->
+                  Buffer.add_string rels
+                    (row ([ Printf.sprintf "v%d" src; Printf.sprintf "v%d" tgt; ty ] @ csv_props props)))
+            steps;
+          (* the reference: nodes in file order, then relationships *)
+          let base = Test_util.indexed_base () in
+          let ids = Hashtbl.create 16 in
+          let expected =
+            List.fold_left
+              (fun g (i, step) ->
+                match step with
+                | Test_util.Step_node (labels, props) ->
+                    let id, g = Graph.create_node ~labels ~props g in
+                    Hashtbl.add ids i id;
+                    g
+                | Test_util.Step_rel _ -> g)
+              base
+              (List.mapi (fun i s -> (i, s)) steps)
+          in
+          let expected =
+            List.fold_left
+              (fun g -> function
+                | Test_util.Step_rel (src, tgt, r_type, props) ->
+                    snd
+                      (Graph.create_rel ~src:(Hashtbl.find ids src) ~tgt:(Hashtbl.find ids tgt)
+                         ~r_type ~props g)
+                | Test_util.Step_node _ -> g)
+              expected steps
+          in
+          let s = Session.create ~config:Config.revised base in
+          (match
+             load ~batch_size:(1 + Random.State.int rng 7) s ~nodes:(Buffer.contents nodes)
+               ~rels:(Buffer.contents rels)
+           with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "seed %d: load: %s" seed (Errors.to_string e));
+          Test_util.check_same_graph (Printf.sprintf "seed %d" seed) expected (Session.graph s)
+        done);
+    Test_util.case "a frame interleaving nodes and relationships applies in line order"
+      (fun () ->
+        let base = Test_util.indexed_base () in
+        let frame = "N a A;B {k:%201}\nR a a R {w:%200.5}\nN b A -\nR b a S -\nR a b S -\nR a b S -" in
+        let ids = Bulk.create_idmap () in
+        match Bulk.apply_frame ~ids base frame with
+        | Error m -> Alcotest.failf "frame: %s" m
+        | Ok (g, stats) ->
+            let k1 = Props.of_list [ ("k", Value.Int 1) ] in
+            let a, e = Graph.create_node ~labels:[ "A"; "B" ] ~props:k1 base in
+            let _, e = Graph.create_rel ~src:a ~tgt:a ~r_type:"R" ~props:(Props.of_list [ ("w", Value.Float 0.5) ]) e in
+            let b, e = Graph.create_node ~labels:[ "A" ] e in
+            let _, e = Graph.create_rel ~src:b ~tgt:a ~r_type:"S" e in
+            let _, e = Graph.create_rel ~src:a ~tgt:b ~r_type:"S" e in
+            let _, e = Graph.create_rel ~src:a ~tgt:b ~r_type:"S" e in
+            Test_util.check_same_graph "frame" e g;
+            Alcotest.(check (pair int int)) "counters" (2, 4)
+              (stats.Cypher_core.Stats.nodes_created, stats.Cypher_core.Stats.rels_created));
+  ]
+
+let suite = validation_tests @ storage_tests @ frame_tests @ equivalence_tests

@@ -221,7 +221,8 @@ let population =
     vint min_int; vint max_int; vint (-max_int);
     vfloat 0.1; vfloat 5e-324; vfloat 1.7976931348623157e308;
     vfloat (1.0 /. 3.0); vfloat (-0.0); vfloat 0.0; vfloat 3.0; vfloat 1e20;
-    vfloat (-2.5e-7); vfloat 123456789012.5; vfloat Float.nan;
+    vfloat (-2.5e-7); vfloat 123456789012.5; vfloat 1234567890123456.0;
+    vfloat (-98765432109876544.0); vfloat Float.nan;
     vfloat Float.infinity; vfloat Float.neg_infinity;
     vstr ""; vstr "it's"; vstr "a\\b"; vstr "line1\nline2"; vstr "a\tb";
     vstr "\r\b\012"; vstr "\x00\x01\x1f"; vstr "caf\xc3\xa9"; vstr "`{}[],:";
@@ -265,6 +266,73 @@ let reader_tests =
             "4611686018427387904"; "(1.0 / 2.0)"; "(0.0/0.0)"; "1e"; "$p" ]);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Decoding builds what creating one entity at a time builds          *)
+(* ------------------------------------------------------------------ *)
+
+(* executing [script] on [base]: one [create_node]/[create_rel] per
+   entity, in file order *)
+let executed base script =
+  match Api.run_program ~config:Config.permissive base script with
+  | Ok (g, _) -> g
+  | Error e -> Alcotest.failf "script did not execute: %s\n%s" (Errors.to_string e) script
+
+let decoded base script =
+  match Dump.of_cypher base script with
+  | Ok g -> g
+  | Error e -> Alcotest.failf "script did not decode: %s\n%s" e script
+
+let decode_tests =
+  [
+    case "decoding equals the per-entity sequence on random graphs" (fun () ->
+        for seed = 1 to 40 do
+          let rng = Random.State.make [| seed |] in
+          let g = apply_steps Graph.empty (random_steps rng ~nodes:[||] ~next_id:0 ~count:(Random.State.int rng 50)) in
+          let script = Dump.to_cypher g in
+          List.iter
+            (fun base ->
+              check_same_graph (Printf.sprintf "seed %d" seed) (executed base script)
+                (decoded base script))
+            [ Graph.empty; indexed_base () ]
+        done);
+    case "a script interleaving nodes and relationships decodes in file order" (fun () ->
+        let script =
+          "CREATE (n0:A:B {k: 1}), (n0)-[:R {w: 1.5}]->(n0), (x:A {k: 1.0}), \
+           (x)-[:S]->(n0), (n0)-[:S]->(x), (n0)-[:S]->(x), (y), (y)-[:R]->(x);"
+        in
+        List.iter
+          (fun base -> check_same_graph "interleaved" (executed base script) (decoded base script))
+          [ Graph.empty; indexed_base () ]);
+    case "malformed scripts are errors, never exceptions" (fun () ->
+        List.iter
+          (fun (script, sub) ->
+            match Dump.of_cypher Graph.empty script with
+            | Ok _ -> Alcotest.failf "%S decoded" script
+            | Error e ->
+                if not (contains e sub) then Alcotest.failf "%S: %S lacks %S" script e sub)
+          [ ("CREATE (n0), (n0)-[:R]->(n1);", "target `n1` is unbound");
+            ("CREATE (n0), (n1)-[:R]->(n0);", "source `n1` is unbound");
+            ("CREATE (n0), (n0);", "variable `n0` is bound twice");
+            ("CREATE (n0), (n0:A)-[:R]->(n0);", "source `n0` carries labels or properties");
+            ("CREATE (n0), (n0)-[:R]->(n0 {k: 1});", "target `n0` carries labels or properties");
+            ("CREATE (n0); x", "trailing bytes");
+            ("CREATE (n0)", "expected ',' or ';'") ]);
+  ]
+
+let float_tests =
+  [
+    case "integral floats from 1e15 to 1e17 stay floats" (fun () ->
+        List.iter
+          (fun f ->
+            let lit = Dump.value_literal (vfloat f) in
+            match Dump.read_value lit with
+            | Ok (Value.Float f') when Float.equal f f' -> ()
+            | Ok v -> Alcotest.failf "%s read back as %s" lit (Value.to_string v)
+            | Error e -> Alcotest.failf "%s: %s" lit e)
+          [ 1e15; 1234567890123456.0; -1234567890123456.0; 98765432109876544.0; 1e17 ];
+        check_roundtrip (node_with [ ("x", vfloat 1234567890123456.0) ]));
+  ]
+
 let suite =
   literal_tests @ ident_tests @ shape_tests @ fuzz_population_tests
-  @ reader_tests
+  @ reader_tests @ decode_tests @ float_tests

@@ -311,4 +311,60 @@ let prop_index_tests =
           (Graph.nodes_with_prop g' ~label:"User" ~key:"id" (vint 7)));
   ]
 
-let suite = suite @ histogram_tests @ typed_adjacency_tests @ prop_index_tests
+(* ------------------------------------------------------------------ *)
+(* Batch construction                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* a random base graph with registered indexes and a few deletions, so
+   the batch lands on non-empty indexes and a gapped id space *)
+let random_base rng ~size =
+  let g = Graph.add_prop_index ~label:"A" ~key:"k" Graph.empty in
+  let g = apply_steps g (random_steps rng ~nodes:[||] ~next_id:0 ~count:size) in
+  let g = Graph.add_prop_index ~label:"B" ~key:"w" g in
+  List.fold_left
+    (fun g id -> if Random.State.int rng 5 = 0 then Graph.remove_node_detach g id else g)
+    g (Graph.node_ids g)
+
+let batch_tests =
+  [
+    case "add_batch equals the per-entity create sequence" (fun () ->
+        for seed = 1 to 60 do
+          let rng = Random.State.make [| seed |] in
+          let base = random_base rng ~size:(Random.State.int rng 30) in
+          let steps =
+            random_steps rng
+              ~nodes:(Array.of_list (Graph.node_ids base))
+              ~next_id:(Graph.next_id base) ~count:(1 + Random.State.int rng 60)
+          in
+          check_same_graph (Printf.sprintf "seed %d" seed) (apply_steps base steps)
+            (batch_steps base steps)
+        done);
+    case "add_batch covers self-loops, parallel edges and multi-label nodes" (fun () ->
+        let p = Props.of_list [ ("k", vint 1) ] in
+        let steps =
+          [ Step_node ([ "A"; "B"; "C" ], p); Step_rel (0, 0, "R", p); Step_rel (0, 0, "R", Props.empty);
+            Step_node ([ "A" ], p); Step_rel (0, 3, "S", Props.empty); Step_rel (0, 3, "S", p);
+            Step_rel (3, 0, "R", Props.empty) ]
+        in
+        let base = Graph.add_prop_index ~label:"A" ~key:"k" Graph.empty in
+        check_same_graph "shapes" (apply_steps base steps) (batch_steps base steps));
+    case "add_batch refuses ids off the supply and missing endpoints" (fun () ->
+        let node id = { Graph.n_id = id; labels = Cypher_util.Maps.Sset.empty; n_props = Props.empty } in
+        let rel id src tgt = { Graph.r_id = id; src; tgt; r_type = "T"; r_props = Props.empty } in
+        Alcotest.check_raises "gap" (Invalid_argument "Graph.add_batch: id 1 expected") (fun () ->
+            ignore (Graph.add_batch Graph.empty [ node 0; node 2 ] []));
+        Alcotest.check_raises "missing target" (Invalid_argument "Graph.add_batch: no target node 7")
+          (fun () -> ignore (Graph.add_batch Graph.empty [ node 0 ] [ rel 1 0 7 ])));
+    case "rebuild equals the per-entity create sequence" (fun () ->
+        for seed = 1 to 20 do
+          let rng = Random.State.make [| seed |] in
+          let g = random_base rng ~size:(10 + Random.State.int rng 40) in
+          let g' =
+            Graph.rebuild ~prop_indexes:(Graph.prop_index_keys g) ~next_id:(Graph.next_id g)
+              ~tombs:(Graph.tombstones g) (List.rev (Graph.nodes g)) (Graph.rels g)
+          in
+          check_same_graph (Printf.sprintf "seed %d" seed) g g'
+        done);
+  ]
+
+let suite = suite @ histogram_tests @ typed_adjacency_tests @ prop_index_tests @ batch_tests

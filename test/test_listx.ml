@@ -12,12 +12,6 @@ let suite =
         Alcotest.(check (list int)) "take beyond" l (Listx.take 99 l);
         Alcotest.(check (list int)) "drop beyond" [] (Listx.drop 99 l);
         Alcotest.(check (list int)) "take negative" [] (Listx.take (-1) l));
-    case "group_by preserves orders" (fun () ->
-        let groups = Listx.group_by (fun x -> x mod 2) [ 1; 2; 3; 4; 5 ] in
-        Alcotest.(check (list (pair int (list int))))
-          "groups"
-          [ (1, [ 1; 3; 5 ]); (0, [ 2; 4 ]) ]
-          groups);
     case "index_of finds the first hit" (fun () ->
         Alcotest.(check (option int)) "hit" (Some 1)
           (Listx.index_of (fun x -> x > 1) [ 1; 2; 3 ]);

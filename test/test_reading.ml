@@ -220,4 +220,42 @@ let extra_tests =
         check_value "three" (vint 3) (first_cell t));
   ]
 
-let suite = suite @ extra_tests
+(* grouping keys are equal exactly when DISTINCT's total order says so *)
+let grouping_key_tests =
+  let groups src =
+    List.map
+      (fun row -> Cypher_table.Record.find row "n")
+      (Cypher_table.Table.rows (run_table Graph.empty src))
+  in
+  [
+    case "distinct floats form distinct groups" (fun () ->
+        List.iter
+          (fun list ->
+            let src = Printf.sprintf "UNWIND %s AS x RETURN x, count(*) AS n" list in
+            Alcotest.(check (list value_testable)) list [ vint 1; vint 1 ] (groups src);
+            check_rows (list ^ " DISTINCT") 2
+              (run_table Graph.empty (Printf.sprintf "UNWIND %s AS x RETURN DISTINCT x" list)))
+          [ "[0.1234561, 0.1234562]"; "[123456789.5, 123456789.25]" ]);
+    case "numerically equal keys form one group" (fun () ->
+        List.iter
+          (fun (list, first) ->
+            let t =
+              run_table Graph.empty
+                (Printf.sprintf "UNWIND %s AS x RETURN x, count(*) AS n" list)
+            in
+            check_rows list 1 t;
+            check_value (list ^ " count") (vint 2) (List.hd (column t "n"));
+            check_value (list ^ " first key") first (List.hd (column t "x"));
+            check_rows (list ^ " DISTINCT") 1
+              (run_table Graph.empty (Printf.sprintf "UNWIND %s AS x RETURN DISTINCT x" list)))
+          [ ("[1, 1.0]", vint 1); ("[0.0, -0.0]", Value.Float 0.0); ("[[1], [1.0]]", vlist [ vint 1 ]) ]);
+    case "groups keep first-occurrence order" (fun () ->
+        Alcotest.(check (list value_testable)) "order"
+          [ vstr "b"; vstr "a"; vint 2 ]
+          (column
+             (run_table Graph.empty
+                "UNWIND ['b', 'a', 2, 'b', 2.0, 'a'] AS x RETURN x, count(*) AS n")
+             "x"));
+  ]
+
+let suite = suite @ extra_tests @ grouping_key_tests

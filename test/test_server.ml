@@ -334,4 +334,28 @@ let oracle_tests =
         done);
   ]
 
-let suite = shared_tests @ tcp_tests @ oracle_tests
+let stats_tests =
+  [
+    case ":stats reports resident memory where /proc/self/status exists" (fun () ->
+        let svc = Service.create (Shared.create Graph.empty) in
+        let lines = req svc ":stats" in
+        expect_ok ":stats" lines;
+        let memory =
+          List.filter_map
+            (fun l -> Scanf.sscanf_opt l "rss_kb=%d hwm_kb=%d%!" (fun rss hwm -> (rss, hwm)))
+            lines
+        in
+        Alcotest.(check int) "rows count the payload" (List.length lines - 1)
+          (Scanf.sscanf (terminator lines) "OK rows=%d" Fun.id);
+        if Sys.file_exists "/proc/self/status" then
+          match memory with
+          | [ (rss, hwm) ] ->
+              Alcotest.(check bool)
+                (Printf.sprintf "0 < rss %d <= hwm %d" rss hwm)
+                true
+                (0 < rss && rss <= hwm)
+          | _ -> Alcotest.failf "no memory line in %s" (String.concat " / " lines)
+        else Alcotest.(check int) "no memory line" 0 (List.length memory));
+  ]
+
+let suite = shared_tests @ tcp_tests @ oracle_tests @ stats_tests
