@@ -61,10 +61,6 @@ let par_meaningful = effective_domains >= 2
 let cfg_revised_par =
   Config.with_stats false (Config.with_parallelism par_level Config.revised)
 
-(* compact-backend variant: same queries, CSR adjacency instead of the
-   persistent maps on the read path *)
-let cfg_compact = Config.with_backend `Compact cfg_revised
-
 let run_q config g q =
   match Api.run_query ~config g q with
   | Ok o -> o
@@ -505,7 +501,7 @@ let tests = base_tests @ (if par_meaningful then par_tests else [])
 let skipped_par = if par_meaningful then [] else List.map Test.name par_tests
 
 (* ------------------------------------------------------------------ *)
-(* Tier 5: n = 10^5 nodes, persistent vs compact                       *)
+(* Tier 5: n = 10^5 nodes                                              *)
 (* ------------------------------------------------------------------ *)
 
 (** [live_words ()] is the major-heap live set after a full collection
@@ -541,11 +537,12 @@ let median_time ?(reps = 5) f =
   List.nth (List.sort compare samples) (reps / 2)
 
 (** Times the 10^5-node tier (100k nodes, 234k rels): 1-hop and 2-hop
-    MATCH under each backend, one-shot medians (see {!median_time}),
+    MATCH and a whole-graph shortestPath, one-shot medians (see
+    {!median_time}),
     measured here — before the Bechamel loop grows the heap.  Run on
     demand — after argument parsing — so [--check-overhead] never pays
     for it.  Returns ready-made result entries plus meta facts (fixture
-    size, heap footprint of the persistent maps, CSR arena footprint). *)
+    size, heap footprint of the persistent maps). *)
 let tier5 () =
   let w0 = live_words () in
   let g =
@@ -553,15 +550,6 @@ let tier5 () =
       ~orders_per_user:3
   in
   let graph_words = live_words () - w0 in
-  (* warm the CSR once so the compact entries time steady-state reads;
-     the snapshot is reused across runs (and across the 1hop/2hop
-     entries) because the graph's content never changes here *)
-  ignore (run_q cfg_compact g q_1hop);
-  let csr_words =
-    match Graph.csr_view (Graph.with_backend `Compact g) with
-    | Some c -> Graph.Csr.footprint_words c
-    | None -> 0
-  in
   let entries =
     List.map
       (fun (name, config, q) ->
@@ -573,17 +561,12 @@ let tier5 () =
         (name, Some (s *. 1e9)))
       [
         ("match/1hop/n=1e5", cfg_revised, q_1hop);
-        ("match/1hop/n=1e5/compact", cfg_compact, q_1hop);
         ("match/2hop/n=1e5", cfg_revised, q_2hop);
-        ("match/2hop/n=1e5/compact", cfg_compact, q_2hop);
         (* the materialising variant (count(p) defeats the counting
            fusion) *)
         ("match/2hop-rows/n=1e5", cfg_revised, q_2hop_rows);
-        ("match/2hop-rows/n=1e5/compact", cfg_compact, q_2hop_rows);
-        (* whole-graph BFS: persistent hash-table visited set vs the
-           CSR dense-array frontier *)
+        (* whole-graph BFS *)
         ("shortestpath/n=1e5", cfg_revised, q_sp);
-        ("shortestpath/n=1e5/compact", cfg_compact, q_sp);
       ]
   in
   let meta =
@@ -591,7 +574,6 @@ let tier5 () =
       ("tier5_nodes", string_of_int (Graph.node_count g));
       ("tier5_rels", string_of_int (Graph.rel_count g));
       ("tier5_graph_live_words", string_of_int graph_words);
-      ("tier5_csr_words", string_of_int csr_words);
     ]
   in
   (entries, meta)
@@ -633,8 +615,7 @@ let large_csvs () =
 
 (** One-shot timings at n = 10^6: bulk load through the batching
     loader (in-memory session — journal throughput has its own io/*
-    entries), then the 2-hop count on the loaded graph under each
-    backend.  Single runs, wall clock: at this scale a run takes
+    entries), then the 2-hop count on the loaded graph.  Single runs, wall clock: at this scale a run takes
     seconds, which Bechamel's quota would multiply needlessly.  Returns
     meta pairs for the JSON block. *)
 let run_large () =
@@ -657,27 +638,12 @@ let run_large () =
     (float_of_int (graph_words * 8) /. 1e6);
   let _, persistent_s = timed (fun () -> run_q cfg_revised g q_2hop) in
   Printf.printf "match/2hop/n=1e6: %.3f s\n%!" persistent_s;
-  (* first compact run pays the CSR build; the second times the read *)
-  let _, build_s = timed (fun () -> run_q cfg_compact g q_2hop) in
-  let _, compact_s = timed (fun () -> run_q cfg_compact g q_2hop) in
-  let csr_words =
-    match Graph.csr_view (Graph.with_backend `Compact g) with
-    | Some c -> Graph.Csr.footprint_words c
-    | None -> 0
-  in
-  Printf.printf
-    "match/2hop/n=1e6/compact: %.3f s (CSR build+first run %.3f s, arena %d words = %.1f MB)\n%!"
-    compact_s build_s csr_words
-    (float_of_int (csr_words * 8) /. 1e6);
   [
     ("large_nodes", string_of_int report.Bulk.nodes_created);
     ("large_rels", string_of_int report.Bulk.rels_created);
     ("large_bulk_load_s", Printf.sprintf "%.3f" load_s);
     ("large_graph_live_words", string_of_int graph_words);
-    ("large_csr_words", string_of_int csr_words);
     ("large_2hop_persistent_s", Printf.sprintf "%.3f" persistent_s);
-    ("large_2hop_compact_s", Printf.sprintf "%.3f" compact_s);
-    ("large_2hop_compact_first_s", Printf.sprintf "%.3f" build_s);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -1,11 +1,10 @@
 (* Command-line driver for the fuzzing/cross-validation subsystem.
 
-   Runs [n] generated cases through all ten oracles (round-trip,
+   Runs [n] generated cases through all nine oracles (round-trip,
    planner equivalence, parallel-vs-serial byte equivalence,
    legacy/revised divergence classification, result-graph
    well-formedness, update counters vs graph diff, durability
-   fault injection, prepared-statement equivalence,
-   persistent-vs-compact backend byte equivalence, concurrent-workload
+   fault injection, prepared-statement equivalence, concurrent-workload
    linearizability) and exits non-zero
    on any failure.  With
    [-corpus DIR], shrunk failures are appended as replayable corpus
@@ -34,7 +33,7 @@ let () =
       ( "-oracle",
         Arg.Set_string oracle_only,
         "NAME run only one oracle \
-         (roundtrip|planner|parallel|divergence|wellformed|counters|durability|prepared|backend|concurrent)" );
+         (roundtrip|planner|parallel|divergence|wellformed|counters|durability|prepared|concurrent)" );
     ]
   in
   Arg.parse spec
@@ -89,7 +88,6 @@ let () =
              in
              Oracles.durability ~extra g q
          | "prepared" -> Oracles.prepared g q
-         | "backend" -> Oracles.backend_equivalence g q
          | "concurrent" ->
              let actors = Cypher_fuzz.Gen.actors rng in
              Oracles.concurrent g actors

@@ -43,10 +43,6 @@ let parse ?(dialect = Validate.Revised) src =
    statement. *)
 let run_validated ?memo ~config ~prefix graph (q : Cypher_ast.Ast.query) :
     (result, Errors.t) Stdlib.result =
-  (* the statement runs — and its result graph stays — on the
-     configured backend; a metadata-only rewrite, so a CSR snapshot
-     built for this content remains valid across statements *)
-  let graph = Graph.with_backend config.Config.backend graph in
   wrap_errors (fun () ->
       match prefix with
       | Parser.Explain ->

@@ -1,7 +1,7 @@
 (** Execution configuration: which update semantics to run, in which
     driving-table order legacy clauses process records, which dialect to
     validate against, the query parameters, and the physical knobs
-    (planner, parallelism, durability, graph backend, plan cache). *)
+    (planner, parallelism, durability, plan cache). *)
 
 open Cypher_util.Maps
 open Cypher_graph
@@ -39,13 +39,6 @@ type planner = On | Off
     sessions. *)
 type durability = Fsync | Buffered
 
-(** Physical graph layout serving reads — {!Graph.backend}.
-    [`Persistent] is the default persistent-map path; [`Compact] builds
-    CSR snapshots at read-phase boundaries (interned symbols, int
-    adjacency arrays, property arenas) for large graphs.  The two are
-    observationally identical (fuzz oracle 9). *)
-type backend = Graph.backend
-
 type t = {
   mode : mode;
   order : order;
@@ -62,7 +55,6 @@ type t = {
   plan_cache_capacity : int;
       (** maximum number of compiled statements a {!Session} keeps in
           its LRU plan cache; [0] disables caching entirely *)
-  backend : backend;
 }
 
 (** Parses a [CYPHER_PARALLELISM]-style value: unset/empty/"0"/invalid
@@ -83,33 +75,20 @@ let parallelism_of_string = function
 let default_parallelism =
   parallelism_of_string (Sys.getenv_opt "CYPHER_PARALLELISM")
 
-(** Parses a [CYPHER_BACKEND]-style value: "compact" selects the CSR
-    backend, anything else (including unset) the persistent default. *)
-let backend_of_string : string option -> backend = function
-  | Some "compact" -> `Compact
-  | _ -> `Persistent
-
-(** Process-wide default, read once from [CYPHER_BACKEND] at startup:
-    every stock configuration below starts from it, so
-    [CYPHER_BACKEND=compact dune exec ...] runs the whole process —
-    tests and fuzz oracles included — on the compact backend without
-    any code change. *)
-let default_backend = backend_of_string (Sys.getenv_opt "CYPHER_BACKEND")
-
 (** Cypher 9 as shipped: legacy update semantics, Figure 2–5 grammar,
     naive matching (its order-sensitive behaviours stay reproducible). *)
 let cypher9 =
   { mode = Legacy; order = Forward; match_mode = Isomorphic; planner = Off;
     parallelism = default_parallelism; durability = Fsync; collect_stats = true;
     dialect = Cypher_ast.Validate.Cypher9; params = Smap.empty;
-    plan_cache_capacity = 128; backend = default_backend }
+    plan_cache_capacity = 128 }
 
 (** The paper's revised language: atomic semantics, Figure 10 grammar. *)
 let revised =
   { mode = Atomic; order = Forward; match_mode = Isomorphic; planner = On;
     parallelism = default_parallelism; durability = Fsync; collect_stats = true;
     dialect = Cypher_ast.Validate.Revised; params = Smap.empty;
-    plan_cache_capacity = 128; backend = default_backend }
+    plan_cache_capacity = 128 }
 
 (** Everything the parser accepts, atomic semantics: used to experiment
     with the Section 6 proposal variants (MERGE GROUPING / WEAK /
@@ -118,7 +97,7 @@ let permissive =
   { mode = Atomic; order = Forward; match_mode = Isomorphic; planner = On;
     parallelism = default_parallelism; durability = Fsync; collect_stats = true;
     dialect = Cypher_ast.Validate.Permissive; params = Smap.empty;
-    plan_cache_capacity = 128; backend = default_backend }
+    plan_cache_capacity = 128 }
 
 let with_order order t = { t with order }
 let with_match_mode match_mode t = { t with match_mode }
@@ -131,7 +110,6 @@ let with_params params t = { t with params }
 let with_param name v t = { t with params = Smap.add name v t.params }
 
 let with_plan_cache_capacity n t = { t with plan_cache_capacity = max 0 n }
-let with_backend backend t = { t with backend }
 
 (** [arrange_rows config rows] applies the configured record order;
     identity under [Forward]. *)

@@ -2,7 +2,7 @@
     driving-table order legacy clauses process records, which pattern
     matching regime to use, which dialect to validate against, the
     query parameters, and the physical knobs (planner, parallelism,
-    durability, graph backend, plan cache).  Rows have a single
+    durability, plan cache).  Rows have a single
     representation ({!Cypher_table.Record}), so there is no row knob. *)
 
 open Cypher_util.Maps
@@ -36,13 +36,6 @@ type planner = On | Off
     to the OS.  Irrelevant to purely in-memory sessions. *)
 type durability = Fsync | Buffered
 
-(** Physical graph layout serving reads — {!Graph.backend}.
-    [`Persistent] is the default persistent-map path; [`Compact] builds
-    CSR snapshots at read-phase boundaries (interned symbols, int
-    adjacency arrays, property arenas) for large graphs.  The two are
-    observationally identical (fuzz oracle 9). *)
-type backend = Graph.backend
-
 type t = {
   mode : mode;
   order : order;
@@ -66,7 +59,6 @@ type t = {
   plan_cache_capacity : int;
       (** Maximum number of compiled statements a {!Session} keeps in
           its LRU plan cache; [0] disables caching entirely. *)
-  backend : backend;
 }
 
 (** Parses a [CYPHER_PARALLELISM]-style value: unset/empty/"0"/invalid
@@ -77,14 +69,6 @@ val parallelism_of_string : string option -> int
 (** The process-wide default, read once from [CYPHER_PARALLELISM] at
     startup; the baseline of every stock configuration below. *)
 val default_parallelism : int
-
-(** Parses a [CYPHER_BACKEND]-style value: "compact" selects the CSR
-    backend, anything else (including unset) the persistent default. *)
-val backend_of_string : string option -> backend
-
-(** The process-wide default, read once from [CYPHER_BACKEND] at
-    startup; the baseline of every stock configuration below. *)
-val default_backend : backend
 
 (** Cypher 9 as shipped: legacy update semantics, Figure 2–5 grammar. *)
 val cypher9 : t
@@ -116,10 +100,6 @@ val with_param : string -> Value.t -> t -> t
 (** [with_plan_cache_capacity n t] bounds the session plan cache
     (clamped at 0; 0 disables caching). *)
 val with_plan_cache_capacity : int -> t -> t
-
-(** [with_backend b t] selects the physical graph layout serving
-    reads. *)
-val with_backend : backend -> t -> t
 
 (** [arrange_rows config rows] applies the configured record order;
     identity under [Forward]. *)

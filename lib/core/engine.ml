@@ -128,10 +128,6 @@ let row_seeder columns = Record.seed (Slots.of_names columns)
 let exec_match ?slot config (g, t) ~optional ~patterns ~where =
   let vars = List.concat_map pattern_vars patterns in
   let columns = Table.columns t @ vars in
-  (* build the compact backend's CSR snapshot before any parallel
-     fan-out, so pool workers share one snapshot instead of racing to
-     build their own *)
-  Graph.ensure_csr g;
   let plans = hoisted_plans ?slot config g t patterns in
   let seed = row_seeder columns in
   let mode = Runtime.match_mode_of config in
@@ -165,31 +161,17 @@ let exec_match ?slot config (g, t) ~optional ~patterns ~where =
          matcher's reversed accumulation directly and restore row order
          in the same pass that builds the result table — one traversal
          of a possibly very large expansion instead of two.  WHERE-d
-         clauses keep the natural-order path so predicate evaluation
+         clauses keep the per-row [expand] path so predicate evaluation
          order (and thus any evaluation error) is unchanged. *)
       let row = seed row in
-      let ctx = ctx_of config g row in
-      let tbl =
-        (* fully-inverted enumeration first: rows arrive in natural
-           order over the compiled slot layout, already consistent —
-           one list spine, no reversal, no projection.  The rows bind
-           exactly [columns]: natural success means every pattern
-           variable landed in a distinct previously-absent slot of the
-           layout compiled from these very columns. *)
-        match Matcher.match_patterns_natural ~mode ~planner ?plans ctx patterns with
-        | Some rows ->
-            let rows = if rows = [] && optional then [ pad row ] else rows in
-            Table.of_consistent columns rows
-        | None ->
-            let matches_rev =
-              Matcher.match_patterns_rev ~mode ~planner ?plans ctx patterns
-            in
-            let rows_rev =
-              if matches_rev = [] && optional then [ pad row ] else matches_rev
-            in
-            Table.make_rev columns rows_rev
+      let matches_rev =
+        Matcher.match_patterns_rev ~mode ~planner ?plans (ctx_of config g row)
+          patterns
       in
-      (g, tbl)
+      let rows_rev =
+        if matches_rev = [] && optional then [ pad row ] else matches_rev
+      in
+      (g, Table.make_rev columns rows_rev)
   | _ ->
       ( g,
         Table.concat_map_par
@@ -202,9 +184,8 @@ let exec_match ?slot config (g, t) ~optional ~patterns ~where =
     a bare count( * ) RETURN — exactly the shape whose unfused execution
     puts every embedding through record binding, table projection and a
     single global aggregation group just to take the list's length.
-    Plan hoisting and the CSR snapshot behave as in {!exec_match}. *)
+    Plan hoisting behaves as in {!exec_match}. *)
 let exec_match_count ?slot config (g, t) ~patterns ~name =
-  Graph.ensure_csr g;
   let plans = hoisted_plans ?slot config g t patterns in
   let seed =
     row_seeder (Table.columns t @ List.concat_map pattern_vars patterns)
@@ -372,24 +353,9 @@ let rec exec_query config ~stats ?profile ?memo ~counter (g, t) (q : query) =
     is only checked here, at the statement boundary — mirroring Neo4j's
     commit-time dangling check (Section 4.2). *)
 let output ?(stats = Stats.null) ?profile ?memo config g (q : query) =
-  (* attribute CSR snapshot (re)build time to its own PROFILE line: the
-     build runs lazily inside whichever clause first reads after an
-     update (or a load), and at scale it dominates that clause's time
-     without being part of its steady-state cost *)
-  let csr_ns0 =
-    match profile with Some _ -> Graph.csr_build_ns_total () | None -> 0L
-  in
   let g', t' =
     exec_query config ~stats ?profile ?memo ~counter:(ref 0) (g, Table.unit) q
   in
-  (match profile with
-  | Some acc ->
-      let d = Int64.sub (Graph.csr_build_ns_total ()) csr_ns0 in
-      if d > 0L then
-        acc :=
-          { Stats.pf_clause = "[csr snapshot build]"; pf_rows = 0; pf_ns = d }
-          :: !acc
-  | None -> ());
   Stats.set_rows stats (Table.row_count t');
   (match config.Config.mode with
   | Config.Legacy ->

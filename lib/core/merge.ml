@@ -230,7 +230,6 @@ let run_revised config ~stats (g0, t) ~mode ~patterns ~on_create ~on_match =
      reads only the immutable [g0] snapshot, so it fans out over the
      domain pool with ordered gather; everything from instantiation on
      mutates the graph and stays strictly sequential. *)
-  Graph.ensure_csr g0;
   let outcomes =
     Cypher_util.Pool.map_chunks
       ~parallelism:(Runtime.parallelism_of config)

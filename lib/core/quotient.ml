@@ -179,8 +179,7 @@ let apply (g : Graph.t) ~(new_nodes : (int * position) list)
     match Hashtbl.find_opt rel_reps id with None -> id | Some rep -> rep
   in
   (* --- rebuild ------------------------------------------------------ *)
-  (* every class a singleton: the quotient is [g] itself, which also
-     keeps its backend and a still-valid CSR snapshot *)
+  (* every class a singleton: the quotient is [g] itself *)
   let collapses reps = Hashtbl.fold (fun id rep acc -> acc || id <> rep) reps false in
   if not (collapses node_reps || collapses rel_reps) then identity_result g
   else

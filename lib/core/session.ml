@@ -78,7 +78,7 @@ let config s = s.config
    deliberately excluded — rebinding values must hit — as is journal
    durability, which only affects how the storage layer flushes. *)
 let config_fingerprint (c : Config.t) =
-  Printf.sprintf "%s|%s|%s|%s|%d|%b|%s|%s"
+  Printf.sprintf "%s|%s|%s|%s|%d|%b|%s"
     (match c.Config.mode with Config.Legacy -> "legacy" | Config.Atomic -> "atomic")
     (match c.Config.order with
     | Config.Forward -> "fwd"
@@ -93,9 +93,6 @@ let config_fingerprint (c : Config.t) =
     | Cypher_ast.Validate.Cypher9 -> "cypher9"
     | Cypher_ast.Validate.Revised -> "revised"
     | Cypher_ast.Validate.Permissive -> "permissive")
-    (match c.Config.backend with
-    | `Persistent -> "persistent"
-    | `Compact -> "compact")
 
 let create ?(config = Config.revised) graph =
   {

@@ -1,12 +1,12 @@
-(** The fuzzing driver: generate, run all ten oracles, shrink
+(** The fuzzing driver: generate, run all nine oracles, shrink
     failures.
 
     One iteration derives a fresh splitmix64 stream from
     [seed + iteration], generates a (graph, statement) case and runs
     the round-trip, planner-equivalence, parallel-equivalence,
     divergence-classification, well-formedness, update-counter,
-    durability, prepared-statement, backend-equivalence and
-    concurrent-workload oracles ({!Oracles}).  The
+    durability, prepared-statement and concurrent-workload
+    oracles ({!Oracles}).  The
     durability oracle extends the
     case with two more generated statements (a three-statement workload
     makes multi-record journals, so truncation sweeps cross record
@@ -31,7 +31,7 @@ type failure = {
 
 type report = {
   seed : int;
-  iterations : int;  (** cases run through each of the ten oracles *)
+  iterations : int;  (** cases run through each of the nine oracles *)
   agreements : int;  (** divergence-oracle runs where both regimes agree *)
   classified : (Oracles.category * int) list;  (** sanctioned divergences *)
   failures : failure list;  (** shrunk; empty on a clean run *)
@@ -101,13 +101,6 @@ let run ?(seed = 0) ~count () =
     | Error detail ->
         record ~oracle:"prepared" ~iteration:i
           ~fails:(fun g q -> Result.is_error (Oracles.prepared g q))
-          g q detail);
-    (match Oracles.backend_equivalence g q with
-    | Ok () -> ()
-    | Error detail ->
-        record ~oracle:"backend" ~iteration:i
-          ~fails:(fun g q ->
-            Result.is_error (Oracles.backend_equivalence g q))
           g q detail);
     let extra = [ Gen.statement rng; Gen.statement rng ] in
     (match Oracles.durability ~extra g q with

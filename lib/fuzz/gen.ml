@@ -528,7 +528,7 @@ let statement rng =
   { clauses; union = None }
 
 (* ------------------------------------------------------------------ *)
-(* Concurrent workloads (fuzz oracle 10)                              *)
+(* Concurrent workloads (fuzz oracle 9)                               *)
 (* ------------------------------------------------------------------ *)
 
 (** One client of a concurrent workload: a single auto-commit statement

@@ -1044,63 +1044,7 @@ let wellformed g q : (unit, string) result =
       indexes_agree g' reference
 
 (* ------------------------------------------------------------------ *)
-(* Oracle 9: persistent vs compact backend, byte-identical            *)
-(* ------------------------------------------------------------------ *)
-
-(** The compact backend is a physical layout, not a semantics: CSR
-    adjacency slices enumerate in relationship-id order exactly as the
-    persistent maps do, so a run under [`Compact] must be
-    indistinguishable from [`Persistent] down to the byte — same
-    rendered graph, same rendered table, same counters, same error
-    text.  Checked under both the revised-planned and the legacy
-    regimes (the legacy mid-statement re-matching exercises the CSR
-    invalidation path). *)
-let backend_equivalence (g : Graph.t) q : (unit, string) result =
-  let check_one ~label config q =
-    let persistent =
-      Api.run_query_full ~config:(Config.with_backend `Persistent config) g q
-    in
-    let compact =
-      Api.run_query_full ~config:(Config.with_backend `Compact config) g q
-    in
-    match (persistent, compact) with
-    | Error e1, Error e2 ->
-        if Errors.to_string e1 = Errors.to_string e2 then Ok ()
-        else
-          Error
-            (Fmt.str "%s backend error differs: persistent %S vs compact %S"
-               label (Errors.to_string e1) (Errors.to_string e2))
-    | Ok _, Error e ->
-        Error
-          (Fmt.str "%s compact fails (%s) where persistent succeeds" label
-             (Errors.to_string e))
-    | Error e, Ok _ ->
-        Error
-          (Fmt.str "%s persistent fails (%s) where compact succeeds" label
-             (Errors.to_string e))
-    | Ok r1, Ok r2 ->
-        if Graph.to_string r1.Api.r_graph <> Graph.to_string r2.Api.r_graph
-        then Error (label ^ " backend result graphs are not byte-identical")
-        else if
-          Table.to_string r1.Api.r_table <> Table.to_string r2.Api.r_table
-        then
-          Error
-            (Fmt.str "%s backend result tables differ: %s vs %s" label
-               (result_summary r1) (result_summary r2))
-        else if not (Cypher_core.Stats.equal r1.Api.r_stats r2.Api.r_stats)
-        then
-          Error
-            (Fmt.str "%s backend counters differ: %s vs %s" label
-               (Cypher_core.Stats.to_string r1.Api.r_stats)
-               (Cypher_core.Stats.to_string r2.Api.r_stats))
-        else Ok ()
-  in
-  match check_one ~label:"revised" revised_planned q with
-  | Error _ as e -> e
-  | Ok () -> check_one ~label:"legacy" legacy_config (legacy_query q)
-
-(* ------------------------------------------------------------------ *)
-(* Oracle 10: concurrent workloads / linearizability                  *)
+(* Oracle 9: concurrent workloads / linearizability                   *)
 (* ------------------------------------------------------------------ *)
 
 module Shared = Cypher_server.Shared
@@ -1130,7 +1074,7 @@ let serial_apply g actors =
         g stmts)
     g actors
 
-(** Oracle 10.  Runs the generated actors against one shared server
+(** Oracle 9.  Runs the generated actors against one shared server
     state, each on its own thread through its own {!Service}
     connection, then checks (a) {e linearizability}: the final head is
     isomorphic to running the actors under {e some} serial order; and

@@ -35,13 +35,6 @@ type rel = {
 (** What kind of entity a tombstoned id used to be. *)
 type tomb = Tomb_node | Tomb_rel
 
-(** Which physical layout serves reads.  [`Persistent] is the default
-    persistent-map path; [`Compact] additionally maintains a CSR
-    snapshot ({!Csr}) that the matcher's hot expansion paths consume.
-    Either way the persistent maps remain the source of truth — the
-    backends are observationally identical (fuzz oracle 9). *)
-type backend = [ `Persistent | `Compact ]
-
 (** Maps keyed by property values, under the total value order — the
     exact-value property indexes below are served from these. *)
 module Vmap = Map.Make (struct
@@ -49,145 +42,6 @@ module Vmap = Map.Make (struct
 
   let compare = Value.compare_total
 end)
-
-(* Growable array used only while building CSR snapshots. *)
-module Vec = struct
-  type 'a t = { mutable arr : 'a array; mutable len : int; dummy : 'a }
-
-  let create dummy = { arr = [||]; len = 0; dummy }
-
-  let push v x =
-    if v.len = Array.length v.arr then begin
-      let arr = Array.make (max 16 (2 * v.len)) v.dummy in
-      Array.blit v.arr 0 arr 0 v.len;
-      v.arr <- arr
-    end;
-    v.arr.(v.len) <- x;
-    v.len <- v.len + 1
-
-  let length v = v.len
-  let to_array v = Array.sub v.arr 0 v.len
-end
-
-(** The compact backend's read-phase snapshot: CSR-style int adjacency
-    plus label / property arenas over {!Symtab} symbols.
-
-    Entities live in dense index space ([node_idx] / [rel_idx] translate
-    ids); per-node adjacency is a slice of parallel arrays sorted by
-    relationship id, so enumeration order is byte-identical to the
-    persistent path's id-ordered sets.  Labels, property keys and
-    relationship types are interned symbols compared with [=].
-
-    The arrays are logically immutable — callers must not write to
-    them.  They are exposed (rather than wrapped in accessors) so the
-    matcher's expansion loops stay allocation-free. *)
-module Csr = struct
-  type csr = {
-    node_count : int;
-    nidx_of_id : int array;  (** node id → dense index; -1 when absent *)
-    node_recs : node array;  (** dense index → record (shared, not copied) *)
-    lab_off : int array;  (** node label slice offsets, length n+1 *)
-    lab_sym : int array;
-    nprop_off : int array;  (** node property slice offsets, length n+1 *)
-    nprop_key : int array;
-    nprop_val : Value.t array;
-    out_off : int array;  (** outgoing adjacency offsets, length n+1 *)
-    out_ridx : int array;  (** dense relationship index per entry *)
-    out_far : int array;  (** the far endpoint (target) node id *)
-    out_ty : int array;  (** the relationship's type symbol *)
-    in_off : int array;
-    in_ridx : int array;
-    in_far : int array;  (** the far endpoint (source) node id *)
-    in_ty : int array;
-    rel_count : int;
-    ridx_of_id : int array;  (** rel id → dense index; -1 when absent *)
-    rel_recs : rel array;
-    rel_id : int array;
-        (** dense index → relationship id; ascending, because dense
-            indices are assigned in id order — so comparing dense
-            indices compares ids *)
-    rel_ty : int array;  (** dense index → type symbol *)
-    rprop_off : int array;  (** rel property slice offsets, length m+1 *)
-    rprop_key : int array;
-    rprop_val : Value.t array;
-  }
-
-  type t = csr
-
-  let node_idx c id =
-    if id >= 0 && id < Array.length c.nidx_of_id then c.nidx_of_id.(id) else -1
-
-  let rel_idx c id =
-    if id >= 0 && id < Array.length c.ridx_of_id then c.ridx_of_id.(id) else -1
-
-  let node_rec c i = c.node_recs.(i)
-  let rel_rec c j = c.rel_recs.(j)
-
-  let has_label_sym c i sym =
-    let hi = c.lab_off.(i + 1) in
-    let rec scan k = k < hi && (c.lab_sym.(k) = sym || scan (k + 1)) in
-    scan c.lab_off.(i)
-
-  (** ι over the node property arena: [Null] when the key is absent. *)
-  let node_prop_sym c i sym =
-    let hi = c.nprop_off.(i + 1) in
-    let rec scan k =
-      if k >= hi then Value.Null
-      else if c.nprop_key.(k) = sym then c.nprop_val.(k)
-      else scan (k + 1)
-    in
-    scan c.nprop_off.(i)
-
-  (** ι over the relationship property arena. *)
-  let rel_prop_sym c j sym =
-    let hi = c.rprop_off.(j + 1) in
-    let rec scan k =
-      if k >= hi then Value.Null
-      else if c.rprop_key.(k) = sym then c.rprop_val.(k)
-      else scan (k + 1)
-    in
-    scan c.rprop_off.(j)
-
-  (** Approximate heap footprint of the snapshot's arrays, in words
-      (property values are shared with the persistent maps and not
-      counted). *)
-  let footprint_words c =
-    let ints =
-      Array.length c.nidx_of_id + Array.length c.lab_off
-      + Array.length c.lab_sym + Array.length c.nprop_off
-      + Array.length c.nprop_key + Array.length c.out_off
-      + Array.length c.out_ridx + Array.length c.out_far
-      + Array.length c.out_ty + Array.length c.in_off
-      + Array.length c.in_ridx + Array.length c.in_far
-      + Array.length c.in_ty + Array.length c.ridx_of_id
-      + Array.length c.rel_id + Array.length c.rel_ty
-      + Array.length c.rprop_off
-      + Array.length c.rprop_key
-    in
-    let ptrs =
-      Array.length c.node_recs + Array.length c.rel_recs
-      + Array.length c.nprop_val + Array.length c.rprop_val
-    in
-    ints + ptrs
-end
-
-(* The CSR snapshot cache: one process-global cell threaded through
-   every graph value (all graphs derive from [empty] by record update,
-   so they share it).  An entry is valid for a graph exactly when the
-   graph's node and relationship maps are PHYSICALLY the entry's —
-   every update allocates fresh records into fresh maps, so validity
-   survives metadata-only rewrites ([with_backend], [add_prop_index] on
-   a registered index) and is broken by every real mutation.
-
-   The cell is an [Atomic.t]: the server shares one graph value across
-   many domains (reader snapshots, the pool fan-out), and a plain
-   mutable field would let two domains racing through [ensure_csr]
-   publish torn or duplicate builds with no happens-before edge for a
-   third domain's read.  Entries are immutable once built, so a
-   publish is a single atomic store; readers either see a valid entry
-   or fall back to the persistent maps. *)
-type csr_entry = { ce_nodes : node Imap.t; ce_rels : rel Imap.t; ce_csr : Csr.t }
-type csr_cache = csr_entry option Atomic.t
 
 type t = {
   nodes : node Imap.t;
@@ -207,8 +61,6 @@ type t = {
          check is O(1) instead of a full relationship sweep *)
   next_id : int;
   tombs : tomb Imap.t;
-  backend : backend;
-  ccache : csr_cache;
 }
 
 let empty =
@@ -225,8 +77,6 @@ let empty =
     dangling = Iset.empty;
     next_id = 0;
     tombs = Imap.empty;
-    backend = `Persistent;
-    ccache = Atomic.make None;
   }
 
 (* --- label index maintenance -------------------------------------- *)
@@ -331,21 +181,8 @@ let pindex_node_remove n pidx = pindex_fold_node vmap_remove n pidx
 (* Lookup                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let node g id =
-  match Atomic.get g.ccache with
-  | Some e when g.backend = `Compact && e.ce_nodes == g.nodes ->
-      let c = e.ce_csr in
-      let i = Csr.node_idx c id in
-      if i >= 0 then Some c.Csr.node_recs.(i) else None
-  | _ -> Imap.find_opt id g.nodes
-
-let rel g id =
-  match Atomic.get g.ccache with
-  | Some e when g.backend = `Compact && e.ce_rels == g.rels ->
-      let c = e.ce_csr in
-      let j = Csr.rel_idx c id in
-      if j >= 0 then Some c.Csr.rel_recs.(j) else None
-  | _ -> Imap.find_opt id g.rels
+let node g id = Imap.find_opt id g.nodes
+let rel g id = Imap.find_opt id g.rels
 
 let node_exn g id =
   match node g id with
@@ -374,193 +211,11 @@ let fold_rels f g acc = Imap.fold (fun _ r acc -> f r acc) g.rels acc
 
 let adj_find id m = match Imap.find_opt id m with Some s -> s | None -> Iset.empty
 
-(* --- backend selection and the CSR snapshot ------------------------- *)
-
-let backend g = g.backend
-
-(** [with_backend b g] selects the physical layout serving reads.  The
-    graph's content is untouched (a no-op when [b] is already
-    selected), so a valid CSR snapshot stays valid across the call. *)
-let with_backend b g = if g.backend = b then g else { g with backend = b }
-
-(* Builds the CSR snapshot.  Dense indices follow ascending id order
-   (persistent [Imap] iteration), and each adjacency slice copies the
-   persistent adjacency sets' own id-ordered enumeration — including
-   relationships left dangling on one side by a legacy force-delete —
-   so the two backends enumerate candidates identically. *)
-let build_csr (g : t) : Csr.t =
-  let n = Imap.cardinal g.nodes in
-  let m = Imap.cardinal g.rels in
-  let dummy_node = { n_id = -1; labels = Sset.empty; n_props = Props.empty } in
-  let dummy_rel =
-    { r_id = -1; src = -1; tgt = -1; r_type = ""; r_props = Props.empty }
-  in
-  (* each distinct string pays one (lock-free) global lookup *)
-  let syms : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  let sym s =
-    match Hashtbl.find_opt syms s with
-    | Some v -> v
-    | None ->
-        let v = Symtab.intern s in
-        Hashtbl.add syms s v;
-        v
-  in
-  let nidx_of_id = Array.make (max 1 g.next_id) (-1) in
-  let node_recs = Array.make (max 1 n) dummy_node in
-  let i = ref 0 in
-  Imap.iter
-    (fun id nd ->
-      nidx_of_id.(id) <- !i;
-      node_recs.(!i) <- nd;
-      incr i)
-    g.nodes;
-  let ridx_of_id = Array.make (max 1 g.next_id) (-1) in
-  let rel_recs = Array.make (max 1 m) dummy_rel in
-  let rel_id = Array.make (max 1 m) (-1) in
-  let rel_ty = Array.make (max 1 m) (-1) in
-  let j = ref 0 in
-  Imap.iter
-    (fun id r ->
-      ridx_of_id.(id) <- !j;
-      rel_recs.(!j) <- r;
-      rel_id.(!j) <- id;
-      rel_ty.(!j) <- sym r.r_type;
-      incr j)
-    g.rels;
-  let lab_off = Array.make (n + 1) 0 in
-  let labv = Vec.create (-1) in
-  let nprop_off = Array.make (n + 1) 0 in
-  let npk = Vec.create (-1) in
-  let npv = Vec.create Value.Null in
-  for k = 0 to n - 1 do
-    let nd = node_recs.(k) in
-    Sset.iter (fun l -> Vec.push labv (sym l)) nd.labels;
-    List.iter
-      (fun (key, v) ->
-        Vec.push npk (sym key);
-        Vec.push npv v)
-      (Props.bindings nd.n_props);
-    lab_off.(k + 1) <- Vec.length labv;
-    nprop_off.(k + 1) <- Vec.length npk
-  done;
-  let rprop_off = Array.make (m + 1) 0 in
-  let rpk = Vec.create (-1) in
-  let rpv = Vec.create Value.Null in
-  for k = 0 to m - 1 do
-    List.iter
-      (fun (key, v) ->
-        Vec.push rpk (sym key);
-        Vec.push rpv v)
-      (Props.bindings rel_recs.(k).r_props);
-    rprop_off.(k + 1) <- Vec.length rpk
-  done;
-  let out_off = Array.make (n + 1) 0 in
-  let o_ridx = Vec.create (-1) in
-  let o_far = Vec.create (-1) in
-  let o_ty = Vec.create (-1) in
-  let in_off = Array.make (n + 1) 0 in
-  let i_ridx = Vec.create (-1) in
-  let i_far = Vec.create (-1) in
-  let i_ty = Vec.create (-1) in
-  for k = 0 to n - 1 do
-    let id = node_recs.(k).n_id in
-    Iset.iter
-      (fun rid ->
-        let j = ridx_of_id.(rid) in
-        Vec.push o_ridx j;
-        Vec.push o_far rel_recs.(j).tgt;
-        Vec.push o_ty rel_ty.(j))
-      (adj_find id g.out_adj);
-    out_off.(k + 1) <- Vec.length o_ridx;
-    Iset.iter
-      (fun rid ->
-        let j = ridx_of_id.(rid) in
-        Vec.push i_ridx j;
-        Vec.push i_far rel_recs.(j).src;
-        Vec.push i_ty rel_ty.(j))
-      (adj_find id g.in_adj);
-    in_off.(k + 1) <- Vec.length i_ridx
-  done;
-  {
-    Csr.node_count = n;
-    nidx_of_id;
-    node_recs;
-    lab_off;
-    lab_sym = Vec.to_array labv;
-    nprop_off;
-    nprop_key = Vec.to_array npk;
-    nprop_val = Vec.to_array npv;
-    out_off;
-    out_ridx = Vec.to_array o_ridx;
-    out_far = Vec.to_array o_far;
-    out_ty = Vec.to_array o_ty;
-    in_off;
-    in_ridx = Vec.to_array i_ridx;
-    in_far = Vec.to_array i_far;
-    in_ty = Vec.to_array i_ty;
-    rel_count = m;
-    ridx_of_id;
-    rel_recs;
-    rel_id;
-    rel_ty;
-    rprop_off;
-    rprop_key = Vec.to_array rpk;
-    rprop_val = Vec.to_array rpv;
-  }
-
-(** [csr_view g] is the valid CSR snapshot for [g], when the compact
-    backend is selected and one has been built for exactly this content
-    ({!ensure_csr}).  Never builds: read paths that find [None] fall
-    back to the persistent maps, so a forgotten [ensure_csr] costs
-    speed, never correctness. *)
-let csr_view g =
-  match (g.backend, Atomic.get g.ccache) with
-  | `Compact, Some e when e.ce_nodes == g.nodes && e.ce_rels == g.rels ->
-      Some e.ce_csr
-  | _ -> None
-
-(** [ensure_csr g] builds the CSR snapshot at a read-phase boundary: a
-    no-op under the persistent backend or when the cached snapshot is
-    still valid (reads between updates reuse it); any update to nodes
-    or relationships invalidates it structurally. *)
-(* Cumulative wall-time spent building CSR snapshots, process-wide.
-   Surfaced as a PROFILE line by the engine: the first read after a
-   bulk load can spend seconds here (23 s at n=10⁶), and without this
-   counter that cost hides inside whichever clause triggered the
-   rebuild.  An [Atomic] because the server lets several domains reach
-   a read-phase boundary on the same fresh graph at once. *)
-let csr_build_ns = Atomic.make 0L
-
-let csr_build_ns_total () = Atomic.get csr_build_ns
-
-let rec atomic_add_i64 cell ns =
-  let old = Atomic.get cell in
-  if not (Atomic.compare_and_set cell old (Int64.add old ns)) then
-    atomic_add_i64 cell ns
-
-let ensure_csr g =
-  match g.backend with
-  | `Persistent -> ()
-  | `Compact -> (
-      (* double-checked publish: re-read the cell, build only when no
-         valid entry is installed, and CAS our (immutable) entry over
-         the value we observed.  Two domains racing on the same graph
-         may both build — the build is deterministic, so whichever
-         entry lands is correct — but a reader can never observe a
-         torn entry, and a loser whose CAS failed against a *valid*
-         entry for this graph simply adopts the winner's.  Domains
-         racing on *different* graphs overwrite each other (the cache
-         holds one entry); losers fall back to the persistent maps,
-         which costs speed, never correctness. *)
-      match csr_view g with
-      | Some _ -> ()
-      | None ->
-          let observed = Atomic.get g.ccache in
-          let c, ns = Cypher_util.Mclock.span_ns (fun () -> build_csr g) in
-          atomic_add_i64 csr_build_ns ns;
-          let entry = Some { ce_nodes = g.nodes; ce_rels = g.rels; ce_csr = c } in
-          if not (Atomic.compare_and_set g.ccache observed entry) then
-            if csr_view g = None then Atomic.set g.ccache entry)
+(** Cumulative wall-time spent building read snapshots, process-wide.
+    The store keeps a single read path (the persistent maps), so nothing
+    is ever built and this is the constant [0L]; it stays for the wire
+    benchmark's trace, which still reads it. *)
+let csr_build_ns_total () = 0L
 
 (** Relationships leaving node [id], in id order. *)
 let out_rels g id =

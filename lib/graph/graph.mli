@@ -30,97 +30,14 @@ type rel = {
 (** What kind of entity a tombstoned id used to be. *)
 type tomb = Tomb_node | Tomb_rel
 
-(** Which physical layout serves reads.  [`Persistent] (default) is the
-    persistent-map path; [`Compact] additionally maintains a CSR
-    snapshot ({!Csr}) consumed by the matcher's hot expansion paths.
-    The backends are observationally identical. *)
-type backend = [ `Persistent | `Compact ]
-
-(** The compact backend's read-phase snapshot: CSR-style int adjacency
-    plus label / property arenas over {!Symtab} symbols.  Entities live
-    in dense index space; each adjacency slice is sorted by
-    relationship id, so enumeration order matches the persistent path.
-    The arrays are logically immutable — callers must not write to
-    them. *)
-module Csr : sig
-  type csr = {
-    node_count : int;
-    nidx_of_id : int array;  (** node id → dense index; -1 when absent *)
-    node_recs : node array;  (** dense index → record (shared, not copied) *)
-    lab_off : int array;  (** node label slice offsets, length n+1 *)
-    lab_sym : int array;
-    nprop_off : int array;  (** node property slice offsets, length n+1 *)
-    nprop_key : int array;
-    nprop_val : Value.t array;
-    out_off : int array;  (** outgoing adjacency offsets, length n+1 *)
-    out_ridx : int array;  (** dense relationship index per entry *)
-    out_far : int array;  (** the far endpoint (target) node id *)
-    out_ty : int array;  (** the relationship's type symbol *)
-    in_off : int array;
-    in_ridx : int array;
-    in_far : int array;  (** the far endpoint (source) node id *)
-    in_ty : int array;
-    rel_count : int;
-    ridx_of_id : int array;  (** rel id → dense index; -1 when absent *)
-    rel_recs : rel array;
-    rel_id : int array;
-        (** dense index → relationship id; ascending, because dense
-            indices are assigned in id order *)
-    rel_ty : int array;  (** dense index → type symbol *)
-    rprop_off : int array;  (** rel property slice offsets, length m+1 *)
-    rprop_key : int array;
-    rprop_val : Value.t array;
-  }
-
-  type t = csr
-
-  (** Dense index of a node id; -1 when the node is absent. *)
-  val node_idx : t -> node_id -> int
-
-  (** Dense index of a rel id; -1 when the relationship is absent. *)
-  val rel_idx : t -> rel_id -> int
-
-  val node_rec : t -> int -> node
-  val rel_rec : t -> int -> rel
-  val has_label_sym : t -> int -> int -> bool
-
-  (** ι over the node property arena: [Null] when the key is absent. *)
-  val node_prop_sym : t -> int -> int -> Value.t
-
-  (** ι over the relationship property arena. *)
-  val rel_prop_sym : t -> int -> int -> Value.t
-
-  (** Approximate heap footprint of the snapshot's arrays, in words. *)
-  val footprint_words : t -> int
-end
-
 type t
 
 val empty : t
 
-(** {1 Backend selection} *)
-
-val backend : t -> backend
-
-(** [with_backend b g] selects the physical layout serving reads; the
-    graph's content is untouched (no-op when [b] is already selected). *)
-val with_backend : backend -> t -> t
-
-(** The valid CSR snapshot, when the compact backend is selected and
-    {!ensure_csr} has built one for exactly this content.  Never
-    builds: callers finding [None] fall back to the persistent maps. *)
-val csr_view : t -> Csr.t option
-
-(** Builds the CSR snapshot at a read-phase boundary: no-op under the
-    persistent backend or when the cached snapshot is still valid (reads
-    between updates reuse it); any node/relationship update invalidates
-    it. *)
-val ensure_csr : t -> unit
-
-(** Cumulative monotonic wall-time spent in CSR builds, process-wide.
-    Differences between two readings attribute snapshot (re)build cost
-    to a span of work — the engine turns the per-statement delta into a
-    PROFILE line. *)
+(** Cumulative wall-time spent building read snapshots, process-wide.
+    Always [0L]: the persistent maps are the only read path and nothing
+    is built at a read-phase boundary.  Kept for the wire benchmark's
+    per-layer trace, which reads it. *)
 val csr_build_ns_total : unit -> int64
 
 (** {1 Lookup} *)

@@ -40,78 +40,33 @@ let rel_available st id =
 
 let eval_in ctx row e = Eval.eval (Ctx.with_row ctx row) e
 
-(** [node_check ctx np] compiles the label and property requirements of
-    [np] into a [row -> id -> bool] test, evaluated once per pattern
-    invocation rather than once per candidate node.  On the compact
-    backend the label and property-key symbols are resolved here — the
-    per-node test is then pure int-array work against the CSR arenas
-    (plus property-expression evaluation, which is row-dependent and
-    stays inside); a label that was never interned anywhere cannot be
-    carried by any node, so the whole check constant-folds to false.
-    Missing nodes never match. *)
+(** [node_check ctx np] is the label and property test of [np] as a
+    [row -> id -> bool] function.  Missing nodes never match. *)
 let node_check (ctx : Ctx.t) (np : node_pat) :
     Record.t -> Value.node_id -> bool =
-  match Graph.csr_view ctx.graph with
-  | Some c ->
-      let lab_syms = List.map Symtab.find np.np_labels in
-      if List.exists Option.is_none lab_syms then fun _ _ -> false
-      else
-        let lab_syms = List.filter_map Fun.id lab_syms in
-        let props = List.map (fun (k, e) -> (Symtab.find k, e)) np.np_props in
-        fun row id ->
-          let i = Graph.Csr.node_idx c id in
-          i >= 0
-          && List.for_all (fun sym -> Graph.Csr.has_label_sym c i sym) lab_syms
-          && List.for_all
-               (fun (sym, e) ->
-                 let want = eval_in ctx row e in
-                 let have =
-                   match sym with
-                   | Some sym -> Graph.Csr.node_prop_sym c i sym
-                   | None -> Value.Null
-                 in
-                 Value.equal_tri have want = Tri.True)
-               props
-  | None -> (
-      fun row id ->
-        match Graph.node ctx.graph id with
-        | None -> false
-        | Some n ->
-            List.for_all (fun l -> Sset.mem l n.Graph.labels) np.np_labels
-            && List.for_all
-                 (fun (k, e) ->
-                   let want = eval_in ctx row e in
-                   Value.equal_tri (Props.get n.Graph.n_props k) want = Tri.True)
-                 np.np_props)
+ fun row id ->
+  match Graph.node ctx.graph id with
+  | None -> false
+  | Some n ->
+      List.for_all (fun l -> Sset.mem l n.Graph.labels) np.np_labels
+      && List.for_all
+           (fun (k, e) ->
+             let want = eval_in ctx row e in
+             Value.equal_tri (Props.get n.Graph.n_props k) want = Tri.True)
+           np.np_props
 
-
-let rel_props_satisfy (ctx : Ctx.t) row (rp : rel_pat) (r : Graph.rel) =
-  List.for_all
-    (fun (k, e) ->
-      let want = eval_in ctx row e in
-      Value.equal_tri (Props.get r.Graph.r_props k) want = Tri.True)
-    rp.rp_props
-
-let rel_satisfies (ctx : Ctx.t) row (rp : rel_pat) (r : Graph.rel) =
+(** [rel_satisfies ctx rp row r]: [r] carries one of [rp]'s types
+    (any, when none is given) and its property predicates hold under
+    [row]. *)
+let rel_satisfies (ctx : Ctx.t) (rp : rel_pat) row (r : Graph.rel) =
   (match rp.rp_types with
   | [] -> true
   | types -> List.mem r.Graph.r_type types)
-  && rel_props_satisfy ctx row rp r
-
-(** [compile_rel_check ctx csr rp] is the per-relationship predicate of
-    [rp] minus whatever the adjacency enumeration already guarantees:
-    the CSR fold filters by interned type symbol (for any arity of type
-    list), so under it only property predicates remain — and a
-    property-free pattern needs no per-relationship check at all.  The
-    persistent path's typed adjacency only covers the single-type case,
-    so it keeps the full {!rel_satisfies}. *)
-let compile_rel_check (ctx : Ctx.t) ~csr (rp : rel_pat) :
-    Record.t -> Graph.rel -> bool =
-  if csr then
-    match rp.rp_props with
-    | [] -> fun _ _ -> true
-    | _ -> fun row r -> rel_props_satisfy ctx row rp r
-  else fun row r -> rel_satisfies ctx row rp r
+  && List.for_all
+       (fun (k, e) ->
+         let want = eval_in ctx row e in
+         Value.equal_tri (Props.get r.Graph.r_props k) want = Tri.True)
+       rp.rp_props
 
 (** Binds [var] to [v] in [row], failing (None) on conflicting
     rebinding — the row-level core shared by {!bind_var} and the
@@ -189,151 +144,12 @@ let flip = function Out -> In | In -> Out | Undirected -> Undirected
 (* Hop enumeration folds [f] over the relationships at a node
    compatible with the direction of the hop's relationship pattern
    (flipped for hops traversed right-to-left), pairing each with the
-   node at the far end, in relationship-id order.  On the persistent
-   backend a single-type pattern is served from the typed adjacency
-   index — same id order as filtering the full neighbour list, but
-   without touching non-matching types.  Folding (rather than
-   materialising a neighbour list) keeps the per-hop allocation at
-   zero; hop enumeration is the innermost loop of every MATCH and
-   MERGE.
-
-   Compact-backend fast path: the per-node CSR slices are
-   relationship-id-sorted copies of the persistent adjacency sets, so
-   filtering them by interned type symbol yields exactly the persistent
-   path's enumeration, without set unions or per-rel map lookups.  The
-   index-level core passes [f] the dense relationship index and the far
-   node id, both plain ints — the relationship *record* is never
-   touched, so a caller that only needs ints (the BFS frontier) stays
-   record-free.  Ordering the undirected merge compares dense indices
-   directly: the builder assigns them in id order, so index order is id
-   order. *)
-
-(** [compile_tymatch rp] resolves the pattern's type names to interned
-    symbols, once — the per-relationship test is then an int comparison.
-    Interning is append-only and the graph is immutable during a match,
-    so resolving at compile time and at enumeration time agree. *)
-let compile_tymatch (rp : rel_pat) : int -> bool =
-  match rp.rp_types with
-  | [] -> fun _ -> true
-  | [ ty ] -> (
-      match Symtab.find ty with
-      | Some sym -> fun t -> t = sym
-      | None -> fun _ -> false)
-  | types ->
-      let syms = List.filter_map Symtab.find types in
-      fun t -> List.mem t syms
-
-(** The direction-and-type-resolved core of CSR hop enumeration; its
-    callers ({!compile_adjacent}, the shortest-path BFS) resolve
-    [tymatch]/[dir] once, outside their loops. *)
-let fold_adjacent_csr_tyd (c : Graph.Csr.t) ~tymatch ~dir src_id
-    (f : int -> Value.node_id -> 'a -> 'a) (acc : 'a) : 'a =
-  let open Graph.Csr in
-  let i = node_idx c src_id in
-  if i < 0 then acc
-  else
-    match dir with
-    | Out ->
-        let hi = c.out_off.(i + 1) in
-        let rec go k acc =
-          if k >= hi then acc
-          else
-            go (k + 1)
-              (if tymatch c.out_ty.(k) then f c.out_ridx.(k) c.out_far.(k) acc
-               else acc)
-        in
-        go c.out_off.(i) acc
-    | In ->
-        let hi = c.in_off.(i + 1) in
-        let rec go k acc =
-          if k >= hi then acc
-          else
-            go (k + 1)
-              (if tymatch c.in_ty.(k) then f c.in_ridx.(k) c.in_far.(k) acc
-               else acc)
-        in
-        go c.in_off.(i) acc
-    | Undirected ->
-        (* merge the id-sorted out and in slices; a self-loop sits in
-           both at the same id and is taken once, from the out side *)
-        let ohi = c.out_off.(i + 1) and ihi = c.in_off.(i + 1) in
-        let rec merge ko ki acc =
-          if ko >= ohi && ki >= ihi then acc
-          else if ki >= ihi || (ko < ohi && c.out_ridx.(ko) <= c.in_ridx.(ki))
-          then
-            let ki =
-              if ki < ihi && c.in_ridx.(ki) = c.out_ridx.(ko) then ki + 1
-              else ki
-            in
-            let acc =
-              if tymatch c.out_ty.(ko) then f c.out_ridx.(ko) c.out_far.(ko) acc
-              else acc
-            in
-            merge (ko + 1) ki acc
-          else
-            let acc =
-              if tymatch c.in_ty.(ki) then f c.in_ridx.(ki) c.in_far.(ki) acc
-              else acc
-            in
-            merge ko (ki + 1) acc
-        in
-        merge c.out_off.(i) c.in_off.(i) acc
-
-(** [fold_adjacent_csr_tyd_rev] is {!fold_adjacent_csr_tyd} in exactly
-    reversed enumeration order (descending relationship id).  The
-    undirected case mirrors the forward merge: descending ids, a
-    self-loop — present in both slices at the same id — taken once,
-    from the out side. *)
-let fold_adjacent_csr_tyd_rev (c : Graph.Csr.t) ~tymatch ~dir src_id
-    (f : int -> Value.node_id -> 'a -> 'a) (acc : 'a) : 'a =
-  let open Graph.Csr in
-  let i = node_idx c src_id in
-  if i < 0 then acc
-  else
-    match dir with
-    | Out ->
-        let lo = c.out_off.(i) in
-        let rec go k acc =
-          if k < lo then acc
-          else
-            go (k - 1)
-              (if tymatch c.out_ty.(k) then f c.out_ridx.(k) c.out_far.(k) acc
-               else acc)
-        in
-        go (c.out_off.(i + 1) - 1) acc
-    | In ->
-        let lo = c.in_off.(i) in
-        let rec go k acc =
-          if k < lo then acc
-          else
-            go (k - 1)
-              (if tymatch c.in_ty.(k) then f c.in_ridx.(k) c.in_far.(k) acc
-               else acc)
-        in
-        go (c.in_off.(i + 1) - 1) acc
-    | Undirected ->
-        let olo = c.out_off.(i) and ilo = c.in_off.(i) in
-        let rec merge ko ki acc =
-          if ko < olo && ki < ilo then acc
-          else if ki < ilo || (ko >= olo && c.out_ridx.(ko) >= c.in_ridx.(ki))
-          then
-            let ki =
-              if ki >= ilo && c.in_ridx.(ki) = c.out_ridx.(ko) then ki - 1
-              else ki
-            in
-            let acc =
-              if tymatch c.out_ty.(ko) then f c.out_ridx.(ko) c.out_far.(ko) acc
-              else acc
-            in
-            merge (ko - 1) ki acc
-          else
-            let acc =
-              if tymatch c.in_ty.(ki) then f c.in_ridx.(ki) c.in_far.(ki) acc
-              else acc
-            in
-            merge ko (ki - 1) acc
-        in
-        merge (c.out_off.(i + 1) - 1) (c.in_off.(i + 1) - 1) acc
+   node at the far end, in relationship-id order.  A single-type
+   pattern is served from the typed adjacency index — same id order as
+   filtering the full neighbour list, but without touching
+   non-matching types.  Folding (rather than materialising a neighbour
+   list) keeps the per-hop allocation at zero; hop enumeration is the
+   innermost loop of every MATCH and MERGE. *)
 
 let fold_adjacent_maps (g : Graph.t) src_id (rp : rel_pat) ~reversed
     (f : Value.rel_id -> Graph.rel -> Value.node_id -> 'a -> 'a) (acc : 'a) :
@@ -372,14 +188,10 @@ let fold_adjacent_maps (g : Graph.t) src_id (rp : rel_pat) ~reversed
         (Iset.union out_set in_set)
         acc
 
-(** A hop's adjacency enumeration with everything resolvable per
-    pattern invocation resolved up front: backend dispatch, traversal
-    direction, interned type symbols — measurable when a hop is
-    expanded from 10⁵ states.  [f] receives the relationship's id
-    alongside its record: on the CSR backend the id comes from an int
-    arena, so a caller that needs no property or type check never
-    touches the record.  The polymorphic field lets one compiled value
-    serve any accumulator type. *)
+(** A hop's adjacency enumeration, compiled once per pattern
+    invocation.  [f] receives the relationship's id alongside its
+    record.  The polymorphic field lets one compiled value serve any
+    accumulator type. *)
 type adj = {
   adj :
     'a.
@@ -389,30 +201,9 @@ type adj = {
     'a;
 }
 
-(** [compile_adjacent g rp ~reversed] compiles a hop's enumeration;
-    under [~descending] it runs in exactly reversed order, which only
-    the CSR backend offers (the persistent sets fold ascending only). *)
-let compile_adjacent ?(descending = false) (g : Graph.t) (rp : rel_pat)
-    ~reversed : adj =
-  match Graph.csr_view g with
-  | Some c ->
-      let tymatch = compile_tymatch rp in
-      let dir = if reversed then flip rp.rp_dir else rp.rp_dir in
-      let ids = c.Graph.Csr.rel_id and recs = c.Graph.Csr.rel_recs in
-      let fold =
-        if descending then fold_adjacent_csr_tyd_rev else fold_adjacent_csr_tyd
-      in
-      {
-        adj =
-          (fun src f acc ->
-            fold c ~tymatch ~dir src
-              (fun j far acc -> f ids.(j) recs.(j) far acc)
-              acc);
-      }
-  | None ->
-      if descending then
-        Ctx.internal "descending adjacency requested on the persistent backend";
-      { adj = (fun src f acc -> fold_adjacent_maps g src rp ~reversed f acc) }
+(** [compile_adjacent g rp ~reversed] compiles a hop's enumeration. *)
+let compile_adjacent (g : Graph.t) (rp : rel_pat) ~reversed : adj =
+  { adj = (fun src f acc -> fold_adjacent_maps g src rp ~reversed f acc) }
 
 (** Folds over the matches of a single (non-variable-length)
     relationship step from [src_id]: states extended with the
@@ -486,7 +277,6 @@ let fold_pattern_naive (ctx : Ctx.t) st (p : pattern)
   let named = p.pat_var <> None in
   (* far-node checks, binding sites and relationship predicates compiled
      once per pattern, not once per embedding *)
-  let csr = Graph.csr_view ctx.graph <> None in
   let compiled_steps =
     List.map
       (fun (rp, np) ->
@@ -494,7 +284,7 @@ let fold_pattern_naive (ctx : Ctx.t) st (p : pattern)
           node_check ctx np,
           compile_row_binder st.row np.np_var,
           compile_row_binder st.row rp.rp_var,
-          compile_rel_check ctx ~csr rp,
+          rel_satisfies ctx rp,
           compile_adjacent ctx.graph rp ~reversed:false ))
       p.pat_steps
   in
@@ -617,31 +407,6 @@ let site_vars (plan : Plan.t) (p : pattern) =
        plan.Plan.p_hops)
   @ [ p.pat_var ]
 
-(** Natural-order enumeration ({!match_patterns_natural}) applies to a
-    pattern on the CSR backend with no property map, no path name and
-    no variable-length hop, whose every variable lands in a distinct,
-    currently-absent slot of the row's layout: with no expressions to
-    evaluate, enumeration order is unobservable except through the row
-    order the caller is deliberately inverting, and the rows bind
-    exactly the layout's names. *)
-let natural_applies (ctx : Ctx.t) st (plan : Plan.t) (p : pattern) =
-  Graph.csr_view ctx.graph <> None
-  && p.pat_var = None
-  && plan.Plan.p_anchor.np_props = []
-  && List.for_all
-       (fun (h : Plan.hop) ->
-         h.Plan.h_rp.rp_range = None
-         && h.Plan.h_rp.rp_props = []
-         && h.Plan.h_far.np_props = [])
-       plan.Plan.p_hops
-  &&
-  let tab, cells = Record.slots_view st.row in
-  let slots =
-    List.filter_map (Option.map (Slots.index tab)) (site_vars plan p)
-  in
-  List.for_all (fun i -> i >= 0 && cells.(i) == Slots.absent) slots
-  && List.length (List.sort_uniq Int.compare slots) = List.length slots
-
 (** [fold_pattern_planned ctx st plan p leaf acc0] matches one whole
     path pattern following a {!Plan.t}: enumerate the anchor position
     first, then each hop from its already-bound side.  Rows are built
@@ -665,14 +430,8 @@ let natural_applies (ctx : Ctx.t) st (plan : Plan.t) (p : pattern) =
       order and relationships in step order.
 
     Check order per relationship: availability, relationship predicate,
-    relationship site, far-node check, far-node site.
-
-    Under [~natural] the whole enumeration runs in exactly *reversed*
-    traversal order — reversed anchor list, descending-id adjacency —
-    so a consumer that prepends obtains the rows in natural (forward)
-    order without a final reversal; callers check {!natural_applies}
-    first. *)
-let fold_pattern_planned ?(natural = false) (ctx : Ctx.t) st (plan : Plan.t)
+    relationship site, far-node check, far-node site. *)
+let fold_pattern_planned (ctx : Ctx.t) st (plan : Plan.t)
     (p : pattern) (leaf : 'a leaf) (acc0 : 'a) : 'a =
   let row0 = st.row in
   let tab0, cells0 = Record.slots_view row0 in
@@ -717,14 +476,13 @@ let fold_pattern_planned ?(natural = false) (ctx : Ctx.t) st (plan : Plan.t)
   let hops_arr = Array.of_list plan.Plan.p_hops in
   let n_hops = Array.length hops_arr in
   let anchor_site = sites.(0) and path_site = sites.((2 * n_hops) + 1) in
-  let csr = Graph.csr_view ctx.graph <> None in
   let compiled =
     Array.mapi
       (fun d (h : Plan.hop) ->
         ( h,
           node_check ctx h.Plan.h_far,
-          compile_rel_check ctx ~csr h.Plan.h_rp,
-          compile_adjacent ~descending:natural ctx.graph h.Plan.h_rp
+          rel_satisfies ctx h.Plan.h_rp,
+          compile_adjacent ctx.graph h.Plan.h_rp
             ~reversed:h.Plan.h_reversed,
           sites.((2 * d) + 1),
           sites.((2 * d) + 2) ))
@@ -841,7 +599,7 @@ let fold_pattern_planned ?(natural = false) (ctx : Ctx.t) st (plan : Plan.t)
         hops 0 acc
       end)
     acc0
-    (if natural then List.rev cands else cands)
+    cands
 
 (** [match_patterns ?mode ?planner ?plans ctx patterns] computes all
     extensions of the context row that embed every pattern; under the
@@ -861,9 +619,6 @@ let fold_pattern_planned ?(natural = false) (ctx : Ctx.t) st (plan : Plan.t)
     patterns on per-row planning. *)
 let match_patterns_rev ?(mode = Iso) ?(planner = false) ?plans (ctx : Ctx.t)
     (patterns : pattern list) : Record.t list =
-  (* read-phase boundary: under the compact backend, (re)build the CSR
-     snapshot here so the expansion loops below run on it *)
-  Graph.ensure_csr ctx.graph;
   let init = { row = ctx.row; used = Iset.empty; mode } in
   let hints = Option.value ~default:[] plans in
   let plan_with hint st p =
@@ -903,38 +658,6 @@ let match_patterns ?mode ?planner ?plans (ctx : Ctx.t)
     (patterns : pattern list) : Record.t list =
   List.rev (match_patterns_rev ?mode ?planner ?plans ctx patterns)
 
-(** [match_patterns_natural ?mode ?plans ctx patterns] attempts the
-    fully-inverted enumeration: a single planned pattern run in
-    *reversed* traversal order (descending-id CSR adjacency, reversed
-    anchor list) with prepend accumulation, so the returned list is
-    already in natural (forward) order — the whole match costs exactly
-    one list spine, with no final reversal and no consistency
-    projection needed downstream.  [None] when the shape doesn't
-    qualify (several patterns, no plan, see {!natural_applies}) — the
-    caller falls back to {!match_patterns_rev}. *)
-let match_patterns_natural ?(mode = Iso) ?(planner = false) ?plans
-    (ctx : Ctx.t) (patterns : pattern list) : Record.t list option =
-  match patterns with
-  | [ p ] -> (
-      Graph.ensure_csr ctx.graph;
-      let init = { row = ctx.row; used = Iset.empty; mode } in
-      let hint =
-        match plans with Some (h :: _) -> Some h | _ -> None
-      in
-      let plan =
-        match hint with
-        | Some hint -> hint
-        | None -> if planner then Plan.make ctx init.row p else None
-      in
-      match plan with
-      | Some plan when natural_applies ctx init plan p ->
-          Some
-            (fold_pattern_planned ~natural:true ctx init plan p
-               (Emit_row (fun row acc -> row :: acc))
-               [])
-      | _ -> None)
-  | _ -> None
-
 (** [count_patterns ?mode ?planner ?plans ctx patterns] is
     [List.length (match_patterns ... )] without materialising any state
     list: each pattern's embeddings are folded over directly, recursing
@@ -947,7 +670,6 @@ let match_patterns_natural ?(mode = Iso) ?(planner = false) ?plans
     records, which a count never looks at. *)
 let count_patterns ?(mode = Iso) ?(planner = false) ?plans (ctx : Ctx.t)
     (patterns : pattern list) : int =
-  Graph.ensure_csr ctx.graph;
   let init = { row = ctx.row; used = Iset.empty; mode } in
   let hints = Option.value ~default:[] plans in
   let rec count st i = function
@@ -979,7 +701,6 @@ let count_patterns ?(mode = Iso) ?(planner = false) ?plans (ctx : Ctx.t)
     The zero-length path is a valid answer when the endpoints coincide
     and the range admits length 0. *)
 let shortest_paths (ctx : Ctx.t) ~all (p : pattern) : Value.t =
-  Graph.ensure_csr ctx.graph;
   let rp, end_np =
     match p.pat_steps with
     | [ (rp, np) ] when rp.rp_range <> None -> (rp, np)
@@ -1015,142 +736,66 @@ let shortest_paths (ctx : Ctx.t) ~all (p : pattern) : Value.t =
               "shortestPath: relationship pattern lost its length range"
       in
       (* BFS storing per-node predecessor lists so that all shortest
-         walks can be reconstructed.  On the compact backend the whole
-         search runs in CSR dense-index space: visited levels and
-         predecessor lists are flat arrays over the node count, the
-         frontier queue holds dense indices, and the adjacency fold is
-         the record-free {!fold_adjacent_csr_tyd} — a relationship
-         record is only fetched when the pattern carries property
-         predicates.  Discovery order (id-sorted slices, FIFO frontier,
-         same predecessor cons order) matches the map path exactly, so
-         both backends enumerate identical walk lists. *)
+         walks can be reconstructed. *)
       let rel_walks =
-        match Graph.csr_view ctx.graph with
-        | Some c ->
-            let open Graph.Csr in
-            let src_i = node_idx c src and tgt_i = node_idx c tgt in
-            let found_depth = ref None in
-            let level = Array.make (c.node_count + 1) (-1) in
-            let preds : (int * int) list array =
-              (* (dense rel index, dense predecessor index) *)
-              Array.make (c.node_count + 1) []
-            in
-            if src_i >= 0 then begin
-              let has_props = rp.rp_props <> [] in
-              (* type symbols and direction resolved once, not per
-                 frontier node *)
-              let tymatch = compile_tymatch rp in
-              let dir = rp.rp_dir in
-              level.(src_i) <- 0;
-              let queue = Queue.create () in
-              Queue.add src_i queue;
-              let expand_from depth =
-                (match !found_depth with Some d -> depth < d | None -> true)
-                && match hi with Some h -> depth < h | None -> true
-              in
-              while not (Queue.is_empty queue) do
-                let i = Queue.pop queue in
-                let depth = level.(i) in
-                if expand_from depth then
-                  fold_adjacent_csr_tyd c ~tymatch ~dir
-                    c.node_recs.(i).Graph.n_id
-                    (fun j far () ->
-                      (* the type filter already ran inside the fold *)
-                      if
-                        (not has_props)
-                        || rel_satisfies ctx ctx.row rp c.rel_recs.(j)
-                      then begin
-                        let fi = node_idx c far in
-                        (if level.(fi) < 0 then begin
-                           level.(fi) <- depth + 1;
-                           preds.(fi) <- [ (j, i) ];
-                           Queue.add fi queue
-                         end
-                         else if level.(fi) = depth + 1 then
-                           preds.(fi) <- (j, i) :: preds.(fi));
-                        if
-                          fi = tgt_i
-                          && depth + 1 >= lo
-                          && !found_depth = None
-                        then found_depth := Some (depth + 1)
-                      end)
-                    ()
-              done
-            end;
-            let rec walks_to i depth suffix : Value.rel_id list list =
-              if depth = 0 then if i = src_i then [ suffix ] else []
-              else
-                List.concat_map
-                  (fun (j, prev) ->
-                    if level.(prev) = depth - 1 then
-                      walks_to prev (depth - 1) (c.rel_id.(j) :: suffix)
-                    else [])
-                  preds.(i)
-            in
-            if src = tgt && lo = 0 then [ [] ]
-            else (
-              match !found_depth with
-              | Some depth when tgt_i >= 0 -> walks_to tgt_i depth []
-              | _ -> [])
-        | None ->
-            let preds : (int, (Graph.rel * int) list) Hashtbl.t =
-              Hashtbl.create 16
-            in
-            let level : (int, int) Hashtbl.t = Hashtbl.create 16 in
-            Hashtbl.replace level src 0;
-            let queue = Queue.create () in
-            Queue.add src queue;
-            let found_depth = ref None in
-            let expand_from depth =
-              (match !found_depth with Some d -> depth < d | None -> true)
-              && match hi with Some h -> depth < h | None -> true
-            in
-            while not (Queue.is_empty queue) do
-              let node = Queue.pop queue in
-              let depth = Hashtbl.find level node in
-              if expand_from depth then
-                fold_adjacent_maps ctx.graph node rp ~reversed:false
-                  (fun _ (r : Graph.rel) far () ->
-                    if rel_satisfies ctx ctx.row rp r then begin
-                      (match Hashtbl.find_opt level far with
-                      | None ->
-                          Hashtbl.replace level far (depth + 1);
-                          Hashtbl.replace preds far [ (r, node) ];
-                          Queue.add far queue
-                      | Some d when d = depth + 1 ->
-                          Hashtbl.replace preds far
-                            ((r, node) :: Hashtbl.find preds far)
-                      | Some _ -> ());
-                      if far = tgt && depth + 1 >= lo && !found_depth = None
-                      then found_depth := Some (depth + 1)
-                    end)
-                  ()
-            done;
-            (* all shortest walks as forward relationship-id lists.  The
-               walk is threaded backwards from the target as an
-               already-forward [suffix] (each step conses the
-               relationship traversed *after* it), so no per-hop list
-               copy: the old [walk @ [r_id]] append made reconstruction
-               quadratic in the walk length. *)
-            let rec walks_to node depth suffix : Value.rel_id list list =
-              if depth = 0 then if node = src then [ suffix ] else []
-              else
-                List.concat_map
-                  (fun ((r : Graph.rel), prev) ->
-                    if Hashtbl.find_opt level prev = Some (depth - 1) then
-                      walks_to prev (depth - 1) (r.Graph.r_id :: suffix)
-                    else [])
-                  (match Hashtbl.find_opt preds node with
-                  | Some l -> l
-                  | None -> [])
-            in
-            if src = tgt && lo = 0 then
-              (* the zero-length path is trivially shortest *)
-              [ [] ]
-            else (
-              match !found_depth with
-              | Some depth -> walks_to tgt depth []
+        let preds : (int, (Graph.rel * int) list) Hashtbl.t =
+          Hashtbl.create 16
+        in
+        let level : (int, int) Hashtbl.t = Hashtbl.create 16 in
+        Hashtbl.replace level src 0;
+        let queue = Queue.create () in
+        Queue.add src queue;
+        let found_depth = ref None in
+        let expand_from depth =
+          (match !found_depth with Some d -> depth < d | None -> true)
+          && match hi with Some h -> depth < h | None -> true
+        in
+        while not (Queue.is_empty queue) do
+          let node = Queue.pop queue in
+          let depth = Hashtbl.find level node in
+          if expand_from depth then
+            fold_adjacent_maps ctx.graph node rp ~reversed:false
+              (fun _ (r : Graph.rel) far () ->
+                if rel_satisfies ctx rp ctx.row r then begin
+                  (match Hashtbl.find_opt level far with
+                  | None ->
+                      Hashtbl.replace level far (depth + 1);
+                      Hashtbl.replace preds far [ (r, node) ];
+                      Queue.add far queue
+                  | Some d when d = depth + 1 ->
+                      Hashtbl.replace preds far
+                        ((r, node) :: Hashtbl.find preds far)
+                  | Some _ -> ());
+                  if far = tgt && depth + 1 >= lo && !found_depth = None
+                  then found_depth := Some (depth + 1)
+                end)
+              ()
+        done;
+        (* all shortest walks as forward relationship-id lists.  The
+           walk is threaded backwards from the target as an
+           already-forward [suffix] (each step conses the
+           relationship traversed *after* it), so reconstruction
+           copies no list per hop and stays linear in the walk
+           length. *)
+        let rec walks_to node depth suffix : Value.rel_id list list =
+          if depth = 0 then if node = src then [ suffix ] else []
+          else
+            List.concat_map
+              (fun ((r : Graph.rel), prev) ->
+                if Hashtbl.find_opt level prev = Some (depth - 1) then
+                  walks_to prev (depth - 1) (r.Graph.r_id :: suffix)
+                else [])
+              (match Hashtbl.find_opt preds node with
+              | Some l -> l
               | None -> [])
+        in
+        if src = tgt && lo = 0 then
+          (* the zero-length path is trivially shortest *)
+          [ [] ]
+        else (
+          match !found_depth with
+          | Some depth -> walks_to tgt depth []
+          | None -> [])
       in
       let to_path rels =
         let nodes_rev =

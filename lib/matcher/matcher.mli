@@ -53,24 +53,6 @@ val match_patterns_rev :
   pattern list ->
   Record.t list
 
-(** [match_patterns_natural ?mode ?planner ?plans ctx patterns] is the
-    fully-inverted enumeration: a single planned pattern run in
-    reversed traversal order with prepend accumulation, returning rows
-    already in natural (forward) order — one list spine for the whole
-    match, no final reversal.  The rows are complete slot rows over the
-    invocation layout, so the engine may adopt them without a
-    consistency projection ({!Cypher_table.Table.of_consistent}).
-    [None] when the shape doesn't qualify (several patterns, no plan,
-    property predicates, persistent backend); callers fall back to
-    {!match_patterns_rev}. *)
-val match_patterns_natural :
-  ?mode:mode ->
-  ?planner:bool ->
-  ?plans:Plan.t option list ->
-  Cypher_eval.Ctx.t ->
-  pattern list ->
-  Record.t list option
-
 (** [count_patterns ?mode ?planner ?plans ctx patterns] is
     [List.length (match_patterns ...)] without materialising any row:
     embeddings are folded over and counted in place, in the same

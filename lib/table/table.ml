@@ -54,14 +54,6 @@ let make_rev columns rows_rev =
   let project = Record.project (Slots.of_names columns) in
   { columns; rows = List.rev_map project rows_rev }
 
-(** [of_consistent columns rows] adopts [rows] as-is — no per-row
-    consistency projection.  Trusted constructor for engine-internal
-    producers that already guarantee every row binds exactly [columns]
-    (the matcher's natural-order slot path, whose rows all share the
-    layout compiled from these very columns).  [columns] must already
-    be duplicate-free. *)
-let of_consistent columns rows = { columns; rows }
-
 (** [of_rows rows] infers the column set as the union of all keys. *)
 let of_rows rows =
   let columns = dedup_columns (List.concat_map Record.keys rows) in

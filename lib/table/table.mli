@@ -31,13 +31,6 @@ val make : string list -> Record.t list -> t
     reverse order (the matcher's fold). *)
 val make_rev : string list -> Record.t list -> t
 
-(** [of_consistent columns rows] adopts [rows] without the per-row
-    consistency projection of {!make}.  Trusted, engine-only: the
-    caller must guarantee every row binds exactly [columns] (in that
-    order) and that [columns] is duplicate-free — the matcher's
-    natural-order slot path is the intended producer. *)
-val of_consistent : string list -> Record.t list -> t
-
 (** [of_rows rows] infers the column set as the union of all keys. *)
 val of_rows : Record.t list -> t
 

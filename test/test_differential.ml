@@ -238,7 +238,7 @@ let planner_merge_checks =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Planner × parallelism × backend 2×2×2 sweep                        *)
+(* Planner × parallelism 2×2 sweep                                    *)
 (* ------------------------------------------------------------------ *)
 
 (* Parallel read phases must be unobservable (DESIGN.md "Parallel read
@@ -247,56 +247,48 @@ let planner_merge_checks =
    serial run.  This is strictly stronger than the bag equality the
    planner sweep above settles for — parallelism may not even reorder.
    The chunk threshold is forced down to 1 so the small sweep tables
-   actually split across domains.  The sweep runs once per physical
-   backend: the compact CSR layout must be just as unobservable as the
-   pool (same enumeration order, hence the same bytes). *)
+   actually split across domains. *)
 module Pool = Cypher_util.Pool
 
 let parallelism_checks =
   let settings =
     [ ("planner-on", planner_on); ("planner-off", planner_off) ]
   in
-  let backends = [ ("persistent", `Persistent); ("compact", `Compact) ] in
   List.concat_map
     (fun (plabel, cfg) ->
-      List.concat_map
-        (fun (blabel, backend) ->
-          let cfg = Config.with_backend backend cfg in
-          List.map
-            (fun src ->
-              Test_util.case
-                (Printf.sprintf "par=4 byte-identical to par=0 (%s, %s): %s"
-                   plabel blabel src)
-                (fun () ->
-                  let serial_g, serial_t =
-                    run_with (Config.with_parallelism 0 cfg) src
-                  in
-                  let par_g, par_t =
-                    Pool.with_chunk_min 1 (fun () ->
-                        run_with (Config.with_parallelism 4 cfg) src)
-                  in
-                  Alcotest.(check string) "table bytes"
-                    (Table.to_string serial_t) (Table.to_string par_t);
-                  Alcotest.(check string) "graph bytes"
-                    (Graph.to_string serial_g) (Graph.to_string par_g)))
-            (read_queries @ update_queries))
-        backends)
+      List.map
+        (fun src ->
+          Test_util.case
+            (Printf.sprintf "par=4 byte-identical to par=0 (%s): %s" plabel
+               src)
+            (fun () ->
+              let serial_g, serial_t =
+                run_with (Config.with_parallelism 0 cfg) src
+              in
+              let par_g, par_t =
+                Pool.with_chunk_min 1 (fun () ->
+                    run_with (Config.with_parallelism 4 cfg) src)
+              in
+              Alcotest.(check string) "table bytes"
+                (Table.to_string serial_t) (Table.to_string par_t);
+              Alcotest.(check string) "graph bytes"
+                (Graph.to_string serial_g) (Graph.to_string par_g)))
+        (read_queries @ update_queries))
     settings
 
 (* ------------------------------------------------------------------ *)
-(* Planner × backend sweep against the map-row goldens                *)
+(* Planner sweep against the map-row goldens                          *)
 (* ------------------------------------------------------------------ *)
 
 (* Rows are flat arrays over a compiled slot layout; they replaced a
    string-keyed map representation, and that change must be
-   unobservable.  For every planner setting and physical backend the
-   sweep's table and graph bytes must hash to the MD5 digests captured
-   from the map-row implementation — same rows, same order, same graph,
-   so the array-row fast paths (including the matcher's planned and
-   natural-order enumerations) change nothing.  One entry per sweep
-   query, in [read_queries @ update_queries] order:
-   ((table, graph) planner on, (table, graph) planner off); both
-   backends share the digests. *)
+   unobservable.  For every planner setting the sweep's table and graph
+   bytes must hash to the MD5 digests captured from the map-row
+   implementation — same rows, same order, same graph, so the array-row
+   fast paths (including the matcher's planned enumeration) change
+   nothing.  One entry per sweep query, in
+   [read_queries @ update_queries] order:
+   ((table, graph) planner on, (table, graph) planner off). *)
 let map_row_goldens =
   [
     ( ("ddab9e0cd99a6ca4e87614725aee13a7", "3e6ea4756c65d7b8a5067861cd124de3"),
@@ -331,35 +323,30 @@ let map_row_goldens =
       ("7301a37f59d457d1a1020cb7966a9caf", "9d190a99a85abe142828672453d90d0e") );
   ]
 
-(* One check per (planner, backend, query): the table and graph bytes
+(* One check per (planner, query): the table and graph bytes
    hash to the query's golden digests; [what] names the golden set. *)
 let golden_sweep ~what cases =
   let digest s = Digest.to_hex (Digest.string s) in
   let settings =
     [ ("planner-on", planner_on, fst); ("planner-off", planner_off, snd) ]
   in
-  let backends = [ ("persistent", `Persistent); ("compact", `Compact) ] in
   List.concat_map
     (fun (plabel, cfg, pick) ->
-      List.concat_map
-        (fun (blabel, backend) ->
-          let cfg = Config.with_backend backend cfg in
-          List.map
-            (fun ((mode, src), golden) ->
-              Test_util.case
-                (Printf.sprintf "bytes match the %s goldens (%s, %s%s): %s"
-                   what plabel blabel
-                   (if mode = Config.Homomorphic then ", homomorphic" else "")
-                   src)
-                (fun () ->
-                  let g, t = run_with (Config.with_match_mode mode cfg) src in
-                  let table_md5, graph_md5 = pick golden in
-                  Alcotest.(check string) "table bytes md5" table_md5
-                    (digest (Table.to_string t));
-                  Alcotest.(check string) "graph bytes md5" graph_md5
-                    (digest (Graph.to_string g))))
-            cases)
-        backends)
+      List.map
+        (fun ((mode, src), golden) ->
+          Test_util.case
+            (Printf.sprintf "bytes match the %s goldens (%s%s): %s" what
+               plabel
+               (if mode = Config.Homomorphic then ", homomorphic" else "")
+               src)
+            (fun () ->
+              let g, t = run_with (Config.with_match_mode mode cfg) src in
+              let table_md5, graph_md5 = pick golden in
+              Alcotest.(check string) "table bytes md5" table_md5
+                (digest (Table.to_string t));
+              Alcotest.(check string) "graph bytes md5" graph_md5
+                (digest (Graph.to_string g))))
+        cases)
     settings
 
 let golden_checks =
@@ -379,7 +366,7 @@ let golden_checks =
    variable-length hops behind a non-start anchor, rows from outside a
    seeded layout (MERGE), or end in a fused count over a pattern tuple —
    plus one homomorphic query.  Their table and graph bytes, for both
-   planner settings and both backends, must hash to digests captured
+   planner settings, must hash to digests captured
    before the planned enumeration was collapsed into one fold: the
    planner-on row order is observable, so "same rows" is not enough. *)
 let fold_queries =

@@ -3,8 +3,52 @@
 
 open Cypher_graph
 open Test_util
+module Config = Cypher_core.Config
+module Api = Cypher_core.Api
 
 let chain = graph_of "CREATE (:A {k: 1})-[:T]->(:B {k: 2})-[:T]->(:C {k: 3})"
+
+(* A graph exercising every corner the counting traversal specialises
+   over: a directed cycle, a self-loop, parallel relationships, and a
+   relationship property. *)
+let fusion_graph config =
+  List.fold_left
+    (fun g src ->
+      match Api.run_string ~config g src with
+      | Error e -> Alcotest.failf "%s: %s" src (Cypher_core.Errors.to_string e)
+      | Ok o -> o.Api.graph)
+    Graph.empty
+    [
+      "CREATE (a:User {id: 1})-[:KNOWS {since: 2001}]->(b:User {id: \
+       2})-[:KNOWS]->(c:User {id: 3})-[:KNOWS]->(a)";
+      "MATCH (a:User {id: 1}) CREATE (a)-[:KNOWS]->(a)";
+      "MATCH (a:User {id: 1}), (b:User {id: 2}) CREATE (a)-[:LIKES]->(b), \
+       (a)-[:LIKES]->(b)";
+    ]
+
+let fusion_queries =
+  [
+    "MATCH (a:User)-[:KNOWS]->(b) RETURN count(*) AS n";
+    (* cyclic: the far end must rebind to the already-bound [a] *)
+    "MATCH (a)-[:KNOWS]->(a) RETURN count(*) AS loops";
+    (* two patterns: relationship isomorphism spans the tuple *)
+    "MATCH (a)-[r]->(b), (c)-[s]->(d) RETURN count(*) AS pairs";
+    "MATCH (a)-[:KNOWS*1..2]->(b) RETURN count(*) AS n";
+    (* undirected enumeration, self-loop taken once *)
+    "MATCH (a)-[:KNOWS]-(b) RETURN count(*) AS n";
+    (* relationship property map: the counting leaf must evaluate it *)
+    "MATCH (a)-[:KNOWS {since: 2001}]->(b) RETURN count(*) AS n";
+    (* a WITH-driven MATCH: one count per driving row, summed *)
+    "MATCH (a:User) WITH a MATCH (a)-[:KNOWS]->(b) RETURN count(*) AS n";
+    "MATCH (missing:Nope) RETURN count(*) AS n";
+  ]
+
+let fusion_configs =
+  [
+    ("revised planner", Config.revised);
+    ("revised naive", Config.with_planner Config.Off Config.revised);
+    ("cypher9", Config.cypher9);
+  ]
 
 let suite =
   [
@@ -127,4 +171,32 @@ let suite =
           (run_table chain "MATCH (n), (m), (o) RETURN n");
         check_rows "three with shared variables" 2
           (run_table chain "MATCH (a)-[:T]->(b), (b), (a) RETURN a, b"));
+    case "fused count( * ) agrees with the unfused PROFILE path"
+      (fun () ->
+        (* PROFILE disables the fusion, so the same statement runs the
+           materialising pipeline: rows, then the aggregate projection *)
+        List.iter
+          (fun (cname, config) ->
+            let g = fusion_graph config in
+            List.iter
+              (fun q ->
+                let fused =
+                  match Api.run_string ~config g q with
+                  | Error e ->
+                      Alcotest.failf "%s [%s]: %s" q cname
+                        (Cypher_core.Errors.to_string e)
+                  | Ok o -> Cypher_table.Table.to_string o.Api.table
+                in
+                let unfused =
+                  match Api.run_string_full ~config g ("PROFILE " ^ q) with
+                  | Error e ->
+                      Alcotest.failf "PROFILE %s [%s]: %s" q cname
+                        (Cypher_core.Errors.to_string e)
+                  | Ok r -> Cypher_table.Table.to_string r.Api.r_table
+                in
+                Alcotest.(check string)
+                  (Printf.sprintf "%s [%s]" q cname)
+                  unfused fused)
+              fusion_queries)
+          fusion_configs)
   ]

@@ -318,12 +318,12 @@ let tcp_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Oracle 10 smoke                                                    *)
+(* Oracle 9 smoke                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let oracle_tests =
   [
-    case "oracle 10 smoke: 60 concurrent workloads" (fun () ->
+    case "oracle 9 smoke: 60 concurrent workloads" (fun () ->
         for i = 0 to 59 do
           let rng = Cypher_fuzz.Rng.make (20260809 + i) in
           let g = Cypher_fuzz.Gen.graph rng in

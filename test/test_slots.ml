@@ -3,7 +3,7 @@
     query-level goldens on the scope shapes that stress a fixed layout —
     shadowing through WITH, OPTIONAL MATCH null padding, FOREACH's
     nested scope.  The goldens were captured from the string-keyed map
-    representation these rows replaced, on both backends. *)
+    representation these rows replaced. *)
 
 open Cypher_graph
 open Cypher_table
@@ -160,8 +160,7 @@ let setup_graph =
 (* (query, expected table, expected graph) *)
 let goldens =
   [
-    (* natural-order expansion (the inverted-enumeration fast path on
-       the compact backend): row order is pinned *)
+    (* single-pattern expansion: row order is pinned *)
     ( "MATCH (a:A)-[r:R]->(b:B) RETURN a.id AS aid, b.id AS bid",
       "| aid | bid |\n| 1 | 2 |\n| 3 | 4 |",
       setup_graph );
@@ -212,17 +211,13 @@ let run config g src =
 let build config = List.fold_left (fun g src -> fst (run config g src)) Graph.empty setup
 
 let golden_checks =
-  List.concat_map
-    (fun (blabel, backend) ->
-      let config = Config.with_backend backend Config.revised in
-      List.map
-        (fun (src, table, graph) ->
-          Test_util.case (Printf.sprintf "golden (%s): %s" blabel src)
-            (fun () ->
-              let g, t = run config (build config) src in
-              Alcotest.(check string) "table bytes" table (Table.to_string t);
-              Alcotest.(check string) "graph bytes" graph (Graph.to_string g)))
-        goldens)
-    [ ("persistent", `Persistent); ("compact", `Compact) ]
+  let config = Config.revised in
+  List.map
+    (fun (src, table, graph) ->
+      Test_util.case (Printf.sprintf "golden: %s" src) (fun () ->
+          let g, t = run config (build config) src in
+          Alcotest.(check string) "table bytes" table (Table.to_string t);
+          Alcotest.(check string) "graph bytes" graph (Graph.to_string g)))
+    goldens
 
 let suite = slots_tests @ record_tests @ golden_checks

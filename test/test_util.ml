@@ -76,31 +76,10 @@ let vlist l = Value.List l
 (* Graph equality under every read view                               *)
 (* ------------------------------------------------------------------ *)
 
-(* the compact snapshot of [g], as plain comparable data *)
-let csr_content g =
-  let g = Graph.with_backend `Compact g in
-  Graph.ensure_csr g;
-  match Graph.csr_view g with
-  | None -> Alcotest.fail "no CSR snapshot after ensure_csr"
-  | Some c ->
-      let open Graph.Csr in
-      let ints =
-        [ c.nidx_of_id; c.lab_off; c.lab_sym; c.nprop_off; c.nprop_key; c.out_off;
-          c.out_ridx; c.out_far; c.out_ty; c.in_off; c.in_ridx; c.in_far; c.in_ty;
-          c.ridx_of_id; c.rel_id; c.rel_ty; c.rprop_off; c.rprop_key ]
-      in
-      let values = Array.to_list c.nprop_val @ Array.to_list c.rprop_val in
-      let recs =
-        Array.to_list (Array.map (Fmt.str "%a" (Graph.pp_node g)) c.node_recs)
-        @ Array.to_list (Array.map (Fmt.str "%a" (Graph.pp_rel g)) c.rel_recs)
-      in
-      (c.node_count, c.rel_count, ints, values, recs)
-
 (** [check_same_graph msg expected actual] fails unless the two graphs
     agree on everything a read can observe: the printed graph, ids and
     the id supply, label and type histograms, every registered property
-    index bucket, plain and typed adjacency of every node, and the
-    compact backend's snapshot. *)
+    index bucket, and plain and typed adjacency of every node. *)
 let check_same_graph msg expected actual =
   let check_eq what eq a b = if not (eq a b) then Alcotest.failf "%s: %s differ" msg what in
   Alcotest.(check string) (msg ^ ": graph") (Graph.to_string expected) (Graph.to_string actual);
@@ -136,10 +115,7 @@ let check_same_graph msg expected actual =
             (typed Graph.in_rel_ids_typed expected)
             (typed Graph.in_rel_ids_typed actual))
         types)
-    expected ();
-  check_eq "CSR snapshot"
-    (fun a b -> compare a b = 0)
-    (csr_content expected) (csr_content actual)
+    expected ()
 
 (** A seeded random entity script over a graph whose node ids are
     [nodes]: each step is a node (0–2 labels of three, a few properties
