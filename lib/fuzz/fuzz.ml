@@ -140,7 +140,7 @@ let pp_failure ppf f =
     Graph.pp f.graph
 
 let pp_report ppf r =
-  Fmt.pf ppf "@[<v>fuzz: seed %d, %d cases x 10 oracles@," r.seed r.iterations;
+  Fmt.pf ppf "@[<v>fuzz: seed %d, %d cases x 9 oracles@," r.seed r.iterations;
   Fmt.pf ppf "divergence oracle: %d agree, %d sanctioned divergences@,"
     r.agreements
     (List.fold_left (fun acc (_, n) -> acc + n) 0 r.classified);

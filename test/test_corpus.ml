@@ -44,9 +44,25 @@ let roundtrip_cases =
           (if Sys.file_exists corpus_dir then Corpus.load_dir corpus_dir else []));
   ]
 
+let header_cases =
+  let parse text = Corpus.parse_entry ~name:"e.cy" text in
+  [
+    case "corpus rejects an unknown oracle header" (fun () ->
+        (* [backend] named an oracle that no longer exists *)
+        match parse "// oracle: backend\nMATCH (n) RETURN n" with
+        | Ok _ -> Alcotest.fail "accepted oracle: backend"
+        | Error msg ->
+            Alcotest.(check string) "message" "e.cy: unknown oracle backend" msg);
+    case "corpus rejects an entry without an oracle header" (fun () ->
+        match parse "// graph: CREATE (:A)\nMATCH (n) RETURN n" with
+        | Ok _ -> Alcotest.fail "accepted an entry with no oracle"
+        | Error msg ->
+            Alcotest.(check string) "message" "e.cy: missing // oracle: header" msg);
+  ]
+
 let smoke_cases =
   [
-    case "fuzz smoke: 60 cases x 10 oracles" (fun () ->
+    case "fuzz smoke: 60 cases x 9 oracles" (fun () ->
         let report = Fuzz.run ~seed:20260807 ~count:60 () in
         match report.Fuzz.failures with
         | [] -> ()
@@ -56,4 +72,4 @@ let smoke_cases =
               (Cypher_ast.Pretty.query_to_string f.Fuzz.query));
   ]
 
-let suite = corpus_cases @ roundtrip_cases @ smoke_cases
+let suite = corpus_cases @ roundtrip_cases @ header_cases @ smoke_cases

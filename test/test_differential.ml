@@ -238,53 +238,63 @@ let planner_merge_checks =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Planner × parallelism 2×2 sweep                                    *)
+(* Planner × match mode × parallelism 2×2×2 sweep                     *)
 (* ------------------------------------------------------------------ *)
 
 (* Parallel read phases must be unobservable (DESIGN.md "Parallel read
-   phases"): for each planner setting, running with the domain pool
-   fanned out must produce byte-identical tables and graphs to the
-   serial run.  This is strictly stronger than the bag equality the
-   planner sweep above settles for — parallelism may not even reorder.
-   The chunk threshold is forced down to 1 so the small sweep tables
-   actually split across domains. *)
+   phases"): for each planner setting and match mode, running with the
+   domain pool fanned out must produce byte-identical tables and graphs
+   to the serial run.  This is strictly stronger than the bag equality
+   the planner sweep above settles for — parallelism may not even
+   reorder.  The chunk threshold is forced down to 1 so the small sweep
+   tables actually split across domains.  Homomorphic matching drops
+   the relationship-isomorphism scan, so it enumerates a different row
+   set that the split must keep in the same order too. *)
 module Pool = Cypher_util.Pool
+
+(* [run_par config src] is [run_with] with four domains and the chunk
+   threshold at 1 *)
+let run_par config src =
+  Pool.with_chunk_min 1 (fun () ->
+      run_with (Config.with_parallelism 4 config) src)
 
 let parallelism_checks =
   let settings =
     [ ("planner-on", planner_on); ("planner-off", planner_off) ]
   in
+  let modes = [ ("", Config.Isomorphic); (", homomorphic", Config.Homomorphic) ] in
   List.concat_map
     (fun (plabel, cfg) ->
-      List.map
-        (fun src ->
-          Test_util.case
-            (Printf.sprintf "par=4 byte-identical to par=0 (%s): %s" plabel
-               src)
-            (fun () ->
-              let serial_g, serial_t =
-                run_with (Config.with_parallelism 0 cfg) src
-              in
-              let par_g, par_t =
-                Pool.with_chunk_min 1 (fun () ->
-                    run_with (Config.with_parallelism 4 cfg) src)
-              in
-              Alcotest.(check string) "table bytes"
-                (Table.to_string serial_t) (Table.to_string par_t);
-              Alcotest.(check string) "graph bytes"
-                (Graph.to_string serial_g) (Graph.to_string par_g)))
-        (read_queries @ update_queries))
+      List.concat_map
+        (fun (mlabel, mode) ->
+          let cfg = Config.with_match_mode mode cfg in
+          List.map
+            (fun src ->
+              Test_util.case
+                (Printf.sprintf "par=4 byte-identical to par=0 (%s%s): %s"
+                   plabel mlabel src)
+                (fun () ->
+                  let serial_g, serial_t =
+                    run_with (Config.with_parallelism 0 cfg) src
+                  in
+                  let par_g, par_t = run_par cfg src in
+                  Alcotest.(check string) "table bytes"
+                    (Table.to_string serial_t) (Table.to_string par_t);
+                  Alcotest.(check string) "graph bytes"
+                    (Graph.to_string serial_g) (Graph.to_string par_g)))
+            (read_queries @ update_queries))
+        modes)
     settings
 
 (* ------------------------------------------------------------------ *)
-(* Planner sweep against the map-row goldens                          *)
+(* Planner × parallelism sweep against the map-row goldens            *)
 (* ------------------------------------------------------------------ *)
 
 (* Rows are flat arrays over a compiled slot layout; they replaced a
    string-keyed map representation, and that change must be
-   unobservable.  For every planner setting the sweep's table and graph
-   bytes must hash to the MD5 digests captured from the map-row
-   implementation — same rows, same order, same graph, so the array-row
+   unobservable.  For every planner setting, serial and with four
+   domains, the sweep's table and graph bytes must hash to the MD5
+   digests captured from the map-row implementation — same rows, same order, same graph, so the array-row
    fast paths (including the matcher's planned enumeration) change
    nothing.  One entry per sweep query, in
    [read_queries @ update_queries] order:
@@ -323,30 +333,37 @@ let map_row_goldens =
       ("7301a37f59d457d1a1020cb7966a9caf", "9d190a99a85abe142828672453d90d0e") );
   ]
 
-(* One check per (planner, query): the table and graph bytes
-   hash to the query's golden digests; [what] names the golden set. *)
+(* One check per (planner, execution, query): the table and graph
+   bytes hash to the query's golden digests, run serially and with four
+   domains; [what] names the golden set. *)
 let golden_sweep ~what cases =
   let digest s = Digest.to_hex (Digest.string s) in
   let settings =
     [ ("planner-on", planner_on, fst); ("planner-off", planner_off, snd) ]
   in
+  let executions =
+    [ ("", fun cfg -> run_with (Config.with_parallelism 0 cfg)); (", par=4", run_par) ]
+  in
   List.concat_map
     (fun (plabel, cfg, pick) ->
-      List.map
-        (fun ((mode, src), golden) ->
-          Test_util.case
-            (Printf.sprintf "bytes match the %s goldens (%s%s): %s" what
-               plabel
-               (if mode = Config.Homomorphic then ", homomorphic" else "")
-               src)
-            (fun () ->
-              let g, t = run_with (Config.with_match_mode mode cfg) src in
-              let table_md5, graph_md5 = pick golden in
-              Alcotest.(check string) "table bytes md5" table_md5
-                (digest (Table.to_string t));
-              Alcotest.(check string) "graph bytes md5" graph_md5
-                (digest (Graph.to_string g))))
-        cases)
+      List.concat_map
+        (fun (elabel, run) ->
+          List.map
+            (fun ((mode, src), golden) ->
+              Test_util.case
+                (Printf.sprintf "bytes match the %s goldens (%s%s%s): %s" what
+                   plabel elabel
+                   (if mode = Config.Homomorphic then ", homomorphic" else "")
+                   src)
+                (fun () ->
+                  let g, t = run (Config.with_match_mode mode cfg) src in
+                  let table_md5, graph_md5 = pick golden in
+                  Alcotest.(check string) "table bytes md5" table_md5
+                    (digest (Table.to_string t));
+                  Alcotest.(check string) "graph bytes md5" graph_md5
+                    (digest (Graph.to_string g))))
+            cases)
+        executions)
     settings
 
 let golden_checks =
@@ -366,7 +383,7 @@ let golden_checks =
    variable-length hops behind a non-start anchor, rows from outside a
    seeded layout (MERGE), or end in a fused count over a pattern tuple —
    plus one homomorphic query.  Their table and graph bytes, for both
-   planner settings, must hash to digests captured
+   planner settings, serial and parallel, must hash to digests captured
    before the planned enumeration was collapsed into one fold: the
    planner-on row order is observable, so "same rows" is not enough. *)
 let fold_queries =

@@ -200,3 +200,138 @@ let suite =
               fusion_queries)
           fusion_configs)
   ]
+
+(* ------------------------------------------------------------------ *)
+(* Parallel and multi-domain reads                                    *)
+(* ------------------------------------------------------------------ *)
+
+module Pool = Cypher_util.Pool
+
+let table_of config g q =
+  match Api.run_string ~config g q with
+  | Error e -> Alcotest.failf "%s: %s" q (Cypher_core.Errors.to_string e)
+  | Ok o -> Cypher_table.Table.to_string o.Api.table
+
+(* one case per counting query: the fused count with the domain pool
+   fanned out (chunk threshold 1) prints the serial table *)
+let parallel_fusion_tests =
+  List.map
+    (fun q ->
+      case ("fused count( * ) at par=4 prints the serial table: " ^ q)
+        (fun () ->
+          List.iter
+            (fun (cname, config) ->
+              let g = fusion_graph config in
+              let serial = table_of (Config.with_parallelism 0 config) g q in
+              let par =
+                Pool.with_chunk_min 1 (fun () ->
+                    table_of (Config.with_parallelism 4 config) g q)
+              in
+              Alcotest.(check string) (Printf.sprintf "%s [%s]" q cname) serial par)
+            fusion_configs))
+    fusion_queries
+
+(* reads, updates and MERGE over a few users, with every result table
+   and update counter recorded *)
+let workload =
+  [
+    "CREATE (:User {id: 1, name: 'ada'})-[:KNOWS {since: 2001}]->(:User \
+     {id: 2, name: 'bob'})";
+    "CREATE (:User {id: 3})";
+    "MATCH (a:User)-[k:KNOWS]->(b:User) RETURN a.name, k.since, b.name";
+    "MATCH (a:User) WHERE a.id % 2 = 1 SET a:Odd RETURN count(*) AS n";
+    "MATCH (a:Odd) RETURN a.id ORDER BY a.id";
+    "MERGE ALL (:User {id: 2})-[:KNOWS]->(:User {id: 3})";
+    "MATCH (a)-[r]-(b) RETURN count(*) AS n";
+    "MATCH (a:User) DETACH DELETE a RETURN count(*) AS n";
+  ]
+
+let run_workload config =
+  let outs = Buffer.create 256 in
+  let g =
+    List.fold_left
+      (fun g src ->
+        match Api.run_string_full ~config g src with
+        | Error e -> Alcotest.failf "%s: %s" src (Cypher_core.Errors.to_string e)
+        | Ok r ->
+            Buffer.add_string outs (Cypher_table.Table.to_string r.Api.r_table);
+            Buffer.add_string outs (Cypher_core.Stats.to_string r.Api.r_stats);
+            Buffer.add_char outs '\n';
+            r.Api.r_graph)
+      Graph.empty workload
+  in
+  (Graph.to_string g, Buffer.contents outs)
+
+(* [n] source nodes, each with one [:T] relationship to a target *)
+let pairs_graph n =
+  Test_util.graph_of
+    (Printf.sprintf
+       "UNWIND range(1, %d) AS i CREATE (:S {k: i})-[:T]->(:D {k: i})" n)
+
+let domain_tests =
+  [
+    case "workload is byte-identical at par=0 and par=4" (fun () ->
+        let gs, os = run_workload (Config.with_parallelism 0 Config.revised) in
+        let gp, op =
+          Pool.with_chunk_min 1 (fun () ->
+              run_workload (Config.with_parallelism 4 Config.revised))
+        in
+        Alcotest.(check string) "tables and counters" os op;
+        Alcotest.(check string) "final graph" gs gp);
+    case "domains matching one shared graph value agree" (fun () ->
+        (* the server hands one graph value to many domains at once;
+           reading it must not race *)
+        for round = 1 to 10 do
+          let g = pairs_graph (20 + round) in
+          let q = "MATCH (:S)-[:T]->(d:D) RETURN count(d) AS c, sum(d.k) AS s" in
+          let expected = table_of Config.revised g q in
+          let results =
+            List.map Domain.join
+              (List.init 4 (fun _ -> Domain.spawn (fun () -> table_of Config.revised g q)))
+          in
+          List.iteri
+            (fun i r ->
+              Alcotest.(check string)
+                (Printf.sprintf "round %d domain %d" round i)
+                expected r)
+            results;
+          Alcotest.(check bool)
+            (Printf.sprintf "round %d count present" round)
+            true
+            (contains_substring expected (string_of_int (20 + round)))
+        done);
+    case "updates on a shared graph value stay private to each domain"
+      (fun () ->
+        let base = pairs_graph 10 in
+        let before = Graph.to_string base in
+        let count g =
+          table_of Config.revised g "MATCH (n) RETURN count(n) AS c"
+        in
+        let results =
+          List.map Domain.join
+            (List.init 4 (fun k ->
+                 Domain.spawn (fun () ->
+                     let q =
+                       Printf.sprintf
+                         "MATCH (s:S) SET s.k = %d WITH count(*) AS set \
+                          UNWIND range(1, %d) AS i CREATE (:N {i: i})"
+                         (-k) (k + 1)
+                     in
+                     match Api.run_string ~config:Config.revised base q with
+                     | Error e -> Error (Cypher_core.Errors.to_string e)
+                     | Ok o -> Ok (count o.Api.graph))))
+        in
+        List.iteri
+          (fun k r ->
+            (* domain k created k+1 nodes on top of the base's 20 *)
+            Alcotest.(check (result string string))
+              (Printf.sprintf "domain %d sees its own update" k)
+              (Ok (Printf.sprintf "| c |\n| %d |" (21 + k)))
+              r)
+          results;
+        Alcotest.(check string) "shared base unchanged" before
+          (Graph.to_string base);
+        Alcotest.(check string) "base still counts 20" "| c |\n| 20 |" (count base));
+  ]
+
+let suite = suite @ parallel_fusion_tests @ domain_tests

@@ -220,4 +220,20 @@ let golden_checks =
           Alcotest.(check string) "graph bytes" graph (Graph.to_string g)))
     goldens
 
-let suite = slots_tests @ record_tests @ golden_checks
+(* the same goldens with the read phases split across four domains
+   (chunk threshold 1): rows are built per domain and stitched back, so
+   the layout and row order must survive the split *)
+let parallel_golden_checks =
+  let config = Config.with_parallelism 4 Config.revised in
+  List.map
+    (fun (src, table, graph) ->
+      Test_util.case (Printf.sprintf "golden (par=4): %s" src) (fun () ->
+          let g, t =
+            Cypher_util.Pool.with_chunk_min 1 (fun () ->
+                run config (build config) src)
+          in
+          Alcotest.(check string) "table bytes" table (Table.to_string t);
+          Alcotest.(check string) "graph bytes" graph (Graph.to_string g)))
+    goldens
+
+let suite = slots_tests @ record_tests @ golden_checks @ parallel_golden_checks
