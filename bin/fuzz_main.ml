@@ -1,11 +1,11 @@
 (* Command-line driver for the fuzzing/cross-validation subsystem.
 
-   Runs [n] generated cases through all nine oracles (round-trip,
+   Runs [n] generated cases through all ten oracles (round-trip,
    planner equivalence, parallel-vs-serial byte equivalence,
    legacy/revised divergence classification, result-graph
    well-formedness, update counters vs graph diff, durability
    fault injection, prepared-statement equivalence, concurrent-workload
-   linearizability) and exits non-zero
+   linearizability, fused-vs-materialised reads) and exits non-zero
    on any failure.  With
    [-corpus DIR], shrunk failures are appended as replayable corpus
    entries.  Wired to the [@fuzz] dune alias; [@par] runs the
@@ -33,7 +33,7 @@ let () =
       ( "-oracle",
         Arg.Set_string oracle_only,
         "NAME run only one oracle \
-         (roundtrip|planner|parallel|divergence|wellformed|counters|durability|prepared|concurrent)" );
+         (roundtrip|planner|parallel|divergence|wellformed|counters|durability|prepared|concurrent|fused)" );
     ]
   in
   Arg.parse spec
@@ -88,6 +88,7 @@ let () =
              in
              Oracles.durability ~extra g q
          | "prepared" -> Oracles.prepared g q
+         | "fused" -> Oracles.fused g q
          | "concurrent" ->
              let actors = Cypher_fuzz.Gen.actors rng in
              Oracles.concurrent g actors
@@ -119,6 +120,7 @@ let () =
               | "counters" -> Corpus.Counters
               | "durability" -> Corpus.Durability
               | "prepared" -> Corpus.Prepared
+              | "fused" -> Corpus.Fused
               | _ -> Corpus.Wellformed
             in
             let name =

@@ -226,52 +226,48 @@ let return_vars vars =
 (* Structural helpers                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(** [expr_aggs e] is the aggregate nodes of [e] that are not nested
+    inside another aggregate, left to right: the accumulator slots an
+    aggregating projection compiles [e] to. *)
+let expr_aggs e =
+  let opt acc go = function None -> acc | Some e -> go acc e in
+  let rec go acc = function
+    | Agg _ as a -> a :: acc
+    | Lit _ | Var _ | Param _ | Shortest_path _ -> acc
+    | Prop (e, _) | Has_labels (e, _) | Not e | Neg e | Is_null e
+    | Is_not_null e ->
+        go acc e
+    | And (a, b) | Or (a, b) | Xor (a, b) | Cmp (_, a, b) | Bin (_, a, b)
+    | Index (a, b) | Str_op (_, a, b) | In_list (a, b) ->
+        go (go acc a) b
+    | Slice (e, a, b) -> opt (opt (go acc e) go a) go b
+    | List_lit es | Fn (_, es) -> List.fold_left go acc es
+    | Map_lit kvs -> props acc kvs
+    | Case { case_operand; case_whens; case_default } ->
+        let acc = opt acc go case_operand in
+        let acc = List.fold_left (fun acc (a, b) -> go (go acc a) b) acc case_whens in
+        opt acc go case_default
+    | List_comp { comp_source; comp_where; comp_body; _ } ->
+        opt (opt (go acc comp_source) go comp_where) go comp_body
+    | Quantifier { q_source; q_pred; _ } -> go (go acc q_source) q_pred
+    | Pattern_pred patterns ->
+        List.fold_left
+          (fun acc p ->
+            List.fold_left
+              (fun acc (rp, np) -> props (props acc rp.rp_props) np.np_props)
+              (props acc p.pat_start.np_props)
+              p.pat_steps)
+          acc patterns
+    | Pattern_comp { pc_where; pc_body; _ } -> go (opt acc go pc_where) pc_body
+    | Reduce { red_init; red_source; red_body; _ } ->
+        go (go (go acc red_init) red_source) red_body
+  and props acc kvs = List.fold_left (fun acc (_, e) -> go acc e) acc kvs in
+  List.rev (go [] e)
+
 (** [expr_has_agg e] detects aggregate functions anywhere in [e] that are
     not nested inside another aggregate; used to split projection items
     into grouping keys and aggregates. *)
-let rec expr_has_agg = function
-  | Agg _ -> true
-  | Lit _ | Var _ | Param _ -> false
-  | Prop (e, _) | Has_labels (e, _) | Not e | Neg e | Is_null e
-  | Is_not_null e ->
-      expr_has_agg e
-  | And (a, b) | Or (a, b) | Xor (a, b) | Cmp (_, a, b) | Bin (_, a, b)
-  | Index (a, b) | Str_op (_, a, b) | In_list (a, b) ->
-      expr_has_agg a || expr_has_agg b
-  | Slice (e, a, b) ->
-      expr_has_agg e
-      || Option.fold ~none:false ~some:expr_has_agg a
-      || Option.fold ~none:false ~some:expr_has_agg b
-  | List_lit es -> List.exists expr_has_agg es
-  | Map_lit kvs -> List.exists (fun (_, e) -> expr_has_agg e) kvs
-  | Fn (_, es) -> List.exists expr_has_agg es
-  | Case { case_operand; case_whens; case_default } ->
-      Option.fold ~none:false ~some:expr_has_agg case_operand
-      || List.exists (fun (a, b) -> expr_has_agg a || expr_has_agg b) case_whens
-      || Option.fold ~none:false ~some:expr_has_agg case_default
-  | List_comp { comp_source; comp_where; comp_body; _ } ->
-      expr_has_agg comp_source
-      || Option.fold ~none:false ~some:expr_has_agg comp_where
-      || Option.fold ~none:false ~some:expr_has_agg comp_body
-  | Quantifier { q_source; q_pred; _ } ->
-      expr_has_agg q_source || expr_has_agg q_pred
-  | Pattern_pred patterns ->
-      List.exists
-        (fun p ->
-          List.exists (fun (_, e) -> expr_has_agg e) p.pat_start.np_props
-          || List.exists
-               (fun (rp, np) ->
-                 List.exists (fun (_, e) -> expr_has_agg e) rp.rp_props
-                 || List.exists (fun (_, e) -> expr_has_agg e) np.np_props)
-               p.pat_steps)
-        patterns
-  | Pattern_comp { pc_where; pc_body; _ } ->
-      Option.fold ~none:false ~some:expr_has_agg pc_where
-      || expr_has_agg pc_body
-  | Shortest_path _ -> false
-  | Reduce { red_init; red_source; red_body; _ } ->
-      expr_has_agg red_init || expr_has_agg red_source
-      || expr_has_agg red_body
+let expr_has_agg e = expr_aggs e <> []
 
 (** Free variable occurrences of an expression, with duplicates:
     variables the expression reads that are not bound locally by a list

@@ -125,89 +125,108 @@ let hoisted_plans ?slot config g t patterns =
    [Table.make] projection is a no-op per row. *)
 let row_seeder columns = Record.seed (Slots.of_names columns)
 
-let exec_match ?slot config (g, t) ~optional ~patterns ~where =
+(** [compile_match ?slot config (g, t) ~optional ~patterns ~where] is
+    the MATCH clause's output columns and per-driving-row folds.
+    [fold_row f row acc] folds [f] over the embeddings of [row] that
+    pass [where], in match order — [where] is evaluated at the fold's
+    leaf, so a rejected embedding is never kept — or over [row] padded
+    with nulls when an OPTIONAL MATCH finds none.  [tally], for a plain
+    MATCH without WHERE, counts the embeddings of a row through the
+    matcher's counting leaf, building no row. *)
+let compile_match ?slot config (g, t) ~optional ~patterns ~where =
   let vars = List.concat_map pattern_vars patterns in
-  let columns = Table.columns t @ vars in
+  let columns = Table.dedup_columns (Table.columns t @ vars) in
   let plans = hoisted_plans ?slot config g t patterns in
   let seed = row_seeder columns in
   let mode = Runtime.match_mode_of config in
   let planner = Runtime.planner_on config in
-  let pad row =
-    (* pad the pattern variables with nulls *)
-    List.fold_left
-      (fun r v -> if Record.mem r v then r else Record.bind r v Value.Null)
-      row vars
+  let base = Runtime.ctx config g Record.empty in
+  let fold_patterns row sink acc =
+    Matcher.fold_patterns ~mode ~planner ?plans (Ctx.with_row base row) patterns
+      sink acc
   in
-  let expand row =
+  let keep =
+    match where with
+    | None -> fun _ -> true
+    | Some cond ->
+        fun row -> Tri.to_bool_where (Eval.eval_truth (Ctx.with_row base row) cond)
+  in
+  let fold_row f row acc =
     let row = seed row in
-    let matches =
-      Matcher.match_patterns ~mode ~planner ?plans (ctx_of config g row)
-        patterns
+    let found = ref false in
+    let acc =
+      fold_patterns row
+        (Matcher.Rows
+           (fun row' acc ->
+             if keep row' then begin
+               found := true;
+               f row' acc
+             end
+             else acc))
+        acc
     in
-    let matches =
-      match where with
-      | None -> matches
-      | Some cond ->
-          List.filter
-            (fun row' ->
-              Tri.to_bool_where (Eval.eval_truth (ctx_of config g row') cond))
-            matches
-    in
-    if matches = [] && optional then [ pad row ] else matches
+    if optional && not !found then
+      (* pad the pattern variables with nulls *)
+      f
+        (List.fold_left
+           (fun r v -> if Record.mem r v then r else Record.bind r v Value.Null)
+           row vars)
+        acc
+    else acc
   in
-  match (Table.rows t, where) with
-  | [ row ], None ->
-      (* single driving row, no WHERE (every first MATCH): consume the
-         matcher's reversed accumulation directly and restore row order
-         in the same pass that builds the result table — one traversal
-         of a possibly very large expansion instead of two.  WHERE-d
-         clauses keep the per-row [expand] path so predicate evaluation
-         order (and thus any evaluation error) is unchanged. *)
-      let row = seed row in
-      let matches_rev =
-        Matcher.match_patterns_rev ~mode ~planner ?plans (ctx_of config g row)
-          patterns
-      in
-      let rows_rev =
-        if matches_rev = [] && optional then [ pad row ] else matches_rev
-      in
-      (g, Table.make_rev columns rows_rev)
+  let tally =
+    if optional || Option.is_some where then None
+    else Some (fun row -> fold_patterns (seed row) (Matcher.Tally succ) 0)
+  in
+  (columns, fold_row, tally)
+
+let exec_match ?slot config (g, t) ~optional ~patterns ~where =
+  let columns, fold_row, _ =
+    compile_match ?slot config (g, t) ~optional ~patterns ~where
+  in
+  let cons row acc = row :: acc in
+  match Table.rows t with
+  | [ row ] ->
+      (* single driving row (every first MATCH): the fold's reversed
+         accumulation is put back in order in the same pass that builds
+         the result table *)
+      (g, Table.make_rev columns (fold_row cons row []))
   | _ ->
       ( g,
         Table.concat_map_par
           ~parallelism:(Runtime.parallelism_of config)
-          columns expand t )
+          columns
+          (fun row -> List.rev (fold_row cons row []))
+          t )
 
-(** Fused [MATCH ... RETURN count( * ) AS n]: counts embeddings per
-    driving row without materialising the expanded table.  Restricted by
-    the caller to a non-OPTIONAL, WHERE-less MATCH followed directly by
-    a bare count( * ) RETURN — exactly the shape whose unfused execution
-    puts every embedding through record binding, table projection and a
-    single global aggregation group just to take the list's length.
-    Plan hoisting behaves as in {!exec_match}. *)
-let exec_match_count ?slot config (g, t) ~patterns ~name =
-  let plans = hoisted_plans ?slot config g t patterns in
-  let seed =
-    row_seeder (Table.columns t @ List.concat_map pattern_vars patterns)
+(** A MATCH followed directly by an aggregating projection: each
+    embedding is folded straight into the projection's accumulators, so
+    no driving table is built.  Driving rows are folded in order on the
+    calling domain; a projection that reads no column takes the
+    matcher's counting leaf and builds no row at all.  Plan hoisting
+    behaves as in {!exec_match}. *)
+let exec_match_aggregate ?slot config (g, t) ~optional ~patterns ~where proj =
+  let columns, fold_row, tally =
+    compile_match ?slot config (g, t) ~optional ~patterns ~where
   in
-  let total =
-    Table.fold
-      (fun row acc ->
-        let row = seed row in
-        acc
-        + Matcher.count_patterns
-            ~mode:(Runtime.match_mode_of config)
-            ~planner:(Runtime.planner_on config) ?plans (ctx_of config g row)
-            patterns)
-      t 0
-  in
-  (g, Table.make [ name ] [ Record.of_list [ (name, Value.Int total) ] ])
+  match Projection.aggregation config g ~columns proj with
+  | None -> Ctx.internal "fused MATCH: the projection does not aggregate"
+  | Some agg ->
+      (match tally with
+      | Some tally when not (Projection.reads_rows agg) ->
+          Table.fold (fun row () -> Projection.add_count agg (tally row)) t ()
+      | _ ->
+          Table.fold
+            (fun row () -> fold_row (fun row' () -> Projection.add agg row') row ())
+            t ());
+      Projection.finish agg
 
 let exec_unwind config (g, t) ~source ~alias =
   let columns = Table.columns t @ [ alias ] in
   let seed = row_seeder columns in
+  let base = Runtime.ctx config g Record.empty in
   let expand row =
-    match Eval.eval (ctx_of config g row) source with
+    match Eval.eval (Ctx.with_row base row) source with
     | Value.Null -> []
     | Value.List l ->
         let row = seed row in
@@ -315,22 +334,24 @@ let rec exec_query config ~stats ?profile ?memo ~counter (g, t) (q : query) =
   in
   let rec run (g, t) = function
     | [] -> (g, t)
-    (* [MATCH ... RETURN count( * )] fuses into a counting traversal.  The
-       restriction to a final plain-MATCH/bare-count( * ) pair keeps the
-       observable behaviour exactly that of the unfused pipeline (same
-       embeddings enumerated in the same order, same single-row output
-       table); under PROFILE the clauses stay separate so per-clause row
-       counts remain exact. *)
-    | [ Match { optional = false; patterns; where = None }; Return proj ]
+    (* [MATCH ... WITH/RETURN <aggregates>] fuses into one fold.  Under
+       PROFILE the clauses stay separate, so per-clause row counts
+       remain exact; that materialising run is the reference for the
+       fused one. *)
+    | Match { optional; patterns; where }
+      :: (With proj | Return proj)
+      :: rest
       when Option.is_none profile
-           && Option.is_some (Projection.count_star_alias proj) ->
-        let name = Option.get (Projection.count_star_alias proj) in
+           && List.exists (fun it -> expr_has_agg it.item_expr) proj.proj_items
+      ->
         let key = !counter in
         (* the fused pair consumes both clause slots, keeping plan-memo
            keys aligned with the unfused numbering *)
         counter := !counter + 2;
         let slot = Option.map (fun m -> (m, key)) memo in
-        exec_match_count ?slot config (g, t) ~patterns ~name
+        run
+          (exec_match_aggregate ?slot config (g, t) ~optional ~patterns ~where proj)
+          rest
     | c :: rest -> run (exec_one (g, t) c) rest
   in
   let g, t1 = run (g, t) q.clauses in

@@ -1,6 +1,6 @@
 (** Evaluation context: the graph G and assignment u of [[e]]G,u, plus
-    query parameters and (during projection) the rows of the current
-    aggregation group. *)
+    query parameters and (during projection) the finalised values of
+    the current group's aggregates. *)
 
 open Cypher_util.Maps
 open Cypher_graph
@@ -10,8 +10,10 @@ type t = {
   graph : Graph.t;
   row : Record.t;
   params : Value.t Smap.t;
-  group : Record.t list option;
-      (** [Some rows] while evaluating aggregating projection items *)
+  aggregate : (Cypher_ast.Ast.expr -> Value.t) option;
+      (** [Some value_of] while evaluating the items of an aggregating
+          projection for one group: [value_of] maps each aggregate node
+          of the projection to its finalised value *)
   pattern_oracle : (t -> Cypher_ast.Ast.pattern list -> Record.t list) option;
       (** computes the embeddings of a pattern tuple extending the
           current record — the basis for pattern predicates such as
@@ -25,17 +27,10 @@ type t = {
 }
 
 let make ?(params = Smap.empty) ?pattern_oracle ?shortest_oracle graph row =
-  { graph; row; params; group = None; pattern_oracle; shortest_oracle }
+  { graph; row; params; aggregate = None; pattern_oracle; shortest_oracle }
 
 let with_row ctx row = { ctx with row }
-let with_group ctx rows = { ctx with group = Some rows }
-let without_group ctx = { ctx with group = None }
-
-(** [with_row_no_group ctx row] is
-    [without_group (with_row ctx row)] in one allocation — the
-    per-group-row context of aggregate evaluation, built once per input
-    row of every aggregating projection. *)
-let with_row_no_group ctx row = { ctx with row; group = None }
+let with_aggregate ctx value_of = { ctx with aggregate = Some value_of }
 
 (** Evaluation failure (type errors, unknown variables, division by
     zero, …).  Caught at the statement boundary and surfaced as a typed

@@ -1,6 +1,6 @@
 (** Evaluation context: the graph G and assignment u of [[e]]G,u, plus
-    query parameters and (during projection) the rows of the current
-    aggregation group. *)
+    query parameters and (during projection) the finalised values of
+    the current group's aggregates. *)
 
 open Cypher_util.Maps
 open Cypher_graph
@@ -10,8 +10,10 @@ type t = {
   graph : Graph.t;
   row : Record.t;
   params : Value.t Smap.t;
-  group : Record.t list option;
-      (** [Some rows] while evaluating aggregating projection items *)
+  aggregate : (Cypher_ast.Ast.expr -> Value.t) option;
+      (** [Some value_of] while evaluating the items of an aggregating
+          projection for one group: [value_of] maps each aggregate node
+          of the projection to its finalised value *)
   pattern_oracle : (t -> Cypher_ast.Ast.pattern list -> Record.t list) option;
       (** computes the embeddings of a pattern tuple extending the
           current record — the basis for pattern predicates such as
@@ -32,12 +34,10 @@ val make :
   Record.t ->
   t
 val with_row : t -> Record.t -> t
-val with_group : t -> Record.t list -> t
-val without_group : t -> t
 
-(** [with_row_no_group ctx row] is
-    [without_group (with_row ctx row)] in one allocation. *)
-val with_row_no_group : t -> Record.t -> t
+(** [with_aggregate ctx value_of] evaluates aggregate nodes through
+    [value_of] (see the [aggregate] field). *)
+val with_aggregate : t -> (Cypher_ast.Ast.expr -> Value.t) -> t
 
 (** Evaluation failure (type errors, unknown variables, division by
     zero, …).  Caught at the statement boundary and surfaced as a typed

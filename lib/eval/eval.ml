@@ -216,7 +216,12 @@ let rec eval (ctx : Ctx.t) (e : expr) : Value.t =
           of_truth (List.fold_left combine Tri.False l)
       | v -> error "IN requires a list, got %s" (Value.to_string v))
   | Fn (name, args) -> Functions.apply ctx name (List.map (eval ctx) args)
-  | Agg (kind, distinct, arg) -> eval_agg ctx kind distinct arg
+  | Agg _ -> (
+      (* aggregates are folded by the projection; here they only read
+         the group's finalised value *)
+      match ctx.aggregate with
+      | Some value_of -> value_of e
+      | None -> error "aggregate function used outside RETURN/WITH")
   | Case { case_operand; case_whens; case_default } -> (
       let default () =
         match case_default with Some e -> eval ctx e | None -> Value.Null
@@ -334,97 +339,6 @@ let rec eval (ctx : Ctx.t) (e : expr) : Value.t =
       | Some oracle -> oracle ctx ~all:sp_all sp_pattern
       | None ->
           error "shortestPath is not available in this evaluation context")
-
-(* ------------------------------------------------------------------ *)
-(* Aggregates                                                         *)
-(* ------------------------------------------------------------------ *)
-
-and eval_agg (ctx : Ctx.t) kind distinct arg : Value.t =
-  match ctx.group with
-  | None -> error "aggregate function used outside RETURN/WITH"
-  | Some rows -> (
-      (* a bare-variable argument — the common count(x)/collect(x)
-         shape — reads each row directly: same lookup and same error as
-         the Var case of [eval], without allocating a per-row context.
-         The lookup is layout-compiled against the first row
-         ({!Cypher_table.Record.compile_find}), so a group sharing one
-         layout reads each row by array probe instead of name
-         resolution. *)
-      let compiled_find v =
-        match rows with
-        | [] -> fun row -> Cypher_table.Record.find_opt row v
-        | r0 :: _ -> Cypher_table.Record.compile_find r0 v
-      in
-      let per_row e =
-        match e with
-        | Var v ->
-            let find = compiled_find v in
-            List.map
-              (fun row ->
-                match find row with
-                | Some x -> x
-                | None -> error "variable `%s` is not defined" v)
-              rows
-        | e -> List.map (fun row -> eval (Ctx.with_row_no_group ctx row) e) rows
-      in
-      match (kind, arg) with
-      | Count, None -> Value.Int (List.length rows)
-      | _, None -> error "only count may be applied to *"
-      | Count, Some (Var v) when not distinct ->
-          (* counting a variable needs neither contexts nor a
-             materialised value list *)
-          let find = compiled_find v in
-          Value.Int
-            (List.fold_left
-               (fun count row ->
-                 match find row with
-                 | Some x -> if Value.is_null x then count else count + 1
-                 | None -> error "variable `%s` is not defined" v)
-               0 rows)
-      | kind, Some e -> (
-          let values =
-            List.filter (fun v -> not (Value.is_null v)) (per_row e)
-          in
-          let values =
-            if distinct then
-              List.sort_uniq Value.compare_total values
-            else values
-          in
-          match kind with
-          | Count -> Value.Int (List.length values)
-          | Collect -> Value.List values
-          | Sum ->
-              List.fold_left (fun acc v -> arith Add acc v) (Value.Int 0) values
-          | Avg -> (
-              match values with
-              | [] -> Value.Null
-              | _ ->
-                  let total =
-                    List.fold_left
-                      (fun acc v -> arith Add acc v)
-                      (Value.Int 0) values
-                  in
-                  arith Div
-                    (match total with
-                    | Value.Int i -> Value.Float (float_of_int i)
-                    | v -> v)
-                    (Value.Int (List.length values)))
-          | Min -> (
-              match values with
-              | [] -> Value.Null
-              | v :: rest ->
-                  List.fold_left
-                    (fun acc v ->
-                      if Value.compare_total v acc < 0 then v else acc)
-                    v rest)
-          | Max -> (
-              match values with
-              | [] -> Value.Null
-              | v :: rest ->
-                  List.fold_left
-                    (fun acc v ->
-                      if Value.compare_total v acc > 0 then v else acc)
-                    v rest)))
 
 (** [eval_truth ctx e] is the predicate value of [e] (for WHERE). *)
 let eval_truth ctx e = truth (eval ctx e)

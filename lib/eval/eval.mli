@@ -20,7 +20,8 @@ val lit_value : lit -> Value.t
 val arith : binop -> Value.t -> Value.t -> Value.t
 
 (** [eval ctx e] is [[e]]G,u for the graph and assignment in [ctx].
-    Aggregates require a grouping context ({!Ctx.with_group}). *)
+    An aggregate reads its group's finalised value, which the
+    projection installs with {!Ctx.with_aggregate}. *)
 val eval : Ctx.t -> expr -> Value.t
 
 (** [eval_truth ctx e] is the predicate value of [e] (for WHERE). *)

@@ -6,7 +6,8 @@
 
     {v
     // oracle: roundtrip | planner | parallel | divergence | wellformed
-    //         | counters | dump | durability | eval | error
+    //         | counters | dump | durability | prepared | fused | eval
+    //         | error
     // index: A id                     (zero or more; property indexes)
     // graph: CREATE (:A {k: 1})       (zero or more; setup statements)
     // match: homomorphic              ('parallel' oracle only; optional)
@@ -48,6 +49,9 @@ type oracle =
   | Prepared
       (** literal-lifted prepare/execute must be byte-identical to the
           direct run ({!Oracles.prepared}) *)
+  | Fused
+      (** the plain run must be byte-identical to the clause-by-clause
+          PROFILE run ({!Oracles.fused}) *)
   | Eval of string  (** expected canonical rendering of the result table *)
   | Expect_error of string
       (** the statement must fail, with this {!Oracles.kind_name} *)
@@ -136,6 +140,7 @@ let parse_entry ~name text : (entry, string) result =
     | Some "dump", _ -> entry Dump
     | Some "durability", _ -> entry Durability
     | Some "prepared", _ -> entry Prepared
+    | Some "fused", _ -> entry Fused
     | Some "eval", Some expected -> entry (Eval expected)
     | Some "eval", None -> Error (name ^ ": eval entry without // expect:")
     | Some "error", Some kind -> entry (Expect_error kind)
@@ -153,6 +158,7 @@ let oracle_keyword = function
   | Dump -> "dump"
   | Durability -> "durability"
   | Prepared -> "prepared"
+  | Fused -> "fused"
   | Eval _ -> "eval"
   | Expect_error _ -> "error"
 
@@ -322,6 +328,7 @@ let check e : (unit, string) result =
       | Ok o -> Oracles.dump_roundtrip o.Api.graph)
   | Durability -> Oracles.durability g q
   | Prepared -> Oracles.prepared g q
+  | Fused -> Oracles.fused g q
   | Divergence -> (
       match Oracles.divergence g q with
       | Oracles.Agree | Oracles.Classified _ -> Ok ()

@@ -1,12 +1,12 @@
-(** The fuzzing driver: generate, run all nine oracles, shrink
+(** The fuzzing driver: generate, run all ten oracles, shrink
     failures.
 
     One iteration derives a fresh splitmix64 stream from
     [seed + iteration], generates a (graph, statement) case and runs
     the round-trip, planner-equivalence, parallel-equivalence,
     divergence-classification, well-formedness, update-counter,
-    durability, prepared-statement and concurrent-workload
-    oracles ({!Oracles}).  The
+    durability, prepared-statement, concurrent-workload and
+    fused-vs-materialised oracles ({!Oracles}).  The
     durability oracle extends the
     case with two more generated statements (a three-statement workload
     makes multi-record journals, so truncation sweeps cross record
@@ -31,7 +31,7 @@ type failure = {
 
 type report = {
   seed : int;
-  iterations : int;  (** cases run through each of the nine oracles *)
+  iterations : int;  (** cases run through each of the ten oracles *)
   agreements : int;  (** divergence-oracle runs where both regimes agree *)
   classified : (Oracles.category * int) list;  (** sanctioned divergences *)
   failures : failure list;  (** shrunk; empty on a clean run *)
@@ -102,6 +102,12 @@ let run ?(seed = 0) ~count () =
         record ~oracle:"prepared" ~iteration:i
           ~fails:(fun g q -> Result.is_error (Oracles.prepared g q))
           g q detail);
+    (match Oracles.fused g q with
+    | Ok () -> ()
+    | Error detail ->
+        record ~oracle:"fused" ~iteration:i
+          ~fails:(fun g q -> Result.is_error (Oracles.fused g q))
+          g q detail);
     let extra = [ Gen.statement rng; Gen.statement rng ] in
     (match Oracles.durability ~extra g q with
     | Ok () -> ()
@@ -140,7 +146,7 @@ let pp_failure ppf f =
     Graph.pp f.graph
 
 let pp_report ppf r =
-  Fmt.pf ppf "@[<v>fuzz: seed %d, %d cases x 9 oracles@," r.seed r.iterations;
+  Fmt.pf ppf "@[<v>fuzz: seed %d, %d cases x 10 oracles@," r.seed r.iterations;
   Fmt.pf ppf "divergence oracle: %d agree, %d sanctioned divergences@,"
     r.agreements
     (List.fold_left (fun acc (_, n) -> acc + n) 0 r.classified);

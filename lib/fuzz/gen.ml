@@ -225,11 +225,11 @@ let read_pattern rng env =
   in
   { pat_var; pat_start = start; pat_steps = steps }
 
-let gen_match rng env =
+let gen_match ?(where_chance = 1) rng env =
   let n_pats = if Rng.chance rng 1 4 then 2 else 1 in
   let patterns = List.init n_pats (fun _ -> read_pattern rng env) in
   let where =
-    if (env.nodes <> [] || env.rels <> []) && Rng.chance rng 1 2 then
+    if (env.nodes <> [] || env.rels <> []) && Rng.chance rng where_chance 2 then
       Some (predicate rng env)
     else None
   in
@@ -320,6 +320,60 @@ let gen_merge rng env =
   Merge { mode; patterns; on_create = on_set (); on_match = on_set () }
 
 (* ------------------------------------------------------------------ *)
+(* Aggregates and shortest paths                                      *)
+(* ------------------------------------------------------------------ *)
+
+(** An aggregate over the environment — count( * ), count / collect of
+    any variable or value, sum / avg / min / max of an integer value,
+    each but count( * ) sometimes DISTINCT — or one inside an
+    expression.  Its second component is whether the result is an
+    integer a later clause may compute with. *)
+let agg_expr rng env =
+  let value () = value_expr rng ~ctx_nodes:env.nodes ~ctx_scalars:env.scalars in
+  let anything () =
+    if all_vars env <> [] && Rng.bool rng then Var (Rng.pick_list rng (all_vars env))
+    else value ()
+  in
+  let distinct = Rng.chance rng 1 3 in
+  match Rng.range rng 0 8 with
+  | 0 -> (Agg (Count, false, None), true)
+  | 1 -> (Agg (Count, distinct, Some (anything ())), true)
+  | 2 -> (Agg (Collect, distinct, Some (anything ())), false)
+  | 3 -> (Agg (Sum, distinct, Some (value ())), true)
+  | 4 -> (Agg (Avg, distinct, Some (value ())), false)
+  | 5 -> (Agg (Min, distinct, Some (value ())), true)
+  | 6 -> (Agg (Max, distinct, Some (value ())), true)
+  | 7 -> (Bin (Add, Agg (Count, false, None), Lit (L_int 1)), true)
+  | _ -> (Fn ("size", [ Agg (Collect, distinct, Some (anything ())) ]), true)
+
+(** [shortestPath] or [allShortestPaths] between two bound nodes —
+    sometimes the same one — over a random direction, type and range,
+    returned as is or through [length] / [size]. *)
+let shortest_expr rng env =
+  let a = Rng.pick_list rng env.nodes in
+  let b = if Rng.chance rng 1 4 then a else Rng.pick_list rng env.nodes in
+  let bound v = { np_var = Some v; np_labels = []; np_props = [] } in
+  let rp =
+    {
+      rp_var = None;
+      rp_types = (if Rng.bool rng then [ Rng.pick rng rel_types ] else []);
+      rp_props = [];
+      rp_dir = Rng.pick rng [| Out; In; Undirected |];
+      rp_range =
+        Some
+          (Rng.pick rng
+             [| (Some 0, None); (Some 2, Some 3); (None, None); (None, Some 2);
+                (Some 1, Some 1); (Some 0, Some 2) |]);
+    }
+  in
+  let sp_all = Rng.bool rng in
+  let e =
+    Shortest_path
+      { sp_all; sp_pattern = { pat_var = None; pat_start = bound a; pat_steps = [ (rp, bound b) ] } }
+  in
+  if Rng.bool rng then e else Fn ((if sp_all then "size" else "length"), [ e ])
+
+(* ------------------------------------------------------------------ *)
 (* SET / REMOVE / DELETE / FOREACH / UNWIND / WITH                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -387,20 +441,26 @@ let gen_unwind rng env =
   Unwind { source; alias = fresh_scalar env }
 
 (** WITH: keep a non-empty random subset of the environment, optionally
-    adding a count-star aggregate; the environment narrows accordingly. *)
+    adding an aggregate; the environment narrows accordingly. *)
 let gen_with rng env =
   let vars = all_vars env in
   let kept = List.filter (fun _ -> Rng.chance rng 2 3) vars in
   let kept = if kept = [] then [ Rng.pick_list rng vars ] else kept in
   let items = List.map (fun v -> { item_expr = Var v; item_alias = None }) kept in
-  let agg_alias =
-    if Rng.chance rng 1 5 then Some (fresh env "c") else None
+  let agg =
+    if Rng.chance rng 1 5 then
+      let e, int_valued = agg_expr rng env in
+      Some (e, fresh env "c", int_valued)
+    else None
   in
   let items =
-    match agg_alias with
+    match agg with
+    | Some (e, c, _) -> items @ [ { item_expr = e; item_alias = Some c } ]
     | None -> items
-    | Some c -> items @ [ { item_expr = Agg (Count, false, None); item_alias = Some c } ]
   in
+  (* only an integer-valued aggregate joins the scalars later clauses
+     compute with *)
+  let agg_alias = match agg with Some (_, c, true) -> Some c | _ -> None in
   env.nodes <- List.filter (fun v -> List.mem v kept) env.nodes;
   env.rels <- List.filter (fun v -> List.mem v kept) env.rels;
   env.scalars <-
@@ -422,9 +482,58 @@ let gen_with rng env =
 (* RETURN                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(** A grouped RETURN: up to two grouping keys (variables or node
+    properties), one or two aggregates, and sometimes ORDER BY an
+    aggregate column, a grouping key or an aggregate expression, SKIP
+    and LIMIT. *)
+let gen_grouped_return rng env =
+  let vars = all_vars env in
+  let n_keys = Rng.range rng 0 (min 2 (List.length vars)) in
+  let keys = List.filteri (fun i _ -> i < n_keys) (Rng.shuffle rng vars) in
+  let key_items =
+    List.map
+      (fun v ->
+        if List.mem v env.nodes && Rng.bool rng then
+          { item_expr = Prop (Var v, an_int_key rng); item_alias = Some ("p_" ^ v) }
+        else { item_expr = Var v; item_alias = None })
+      keys
+  in
+  let agg_items =
+    List.init (Rng.range rng 1 2) (fun i ->
+        { item_expr = fst (agg_expr rng env); item_alias = Some (Printf.sprintf "a%d" i) })
+  in
+  let name it = match it.item_alias with Some a -> a | None -> (match it.item_expr with Var v -> v | _ -> "?") in
+  let sort_key () =
+    let e =
+      match Rng.range rng 0 3 with
+      | 0 when key_items <> [] -> Var (name (Rng.pick_list rng key_items))
+      | 1 -> Agg (Count, false, None)
+      | _ -> Var (name (Rng.pick_list rng agg_items))
+    in
+    { sort_expr = e; sort_ascending = Rng.bool rng }
+  in
+  let order =
+    match Rng.range rng 0 3 with
+    | 0 -> []
+    | 1 -> [ sort_key (); sort_key () ]
+    | _ -> [ sort_key () ]
+  in
+  Return
+    {
+      default_projection with
+      proj_distinct = Rng.chance rng 1 6;
+      proj_items = key_items @ agg_items;
+      proj_order = order;
+      proj_skip =
+        (if Rng.chance rng 1 8 then Some (Lit (L_int (Rng.range rng 0 2))) else None);
+      proj_limit =
+        (if Rng.chance rng 1 6 then Some (Lit (L_int (Rng.range rng 1 3))) else None);
+    }
+
 let gen_return rng env =
   let vars = all_vars env in
-  if vars = [] || Rng.chance rng 1 4 then
+  if vars <> [] && Rng.chance rng 1 3 then gen_grouped_return rng env
+  else if vars = [] || Rng.chance rng 1 4 then
     Return
       {
         default_projection with
@@ -446,6 +555,11 @@ let gen_return rng env =
             { item_expr = Fn ("length", [ Var v ]); item_alias = Some ("len_" ^ v) }
           else { item_expr = Var v; item_alias = None })
         chosen
+    in
+    let items =
+      if env.nodes <> [] && Rng.chance rng 1 4 then
+        items @ [ { item_expr = shortest_expr rng env; item_alias = Some "sp" } ]
+      else items
     in
     let names =
       List.map
@@ -523,7 +637,13 @@ let statement rng =
   in
   let want_return = (not has_update) || ends_with_with || Rng.chance rng 3 4 in
   let clauses =
-    if want_return then clauses @ [ gen_return rng env ] else clauses
+    if not want_return then clauses
+    else if Rng.chance rng 1 4 then
+      (* a MATCH ... WHERE straight into an aggregating projection: the
+         shape the engine folds without building the MATCH's table *)
+      let m = gen_match ~where_chance:2 rng env in
+      clauses @ [ m; gen_grouped_return rng env ]
+    else clauses @ [ gen_return rng env ]
   in
   { clauses; union = None }
 

@@ -42,7 +42,12 @@
        and executed twice with the extracted bindings — the second
        execution reuses the statement's memoized match plans — and both
        executions must be byte-identical to the direct run (graph,
-       table, counters, error). *)
+       table, counters, error).
+    9. {!concurrent}: generated actors run against one shared server;
+       the outcome must match some serial order of their commits.
+   10. {!fused}: a read statement run plain (MATCH folded straight into
+       an aggregating projection) and under [PROFILE] (clause by clause,
+       materialising) must produce byte-identical tables. *)
 
 open Cypher_ast.Ast
 open Cypher_util.Maps
@@ -1126,3 +1131,37 @@ let concurrent (g : Graph.t) (actors : Gen.actor list) : (unit, string) result
   | Ok g' ->
       check (Iso.isomorphic g' final) (fun () ->
           "journal replay is not isomorphic to the final head")
+
+(* ------------------------------------------------------------------ *)
+(* Oracle 10: fused vs clause-by-clause reads                         *)
+(* ------------------------------------------------------------------ *)
+
+(** A read statement runs plain — a MATCH folding straight into the
+    aggregating projection after it — and under [PROFILE], which runs
+    clause by clause and materialises every intermediate table.  The
+    result tables must be byte-identical; a failing statement must fail
+    under both with the same {!Errors} constructor (the fused run may
+    meet a WHERE error before a pattern error the materialising run
+    meets first, so the messages may differ). *)
+let fused (g : Graph.t) q : (unit, string) result =
+  if query_is_update q then Ok ()
+  else
+    let run prefix =
+      Api.run_query_full ~config:revised_planned ~prefix g q
+    in
+    match (run Cypher_parser.Parser.Plain, run Cypher_parser.Parser.Profile) with
+    | Error e1, Error e2 ->
+        check (error_kind e1 = error_kind e2) (fun () ->
+            Fmt.str "fused run fails with %s but PROFILE with %s"
+              (Errors.to_string e1) (Errors.to_string e2))
+    | Ok _, Error e ->
+        Error (Fmt.str "PROFILE fails (%s) where the fused run succeeds"
+                 (Errors.to_string e))
+    | Error e, Ok _ ->
+        Error (Fmt.str "fused run fails (%s) where PROFILE succeeds"
+                 (Errors.to_string e))
+    | Ok r1, Ok r2 ->
+        let t1 = Table.to_string r1.Api.r_table
+        and t2 = Table.to_string r2.Api.r_table in
+        check (String.equal t1 t2) (fun () ->
+            Fmt.str "fused table differs from PROFILE:@ %s@ vs@ %s" t1 t2)

@@ -207,6 +207,7 @@ let rels g = List.map snd (Imap.bindings g.rels)
 let node_ids g = List.map fst (Imap.bindings g.nodes)
 let rel_ids g = List.map fst (Imap.bindings g.rels)
 let fold_nodes f g acc = Imap.fold (fun _ n acc -> f n acc) g.nodes acc
+let fold_node_ids f g acc = Imap.fold (fun id _ acc -> f id acc) g.nodes acc
 let fold_rels f g acc = Imap.fold (fun _ r acc -> f r acc) g.rels acc
 
 let adj_find id m = match Imap.find_opt id m with Some s -> s | None -> Iset.empty
@@ -771,6 +772,11 @@ let nodes_with_label g label =
   match Smap.find_opt label g.label_index with
   | None -> []
   | Some s -> Iset.elements s
+
+let fold_label f g label acc =
+  match Smap.find_opt label g.label_index with
+  | None -> acc
+  | Some s -> Iset.fold f s acc
 
 (** All labels in use with their node counts, alphabetically. *)
 let label_histogram g =

@@ -67,6 +67,10 @@ val rels : t -> rel list
 val node_ids : t -> node_id list
 val rel_ids : t -> rel_id list
 val fold_nodes : (node -> 'a -> 'a) -> t -> 'a -> 'a
+
+(** [fold_node_ids f g acc] folds [f] over the node ids, in id order,
+    without building a list. *)
+val fold_node_ids : (node_id -> 'a -> 'a) -> t -> 'a -> 'a
 val fold_rels : (rel -> 'a -> 'a) -> t -> 'a -> 'a
 
 (** Relationships leaving node [id], in id order. *)
@@ -232,6 +236,10 @@ val has_label : t -> node_id -> string -> bool
     maintained label index, so label-anchored pattern scans avoid a full
     node sweep. *)
 val nodes_with_label : t -> string -> node_id list
+
+(** [fold_label f g label acc] folds [f] over {!nodes_with_label} in id
+    order, straight off the label index. *)
+val fold_label : (node_id -> 'a -> 'a) -> t -> string -> 'a -> 'a
 
 (** All labels in use with their node counts, alphabetically. *)
 val label_histogram : t -> (string * int) list

@@ -118,26 +118,27 @@ let node_candidates st (np : node_pat) : Value.node_id list option =
       | None -> None)
   | None -> None
 
-let match_node (ctx : Ctx.t) st (np : node_pat) : (state * Value.node_id) list =
-  let candidates =
-    match node_candidates st np with
-    | Some ids -> ids
-    | None -> (
-        (* anchor the scan on a label when the pattern carries one: the
-           store's label index avoids a full node sweep *)
-        match np.np_labels with
-        | [] -> Graph.node_ids ctx.graph
-        | label :: _ -> Graph.nodes_with_label ctx.graph label)
-  in
+(** Folds [f] over the nodes matching a node pattern, each with [st]
+    extended by the node's binding, in id order.  Candidates are the
+    binding when the variable is already bound, otherwise the label
+    index of the pattern's first label, otherwise every node — folded
+    straight off the index, never copied into a list. *)
+let fold_node_matches (ctx : Ctx.t) st (np : node_pat)
+    (f : state -> Value.node_id -> 'a -> 'a) (acc : 'a) : 'a =
   let check = node_check ctx np in
-  List.filter_map
-    (fun id ->
-      if check st.row id then
-        Option.map
-          (fun st -> (st, id))
-          (bind_var st np.np_var (Value.Node id))
-      else None)
-    candidates
+  let visit id acc =
+    if not (check st.row id) then acc
+    else
+      match bind_var st np.np_var (Value.Node id) with
+      | Some st -> f st id acc
+      | None -> acc
+  in
+  match node_candidates st np with
+  | Some ids -> List.fold_left (fun acc id -> visit id acc) acc ids
+  | None -> (
+      match np.np_labels with
+      | [] -> Graph.fold_node_ids visit ctx.graph acc
+      | label :: _ -> Graph.fold_label visit ctx.graph label acc)
 
 let flip = function Out -> In | In -> Out | Undirected -> Undirected
 
@@ -266,12 +267,9 @@ let rel_list_value rels =
 (** Folds [emit] over the matches of one whole path pattern left-to-right
     from state [st] — the naive enumeration: anchor on [pat_start], walk
     the steps in syntactic order.  [emit] is called once per embedding,
-    in traversal order; materialising a row list is one choice of
-    [emit] (see {!match_patterns_rev}), counting is another
-    (see {!count_patterns}). *)
+    in traversal order. *)
 let fold_pattern_naive (ctx : Ctx.t) st (p : pattern)
     (emit : state -> 'a -> 'a) (acc0 : 'a) : 'a =
-  let starts = match_node ctx st p.pat_start in
   (* the path value is only assembled when the pattern is named; an
      anonymous pattern skips the per-embedding list building entirely. *)
   let named = p.pat_var <> None in
@@ -339,32 +337,35 @@ let fold_pattern_naive (ctx : Ctx.t) st (p : pattern)
               (match_varlength ~reversed:false ~adj ~check:rcheck st node_id
                  lo hi))
   in
-  List.fold_left
-    (fun acc (st, start_id) ->
+  fold_node_matches ctx st p.pat_start
+    (fun st start_id acc ->
       steps st start_id
         (if named then [ start_id ] else [])
         [] compiled_steps acc)
-    acc0 starts
+    acc0
 
 (* ------------------------------------------------------------------ *)
 (* Planned execution                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(** Candidate nodes for a planned anchor.  Bound variables and index
-    lookups still pass through the anchor's {!node_check}, so an index
-    bucket may safely over-approximate (it is re-filtered). *)
-let anchor_candidates (ctx : Ctx.t) st (plan : Plan.t) : Value.node_id list =
+(** Folds [f] over the candidate nodes of a planned anchor, in id
+    order.  Bound variables and index lookups still pass through the
+    anchor's {!node_check}, so an index bucket may safely
+    over-approximate (it is re-filtered). *)
+let fold_anchor (ctx : Ctx.t) st (plan : Plan.t)
+    (f : Value.node_id -> 'a -> 'a) (acc : 'a) : 'a =
   let np = plan.Plan.p_anchor in
+  let of_list ids = List.fold_left (fun acc id -> f id acc) acc ids in
   match plan.Plan.p_anchor_kind with
   | Plan.Anchor_bound -> (
-      match node_candidates st np with Some ids -> ids | None -> [])
+      match node_candidates st np with Some ids -> of_list ids | None -> acc)
   | Plan.Anchor_prop_index { pi_label; pi_key; pi_value } -> (
       let v = eval_in ctx st.row pi_value in
       match Graph.nodes_with_prop ctx.graph ~label:pi_label ~key:pi_key v with
-      | Some ids -> ids
-      | None -> Graph.nodes_with_label ctx.graph pi_label)
-  | Plan.Anchor_label label -> Graph.nodes_with_label ctx.graph label
-  | Plan.Anchor_scan -> Graph.node_ids ctx.graph
+      | Some ids -> of_list ids
+      | None -> Graph.fold_label f ctx.graph pi_label acc)
+  | Plan.Anchor_label label -> Graph.fold_label f ctx.graph label acc
+  | Plan.Anchor_scan -> Graph.fold_node_ids f ctx.graph acc
 
 (** What the planned fold does with each embedding: hand its state to
     the rest of the pattern tuple, hand only its row to the consumer
@@ -589,9 +590,8 @@ let fold_pattern_planned (ctx : Ctx.t) st (plan : Plan.t)
   in
   let anchor_check = node_check ctx plan.Plan.p_anchor in
   let anchor_pos = plan.Plan.p_anchor_pos in
-  let cands = anchor_candidates ctx st plan in
-  List.fold_left
-    (fun acc id ->
+  fold_anchor ctx st plan
+    (fun id acc ->
       if not (anchor_check row0 id) then acc
       else if not (site_bind_node cells anchor_site id) then acc
       else begin
@@ -599,26 +599,36 @@ let fold_pattern_planned (ctx : Ctx.t) st (plan : Plan.t)
         hops 0 acc
       end)
     acc0
-    cands
 
-(** [match_patterns ?mode ?planner ?plans ctx patterns] computes all
-    extensions of the context row that embed every pattern; under the
-    default [Iso] mode relationship isomorphism is enforced across the
-    whole pattern tuple.  [planner] enables cost-guided anchor selection
-    and hop orientation (see {!Plan}); the result rows are the same
-    either way, possibly in a different order.
+(** What a pattern-tuple fold hands its consumer per embedding: the
+    result row, or only a tick — the counting leaf for a consumer that
+    reads no column. *)
+type 'a sink = Rows of (Record.t -> 'a -> 'a) | Tally of ('a -> 'a)
+
+(** [fold_patterns ?mode ?planner ?plans ctx patterns sink acc] folds
+    [sink] over every extension of the context row that embeds every
+    pattern; under the default [Iso] mode relationship isomorphism is
+    enforced across the whole pattern tuple.  [planner] enables
+    cost-guided anchor selection and hop orientation (see {!Plan}); the
+    embeddings are the same either way, possibly in a different order.
 
     [plans] supplies one precomputed plan option per pattern (as built
     by {!Plan.make} against a representative row): plan selection
     depends only on which variables are bound — uniform across the rows
     of one driving table — and on graph statistics, so hoisting the
-    planning out of the per-row loop preserves the result rows while
+    planning out of the per-row loop preserves the embeddings while
     eliminating the per-row planning cost.  A [None] entry means naive
     enumeration for that pattern (what per-row planning would also have
     chosen); a list shorter than [patterns] leaves the remaining
-    patterns on per-row planning. *)
-let match_patterns_rev ?(mode = Iso) ?(planner = false) ?plans (ctx : Ctx.t)
-    (patterns : pattern list) : Record.t list =
+    patterns on per-row planning.
+
+    Each embedding of a pattern recurses straight into the remaining
+    patterns, and the final pattern feeds the sink directly — through
+    the row-only leaf when planned, which skips the per-embedding state
+    bookkeeping nothing will read — so no intermediate list is ever
+    built. *)
+let fold_patterns ?(mode = Iso) ?(planner = false) ?plans (ctx : Ctx.t)
+    (patterns : pattern list) (sink : 'a sink) (acc : 'a) : 'a =
   let init = { row = ctx.row; used = Iset.empty; mode } in
   let hints = Option.value ~default:[] plans in
   let plan_with hint st p =
@@ -626,80 +636,60 @@ let match_patterns_rev ?(mode = Iso) ?(planner = false) ?plans (ctx : Ctx.t)
     | Some hint -> hint (* [Some None] forces naive enumeration *)
     | None -> if planner then Plan.make ctx st.row p else None
   in
-  (* each embedding of a pattern recurses straight into the remaining
-     patterns (the order {!count_patterns} also follows); the final
-     pattern emits result rows directly — through the row-only leaf when
-     planned, which skips the per-embedding state bookkeeping nothing
-     will read — so no intermediate state list is ever materialised.
-     At 10⁵-row matches this saves several full list traversals. *)
   let rec go st i rest acc =
     match rest with
-    | [] ->
-        (* unreachable while the [patterns = []] guard below holds; a
-           structured error keeps a server process alive if it breaks *)
-        Ctx.internal "match_patterns_rev: empty pattern list reached the fold"
+    | [] -> (
+        (* reached only by an empty tuple: its one embedding is the
+           context row itself *)
+        match sink with Rows f -> f st.row acc | Tally f -> f acc)
     | [ p ] -> (
-        match plan_with (List.nth_opt hints i) st p with
-        | Some plan ->
-            fold_pattern_planned ctx st plan p
-              (Emit_row (fun row acc -> row :: acc))
-              acc
-        | None ->
-            fold_pattern_naive ctx st p (fun st acc -> st.row :: acc) acc)
+        match (plan_with (List.nth_opt hints i) st p, sink) with
+        | Some plan, Rows f -> fold_pattern_planned ctx st plan p (Emit_row f) acc
+        | Some plan, Tally f -> fold_pattern_planned ctx st plan p (Count f) acc
+        | None, Rows f -> fold_pattern_naive ctx st p (fun st acc -> f st.row acc) acc
+        | None, Tally f -> fold_pattern_naive ctx st p (fun _ acc -> f acc) acc)
     | p :: rest -> (
         let emit st acc = go st (i + 1) rest acc in
         match plan_with (List.nth_opt hints i) st p with
         | Some plan -> fold_pattern_planned ctx st plan p (Emit emit) acc
         | None -> fold_pattern_naive ctx st p emit acc)
   in
-  match patterns with [] -> [ init.row ] | _ -> go init 0 patterns []
+  go init 0 patterns acc
 
+(** [match_patterns ?mode ?planner ?plans ctx patterns] is the list of
+    embeddings {!fold_patterns} enumerates, in its order. *)
 let match_patterns ?mode ?planner ?plans (ctx : Ctx.t)
     (patterns : pattern list) : Record.t list =
-  List.rev (match_patterns_rev ?mode ?planner ?plans ctx patterns)
-
-(** [count_patterns ?mode ?planner ?plans ctx patterns] is
-    [List.length (match_patterns ... )] without materialising any state
-    list: each pattern's embeddings are folded over directly, recursing
-    into the remaining patterns per embedding, and the last pattern
-    only counts.  Traversal (and therefore any error raised by a
-    property expression) follows exactly the order of
-    {!match_patterns}.  The engine uses this to fuse
-    [MATCH ... RETURN count( * )] — at 10⁵+ embeddings the dominant cost
-    of the materialising path is allocating and promoting the result
-    records, which a count never looks at. *)
-let count_patterns ?(mode = Iso) ?(planner = false) ?plans (ctx : Ctx.t)
-    (patterns : pattern list) : int =
-  let init = { row = ctx.row; used = Iset.empty; mode } in
-  let hints = Option.value ~default:[] plans in
-  let rec count st i = function
-    | [] -> 1
-    | p :: rest -> (
-        let plan_for =
-          match List.nth_opt hints i with
-          | Some hint -> hint (* [Some None] forces naive enumeration *)
-          | None -> if planner then Plan.make ctx st.row p else None
-        in
-        let next st' n = n + count st' (i + 1) rest in
-        match (plan_for, rest) with
-        | Some plan, [] -> fold_pattern_planned ctx st plan p (Count succ) 0
-        | Some plan, _ -> fold_pattern_planned ctx st plan p (Emit next) 0
-        | None, [] -> fold_pattern_naive ctx st p (fun _ n -> n + 1) 0
-        | None, _ -> fold_pattern_naive ctx st p next 0)
-  in
-  count init 0 patterns
+  List.rev
+    (fold_patterns ?mode ?planner ?plans ctx patterns
+       (Rows (fun row acc -> row :: acc))
+       [])
 
 (* ------------------------------------------------------------------ *)
 (* Shortest paths                                                     *)
 (* ------------------------------------------------------------------ *)
 
 (** [shortest_paths ctx ~all pattern] evaluates
-    [shortestPath((a)-[:T*]->(b))] (and [allShortestPaths]): a BFS over
-    relationships satisfying the single variable-length step, between
-    two *bound* endpoints.  Returns a {!Value.Path} (or a list of paths
+    [shortestPath((a)-[:T*]->(b))] (and [allShortestPaths]) between two
+    *bound* endpoints, over the relationships satisfying the single
+    variable-length step.  Returns a {!Value.Path} (or a list of paths
     under [~all:true]); [Null] (or the empty list) when no path exists.
-    The zero-length path is a valid answer when the endpoints coincide
-    and the range admits length 0. *)
+
+    A path exists iff [lo <= d <= hi], where [d] is the shortest
+    distance: the zero-length path when the endpoints coincide and
+    [lo = 0], none when they coincide and [lo > 0].
+
+    The distance comes from a level-synchronous bidirectional BFS that
+    always expands the smaller frontier by one whole level: forward from
+    the source along the step's direction, backward from the target
+    against it (both ways for an undirected step).  The first level
+    whose new nodes meet the other side's frontier fixes [d]; nothing
+    beyond it is explored.  The walks are then read off the two distance
+    maps by a depth-first walk from the source in relationship-id order:
+    [shortestPath] returns the first — the shortest walk whose sequence
+    of relationship ids is lexicographically least — and
+    [allShortestPaths] all of them, in that order.  Both maps are
+    persistent, so a search allocates only short-lived blocks. *)
 let shortest_paths (ctx : Ctx.t) ~all (p : pattern) : Value.t =
   let rp, end_np =
     match p.pat_steps with
@@ -735,81 +725,84 @@ let shortest_paths (ctx : Ctx.t) ~all (p : pattern) : Value.t =
             Ctx.internal
               "shortestPath: relationship pattern lost its length range"
       in
-      (* BFS storing per-node predecessor lists so that all shortest
-         walks can be reconstructed. *)
-      let rel_walks =
-        let preds : (int, (Graph.rel * int) list) Hashtbl.t =
-          Hashtbl.create 16
-        in
-        let level : (int, int) Hashtbl.t = Hashtbl.create 16 in
-        Hashtbl.replace level src 0;
-        let queue = Queue.create () in
-        Queue.add src queue;
-        let found_depth = ref None in
-        let expand_from depth =
-          (match !found_depth with Some d -> depth < d | None -> true)
-          && match hi with Some h -> depth < h | None -> true
-        in
-        while not (Queue.is_empty queue) do
-          let node = Queue.pop queue in
-          let depth = Hashtbl.find level node in
-          if expand_from depth then
-            fold_adjacent_maps ctx.graph node rp ~reversed:false
-              (fun _ (r : Graph.rel) far () ->
-                if rel_satisfies ctx rp ctx.row r then begin
-                  (match Hashtbl.find_opt level far with
-                  | None ->
-                      Hashtbl.replace level far (depth + 1);
-                      Hashtbl.replace preds far [ (r, node) ];
-                      Queue.add far queue
-                  | Some d when d = depth + 1 ->
-                      Hashtbl.replace preds far
-                        ((r, node) :: Hashtbl.find preds far)
-                  | Some _ -> ());
-                  if far = tgt && depth + 1 >= lo && !found_depth = None
-                  then found_depth := Some (depth + 1)
-                end)
-              ()
-        done;
-        (* all shortest walks as forward relationship-id lists.  The
-           walk is threaded backwards from the target as an
-           already-forward [suffix] (each step conses the
-           relationship traversed *after* it), so reconstruction
-           copies no list per hop and stays linear in the walk
-           length. *)
-        let rec walks_to node depth suffix : Value.rel_id list list =
-          if depth = 0 then if node = src then [ suffix ] else []
-          else
-            List.concat_map
-              (fun ((r : Graph.rel), prev) ->
-                if Hashtbl.find_opt level prev = Some (depth - 1) then
-                  walks_to prev (depth - 1) (r.Graph.r_id :: suffix)
-                else [])
-              (match Hashtbl.find_opt preds node with
-              | Some l -> l
-              | None -> [])
-        in
-        if src = tgt && lo = 0 then
-          (* the zero-length path is trivially shortest *)
-          [ [] ]
-        else (
-          match !found_depth with
-          | Some depth -> walks_to tgt depth []
-          | None -> [])
+      let usable r = rel_satisfies ctx rp ctx.row r in
+      (* one level of one side: the unvisited far ends of the frontier's
+         usable relationships, recorded at [depth + 1] *)
+      let expand ~reversed dist frontier depth =
+        List.fold_left
+          (fun acc node ->
+            fold_adjacent_maps ctx.graph node rp ~reversed
+              (fun _ r far ((dist, next, n) as acc) ->
+                if usable r && not (Imap.mem far dist) then
+                  (Imap.add far (depth + 1) dist, far :: next, n + 1)
+                else acc)
+              acc)
+          (dist, [], 0) frontier
       in
-      let to_path rels =
-        let nodes_rev =
-          List.fold_left
-            (fun acc rid ->
-              let r = Graph.rel_exn ctx.graph rid in
-              let last = List.hd acc in
-              let next = if r.Graph.src = last then r.Graph.tgt else r.Graph.src in
-              next :: acc)
-            [ src ] rels
-        in
-        { Value.path_nodes = List.rev nodes_rev; path_rels = rels }
+      let within d = match hi with Some h -> d <= h | None -> true in
+      (* Invariant: no node is both within [df] of the source and within
+         [db] of the target, so the distance exceeds [df + db].  When a
+         new level meets the other side, every meeting node sits on that
+         side's frontier and the distance is exactly one more. *)
+      let rec search (dist_f, ff, nf, df) (dist_b, fb, nb, db) =
+        if nf = 0 || nb = 0 || not (within (df + db + 1)) then None
+        else if nf <= nb then
+          let dist_f, ff, nf = expand ~reversed:false dist_f ff df in
+          let fwd = (dist_f, ff, nf, df + 1) and bwd = (dist_b, fb, nb, db) in
+          if List.exists (fun v -> Imap.mem v dist_b) ff then Some (fwd, bwd)
+          else search fwd bwd
+        else
+          let dist_b, fb, nb = expand ~reversed:true dist_b fb db in
+          let fwd = (dist_f, ff, nf, df) and bwd = (dist_b, fb, nb, db + 1) in
+          if List.exists (fun v -> Imap.mem v dist_f) fb then Some (fwd, bwd)
+          else search fwd bwd
       in
-      let paths = List.map to_path rel_walks in
+      let fwd = (Imap.singleton src 0, [ src ], 1, 0)
+      and bwd = (Imap.singleton tgt 0, [ tgt ], 1, 0) in
+      let met = if src = tgt then Some (fwd, bwd) else search fwd bwd in
+      let paths =
+        match met with
+        | None -> []
+        | Some ((dist_f, _, _, kf), (dist_b, _, _, kb)) ->
+            let d = kf + kb in
+            if d < lo then []
+            else
+              (* position [i] of a shortest walk holds a node at distance
+                 [i] from the source, which before the meeting level must
+                 also still reach it ([dead] remembers those that do not)
+                 and from it on sits at distance [d - i] from the target *)
+              let on_walk i v =
+                if i < kf then Imap.find_opt v dist_f = Some i
+                else Imap.find_opt v dist_b = Some (d - i)
+              in
+              let dead = ref Iset.empty and found = ref [] in
+              let rec walk i v nodes_rev rels_rev =
+                if i = d then begin
+                  found :=
+                    {
+                      Value.path_nodes = List.rev nodes_rev;
+                      path_rels = List.rev rels_rev;
+                    }
+                    :: !found;
+                  true
+                end
+                else if Iset.mem v !dead then false
+                else
+                  let reached =
+                    fold_adjacent_maps ctx.graph v rp ~reversed:false
+                      (fun rid r far reached ->
+                        if reached && not all then true
+                        else if on_walk (i + 1) far && usable r then
+                          walk (i + 1) far (far :: nodes_rev) (rid :: rels_rev)
+                          || reached
+                        else reached)
+                      false
+                  in
+                  if not reached then dead := Iset.add v !dead;
+                  reached
+              in
+              ignore (walk 0 src [ src ] []);
+              List.rev !found
+      in
       if all then Value.List (List.map (fun p -> Value.Path p) paths)
-      else
-        match paths with [] -> Value.Null | p :: _ -> Value.Path p)
+      else match paths with [] -> Value.Null | p :: _ -> Value.Path p)

@@ -19,18 +19,36 @@ open Cypher_ast.Ast
     regimes ("suitable restrictions to guarantee finite outputs"). *)
 type mode = Iso | Homo
 
-(** [match_patterns ?mode ?planner ?plans ctx patterns] computes all
-    extensions of the context row that embed every pattern; under the
-    default [Iso] mode relationship isomorphism is enforced across the
-    whole pattern tuple.  [planner] (default off) enables cost-guided
-    anchor selection and hop orientation (see {!Plan}); the result rows
-    are the same either way, possibly in a different order.
+(** What a pattern-tuple fold hands its consumer per embedding: the
+    result row, or only a tick — the counting leaf for a consumer that
+    reads no column, which then builds no row at all. *)
+type 'a sink = Rows of (Record.t -> 'a -> 'a) | Tally of ('a -> 'a)
+
+(** [fold_patterns ?mode ?planner ?plans ctx patterns sink acc] folds
+    [sink] over every extension of the context row that embeds every
+    pattern, without building a list; under the default [Iso] mode
+    relationship isomorphism is enforced across the whole pattern
+    tuple.  [planner] (default off) enables cost-guided anchor selection
+    and hop orientation (see {!Plan}); the embeddings are the same
+    either way, possibly in a different order.
 
     [plans] optionally supplies one precomputed plan per pattern
     (hoisted out of the per-row loop by the engine — plan choice depends
     only on variable boundness and graph statistics, both uniform across
     one driving table); [Some None] entries run naive enumeration, and
     missing entries fall back to per-row planning. *)
+val fold_patterns :
+  ?mode:mode ->
+  ?planner:bool ->
+  ?plans:Plan.t option list ->
+  Cypher_eval.Ctx.t ->
+  pattern list ->
+  'a sink ->
+  'a ->
+  'a
+
+(** [match_patterns ?mode ?planner ?plans ctx patterns] is the list of
+    embeddings {!fold_patterns} enumerates, in its order. *)
 val match_patterns :
   ?mode:mode ->
   ?planner:bool ->
@@ -39,38 +57,14 @@ val match_patterns :
   pattern list ->
   Record.t list
 
-(** [match_patterns_rev] is {!match_patterns} with the result rows in
-    reverse traversal order — the accumulation order of the underlying
-    fold.  The engine's single-row MATCH expansion consumes this
-    directly and restores row order in the same pass that builds the
-    result table ({!Cypher_table.Table.make_rev}), saving a full
-    traversal of what may be a 10⁵-row list. *)
-val match_patterns_rev :
-  ?mode:mode ->
-  ?planner:bool ->
-  ?plans:Plan.t option list ->
-  Cypher_eval.Ctx.t ->
-  pattern list ->
-  Record.t list
-
-(** [count_patterns ?mode ?planner ?plans ctx patterns] is
-    [List.length (match_patterns ...)] without materialising any row:
-    embeddings are folded over and counted in place, in the same
-    traversal order.  Used by the engine to fuse
-    [MATCH ... RETURN count( * )] projections. *)
-val count_patterns :
-  ?mode:mode ->
-  ?planner:bool ->
-  ?plans:Plan.t option list ->
-  Cypher_eval.Ctx.t ->
-  pattern list ->
-  int
-
 (** [shortest_paths ctx ~all pattern] evaluates
-    [shortestPath((a)-[:T*]->(b))] (and [allShortestPaths]): a BFS over
-    relationships satisfying the single variable-length step, between
-    two *bound* endpoints.  Returns a {!Cypher_graph.Value.Path} — or a
-    list of paths under [~all:true]; null (or the empty list) when no
-    path exists. *)
+    [shortestPath((a)-[:T*]->(b))] (and [allShortestPaths]) between two
+    *bound* endpoints by a bidirectional BFS over the relationships
+    satisfying the single variable-length step.  A path exists iff the
+    shortest distance [d] satisfies [lo <= d <= hi].  Returns a
+    {!Cypher_graph.Value.Path} — the shortest walk whose relationship-id
+    sequence is lexicographically least — or, under [~all:true], the
+    list of every shortest walk in that order; null (or the empty list)
+    when no path exists. *)
 val shortest_paths :
   Cypher_eval.Ctx.t -> all:bool -> pattern -> Cypher_graph.Value.t

@@ -221,3 +221,98 @@ let merge_same g t patterns =
       table
   in
   (g'', table'')
+
+(* ------------------------------------------------------------------ *)
+(* shortestPath — one-sided BFS over every shortest walk               *)
+(* ------------------------------------------------------------------ *)
+
+(* the relationships at [node] in the step's direction, with their far
+   ends, in relationship-id order *)
+let adjacent g node (rp : rel_pat) =
+  let ends rid =
+    let r = Graph.rel_exn g rid in
+    (r, if r.Graph.src = node then r.Graph.tgt else r.Graph.src)
+  in
+  let ids =
+    match rp.rp_dir with
+    | Out -> Graph.out_rel_ids g node
+    | In -> Graph.in_rel_ids g node
+    | Undirected -> Iset.union (Graph.out_rel_ids g node) (Graph.in_rel_ids g node)
+  in
+  List.map ends (Iset.elements ids)
+
+let shortest_paths (c : Ctx.t) ~all (p : pattern) : Value.t =
+  let rp, end_np =
+    match p.pat_steps with
+    | [ (rp, np) ] when rp.rp_range <> None -> (rp, np)
+    | _ -> Ctx.error "shortestPath requires a single variable-length step"
+  in
+  let endpoint (np : node_pat) =
+    match Option.map (Record.find_opt c.row) np.np_var with
+    | Some (Some (Value.Node id)) -> Some id
+    | Some (Some Value.Null) -> None
+    | _ -> Ctx.error "shortestPath endpoints must be bound nodes"
+  in
+  let satisfies (r : Graph.rel) =
+    (rp.rp_types = [] || List.mem r.Graph.r_type rp.rp_types)
+    && List.for_all
+         (fun (k, e) ->
+           Value.equal_tri (Props.get r.Graph.r_props k) (Eval.eval c e) = Tri.True)
+         rp.rp_props
+  in
+  match (endpoint p.pat_start, endpoint end_np) with
+  | None, _ | _, None -> Value.Null
+  | Some src, Some tgt ->
+      let lo, hi =
+        match rp.rp_range with
+        | Some (lo, hi) -> (Option.value ~default:1 lo, hi)
+        | None -> (1, None)
+      in
+      (* BFS keeping every predecessor on a shortest walk *)
+      let preds = Hashtbl.create 16 and level = Hashtbl.create 16 in
+      Hashtbl.replace level src 0;
+      let queue = Queue.create () in
+      Queue.add src queue;
+      let found = ref None in
+      while not (Queue.is_empty queue) do
+        let node = Queue.pop queue in
+        let depth = Hashtbl.find level node in
+        if
+          (match !found with Some d -> depth < d | None -> true)
+          && match hi with Some h -> depth < h | None -> true
+        then
+          List.iter
+            (fun ((r : Graph.rel), far) ->
+              if satisfies r then begin
+                (match Hashtbl.find_opt level far with
+                | None ->
+                    Hashtbl.replace level far (depth + 1);
+                    Hashtbl.replace preds far [ (r, node) ];
+                    Queue.add far queue
+                | Some d when d = depth + 1 ->
+                    Hashtbl.replace preds far ((r, node) :: Hashtbl.find preds far)
+                | Some _ -> ());
+                if far = tgt && depth + 1 >= lo && !found = None then
+                  found := Some (depth + 1)
+              end)
+            (adjacent c.graph node rp)
+      done;
+      (* every shortest walk, threaded back from the target *)
+      let rec walks_to node depth nodes rels =
+        if depth = 0 then
+          if node = src then [ { Value.path_nodes = node :: nodes; path_rels = rels } ]
+          else []
+        else
+          List.concat_map
+            (fun ((r : Graph.rel), prev) ->
+              if Hashtbl.find_opt level prev = Some (depth - 1) then
+                walks_to prev (depth - 1) (node :: nodes) (r.Graph.r_id :: rels)
+              else [])
+            (Option.value ~default:[] (Hashtbl.find_opt preds node))
+      in
+      let paths =
+        if src = tgt && lo = 0 then [ { Value.path_nodes = [ src ]; path_rels = [] } ]
+        else match !found with Some d -> walks_to tgt d [] [] | None -> []
+      in
+      if all then Value.List (List.map (fun p -> Value.Path p) paths)
+      else match paths with [] -> Value.Null | p :: _ -> Value.Path p

@@ -17,3 +17,12 @@ val merge_all :
 (** [[MERGE SAME π]](G, T): the quotient of the MERGE ALL result. *)
 val merge_same :
   Graph.t -> Table.t -> Cypher_ast.Ast.pattern list -> Graph.t * Table.t
+
+(** [shortest_paths ctx ~all pattern] is [shortestPath] /
+    [allShortestPaths] by a one-sided BFS from the source that keeps
+    every predecessor on a shortest walk and then builds all shortest
+    walks — the search {!Cypher_matcher.Matcher.shortest_paths} replaced,
+    kept as its differential reference.  Same answer up to the choice
+    among several shortest walks. *)
+val shortest_paths :
+  Cypher_eval.Ctx.t -> all:bool -> Cypher_ast.Ast.pattern -> Value.t

@@ -16,6 +16,10 @@ val unit : t
 val empty_over : string list -> t
 
 val columns : t -> string list
+
+(** [dedup_columns columns] drops repeated names, first occurrence
+    winning — the column list {!make} keeps. *)
+val dedup_columns : string list -> string list
 val rows : t -> Record.t list
 val row_count : t -> int
 val is_empty : t -> bool

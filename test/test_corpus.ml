@@ -4,7 +4,7 @@
     demonstration (the exact int/float and NaN comparison bugs fail
     here on the pre-fix tree) or a shrunk fuzzer failure appended by
     [fuzz_main -corpus].  The smoke run drives a bounded number of
-    freshly generated cases through all nine oracles so tier-1 keeps
+    freshly generated cases through all ten oracles so tier-1 keeps
     the whole pipeline honest without the cost of [@fuzz]. *)
 
 open Cypher_fuzz
@@ -62,7 +62,7 @@ let header_cases =
 
 let smoke_cases =
   [
-    case "fuzz smoke: 60 cases x 9 oracles" (fun () ->
+    case "fuzz smoke: 60 cases x 10 oracles" (fun () ->
         let report = Fuzz.run ~seed:20260807 ~count:60 () in
         match report.Fuzz.failures with
         | [] -> ()

@@ -160,10 +160,9 @@ let suite =
         check_rows "undirected self-loop matches once" 1
           (run_table g "MATCH (a)-[:T]-(b) RETURN a"));
     case "multi-pattern fold covers one, two and three patterns" (fun () ->
-        (* regression for the match_patterns_rev fold whose empty-list
-           arm is now a structured internal error: the guarded public
-           shapes (1..3 comma patterns, shared and disjoint variables)
-           must keep producing exact cross-product row counts *)
+        (* the pattern-tuple fold recurses pattern by pattern: 1..3
+           comma patterns, shared and disjoint variables, must keep
+           producing exact cross-product row counts *)
         check_rows "one" 3 (run_table chain "MATCH (n) RETURN n");
         check_rows "two disjoint" 9
           (run_table chain "MATCH (n), (m) RETURN n, m");
@@ -335,3 +334,94 @@ let domain_tests =
   ]
 
 let suite = suite @ parallel_fusion_tests @ domain_tests
+
+(* Promotion guard: the streaming reads keep their per-query transients
+   out of the major heap.  On a generated graph of 10⁴ persons, the
+   words each read promotes (Gc.quick_stat deltas) must stay under a
+   fifth of what its materialising reference promotes. *)
+let promotion_graph =
+  lazy
+    (let n = 10_000 in
+     let rng = Random.State.make [| 18 |] in
+     let g = ref Graph.empty in
+     let ids =
+       Array.init n (fun i ->
+           let props =
+             Props.of_list
+               [
+                 ("pid", Value.Int i);
+                 ("age", Value.Int (18 + Random.State.int rng 60));
+                 ("city", Value.String (Printf.sprintf "c%d" (Random.State.int rng 12)));
+               ]
+           in
+           let id, g' = Graph.create_node ~labels:[ "Person" ] ~props !g in
+           g := g';
+           id)
+     in
+     Array.iter
+       (fun src ->
+         for _ = 1 to 4 do
+           let tgt = ids.(Random.State.int rng n) in
+           g := snd (Graph.create_rel ~src ~tgt ~r_type:"KNOWS" ~props:Props.empty !g)
+         done)
+       ids;
+     (!g, ids, rng))
+
+let promoted f =
+  let before = (Gc.quick_stat ()).Gc.promoted_words in
+  f ();
+  (Gc.quick_stat ()).Gc.promoted_words -. before
+
+let promotion_tests =
+  [
+    case "scan + WHERE + grouped count promotes under a fifth of PROFILE"
+      (fun () ->
+        let g, _, _ = Lazy.force promotion_graph in
+        let q =
+          "MATCH (a:Person) WHERE a.age > 40 RETURN a.city AS city, count(*) AS n \
+           ORDER BY n DESC, city LIMIT 5"
+        in
+        let run src () =
+          for _ = 1 to 10 do
+            match Api.run_string g src with
+            | Ok _ -> ()
+            | Error e -> Alcotest.fail (Cypher_core.Errors.to_string e)
+          done
+        in
+        let materialised = promoted (run ("PROFILE " ^ q)) in
+        let fused = promoted (run q) in
+        if not (materialised > 0. && fused *. 5. < materialised) then
+          Alcotest.failf "fused promoted %.0f words, PROFILE %.0f" fused materialised);
+    case "bidirectional shortestPath promotes under a fifth of the reference"
+      (fun () ->
+        let g, ids, rng = Lazy.force promotion_graph in
+        let pattern =
+          match
+            Cypher_parser.Parser.parse_string
+              "MATCH (a), (b) RETURN shortestPath((a)-[:KNOWS*..6]->(b)) AS p"
+          with
+          | Ok { Cypher_ast.Ast.clauses = [ _; Cypher_ast.Ast.Return proj ]; _ }
+            -> (
+              match proj.Cypher_ast.Ast.proj_items with
+              | [ { item_expr = Cypher_ast.Ast.Shortest_path { sp_pattern; _ }; _ } ] ->
+                  sp_pattern
+              | _ -> Alcotest.fail "unexpected projection")
+          | _ -> Alcotest.fail "unexpected parse"
+        in
+        let pairs =
+          List.init 40 (fun _ ->
+              let pick () = Value.Node ids.(Random.State.int rng (Array.length ids)) in
+              Cypher_eval.Ctx.make g
+                (Cypher_table.Record.of_list [ ("a", pick ()); ("b", pick ()) ]))
+        in
+        let run impl () =
+          List.iter (fun ctx -> ignore (impl ctx ~all:false pattern)) pairs
+        in
+        let reference = promoted (run Cypher_paper.Reference.shortest_paths) in
+        let bidirectional = promoted (run Cypher_matcher.Matcher.shortest_paths) in
+        if not (reference > 0. && bidirectional *. 5. < reference) then
+          Alcotest.failf "bidirectional promoted %.0f words, reference %.0f"
+            bidirectional reference);
+  ]
+
+let suite = suite @ promotion_tests

@@ -259,3 +259,118 @@ let grouping_key_tests =
   ]
 
 let suite = suite @ extra_tests @ grouping_key_tests
+
+(* aggregation by accumulators: each rule the single pass must keep *)
+let accumulator_tests =
+  let one src name = Record.find (List.hd (Table.rows (run_table Graph.empty src))) name in
+  [
+    case "sum folds from 0 in row order, so mixed numbers end as a float" (fun () ->
+        check_value "sum" (Value.Float 3.5) (one "UNWIND [1, 2.5] AS x RETURN sum(x) AS s" "s");
+        check_value "int sum" (vint 6) (one "UNWIND [1, 2, 3] AS x RETURN sum(x) AS s" "s"));
+    case "avg is the sum over the count of non-null values" (fun () ->
+        check_value "avg" (Value.Float 2.0)
+          (one "UNWIND [1, null, 3] AS x RETURN avg(x) AS a" "a"));
+    case "min and max keep the first of equal extremes" (fun () ->
+        check_value "min" (vint 1) (one "UNWIND [2, 1, 1.0] AS x RETURN min(x) AS m" "m");
+        check_value "max" (Value.Float 2.0)
+          (one "UNWIND [1, 2.0, 2] AS x RETURN max(x) AS m" "m"));
+    case "collect keeps row order and drops nulls" (fun () ->
+        check_value "collect" (vlist [ vint 3; vint 1; vint 3 ])
+          (one "UNWIND [3, null, 1, 3] AS x RETURN collect(x) AS c" "c"));
+    case "DISTINCT aggregates fold their value set in sorted order" (fun () ->
+        check_value "collect" (vlist [ vint 1; vint 2; vint 3 ])
+          (one "UNWIND [3, 1, 3, 2] AS x RETURN collect(DISTINCT x) AS c" "c");
+        check_value "count" (vint 3)
+          (one "UNWIND [3, 1, 3, 2, null] AS x RETURN count(DISTINCT x) AS c" "c");
+        check_value "sum" (vint 6)
+          (one "UNWIND [3, 1, 3, 2] AS x RETURN sum(DISTINCT x) AS s" "s"));
+    case "a DISTINCT aggregate keeps the first of numerically equal values"
+      (fun () ->
+        check_value "int first" (vlist [ vint 1 ])
+          (one "UNWIND [1, 1.0, 1] AS x RETURN collect(DISTINCT x) AS c" "c");
+        check_value "float first" (vlist [ Value.Float 1.0 ])
+          (one "UNWIND [1.0, 1, 1] AS x RETURN collect(DISTINCT x) AS c" "c"));
+    case "aggregates inside expressions" (fun () ->
+        check_value "count + 1" (vint 4)
+          (one "UNWIND [1, 2, 3] AS x RETURN count(*) + 1 AS n" "n");
+        check_value "size(collect)" (vint 2)
+          (one "UNWIND [1, null, 3] AS x RETURN size(collect(x)) AS n" "n"));
+    case "a global group exists over no rows; keyed groups do not" (fun () ->
+        let t =
+          run_table people
+            "MATCH (p:Nope) RETURN count(*) AS n, collect(p) AS c, avg(p.x) AS a"
+        in
+        check_rows "one row" 1 t;
+        check_value "count" (vint 0) (first_cell t);
+        check_rows "no groups" 0
+          (run_table people "MATCH (p:Nope) RETURN p.dept AS d, count(*) AS n"));
+    case "groups come out in first-occurrence order with their first row"
+      (fun () ->
+        let t =
+          run_table Graph.empty
+            "UNWIND [[2, 'a'], [1, 'b'], [2, 'c']] AS x\n\
+             RETURN x[0] AS k, count(*) AS n, collect(x[1]) AS c"
+        in
+        Alcotest.(check (list value_testable)) "keys" [ vint 2; vint 1 ] (ints t "k");
+        Alcotest.(check (list value_testable)) "collected"
+          [ vlist [ vstr "a"; vstr "c" ]; vlist [ vstr "b" ] ]
+          (ints t "c"));
+    case "an aggregate used only by ORDER BY is accumulated too" (fun () ->
+        let t =
+          run_table people
+            "MATCH (p:P) RETURN p.dept AS d, count(*) AS n ORDER BY sum(p.salary) DESC"
+        in
+        Alcotest.(check (list value_testable)) "by salary" [ vstr "x"; vstr "y" ]
+          (ints t "d"));
+  ]
+
+(* ORDER BY evaluates each row's keys lazily, at most once *)
+let sort_key_tests =
+  [
+    case "a single row never evaluates its sort key" (fun () ->
+        check_rows "one row" 1 (run_table Graph.empty "RETURN 1 AS x ORDER BY 1 / 0"));
+    case "two rows do evaluate it" (fun () ->
+        match run_err Graph.empty "UNWIND [1, 2] AS x RETURN x ORDER BY 1 / 0" with
+        | Cypher_core.Errors.Eval_error _ -> ()
+        | e -> Alcotest.failf "wrong error: %s" (Cypher_core.Errors.to_string e));
+    case "a later key is evaluated only on ties of the earlier ones" (fun () ->
+        let t = run_table Graph.empty "UNWIND [2, 1] AS x RETURN x ORDER BY x, 1 / 0" in
+        Alcotest.(check (list value_testable)) "sorted" [ vint 1; vint 2 ] (ints t "x");
+        match run_err Graph.empty "UNWIND [1, 1] AS x RETURN x ORDER BY x, 1 / 0" with
+        | Cypher_core.Errors.Eval_error _ -> ()
+        | e -> Alcotest.failf "wrong error: %s" (Cypher_core.Errors.to_string e));
+  ]
+
+(* MATCH ... WHERE folded straight into an aggregating projection gives
+   exactly the clause-by-clause (PROFILE) result *)
+let fused_tests =
+  let same src =
+    let run prefix =
+      match
+        Api.run_string_full ~config:Cypher_core.Config.revised people (prefix ^ src)
+      with
+      | Ok r -> Table.to_string r.Api.r_table
+      | Error e -> Alcotest.failf "%s: %s" src (Cypher_core.Errors.to_string e)
+    in
+    Alcotest.(check string) src (run "PROFILE ") (run "")
+  in
+  [
+    case "fused and materialising runs agree" (fun () ->
+        List.iter same
+          [
+            "MATCH (p:P) RETURN count(*) AS n";
+            "MATCH (p:P) WHERE p.salary > 10 RETURN count(*) AS n";
+            "MATCH (p:P) WHERE p.salary > 10 RETURN p.dept AS d, count(*) AS n \
+             ORDER BY n DESC, d LIMIT 5";
+            "MATCH (p:P), (q:P) WHERE p.dept = q.dept RETURN p.name AS a, \
+             collect(q.name) AS c ORDER BY a";
+            "MATCH (p:P) WITH p.dept AS d, sum(p.salary) AS s RETURN d, s ORDER BY d";
+            "OPTIONAL MATCH (p:Nope) RETURN count(*) AS n, count(p) AS m";
+            "MATCH (p:P) OPTIONAL MATCH (p)-[:R]->(q) RETURN p.name AS a, \
+             count(q) AS n ORDER BY a";
+            "UNWIND [1, 2] AS x MATCH (p:P) WHERE p.salary > x * 10 RETURN x, \
+             count(*) AS n ORDER BY x";
+          ]);
+  ]
+
+let suite = suite @ accumulator_tests @ sort_key_tests @ fused_tests

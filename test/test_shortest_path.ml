@@ -14,8 +14,125 @@ let g =
      CREATE (a)-[:T]->(b1), (b1)-[:T]->(c), (a)-[:T]->(b2), (b2)-[:T]->(c),\n\
     \       (a)-[:T]->(d), (d)-[:T]->(e), (e)-[:T]->(c), (c)-[:T]->(a)"
 
+(* --- differential against the one-sided reference BFS -------------- *)
+
+module Ast = Cypher_ast.Ast
+module Value = Cypher_graph.Value
+module Graph = Cypher_graph.Graph
+module Record = Cypher_table.Record
+module Ctx = Cypher_eval.Ctx
+module Matcher = Cypher_matcher.Matcher
+module Reference = Cypher_paper.Reference
+
+(* a random small multigraph (self-loops and parallel edges included),
+   two endpoints drawn from it — often the same node — and a step *)
+type sp_case = {
+  nodes : int;
+  edges : (int * string * int) list;
+  src : int;
+  tgt : int;
+  dir : Ast.direction;
+  types : string list;
+  range : int option * int option;
+}
+
+let gen_sp_case =
+  QCheck.Gen.(
+    int_range 1 9 >>= fun nodes ->
+    list_size (int_bound 22)
+      (triple (int_bound (nodes - 1)) (oneofl [ "T"; "U" ]) (int_bound (nodes - 1)))
+    >>= fun edges ->
+    int_bound (nodes - 1) >>= fun src ->
+    frequency [ (1, return src); (4, int_bound (nodes - 1)) ] >>= fun tgt ->
+    oneofl [ Ast.Out; Ast.In; Ast.Undirected ] >>= fun dir ->
+    oneofl [ []; [ "T" ]; [ "T"; "U" ] ] >>= fun types ->
+    oneofl
+      [ (None, None); (Some 0, None); (Some 1, Some 3); (Some 2, None);
+        (Some 2, Some 3); (Some 0, Some 0); (None, Some 1); (Some 3, Some 5) ]
+    >>= fun range -> return { nodes; edges; src; tgt; dir; types; range })
+
+let print_sp_case c =
+  Printf.sprintf "%d nodes, edges [%s], %d -> %d, dir %s, types [%s], range %s..%s"
+    c.nodes
+    (String.concat "; "
+       (List.map (fun (a, t, b) -> Printf.sprintf "%d-%s->%d" a t b) c.edges))
+    c.src c.tgt
+    (match c.dir with Ast.Out -> "out" | Ast.In -> "in" | Ast.Undirected -> "both")
+    (String.concat "|" c.types)
+    (Option.fold ~none:"" ~some:string_of_int (fst c.range))
+    (Option.fold ~none:"" ~some:string_of_int (snd c.range))
+
+(* both implementations on one case: the graph, the pattern, and
+   [run impl ~all] *)
+let sp_setup c =
+  let g = Cypher_paper.Fixtures.build (List.init c.nodes (fun _ -> ([], []))) c.edges in
+  let p =
+    Ast.path
+      (Ast.node ~var:"a" ())
+      [ (Ast.rel ~types:c.types ~dir:c.dir ~range:c.range (), Ast.node ~var:"b" ()) ]
+  in
+  let ctx =
+    Ctx.make g (Record.of_list [ ("a", Value.Node c.src); ("b", Value.Node c.tgt) ])
+  in
+  (g, fun impl ~all -> impl ctx ~all p)
+
+(* [path] is a walk from [src] to [tgt] along relationships the step
+   admits, each used once, of a length inside the range *)
+let valid_walk g c (path : Value.path) =
+  let lo = Option.value ~default:1 (fst c.range) in
+  let len = List.length path.Value.path_rels in
+  let rec steps nodes rels =
+    match (nodes, rels) with
+    | [ last ], [] -> last = c.tgt
+    | a :: (b :: _ as nodes), rid :: rels ->
+        let r = Graph.rel_exn g rid in
+        (c.types = [] || List.mem r.Graph.r_type c.types)
+        && (match c.dir with
+           | Ast.Out -> r.Graph.src = a && r.Graph.tgt = b
+           | Ast.In -> r.Graph.tgt = a && r.Graph.src = b
+           | Ast.Undirected ->
+               (r.Graph.src = a && r.Graph.tgt = b) || (r.Graph.tgt = a && r.Graph.src = b))
+        && steps nodes rels
+    | _ -> false
+  in
+  List.hd path.Value.path_nodes = c.src
+  && steps path.Value.path_nodes path.Value.path_rels
+  && List.length (List.sort_uniq compare path.Value.path_rels) = len
+  && lo <= len
+  && match snd c.range with Some h -> len <= h | None -> true
+
+let paths_of = function
+  | Value.List ps ->
+      List.map (function Value.Path p -> p | _ -> Alcotest.fail "not a path") ps
+  | _ -> Alcotest.fail "allShortestPaths did not return a list"
+
+let sp_differential =
+  QCheck.Test.make ~name:"shortestPath agrees with the reference BFS" ~count:1000
+    (QCheck.make ~print:print_sp_case gen_sp_case)
+    (fun c ->
+      let g, run = sp_setup c in
+      let all = paths_of (run Matcher.shortest_paths ~all:true) in
+      let all_ref = paths_of (run Reference.shortest_paths ~all:true) in
+      let key (p : Value.path) = p.Value.path_rels in
+      (* allShortestPaths: the same set, every member a valid walk,
+         listed in relationship-id order *)
+      List.sort compare (List.map key all) = List.sort compare (List.map key all_ref)
+      && List.for_all (valid_walk g c) all
+      && List.map key all = List.sort compare (List.map key all)
+      &&
+      match (run Matcher.shortest_paths ~all:false, run Reference.shortest_paths ~all:false) with
+      | Value.Null, Value.Null -> all = []
+      | Value.Path p, Value.Path q ->
+          (* same length; the deterministic pick is the first of
+             allShortestPaths *)
+          List.length p.Value.path_rels = List.length q.Value.path_rels
+          && valid_walk g c p
+          && Some p = List.nth_opt all 0
+      | _ -> false)
+
 let suite =
-  [
+  QCheck_alcotest.to_alcotest sp_differential
+  :: [
     case "finds a shortest path" (fun () ->
         let t =
           run_table g
