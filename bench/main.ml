@@ -1019,6 +1019,47 @@ let check_overhead ~threshold pinned_path =
       ((threshold -. 1.) *. 100.);
     exit 1)
 
+(* ------------------------------------------------------------------ *)
+(* --footprint DIR: what the opened store holds, field by field       *)
+(* ------------------------------------------------------------------ *)
+
+module Store = Cypher_storage.Store
+
+let open_store dir =
+  match Store.open_db ~config:Config.revised dir with
+  | Ok x -> x
+  | Error m -> failwith ("--footprint: " ^ m)
+
+(** Opens the store at [dir] and prints [Graph.footprint] of its graph
+    and the process's live heap.  A missing [dir] first gets the wire
+    benchmark's store (seed 1), built as bench/load does: bulk load,
+    [Person(pid)] and [Post(postid)] indexes, compaction. *)
+let footprint dir =
+  if not (Sys.file_exists dir) then begin
+    let store, session = open_store dir in
+    let nodes, rels = Dataset.csv (Dataset.generate Dataset.full 1) in
+    (match Bulk.load_strings session ~nodes ~rels with
+    | Ok _ -> ()
+    | Error e -> failwith (Errors.to_string e));
+    Session.register_prop_index session ~label:"Person" ~key:"pid";
+    Session.register_prop_index session ~label:"Post" ~key:"postid";
+    (match Store.compact store session with Ok () -> () | Error m -> failwith m);
+    Store.close store;
+    Gc.compact ()
+  end;
+  let w0 = live_words () in
+  let store, session = open_store dir in
+  let live = live_words () - w0 in
+  let g = Session.graph session in
+  let mb words = float_of_int (words * (Sys.word_size / 8)) /. 1048576. in
+  Printf.printf "%d nodes, %d relationships\n" (Graph.node_count g) (Graph.rel_count g);
+  Printf.printf "%-14s %12s %9s\n" "field" "words" "MB";
+  List.iter
+    (fun (field, words) -> Printf.printf "%-14s %12d %9.2f\n" field words (mb words))
+    (Graph.footprint g);
+  Printf.printf "%-14s %12d %9.2f\n" "heap growth" live (mb live);
+  Store.close store
+
 let () =
   let json_path = ref None and sha = ref "unknown" in
   let overhead = ref None and large = ref false in
@@ -1051,6 +1092,9 @@ let () =
     | "--only" :: names :: rest ->
         only := String.split_on_char ',' names;
         parse_args rest
+    | "--footprint" :: dir :: _ ->
+        footprint dir;
+        exit 0
     | _ :: rest -> parse_args rest
   in
   parse_args (List.tl (Array.to_list Sys.argv));
@@ -1068,9 +1112,10 @@ let () =
      tiers, and JSON only when --json is given *)
   if !only <> [] then begin
     let tier5_only = List.filter (fun name -> List.mem_assoc name tier5_cases) !only in
-    let tier5_results =
-      if tier5_only = [] then [] else fst (tier5 ~only:tier5_only ())
+    let tier5_results, tier5_meta =
+      if tier5_only = [] then ([], []) else tier5 ~only:tier5_only ()
     in
+    List.iter (fun (key, v) -> Printf.printf "%-32s %13s\n%!" key v) tier5_meta;
     let results =
       List.concat_map
         (fun name ->

@@ -12,9 +12,10 @@
        {!category}.  An unclassifiable divergence is a bug in one of the
        two engines.
     4. {!wellformed}: after every successful update, the result graph
-       must have no dangling relationship endpoints and all maintained
-       secondary indexes (label, type, typed adjacency, property) must
-       agree with a from-scratch {!Graph.rebuild}.
+       must have no dangling relationship endpoints, all maintained
+       secondary indexes (label, type, property) must agree with a
+       from-scratch {!Graph.rebuild}, and every adjacency view must
+       agree with a scan of the relationships ({!adjacency_matches_scan}).
     5. {!parallel_equivalence}: parallelism-on vs parallelism-off
        execution.  Unlike the planner oracle, which tolerates row-order
        changes, the domain-pool fan-out performs an ordered gather, so
@@ -465,6 +466,52 @@ let iter_check f l =
 
 let ids_of_rels rels = List.map (fun (r : Graph.rel) -> r.Graph.r_id) rels
 
+(** Checks every adjacency view of every node of [g] — untyped and
+    typed id sets, incident relationships and degree — against a scan
+    of [g]'s relationships, in id order.  The views are derived from
+    one index; a brute-force scan, not another index, is their
+    reference. *)
+let adjacency_matches_scan (g : Graph.t) : (unit, string) result =
+  (* node -> its relationships, newest first, per direction *)
+  let out_scan = Hashtbl.create 64 and in_scan = Hashtbl.create 64 in
+  Graph.fold_rels
+    (fun r () ->
+      Hashtbl.add out_scan r.Graph.src r;
+      Hashtbl.add in_scan r.Graph.tgt r)
+    g ();
+  let scanned tbl id keep =
+    List.rev (List.filter keep (Hashtbl.find_all tbl id)) |> ids_of_rels
+  in
+  let types = List.map fst (Graph.type_histogram g) in
+  iter_check
+    (fun id ->
+      let view what expected actual =
+        check (expected = actual) (fun () ->
+            Fmt.str "%s of node %d is [%s], a scan gives [%s]" what id
+              (String.concat "; " (List.map string_of_int actual))
+              (String.concat "; " (List.map string_of_int expected)))
+      in
+      let all _ = true in
+      let out_ids = scanned out_scan id all and in_ids = scanned in_scan id all in
+      let incident = List.sort_uniq Int.compare (out_ids @ in_ids) in
+      let* () = view "out_rel_ids" out_ids (Iset.elements (Graph.out_rel_ids g id)) in
+      let* () = view "in_rel_ids" in_ids (Iset.elements (Graph.in_rel_ids g id)) in
+      let* () = view "out_rels" out_ids (ids_of_rels (Graph.out_rels g id)) in
+      let* () = view "in_rels" in_ids (ids_of_rels (Graph.in_rels g id)) in
+      let* () = view "incident_rels" incident (ids_of_rels (Graph.incident_rels g id)) in
+      let* () = view "degree" [ List.length incident ] [ Graph.degree g id ] in
+      iter_check
+        (fun ty ->
+          let typed (r : Graph.rel) = r.Graph.r_type = ty in
+          let* () =
+            view (":" ^ ty ^ " out bucket") (scanned out_scan id typed)
+              (Iset.elements (Graph.out_rel_ids_typed g id ty))
+          in
+          view (":" ^ ty ^ " in bucket") (scanned in_scan id typed)
+            (Iset.elements (Graph.in_rel_ids_typed g id ty)))
+        types)
+    (Graph.node_ids g)
+
 (** Compares every maintained index of [g] against [reference], a graph
     freshly rebuilt from [g]'s entity lists: any disagreement means the
     incremental maintenance of some index drifted during the update. *)
@@ -496,32 +543,7 @@ let indexes_agree (g : Graph.t) (reference : Graph.t) : (unit, string) result =
           (fun () -> Fmt.str "type index for %s disagrees with rebuild" ty))
       (Graph.type_histogram g)
   in
-  let types = List.map fst (Graph.type_histogram g) in
-  let* () =
-    iter_check
-      (fun (n : Graph.node) ->
-        let id = n.Graph.n_id in
-        let* () =
-          check
-            (Iset.equal (Graph.out_rel_ids g id) (Graph.out_rel_ids reference id)
-            && Iset.equal (Graph.in_rel_ids g id) (Graph.in_rel_ids reference id))
-            (fun () -> Fmt.str "adjacency of node %d disagrees with rebuild" id)
-        in
-        iter_check
-          (fun ty ->
-            check
-              (Iset.equal
-                 (Graph.out_rel_ids_typed g id ty)
-                 (Graph.out_rel_ids_typed reference id ty)
-              && Iset.equal
-                   (Graph.in_rel_ids_typed g id ty)
-                   (Graph.in_rel_ids_typed reference id ty))
-              (fun () ->
-                Fmt.str "typed adjacency of node %d (:%s) disagrees with rebuild"
-                  id ty))
-          types)
-      (Graph.nodes g)
-  in
+  let* () = adjacency_matches_scan g in
   (* property indexes: the maintained index must agree both with the
      rebuilt index and with a direct scan over the node list *)
   iter_check

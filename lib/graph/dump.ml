@@ -149,9 +149,9 @@ exception Bad of string
 type cursor = {
   s : string;
   mutable i : int;
-  names : (string, string) Hashtbl.t;
-      (* identifier interning: a graph repeats a handful of labels and
-         keys across every entity, and stores what the reader returns *)
+  share : Share.t;
+      (* a graph repeats a handful of labels, keys and values across
+         every entity, and stores what the reader returns *)
 }
 
 let fail c fmt =
@@ -184,13 +184,6 @@ let expect c w =
   else if c.i >= String.length c.s then fail c "expected %S, got end of input" w
   else fail c "expected %S" w
 
-let intern c name =
-  match Hashtbl.find_opt c.names name with
-  | Some shared -> shared
-  | None ->
-      Hashtbl.add c.names name name;
-      name
-
 let read_ident c =
   skip_ws c;
   match peek c with
@@ -222,7 +215,7 @@ let read_ident c =
   | _ -> fail c "expected an identifier"
 
 (* labels, keys and types, which the graph keeps *)
-let read_name c = intern c (read_ident c)
+let read_name c = Share.name c.share (read_ident c)
 
 let hex_digit c =
   let d =
@@ -336,8 +329,8 @@ let constants =
 let rec read_value_at c : Value.t =
   skip_ws c;
   match peek c with
-  | '\'' -> Value.String (read_string c)
-  | '-' | '0' .. '9' -> read_number c
+  | '\'' -> Share.value c.share (Value.String (read_string c))
+  | '-' | '0' .. '9' -> Share.value c.share (read_number c)
   | '[' ->
       c.i <- c.i + 1;
       skip_ws c;
@@ -404,16 +397,17 @@ and read_map c : Value.t Smap.t =
     in
     entries Smap.empty
 
-let cursor s = { s; i = 0; names = Hashtbl.create 64 }
+let cursor ?(share = Share.create ()) s = { s; i = 0; share }
 
 let at_end c =
   skip_ws c;
   if c.i < String.length c.s then fail c "trailing bytes after the end"
 
-(** [read_value s] is the value the literal [s] denotes: the inverse of
-    {!value_literal}.  [Error] on anything else; never raises. *)
-let read_value (s : string) : (Value.t, string) result =
-  let c = cursor s in
+(** [read_value ?share s] is the value the literal [s] denotes: the
+    inverse of {!value_literal}.  [Error] on anything else; never
+    raises. *)
+let read_value ?share (s : string) : (Value.t, string) result =
+  let c = cursor ?share s in
   try
     let v = read_value_at c in
     at_end c;
@@ -489,7 +483,9 @@ let of_cypher ?(pos = 0) (g : Graph.t) (s : string) : (Graph.t, string) result
     else begin
       if Hashtbl.mem vars var then fail c "variable `%s` is bound twice" var;
       let n_id = fresh () in
-      nodes := { Graph.n_id; labels = Sset.of_list labels; n_props = stored props } :: !nodes;
+      nodes :=
+        { Graph.n_id; labels = Share.labels c.share labels; n_props = stored props }
+        :: !nodes;
       Hashtbl.add vars var n_id
     end;
     skip_ws c;
@@ -513,3 +509,15 @@ let of_cypher ?(pos = 0) (g : Graph.t) (s : string) : (Graph.t, string) result
       Ok (Graph.add_batch g (List.rev !nodes) (List.rev !rels))
     end
   with Bad m -> Error ("dump script: " ^ m)
+
+(** [read_ident s pos] reads one identifier as {!quote_ident} writes
+    it, after optional whitespace from byte [pos]; it returns the name
+    and the offset just past it. *)
+let read_ident s pos =
+  let c = cursor s in
+  c.i <- pos;
+  try
+    if pos < 0 then fail c "start offset out of range";
+    let name = read_ident c in
+    Ok (name, c.i)
+  with Bad m -> Error ("identifier: " ^ m)

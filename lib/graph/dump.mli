@@ -32,15 +32,25 @@ val quote_ident : string -> string
     {!value_literal}, so [read_value (value_literal v) = Ok v] (nan
     reads back as a nan).  [Error] on anything outside the literal
     grammar, including bad escapes, duplicate map keys, unterminated
-    input and trailing bytes; never raises. *)
-val read_value : string -> (Value.t, string) result
+    input and trailing bytes; never raises.  Names and scalars are built
+    through [share] (default: a fresh table), so a caller decoding many
+    literals into one graph can store each repeat once. *)
+val read_value : ?share:Share.t -> string -> (Value.t, string) result
+
+(** [read_ident s pos] reads one identifier as {!quote_ident} writes it,
+    after optional whitespace from byte [pos], and returns it with the
+    offset just past it.  [Error] when none starts there; never
+    raises. *)
+val read_ident : string -> int -> (string * int, string) result
 
 (** [of_cypher ?pos g s] applies the script [s] (from byte [pos],
     default 0), as written by {!to_cypher}, to [g]: entities get the
     ids creating them in file order would give, and the whole script is
     added in one {!Graph.add_batch}, so the graph, its ids and
     {!Graph.next_id} match executing the script as a CREATE statement
-    on [g].  A blank script leaves [g] unchanged.
+    on [g].  A blank script leaves [g] unchanged.  Equal label sets,
+    names and [Int]/[String]/[Bool] values are stored once
+    ({!Share}).
     [Error] on anything outside the grammar — an unbound or rebound node
     variable, a relationship endpoint carrying labels or properties, a
     malformed value, trailing bytes; never raises. *)

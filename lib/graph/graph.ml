@@ -46,10 +46,10 @@ end)
 type t = {
   nodes : node Imap.t;
   rels : rel Imap.t;
-  out_adj : Iset.t Imap.t; (* node id -> ids of rels leaving it *)
-  in_adj : Iset.t Imap.t; (* node id -> ids of rels entering it *)
   out_typed : Iset.t Smap.t Imap.t; (* node id -> type -> rels leaving it *)
   in_typed : Iset.t Smap.t Imap.t; (* node id -> type -> rels entering it *)
+      (* the only adjacency index: a node's untyped adjacency is the
+         union of its buckets, derived on demand rather than stored *)
   label_index : Iset.t Smap.t; (* label -> ids of nodes carrying it *)
   type_index : Iset.t Smap.t; (* type -> ids of rels carrying it *)
   prop_index : Iset.t Vmap.t Smap.t Smap.t;
@@ -67,8 +67,6 @@ let empty =
   {
     nodes = Imap.empty;
     rels = Imap.empty;
-    out_adj = Imap.empty;
-    in_adj = Imap.empty;
     out_typed = Imap.empty;
     in_typed = Imap.empty;
     label_index = Smap.empty;
@@ -210,39 +208,39 @@ let fold_nodes f g acc = Imap.fold (fun _ n acc -> f n acc) g.nodes acc
 let fold_node_ids f g acc = Imap.fold (fun id _ acc -> f id acc) g.nodes acc
 let fold_rels f g acc = Imap.fold (fun _ r acc -> f r acc) g.rels acc
 
-let adj_find id m = match Imap.find_opt id m with Some s -> s | None -> Iset.empty
-
 (** Cumulative wall-time spent building read snapshots, process-wide.
     The store keeps a single read path (the persistent maps), so nothing
     is ever built and this is the constant [0L]; it stays for the wire
     benchmark's trace, which still reads it. *)
 let csr_build_ns_total () = 0L
 
-(** Relationships leaving node [id], in id order. *)
-let out_rels g id =
-  Iset.fold (fun r acc -> rel_exn g r :: acc) (adj_find id g.out_adj) []
-  |> List.rev
-
-(** Relationships entering node [id], in id order. *)
-let in_rels g id =
-  Iset.fold (fun r acc -> rel_exn g r :: acc) (adj_find id g.in_adj) []
-  |> List.rev
-
-(** All relationships incident to node [id] (self-loops reported once). *)
-let incident_rels g id =
-  let s = Iset.union (adj_find id g.out_adj) (adj_find id g.in_adj) in
-  Iset.fold (fun r acc -> rel_exn g r :: acc) s [] |> List.rev
-
-let degree g id = Iset.cardinal (Iset.union (adj_find id g.out_adj) (adj_find id g.in_adj))
-
-(* --- typed adjacency views ----------------------------------------- *)
-
 let rels_of_set g s = Iset.fold (fun r acc -> rel_exn g r :: acc) s [] |> List.rev
+
+(* A node's untyped adjacency: the union of its type buckets, in id
+   order.  [Iset.union s Iset.empty] is [s] itself, so a node with a
+   single bucket (most nodes) gets that bucket back unallocated. *)
+let all_buckets id typed =
+  Smap.fold (fun _ s acc -> Iset.union s acc) (tmap_find id typed) Iset.empty
 
 (* raw adjacency id-sets, for callers that fold without materialising
    relationship lists (the matcher's hop enumeration) *)
-let out_rel_ids g id = adj_find id g.out_adj
-let in_rel_ids g id = adj_find id g.in_adj
+let out_rel_ids g id = all_buckets id g.out_typed
+let in_rel_ids g id = all_buckets id g.in_typed
+let incident_ids g id = Iset.union (out_rel_ids g id) (in_rel_ids g id)
+
+(** Relationships leaving node [id], in id order. *)
+let out_rels g id = rels_of_set g (out_rel_ids g id)
+
+(** Relationships entering node [id], in id order. *)
+let in_rels g id = rels_of_set g (in_rel_ids g id)
+
+(** All relationships incident to node [id] (self-loops reported once). *)
+let incident_rels g id = rels_of_set g (incident_ids g id)
+
+let degree g id = Iset.cardinal (incident_ids g id)
+
+(* --- typed adjacency views ----------------------------------------- *)
+
 let out_rel_ids_typed g id ty = tset_find ty (tmap_find id g.out_typed)
 let in_rel_ids_typed g id ty = tset_find ty (tmap_find id g.in_typed)
 
@@ -306,20 +304,10 @@ let create_rel ~src ~tgt ~r_type ?(props = Props.empty) g =
     invalid_arg (Printf.sprintf "Graph.create_rel: no target node %d" tgt);
   let id = g.next_id in
   let r = { r_id = id; src; tgt; r_type; r_props = props } in
-  let adj_insert n m =
-    Imap.update n
-      (function
-        | Some s -> Some (Iset.add id s) | None -> Some (Iset.singleton id))
-      m
-  in
-  let out_adj = adj_insert src g.out_adj in
-  let in_adj = adj_insert tgt g.in_adj in
   ( id,
     {
       g with
       rels = Imap.add id r g.rels;
-      out_adj;
-      in_adj;
       out_typed = tadj_add src r_type id g.out_typed;
       in_typed = tadj_add tgt r_type id g.in_typed;
       type_index = index_add r_type id g.type_index;
@@ -366,8 +354,8 @@ let push groups k x =
 let index_batch groups idx =
   Hashtbl.fold (fun k ids idx -> Smap.update k (union_set (Iset.of_list !ids)) idx) groups idx
 
-(* plain and typed adjacency on one side ([endpoint] is [src] or [tgt]) *)
-let adj_batch endpoint (rels : rel array) (adj, typed) =
+(* typed adjacency on one side ([endpoint] is [src] or [tgt]) *)
+let adj_batch endpoint (rels : rel array) typed =
   let a = Array.copy rels in
   Array.stable_sort
     (fun x y ->
@@ -376,13 +364,12 @@ let adj_batch endpoint (rels : rel array) (adj, typed) =
       | c -> c)
     a;
   let rid r = r.r_id in
-  let adj = ref adj and typed = ref typed in
+  let typed = ref typed in
   runs
     (fun x y -> endpoint x = endpoint y)
     a 0 (Array.length a)
     (fun i j ->
       let n = endpoint a.(i) in
-      adj := Imap.update n (union_set (set_of_run rid a i j)) !adj;
       let by_type = ref Smap.empty in
       runs
         (fun x y -> x.r_type = y.r_type)
@@ -395,7 +382,7 @@ let adj_batch endpoint (rels : rel array) (adj, typed) =
             | Some old ->
                 Some (Smap.union (fun _ s t -> Some (Iset.union s t)) old !by_type))
           !typed);
-  (!adj, !typed)
+  !typed
 
 (* the registered property indexes, fed the batch's non-null values *)
 let pindex_batch (nodes : node array) pidx =
@@ -444,8 +431,6 @@ let insert_batch ~caller g (nodes : node array) (rels : rel array) =
       endpoint "source" r.src;
       endpoint "target" r.tgt)
     rels;
-  let out_adj, out_typed = adj_batch (fun r -> r.src) rels (g.out_adj, g.out_typed) in
-  let in_adj, in_typed = adj_batch (fun r -> r.tgt) rels (g.in_adj, g.in_typed) in
   let labels = Hashtbl.create 16 and types = Hashtbl.create 16 in
   Array.iter (fun n -> Sset.iter (fun l -> push labels l n.n_id) n.labels) nodes;
   Array.iter (fun r -> push types r.r_type r.r_id) rels;
@@ -453,10 +438,8 @@ let insert_batch ~caller g (nodes : node array) (rels : rel array) =
     g with
     nodes = node_map;
     rels = Array.fold_left (fun m r -> Imap.add r.r_id r m) g.rels rels;
-    out_adj;
-    in_adj;
-    out_typed;
-    in_typed;
+    out_typed = adj_batch (fun r -> r.src) rels g.out_typed;
+    in_typed = adj_batch (fun r -> r.tgt) rels g.in_typed;
     label_index = index_batch labels g.label_index;
     type_index = index_batch types g.type_index;
     prop_index = pindex_batch nodes g.prop_index;
@@ -498,62 +481,33 @@ let update_node g id f =
            else pindex_node_add n' (pindex_node_remove n g.prop_index));
       }
 
-let update_rel g id f =
+(* a relationship's type and endpoints are fixed at creation: only its
+   property map ever changes, and no index is derived from that *)
+let update_rel_props g id f =
   match rel g id with
   | None -> g
-  | Some r ->
-      let r' = f r in
-      let g = { g with rels = Imap.add id r' g.rels } in
-      if r'.r_type = r.r_type && r'.src = r.src && r'.tgt = r.tgt then g
-      else
-        (* re-key every structure derived from type or endpoints *)
-        let move old_n new_n adj =
-          if old_n = new_n then adj
-          else
-            Imap.add new_n
-              (Iset.add id (adj_find new_n adj))
-              (Imap.add old_n (Iset.remove id (adj_find old_n adj)) adj)
-        in
-        {
-          g with
-          out_adj = move r.src r'.src g.out_adj;
-          in_adj = move r.tgt r'.tgt g.in_adj;
-          out_typed =
-            tadj_add r'.src r'.r_type id (tadj_remove r.src r.r_type id g.out_typed);
-          in_typed =
-            tadj_add r'.tgt r'.r_type id (tadj_remove r.tgt r.r_type id g.in_typed);
-          type_index =
-            (if r'.r_type = r.r_type then g.type_index
-             else index_add r'.r_type id (index_remove r.r_type id g.type_index));
-          dangling =
-            (if has_node g r'.src && has_node g r'.tgt then
-               Iset.remove id g.dangling
-             else Iset.add id g.dangling);
-        }
+  | Some r -> { g with rels = Imap.add id { r with r_props = f r.r_props } g.rels }
 
 let set_node_prop g id k v =
   update_node g id (fun n -> { n with n_props = Props.set n.n_props k v })
 
-let set_rel_prop g id k v =
-  update_rel g id (fun r -> { r with r_props = Props.set r.r_props k v })
+let set_rel_prop g id k v = update_rel_props g id (fun p -> Props.set p k v)
 
 let remove_node_prop g id k =
   update_node g id (fun n -> { n with n_props = Props.remove n.n_props k })
 
-let remove_rel_prop g id k =
-  update_rel g id (fun r -> { r with r_props = Props.remove r.r_props k })
+let remove_rel_prop g id k = update_rel_props g id (fun p -> Props.remove p k)
 
 let replace_node_props g id props =
   update_node g id (fun n -> { n with n_props = props })
 
-let replace_rel_props g id props =
-  update_rel g id (fun r -> { r with r_props = props })
+let replace_rel_props g id props = update_rel_props g id (fun _ -> props)
 
 let merge_node_props g id extra =
   update_node g id (fun n -> { n with n_props = Props.merge_into n.n_props extra })
 
 let merge_rel_props g id extra =
-  update_rel g id (fun r -> { r with r_props = Props.merge_into r.r_props extra })
+  update_rel_props g id (fun p -> Props.merge_into p extra)
 
 let add_label g id label =
   update_node g id (fun n -> { n with labels = Sset.add label n.labels })
@@ -572,17 +526,9 @@ let remove_rel g id =
   match rel g id with
   | None -> g
   | Some r ->
-      let out_adj =
-        Imap.add r.src (Iset.remove id (adj_find r.src g.out_adj)) g.out_adj
-      in
-      let in_adj =
-        Imap.add r.tgt (Iset.remove id (adj_find r.tgt g.in_adj)) g.in_adj
-      in
       {
         g with
         rels = Imap.remove id g.rels;
-        out_adj;
-        in_adj;
         out_typed = tadj_remove r.src r.r_type id g.out_typed;
         in_typed = tadj_remove r.tgt r.r_type id g.in_typed;
         type_index = index_remove r.r_type id g.type_index;
@@ -602,8 +548,6 @@ let remove_node g id =
             {
               g with
               nodes = Imap.remove id g.nodes;
-              out_adj = Imap.remove id g.out_adj;
-              in_adj = Imap.remove id g.in_adj;
               out_typed = Imap.remove id g.out_typed;
               in_typed = Imap.remove id g.in_typed;
               label_index = unindex_node n g.label_index;
@@ -622,17 +566,12 @@ let remove_node_force g id =
       {
         g with
         nodes = Imap.remove id g.nodes;
-        out_adj = Imap.remove id g.out_adj;
-        in_adj = Imap.remove id g.in_adj;
         out_typed = Imap.remove id g.out_typed;
         in_typed = Imap.remove id g.in_typed;
         label_index = unindex_node n g.label_index;
         prop_index = pindex_node_remove n g.prop_index;
         (* the still-attached relationships lose an endpoint *)
-        dangling =
-          Iset.union
-            (Iset.union (adj_find id g.out_adj) (adj_find id g.in_adj))
-            g.dangling;
+        dangling = Iset.union (incident_ids g id) g.dangling;
         tombs = Imap.add id Tomb_node g.tombs;
       }
 
@@ -817,3 +756,22 @@ let pp ppf g =
   Fmt.pf ppf "@]@,}"
 
 let to_string g = Fmt.str "%a" pp g
+
+(* ------------------------------------------------------------------ *)
+(* Footprint                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let footprint g =
+  let w x = Obj.reachable_words (Obj.repr x) in
+  [
+    ("nodes", w g.nodes);
+    ("rels", w g.rels);
+    ("out_typed", w g.out_typed);
+    ("in_typed", w g.in_typed);
+    ("label_index", w g.label_index);
+    ("type_index", w g.type_index);
+    ("prop_index", w g.prop_index);
+    ("dangling", w g.dangling);
+    ("tombs", w g.tombs);
+    ("total", w g);
+  ]

@@ -73,6 +73,13 @@ val fold_nodes : (node -> 'a -> 'a) -> t -> 'a -> 'a
 val fold_node_ids : (node_id -> 'a -> 'a) -> t -> 'a -> 'a
 val fold_rels : (rel -> 'a -> 'a) -> t -> 'a -> 'a
 
+(** {1 Adjacency}
+
+    The store keeps one adjacency index per direction: per node, one
+    id set per relationship type.  The untyped views below are the
+    union of a node's buckets, in id order; for a node whose
+    relationships all share one type that is the bucket itself. *)
+
 (** Relationships leaving node [id], in id order. *)
 val out_rels : t -> node_id -> rel list
 
@@ -86,8 +93,7 @@ val degree : t -> node_id -> int
 
 (** {1 Typed adjacency}
 
-    Per-node adjacency bucketed by relationship type, maintained
-    alongside the plain adjacency sets.  A pattern hop carrying a type
+    The per-type buckets themselves.  A pattern hop carrying a type
     label enumerates exactly the matching relationships instead of
     filtering the full neighbour list post-hoc. *)
 
@@ -104,7 +110,9 @@ val out_degree_typed : t -> node_id -> string -> int
 val in_degree_typed : t -> node_id -> string -> int
 
 (** Raw adjacency id-sets, for callers that fold over neighbours without
-    materialising relationship lists (the matcher's hop enumeration). *)
+    materialising relationship lists (the matcher's hop enumeration).
+    [out_rel_ids]/[in_rel_ids] union the node's buckets: allocation-free
+    for a node with at most one type per direction. *)
 val out_rel_ids : t -> node_id -> Iset.t
 
 val in_rel_ids : t -> node_id -> Iset.t
@@ -256,3 +264,12 @@ val pp_rel : t -> Format.formatter -> rel -> unit
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
+
+(** {1 Footprint} *)
+
+(** [footprint g] is the heap words reachable from each field of the
+    store ([Obj.reachable_words]), in declaration order, then the whole
+    store under ["total"].  Words shared between fields, such as label
+    strings that are both node labels and label-index keys, count in
+    each field but once in the total. *)
+val footprint : t -> (string * int) list

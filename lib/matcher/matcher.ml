@@ -145,23 +145,22 @@ let flip = function Out -> In | In -> Out | Undirected -> Undirected
 (* Hop enumeration folds [f] over the relationships at a node
    compatible with the direction of the hop's relationship pattern
    (flipped for hops traversed right-to-left), pairing each with the
-   node at the far end, in relationship-id order.  A single-type
-   pattern is served from the typed adjacency index — same id order as
-   filtering the full neighbour list, but without touching
+   node at the far end, in relationship-id order.  A typed pattern
+   folds only the buckets of its listed types, merged in id order (a
+   single type is its bucket, unallocated), never touching
    non-matching types.  Folding (rather than materialising a neighbour
    list) keeps the per-hop allocation at zero; hop enumeration is the
    innermost loop of every MATCH and MERGE. *)
 
+let hop_ids g src_id types typed all =
+  match types with
+  | [] -> all g src_id
+  | [ ty ] -> typed g src_id ty
+  | tys -> List.fold_left (fun s ty -> Iset.union (typed g src_id ty) s) Iset.empty tys
+
 let fold_adjacent_maps (g : Graph.t) src_id (rp : rel_pat) ~reversed
     (f : Value.rel_id -> Graph.rel -> Value.node_id -> 'a -> 'a) (acc : 'a) :
     'a =
-  let out_set, in_set =
-    match rp.rp_types with
-    | [ ty ] ->
-        ( Graph.out_rel_ids_typed g src_id ty,
-          Graph.in_rel_ids_typed g src_id ty )
-    | _ -> (Graph.out_rel_ids g src_id, Graph.in_rel_ids g src_id)
-  in
   let dir = if reversed then flip rp.rp_dir else rp.rp_dir in
   match dir with
   | Out ->
@@ -169,13 +168,15 @@ let fold_adjacent_maps (g : Graph.t) src_id (rp : rel_pat) ~reversed
         (fun rid acc ->
           let r = Graph.rel_exn g rid in
           f rid r r.Graph.tgt acc)
-        out_set acc
+        (hop_ids g src_id rp.rp_types Graph.out_rel_ids_typed Graph.out_rel_ids)
+        acc
   | In ->
       Iset.fold
         (fun rid acc ->
           let r = Graph.rel_exn g rid in
           f rid r r.Graph.src acc)
-        in_set acc
+        (hop_ids g src_id rp.rp_types Graph.in_rel_ids_typed Graph.in_rel_ids)
+        acc
   | Undirected ->
       (* the incident set is a union of the two adjacency sets, so a
          self-loop appears once without any post-hoc deduplication *)
@@ -186,7 +187,9 @@ let fold_adjacent_maps (g : Graph.t) src_id (rp : rel_pat) ~reversed
             if r.Graph.src = src_id then r.Graph.tgt else r.Graph.src
           in
           f rid r far acc)
-        (Iset.union out_set in_set)
+        (Iset.union
+           (hop_ids g src_id rp.rp_types Graph.out_rel_ids_typed Graph.out_rel_ids)
+           (hop_ids g src_id rp.rp_types Graph.in_rel_ids_typed Graph.in_rel_ids))
         acc
 
 (** A hop's adjacency enumeration, compiled once per pattern

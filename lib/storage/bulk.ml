@@ -102,8 +102,8 @@ let enc_props (props : Props.t) =
 let dec_opt s =
   if s = "-" then Some "" else Wal.pct_decode s
 
-let dec_props s : Props.t option =
-  if s = "-" then Some Props.empty else Wal.decode_params s
+let dec_props share s : Props.t option =
+  if s = "-" then Some Props.empty else Wal.decode_params ~share s
 
 let split_labels s = List.filter (fun l -> l <> "") (String.split_on_char ';' s)
 
@@ -142,6 +142,8 @@ let apply_frame ~(ids : idmap) (g : Graph.t) (payload : string) :
     incr next;
     id
   in
+  (* equal label sets, types, keys and scalars are stored once *)
+  let share = Share.create () in
   try
     List.iter
       (fun line ->
@@ -150,17 +152,15 @@ let apply_frame ~(ids : idmap) (g : Graph.t) (payload : string) :
           | [ "N"; id; labels; props ] ->
               let id = decode "id" Wal.pct_decode id in
               let labels = split_labels (decode "labels" dec_opt labels) in
-              let n_props = decode "props" dec_props props in
+              let n_props = decode "props" (dec_props share) props in
               let n_id = fresh () in
-              nodes :=
-                { Graph.n_id; labels = Cypher_util.Maps.Sset.of_list labels; n_props }
-                :: !nodes;
+              nodes := { Graph.n_id; labels = Share.labels share labels; n_props } :: !nodes;
               Hashtbl.replace ids id n_id
           | [ "R"; src; tgt; ty; props ] ->
               let src = decode "src" Wal.pct_decode src in
               let tgt = decode "tgt" Wal.pct_decode tgt in
-              let r_type = decode "type" Wal.pct_decode ty in
-              let r_props = decode "props" dec_props props in
+              let r_type = Share.name share (decode "type" Wal.pct_decode ty) in
+              let r_props = decode "props" (dec_props share) props in
               let resolve what raw =
                 match Hashtbl.find_opt ids raw with
                 | Some nid -> nid

@@ -16,13 +16,15 @@ let table =
          done;
          !c))
 
-(** [digest s] is the CRC-32 of all of [s]. *)
-let digest (s : string) : int =
+(** [digest ?pos s] is the CRC-32 of [s] from byte [pos] (default 0)
+    to its end. *)
+let digest ?(pos = 0) (s : string) : int =
+  if pos < 0 || pos > String.length s then invalid_arg "Crc32.digest";
   let table = Lazy.force table in
   let c = ref 0xFFFFFFFF in
-  String.iter
-    (fun ch -> c := table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
-    s;
+  for i = pos to String.length s - 1 do
+    c := table.((!c lxor Char.code s.[i]) land 0xff) lxor (!c lsr 8)
+  done;
   !c lxor 0xFFFFFFFF
 
 (** Zero-padded lowercase hex, 8 digits. *)

@@ -2,8 +2,10 @@
     and the snapshot header.  Detects all burst errors up to 32 bits —
     in particular any single corrupted byte. *)
 
-(** [digest s] is the CRC-32 of all of [s]. *)
-val digest : string -> int
+(** [digest ?pos s] is the CRC-32 of [s] from byte [pos] (default 0)
+    to its end.
+    @raise Invalid_argument when [pos] is outside [0 .. String.length s]. *)
+val digest : ?pos:int -> string -> int
 
 (** Zero-padded lowercase hex, 8 digits. *)
 val to_hex : int -> string

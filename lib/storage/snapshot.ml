@@ -11,6 +11,10 @@
     CREATE ...;\n
     v}
 
+    Index labels and keys are written as the script writes identifiers
+    ({!Dump.quote_ident}): bare when plain, backtick-quoted otherwise,
+    so a name holding a space or a newline survives the round trip.
+
     Loading re-registers the indexes on the empty graph and decodes the
     script with [Dump.of_cypher], the writer's own inverse, rather than
     executing it through the query pipeline: the image is self-written
@@ -28,12 +32,10 @@ open Cypher_graph
 
 let version_tag = "#cypher-snapshot v1"
 
-let index_line (label, key) = Printf.sprintf "// index: %s %s" label key
+let index_tag = "// index: "
 
-let parse_index_line line =
-  match String.split_on_char ' ' line with
-  | [ "//"; "index:"; label; key ] -> Some (label, key)
-  | _ -> None
+let index_line (label, key) =
+  index_tag ^ Dump.quote_ident label ^ " " ^ Dump.quote_ident key
 
 (** [to_string g] renders the snapshot image of [g].
     @raise Invalid_argument on a graph with dangling relationships
@@ -49,35 +51,37 @@ let to_string (g : Graph.t) : string =
     (Crc32.to_hex (Crc32.digest body))
     body
 
-(* [indexes body] reads the index lines heading [body]: the registered
-   (label, key) pairs and the offset the script starts at *)
-let indexes body =
-  let tag = "// index: " in
+let starts_with s pos prefix =
+  pos + String.length prefix <= String.length s
+  && String.sub s pos (String.length prefix) = prefix
+
+(* [indexes s pos] reads the index lines heading the body at [pos]: the
+   registered (label, key) pairs and the offset the script starts at *)
+let indexes s pos =
+  let len = String.length s in
+  let malformed = Error "snapshot: malformed index line" in
   let rec go acc pos =
-    if
-      pos + String.length tag <= String.length body
-      && String.sub body pos (String.length tag) = tag
-    then
-      let eol =
-        Option.value ~default:(String.length body)
-          (String.index_from_opt body pos '\n')
-      in
-      match parse_index_line (String.sub body pos (eol - pos)) with
-      | Some ik -> go (ik :: acc) (min (eol + 1) (String.length body))
-      | None -> Error "snapshot: malformed index line"
-    else Ok (List.rev acc, pos)
+    if not (starts_with s pos index_tag) then Ok (List.rev acc, pos)
+    else
+      match Dump.read_ident s (pos + String.length index_tag) with
+      | Ok (label, p) when p < len && s.[p] = ' ' -> (
+          match Dump.read_ident s (p + 1) with
+          | Ok (key, p) when p = len -> Ok (List.rev ((label, key) :: acc), p)
+          | Ok (key, p) when s.[p] = '\n' -> go ((label, key) :: acc) (p + 1)
+          | _ -> malformed)
+      | _ -> malformed
   in
-  go [] 0
+  go [] pos
 
 (** [parse s] validates and decodes a snapshot image, returning the
     rebuilt graph.  Never raises: version/checksum/count mismatches and
     script errors all come back as [Error]. *)
 let parse (s : string) : (Graph.t, string) result =
+  (* the body is checked and decoded where it lies, not copied out *)
   let header, body =
     match String.index_opt s '\n' with
-    | Some i ->
-        (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
-    | None -> (s, "")
+    | Some i -> (String.sub s 0 i, i + 1)
+    | None -> (s, String.length s)
   in
   let field name =
     let p = " " ^ name ^ "=" in
@@ -97,11 +101,11 @@ let parse (s : string) : (Graph.t, string) result =
   else
     match (field "nodes", field "rels", field "crc") with
     | Some nodes_s, Some rels_s, Some crc_s -> (
-        if Crc32.to_hex (Crc32.digest body) <> crc_s then
+        if Crc32.to_hex (Crc32.digest ~pos:body s) <> crc_s then
           Error "snapshot: body checksum mismatch"
         else
           let decoded =
-            Result.bind (indexes body) (fun (indexes, pos) ->
+            Result.bind (indexes s body) (fun (indexes, pos) ->
                 let g0 =
                   List.fold_left
                     (fun g (label, key) -> Graph.add_prop_index ~label ~key g)
@@ -109,7 +113,7 @@ let parse (s : string) : (Graph.t, string) result =
                 in
                 Result.map_error
                   (fun e -> "snapshot: " ^ e)
-                  (Dump.of_cypher ~pos g0 body))
+                  (Dump.of_cypher ~pos g0 s))
           in
           match decoded with
           | Error e -> Error e

@@ -193,8 +193,8 @@ let pct_decode s : string option =
 let encode_params (params : Value.t Smap.t) : string =
   pct_encode (Dump.value_literal (Value.Map params))
 
-let decode_params s : Value.t Smap.t option =
-  match Option.map Dump.read_value (pct_decode s) with
+let decode_params ?share s : Value.t Smap.t option =
+  match Option.map (Dump.read_value ?share) (pct_decode s) with
   | Some (Ok (Value.Map m)) -> Some m
   | _ -> None
 

@@ -55,9 +55,11 @@ val pct_decode : string -> string option
     @raise Invalid_argument when a binding holds a graph entity. *)
 val encode_params : Value.t Cypher_util.Maps.Smap.t -> string
 
-(** Inverse of {!encode_params} via {!Dump.read_value}; [None] on a bad
-    escape or anything but a map literal. *)
-val decode_params : string -> Value.t Cypher_util.Maps.Smap.t option
+(** Inverse of {!encode_params} via {!Dump.read_value}, building names
+    and scalars through [share]; [None] on a bad escape or anything but
+    a map literal. *)
+val decode_params :
+  ?share:Share.t -> string -> Value.t Cypher_util.Maps.Smap.t option
 
 (** [scan_string s] parses records from the front of [s]: the records of
     the longest valid prefix, the byte length of that prefix, and —

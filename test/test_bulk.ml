@@ -397,4 +397,107 @@ let equivalence_tests =
               (stats.Cypher_core.Stats.nodes_created, stats.Cypher_core.Stats.rels_created));
   ]
 
-let suite = validation_tests @ storage_tests @ frame_tests @ equivalence_tests
+(* ------------------------------------------------------------------ *)
+(* A load stores what repeats once                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* persons, posts and tags in the columns the wire benchmark loads,
+   with its value ranges: few labels, cities and ages, many entities *)
+let bench_shaped_csv ~persons =
+  let nodes = Buffer.create 4096 and rels = Buffer.create 4096 in
+  Buffer.add_string nodes "id,labels,pid,name,age,city,balance,postid,by,len,tid\n";
+  for i = 0 to persons - 1 do
+    Printf.bprintf nodes "p%d,Person,%d,name%d,%d,city%d,%d,,,,\n" i i i (18 + (i * 7 mod 62))
+      (i mod 5) (i * 37 mod 1000)
+  done;
+  for j = 0 to (2 * persons) - 1 do
+    Printf.bprintf nodes "q%d,Post,,,,,,%d,%d,%d,\n" j j (j mod persons) (1 + (j * 13 mod 10))
+  done;
+  for k = 0 to 3 do
+    Printf.bprintf nodes "t%d,Tag,,tag%d,,,,,,,%d\n" k k k
+  done;
+  Buffer.add_string rels "src,tgt,type\n";
+  for i = 0 to persons - 1 do
+    List.iter
+      (fun d -> Printf.bprintf rels "p%d,p%d,KNOWS\n" i ((i + d) mod persons))
+      [ 1; 3; 7 ]
+  done;
+  for j = 0 to (2 * persons) - 1 do
+    Printf.bprintf rels "p%d,q%d,CREATED\n" (j mod persons) j
+  done;
+  (Buffer.contents nodes, Buffer.contents rels)
+
+let sharing_tests =
+  let prop (n : Graph.node) k = Props.get n.Graph.n_props k in
+  [
+    Test_util.case "loaded entities share equal label sets and scalars" (fun () ->
+        let nodes, rels = bench_shaped_csv ~persons:40 in
+        let s = fresh_session () in
+        (match load ~batch_size:1000 s ~nodes ~rels with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "load: %s" (Errors.to_string e));
+        let g = Session.graph s in
+        let persons = List.filter (fun n -> Graph.has_label g n.Graph.n_id "Person") (Graph.nodes g) in
+        let first_with k v = List.find (fun n -> Value.equal_strict (prop n k) v) persons in
+        List.iter
+          (fun (n : Graph.node) ->
+            let same = first_with "city" (prop n "city") in
+            Alcotest.(check bool) "label set" true (n.Graph.labels == same.Graph.labels);
+            Alcotest.(check bool) "city" true (prop n "city" == prop same "city");
+            let same = first_with "age" (prop n "age") in
+            Alcotest.(check bool) "age" true (prop n "age" == prop same "age"))
+          persons;
+        let types = List.map (fun (r : Graph.rel) -> r.Graph.r_type) (Graph.rels g) in
+        let knows = List.filter (fun t -> t = "KNOWS") types in
+        Alcotest.(check bool) "types" true (List.for_all (fun t -> t == List.hd knows) knows));
+    Test_util.case "frame floats keep their bits; bools and ints are shared" (fun () ->
+        let props f = Props.of_list [ ("f", Value.Float f); ("b", Value.Bool true); ("i", Value.Int 7) ] in
+        let line id f = Printf.sprintf "N %s L %s" id (Wal.encode_params (props f)) in
+        let frame = String.concat "\n" [ line "a" 0.0; line "b" (-0.0); line "c" Float.nan ] in
+        match Bulk.apply_frame ~ids:(Bulk.create_idmap ()) Graph.empty frame with
+        | Error m -> Alcotest.failf "frame: %s" m
+        | Ok (g, _) -> (
+            match Graph.nodes g with
+            | [ a; b; c ] ->
+                let bits n =
+                  match prop n "f" with
+                  | Value.Float f -> Int64.bits_of_float f
+                  | _ -> Alcotest.fail "not a float"
+                in
+                Alcotest.(check int64) "0.0" (Int64.bits_of_float 0.0) (bits a);
+                Alcotest.(check int64) "-0.0" (Int64.bits_of_float (-0.0)) (bits b);
+                Alcotest.(check bool) "nan" true (Float.is_nan (Int64.float_of_bits (bits c)));
+                Alcotest.(check bool) "int" true (prop a "i" == prop c "i");
+                Alcotest.(check bool) "bool" true (prop a "b" == prop b "b");
+                Alcotest.(check bool) "labels" true (a.Graph.labels == c.Graph.labels)
+            | ns -> Alcotest.failf "expected 3 nodes, got %d" (List.length ns)));
+    Test_util.case "a SET on one of two nodes sharing a value leaves the other" (fun () ->
+        let nodes = "id,labels,age,city\nu1,User,36,x\nu2,User,36,x\n" in
+        let s = fresh_session () in
+        (match load s ~nodes ~rels:"src,tgt,type\n" with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "load: %s" (Errors.to_string e));
+        let g = Test_util.run_graph (Session.graph s) "MATCH (u:User) WHERE id(u) = 0 SET u.age = u.age + 1, u.city = 'y', u:Admin" in
+        let n i = Graph.node_exn g i in
+        Test_util.check_value "updated age" (Value.Int 37) (prop (n 0) "age");
+        Test_util.check_value "other age" (Value.Int 36) (prop (n 1) "age");
+        Test_util.check_value "other city" (Value.String "x") (prop (n 1) "city");
+        Alcotest.(check (list string)) "other labels" [ "User" ] (Graph.labels_of g 1));
+    Test_util.case "a bench-shaped image re-images to the same bytes" (fun () ->
+        let nodes, rels = bench_shaped_csv ~persons:60 in
+        let s = fresh_session () in
+        (match load ~batch_size:100 s ~nodes ~rels with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "load: %s" (Errors.to_string e));
+        Session.register_prop_index s ~label:"Person" ~key:"pid";
+        Session.register_prop_index s ~label:"Post" ~key:"postid";
+        let img = Cypher_storage.Snapshot.to_string (Session.graph s) in
+        match Cypher_storage.Snapshot.parse img with
+        | Error m -> Alcotest.failf "parse: %s" m
+        | Ok g ->
+            Alcotest.(check string) "fixpoint" img (Cypher_storage.Snapshot.to_string g);
+            Test_util.check_adjacency "decoded" g);
+  ]
+
+let suite =
+  validation_tests @ storage_tests @ frame_tests @ equivalence_tests @ sharing_tests

@@ -333,6 +333,53 @@ let float_tests =
         check_roundtrip (node_with [ ("x", vfloat 1234567890123456.0) ]));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Decoding stores what repeats once                                  *)
+(* ------------------------------------------------------------------ *)
+
+let bits = function
+  | Value.Float f -> Int64.bits_of_float f
+  | v -> Alcotest.failf "%s is not a float" (Value.to_string v)
+
+let sharing_tests =
+  let script =
+    "CREATE (n0:Person {age: 30, city: 'x', ok: true, f: 0.0, l: [1]}), \
+     (n1:Person {age: 30, city: 'x', ok: true, f: -0.0, l: [1]}), \
+     (n2:Admin:Person {f: (0.0 / 0.0)}), (n3:Admin:Person {f: (0.0 / 0.0)}), \
+     (n0)-[:T {w: 30}]->(n1), (n1)-[:T {w: 30}]->(n0);"
+  in
+  let node g i = Graph.node_exn g i in
+  let prop g i k = Props.get (node g i).Graph.n_props k in
+  [
+    case "decoded entities share equal label sets and scalars" (fun () ->
+        let g = decoded Graph.empty script in
+        Alcotest.(check bool) "labels" true ((node g 0).Graph.labels == (node g 1).Graph.labels);
+        Alcotest.(check bool) "two-label sets" true
+          ((node g 2).Graph.labels == (node g 3).Graph.labels);
+        List.iter
+          (fun k -> Alcotest.(check bool) k true (prop g 0 k == prop g 1 k))
+          [ "age"; "city"; "ok" ];
+        let w r = Props.get (Graph.rel_exn g r).Graph.r_props "w" in
+        Alcotest.(check bool) "relationship value" true (w 4 == w 5);
+        Alcotest.(check bool) "across entity kinds" true (w 4 == prop g 0 "age"));
+    case "floats keep their bits: 0.0, -0.0 and NaN are never shared" (fun () ->
+        let g = decoded Graph.empty script in
+        Alcotest.(check int64) "0.0" (Int64.bits_of_float 0.0) (bits (prop g 0 "f"));
+        Alcotest.(check int64) "-0.0" (Int64.bits_of_float (-0.0)) (bits (prop g 1 "f"));
+        Alcotest.(check bool) "nan" true
+          (Float.is_nan (Int64.float_of_bits (bits (prop g 2 "f")))));
+    case "an update on one node leaves the other's shared value alone" (fun () ->
+        let g = decoded Graph.empty script in
+        let g = run_graph g "MATCH (n:Person) WHERE id(n) = 0 SET n.age = n.age + 1, n.city = 'y'" in
+        let g = run_graph g "MATCH (n:Person) WHERE id(n) = 0 REMOVE n:Person SET n:Other" in
+        check_value "updated" (vint 31) (prop g 0 "age");
+        check_value "other age" (vint 30) (prop g 1 "age");
+        check_value "other city" (vstr "x") (prop g 1 "city");
+        Alcotest.(check (list string)) "other labels" [ "Person" ] (Graph.labels_of g 1);
+        Alcotest.(check (list string)) "updated labels" [ "Other" ] (Graph.labels_of g 0);
+        check_same_graph "after updates" g (executed Graph.empty (Dump.to_cypher g)));
+  ]
+
 let suite =
   literal_tests @ ident_tests @ shape_tests @ fuzz_population_tests
-  @ reader_tests @ decode_tests @ float_tests
+  @ reader_tests @ decode_tests @ float_tests @ sharing_tests

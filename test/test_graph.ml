@@ -220,6 +220,83 @@ let typed_adjacency_tests =
         Alcotest.(check int) "type count" 1 (Graph.type_count g' "T"));
   ]
 
+(* the untyped views are derived from the type buckets: each case
+   checks them against a scan of the relationships (check_adjacency) *)
+let derived_adjacency_tests =
+  [
+    case "untyped views merge three or more buckets in id order" (fun () ->
+        let a, g = Graph.create_node Graph.empty in
+        let b, g = Graph.create_node g in
+        let rel src tgt ty g = snd (Graph.create_rel ~src ~tgt ~r_type:ty g) in
+        let g = g |> rel a b "Z" |> rel a b "A" |> rel b a "M" |> rel a b "M" |> rel a b "Z" in
+        let g = g |> rel b a "A" |> rel a b "A" in
+        check_adjacency "three types" g;
+        let ids = List.map (fun (r : Graph.rel) -> r.Graph.r_id) in
+        let out = ids (Graph.out_rels g a) in
+        Alcotest.(check (list int)) "out in id order" (List.sort compare out) out;
+        Alcotest.(check int) "out count" 5 (List.length out);
+        Alcotest.(check int) "degree" 7 (Graph.degree g a);
+        (* a multi-type hop folds only the listed buckets, in id order *)
+        let t =
+          run_table g "MATCH (x)-[r:Z|A]->(y) WHERE id(x) = 0 RETURN id(r) AS r"
+        in
+        let listed = ids (List.filter (fun (r : Graph.rel) -> r.Graph.r_type <> "M") (Graph.out_rels g a)) in
+        Alcotest.(check (list int)) "[:Z|A] hop" listed
+          (List.map (function Value.Int i -> i | _ -> -1) (column t "r")));
+    case "a node with one bucket gets that bucket back" (fun () ->
+        let g = graph_of "CREATE (a)-[:T]->(b), (a)-[:T]->(b)" in
+        let a = List.hd (Graph.node_ids g) in
+        Alcotest.(check bool) "same set" true
+          (Graph.out_rel_ids g a == Graph.out_rel_ids_typed g a "T"));
+    case "self-loops appear in both directions and once when incident" (fun () ->
+        let a, g = Graph.create_node Graph.empty in
+        let b, g = Graph.create_node g in
+        let l1, g = Graph.create_rel ~src:a ~tgt:a ~r_type:"T" g in
+        let out, g = Graph.create_rel ~src:a ~tgt:b ~r_type:"U" g in
+        let l2, g = Graph.create_rel ~src:a ~tgt:a ~r_type:"U" g in
+        check_adjacency "self-loops" g;
+        Alcotest.(check (list int)) "out" [ l1; out; l2 ] (rel_ids (Graph.out_rels g a));
+        Alcotest.(check (list int)) "in" [ l1; l2 ] (rel_ids (Graph.in_rels g a));
+        Alcotest.(check (list int)) "incident" [ l1; out; l2 ] (rel_ids (Graph.incident_rels g a));
+        Alcotest.(check int) "degree" 3 (Graph.degree g a);
+        let g = Graph.remove_rel g l1 in
+        check_adjacency "after removing a loop" g;
+        Alcotest.(check int) "degree after" 2 (Graph.degree g a));
+    case "relationship property updates leave the adjacency alone" (fun () ->
+        (* type and endpoints are fixed at creation; only properties change *)
+        let a, g = Graph.create_node Graph.empty in
+        let b, g = Graph.create_node g in
+        let r, g = Graph.create_rel ~src:a ~tgt:b ~r_type:"T" g in
+        let _, g = Graph.create_rel ~src:b ~tgt:a ~r_type:"U" g in
+        let g = Graph.set_rel_prop g r "w" (vint 1) in
+        let g = Graph.merge_rel_props g r (Props.of_list [ ("v", vint 2) ]) in
+        let g = Graph.remove_rel_prop g r "w" in
+        let g = Graph.replace_rel_props g r (Props.of_list [ ("z", vint 3) ]) in
+        check_adjacency "after updates" g;
+        Alcotest.(check (list int)) "still out of a" [ r ] (rel_ids (Graph.out_rels g a));
+        check_value "props" (vint 3) (Props.get (Graph.rel_props_of g r) "z"));
+    case "remove_node_force leaves every incident relationship dangling" (fun () ->
+        let a, g = Graph.create_node Graph.empty in
+        let b, g = Graph.create_node g in
+        let c, g = Graph.create_node g in
+        let r1, g = Graph.create_rel ~src:a ~tgt:b ~r_type:"T" g in
+        let _, g = Graph.create_rel ~src:b ~tgt:c ~r_type:"T" g in
+        let r3, g = Graph.create_rel ~src:c ~tgt:a ~r_type:"U" g in
+        let r4, g = Graph.create_rel ~src:a ~tgt:a ~r_type:"V" g in
+        let r5, g = Graph.create_rel ~src:a ~tgt:c ~r_type:"W" g in
+        let g = Graph.remove_node_force g a in
+        Alcotest.(check (list int)) "dangling" [ r1; r3; r4; r5 ]
+          (rel_ids (Graph.dangling_rels g));
+        (* the surviving endpoints still see their half *)
+        check_adjacency "after force removal" g;
+        Alcotest.(check (list int)) "b in" [ r1 ] (rel_ids (Graph.in_rels g b));
+        Alcotest.(check (list int)) "a has no views" [] (rel_ids (Graph.incident_rels g a));
+        let g = List.fold_left Graph.remove_rel g [ r1; r3; r4; r5 ] in
+        Alcotest.(check bool) "wellformed again" true (Graph.is_wellformed g);
+        check_adjacency "after removing the dangling" g;
+        Alcotest.(check int) "c degree" 1 (Graph.degree g c));
+  ]
+
 let prop_index_tests =
   let user k v g =
     let id, g =
@@ -367,4 +444,6 @@ let batch_tests =
         done);
   ]
 
-let suite = suite @ histogram_tests @ typed_adjacency_tests @ prop_index_tests @ batch_tests
+let suite =
+  suite @ histogram_tests @ typed_adjacency_tests @ derived_adjacency_tests @ prop_index_tests
+  @ batch_tests

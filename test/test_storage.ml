@@ -186,6 +186,43 @@ let snapshot_tests =
         match Snapshot.parse damaged with
         | Error _ -> ()
         | Ok _ -> Alcotest.fail "corrupt snapshot accepted");
+    case "a flipped first or last body byte fails the checksum" (fun () ->
+        let img = Snapshot.to_string (graph_of "CREATE (:A {k: 1})-[:T]->(:B)") in
+        let flip i = String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor 1) else c) img in
+        List.iter
+          (fun (what, i) ->
+            match Snapshot.parse (flip i) with
+            | Error m when m = "snapshot: body checksum mismatch" -> ()
+            | Error m -> Alcotest.failf "%s: %s" what m
+            | Ok _ -> Alcotest.failf "%s: corrupt snapshot accepted" what)
+          [ ("first body byte", String.index img '\n' + 1); ("last body byte", String.length img - 1) ]);
+    case "a header-only image opens as the empty graph" (fun () ->
+        let empty_crc = Cypher_storage.Crc32.(to_hex (digest "")) in
+        List.iter
+          (fun img ->
+            let g = ok_or_fail (Snapshot.parse img) in
+            Alcotest.(check int) "no nodes" 0 (Graph.node_count g))
+          [
+            Printf.sprintf "#cypher-snapshot v1 nodes=0 rels=0 crc=%s" empty_crc;
+            Printf.sprintf "#cypher-snapshot v1 nodes=0 rels=0 crc=%s\n" empty_crc;
+          ]);
+    case "index lines keep plain names bare and quote the rest" (fun () ->
+        let g = graph_of "CREATE (:A {id: 1})" in
+        let indexed =
+          List.fold_left
+            (fun g (label, key) -> Graph.add_prop_index ~label ~key g)
+            g
+            [ ("A", "id"); ("My Label", "k"); ("L", "a key"); ("L", "line\nbreak"); ("B`q", "k") ]
+        in
+        let img = Snapshot.to_string indexed in
+        let lines = String.split_on_char '\n' img in
+        Alcotest.(check bool) "plain line unchanged" true
+          (List.mem "// index: A id" lines);
+        Alcotest.(check bool) "quoted label" true (List.mem "// index: `My Label` k" lines);
+        let g' = ok_or_fail (Snapshot.parse img) in
+        Alcotest.(check (list (pair string string))) "indexes"
+          (Graph.prop_index_keys indexed) (Graph.prop_index_keys g');
+        Alcotest.(check string) "re-imaging is a fixpoint" img (Snapshot.to_string g'));
     case "non-snapshot content is rejected" (fun () ->
         match Snapshot.parse "CREATE (:A);\n" with
         | Error _ -> ()
@@ -264,6 +301,8 @@ let snapshot_tests =
             ("incoming arrow", 2, 1, "CREATE (n0), (n1), (n0)<-[:T]-(n1);\n");
             ("not a CREATE", 0, 0, "MATCH (n) DELETE n;\n");
             ("malformed index line", 1, 0, "// index: A\nCREATE (n0:A);\n");
+            ("index line with three names", 1, 0, "// index: A k x\nCREATE (n0:A);\n");
+            ("unterminated quoted index name", 1, 0, "// index: `A k\nCREATE (n0:A);\n");
             ("count mismatch", 2, 0, "CREATE (n0);\n");
           ]);
   ]
@@ -448,6 +487,25 @@ let store_tests =
             let live = Session.graph session in
             Store.close store;
             let store2, session2 = open_ok dir in
+            Alcotest.check graph_iso_testable "iso" live (Session.graph session2);
+            Store.close store2));
+    case "indexes on names that are not identifiers survive compaction"
+      (fun () ->
+        with_tmpdir (fun dir ->
+            let store, session = open_ok dir in
+            ignore (run_ok session "CREATE (:`My Label` {k: 1, `a key`: 2})");
+            List.iter
+              (fun (label, key) -> Session.register_prop_index session ~label ~key)
+              [ ("My Label", "k"); ("My Label", "a key"); ("My Label", "new\nline") ];
+            ok_or_fail (Store.compact store session);
+            let live = Session.graph session in
+            Store.close store;
+            let store2, session2 = open_ok dir in
+            Alcotest.(check bool) "snapshot loaded" true
+              (Store.recovery store2).Recovery.snapshot_loaded;
+            Alcotest.(check (list (pair string string))) "indexes"
+              (Graph.prop_index_keys live)
+              (Graph.prop_index_keys (Session.graph session2));
             Alcotest.check graph_iso_testable "iso" live (Session.graph session2);
             Store.close store2));
     case "compact is refused mid-transaction" (fun () ->
