@@ -29,13 +29,12 @@ let parse_q src =
   | Ok q -> q
   | Error e -> failwith (Errors.to_string e)
 
-(* The baseline entries are pinned to the serial path — and to disabled
-   counter collection — so their numbers stay comparable across runs
-   regardless of CYPHER_PARALLELISM and across the introduction of the
+(* The baseline entries are pinned to disabled counter collection, so
+   their numbers stay comparable across the introduction of the
    observability layer (the pinned BENCH_results.json predates it); the
-   parallel read-phase and stats=on variants are recorded side by side
-   under .../par=N and .../stats=on names. *)
-let pin c = Config.with_stats false (Config.with_parallelism 0 c)
+   stats=on variants are recorded side by side under .../stats=on
+   names. *)
+let pin c = Config.with_stats false c
 let cfg_cypher9 = pin Config.cypher9
 let cfg_revised = pin Config.revised
 let cfg_permissive = pin Config.permissive
@@ -44,22 +43,8 @@ let cfg_permissive = pin Config.permissive
    they are actually recorded *)
 let cfg_revised_stats = Config.with_stats true cfg_revised
 
-(* fan-out width of the par=N variants: CYPHER_PARALLELISM when it asks
-   for actual parallelism, 4 otherwise *)
-let par_level =
-  match Config.parallelism_of_string (Sys.getenv_opt "CYPHER_PARALLELISM") with
-  | n when n >= 2 -> n
-  | _ -> 4
-
-(* what the host actually offers.  On a single-domain machine the
-   par=N entries would time the fan-out machinery running serially and
-   record it under a name that claims parallelism, so they are skipped
-   (and listed as such in the JSON meta) rather than reported. *)
+(* what the host offers, recorded in the JSON meta *)
 let effective_domains = Cypher_util.Pool.recommended ()
-let par_meaningful = effective_domains >= 2
-
-let cfg_revised_par =
-  Config.with_stats false (Config.with_parallelism par_level Config.revised)
 
 let run_q config g q =
   match Api.run_query ~config g q with
@@ -227,8 +212,8 @@ let session_src =
 
 let q_session = parse_q session_src
 
-(* projection/filter workload for the parallel row-mapping path: no
-   graph access at all, pure per-row expression work *)
+(* projection/filter workload for the row-mapping path: no graph
+   access at all, pure per-row expression work *)
 let q_project =
   parse_q
     "UNWIND range(1, 5000) AS x WITH x, x * x AS y WHERE y % 3 = 0 RETURN \
@@ -311,27 +296,7 @@ let snapshot_path = bench_tmp ".cy"
 
 let t name f = Test.make ~name (Staged.stage f)
 
-(* the par=N variants, kept apart so a single-domain host can skip
-   them honestly (see [par_meaningful]): the same queries with per-row
-   expansion fanned out over par_level domains (results byte-identical
-   to the serial entries) *)
-let par_tests =
-  [
-    t (Printf.sprintf "match/1hop/n=1000/par=%d" par_level) (fun () ->
-        Sys.opaque_identity (run_q cfg_revised_par market1000 q_1hop));
-    t (Printf.sprintf "match/2hop/n=1000/par=%d" par_level) (fun () ->
-        Sys.opaque_identity (run_q cfg_revised_par market1000 q_2hop));
-    t (Printf.sprintf "match/2hop/n=1000/planner-off/par=%d" par_level)
-      (fun () ->
-        Sys.opaque_identity
-          (run_q (Config.with_planner Config.Off cfg_revised_par) market1000
-             q_2hop));
-    t (Printf.sprintf "project/unwind-filter/n=5000/par=%d" par_level)
-      (fun () ->
-        Sys.opaque_identity (run_q cfg_revised_par Graph.empty q_project));
-  ]
-
-let base_tests =
+let tests =
   [
     (* parse/* *)
     t "parse/read" (fun () -> Sys.opaque_identity (parse_q src_read));
@@ -436,8 +401,7 @@ let base_tests =
         Sys.opaque_identity
           (Quotient.apply g ~new_nodes ~new_rels:[] ~node_pos_matters:false
              ~rel_pos_matters:false));
-    (* project/* : UNWIND + WITH...WHERE row mapping (the fanned par=N
-       variant lives in par_tests) *)
+    (* project/* : UNWIND + WITH...WHERE row mapping *)
     t "project/unwind-filter/n=5000" (fun () ->
         Sys.opaque_identity (run_q cfg_revised Graph.empty q_project));
     (* endtoend/* *)
@@ -506,8 +470,6 @@ let base_tests =
              (Fixtures.example7_graph, Fixtures.example7_table)));
   ]
 
-let tests = base_tests @ (if par_meaningful then par_tests else [])
-let skipped_par = if par_meaningful then [] else List.map Test.name par_tests
 
 (* ------------------------------------------------------------------ *)
 (* Tier 5: n = 10^5 nodes                                              *)
@@ -864,28 +826,20 @@ let json_escape s =
 (** Writes the results as a JSON object with a provenance block:
 
     {v
-    { "meta": { "git_sha": ..., "domains": ..., "parallelism": ...,
-                "units": "ns" },
+    { "meta": { "git_sha": ..., "effective_domains": ..., "units": "ns" },
       "results": { "<bench name>": <ns/run>, ... } }
     v}
 
     machine-readable so the perf trajectory is trackable across changes
-    (EXPERIMENTS.md).  [effective_domains] is what the machine offers,
-    [parallelism] the fan-out width the par=N entries use {e when they
-    run}; on a single-domain host they are skipped and listed under
-    [skipped] so the file cannot claim parallel numbers the hardware
-    never delivered.  [extra] carries tier-specific facts (fixture
-    sizes, heap footprints, one-shot large-scale timings). *)
+    (EXPERIMENTS.md).  [effective_domains] is what the machine offers;
+    [extra] carries tier-specific facts (fixture sizes, heap
+    footprints, one-shot large-scale timings). *)
 let write_json ~sha ~extra path results =
   let oc = open_out path in
   output_string oc "{\n";
   Printf.fprintf oc "  \"meta\": {\n";
   Printf.fprintf oc "    \"git_sha\": \"%s\",\n" (json_escape sha);
   Printf.fprintf oc "    \"effective_domains\": %d,\n" effective_domains;
-  Printf.fprintf oc "    \"parallelism\": %d,\n" par_level;
-  Printf.fprintf oc "    \"skipped\": [%s],\n"
-    (String.concat ", "
-       (List.map (fun n -> Printf.sprintf "\"%s\"" (json_escape n)) skipped_par));
   List.iter
     (fun (k, v) -> Printf.fprintf oc "    \"%s\": %s,\n" (json_escape k) v)
     extra;
@@ -1136,11 +1090,6 @@ let () =
     Option.iter (fun path -> write_json ~sha:!sha ~extra:[] path results) !json_path;
     exit 0
   end;
-  if not par_meaningful then
-    Printf.printf
-      "note: host offers %d domain(s); the par=%d entries are skipped \
-       (recorded under meta.skipped)\n\n"
-      effective_domains par_level;
   let json_path = !json_path in
   Printf.printf "%-32s %13s\n" "benchmark" "time/run";
   Printf.printf "%s\n" (String.make 46 '-');

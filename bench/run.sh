@@ -2,7 +2,7 @@
 # Build and run the benchmark suite, capturing machine-readable results
 # in BENCH_results.json at the repository root (or in PATH, the first
 # non-flag argument).  The JSON carries a meta block (git sha, domain
-# count, parallelism, units) so numbers are attributable to a tree
+# count, units) so numbers are attributable to a tree
 # state; results hold name -> ns/run.  Every completed run is also
 # appended, as one line, to BENCH_history.jsonl at the repository root:
 # the results file is the latest snapshot, the history the trajectory.

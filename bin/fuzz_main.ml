@@ -1,15 +1,13 @@
 (* Command-line driver for the fuzzing/cross-validation subsystem.
 
-   Runs [n] generated cases through all ten oracles (round-trip,
-   planner equivalence, parallel-vs-serial byte equivalence,
-   legacy/revised divergence classification, result-graph
-   well-formedness, update counters vs graph diff, durability
-   fault injection, prepared-statement equivalence, concurrent-workload
-   linearizability, fused-vs-materialised reads) and exits non-zero
-   on any failure.  With
-   [-corpus DIR], shrunk failures are appended as replayable corpus
-   entries.  Wired to the [@fuzz] dune alias; [@par] runs the
-   parallel oracle alone over the pinned seeds. *)
+   Runs [n] generated cases through all nine oracles (round-trip,
+   planner equivalence, legacy/revised divergence classification,
+   result-graph well-formedness, update counters vs graph diff,
+   durability fault injection, prepared-statement equivalence,
+   concurrent-workload linearizability, fused-vs-materialised reads)
+   and exits non-zero on any failure.  With [-corpus DIR], shrunk
+   failures are appended as replayable corpus entries.  Wired to the
+   [@fuzz] dune alias. *)
 
 module Fuzz = Cypher_fuzz.Fuzz
 module Corpus = Cypher_fuzz.Corpus
@@ -33,7 +31,7 @@ let () =
       ( "-oracle",
         Arg.Set_string oracle_only,
         "NAME run only one oracle \
-         (roundtrip|planner|parallel|divergence|wellformed|counters|durability|prepared|concurrent|fused)" );
+         (roundtrip|planner|divergence|wellformed|counters|durability|prepared|concurrent|fused)" );
     ]
   in
   Arg.parse spec
@@ -74,7 +72,6 @@ let () =
          match !oracle_only with
          | "roundtrip" -> Result.map_error (fun e -> e) (Oracles.roundtrip q)
          | "planner" -> Oracles.planner_equivalence g q
-         | "parallel" -> Oracles.parallel_equivalence g q
          | "divergence" -> (
              match Oracles.divergence g q with
              | Oracles.Agree -> Ok ()

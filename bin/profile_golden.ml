@@ -9,7 +9,7 @@
 open Cypher_graph
 open Cypher_core
 
-let config = Config.with_parallelism 0 Config.revised
+let config = Config.revised
 
 let scrubbed_profile entries =
   let width =

@@ -1,7 +1,7 @@
 (** Execution configuration: which update semantics to run, in which
     driving-table order legacy clauses process records, which dialect to
     validate against, the query parameters, and the physical knobs
-    (planner, parallelism, durability, plan cache). *)
+    (planner, durability, plan cache). *)
 
 open Cypher_util.Maps
 open Cypher_graph
@@ -44,7 +44,6 @@ type t = {
   order : order;
   match_mode : match_mode;
   planner : planner;
-  parallelism : int;
   durability : durability;
   collect_stats : bool;
       (** collect per-statement update counters ({!Stats}); on by
@@ -57,36 +56,18 @@ type t = {
           its LRU plan cache; [0] disables caching entirely *)
 }
 
-(** Parses a [CYPHER_PARALLELISM]-style value: unset/empty/"0"/invalid
-    mean serial, "auto" means {!Cypher_util.Pool.recommended}, and a
-    positive integer is the fan-out width (the calling domain counts). *)
-let parallelism_of_string = function
-  | None | Some "" | Some "0" -> 0
-  | Some "auto" -> Cypher_util.Pool.recommended ()
-  | Some s -> (
-      match int_of_string_opt s with Some n when n > 0 -> n | _ -> 0)
-
-(** Process-wide default, read once from [CYPHER_PARALLELISM] at
-    startup: every stock configuration below starts from it, so
-    [CYPHER_PARALLELISM=4 dune exec ...] parallelises the read phases
-    without any code change.  Unset means serial — parallel-on is
-    byte-identical to parallel-off (see DESIGN.md), but spawning
-    domains for small inputs is a cost the caller should opt into. *)
-let default_parallelism =
-  parallelism_of_string (Sys.getenv_opt "CYPHER_PARALLELISM")
-
 (** Cypher 9 as shipped: legacy update semantics, Figure 2–5 grammar,
     naive matching (its order-sensitive behaviours stay reproducible). *)
 let cypher9 =
   { mode = Legacy; order = Forward; match_mode = Isomorphic; planner = Off;
-    parallelism = default_parallelism; durability = Fsync; collect_stats = true;
+    durability = Fsync; collect_stats = true;
     dialect = Cypher_ast.Validate.Cypher9; params = Smap.empty;
     plan_cache_capacity = 128 }
 
 (** The paper's revised language: atomic semantics, Figure 10 grammar. *)
 let revised =
   { mode = Atomic; order = Forward; match_mode = Isomorphic; planner = On;
-    parallelism = default_parallelism; durability = Fsync; collect_stats = true;
+    durability = Fsync; collect_stats = true;
     dialect = Cypher_ast.Validate.Revised; params = Smap.empty;
     plan_cache_capacity = 128 }
 
@@ -95,14 +76,13 @@ let revised =
     COLLAPSE). *)
 let permissive =
   { mode = Atomic; order = Forward; match_mode = Isomorphic; planner = On;
-    parallelism = default_parallelism; durability = Fsync; collect_stats = true;
+    durability = Fsync; collect_stats = true;
     dialect = Cypher_ast.Validate.Permissive; params = Smap.empty;
     plan_cache_capacity = 128 }
 
 let with_order order t = { t with order }
 let with_match_mode match_mode t = { t with match_mode }
 let with_planner planner t = { t with planner }
-let with_parallelism parallelism t = { t with parallelism = max 0 parallelism }
 let with_durability durability t = { t with durability }
 let with_stats collect_stats t = { t with collect_stats }
 let with_params params t = { t with params }

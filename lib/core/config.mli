@@ -1,8 +1,8 @@
 (** Execution configuration: which update semantics to run, in which
     driving-table order legacy clauses process records, which pattern
     matching regime to use, which dialect to validate against, the
-    query parameters, and the physical knobs (planner, parallelism,
-    durability, plan cache).  Rows have a single
+    query parameters, and the physical knobs (planner, durability,
+    plan cache).  Rows have a single
     representation ({!Cypher_table.Record}), so there is no row knob. *)
 
 open Cypher_util.Maps
@@ -41,14 +41,6 @@ type t = {
   order : order;
   match_mode : match_mode;
   planner : planner;
-  parallelism : int;
-      (** Read-phase fan-out width: [0] (or [1]) runs serially, [n >= 2]
-          chunks the driving table over at most [n] domains (the caller
-          included) for MATCH expansion, WHERE filtering,
-          UNWIND/projection row mapping and MERGE candidate
-          enumeration.  Update application always stays sequential, and
-          parallel output is byte-identical to serial output (see
-          DESIGN.md). *)
   durability : durability;
   collect_stats : bool;
       (** Collect per-statement update counters ({!Stats}); on by
@@ -60,15 +52,6 @@ type t = {
       (** Maximum number of compiled statements a {!Session} keeps in
           its LRU plan cache; [0] disables caching entirely. *)
 }
-
-(** Parses a [CYPHER_PARALLELISM]-style value: unset/empty/"0"/invalid
-    mean serial, "auto" means {!Cypher_util.Pool.recommended}, a
-    positive integer is the fan-out width. *)
-val parallelism_of_string : string option -> int
-
-(** The process-wide default, read once from [CYPHER_PARALLELISM] at
-    startup; the baseline of every stock configuration below. *)
-val default_parallelism : int
 
 (** Cypher 9 as shipped: legacy update semantics, Figure 2–5 grammar. *)
 val cypher9 : t
@@ -84,10 +67,6 @@ val permissive : t
 val with_order : order -> t -> t
 val with_match_mode : match_mode -> t -> t
 val with_planner : planner -> t -> t
-
-(** [with_parallelism n t] sets the read-phase fan-out width (clamped
-    at 0). *)
-val with_parallelism : int -> t -> t
 
 (** [with_durability d t] sets the journal durability regime. *)
 val with_durability : durability -> t -> t

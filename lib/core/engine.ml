@@ -61,12 +61,6 @@ end
 (* Reading clauses                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* The per-row expansions of MATCH and UNWIND read only the immutable
-   input graph [g] — under the revised semantics a clause never sees its
-   own writes — so fanning the driving table out over the domain pool is
-   unobservable: the ordered gather reproduces the serial row order
-   exactly (DESIGN.md, "Parallel read phases"). *)
-
 (* Plan hoisting: within one MATCH execution every driving row has the
    same columns, so plan choice (which depends on variable boundness and
    graph statistics only) is uniform across rows and can be computed
@@ -185,19 +179,10 @@ let exec_match ?slot config (g, t) ~optional ~patterns ~where =
     compile_match ?slot config (g, t) ~optional ~patterns ~where
   in
   let cons row acc = row :: acc in
-  match Table.rows t with
-  | [ row ] ->
-      (* single driving row (every first MATCH): the fold's reversed
-         accumulation is put back in order in the same pass that builds
-         the result table *)
-      (g, Table.make_rev columns (fold_row cons row []))
-  | _ ->
-      ( g,
-        Table.concat_map_par
-          ~parallelism:(Runtime.parallelism_of config)
-          columns
-          (fun row -> List.rev (fold_row cons row []))
-          t )
+  (* the fold accumulates every driving row's embeddings in reverse;
+     [make_rev] puts them back in order in the pass that builds the
+     result table *)
+  (g, Table.make_rev columns (Table.fold (fold_row cons) t []))
 
 (** A MATCH followed directly by an aggregating projection: each
     embedding is folded straight into the projection's accumulators, so
@@ -237,9 +222,7 @@ let exec_unwind config (g, t) ~source ~alias =
         Errors.eval_error "Type mismatch: expected List, got %s"
           (Value.to_string v)
   in
-  ( g,
-    Table.concat_map_par ~parallelism:(Runtime.parallelism_of config) columns
-      expand t )
+  (g, Table.concat_map columns expand t)
 
 (* ------------------------------------------------------------------ *)
 (* Clause dispatch                                                    *)
@@ -304,9 +287,7 @@ and exec_foreach config ~stats (g, t) ~fe_var ~fe_source ~fe_body =
     (UNION ALL) or set union (UNION), as in Section 8.2. *)
 (* PROFILE: each top-level clause (including those of UNION branches) is
    timed with the monotonic clock and tagged with the row count of the
-   table it produced.  In serial mode the wall-times are exact per-clause
-   costs; under parallelism the read phases overlap domain scheduling, so
-   the profile header labels the run as parallel (see [Explain]). *)
+   table it produced; the wall-times are exact per-clause costs. *)
 let profile_clause profile c f =
   match profile with
   | None -> f ()

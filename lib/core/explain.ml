@@ -78,13 +78,9 @@ let header config ~profiled =
     | Config.Atomic -> "atomic"
   in
   let planner = if Runtime.planner_on config then "on" else "off" in
-  let par = Runtime.parallelism_of config in
-  let exec =
-    if par >= 2 then
-      Printf.sprintf "parallel x%d%s" par
-        (if profiled then " (clause times overlap domain scheduling)" else "")
-    else "serial" ^ if profiled then " (clause times exact)" else ""
-  in
+  (* every statement runs on one domain; the field is kept so the
+     header format stays stable *)
+  let exec = "serial" ^ if profiled then " (clause times exact)" else "" in
   Printf.sprintf "plan: mode=%s planner=%s execution=%s" mode planner exec
 
 (** [render config g q] is the EXPLAIN rendering of statement [q]

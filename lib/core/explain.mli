@@ -6,7 +6,7 @@
 open Cypher_graph
 
 (** [render ?profiled config g q] renders the execution plan of [q]
-    against the statistics of [g].  [profiled] only adjusts the header's
-    note on timing exactness (serial = exact, parallel = overlapping). *)
+    against the statistics of [g].  [profiled] only adds the header's
+    note that clause times are exact. *)
 val render :
   ?profiled:bool -> Config.t -> Graph.t -> Cypher_ast.Ast.query -> string

@@ -226,13 +226,11 @@ let apply_set_atomic config ~stats g rows columns items =
     g
 
 let run_revised config ~stats (g0, t) ~mode ~patterns ~on_create ~on_match =
-  (* 1. split the table against the input graph.  Candidate enumeration
-     reads only the immutable [g0] snapshot, so it fans out over the
-     domain pool with ordered gather; everything from instantiation on
-     mutates the graph and stays strictly sequential. *)
+  (* 1. split the table against the input graph: candidate enumeration
+     reads only [g0]; everything from instantiation on mutates the
+     graph *)
   let outcomes =
-    Cypher_util.Pool.map_chunks
-      ~parallelism:(Runtime.parallelism_of config)
+    List.map
       (fun row ->
         match Matcher.match_patterns ~mode:(Runtime.match_mode_of config) ~planner:(Runtime.planner_on config) (ctx_of config g0 row) patterns with
         | [] -> `Fail row

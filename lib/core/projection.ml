@@ -125,7 +125,7 @@ let sort base order out_rows =
 
 (* DISTINCT, ORDER BY, SKIP, LIMIT and WITH ... WHERE over the projected
    rows — shared by the grouping and the row-by-row projection *)
-let finish_rows config base (g, names) (proj : projection) out_rows =
+let finish_rows base (g, names) (proj : projection) out_rows =
   (* DISTINCT: first-occurrence order, membership in a balanced set
      keyed on the projected record (same O(n log n) discipline as
      Table.distinct) *)
@@ -158,14 +158,12 @@ let finish_rows config base (g, names) (proj : projection) out_rows =
     | None -> out_rows
     | Some e -> Cypher_util.Listx.take (eval_count base e) out_rows
   in
-  (* WITH ... WHERE: a pure per-row predicate over the input graph —
-     filtered in parallel with ordered gather *)
+  (* WITH ... WHERE: a per-row predicate over the input graph *)
   let out_rows =
     match proj.proj_where with
     | None -> out_rows
     | Some e ->
-        Cypher_util.Pool.filter_chunks
-          ~parallelism:(Runtime.parallelism_of config)
+        List.filter
           (fun r ->
             Tri.to_bool_where (Eval.eval_truth (Ctx.with_row base r.projected) e))
           out_rows
@@ -237,7 +235,6 @@ type group = { source : Record.t; accs : acc array }
     ({!add}), groups stay in first-occurrence order, and nothing of a
     row outlives its fold except a new group's first row. *)
 type aggregation = {
-  config : Config.t;
   graph : Graph.t;
   base : Ctx.t;
   proj : projection;
@@ -283,7 +280,6 @@ let make_aggregation config g (items, names) (proj : projection) =
       items
   in
   {
-    config;
     graph = g;
     base = Runtime.ctx config g Record.empty;
     proj;
@@ -398,7 +394,7 @@ let finish agg =
         { projected = project ctx; source = grp.source; aggregate = Some value_of })
       (List.rev agg.order)
   in
-  finish_rows agg.config agg.base (agg.graph, agg.names) agg.proj out_rows
+  finish_rows agg.base (agg.graph, agg.names) agg.proj out_rows
 
 let run config (g, t) (proj : projection) =
   let items, names = items_and_names (Table.columns t) proj in
@@ -410,14 +406,10 @@ let run config (g, t) (proj : projection) =
   else
     let base = Runtime.ctx config g Record.empty in
     let project = projector items names in
-    (* per-row expression evaluation reads only the immutable input
-       graph: fan it out with ordered gather (byte-identical to the
-       serial map) *)
     let out_rows =
-      Cypher_util.Pool.map_chunks
-        ~parallelism:(Runtime.parallelism_of config)
+      List.map
         (fun row ->
           { projected = project (Ctx.with_row base row); source = row; aggregate = None })
         (Table.rows t)
     in
-    finish_rows config base (g, names) proj out_rows
+    finish_rows base (g, names) proj out_rows

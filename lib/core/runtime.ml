@@ -20,8 +20,6 @@ let match_mode_of config =
 let planner_on config =
   match config.Config.planner with Config.On -> true | Config.Off -> false
 
-let parallelism_of config = config.Config.parallelism
-
 (** [ctx config graph row] is the evaluation context for one record,
     with parameters and the pattern oracle installed. *)
 let ctx (config : Config.t) (graph : Graph.t) (row : Record.t) : Ctx.t =

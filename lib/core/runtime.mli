@@ -15,9 +15,6 @@ val match_mode_of : Config.t -> Cypher_matcher.Matcher.mode
 (** Whether the configuration enables cost-guided match planning. *)
 val planner_on : Config.t -> bool
 
-(** The configured read-phase fan-out width (see {!Config.t}). *)
-val parallelism_of : Config.t -> int
-
 (** [ctx config graph row] is the evaluation context for one record,
     with parameters and the oracles installed. *)
 val ctx : Config.t -> Graph.t -> Record.t -> Cypher_eval.Ctx.t

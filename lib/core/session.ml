@@ -73,12 +73,12 @@ let config s = s.config
 
 (* The plan-cache key is the normalized statement text plus the config
    fields that change what compilation produces: the dialect decides
-   validation, planner/match_mode/mode/order/parallelism/collect_stats
+   validation, planner/match_mode/mode/order/collect_stats
    decide plan choice and execution strategy.  Parameters are
    deliberately excluded — rebinding values must hit — as is journal
    durability, which only affects how the storage layer flushes. *)
 let config_fingerprint (c : Config.t) =
-  Printf.sprintf "%s|%s|%s|%s|%d|%b|%s"
+  Printf.sprintf "%s|%s|%s|%s|%b|%s"
     (match c.Config.mode with Config.Legacy -> "legacy" | Config.Atomic -> "atomic")
     (match c.Config.order with
     | Config.Forward -> "fwd"
@@ -88,7 +88,7 @@ let config_fingerprint (c : Config.t) =
     | Config.Isomorphic -> "iso"
     | Config.Homomorphic -> "homo")
     (match c.Config.planner with Config.On -> "on" | Config.Off -> "off")
-    c.Config.parallelism c.Config.collect_stats
+    c.Config.collect_stats
     (match c.Config.dialect with
     | Cypher_ast.Validate.Cypher9 -> "cypher9"
     | Cypher_ast.Validate.Revised -> "revised"
@@ -115,7 +115,7 @@ let normalize_src src =
 
 (** [set_config s config] swaps the session configuration.  A change to
     any field of the plan-cache key (semantics mode, record order, match
-    mode, planner, parallelism, stats collection, dialect) invalidates
+    mode, planner, stats collection, dialect) invalidates
     the cached compiled statements — a plan chosen under the old config
     must not be served under the new one; parameter rebinding does not
     invalidate.  Changing the cache capacity rebuilds the cache. *)

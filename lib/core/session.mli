@@ -40,7 +40,7 @@ val config : t -> Config.t
 
 (** [set_config s config] swaps the session configuration.  Changing any
     field that affects compilation or plan choice (mode, order, match
-    mode, planner, parallelism, stats collection, dialect) invalidates
+    mode, planner, stats collection, dialect) invalidates
     the plan cache; rebinding parameters does not.  Changing
     [plan_cache_capacity] rebuilds the cache. *)
 val set_config : t -> Config.t -> unit

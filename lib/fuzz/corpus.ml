@@ -5,12 +5,12 @@
     statement under test.
 
     {v
-    // oracle: roundtrip | planner | parallel | divergence | wellformed
-    //         | counters | dump | durability | prepared | fused | eval
-    //         | error
-    // index: A id                     (zero or more; property indexes)
+    // oracle: roundtrip | planner | divergence | wellformed | counters
+    //         | dump | durability | prepared | fused | eval | error
+    // index: A id                     (zero or more; property indexes,
+    //                                  names quoted as in a dump)
     // graph: CREATE (:A {k: 1})       (zero or more; setup statements)
-    // match: homomorphic              ('parallel' oracle only; optional)
+    // match: homomorphic              ('planner' oracle only; optional)
     // expect: eq=false                ('eval': rendered table;
     //                                  'error': expected error kind,
     //                                  e.g. validation or eval)
@@ -23,6 +23,7 @@
     [fuzz_main -corpus].  The whole directory is replayed by tier-1. *)
 
 module Graph = Cypher_graph.Graph
+module Dump = Cypher_graph.Dump
 module Value = Cypher_graph.Value
 module Table = Cypher_table.Table
 module Record = Cypher_table.Record
@@ -35,7 +36,6 @@ open Cypher_ast.Ast
 type oracle =
   | Roundtrip
   | Planner
-  | Parallel
   | Divergence
   | Wellformed
   | Counters  (** update counters vs graph diff ({!Oracles.counters}) *)
@@ -62,7 +62,7 @@ type entry = {
   indexes : (string * string) list;  (** (label, key) property indexes *)
   setup : string list;  (** statements building the input graph *)
   homomorphic : bool;
-      (** run the oracle under homomorphic matching (parallel oracle) *)
+      (** run the oracle under homomorphic matching (planner oracle) *)
   statement : string;
 }
 
@@ -98,15 +98,23 @@ let parse_entry ~name text : (entry, string) result =
   and setup = ref []
   and expect = ref None
   and homomorphic = ref false
+  and bad_index = ref None
   and body = ref [] in
   List.iter
     (fun line ->
       match header line with
       | Some ("oracle", v) -> oracle := Some v
       | Some ("index", v) -> (
-          match String.split_on_char ' ' v |> List.filter (( <> ) "") with
-          | [ label; key ] -> indexes := !indexes @ [ (label, key) ]
-          | _ -> ())
+          let ( let* ) = Result.bind in
+          match
+            let* label, i = Dump.read_ident v 0 in
+            let* key, j = Dump.read_ident v i in
+            if strip (String.sub v j (String.length v - j)) = "" then
+              Ok (label, key)
+            else Error "trailing text"
+          with
+          | Ok index -> indexes := !indexes @ [ index ]
+          | Error msg -> bad_index := Some (v ^ ": " ^ msg))
       | Some ("graph", v) -> setup := !setup @ [ v ]
       | Some ("match", v) -> homomorphic := v = "homomorphic"
       | Some ("expect", v) -> expect := Some v
@@ -118,6 +126,8 @@ let parse_entry ~name text : (entry, string) result =
     lines;
   let statement = String.concat "\n" !body in
   if statement = "" then Error (name ^ ": no statement body")
+  else if Option.is_some !bad_index then
+    Error (name ^ ": bad // index: header " ^ Option.get !bad_index)
   else
     let entry oracle =
       Ok
@@ -133,7 +143,6 @@ let parse_entry ~name text : (entry, string) result =
     match (!oracle, !expect) with
     | Some "roundtrip", _ -> entry Roundtrip
     | Some "planner", _ -> entry Planner
-    | Some "parallel", _ -> entry Parallel
     | Some "divergence", _ -> entry Divergence
     | Some "wellformed", _ -> entry Wellformed
     | Some "counters", _ -> entry Counters
@@ -151,7 +160,6 @@ let parse_entry ~name text : (entry, string) result =
 let oracle_keyword = function
   | Roundtrip -> "roundtrip"
   | Planner -> "planner"
-  | Parallel -> "parallel"
   | Divergence -> "divergence"
   | Wellformed -> "wellformed"
   | Counters -> "counters"
@@ -166,7 +174,10 @@ let render_entry e =
   let b = Buffer.create 256 in
   Buffer.add_string b ("// oracle: " ^ oracle_keyword e.oracle ^ "\n");
   List.iter
-    (fun (l, k) -> Buffer.add_string b (Printf.sprintf "// index: %s %s\n" l k))
+    (fun (l, k) ->
+      Buffer.add_string b
+        (Printf.sprintf "// index: %s %s\n" (Dump.quote_ident l)
+           (Dump.quote_ident k)))
     e.indexes;
   List.iter (fun s -> Buffer.add_string b ("// graph: " ^ s ^ "\n")) e.setup;
   if e.homomorphic then Buffer.add_string b "// match: homomorphic\n";
@@ -310,12 +321,11 @@ let check e : (unit, string) result =
   match e.oracle with
   | Expect_error _ -> assert false (* handled above *)
   | Roundtrip -> Oracles.roundtrip q
-  | Planner -> Oracles.planner_equivalence g q
-  | Parallel ->
+  | Planner ->
       let match_mode =
         if e.homomorphic then Config.Homomorphic else Config.Isomorphic
       in
-      Oracles.parallel_equivalence ~match_mode g q
+      Oracles.planner_equivalence ~match_mode g q
   | Wellformed -> Oracles.wellformed g q
   | Counters -> Oracles.counters g q
   | Dump -> (

@@ -1,15 +1,14 @@
-(** The fuzzing driver: generate, run all ten oracles, shrink
+(** The fuzzing driver: generate, run all nine oracles, shrink
     failures.
 
     One iteration derives a fresh splitmix64 stream from
     [seed + iteration], generates a (graph, statement) case and runs
-    the round-trip, planner-equivalence, parallel-equivalence,
-    divergence-classification, well-formedness, update-counter,
-    durability, prepared-statement, concurrent-workload and
-    fused-vs-materialised oracles ({!Oracles}).  The
-    durability oracle extends the
-    case with two more generated statements (a three-statement workload
-    makes multi-record journals, so truncation sweeps cross record
+    the round-trip, planner-equivalence, divergence-classification,
+    well-formedness, update-counter, durability, prepared-statement,
+    concurrent-workload and fused-vs-materialised oracles
+    ({!Oracles}).  The durability oracle extends the case with two
+    more generated statements (a three-statement workload makes
+    multi-record journals, so truncation sweeps cross record
     boundaries); the concurrent oracle generates 2–3 whole actor
     workloads and checks the server outcome against every serial order
     (linearizability).  Failures are shrunk with {!Shrink.minimize}
@@ -31,7 +30,7 @@ type failure = {
 
 type report = {
   seed : int;
-  iterations : int;  (** cases run through each of the ten oracles *)
+  iterations : int;  (** cases run through each of the nine oracles *)
   agreements : int;  (** divergence-oracle runs where both regimes agree *)
   classified : (Oracles.category * int) list;  (** sanctioned divergences *)
   failures : failure list;  (** shrunk; empty on a clean run *)
@@ -66,13 +65,6 @@ let run ?(seed = 0) ~count () =
     | Error detail ->
         record ~oracle:"planner" ~iteration:i
           ~fails:(fun g q -> Result.is_error (Oracles.planner_equivalence g q))
-          g q detail);
-    (match Oracles.parallel_equivalence g q with
-    | Ok () -> ()
-    | Error detail ->
-        record ~oracle:"parallel" ~iteration:i
-          ~fails:(fun g q ->
-            Result.is_error (Oracles.parallel_equivalence g q))
           g q detail);
     (match Oracles.divergence g q with
     | Oracles.Agree -> incr agreements
@@ -146,7 +138,7 @@ let pp_failure ppf f =
     Graph.pp f.graph
 
 let pp_report ppf r =
-  Fmt.pf ppf "@[<v>fuzz: seed %d, %d cases x 10 oracles@," r.seed r.iterations;
+  Fmt.pf ppf "@[<v>fuzz: seed %d, %d cases x 9 oracles@," r.seed r.iterations;
   Fmt.pf ppf "divergence oracle: %d agree, %d sanctioned divergences@,"
     r.agreements
     (List.fold_left (fun acc (_, n) -> acc + n) 0 r.classified);

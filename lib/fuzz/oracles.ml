@@ -16,19 +16,13 @@
        secondary indexes (label, type, property) must agree with a
        from-scratch {!Graph.rebuild}, and every adjacency view must
        agree with a scan of the relationships ({!adjacency_matches_scan}).
-    5. {!parallel_equivalence}: parallelism-on vs parallelism-off
-       execution.  Unlike the planner oracle, which tolerates row-order
-       changes, the domain-pool fan-out performs an ordered gather, so
-       the two runs must be {e byte-identical} — same rendered result
-       table, same rendered graph, same error — not merely
-       bag-equivalent.
-    6. {!counters}: the statement update counters ({!Cypher_core.Stats})
+    5. {!counters}: the statement update counters ({!Cypher_core.Stats})
        reported by a successful run must equal an independently computed
        structural diff of the input and output graphs, under both
        regimes.  The engine computes counters *inside* the update
        modules (net-of-cancellation identity tracking); the oracle
        recomputes them from the outside and the two must agree.
-    7. {!durability}: crash-recovery fault injection.  The workload runs
+    6. {!durability}: crash-recovery fault injection.  The workload runs
        through a journaling session against an in-memory journal; the
        oracle then checks that (a) the snapshot image reloads
        isomorphically (dump round-trip), (b) full recovery reproduces
@@ -37,16 +31,16 @@
        the journal at {e every byte} and corrupting {e every byte}
        yields precisely-reported damage and recovery to a statement
        boundary — never a crash, never a silently different graph.
-    8. {!prepared}: prepared-statement equivalence.  Every (eligible)
+    7. {!prepared}: prepared-statement equivalence.  Every (eligible)
        literal of the statement is lifted into a [$p0..$pn] parameter
        binding; the rewritten text is compiled once with {!Api.prepare}
        and executed twice with the extracted bindings — the second
        execution reuses the statement's memoized match plans — and both
        executions must be byte-identical to the direct run (graph,
        table, counters, error).
-    9. {!concurrent}: generated actors run against one shared server;
+    8. {!concurrent}: generated actors run against one shared server;
        the outcome must match some serial order of their commits.
-   10. {!fused}: a read statement run plain (MATCH folded straight into
+    9. {!fused}: a read statement run plain (MATCH folded straight into
        an aggregating projection) and under [PROFILE] (clause by clause,
        materialising) must produce byte-identical tables. *)
 
@@ -196,9 +190,10 @@ let outcome_summary (o : Api.outcome) =
     (String.concat "," (Table.columns o.table))
     (Table.row_count o.table)
 
-let planner_equivalence g q : (unit, string) result =
-  let on = run revised_planned g q in
-  let off = run revised_naive g q in
+let planner_equivalence ?(match_mode = Config.Isomorphic) g q :
+    (unit, string) result =
+  let on = run (Config.with_match_mode match_mode revised_planned) g q in
+  let off = run (Config.with_match_mode match_mode revised_naive) g q in
   match (on, off) with
   | Error e1, Error e2 ->
       if error_kind e1 = error_kind e2 then Ok ()
@@ -234,47 +229,7 @@ let planner_equivalence g q : (unit, string) result =
              (outcome_summary o1) (outcome_summary o2))
 
 (* ------------------------------------------------------------------ *)
-(* Oracle 5: parallelism-on vs parallelism-off, byte-identical        *)
-(* ------------------------------------------------------------------ *)
-
-(** The parallel run must be indistinguishable from the serial one down
-    to the byte: the pool's ordered gather reproduces the serial row
-    order, update application is sequential in both runs (so entity ids
-    match exactly), and a failing statement must fail with the very same
-    error.  Chunking is forced down to single-element chunks so even the
-    small tables typical of generated cases actually fan out. *)
-let parallel_equivalence ?(match_mode = Config.Isomorphic) g q :
-    (unit, string) result =
-  let base = Config.with_match_mode match_mode Config.permissive in
-  let serial = run (Config.with_parallelism 0 base) g q in
-  let parallel =
-    Cypher_util.Pool.with_chunk_min 1 (fun () ->
-        run (Config.with_parallelism 4 base) g q)
-  in
-  match (serial, parallel) with
-  | Error e1, Error e2 ->
-      if Errors.to_string e1 = Errors.to_string e2 then Ok ()
-      else
-        Error
-          (Fmt.str "parallel error differs: serial %S vs parallel %S"
-             (Errors.to_string e1) (Errors.to_string e2))
-  | Ok _, Error e ->
-      Error (Fmt.str "parallel fails (%s) where serial succeeds"
-               (Errors.to_string e))
-  | Error e, Ok _ ->
-      Error (Fmt.str "serial fails (%s) where parallel succeeds"
-               (Errors.to_string e))
-  | Ok o1, Ok o2 ->
-      if Graph.to_string o1.graph <> Graph.to_string o2.graph then
-        Error "parallel and serial result graphs are not byte-identical"
-      else if Table.to_string o1.table <> Table.to_string o2.table then
-        Error
-          (Fmt.str "parallel and serial result tables differ: %s vs %s"
-             (outcome_summary o1) (outcome_summary o2))
-      else Ok ()
-
-(* ------------------------------------------------------------------ *)
-(* Oracle 6: update counters vs structural graph diff                 *)
+(* Oracle 5: update counters vs structural graph diff                 *)
 (* ------------------------------------------------------------------ *)
 
 (** Recomputes {!Cypher_core.Stats.t} from first principles: a
@@ -349,7 +304,7 @@ let graph_diff (g_in : Graph.t) (g_out : Graph.t) : Cypher_core.Stats.t =
     labels_removed = !labels_removed;
   }
 
-(** Oracle 6: the engine's update counters must equal the structural
+(** Oracle 5: the engine's update counters must equal the structural
     diff of the input and output graphs, under both the revised and the
     legacy regime, and [rows] must equal the output table's row count.
     A failing statement reports nothing to check. *)
@@ -517,6 +472,14 @@ let adjacency_matches_scan (g : Graph.t) : (unit, string) result =
     incremental maintenance of some index drifted during the update. *)
 let indexes_agree (g : Graph.t) (reference : Graph.t) : (unit, string) result =
   let* () =
+    let counted = Graph.fold_node_ids (fun _ n -> n + 1) g 0 in
+    check
+      (Graph.node_count g = counted && Graph.node_count reference = counted)
+      (fun () ->
+        Fmt.str "node count %d (rebuild: %d) disagrees with the %d nodes stored"
+          (Graph.node_count g) (Graph.node_count reference) counted)
+  in
+  let* () =
     check
       (Graph.label_histogram g = Graph.label_histogram reference)
       (fun () -> "label histogram disagrees with a from-scratch rebuild")
@@ -594,7 +557,7 @@ let indexes_agree (g : Graph.t) (reference : Graph.t) : (unit, string) result =
     (Graph.prop_index_keys g)
 
 (* ------------------------------------------------------------------ *)
-(* Oracle 7: durability / crash-recovery fault injection              *)
+(* Oracle 6: durability / crash-recovery fault injection              *)
 (* ------------------------------------------------------------------ *)
 
 module Session = Cypher_core.Session
@@ -602,7 +565,7 @@ module Wal = Cypher_storage.Wal
 module Snapshot = Cypher_storage.Snapshot
 module Recovery = Cypher_storage.Recovery
 
-let durability_config = { Config.permissive with parallelism = 0 }
+let durability_config = Config.permissive
 
 (** [dump_roundtrip g] checks the {!Cypher_graph.Dump} contract directly:
     the snapshot image of [g] (indexes + dump script) reloads to an
@@ -657,7 +620,7 @@ let corrupt_byte s i =
     (fun j c -> if j = i then Char.chr ((Char.code c + 1) land 0xff) else c)
     s
 
-(** Oracle 7.  Runs [q :: extra] through a journaling session on [g],
+(** Oracle 6.  Runs [q :: extra] through a journaling session on [g],
     journalling into an in-memory buffer, then fault-injects the
     snapshot image and the journal bytes exhaustively.  Every byte-level
     truncation and every single-byte corruption of the journal must be
@@ -825,7 +788,7 @@ let durability ?(extra = []) (g : Graph.t) q : (unit, string) result =
     (List.init (String.length snapshot_img) Fun.id)
 
 (* ------------------------------------------------------------------ *)
-(* Oracle 8: prepared-statement / parameter equivalence               *)
+(* Oracle 7: prepared-statement / parameter equivalence               *)
 (* ------------------------------------------------------------------ *)
 
 let value_of_lit = function
@@ -990,7 +953,7 @@ let result_summary (r : Cypher_core.Api.result) =
     (String.concat "," (Table.columns r.Api.r_table))
     (Table.row_count r.Api.r_table)
 
-(** Oracle 8.  Lifts every (eligible) literal of the statement into a
+(** Oracle 7.  Lifts every (eligible) literal of the statement into a
     [$p0..$pn] binding, compiles the rewritten text once with
     {!Api.prepare}, executes it twice with the extracted bindings —
     the second execution is served by the prepared statement's plan
@@ -1071,13 +1034,13 @@ let wellformed g q : (unit, string) result =
       indexes_agree g' reference
 
 (* ------------------------------------------------------------------ *)
-(* Oracle 9: concurrent workloads / linearizability                   *)
+(* Oracle 8: concurrent workloads / linearizability                   *)
 (* ------------------------------------------------------------------ *)
 
 module Shared = Cypher_server.Shared
 module Service = Cypher_server.Service
 
-let concurrent_config = { Config.permissive with parallelism = 0 }
+let concurrent_config = Config.permissive
 
 let permutations xs =
   let rec insert x = function
@@ -1101,7 +1064,7 @@ let serial_apply g actors =
         g stmts)
     g actors
 
-(** Oracle 9.  Runs the generated actors against one shared server
+(** Oracle 8.  Runs the generated actors against one shared server
     state, each on its own thread through its own {!Service}
     connection, then checks (a) {e linearizability}: the final head is
     isomorphic to running the actors under {e some} serial order; and
@@ -1155,7 +1118,7 @@ let concurrent (g : Graph.t) (actors : Gen.actor list) : (unit, string) result
           "journal replay is not isomorphic to the final head")
 
 (* ------------------------------------------------------------------ *)
-(* Oracle 10: fused vs clause-by-clause reads                         *)
+(* Oracle 9: fused vs clause-by-clause reads                          *)
 (* ------------------------------------------------------------------ *)
 
 (** A read statement runs plain — a MATCH folding straight into the

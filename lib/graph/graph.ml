@@ -45,6 +45,9 @@ end)
 
 type t = {
   nodes : node Imap.t;
+  node_count : int;
+      (* [Imap.cardinal nodes], kept so the planner's per-pattern scan
+         estimate is O(1) *)
   rels : rel Imap.t;
   out_typed : Iset.t Smap.t Imap.t; (* node id -> type -> rels leaving it *)
   in_typed : Iset.t Smap.t Imap.t; (* node id -> type -> rels entering it *)
@@ -66,6 +69,7 @@ type t = {
 let empty =
   {
     nodes = Imap.empty;
+    node_count = 0;
     rels = Imap.empty;
     out_typed = Imap.empty;
     in_typed = Imap.empty;
@@ -198,7 +202,7 @@ let tombstones g = g.tombs
 let has_rel g id = Imap.mem id g.rels
 let is_tombstoned g id = Imap.mem id g.tombs
 let tombstone g id = Imap.find_opt id g.tombs
-let node_count g = Imap.cardinal g.nodes
+let node_count g = g.node_count
 let rel_count g = Imap.cardinal g.rels
 let nodes g = List.map snd (Imap.bindings g.nodes)
 let rels g = List.map snd (Imap.bindings g.rels)
@@ -292,6 +296,7 @@ let create_node ?(labels = []) ?(props = Props.empty) g =
     {
       g with
       nodes = Imap.add id n g.nodes;
+      node_count = g.node_count + 1;
       label_index = index_node n g.label_index;
       prop_index = pindex_node_add n g.prop_index;
       next_id = id + 1;
@@ -437,6 +442,7 @@ let insert_batch ~caller g (nodes : node array) (rels : rel array) =
   {
     g with
     nodes = node_map;
+    node_count = g.node_count + Array.length nodes;
     rels = Array.fold_left (fun m r -> Imap.add r.r_id r m) g.rels rels;
     out_typed = adj_batch (fun r -> r.src) rels g.out_typed;
     in_typed = adj_batch (fun r -> r.tgt) rels g.in_typed;
@@ -548,6 +554,7 @@ let remove_node g id =
             {
               g with
               nodes = Imap.remove id g.nodes;
+              node_count = g.node_count - 1;
               out_typed = Imap.remove id g.out_typed;
               in_typed = Imap.remove id g.in_typed;
               label_index = unindex_node n g.label_index;
@@ -566,6 +573,7 @@ let remove_node_force g id =
       {
         g with
         nodes = Imap.remove id g.nodes;
+        node_count = g.node_count - 1;
         out_typed = Imap.remove id g.out_typed;
         in_typed = Imap.remove id g.in_typed;
         label_index = unindex_node n g.label_index;

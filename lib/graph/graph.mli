@@ -60,7 +60,10 @@ val next_id : t -> int
 val tombstones : t -> tomb Imap.t
 val is_tombstoned : t -> int -> bool
 val tombstone : t -> int -> tomb option
+
+(** The number of nodes, kept with the graph: O(1). *)
 val node_count : t -> int
+
 val rel_count : t -> int
 val nodes : t -> node list
 val rels : t -> rel list

@@ -45,7 +45,6 @@ let config_of_record (r : Wal.record) : Config.t =
     mode = r.Wal.mode;
     order = r.Wal.order;
     match_mode = r.Wal.match_mode;
-    parallelism = 0;
     collect_stats = true;
     params = r.Wal.params;
   }

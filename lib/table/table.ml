@@ -72,16 +72,6 @@ let concat_map columns f t =
     | [ row ] -> f row
     | rows -> List.concat_map f rows)
 
-(** [concat_map_par ~parallelism columns f t] is {!concat_map} with the
-    per-row expansion fanned out over a domain pool.  The gather is
-    ordered, so the result is byte-identical to the serial one whenever
-    [f] is pure — the caller's obligation (the engine only uses this for
-    read phases against an immutable graph snapshot). *)
-let concat_map_par ~parallelism columns f t =
-  match t.rows with
-  | [ row ] -> make columns (f row) (* nothing to fan out *)
-  | rows -> make columns (Cypher_util.Pool.concat_map_chunks ~parallelism f rows)
-
 let filter p t = { t with rows = List.filter p t.rows }
 
 let fold f t acc = List.fold_left (fun acc r -> f r acc) acc t.rows

@@ -45,14 +45,6 @@ val map : (Record.t -> Record.t) -> t -> t
     variables. *)
 val concat_map : string list -> (Record.t -> Record.t list) -> t -> t
 
-(** [concat_map_par ~parallelism columns f t] is {!concat_map} with the
-    per-row expansion fanned out over the {!Cypher_util.Pool} domain
-    pool ([parallelism <= 1] falls back to the serial path).  [f] must
-    be pure; results are gathered in input order, so the output is
-    byte-identical to the serial one. *)
-val concat_map_par :
-  parallelism:int -> string list -> (Record.t -> Record.t list) -> t -> t
-
 val filter : (Record.t -> bool) -> t -> t
 val fold : (Record.t -> 'a -> 'a) -> t -> 'a -> 'a
 

@@ -1,27 +1,13 @@
-(** Fixed-size domain pool with ordered, deterministic gather.
+(** Fixed-size domain pool running single submitted jobs.
 
     Concurrency structure: one global job queue guarded by one mutex.
-    Workers loop forever popping jobs; a fan-out call enqueues one job
-    per chunk except the first, runs the first chunk itself, then helps
-    drain the queue until its own chunks are all done.  Per-call state
-    (the result slots and the remaining-chunk counter) is shared with
-    workers only under the global mutex, which gives the necessary
-    happens-before edges; the input list and everything reachable from
-    it is read-only during the call.
-
-    Determinism does not depend on scheduling: results land in an array
-    indexed by chunk position and are concatenated in index order, and
-    when chunks fail the earliest failed chunk's exception is re-raised
-    — the same exception a serial left-to-right run raises first. *)
+    Workers loop forever popping jobs; {!submit} enqueues one job and
+    {!await} blocks on the job's own condition until the worker has
+    stored its outcome.  The outcome is written and read only under the
+    global mutex, which gives the necessary happens-before edges. *)
 
 let recommended () = Domain.recommended_domain_count ()
 let max_workers = 15
-let default_chunk_min = ref 16
-
-let with_chunk_min n f =
-  let saved = !default_chunk_min in
-  default_chunk_min := max 1 n;
-  Fun.protect ~finally:(fun () -> default_chunk_min := saved) f
 
 (* ------------------------------------------------------------------ *)
 (* Worker pool                                                        *)
@@ -32,8 +18,8 @@ let work_available = Condition.create ()
 let jobs : (unit -> unit) Queue.t = Queue.create ()
 let spawned = ref 0
 
-(* set on worker domains: nested fan-out from inside a job must run
-   serially, otherwise a worker could block waiting for jobs that only
+(* set on worker domains: a job submitted from inside a job must run
+   inline, otherwise a worker could block waiting for jobs that only
    blocked workers would run *)
 let in_worker = Domain.DLS.new_key (fun () -> false)
 
@@ -63,106 +49,6 @@ let ensure_workers n =
     done;
     Mutex.unlock lock
   end
-
-(* ------------------------------------------------------------------ *)
-(* Chunked fan-out                                                    *)
-(* ------------------------------------------------------------------ *)
-
-type 'b slot =
-  | Pending
-  | Done of 'b
-  | Failed of exn * Printexc.raw_backtrace
-
-(** Splits [xs] into consecutive chunks of [size] (the last may be
-    shorter), preserving element order. *)
-let split_chunks size xs =
-  let rec take n acc xs =
-    if n = 0 then (List.rev acc, xs)
-    else match xs with [] -> (List.rev acc, []) | x :: r -> take (n - 1) (x :: acc) r
-  in
-  let rec loop acc xs =
-    match xs with
-    | [] -> List.rev acc
-    | _ ->
-        let chunk, rest = take size [] xs in
-        loop (chunk :: acc) rest
-  in
-  loop [] xs
-
-(** Runs [f] over every chunk, in parallel, and returns the per-chunk
-    results in chunk order. *)
-let run_chunks (f : 'a list -> 'b) (chunks : 'a list array) : 'b array =
-  let n = Array.length chunks in
-  let slots = Array.make n Pending in
-  let remaining = ref n in
-  let all_done = Condition.create () in
-  let job i () =
-    let r =
-      try Done (f chunks.(i))
-      with e -> Failed (e, Printexc.get_raw_backtrace ())
-    in
-    Mutex.lock lock;
-    slots.(i) <- r;
-    decr remaining;
-    if !remaining = 0 then Condition.broadcast all_done;
-    Mutex.unlock lock
-  in
-  Mutex.lock lock;
-  for i = 1 to n - 1 do
-    Queue.add (job i) jobs
-  done;
-  Condition.broadcast work_available;
-  Mutex.unlock lock;
-  job 0 ();
-  (* help drain the queue, then wait for in-flight chunks *)
-  let rec help () =
-    Mutex.lock lock;
-    if !remaining = 0 then Mutex.unlock lock
-    else
-      match Queue.take_opt jobs with
-      | Some j ->
-          Mutex.unlock lock;
-          j ();
-          help ()
-      | None ->
-          while !remaining > 0 do
-            Condition.wait all_done lock
-          done;
-          Mutex.unlock lock
-  in
-  help ();
-  Array.map
-    (function
-      | Done v -> v
-      | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
-      | Pending -> assert false)
-    slots
-
-(** The generic entry point: [per_chunk] turns one chunk into one
-    result list; per-chunk outputs are concatenated in input order.
-    [serial] must equal running [per_chunk] on the whole input — both
-    [List.map]/[List.concat_map]/[List.filter] distribute over
-    concatenation, which is what makes the gather byte-identical. *)
-let run_ordered ?chunk_min ~parallelism (per_chunk : 'a list -> 'b list)
-    (xs : 'a list) : 'b list =
-  let chunk_min = max 1 (Option.value ~default:!default_chunk_min chunk_min) in
-  if parallelism <= 1 || Domain.DLS.get in_worker then per_chunk xs
-  else
-    let len = List.length xs in
-    if len < 2 * chunk_min then per_chunk xs
-    else begin
-      (* more chunks than domains smooths skewed per-row costs; the
-         cap keeps per-chunk scheduling overhead bounded *)
-      let target = parallelism * 4 in
-      let size = max chunk_min ((len + target - 1) / target) in
-      let chunks = Array.of_list (split_chunks size xs) in
-      if Array.length chunks <= 1 then per_chunk xs
-      else begin
-        ensure_workers (parallelism - 1);
-        let results = run_chunks per_chunk chunks in
-        List.concat (Array.to_list results)
-      end
-    end
 
 (* ------------------------------------------------------------------ *)
 (* Single-job submission (the server's read executor)                 *)
@@ -214,12 +100,3 @@ let await (t : 'a task) : 'a =
   | T_done v -> v
   | T_failed (e, bt) -> Printexc.raise_with_backtrace e bt
   | T_pending -> assert false
-
-let map_chunks ?chunk_min ~parallelism f xs =
-  run_ordered ?chunk_min ~parallelism (List.map f) xs
-
-let concat_map_chunks ?chunk_min ~parallelism f xs =
-  run_ordered ?chunk_min ~parallelism (List.concat_map f) xs
-
-let filter_chunks ?chunk_min ~parallelism p xs =
-  run_ordered ?chunk_min ~parallelism (List.filter p) xs

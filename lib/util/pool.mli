@@ -1,64 +1,26 @@
-(** A fixed-size pool of OCaml 5 domains for chunked fan-out over lists.
+(** A fixed-size pool of OCaml 5 domains running single submitted jobs.
 
-    The pool serves the engine's read-only row fan-outs (MATCH
-    expansion, WHERE filtering, UNWIND/projection row mapping, MERGE
-    candidate enumeration): the driving table is chunked, chunks are
-    evaluated on worker domains, and the per-chunk results are
-    concatenated back {e in input order}, so a parallel run is
-    byte-identical to a serial one whenever the per-element function is
-    pure — which the revised semantics guarantees for read phases (every
-    clause reads the immutable input graph, never its own writes).
+    The concurrent server runs every read statement and transaction
+    update on a pool worker against a pinned graph snapshot while its
+    connection threads block on sockets.  A statement runs on exactly
+    one domain; there is no fan-out inside a statement.
 
-    Worker domains are spawned lazily on first parallel use and reused
-    for the lifetime of the process; the calling domain always works on
-    chunks itself, so [parallelism] counts the caller, and [n]-way
-    fan-out spawns at most [n - 1] workers (hard-capped at
-    {!max_workers}).  Exceptions raised inside a chunk are caught on the
-    worker, and — after all chunks have finished — re-raised on the
-    calling domain with their original backtrace.  When several chunks
-    fail, the exception of the earliest chunk in input order wins, which
-    is exactly the exception a serial run would have raised first.
-
-    Nested calls from inside a worker fall back to the serial path, so
-    the pool can never deadlock on its own job queue. *)
+    Worker domains are spawned lazily on first use and reused for the
+    lifetime of the process; [parallelism] counts the caller, so a
+    width of [n] spawns at most [n - 1] workers (hard-capped at
+    {!max_workers}).  An exception raised by a job is caught on the
+    worker and re-raised on the caller of {!await} with its original
+    backtrace.  A submission from inside a worker runs inline, so the
+    pool can never deadlock on its own job queue. *)
 
 (** [recommended ()] is [Domain.recommended_domain_count ()]: the
-    hardware-sized default for a parallelism knob. *)
+    hardware-sized default for the server's reader pool. *)
 val recommended : unit -> int
 
 (** Hard cap on spawned worker domains (callers beyond this share). *)
 val max_workers : int
 
-(** Minimum number of elements per chunk (and the serial-fallback
-    threshold: inputs shorter than this never fan out).  Mutable so
-    tests and oracles can force adversarial chunking; use
-    {!with_chunk_min} for scoped overrides. *)
-val default_chunk_min : int ref
-
-(** [with_chunk_min n f] runs [f ()] with {!default_chunk_min} set to
-    [n], restoring the previous value afterwards (even on exceptions). *)
-val with_chunk_min : int -> (unit -> 'a) -> 'a
-
-(** [map_chunks ~parallelism f xs] is [List.map f xs], evaluated in
-    chunks across at most [parallelism] domains.  Serial fast path when
-    [parallelism <= 1], when [xs] is shorter than [?chunk_min]
-    (default {!default_chunk_min}), or when called from a worker. *)
-val map_chunks :
-  ?chunk_min:int -> parallelism:int -> ('a -> 'b) -> 'a list -> 'b list
-
-(** [concat_map_chunks ~parallelism f xs] is [List.concat_map f xs]
-    under the same chunking and gather discipline as {!map_chunks}. *)
-val concat_map_chunks :
-  ?chunk_min:int -> parallelism:int -> ('a -> 'b list) -> 'a list -> 'b list
-
-(** [filter_chunks ~parallelism p xs] is [List.filter p xs] under the
-    same chunking and gather discipline as {!map_chunks}. *)
-val filter_chunks :
-  ?chunk_min:int -> parallelism:int -> ('a -> bool) -> 'a list -> 'a list
-
-(** A single job submitted to the pool — the concurrent server uses
-    this to run read statements on worker domains while connection
-    threads block on sockets. *)
+(** A single job submitted to the pool. *)
 type 'a task
 
 (** [submit ~parallelism f] schedules [f ()] on a pool worker.  Runs

@@ -4,7 +4,7 @@
     demonstration (the exact int/float and NaN comparison bugs fail
     here on the pre-fix tree) or a shrunk fuzzer failure appended by
     [fuzz_main -corpus].  The smoke run drives a bounded number of
-    freshly generated cases through all ten oracles so tier-1 keeps
+    freshly generated cases through all nine oracles so tier-1 keeps
     the whole pipeline honest without the cost of [@fuzz]. *)
 
 open Cypher_fuzz
@@ -53,6 +53,41 @@ let header_cases =
         | Ok _ -> Alcotest.fail "accepted oracle: backend"
         | Error msg ->
             Alcotest.(check string) "message" "e.cy: unknown oracle backend" msg);
+    case "corpus rejects the retired parallel oracle" (fun () ->
+        (* [parallel] named an oracle that no longer exists; its
+           regressions replay under [planner] *)
+        match parse "// oracle: parallel\nMATCH (n) RETURN n" with
+        | Ok _ -> Alcotest.fail "accepted oracle: parallel"
+        | Error msg ->
+            Alcotest.(check string) "message" "e.cy: unknown oracle parallel" msg);
+    case "corpus index names needing quotes survive render -> parse" (fun () ->
+        let e =
+          {
+            Corpus.name = "e";
+            oracle = Corpus.Planner;
+            indexes = [ ("My Label", "a key"); ("A", "k`1") ];
+            setup = [ "CREATE (:`My Label` {`a key`: 1})" ];
+            homomorphic = false;
+            statement = "MATCH (n:`My Label` {`a key`: 1}) RETURN n";
+          }
+        in
+        let text = Corpus.render_entry e in
+        Alcotest.(check bool) "quoted in the header" true
+          (contains_substring text "// index: `My Label` `a key`\n");
+        (match Corpus.parse_entry ~name:"e" text with
+        | Error msg -> Alcotest.fail msg
+        | Ok e' ->
+            Alcotest.(check (list (pair string string))) "indexes" e.Corpus.indexes
+              e'.Corpus.indexes;
+            Alcotest.(check bool) "entry unchanged" true (e = e'));
+        match Corpus.check e with Ok () -> () | Error msg -> Alcotest.fail msg);
+    case "corpus rejects a malformed index header" (fun () ->
+        (* an unquoted name with a space reads as three words *)
+        match parse "// oracle: planner\n// index: My Label k\nMATCH (n) RETURN n" with
+        | Ok _ -> Alcotest.fail "accepted // index: My Label k"
+        | Error msg ->
+            Alcotest.(check string) "message"
+              "e.cy: bad // index: header My Label k: trailing text" msg);
     case "corpus rejects an entry without an oracle header" (fun () ->
         match parse "// graph: CREATE (:A)\nMATCH (n) RETURN n" with
         | Ok _ -> Alcotest.fail "accepted an entry with no oracle"
@@ -62,7 +97,7 @@ let header_cases =
 
 let smoke_cases =
   [
-    case "fuzz smoke: 60 cases x 10 oracles" (fun () ->
+    case "fuzz smoke: 60 cases x 9 oracles" (fun () ->
         let report = Fuzz.run ~seed:20260807 ~count:60 () in
         match report.Fuzz.failures with
         | [] -> ()

@@ -238,27 +238,18 @@ let planner_merge_checks =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Planner × match mode × parallelism 2×2×2 sweep                     *)
+(* Planner × match mode × execution context sweep                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Parallel read phases must be unobservable (DESIGN.md "Parallel read
-   phases"): for each planner setting and match mode, running with the
-   domain pool fanned out must produce byte-identical tables and graphs
-   to the serial run.  This is strictly stronger than the bag equality
-   the planner sweep above settles for — parallelism may not even
-   reorder.  The chunk threshold is forced down to 1 so the small sweep
-   tables actually split across domains.  Homomorphic matching drops
-   the relationship-isomorphism scan, so it enumerates a different row
-   set that the split must keep in the same order too. *)
-module Pool = Cypher_util.Pool
-
-(* [run_par config src] is [run_with] with four domains and the chunk
-   threshold at 1 *)
-let run_par config src =
-  Pool.with_chunk_min 1 (fun () ->
-      run_with (Config.with_parallelism 4 config) src)
-
-let parallelism_checks =
+(* The server runs every read on a reader-pool worker domain against a
+   pinned snapshot (DESIGN.md "Snapshot reads on worker domains"): for
+   each planner setting and match mode, a statement run there must
+   produce byte-identical tables and graphs to the run on the calling
+   domain.  This is strictly stronger than the bag equality the planner
+   sweep above settles for.  Homomorphic matching drops the
+   relationship-isomorphism scan, so it enumerates a different row set
+   that must not move either. *)
+let execution_context_checks =
   let settings =
     [ ("planner-on", planner_on); ("planner-off", planner_off) ]
   in
@@ -271,29 +262,29 @@ let parallelism_checks =
           List.map
             (fun src ->
               Test_util.case
-                (Printf.sprintf "par=4 byte-identical to par=0 (%s%s): %s"
+                (Printf.sprintf
+                   "reader-pool worker byte-identical to calling domain (%s%s): %s"
                    plabel mlabel src)
                 (fun () ->
-                  let serial_g, serial_t =
-                    run_with (Config.with_parallelism 0 cfg) src
+                  let bytes (g, t) = (Table.to_string t, Graph.to_string g) in
+                  let here_t, here_g = bytes (run_with cfg src) in
+                  let pool_t, pool_g =
+                    Test_util.on_worker (fun () -> bytes (run_with cfg src))
                   in
-                  let par_g, par_t = run_par cfg src in
-                  Alcotest.(check string) "table bytes"
-                    (Table.to_string serial_t) (Table.to_string par_t);
-                  Alcotest.(check string) "graph bytes"
-                    (Graph.to_string serial_g) (Graph.to_string par_g)))
+                  Alcotest.(check string) "table bytes" here_t pool_t;
+                  Alcotest.(check string) "graph bytes" here_g pool_g))
             (read_queries @ update_queries))
         modes)
     settings
 
 (* ------------------------------------------------------------------ *)
-(* Planner × parallelism sweep against the map-row goldens            *)
+(* Planner × plan-cache sweep against the map-row goldens             *)
 (* ------------------------------------------------------------------ *)
 
 (* Rows are flat arrays over a compiled slot layout; they replaced a
    string-keyed map representation, and that change must be
-   unobservable.  For every planner setting, serial and with four
-   domains, the sweep's table and graph bytes must hash to the MD5
+   unobservable.  For every planner setting, on a first run and on a
+   plan-cache hit, the sweep's table and graph bytes must hash to the MD5
    digests captured from the map-row implementation — same rows, same order, same graph, so the array-row
    fast paths (including the matcher's planned enumeration) change
    nothing.  One entry per sweep query, in
@@ -333,17 +324,21 @@ let map_row_goldens =
       ("7301a37f59d457d1a1020cb7966a9caf", "9d190a99a85abe142828672453d90d0e") );
   ]
 
+(* [run_cached config src] is the second run of [src] in one session:
+   the plan-cache hit every served read after the first is *)
+let run_cached config src =
+  let r = Test_util.run_cached ~config sweep_graph src in
+  (r.Api.r_graph, r.Api.r_table)
+
 (* One check per (planner, execution, query): the table and graph
-   bytes hash to the query's golden digests, run serially and with four
-   domains; [what] names the golden set. *)
+   bytes hash to the query's golden digests, on a first run and on a
+   plan-cache hit; [what] names the golden set. *)
 let golden_sweep ~what cases =
   let digest s = Digest.to_hex (Digest.string s) in
   let settings =
     [ ("planner-on", planner_on, fst); ("planner-off", planner_off, snd) ]
   in
-  let executions =
-    [ ("", fun cfg -> run_with (Config.with_parallelism 0 cfg)); (", par=4", run_par) ]
-  in
+  let executions = [ ("", run_with); (", plan-cache hit", run_cached) ] in
   List.concat_map
     (fun (plabel, cfg, pick) ->
       List.concat_map
@@ -383,9 +378,10 @@ let golden_checks =
    variable-length hops behind a non-start anchor, rows from outside a
    seeded layout (MERGE), or end in a fused count over a pattern tuple —
    plus one homomorphic query.  Their table and graph bytes, for both
-   planner settings, serial and parallel, must hash to digests captured
-   before the planned enumeration was collapsed into one fold: the
-   planner-on row order is observable, so "same rows" is not enough. *)
+   planner settings, on a first run and on a plan-cache hit, must hash
+   to digests captured before the planned enumeration was collapsed
+   into one fold: the planner-on row order is observable, so "same
+   rows" is not enough. *)
 let fold_queries =
   [
     (Config.Isomorphic,
@@ -493,4 +489,4 @@ let suite =
   List.map QCheck_alcotest.to_alcotest tests
   @ figure_checks @ planner_checks
   @ List.map QCheck_alcotest.to_alcotest planner_merge_checks
-  @ parallelism_checks @ golden_checks @ fold_golden_checks
+  @ execution_context_checks @ golden_checks @ fold_golden_checks

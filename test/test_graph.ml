@@ -444,6 +444,43 @@ let batch_tests =
         done);
   ]
 
+(* the stored node count against the node map, after a random mix of
+   every operation that adds or removes nodes — including removals of
+   ids that are already gone, which must not count twice *)
+let node_count_tests =
+  [
+    case "node_count follows create, remove, force-remove, detach and batches" (fun () ->
+        for seed = 1 to 30 do
+          let rng = Random.State.make [| seed |] in
+          let g = ref (random_base rng ~size:(Random.State.int rng 20)) in
+          for step = 1 to 40 do
+            let ids = Array.of_list (Graph.node_ids !g) in
+            let any_id () =
+              (* sometimes an id that is gone or never existed *)
+              if ids = [||] || Random.State.int rng 4 = 0 then Random.State.int rng (Graph.next_id !g + 1)
+              else ids.(Random.State.int rng (Array.length ids))
+            in
+            (g :=
+               match Random.State.int rng 6 with
+               | 0 -> snd (Graph.create_node ~labels:[ "A" ] !g)
+               | 1 -> (match Graph.remove_node !g (any_id ()) with Ok g' -> g' | Error _ -> !g)
+               | 2 -> Graph.remove_node_force !g (any_id ())
+               | 3 -> Graph.remove_node_detach !g (any_id ())
+               | 4 ->
+                   let steps =
+                     random_steps rng ~nodes:ids ~next_id:(Graph.next_id !g)
+                       ~count:(Random.State.int rng 8)
+                   in
+                   batch_steps !g steps
+               | _ -> Graph.add_label !g (any_id ()) "B");
+            Alcotest.(check int)
+              (Printf.sprintf "seed %d step %d" seed step)
+              (List.length (Graph.node_ids !g))
+              (Graph.node_count !g)
+          done
+        done);
+  ]
+
 let suite =
   suite @ histogram_tests @ typed_adjacency_tests @ derived_adjacency_tests @ prop_index_tests
-  @ batch_tests
+  @ batch_tests @ node_count_tests

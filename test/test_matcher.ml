@@ -201,32 +201,30 @@ let suite =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Parallel and multi-domain reads                                    *)
+(* Plan-cache hits and multi-domain reads                             *)
 (* ------------------------------------------------------------------ *)
-
-module Pool = Cypher_util.Pool
 
 let table_of config g q =
   match Api.run_string ~config g q with
   | Error e -> Alcotest.failf "%s: %s" q (Cypher_core.Errors.to_string e)
   | Ok o -> Cypher_table.Table.to_string o.Api.table
 
-(* one case per counting query: the fused count with the domain pool
-   fanned out (chunk threshold 1) prints the serial table *)
-let parallel_fusion_tests =
+(* one case per counting query: the fused count served from the plan
+   cache, with the match plans memoized by the first run, prints the
+   first run's table *)
+let cached_fusion_tests =
   List.map
     (fun q ->
-      case ("fused count( * ) at par=4 prints the serial table: " ^ q)
+      case ("fused count( * ) on a plan-cache hit prints the first-run table: " ^ q)
         (fun () ->
           List.iter
             (fun (cname, config) ->
               let g = fusion_graph config in
-              let serial = table_of (Config.with_parallelism 0 config) g q in
-              let par =
-                Pool.with_chunk_min 1 (fun () ->
-                    table_of (Config.with_parallelism 4 config) g q)
+              let first = table_of config g q in
+              let hit =
+                Cypher_table.Table.to_string (run_cached ~config g q).Api.r_table
               in
-              Alcotest.(check string) (Printf.sprintf "%s [%s]" q cname) serial par)
+              Alcotest.(check string) (Printf.sprintf "%s [%s]" q cname) first hit)
             fusion_configs))
     fusion_queries
 
@@ -269,12 +267,9 @@ let pairs_graph n =
 
 let domain_tests =
   [
-    case "workload is byte-identical at par=0 and par=4" (fun () ->
-        let gs, os = run_workload (Config.with_parallelism 0 Config.revised) in
-        let gp, op =
-          Pool.with_chunk_min 1 (fun () ->
-              run_workload (Config.with_parallelism 4 Config.revised))
-        in
+    case "workload is byte-identical on a reader-pool worker" (fun () ->
+        let gs, os = run_workload Config.revised in
+        let gp, op = on_worker (fun () -> run_workload Config.revised) in
         Alcotest.(check string) "tables and counters" os op;
         Alcotest.(check string) "final graph" gs gp);
     case "domains matching one shared graph value agree" (fun () ->
@@ -333,7 +328,7 @@ let domain_tests =
         Alcotest.(check string) "base still counts 20" "| c |\n| 20 |" (count base));
   ]
 
-let suite = suite @ parallel_fusion_tests @ domain_tests
+let suite = suite @ cached_fusion_tests @ domain_tests
 
 (* Promotion guard: the streaming reads keep their per-query transients
    out of the major heap.  On a generated graph of 10⁴ persons, the

@@ -1,108 +1,79 @@
-(** The domain pool behind parallel read phases ([Cypher_util.Pool]):
-    chunked fan-out with ordered, deterministic gather.
-
-    The pool's entire contract is byte-identical agreement with the
-    plain [List] functions — same elements, same order, same exception
-    when one is raised — so every test here checks against the serial
-    result, under adversarial chunk sizes that do not divide the input,
-    degenerate one-element chunks, and chunks larger than the input. *)
+(** The reader pool ([Cypher_util.Pool]): single-job submission, the
+    one form of parallelism the engine has.  The server runs every read
+    and transaction update through [submit] and [await]
+    ([Service.on_pool]); these tests pin the contract it relies on —
+    the job's value or exception comes back to the caller, narrow pools
+    and nested submissions run inline, and concurrent callers all
+    complete. *)
 
 module Pool = Cypher_util.Pool
 open Test_util
 
-let input = List.init 1000 (fun i -> i)
-
-(* chunk_min × parallelism grid: odd sizes that leave ragged final
-   chunks, chunk_min 1 (maximal fan-out), chunk_min 1000 (one chunk,
-   serial fast path), and more domains than the machine has cores *)
-let adversarial =
-  List.concat_map
-    (fun chunk_min -> List.map (fun p -> (chunk_min, p)) [ 2; 3; 4; 8 ])
-    [ 1; 2; 3; 5; 16; 1000 ]
-
 let suite =
   [
-    case "map_chunks agrees with List.map under adversarial chunking"
-      (fun () ->
-        let expect = List.map (fun x -> x * x) input in
-        List.iter
-          (fun (chunk_min, parallelism) ->
-            Alcotest.(check (list int))
-              (Printf.sprintf "chunk_min=%d par=%d" chunk_min parallelism)
-              expect
-              (Pool.map_chunks ~chunk_min ~parallelism (fun x -> x * x) input))
-          adversarial);
-    case "concat_map_chunks preserves order and multiplicity" (fun () ->
-        (* per-row fan-out of variable width, including empty expansions *)
-        let f x = List.init (x mod 3) (fun j -> (x * 10) + j) in
-        let expect = List.concat_map f input in
-        List.iter
-          (fun (chunk_min, parallelism) ->
-            Alcotest.(check (list int))
-              (Printf.sprintf "chunk_min=%d par=%d" chunk_min parallelism)
-              expect
-              (Pool.concat_map_chunks ~chunk_min ~parallelism f input))
-          adversarial);
-    case "filter_chunks agrees with List.filter" (fun () ->
-        let p x = x mod 7 = 0 in
-        let expect = List.filter p input in
-        List.iter
-          (fun (chunk_min, parallelism) ->
-            Alcotest.(check (list int))
-              (Printf.sprintf "chunk_min=%d par=%d" chunk_min parallelism)
-              expect
-              (Pool.filter_chunks ~chunk_min ~parallelism p input))
-          adversarial);
-    case "worker exception is re-raised on the caller domain" (fun () ->
-        match
-          Pool.map_chunks ~chunk_min:1 ~parallelism:4
-            (fun x -> if x = 7 then failwith "boom" else x)
-            input
-        with
-        | _ -> Alcotest.fail "expected Failure"
+    case "await returns the job's value" (fun () ->
+        Alcotest.(check int) "value" 42
+          (Pool.await (Pool.submit ~parallelism:2 (fun () -> 6 * 7))));
+    case "at width 2 the job runs off the calling domain" (fun () ->
+        (* the server's premise: a read leaves the connection thread's
+           domain *)
+        let worker = Pool.await (Pool.submit ~parallelism:2 Domain.self) in
+        Alcotest.(check bool) "worker domain" true (worker <> Domain.self ()));
+    case "a job's exception is re-raised on the caller" (fun () ->
+        match Pool.await (Pool.submit ~parallelism:2 (fun () -> failwith "boom")) with
+        | () -> Alcotest.fail "expected Failure"
         | exception Failure msg -> Alcotest.(check string) "message" "boom" msg);
-    case "earliest failing chunk wins, deterministically" (fun () ->
-        (* rows 100 and 900 both fail, in different chunks; serial
-           evaluation raises on row 100 first, so the parallel run must
-           raise that same exception — every time, regardless of which
-           worker finishes first *)
-        for _ = 1 to 20 do
-          match
-            Pool.map_chunks ~chunk_min:1 ~parallelism:8
-              (fun x ->
-                if x = 100 || x = 900 then failwith (string_of_int x) else x)
-              input
-          with
-          | _ -> Alcotest.fail "expected Failure"
-          | exception Failure msg ->
-              Alcotest.(check string) "first failure" "100" msg
+    case "a worker keeps serving after a job raises" (fun () ->
+        (* the raise is caught on the worker; its loop must survive it,
+           or the next job at this width would never run *)
+        for i = 1 to 5 do
+          (match Pool.await (Pool.submit ~parallelism:2 (fun () -> raise Exit)) with
+          | () -> Alcotest.fail "expected Exit"
+          | exception Exit -> ());
+          Alcotest.(check int) "next job" i (Pool.await (Pool.submit ~parallelism:2 (fun () -> i)))
         done);
-    case "empty input" (fun () ->
-        Alcotest.(check (list int)) "map" []
-          (Pool.map_chunks ~chunk_min:1 ~parallelism:4 (fun x -> x) []);
-        Alcotest.(check (list int)) "filter" []
-          (Pool.filter_chunks ~chunk_min:1 ~parallelism:4 (fun _ -> true) []));
-    case "single row" (fun () ->
-        Alcotest.(check (list int)) "map" [ 42 ]
-          (Pool.map_chunks ~chunk_min:1 ~parallelism:4 (fun x -> x * 2) [ 21 ]));
-    case "fewer rows than domains" (fun () ->
-        Alcotest.(check (list int)) "3 rows, 8 domains" [ 0; 1; 2 ]
-          (Pool.map_chunks ~chunk_min:1 ~parallelism:8 (fun x -> x) [ 0; 1; 2 ]));
-    case "parallelism 0 and 1 take the serial path" (fun () ->
-        let expect = List.map succ input in
-        Alcotest.(check (list int)) "par=0" expect
-          (Pool.map_chunks ~chunk_min:1 ~parallelism:0 succ input);
-        Alcotest.(check (list int)) "par=1" expect
-          (Pool.map_chunks ~chunk_min:1 ~parallelism:1 succ input));
-    case "with_chunk_min scopes the override and restores it" (fun () ->
-        let before = !Pool.default_chunk_min in
-        let inside = Pool.with_chunk_min 1 (fun () -> !Pool.default_chunk_min) in
-        Alcotest.(check int) "inside" 1 inside;
-        Alcotest.(check int) "restored" before !Pool.default_chunk_min;
-        (* restored on exception too *)
-        (try
-           Pool.with_chunk_min 2 (fun () -> failwith "escape")
-         with Failure _ -> ());
-        Alcotest.(check int) "restored after raise" before
-          !Pool.default_chunk_min);
+    case "parallelism 0 and 1 run the job inline, before submit returns" (fun () ->
+        let caller = Domain.self () in
+        List.iter
+          (fun parallelism ->
+            let ran = ref None in
+            let t = Pool.submit ~parallelism (fun () -> ran := Some (Domain.self ())) in
+            Alcotest.(check bool)
+              (Printf.sprintf "par=%d ran on the caller before await" parallelism)
+              true
+              (!ran = Some caller);
+            Pool.await t)
+          [ 0; 1 ]);
+    case "a nested submit from a worker runs inline" (fun () ->
+        (* the inner job must not wait for a free worker: with one
+           worker busy running the outer job, that would deadlock *)
+        let outer, inner =
+          Pool.await
+            (Pool.submit ~parallelism:2 (fun () ->
+                 let outer = Domain.self () in
+                 let inner = Pool.await (Pool.submit ~parallelism:2 Domain.self) in
+                 (outer, inner)))
+        in
+        Alcotest.(check bool) "outer job left the caller" true (outer <> Domain.self ());
+        Alcotest.(check bool) "inner job ran on the outer job's domain" true (inner = outer));
+    case "8 threads submitting concurrently all complete" (fun () ->
+        let results = Array.make 8 0 in
+        let threads =
+          List.init 8 (fun i ->
+              Thread.create
+                (fun () ->
+                  for j = 1 to 50 do
+                    let v = Pool.await (Pool.submit ~parallelism:3 (fun () -> (i * 1000) + j)) in
+                    results.(i) <- results.(i) + v
+                  done)
+                ())
+        in
+        List.iter Thread.join threads;
+        Array.iteri
+          (fun i sum ->
+            Alcotest.(check int)
+              (Printf.sprintf "thread %d" i)
+              ((i * 1000 * 50) + (50 * 51 / 2))
+              sum)
+          results);
   ]

@@ -220,20 +220,17 @@ let golden_checks =
           Alcotest.(check string) "graph bytes" graph (Graph.to_string g)))
     goldens
 
-(* the same goldens with the read phases split across four domains
-   (chunk threshold 1): rows are built per domain and stitched back, so
-   the layout and row order must survive the split *)
-let parallel_golden_checks =
-  let config = Config.with_parallelism 4 Config.revised in
+(* the same goldens on a plan-cache hit: the second run of the text in
+   one session reuses the compiled statement and its memoized match
+   plans, and must lay out and order rows exactly as the first *)
+let cached_golden_checks =
+  let config = Config.revised in
   List.map
     (fun (src, table, graph) ->
-      Test_util.case (Printf.sprintf "golden (par=4): %s" src) (fun () ->
-          let g, t =
-            Cypher_util.Pool.with_chunk_min 1 (fun () ->
-                run config (build config) src)
-          in
-          Alcotest.(check string) "table bytes" table (Table.to_string t);
-          Alcotest.(check string) "graph bytes" graph (Graph.to_string g)))
+      Test_util.case (Printf.sprintf "golden (plan-cache hit): %s" src) (fun () ->
+          let r = Test_util.run_cached ~config (build config) src in
+          Alcotest.(check string) "table bytes" table (Table.to_string r.Api.r_table);
+          Alcotest.(check string) "graph bytes" graph (Graph.to_string r.Api.r_graph)))
     goldens
 
-let suite = slots_tests @ record_tests @ golden_checks @ parallel_golden_checks
+let suite = slots_tests @ record_tests @ golden_checks @ cached_golden_checks

@@ -32,6 +32,39 @@ let run ?(config = Config.revised) graph src =
 let run_graph ?config graph src = (run ?config graph src).Api.graph
 let run_table ?config graph src = (run ?config graph src).Api.table
 
+(** [run_cached ?config graph src] is the second run of [src] in one
+    {!Session} on [graph], compiled through {!Session.prepare} and
+    executed with {!Session.run_prepared_on} as the server serves every
+    statement: a plan-cache hit that reuses the compiled statement and
+    its memoized match plans.  Fails unless the second compile was a
+    hit. *)
+let run_cached ?(config = Config.revised) graph src : Api.result =
+  let s = Session.create ~config graph in
+  let once () =
+    match Result.bind (Session.prepare s src) (Session.run_prepared_on s graph) with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "query failed: %s\nquery: %s" (Errors.to_string e) src
+  in
+  ignore (once () : Api.result);
+  let r = once () in
+  Alcotest.(check int) "plan-cache hits" 1 (Session.cache_stats s).Plan_cache.hits;
+  r
+
+(** [on_worker f] runs [f ()] on a reader-pool worker domain through
+    [Pool.submit ~parallelism:2], as the server's reader pool runs every
+    read, and returns its value on the calling domain.  Fails if the
+    job ran on the calling domain. *)
+let on_worker f =
+  let caller = Domain.self () in
+  let ran_on, v =
+    Cypher_util.Pool.await
+      (Cypher_util.Pool.submit ~parallelism:2 (fun () ->
+           let v = f () in
+           (Domain.self (), v)))
+  in
+  if ran_on = caller then Alcotest.fail "the job ran on the calling domain";
+  v
+
 (** Runs a statement and asserts it fails, returning the error. *)
 let run_err ?(config = Config.revised) graph src : Errors.t =
   match Api.run_string ~config graph src with
@@ -86,7 +119,8 @@ let check_adjacency msg g =
 
 (** [check_same_graph msg expected actual] fails unless the two graphs
     agree on everything a read can observe: the printed graph, ids and
-    the id supply, label and type histograms and every registered
+    the id supply, each graph's maintained node count against its node
+    map, label and type histograms and every registered
     property index bucket; and each graph's adjacency views agree with
     a scan of its own relationships. *)
 let check_same_graph msg expected actual =
@@ -94,6 +128,10 @@ let check_same_graph msg expected actual =
   Alcotest.(check string) (msg ^ ": graph") (Graph.to_string expected) (Graph.to_string actual);
   check_eq "node ids" ( = ) (Graph.node_ids expected) (Graph.node_ids actual);
   check_eq "rel ids" ( = ) (Graph.rel_ids expected) (Graph.rel_ids actual);
+  List.iter
+    (fun g ->
+      check_eq "node count" ( = ) (Graph.node_count g) (List.length (Graph.node_ids g)))
+    [ expected; actual ];
   check_eq "next_id" ( = ) (Graph.next_id expected) (Graph.next_id actual);
   check_eq "label histogram" ( = ) (Graph.label_histogram expected) (Graph.label_histogram actual);
   check_eq "type histogram" ( = ) (Graph.type_histogram expected) (Graph.type_histogram actual);
