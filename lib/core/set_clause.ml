@@ -40,12 +40,7 @@ let resolve_target config g row e : target option =
 let resolve_props config g row e : Props.t =
   let v = Eval.eval (Runtime.ctx config g row) e in
   match v with
-  | Value.Map m ->
-      (* re-add through Props.set so null values drop keys *)
-      List.fold_left
-        (fun acc (k, v) -> Props.set acc k v)
-        Props.empty
-        (Cypher_util.Maps.Smap.bindings m)
+  | Value.Map m -> Props.of_map m
   | Value.Node id -> Graph.node_props_of g id
   | Value.Rel id -> Graph.rel_props_of g id
   | v ->

@@ -91,6 +91,9 @@ let arith op a b =
 (* Main recursion                                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* a map value is not a property map: it may hold [null] *)
+let map_get m k = match Smap.find_opt k m with Some v -> v | None -> Value.Null
+
 let rec eval (ctx : Ctx.t) (e : expr) : Value.t =
   match e with
   | Lit l -> lit_value l
@@ -107,7 +110,7 @@ let rec eval (ctx : Ctx.t) (e : expr) : Value.t =
       | Value.Null -> Value.Null
       | Value.Node id -> Props.get (Graph.node_props_of ctx.graph id) key
       | Value.Rel id -> Props.get (Graph.rel_props_of ctx.graph id) key
-      | Value.Map m -> Props.get m key
+      | Value.Map m -> map_get m key
       | v -> error "cannot access property .%s of %s" key (Value.to_string v))
   | Has_labels (e, labels) -> (
       match eval ctx e with
@@ -157,7 +160,7 @@ let rec eval (ctx : Ctx.t) (e : expr) : Value.t =
           let n = List.length l in
           let i = if i < 0 then n + i else i in
           if i < 0 || i >= n then Value.Null else List.nth l i
-      | Value.Map m, Value.String k -> Props.get m k
+      | Value.Map m, Value.String k -> map_get m k
       | (Value.Node id), Value.String k ->
           Props.get (Graph.node_props_of ctx.graph id) k
       | (Value.Rel id), Value.String k ->
@@ -347,4 +350,4 @@ let eval_truth ctx e = truth (eval ctx e)
     null values are dropped (creating a property as null stores nothing —
     the Example 5 discipline). *)
 let eval_props ctx (kvs : (string * expr) list) : Props.t =
-  List.fold_left (fun acc (k, e) -> Props.set acc k (eval ctx e)) Props.empty kvs
+  Props.of_list (List.map (fun (k, e) -> (k, eval ctx e)) kvs)

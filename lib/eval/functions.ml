@@ -4,6 +4,7 @@
     discipline (a null argument yields null).  Entity inspection
     functions (id, labels, type, …) read the graph in the context. *)
 
+open Cypher_util.Maps
 open Cypher_graph
 
 let type_name = function
@@ -40,8 +41,8 @@ let rec display_string v =
 
 let entity_props (ctx : Ctx.t) name v =
   match v with
-  | Value.Node id -> Graph.node_props_of ctx.graph id
-  | Value.Rel id -> Graph.rel_props_of ctx.graph id
+  | Value.Node id -> Props.to_map (Graph.node_props_of ctx.graph id)
+  | Value.Rel id -> Props.to_map (Graph.rel_props_of ctx.graph id)
   | Value.Map m -> m
   | v -> bad_arg name v
 
@@ -85,7 +86,7 @@ let apply (ctx : Ctx.t) name (args : Value.t list) : Value.t =
   | "keys", [ Value.Null ] -> Value.Null
   | "keys", [ v ] ->
       Value.List
-        (List.map (fun k -> Value.String k) (Props.keys (entity_props ctx name v)))
+        (List.map (fun (k, _) -> Value.String k) (Smap.bindings (entity_props ctx name v)))
   | "exists", [ Value.Null ] -> Value.Bool false
   | "exists", [ _ ] -> Value.Bool true
   | "startnode", [ Value.Null ] -> Value.Null
@@ -110,7 +111,7 @@ let apply (ctx : Ctx.t) name (args : Value.t list) : Value.t =
   | "size", [ Value.Null ] -> Value.Null
   | "size", [ Value.List l ] -> Value.Int (List.length l)
   | "size", [ Value.String s ] -> Value.Int (String.length s)
-  | "size", [ Value.Map m ] -> Value.Int (List.length (Props.bindings m))
+  | "size", [ Value.Map m ] -> Value.Int (Smap.cardinal m)
   | "size", [ v ] -> bad_arg name v
   | "head", [ Value.Null ] -> Value.Null
   | "head", [ Value.List [] ] -> Value.Null

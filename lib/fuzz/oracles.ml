@@ -16,6 +16,8 @@
        secondary indexes (label, type, property) must agree with a
        from-scratch {!Graph.rebuild}, and every adjacency view must
        agree with a scan of the relationships ({!adjacency_matches_scan}).
+       Both graphs must also store every id set and property map in its
+       canonical form ({!representation_ok}).
     5. {!counters}: the statement update counters ({!Cypher_core.Stats})
        reported by a successful run must equal an independently computed
        structural diff of the input and output graphs, under both
@@ -48,6 +50,7 @@ open Cypher_ast.Ast
 open Cypher_util.Maps
 module Graph = Cypher_graph.Graph
 module Props = Cypher_graph.Props
+module Ids = Cypher_graph.Ids
 module Value = Cypher_graph.Value
 module Iso = Cypher_graph.Iso
 module Table = Cypher_table.Table
@@ -449,8 +452,8 @@ let adjacency_matches_scan (g : Graph.t) : (unit, string) result =
       let all _ = true in
       let out_ids = scanned out_scan id all and in_ids = scanned in_scan id all in
       let incident = List.sort_uniq Int.compare (out_ids @ in_ids) in
-      let* () = view "out_rel_ids" out_ids (Iset.elements (Graph.out_rel_ids g id)) in
-      let* () = view "in_rel_ids" in_ids (Iset.elements (Graph.in_rel_ids g id)) in
+      let* () = view "out_rel_ids" out_ids (Ids.elements (Graph.out_rel_ids g id)) in
+      let* () = view "in_rel_ids" in_ids (Ids.elements (Graph.in_rel_ids g id)) in
       let* () = view "out_rels" out_ids (ids_of_rels (Graph.out_rels g id)) in
       let* () = view "in_rels" in_ids (ids_of_rels (Graph.in_rels g id)) in
       let* () = view "incident_rels" incident (ids_of_rels (Graph.incident_rels g id)) in
@@ -460,12 +463,40 @@ let adjacency_matches_scan (g : Graph.t) : (unit, string) result =
           let typed (r : Graph.rel) = r.Graph.r_type = ty in
           let* () =
             view (":" ^ ty ^ " out bucket") (scanned out_scan id typed)
-              (Iset.elements (Graph.out_rel_ids_typed g id ty))
+              (Ids.elements (Graph.out_rel_ids_typed g id ty))
           in
           view (":" ^ ty ^ " in bucket") (scanned in_scan id typed)
-            (Iset.elements (Graph.in_rel_ids_typed g id ty)))
+            (Ids.elements (Graph.in_rel_ids_typed g id ty)))
         types)
     (Graph.node_ids g)
+
+(** Checks the store's compact leaves: every id set [g] stores is in the
+    form its contents decide, carrying a cardinal a recount confirms,
+    and every property map has strictly ascending keys and no [null]
+    value. *)
+let representation_ok (g : Graph.t) : (unit, string) result =
+  let* () =
+    Graph.fold_id_sets
+      (fun where s acc ->
+        let* () = acc in
+        let recount = List.length (Ids.elements s) in
+        check
+          (Ids.is_canonical s && Ids.cardinal s = recount)
+          (fun () ->
+            Fmt.str "%s {%s} (cardinal %d, %d ids) is not canonical" where
+              (String.concat ", " (List.map string_of_int (Ids.elements s)))
+              (Ids.cardinal s) recount))
+      g (Ok ())
+  in
+  let props what id p acc =
+    let* () = acc in
+    check (Props.is_canonical p) (fun () ->
+        Fmt.str "property map of %s %d %a is not canonical" what id Props.pp p)
+  in
+  let* () =
+    Graph.fold_nodes (fun n -> props "node" n.Graph.n_id n.Graph.n_props) g (Ok ())
+  in
+  Graph.fold_rels (fun r -> props "relationship" r.Graph.r_id r.Graph.r_props) g (Ok ())
 
 (** Compares every maintained index of [g] against [reference], a graph
     freshly rebuilt from [g]'s entity lists: any disagreement means the
@@ -1015,7 +1046,32 @@ let prepared (g : Graph.t) q : (unit, string) result =
           compare_run ~label:"second (memoized) execute"
             (Api.execute_full p params g))
 
-let wellformed g q : (unit, string) result =
+(* Three disjoint copies of [g].  A generated graph has at most 6 nodes,
+   too few for a stored id set to outgrow the array form
+   ({!Ids.small_max}); on three copies a statement's creates and deletes
+   move label, type and property-index sets across it both ways. *)
+let tripled g =
+  let span = Graph.next_id g in
+  let copy k = List.init 3 (fun c -> k + (c * span)) in
+  let nodes =
+    List.concat_map
+      (fun (n : Graph.node) ->
+        List.map (fun n_id -> { n with Graph.n_id }) (copy n.Graph.n_id))
+      (Graph.nodes g)
+  in
+  let rels =
+    List.concat_map
+      (fun (r : Graph.rel) ->
+        List.mapi
+          (fun c r_id ->
+            { r with Graph.r_id; src = r.Graph.src + (c * span); tgt = r.Graph.tgt + (c * span) })
+          (copy r.Graph.r_id))
+      (Graph.rels g)
+  in
+  Graph.rebuild ~prop_indexes:(Graph.prop_index_keys g) ~next_id:(3 * span)
+    ~tombs:(Graph.tombstones g) nodes rels
+
+let wellformed_on g q : (unit, string) result =
   match run revised_planned g q with
   | Error _ -> Ok () (* failed statements leave no result graph to audit *)
   | Ok o ->
@@ -1031,7 +1087,13 @@ let wellformed g q : (unit, string) result =
           ~next_id:(Graph.next_id g') ~tombs:(Graph.tombstones g')
           (Graph.nodes g') (Graph.rels g')
       in
+      let* () = representation_ok g' in
+      let* () = representation_ok reference in
       indexes_agree g' reference
+
+let wellformed g q : (unit, string) result =
+  let* () = wellformed_on g q in
+  Result.map_error (fun e -> "on three copies of the graph: " ^ e) (wellformed_on (tripled g) q)
 
 (* ------------------------------------------------------------------ *)
 (* Oracle 8: concurrent workloads / linearizability                   *)

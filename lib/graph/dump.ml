@@ -431,10 +431,6 @@ let read_node_pattern c =
   expect c ")";
   (var, labels, props)
 
-(* what an entity stores of a pattern's map: CREATE's property
-   evaluation drops null-valued keys *)
-let stored props = Smap.filter (fun _ v -> not (Value.is_null v)) props
-
 (** [of_cypher g s] applies the script [s], as written by {!to_cypher},
     to [g]: nodes and relationships get ids in file order and are added
     in one {!Graph.add_batch}, so the ids and [next_id] are those
@@ -478,13 +474,14 @@ let of_cypher ?(pos = 0) (g : Graph.t) (s : string) : (Graph.t, string) result
       expect c "]";
       expect c "->";
       let tgt = endpoint "target" (read_node_pattern c) in
-      rels := { Graph.r_id = fresh (); src; tgt; r_type; r_props = stored props } :: !rels
+      let r_props = Share.props c.share props in
+      rels := { Graph.r_id = fresh (); src; tgt; r_type; r_props } :: !rels
     end
     else begin
       if Hashtbl.mem vars var then fail c "variable `%s` is bound twice" var;
       let n_id = fresh () in
       nodes :=
-        { Graph.n_id; labels = Share.labels c.share labels; n_props = stored props }
+        { Graph.n_id; labels = Share.labels c.share labels; n_props = Share.props c.share props }
         :: !nodes;
       Hashtbl.add vars var n_id
     end;

@@ -49,16 +49,16 @@ type t = {
       (* [Imap.cardinal nodes], kept so the planner's per-pattern scan
          estimate is O(1) *)
   rels : rel Imap.t;
-  out_typed : Iset.t Smap.t Imap.t; (* node id -> type -> rels leaving it *)
-  in_typed : Iset.t Smap.t Imap.t; (* node id -> type -> rels entering it *)
+  out_typed : Ids.t Smap.t Imap.t; (* node id -> type -> rels leaving it *)
+  in_typed : Ids.t Smap.t Imap.t; (* node id -> type -> rels entering it *)
       (* the only adjacency index: a node's untyped adjacency is the
          union of its buckets, derived on demand rather than stored *)
-  label_index : Iset.t Smap.t; (* label -> ids of nodes carrying it *)
-  type_index : Iset.t Smap.t; (* type -> ids of rels carrying it *)
-  prop_index : Iset.t Vmap.t Smap.t Smap.t;
+  label_index : Ids.t Smap.t; (* label -> ids of nodes carrying it *)
+  type_index : Ids.t Smap.t; (* type -> ids of rels carrying it *)
+  prop_index : Ids.t Vmap.t Smap.t Smap.t;
       (* label -> key -> value -> node ids; an entry for (label, key)
          exists iff that index has been registered, even when empty *)
-  dangling : Iset.t;
+  dangling : Ids.t;
       (* rels with a missing endpoint — populated only by a legacy
          force-delete; maintained so the per-statement well-formedness
          check is O(1) instead of a full relationship sweep *)
@@ -76,7 +76,7 @@ let empty =
     label_index = Smap.empty;
     type_index = Smap.empty;
     prop_index = Smap.empty;
-    dangling = Iset.empty;
+    dangling = Ids.empty;
     next_id = 0;
     tombs = Imap.empty;
   }
@@ -85,7 +85,7 @@ let empty =
 
 let index_add label id idx =
   Smap.update label
-    (function None -> Some (Iset.singleton id) | Some s -> Some (Iset.add id s))
+    (function None -> Some (Ids.singleton id) | Some s -> Some (Ids.add id s))
     idx
 
 let index_remove label id idx =
@@ -93,8 +93,8 @@ let index_remove label id idx =
     (function
       | None -> None
       | Some s ->
-          let s = Iset.remove id s in
-          if Iset.is_empty s then None else Some s)
+          let s = Ids.remove id s in
+          if Ids.is_empty s then None else Some s)
     idx
 
 let index_node (n : node) idx =
@@ -121,29 +121,29 @@ let reindex ~old_labels ~new_labels id idx =
 let tmap_find id m = match Imap.find_opt id m with Some sm -> sm | None -> Smap.empty
 
 let tset_find ty sm =
-  match Smap.find_opt ty sm with Some s -> s | None -> Iset.empty
+  match Smap.find_opt ty sm with Some s -> s | None -> Ids.empty
 
 let tadj_add id ty rid m =
   (* single outer-map traversal: creates run hot in MERGE workloads *)
   Imap.update id
     (fun sm ->
       let sm = match sm with Some sm -> sm | None -> Smap.empty in
-      Some (Smap.add ty (Iset.add rid (tset_find ty sm)) sm))
+      Some (Smap.add ty (Ids.add rid (tset_find ty sm)) sm))
     m
 
 let tadj_remove id ty rid m =
   match Imap.find_opt id m with
   | None -> m
   | Some sm ->
-      let s = Iset.remove rid (tset_find ty sm) in
-      let sm = if Iset.is_empty s then Smap.remove ty sm else Smap.add ty s sm in
+      let s = Ids.remove rid (tset_find ty sm) in
+      let sm = if Ids.is_empty s then Smap.remove ty sm else Smap.add ty s sm in
       if Smap.is_empty sm then Imap.remove id m else Imap.add id sm m
 
 (* --- property index maintenance ------------------------------------ *)
 
 let vmap_add v id vmap =
   Vmap.update v
-    (function None -> Some (Iset.singleton id) | Some s -> Some (Iset.add id s))
+    (function None -> Some (Ids.singleton id) | Some s -> Some (Ids.add id s))
     vmap
 
 let vmap_remove v id vmap =
@@ -151,8 +151,8 @@ let vmap_remove v id vmap =
     (function
       | None -> None
       | Some s ->
-          let s = Iset.remove id s in
-          if Iset.is_empty s then None else Some s)
+          let s = Ids.remove id s in
+          if Ids.is_empty s then None else Some s)
     vmap
 
 (** Folds [f] over the registered (key, value map) pairs of the labels a
@@ -218,19 +218,19 @@ let fold_rels f g acc = Imap.fold (fun _ r acc -> f r acc) g.rels acc
     benchmark's trace, which still reads it. *)
 let csr_build_ns_total () = 0L
 
-let rels_of_set g s = Iset.fold (fun r acc -> rel_exn g r :: acc) s [] |> List.rev
+let rels_of_set g s = Ids.fold (fun r acc -> rel_exn g r :: acc) s [] |> List.rev
 
 (* A node's untyped adjacency: the union of its type buckets, in id
-   order.  [Iset.union s Iset.empty] is [s] itself, so a node with a
+   order.  [Ids.union s Ids.empty] is [s] itself, so a node with a
    single bucket (most nodes) gets that bucket back unallocated. *)
 let all_buckets id typed =
-  Smap.fold (fun _ s acc -> Iset.union s acc) (tmap_find id typed) Iset.empty
+  Smap.fold (fun _ s acc -> Ids.union s acc) (tmap_find id typed) Ids.empty
 
 (* raw adjacency id-sets, for callers that fold without materialising
    relationship lists (the matcher's hop enumeration) *)
 let out_rel_ids g id = all_buckets id g.out_typed
 let in_rel_ids g id = all_buckets id g.in_typed
-let incident_ids g id = Iset.union (out_rel_ids g id) (in_rel_ids g id)
+let incident_ids g id = Ids.union (out_rel_ids g id) (in_rel_ids g id)
 
 (** Relationships leaving node [id], in id order. *)
 let out_rels g id = rels_of_set g (out_rel_ids g id)
@@ -241,7 +241,7 @@ let in_rels g id = rels_of_set g (in_rel_ids g id)
 (** All relationships incident to node [id] (self-loops reported once). *)
 let incident_rels g id = rels_of_set g (incident_ids g id)
 
-let degree g id = Iset.cardinal (incident_ids g id)
+let degree g id = Ids.cardinal (incident_ids g id)
 
 (* --- typed adjacency views ----------------------------------------- *)
 
@@ -259,23 +259,19 @@ let in_rels_typed g id ty = rels_of_set g (tset_find ty (tmap_find id g.in_typed
 (** Relationships of type [ty] incident to node [id] (self-loops once). *)
 let incident_rels_typed g id ty =
   rels_of_set g
-    (Iset.union
+    (Ids.union
        (tset_find ty (tmap_find id g.out_typed))
        (tset_find ty (tmap_find id g.in_typed)))
 
-let out_degree_typed g id ty = Iset.cardinal (tset_find ty (tmap_find id g.out_typed))
-let in_degree_typed g id ty = Iset.cardinal (tset_find ty (tmap_find id g.in_typed))
+let out_degree_typed g id ty = Ids.cardinal (tset_find ty (tmap_find id g.out_typed))
+let in_degree_typed g id ty = Ids.cardinal (tset_find ty (tmap_find id g.in_typed))
 
 (** All relationships carrying type [ty], in id order — from the type
     index. *)
 let rels_with_type g ty = rels_of_set g (tset_find ty g.type_index)
 
-let type_count g ty = Iset.cardinal (tset_find ty g.type_index)
-
-let label_count g label =
-  match Smap.find_opt label g.label_index with
-  | None -> 0
-  | Some s -> Iset.cardinal s
+let type_count g ty = Ids.cardinal (tset_find ty g.type_index)
+let label_count g label = Ids.cardinal (tset_find label g.label_index)
 
 (** Relationships whose source or target node no longer exists — only
     possible after a legacy force-delete; a well-formed graph has none.
@@ -283,7 +279,7 @@ let label_count g label =
     runs on every query, so it must not sweep all relationships. *)
 let dangling_rels g = rels_of_set g g.dangling
 
-let is_wellformed g = Iset.is_empty g.dangling
+let is_wellformed g = Ids.is_empty g.dangling
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                       *)
@@ -346,8 +342,10 @@ let runs same a lo hi f =
     i := !j
   done
 
-let set_of_run id a i j = Iset.of_list (List.init (j - i) (fun k -> id a.(i + k)))
-let union_set s = function None -> Some s | Some old -> Some (Iset.union old s)
+(* runs hold ascending ids: the batch arrays are in id order and every
+   sort below is stable *)
+let set_of_run id a i j = Ids.of_sorted (Array.init (j - i) (fun k -> id a.(i + k)))
+let union_set s = function None -> Some s | Some old -> Some (Ids.union old s)
 
 (* [push groups k x] files [x] under [k], newest first *)
 let push groups k x =
@@ -355,9 +353,13 @@ let push groups k x =
   | Some xs -> xs := x :: !xs
   | None -> Hashtbl.add groups k (ref [ x ])
 
-(* label or type index: one set per key of [groups] *)
+(* label or type index: one set per key of [groups], whose ids were
+   pushed in ascending order *)
 let index_batch groups idx =
-  Hashtbl.fold (fun k ids idx -> Smap.update k (union_set (Iset.of_list !ids)) idx) groups idx
+  Hashtbl.fold
+    (fun k ids idx ->
+      Smap.update k (union_set (Ids.of_sorted (Array.of_list (List.rev !ids)))) idx)
+    groups idx
 
 (* typed adjacency on one side ([endpoint] is [src] or [tgt]) *)
 let adj_batch endpoint (rels : rel array) typed =
@@ -385,7 +387,7 @@ let adj_batch endpoint (rels : rel array) typed =
           (function
             | None -> Some !by_type
             | Some old ->
-                Some (Smap.union (fun _ s t -> Some (Iset.union s t)) old !by_type))
+                Some (Smap.union (fun _ s t -> Some (Ids.union s t)) old !by_type))
           !typed);
   !typed
 
@@ -538,7 +540,7 @@ let remove_rel g id =
         out_typed = tadj_remove r.src r.r_type id g.out_typed;
         in_typed = tadj_remove r.tgt r.r_type id g.in_typed;
         type_index = index_remove r.r_type id g.type_index;
-        dangling = Iset.remove id g.dangling;
+        dangling = Ids.remove id g.dangling;
         tombs = Imap.add id Tomb_rel g.tombs;
       }
 
@@ -579,7 +581,7 @@ let remove_node_force g id =
         label_index = unindex_node n g.label_index;
         prop_index = pindex_node_remove n g.prop_index;
         (* the still-attached relationships lose an endpoint *)
-        dangling = Iset.union (incident_ids g id) g.dangling;
+        dangling = Ids.union (incident_ids g id) g.dangling;
         tombs = Imap.add id Tomb_node g.tombs;
       }
 
@@ -605,7 +607,7 @@ let add_prop_index ~label ~key g =
   if registered then g
   else
     let vmap =
-      Iset.fold
+      Ids.fold
         (fun id vmap ->
           match node g id with
           | None -> vmap
@@ -613,9 +615,7 @@ let add_prop_index ~label ~key g =
               match Props.get n.n_props key with
               | Value.Null -> vmap
               | v -> vmap_add v id vmap))
-        (match Smap.find_opt label g.label_index with
-        | Some s -> s
-        | None -> Iset.empty)
+        (tset_find label g.label_index)
         Vmap.empty
     in
     let keys =
@@ -652,7 +652,7 @@ let nodes_with_prop g ~label ~key v =
           else
             Some
               (match Vmap.find_opt v vmap with
-              | Some s -> Iset.elements s
+              | Some s -> Ids.elements s
               | None -> []))
 
 (** Cardinality of the index bucket for [v]; [None] when unindexed. *)
@@ -667,7 +667,7 @@ let count_with_prop g ~label ~key v =
           else
             Some
               (match Vmap.find_opt v vmap with
-              | Some s -> Iset.cardinal s
+              | Some s -> Ids.cardinal s
               | None -> 0))
 
 (* ------------------------------------------------------------------ *)
@@ -715,19 +715,12 @@ let has_label g id label =
 (** Ids of the nodes carrying [label], in id order — served from the
     label index, so label-anchored pattern scans avoid a full node
     sweep. *)
-let nodes_with_label g label =
-  match Smap.find_opt label g.label_index with
-  | None -> []
-  | Some s -> Iset.elements s
-
-let fold_label f g label acc =
-  match Smap.find_opt label g.label_index with
-  | None -> acc
-  | Some s -> Iset.fold f s acc
+let nodes_with_label g label = Ids.elements (tset_find label g.label_index)
+let fold_label f g label acc = Ids.fold f (tset_find label g.label_index) acc
 
 (** All labels in use with their node counts, alphabetically. *)
 let label_histogram g =
-  Smap.fold (fun l s acc -> (l, Iset.cardinal s) :: acc) g.label_index []
+  Smap.fold (fun l s acc -> (l, Ids.cardinal s) :: acc) g.label_index []
   |> List.rev
 
 (** All relationship types in use with their counts, alphabetically —
@@ -735,7 +728,7 @@ let label_histogram g =
 let type_histogram g =
   Smap.fold
     (fun ty s acc ->
-      if Iset.is_empty s then acc else (ty, Iset.cardinal s) :: acc)
+      if Ids.is_empty s then acc else (ty, Ids.cardinal s) :: acc)
     g.type_index []
   |> List.rev
 
@@ -768,6 +761,35 @@ let to_string g = Fmt.str "%a" pp g
 (* ------------------------------------------------------------------ *)
 (* Footprint                                                          *)
 (* ------------------------------------------------------------------ *)
+
+let fold_id_sets f g acc =
+  let buckets dir typed acc =
+    Imap.fold
+      (fun id sm acc ->
+        Smap.fold
+          (fun ty s acc -> f (Printf.sprintf "%s bucket :%s of node %d" dir ty id) s acc)
+          sm acc)
+      typed acc
+  in
+  let index what idx acc =
+    Smap.fold (fun k s acc -> f (Printf.sprintf "%s index %s" what k) s acc) idx acc
+  in
+  acc
+  |> buckets "out" g.out_typed
+  |> buckets "in" g.in_typed
+  |> index "label" g.label_index
+  |> index "type" g.type_index
+  |> Smap.fold
+       (fun l keys acc ->
+         Smap.fold
+           (fun key vmap acc ->
+             Vmap.fold
+               (fun v s acc ->
+                 f (Printf.sprintf "property index %s(%s) = %s" l key (Value.to_string v)) s acc)
+               vmap acc)
+           keys acc)
+       g.prop_index
+  |> f "dangling set" g.dangling
 
 let footprint g =
   let w x = Obj.reachable_words (Obj.repr x) in

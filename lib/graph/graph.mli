@@ -79,9 +79,10 @@ val fold_rels : (rel -> 'a -> 'a) -> t -> 'a -> 'a
 (** {1 Adjacency}
 
     The store keeps one adjacency index per direction: per node, one
-    id set per relationship type.  The untyped views below are the
-    union of a node's buckets, in id order; for a node whose
-    relationships all share one type that is the bucket itself. *)
+    id set ({!Ids.t}) per relationship type.  The untyped views below
+    are the union of a node's buckets, in id order; for a node whose
+    relationships all share one type that is the bucket itself.  Every
+    count below is O(1): each stored set carries its cardinal. *)
 
 (** Relationships leaving node [id], in id order. *)
 val out_rels : t -> node_id -> rel list
@@ -116,20 +117,20 @@ val in_degree_typed : t -> node_id -> string -> int
     materialising relationship lists (the matcher's hop enumeration).
     [out_rel_ids]/[in_rel_ids] union the node's buckets: allocation-free
     for a node with at most one type per direction. *)
-val out_rel_ids : t -> node_id -> Iset.t
+val out_rel_ids : t -> node_id -> Ids.t
 
-val in_rel_ids : t -> node_id -> Iset.t
-val out_rel_ids_typed : t -> node_id -> string -> Iset.t
-val in_rel_ids_typed : t -> node_id -> string -> Iset.t
+val in_rel_ids : t -> node_id -> Ids.t
+val out_rel_ids_typed : t -> node_id -> string -> Ids.t
+val in_rel_ids_typed : t -> node_id -> string -> Ids.t
 
 (** All relationships carrying type [ty], in id order — from a
     maintained type index. *)
 val rels_with_type : t -> string -> rel list
 
-(** Cardinality of the type-index bucket for [ty]. *)
+(** Cardinality of the type-index bucket for [ty]; O(1). *)
 val type_count : t -> string -> int
 
-(** Cardinality of the label-index bucket for [label]. *)
+(** Cardinality of the label-index bucket for [label]; O(1). *)
 val label_count : t -> string -> int
 
 (** Relationships whose source or target node no longer exists — only
@@ -212,7 +213,8 @@ val prop_index_keys : t -> (string * string) list
 val nodes_with_prop :
   t -> label:string -> key:string -> Value.t -> node_id list option
 
-(** Cardinality of the index bucket for [v]; [None] when unindexed. *)
+(** Cardinality of the index bucket for [v]; [None] when unindexed.
+    O(1) past the index lookup. *)
 val count_with_prop :
   t -> label:string -> key:string -> Value.t -> int option
 
@@ -269,6 +271,12 @@ val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 (** {1 Footprint} *)
+
+(** [fold_id_sets f g acc] folds [f] over every id set [g] stores — the
+    adjacency buckets, the label, type and property index entries and
+    the dangling set — with a description of where each one is.  For
+    checks of the stored representation ({!Ids.is_canonical}). *)
+val fold_id_sets : (string -> Ids.t -> 'a -> 'a) -> t -> 'a -> 'a
 
 (** [footprint g] is the heap words reachable from each field of the
     store ([Obj.reachable_words]), in declaration order, then the whole

@@ -4,7 +4,8 @@
     relationship types and small values across thousands of entities.
     Decoders build entities through one table per load, so equal
     pieces are stored once: every entity with the labels [[Person]]
-    points at one [Sset.t], and every [age: 30] at one [Int 30].
+    points at one [Sset.t], every [age: 30] at one [Int 30], and every
+    property map with the keys [age], [name] at one key array.
     Values are immutable, so sharing is invisible to every reader and
     to every update, which replaces a value rather than mutating it. *)
 
@@ -25,3 +26,7 @@ val labels : t -> string list -> Sset.t
     never shared: structural equality equates [0.0] with [-0.0] and
     never a NaN with itself. *)
 val value : t -> Value.t -> Value.t
+
+(** [props t m] is {!Props.of_map} of [m] whose key array is the first
+    equal one seen by [t]. *)
+val props : t -> Value.t Smap.t -> Props.t

@@ -156,7 +156,7 @@ let hop_ids g src_id types typed all =
   match types with
   | [] -> all g src_id
   | [ ty ] -> typed g src_id ty
-  | tys -> List.fold_left (fun s ty -> Iset.union (typed g src_id ty) s) Iset.empty tys
+  | tys -> List.fold_left (fun s ty -> Ids.union (typed g src_id ty) s) Ids.empty tys
 
 let fold_adjacent_maps (g : Graph.t) src_id (rp : rel_pat) ~reversed
     (f : Value.rel_id -> Graph.rel -> Value.node_id -> 'a -> 'a) (acc : 'a) :
@@ -164,14 +164,14 @@ let fold_adjacent_maps (g : Graph.t) src_id (rp : rel_pat) ~reversed
   let dir = if reversed then flip rp.rp_dir else rp.rp_dir in
   match dir with
   | Out ->
-      Iset.fold
+      Ids.fold
         (fun rid acc ->
           let r = Graph.rel_exn g rid in
           f rid r r.Graph.tgt acc)
         (hop_ids g src_id rp.rp_types Graph.out_rel_ids_typed Graph.out_rel_ids)
         acc
   | In ->
-      Iset.fold
+      Ids.fold
         (fun rid acc ->
           let r = Graph.rel_exn g rid in
           f rid r r.Graph.src acc)
@@ -180,14 +180,14 @@ let fold_adjacent_maps (g : Graph.t) src_id (rp : rel_pat) ~reversed
   | Undirected ->
       (* the incident set is a union of the two adjacency sets, so a
          self-loop appears once without any post-hoc deduplication *)
-      Iset.fold
+      Ids.fold
         (fun rid acc ->
           let r = Graph.rel_exn g rid in
           let far =
             if r.Graph.src = src_id then r.Graph.tgt else r.Graph.src
           in
           f rid r far acc)
-        (Iset.union
+        (Ids.union
            (hop_ids g src_id rp.rp_types Graph.out_rel_ids_typed Graph.out_rel_ids)
            (hop_ids g src_id rp.rp_types Graph.in_rel_ids_typed Graph.in_rel_ids))
         acc

@@ -237,9 +237,9 @@ let adjacent g node (rp : rel_pat) =
     match rp.rp_dir with
     | Out -> Graph.out_rel_ids g node
     | In -> Graph.in_rel_ids g node
-    | Undirected -> Iset.union (Graph.out_rel_ids g node) (Graph.in_rel_ids g node)
+    | Undirected -> Ids.union (Graph.out_rel_ids g node) (Graph.in_rel_ids g node)
   in
-  List.map ends (Iset.elements ids)
+  List.map ends (Ids.elements ids)
 
 let shortest_paths (c : Ctx.t) ~all (p : pattern) : Value.t =
   let rp, end_np =

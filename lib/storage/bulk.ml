@@ -97,13 +97,14 @@ let fail_file file fmt =
 let enc_opt s = if s = "" then "-" else Wal.pct_encode s
 
 let enc_props (props : Props.t) =
-  if Props.is_empty props then "-" else Wal.encode_params props
+  if Props.is_empty props then "-" else Wal.encode_params (Props.to_map props)
 
 let dec_opt s =
   if s = "-" then Some "" else Wal.pct_decode s
 
 let dec_props share s : Props.t option =
-  if s = "-" then Some Props.empty else Wal.decode_params ~share s
+  if s = "-" then Some Props.empty
+  else Option.map (Share.props share) (Wal.decode_params ~share s)
 
 let split_labels s = List.filter (fun l -> l <> "") (String.split_on_char ';' s)
 

@@ -277,7 +277,7 @@ let frame_tests =
             ]
         in
         let ids = Bulk.create_idmap () in
-        let frame = "N a%20b L " ^ Wal.encode_params props in
+        let frame = "N a%20b L " ^ Wal.encode_params (Props.to_map props) in
         match Bulk.apply_frame ~ids Graph.empty frame with
         | Error m -> Alcotest.failf "frame did not apply: %s" m
         | Ok (g, _) -> (
@@ -442,6 +442,8 @@ let sharing_tests =
         List.iter
           (fun (n : Graph.node) ->
             let same = first_with "city" (prop n "city") in
+            Alcotest.(check bool) "key array" true
+              (Props.shares_keys n.Graph.n_props (List.hd persons).Graph.n_props);
             Alcotest.(check bool) "label set" true (n.Graph.labels == same.Graph.labels);
             Alcotest.(check bool) "city" true (prop n "city" == prop same "city");
             let same = first_with "age" (prop n "age") in
@@ -452,7 +454,7 @@ let sharing_tests =
         Alcotest.(check bool) "types" true (List.for_all (fun t -> t == List.hd knows) knows));
     Test_util.case "frame floats keep their bits; bools and ints are shared" (fun () ->
         let props f = Props.of_list [ ("f", Value.Float f); ("b", Value.Bool true); ("i", Value.Int 7) ] in
-        let line id f = Printf.sprintf "N %s L %s" id (Wal.encode_params (props f)) in
+        let line id f = Printf.sprintf "N %s L %s" id (Wal.encode_params (Props.to_map (props f))) in
         let frame = String.concat "\n" [ line "a" 0.0; line "b" (-0.0); line "c" Float.nan ] in
         match Bulk.apply_frame ~ids:(Bulk.create_idmap ()) Graph.empty frame with
         | Error m -> Alcotest.failf "frame: %s" m
@@ -477,8 +479,15 @@ let sharing_tests =
         (match load s ~nodes ~rels:"src,tgt,type\n" with
         | Ok _ -> ()
         | Error e -> Alcotest.failf "load: %s" (Errors.to_string e));
-        let g = Test_util.run_graph (Session.graph s) "MATCH (u:User) WHERE id(u) = 0 SET u.age = u.age + 1, u.city = 'y', u:Admin" in
+        let loaded = Session.graph s in
+        let n1 = Graph.node_exn loaded 1 in
+        Alcotest.(check bool) "loaded key array" true
+          (Props.shares_keys (Graph.node_exn loaded 0).Graph.n_props n1.Graph.n_props);
+        let g = Test_util.run_graph loaded "MATCH (u:User) WHERE id(u) = 0 SET u.age = u.age + 1, u.city = 'y', u:Admin" in
         let n i = Graph.node_exn g i in
+        Alcotest.(check bool) "other map untouched" true ((n 1).Graph.n_props == n1.Graph.n_props);
+        Alcotest.(check bool) "updated keeps the key array" true
+          (Props.shares_keys (n 0).Graph.n_props n1.Graph.n_props);
         Test_util.check_value "updated age" (Value.Int 37) (prop (n 0) "age");
         Test_util.check_value "other age" (Value.Int 36) (prop (n 1) "age");
         Test_util.check_value "other city" (Value.String "x") (prop (n 1) "city");
@@ -496,7 +505,12 @@ let sharing_tests =
         | Error m -> Alcotest.failf "parse: %s" m
         | Ok g ->
             Alcotest.(check string) "fixpoint" img (Cypher_storage.Snapshot.to_string g);
-            Test_util.check_adjacency "decoded" g);
+            Test_util.check_adjacency "decoded" g;
+            let persons = List.filter (fun n -> Graph.has_label g n.Graph.n_id "Person") (Graph.nodes g) in
+            Alcotest.(check bool) "decoded Persons share one key array" true
+              (List.for_all
+                 (fun (n : Graph.node) -> Props.shares_keys n.Graph.n_props (List.hd persons).Graph.n_props)
+                 persons));
   ]
 
 let suite =

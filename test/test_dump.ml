@@ -361,7 +361,11 @@ let sharing_tests =
           [ "age"; "city"; "ok" ];
         let w r = Props.get (Graph.rel_exn g r).Graph.r_props "w" in
         Alcotest.(check bool) "relationship value" true (w 4 == w 5);
-        Alcotest.(check bool) "across entity kinds" true (w 4 == prop g 0 "age"));
+        Alcotest.(check bool) "across entity kinds" true (w 4 == prop g 0 "age");
+        let props i = (node g i).Graph.n_props and rprops r = (Graph.rel_exn g r).Graph.r_props in
+        Alcotest.(check bool) "key array" true (Props.shares_keys (props 0) (props 1));
+        Alcotest.(check bool) "one-key array" true (Props.shares_keys (props 2) (props 3));
+        Alcotest.(check bool) "relationship key array" true (Props.shares_keys (rprops 4) (rprops 5)));
     case "floats keep their bits: 0.0, -0.0 and NaN are never shared" (fun () ->
         let g = decoded Graph.empty script in
         Alcotest.(check int64) "0.0" (Int64.bits_of_float 0.0) (bits (prop g 0 "f"));
@@ -370,7 +374,11 @@ let sharing_tests =
           (Float.is_nan (Int64.float_of_bits (bits (prop g 2 "f")))));
     case "an update on one node leaves the other's shared value alone" (fun () ->
         let g = decoded Graph.empty script in
+        let before = (node g 1).Graph.n_props in
         let g = run_graph g "MATCH (n:Person) WHERE id(n) = 0 SET n.age = n.age + 1, n.city = 'y'" in
+        Alcotest.(check bool) "other map untouched" true ((node g 1).Graph.n_props == before);
+        Alcotest.(check bool) "updated keeps the key array" true
+          (Props.shares_keys (node g 0).Graph.n_props before);
         let g = run_graph g "MATCH (n:Person) WHERE id(n) = 0 REMOVE n:Person SET n:Other" in
         check_value "updated" (vint 31) (prop g 0 "age");
         check_value "other age" (vint 30) (prop g 1 "age");
