@@ -52,6 +52,89 @@ let run_q config g q =
   | Error e -> failwith (Errors.to_string e)
 
 (* ------------------------------------------------------------------ *)
+(* --footprint DIR: what the opened store holds, field by field       *)
+(* ------------------------------------------------------------------ *)
+
+(* Dispatched here, before the fixtures below are built, so the process
+   holds nothing else when the open's peak is read. *)
+
+(** [live_words ()] is the major-heap live set after a full collection
+    — an actual footprint, not a cumulative allocation counter. *)
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
+
+module Store = Cypher_storage.Store
+
+let open_store dir =
+  match Store.open_db ~config:Config.revised dir with
+  | Ok x -> x
+  | Error m -> failwith ("--footprint: " ^ m)
+
+(* this process's peak resident set ([VmHWM]) in kB, from
+   /proc/self/status; [None] where that file is absent *)
+let vm_hwm_kb () =
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | exception Sys_error _ -> None
+  | status ->
+      List.find_map
+        (fun l -> Scanf.sscanf_opt l "VmHWM: %d kB" Fun.id)
+        (String.split_on_char '\n' status)
+
+(** Opens the store at [dir] and prints [Graph.footprint] of its graph,
+    the process's live heap and the open's peak: the major heap's
+    high-water mark ([top_heap_words]) and [VmHWM], before and after
+    [open_db].  A missing [dir] first gets the wire benchmark's store
+    (seed 1), built as bench/load does: bulk load, [Person(pid)] and
+    [Post(postid)] indexes, compaction.  Building sets both peaks, so
+    the open's peak is then not reported: run again on [dir]. *)
+let footprint dir =
+  let built = not (Sys.file_exists dir) in
+  if built then begin
+    let store, session = open_store dir in
+    let nodes, rels = Dataset.csv (Dataset.generate Dataset.full 1) in
+    (match Cypher_storage.Bulk.load_strings session ~nodes ~rels with
+    | Ok _ -> ()
+    | Error e -> failwith (Errors.to_string e));
+    Session.register_prop_index session ~label:"Person" ~key:"pid";
+    Session.register_prop_index session ~label:"Post" ~key:"postid";
+    (match Store.compact store session with Ok () -> () | Error m -> failwith m);
+    Store.close store;
+    Gc.compact ()
+  end;
+  let w0 = live_words () in
+  let top0 = (Gc.quick_stat ()).Gc.top_heap_words and hwm0 = vm_hwm_kb () in
+  let store, session = open_store dir in
+  let top1 = (Gc.quick_stat ()).Gc.top_heap_words and hwm1 = vm_hwm_kb () in
+  let live = live_words () - w0 in
+  let g = Session.graph session in
+  let mb words = float_of_int (words * (Sys.word_size / 8)) /. 1048576. in
+  Printf.printf "%d nodes, %d relationships\n" (Graph.node_count g) (Graph.rel_count g);
+  Printf.printf "%-14s %12s %9s\n" "field" "words" "MB";
+  List.iter
+    (fun (field, words) -> Printf.printf "%-14s %12d %9.2f\n" field words (mb words))
+    (Graph.footprint g);
+  Printf.printf "%-14s %12d %9.2f\n" "heap growth" live (mb live);
+  if built then
+    print_endline "open peak: not measured, the store was built in this process; run again on DIR"
+  else begin
+    let kb = function Some k -> Printf.sprintf "%.2f MB" (float_of_int k /. 1024.) | None -> "n/a" in
+    Printf.printf "open peak: top heap %d -> %d words (%.2f -> %.2f MB), VmHWM %s -> %s\n" top0
+      top1 (mb top0) (mb top1) (kb hwm0) (kb hwm1)
+  end;
+  Store.close store
+
+let () =
+  let rec find = function
+    | "--footprint" :: dir :: _ ->
+        footprint dir;
+        exit 0
+    | _ :: rest -> find rest
+    | [] -> ()
+  in
+  find (List.tl (Array.to_list Sys.argv))
+
+(* ------------------------------------------------------------------ *)
 (* Fixtures shared by the benches                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -474,12 +557,6 @@ let tests =
 (* ------------------------------------------------------------------ *)
 (* Tier 5: n = 10^5 nodes                                              *)
 (* ------------------------------------------------------------------ *)
-
-(** [live_words ()] is the major-heap live set after a full collection
-    — an actual footprint, not a cumulative allocation counter. *)
-let live_words () =
-  Gc.full_major ();
-  (Gc.stat ()).Gc.live_words
 
 let pretty_time ns =
   if ns >= 1e9 then Printf.sprintf "%10.2f s " (ns /. 1e9)
@@ -973,47 +1050,6 @@ let check_overhead ~threshold pinned_path =
       ((threshold -. 1.) *. 100.);
     exit 1)
 
-(* ------------------------------------------------------------------ *)
-(* --footprint DIR: what the opened store holds, field by field       *)
-(* ------------------------------------------------------------------ *)
-
-module Store = Cypher_storage.Store
-
-let open_store dir =
-  match Store.open_db ~config:Config.revised dir with
-  | Ok x -> x
-  | Error m -> failwith ("--footprint: " ^ m)
-
-(** Opens the store at [dir] and prints [Graph.footprint] of its graph
-    and the process's live heap.  A missing [dir] first gets the wire
-    benchmark's store (seed 1), built as bench/load does: bulk load,
-    [Person(pid)] and [Post(postid)] indexes, compaction. *)
-let footprint dir =
-  if not (Sys.file_exists dir) then begin
-    let store, session = open_store dir in
-    let nodes, rels = Dataset.csv (Dataset.generate Dataset.full 1) in
-    (match Bulk.load_strings session ~nodes ~rels with
-    | Ok _ -> ()
-    | Error e -> failwith (Errors.to_string e));
-    Session.register_prop_index session ~label:"Person" ~key:"pid";
-    Session.register_prop_index session ~label:"Post" ~key:"postid";
-    (match Store.compact store session with Ok () -> () | Error m -> failwith m);
-    Store.close store;
-    Gc.compact ()
-  end;
-  let w0 = live_words () in
-  let store, session = open_store dir in
-  let live = live_words () - w0 in
-  let g = Session.graph session in
-  let mb words = float_of_int (words * (Sys.word_size / 8)) /. 1048576. in
-  Printf.printf "%d nodes, %d relationships\n" (Graph.node_count g) (Graph.rel_count g);
-  Printf.printf "%-14s %12s %9s\n" "field" "words" "MB";
-  List.iter
-    (fun (field, words) -> Printf.printf "%-14s %12d %9.2f\n" field words (mb words))
-    (Graph.footprint g);
-  Printf.printf "%-14s %12d %9.2f\n" "heap growth" live (mb live);
-  Store.close store
-
 let () =
   let json_path = ref None and sha = ref "unknown" in
   let overhead = ref None and large = ref false in
@@ -1046,9 +1082,6 @@ let () =
     | "--only" :: names :: rest ->
         only := String.split_on_char ',' names;
         parse_args rest
-    | "--footprint" :: dir :: _ ->
-        footprint dir;
-        exit 0
     | _ :: rest -> parse_args rest
   in
   parse_args (List.tl (Array.to_list Sys.argv));

@@ -87,32 +87,25 @@ let rec value_literal (v : Value.t) : string =
         ("Dump.to_cypher: entity reference " ^ Value.to_string v
        ^ " is not a storable property value")
 
-let props_fragment props =
-  if Props.is_empty props then ""
-  else
-    let pair (k, v) =
-      Printf.sprintf "%s: %s" (quote_ident k) (value_literal v)
-    in
-    " {" ^ String.concat ", " (List.map pair (Props.bindings props)) ^ "}"
+let add_props buf props =
+  if not (Props.is_empty props) then
+    Printf.bprintf buf " {%s}"
+      (String.concat ", "
+         (List.map (fun (k, v) -> quote_ident k ^ ": " ^ value_literal v) (Props.bindings props)))
 
-let node_fragment (n : Graph.node) =
-  Printf.sprintf "(n%d%s%s)" n.Graph.n_id
-    (String.concat ""
-       (List.map (fun l -> ":" ^ quote_ident l) (Sset.elements n.Graph.labels)))
-    (props_fragment n.Graph.n_props)
+let add_node buf (n : Graph.node) =
+  Printf.bprintf buf "(n%d" n.Graph.n_id;
+  Sset.iter (fun l -> Printf.bprintf buf ":%s" (quote_ident l)) n.Graph.labels;
+  add_props buf n.Graph.n_props;
+  Buffer.add_char buf ')'
 
-let rel_fragment (r : Graph.rel) =
-  Printf.sprintf "(n%d)-[:%s%s]->(n%d)" r.Graph.src
-    (quote_ident r.Graph.r_type)
-    (props_fragment r.Graph.r_props)
-    r.Graph.tgt
+let add_rel buf (r : Graph.rel) =
+  Printf.bprintf buf "(n%d)-[:%s" r.Graph.src (quote_ident r.Graph.r_type);
+  add_props buf r.Graph.r_props;
+  Printf.bprintf buf "]->(n%d)" r.Graph.tgt
 
-(** [to_cypher g] is a Cypher script rebuilding [g]; empty for the empty
-    graph.
-    @raise Invalid_argument when [g] has dangling relationships (a
-    Cypher script cannot recreate them — an unbound endpoint variable
-    would silently create a fresh blank node instead). *)
-let to_cypher (g : Graph.t) : string =
+(* the script below, written entity by entity into [buf] *)
+let add_cypher buf (g : Graph.t) =
   (match Graph.dangling_rels g with
   | [] -> ()
   | rels ->
@@ -122,13 +115,25 @@ let to_cypher (g : Graph.t) : string =
            (List.length rels)
            (String.concat ", "
               (List.map (fun (r : Graph.rel) -> string_of_int r.Graph.r_id) rels))));
-  let fragments =
-    List.map node_fragment (Graph.nodes g)
-    @ List.map rel_fragment (Graph.rels g)
+  let first = ref true in
+  let next add x () =
+    Buffer.add_string buf (if !first then "CREATE " else ",\n       ");
+    first := false;
+    add buf x
   in
-  match fragments with
-  | [] -> ""
-  | fragments -> "CREATE " ^ String.concat ",\n       " fragments ^ ";\n"
+  Graph.fold_nodes (next add_node) g ();
+  Graph.fold_rels (next add_rel) g ();
+  if not !first then Buffer.add_string buf ";\n"
+
+(** [to_cypher g] is a Cypher script rebuilding [g]; empty for the empty
+    graph.
+    @raise Invalid_argument when [g] has dangling relationships (a
+    Cypher script cannot recreate them — an unbound endpoint variable
+    would silently create a fresh blank node instead). *)
+let to_cypher (g : Graph.t) : string =
+  let buf = Buffer.create 4096 in
+  add_cypher buf g;
+  Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
 (* Reading                                                            *)

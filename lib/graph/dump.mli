@@ -18,6 +18,9 @@
     script. *)
 val to_cypher : Graph.t -> string
 
+(** [add_cypher buf g] appends [to_cypher g] to [buf], raising as it does. *)
+val add_cypher : Buffer.t -> Graph.t -> unit
+
 (** [value_literal v] is a Cypher expression evaluating back to exactly
     [v] (floats reparse bit-exactly; [nan]/[±inf] and [min_int], which
     have no literals, render as constant expressions).

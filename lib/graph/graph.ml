@@ -54,7 +54,8 @@ type t = {
       (* the only adjacency index: a node's untyped adjacency is the
          union of its buckets, derived on demand rather than stored *)
   label_index : Ids.t Smap.t; (* label -> ids of nodes carrying it *)
-  type_index : Ids.t Smap.t; (* type -> ids of rels carrying it *)
+  type_counts : int Smap.t;
+      (* type -> how many rels carry it (no id list: hops read the typed buckets) *)
   prop_index : Ids.t Vmap.t Smap.t Smap.t;
       (* label -> key -> value -> node ids; an entry for (label, key)
          exists iff that index has been registered, even when empty *)
@@ -74,7 +75,7 @@ let empty =
     out_typed = Imap.empty;
     in_typed = Imap.empty;
     label_index = Smap.empty;
-    type_index = Smap.empty;
+    type_counts = Smap.empty;
     prop_index = Smap.empty;
     dangling = Ids.empty;
     next_id = 0;
@@ -115,6 +116,10 @@ let reindex ~old_labels ~new_labels id idx =
     (fun l idx -> index_add l id idx)
     (Sset.diff new_labels old_labels)
     idx
+
+(* [count ty d] adds [d] to the relationship count of [ty], dropping it at 0 *)
+let count ty d =
+  Smap.update ty (fun c -> match Option.value c ~default:0 + d with 0 -> None | c -> Some c)
 
 (* --- typed adjacency maintenance ---------------------------------- *)
 
@@ -201,7 +206,6 @@ let next_id g = g.next_id
 let tombstones g = g.tombs
 let has_rel g id = Imap.mem id g.rels
 let is_tombstoned g id = Imap.mem id g.tombs
-let tombstone g id = Imap.find_opt id g.tombs
 let node_count g = g.node_count
 let rel_count g = Imap.cardinal g.rels
 let nodes g = List.map snd (Imap.bindings g.nodes)
@@ -266,11 +270,7 @@ let incident_rels_typed g id ty =
 let out_degree_typed g id ty = Ids.cardinal (tset_find ty (tmap_find id g.out_typed))
 let in_degree_typed g id ty = Ids.cardinal (tset_find ty (tmap_find id g.in_typed))
 
-(** All relationships carrying type [ty], in id order — from the type
-    index. *)
-let rels_with_type g ty = rels_of_set g (tset_find ty g.type_index)
-
-let type_count g ty = Ids.cardinal (tset_find ty g.type_index)
+let type_count g ty = Option.value (Smap.find_opt ty g.type_counts) ~default:0
 let label_count g label = Ids.cardinal (tset_find label g.label_index)
 
 (** Relationships whose source or target node no longer exists — only
@@ -311,7 +311,7 @@ let create_rel ~src ~tgt ~r_type ?(props = Props.empty) g =
       rels = Imap.add id r g.rels;
       out_typed = tadj_add src r_type id g.out_typed;
       in_typed = tadj_add tgt r_type id g.in_typed;
-      type_index = index_add r_type id g.type_index;
+      type_counts = count r_type 1 g.type_counts;
       next_id = id + 1;
     } )
 
@@ -347,19 +347,26 @@ let runs same a lo hi f =
 let set_of_run id a i j = Ids.of_sorted (Array.init (j - i) (fun k -> id a.(i + k)))
 let union_set s = function None -> Some s | Some old -> Some (Ids.union old s)
 
-(* [push groups k x] files [x] under [k], newest first *)
-let push groups k x =
-  match Hashtbl.find_opt groups k with
-  | Some xs -> xs := x :: !xs
-  | None -> Hashtbl.add groups k (ref [ x ])
+(* [group iter] files each [(k, x)] that [iter] yields under [k], in
+   yield order, into one array per key sized by a first counting pass
+   over [iter]: no list cell per element, and no copy out of a list *)
+let group iter =
+  let sizes = Hashtbl.create 16 and groups = Hashtbl.create 16 in
+  iter (fun k _ -> Hashtbl.replace sizes k (1 + Option.value (Hashtbl.find_opt sizes k) ~default:0));
+  iter (fun k x ->
+      match Hashtbl.find_opt groups k with
+      | Some (a, filled) ->
+          a.(!filled) <- x;
+          incr filled
+      | None -> Hashtbl.add groups k (Array.make (Hashtbl.find sizes k) x, ref 1));
+  groups
 
-(* label or type index: one set per key of [groups], whose ids were
-   pushed in ascending order *)
-let index_batch groups idx =
+(* the label index, fed the batch's ids, which ascend *)
+let index_batch (nodes : node array) idx =
   Hashtbl.fold
-    (fun k ids idx ->
-      Smap.update k (union_set (Ids.of_sorted (Array.of_list (List.rev !ids)))) idx)
-    groups idx
+    (fun l (ids, _) idx -> Smap.update l (union_set (Ids.of_sorted ids)) idx)
+    (group (fun f -> Array.iter (fun n -> Sset.iter (fun l -> f l n.n_id) n.labels) nodes))
+    idx
 
 (* typed adjacency on one side ([endpoint] is [src] or [tgt]) *)
 let adj_batch endpoint (rels : rel array) typed =
@@ -395,25 +402,25 @@ let adj_batch endpoint (rels : rel array) typed =
 let pindex_batch (nodes : node array) pidx =
   if Smap.is_empty pidx then pidx
   else
-    let groups = Hashtbl.create 16 in
-    Array.iter
-      (fun n ->
-        Sset.iter
-          (fun l ->
-            match Smap.find_opt l pidx with
-            | None -> ()
-            | Some keys ->
-                Smap.iter
-                  (fun key _ ->
-                    match Props.get n.n_props key with
-                    | Value.Null -> ()
-                    | v -> push groups (l, key) (v, n.n_id))
-                  keys)
-          n.labels)
-      nodes;
+    let pairs f =
+      Array.iter
+        (fun n ->
+          Sset.iter
+            (fun l ->
+              match Smap.find_opt l pidx with
+              | None -> ()
+              | Some keys ->
+                  Smap.iter
+                    (fun key _ ->
+                      match Props.get n.n_props key with
+                      | Value.Null -> ()
+                      | v -> f (l, key) (v, n.n_id))
+                    keys)
+            n.labels)
+        nodes
+    in
     Hashtbl.fold
-      (fun (l, key) pairs pidx ->
-        let a = Array.of_list (List.rev !pairs) in
+      (fun (l, key) (a, _) pidx ->
         Array.stable_sort (fun (v, _) (w, _) -> Value.compare_total v w) a;
         let keys = Smap.find l pidx in
         let vmap = ref (Smap.find key keys) in
@@ -422,7 +429,7 @@ let pindex_batch (nodes : node array) pidx =
           a 0 (Array.length a)
           (fun i j -> vmap := Vmap.update (fst a.(i)) (union_set (set_of_run snd a i j)) !vmap);
         Smap.add l (Smap.add key !vmap keys) pidx)
-      groups pidx
+      (group pairs) pidx
 
 (* Adds fresh entities — ids absent from [g], each array ascending —
    in one bottom-up pass.  A relationship endpoint found neither in [g]
@@ -438,9 +445,6 @@ let insert_batch ~caller g (nodes : node array) (rels : rel array) =
       endpoint "source" r.src;
       endpoint "target" r.tgt)
     rels;
-  let labels = Hashtbl.create 16 and types = Hashtbl.create 16 in
-  Array.iter (fun n -> Sset.iter (fun l -> push labels l n.n_id) n.labels) nodes;
-  Array.iter (fun r -> push types r.r_type r.r_id) rels;
   {
     g with
     nodes = node_map;
@@ -448,8 +452,8 @@ let insert_batch ~caller g (nodes : node array) (rels : rel array) =
     rels = Array.fold_left (fun m r -> Imap.add r.r_id r m) g.rels rels;
     out_typed = adj_batch (fun r -> r.src) rels g.out_typed;
     in_typed = adj_batch (fun r -> r.tgt) rels g.in_typed;
-    label_index = index_batch labels g.label_index;
-    type_index = index_batch types g.type_index;
+    label_index = index_batch nodes g.label_index;
+    type_counts = Array.fold_left (fun c r -> count r.r_type 1 c) g.type_counts rels;
     prop_index = pindex_batch nodes g.prop_index;
   }
 
@@ -539,7 +543,7 @@ let remove_rel g id =
         rels = Imap.remove id g.rels;
         out_typed = tadj_remove r.src r.r_type id g.out_typed;
         in_typed = tadj_remove r.tgt r.r_type id g.in_typed;
-        type_index = index_remove r.r_type id g.type_index;
+        type_counts = count r.r_type (-1) g.type_counts;
         dangling = Ids.remove id g.dangling;
         tombs = Imap.add id Tomb_rel g.tombs;
       }
@@ -723,14 +727,8 @@ let label_histogram g =
   Smap.fold (fun l s acc -> (l, Ids.cardinal s) :: acc) g.label_index []
   |> List.rev
 
-(** All relationship types in use with their counts, alphabetically —
-    served from the type index. *)
-let type_histogram g =
-  Smap.fold
-    (fun ty s acc ->
-      if Ids.is_empty s then acc else (ty, Ids.cardinal s) :: acc)
-    g.type_index []
-  |> List.rev
+(** All relationship types in use with their counts, alphabetically. *)
+let type_histogram g = Smap.bindings g.type_counts
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                           *)
@@ -771,14 +769,10 @@ let fold_id_sets f g acc =
           sm acc)
       typed acc
   in
-  let index what idx acc =
-    Smap.fold (fun k s acc -> f (Printf.sprintf "%s index %s" what k) s acc) idx acc
-  in
   acc
   |> buckets "out" g.out_typed
   |> buckets "in" g.in_typed
-  |> index "label" g.label_index
-  |> index "type" g.type_index
+  |> Smap.fold (fun l s acc -> f ("label index " ^ l) s acc) g.label_index
   |> Smap.fold
        (fun l keys acc ->
          Smap.fold
@@ -799,7 +793,7 @@ let footprint g =
     ("out_typed", w g.out_typed);
     ("in_typed", w g.in_typed);
     ("label_index", w g.label_index);
-    ("type_index", w g.type_index);
+    ("type_counts", w g.type_counts);
     ("prop_index", w g.prop_index);
     ("dangling", w g.dangling);
     ("tombs", w g.tombs);

@@ -59,7 +59,6 @@ val next_id : t -> int
 
 val tombstones : t -> tomb Imap.t
 val is_tombstoned : t -> int -> bool
-val tombstone : t -> int -> tomb option
 
 (** The number of nodes, kept with the graph: O(1). *)
 val node_count : t -> int
@@ -123,11 +122,9 @@ val in_rel_ids : t -> node_id -> Ids.t
 val out_rel_ids_typed : t -> node_id -> string -> Ids.t
 val in_rel_ids_typed : t -> node_id -> string -> Ids.t
 
-(** All relationships carrying type [ty], in id order — from a
-    maintained type index. *)
-val rels_with_type : t -> string -> rel list
-
-(** Cardinality of the type-index bucket for [ty]; O(1). *)
+(** How many relationships carry type [ty]: a maintained count per type
+    (the store keeps no id list per type, since every pattern hop reads
+    the typed adjacency buckets); O(1). *)
 val type_count : t -> string -> int
 
 (** Cardinality of the label-index bucket for [label]; O(1). *)
@@ -257,7 +254,8 @@ val fold_label : (node_id -> 'a -> 'a) -> t -> string -> 'a -> 'a
 (** All labels in use with their node counts, alphabetically. *)
 val label_histogram : t -> (string * int) list
 
-(** All relationship types in use with their counts, alphabetically. *)
+(** All relationship types in use with their counts, alphabetically;
+    O(types). *)
 val type_histogram : t -> (string * int) list
 
 (** {1 Printing} *)
@@ -273,8 +271,8 @@ val to_string : t -> string
 (** {1 Footprint} *)
 
 (** [fold_id_sets f g acc] folds [f] over every id set [g] stores — the
-    adjacency buckets, the label, type and property index entries and
-    the dangling set — with a description of where each one is.  For
+    adjacency buckets, the label and property index entries and the
+    dangling set — with a description of where each one is.  For
     checks of the stored representation ({!Ids.is_canonical}). *)
 val fold_id_sets : (string -> Ids.t -> 'a -> 'a) -> t -> 'a -> 'a
 

@@ -40,7 +40,7 @@ let of_sorted a =
   | 0 -> Empty
   | 1 -> One a.(0)
   | n when n <= small_max -> Small a
-  | n -> Tree { card = n; set = Iset.of_list (Array.to_list a) }
+  | n -> Tree { card = n; set = Array.fold_left (fun s x -> Iset.add x s) Iset.empty a }
 
 let mem x = function
   | Empty -> false

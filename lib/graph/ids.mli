@@ -1,5 +1,5 @@
 (** The id sets the store keeps: per-node adjacency buckets, the label
-    and type indexes, property-index leaves and the dangling set.
+    index, property-index leaves and the dangling set.
 
     Most of these sets are tiny (a node's [:KNOWS] bucket, the nodes
     with one [pid]), so a balanced tree at five words per id is mostly

@@ -254,12 +254,3 @@ let isomorphic g1 g2 =
                 (Option.value ~default:[] (Hashtbl.find_opt classes c))
         in
         assign Imap.empty Iset.empty ordered1
-
-(** [check_isomorphic ~expected ~actual] is [Ok ()] or a diagnostic
-    message showing both graphs; convenient in tests and experiments. *)
-let check_isomorphic ~expected ~actual =
-  if isomorphic expected actual then Ok ()
-  else
-    Error
-      (Fmt.str "graphs are not isomorphic@.expected:@.%a@.actual:@.%a"
-         Graph.pp expected Graph.pp actual)

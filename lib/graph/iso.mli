@@ -8,8 +8,3 @@
     experiments.  Backtracking search; intended for small graphs. *)
 
 val isomorphic : Graph.t -> Graph.t -> bool
-
-(** [check_isomorphic ~expected ~actual] is [Ok ()] or a diagnostic
-    message showing both graphs. *)
-val check_isomorphic :
-  expected:Graph.t -> actual:Graph.t -> (unit, string) result

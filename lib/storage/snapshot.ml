@@ -41,15 +41,20 @@ let index_line (label, key) =
     @raise Invalid_argument on a graph with dangling relationships
     (see {!Dump.to_cypher}). *)
 let to_string (g : Graph.t) : string =
-  let body =
-    String.concat ""
-      (List.map (fun ik -> index_line ik ^ "\n") (Graph.prop_index_keys g))
-    ^ Dump.to_cypher g
-  in
-  Printf.sprintf "%s nodes=%d rels=%d crc=%s\n%s" version_tag
-    (Graph.node_count g) (Graph.rel_count g)
-    (Crc32.to_hex (Crc32.digest body))
-    body
+  (* one buffer; the CRC field holds a placeholder until the body is in,
+     and the body is only read while borrowed as a string *)
+  let buf = Buffer.create 4096 in
+  Printf.bprintf buf "%s nodes=%d rels=%d crc=" version_tag (Graph.node_count g)
+    (Graph.rel_count g);
+  let crc_at = Buffer.length buf in
+  Buffer.add_string buf "00000000\n";
+  let body = Buffer.length buf in
+  List.iter (fun ik -> Printf.bprintf buf "%s\n" (index_line ik)) (Graph.prop_index_keys g);
+  Dump.add_cypher buf g;
+  let img = Buffer.to_bytes buf in
+  let crc = Crc32.to_hex (Crc32.digest ~pos:body (Bytes.unsafe_to_string img)) in
+  Bytes.blit_string crc 0 img crc_at 8;
+  Bytes.unsafe_to_string img
 
 let starts_with s pos prefix =
   pos + String.length prefix <= String.length s

@@ -192,7 +192,7 @@ let typed_adjacency_tests =
         Alcotest.(check (list int))
           "t1 gone" [ t2 ]
           (rel_ids (Graph.out_rels_typed g a "T"));
-        Alcotest.(check int) "type index count" 1 (Graph.type_count g "T"));
+        Alcotest.(check int) "type count" 1 (Graph.type_count g "T"));
     case "typed adjacency follows detaching node removal" (fun () ->
         let a, g = Graph.create_node Graph.empty in
         let b, g = Graph.create_node g in
@@ -481,6 +481,54 @@ let node_count_tests =
         done);
   ]
 
+(* the stored per-type counts against a scan of the relationships, after
+   a random mix of every operation that adds or removes relationships —
+   including removals of ids that are already gone, which must not count
+   twice, and force removals, whose relationships stay (dangling) *)
+let type_count_tests =
+  [
+    case "type counts follow create_rel, remove_rel, force-remove, detach and batches" (fun () ->
+        for seed = 1 to 30 do
+          let rng = Random.State.make [| seed |] in
+          let g = ref (random_base rng ~size:(Random.State.int rng 20)) in
+          for step = 1 to 40 do
+            let nodes = Array.of_list (Graph.node_ids !g) in
+            let rels = Array.of_list (Graph.rel_ids !g) in
+            let any_id a =
+              (* sometimes an id that is gone or never existed *)
+              if a = [||] || Random.State.int rng 4 = 0 then Random.State.int rng (Graph.next_id !g + 1)
+              else a.(Random.State.int rng (Array.length a))
+            in
+            (g :=
+               match Random.State.int rng 5 with
+               | 0 when nodes <> [||] ->
+                   let pick () = nodes.(Random.State.int rng (Array.length nodes)) in
+                   let r_type = [| "R"; "S"; "T" |].(Random.State.int rng 3) in
+                   snd (Graph.create_rel ~src:(pick ()) ~tgt:(pick ()) ~r_type !g)
+               | 1 -> Graph.remove_rel !g (any_id rels)
+               | 2 -> Graph.remove_node_force !g (any_id nodes)
+               | 3 -> Graph.remove_node_detach !g (any_id nodes)
+               | _ ->
+                   let steps =
+                     random_steps rng ~nodes ~next_id:(Graph.next_id !g)
+                       ~count:(Random.State.int rng 8)
+                   in
+                   batch_steps !g steps);
+            let msg what = Printf.sprintf "seed %d step %d: %s" seed step what in
+            let scanned = scanned_type_histogram !g in
+            Alcotest.(check (list (pair string int)))
+              (msg "type_histogram") scanned (Graph.type_histogram !g);
+            List.iter
+              (fun ty ->
+                Alcotest.(check int)
+                  (msg ("type_count " ^ ty))
+                  (Option.value (List.assoc_opt ty scanned) ~default:0)
+                  (Graph.type_count !g ty))
+              [ "R"; "S"; "T"; "absent" ]
+          done
+        done);
+  ]
+
 let suite =
   suite @ histogram_tests @ typed_adjacency_tests @ derived_adjacency_tests @ prop_index_tests
-  @ batch_tests @ node_count_tests
+  @ batch_tests @ node_count_tests @ type_count_tests

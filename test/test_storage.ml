@@ -489,6 +489,31 @@ let store_tests =
             let store2, session2 = open_ok dir in
             Alcotest.check graph_iso_testable "iso" live (Session.graph session2);
             Store.close store2));
+    case "a compacted and reopened store counts types as a scan does" (fun () ->
+        with_tmpdir (fun dir ->
+            let store, session = open_ok dir in
+            List.iter
+              (fun src -> ignore (run_ok session src))
+              [
+                "UNWIND range(1, 30) AS i CREATE (:P {i: i})-[:KNOWS]->(:P)-[:LIKES]->(:Q)";
+                "MATCH ()-[r:LIKES]->(q:Q) WHERE id(q) % 3 = 0 DELETE r";
+                "MATCH (p:P {i: 7}) DETACH DELETE p";
+                "MATCH (a:P {i: 1}), (b:P {i: 2}) CREATE (a)-[:`ODD TYPE`]->(b)";
+              ];
+            ok_or_fail (Store.compact store session);
+            ignore (run_ok session "MATCH ()-[r:KNOWS]->() WHERE r IS NOT NULL WITH r LIMIT 2 DELETE r");
+            let live = Session.graph session in
+            Store.close store;
+            let store2, session2 = open_ok dir in
+            let g = Session.graph session2 in
+            Alcotest.(check bool) "snapshot loaded" true
+              (Store.recovery store2).Recovery.snapshot_loaded;
+            Alcotest.(check (list (pair string int)))
+              "histogram = scan" (scanned_type_histogram g) (Graph.type_histogram g);
+            Alcotest.(check (list (pair string int)))
+              "histogram = live" (Graph.type_histogram live) (Graph.type_histogram g);
+            Alcotest.(check int) "one odd type" 1 (Graph.type_count g "ODD TYPE");
+            Store.close store2));
     case "indexes on names that are not identifiers survive compaction"
       (fun () ->
         with_tmpdir (fun dir ->

@@ -117,6 +117,18 @@ let check_adjacency msg g =
   | Ok () -> ()
   | Error m -> Alcotest.failf "%s: %s" msg m
 
+(** The relationship types of [g] with their counts, alphabetically, by
+    a scan of its relationships — the reference for the stored counts
+    behind {!Graph.type_histogram} and {!Graph.type_count}. *)
+let scanned_type_histogram g =
+  Graph.fold_rels
+    (fun r m ->
+      Cypher_util.Maps.Smap.update r.Graph.r_type
+        (fun c -> Some (1 + Option.value c ~default:0))
+        m)
+    g Cypher_util.Maps.Smap.empty
+  |> Cypher_util.Maps.Smap.bindings
+
 (** [check_same_graph msg expected actual] fails unless the two graphs
     agree on everything a read can observe: the printed graph, ids and
     the id supply, each graph's maintained node count against its node
