@@ -55,9 +55,6 @@ let run_q config g q =
 (* --footprint DIR: what the opened store holds, field by field       *)
 (* ------------------------------------------------------------------ *)
 
-(* Dispatched here, before the fixtures below are built, so the process
-   holds nothing else when the open's peak is read. *)
-
 (** [live_words ()] is the major-heap live set after a full collection
     — an actual footprint, not a cumulative allocation counter. *)
 let live_words () =
@@ -124,33 +121,28 @@ let footprint dir =
   end;
   Store.close store
 
-let () =
-  let rec find = function
-    | "--footprint" :: dir :: _ ->
-        footprint dir;
-        exit 0
-    | _ :: rest -> find rest
-    | [] -> ()
-  in
-  find (List.tl (Array.to_list Sys.argv))
-
 (* ------------------------------------------------------------------ *)
 (* Fixtures shared by the benches                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* Every fixture that costs more than a parse is lazy: an entry forces
+   the ones it reads when it is selected (see [t] below), so [--only E]
+   and [--check-overhead] build what their entries use and nothing
+   else, and no fixture is ever built inside a timed closure. *)
+
 let market100 =
-  Fixtures.marketplace_graph ~vendors:5 ~products:30 ~users:65 ~orders_per_user:3
+  lazy (Fixtures.marketplace_graph ~vendors:5 ~products:30 ~users:65 ~orders_per_user:3)
 
 let market1000 =
-  Fixtures.marketplace_graph ~vendors:20 ~products:300 ~users:680 ~orders_per_user:3
+  lazy (Fixtures.marketplace_graph ~vendors:20 ~products:300 ~users:680 ~orders_per_user:3)
 
 (* 10^4 nodes, 23.4k relationships: construction at a size where the
    graph outgrows the minor heap *)
 let market10k =
-  Fixtures.marketplace_graph ~vendors:200 ~products:3000 ~users:6800 ~orders_per_user:3
+  lazy (Fixtures.marketplace_graph ~vendors:200 ~products:3000 ~users:6800 ~orders_per_user:3)
 
-let orders100 = Fixtures.orders_table 100
-let orders1000 = Fixtures.orders_table 1000
+let orders100 = lazy (Fixtures.orders_table 100)
+let orders1000 = lazy (Fixtures.orders_table 1000)
 
 let q_read = parse_q Fixtures.query1
 let q_2hop =
@@ -187,7 +179,8 @@ let q_scan_group =
 
 (* point lookup: one user out of 680, by property equality *)
 let q_point = parse_q "MATCH (u:User {id: 100042}) RETURN u.name AS name"
-let market1000_indexed = Graph.add_prop_index ~label:"User" ~key:"id" market1000
+let market1000_indexed =
+  lazy (Graph.add_prop_index ~label:"User" ~key:"id" (Lazy.force market1000))
 
 (* prepared statements and the session plan cache --------------------- *)
 
@@ -217,44 +210,16 @@ let warm session src =
   | Error e -> failwith (Errors.to_string e));
   session
 
-let parse_session_warm =
-  warm
-    (bench_session ~capacity:128 Graph.empty
-       (Smap.add "k" (Value.Int 1) Smap.empty))
-    parse_heavy_src
-
-let parse_session_nocache =
-  bench_session ~capacity:0 Graph.empty (Smap.add "k" (Value.Int 1) Smap.empty)
-
-let point_session_warm =
-  warm (bench_session ~capacity:128 market1000_indexed uid_params) param_src
-
-let point_session_nocache =
-  bench_session ~capacity:0 market1000_indexed uid_params
-
-let prepared_point =
-  match Api.prepare ~config:cfg_revised param_src with
-  | Ok p -> p
-  | Error e -> failwith (Errors.to_string e)
+let k_params = Smap.add "k" (Value.Int 1) Smap.empty
 
 (* two real user ids, alternated so every execution rebinds *)
 let rebind_flip = ref false
 
 let merge_src = Fixtures.example5_merge
 
-let merge_graph mode table () =
-  Sys.opaque_identity
-    (fst (Runner.run_merge_mode cfg_permissive ~mode merge_src (Graph.empty, table)))
-
-let legacy_merge table () =
-  Sys.opaque_identity
-    (fst
-       (Runner.run_merge_mode cfg_cypher9 ~mode:Merge_legacy merge_src
-          (Graph.empty, table)))
-
 (* SET workload: 100 products, bump every id — legacy vs atomic *)
 let set_graph =
-  Fixtures.marketplace_graph ~vendors:2 ~products:100 ~users:2 ~orders_per_user:1
+  lazy (Fixtures.marketplace_graph ~vendors:2 ~products:100 ~users:2 ~orders_per_user:1)
 let q_set = parse_q "MATCH (p:Product) SET p.id = p.id + 1"
 
 (* DELETE workload *)
@@ -285,8 +250,6 @@ let quotient_input k =
       (List.init k (fun i -> i))
   in
   (g, new_nodes)
-
-let quotient_300 = quotient_input 300
 
 let session_src =
   "MATCH (u:User)-[:ORDERED]->(p:Product) WHERE u.id % 7 = 0 SET p.hot = \
@@ -320,7 +283,7 @@ let wal_record =
     kind = `Statement;
   }
 
-let wal_bytes_50 =
+let wal_bytes_50 () =
   let buf = Buffer.create 4096 in
   let session = Session.create ~config:Config.revised Graph.empty in
   Session.set_journal session
@@ -336,8 +299,6 @@ let wal_bytes_50 =
     | Error e -> failwith (Errors.to_string e)
   done;
   Buffer.contents buf
-
-let snapshot_100 = Snapshot.to_string market100
 
 (* [g] as the bulk loader's two CSV images; the [id] property, whose
    column name the loader reserves, goes under [pid] *)
@@ -365,194 +326,198 @@ let bench_tmp suffix =
 
 (* an open journal writer per durability regime; the file grows over
    the bench run, but appends are O(record), not O(file) *)
-let wal_writer_buffered =
-  Wal.open_writer ~durability:Config.Buffered (bench_tmp ".wal")
-
-let wal_writer_fsync =
-  Wal.open_writer ~durability:Config.Fsync (bench_tmp ".wal")
-
-let snapshot_path = bench_tmp ".cy"
+let wal_writer durability = Wal.open_writer ~durability (bench_tmp ".wal")
 
 (* ------------------------------------------------------------------ *)
 (* Test registry                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let t name f = Test.make ~name (Staged.stage f)
+(* [t name setup] registers an entry.  [setup ()] forces the fixtures
+   the entry reads and returns the timed closure; it runs when the entry
+   is selected, before Bechamel starts timing. *)
+let t name setup = (name, fun () -> Test.make ~name (Staged.stage (setup ())))
+
+(* the common shape: one parsed query run against one fixture graph *)
+let query name config graph q =
+  t name (fun () ->
+      let g = Lazy.force graph in
+      fun () -> Sys.opaque_identity (run_q config g q))
+
+let merge_entry name ?(config = cfg_permissive) mode table =
+  t name (fun () ->
+      let table = Lazy.force table in
+      fun () ->
+        Sys.opaque_identity
+          (fst (Runner.run_merge_mode config ~mode merge_src (Graph.empty, table))))
 
 let tests =
   [
     (* parse/* *)
-    t "parse/read" (fun () -> Sys.opaque_identity (parse_q src_read));
-    t "parse/update" (fun () -> Sys.opaque_identity (parse_q src_update));
-    t "parse/mixed" (fun () -> Sys.opaque_identity (parse_q src_mixed));
+    t "parse/read" (fun () () -> Sys.opaque_identity (parse_q src_read));
+    t "parse/update" (fun () () -> Sys.opaque_identity (parse_q src_update));
+    t "parse/mixed" (fun () () -> Sys.opaque_identity (parse_q src_mixed));
     (* match/* *)
-    t "match/1hop/n=100" (fun () ->
-        Sys.opaque_identity (run_q cfg_revised market100 q_1hop));
-    t "match/1hop/n=1000" (fun () ->
-        Sys.opaque_identity (run_q cfg_revised market1000 q_1hop));
-    t "match/2hop/n=100" (fun () ->
-        Sys.opaque_identity (run_q cfg_revised market100 q_2hop));
-    t "match/2hop/n=1000" (fun () ->
-        Sys.opaque_identity (run_q cfg_revised market1000 q_2hop));
+    query "match/1hop/n=100" cfg_revised market100 q_1hop;
+    query "match/1hop/n=1000" cfg_revised market1000 q_1hop;
+    query "match/2hop/n=100" cfg_revised market100 q_2hop;
+    query "match/2hop/n=1000" cfg_revised market1000 q_2hop;
     (* ablation: same workload with cost-guided planning disabled —
        naive left-to-right anchoring on the 680-user label bucket *)
-    t "match/2hop/n=1000/planner-off" (fun () ->
-        Sys.opaque_identity
-          (run_q (Config.with_planner Config.Off cfg_revised) market1000
-             q_2hop));
+    query "match/2hop/n=1000/planner-off"
+      (Config.with_planner Config.Off cfg_revised)
+      market1000 q_2hop;
     (* point lookup: label scan vs registered property index *)
-    t "match/point/label-scan" (fun () ->
-        Sys.opaque_identity (run_q cfg_revised market1000 q_point));
-    t "match/point/prop-index" (fun () ->
-        Sys.opaque_identity (run_q cfg_revised market1000_indexed q_point));
+    query "match/point/label-scan" cfg_revised market1000 q_point;
+    query "match/point/prop-index" cfg_revised market1000_indexed q_point;
     (* prepared statements and the session plan cache: a warm session
        serves repeat statements from the LRU (no lexing, parsing,
        validation or planning); capacity 0 recompiles every time *)
     t "parse/prepared-hit" (fun () ->
-        Sys.opaque_identity (Session.run parse_session_warm parse_heavy_src));
+        let s = warm (bench_session ~capacity:128 Graph.empty k_params) parse_heavy_src in
+        fun () -> Sys.opaque_identity (Session.run s parse_heavy_src));
     t "parse/prepared-miss" (fun () ->
-        Sys.opaque_identity (Session.run parse_session_nocache parse_heavy_src));
+        let s = bench_session ~capacity:0 Graph.empty k_params in
+        fun () -> Sys.opaque_identity (Session.run s parse_heavy_src));
     t "plan-cache/hit" (fun () ->
-        Sys.opaque_identity (Session.run point_session_warm param_src));
+        let s =
+          warm (bench_session ~capacity:128 (Lazy.force market1000_indexed) uid_params) param_src
+        in
+        fun () -> Sys.opaque_identity (Session.run s param_src));
     t "plan-cache/miss" (fun () ->
-        Sys.opaque_identity (Session.run point_session_nocache param_src));
+        let s = bench_session ~capacity:0 (Lazy.force market1000_indexed) uid_params in
+        fun () -> Sys.opaque_identity (Session.run s param_src));
     (* the prepared API itself: rebinding a fresh parameter map per
        execution vs re-running the statement text from scratch *)
     t "execute/param-rebind" (fun () ->
-        rebind_flip := not !rebind_flip;
-        let uid = if !rebind_flip then 100042 else 100043 in
-        Sys.opaque_identity
-          (Api.execute prepared_point
-             (Smap.add "uid" (Value.Int uid) Smap.empty)
-             market1000_indexed));
+        let p =
+          match Api.prepare ~config:cfg_revised param_src with
+          | Ok p -> p
+          | Error e -> failwith (Errors.to_string e)
+        in
+        let g = Lazy.force market1000_indexed in
+        fun () ->
+          rebind_flip := not !rebind_flip;
+          let uid = if !rebind_flip then 100042 else 100043 in
+          Sys.opaque_identity (Api.execute p (Smap.add "uid" (Value.Int uid) Smap.empty) g));
     t "execute/run-string" (fun () ->
-        rebind_flip := not !rebind_flip;
-        let uid = if !rebind_flip then 100042 else 100043 in
-        Sys.opaque_identity
-          (Api.run_string_full
-             ~config:
-               (Config.with_params
-                  (Smap.add "uid" (Value.Int uid) Smap.empty)
-                  cfg_revised)
-             market1000_indexed param_src));
-    t "match/figure1-query1" (fun () ->
-        Sys.opaque_identity (run_q cfg_revised Fixtures.figure1_graph q_read));
+        let g = Lazy.force market1000_indexed in
+        fun () ->
+          rebind_flip := not !rebind_flip;
+          let uid = if !rebind_flip then 100042 else 100043 in
+          Sys.opaque_identity
+            (Api.run_string_full
+               ~config:(Config.with_params (Smap.add "uid" (Value.Int uid) Smap.empty) cfg_revised)
+               g param_src));
+    query "match/figure1-query1" cfg_revised (Lazy.from_val Fixtures.figure1_graph) q_read;
     (* ablation: homomorphic matching drops the used-relationship
        bookkeeping but enumerates more embeddings *)
-    t "match/homo/2hop/n=100" (fun () ->
-        Sys.opaque_identity
-          (run_q
-             (Config.with_match_mode Config.Homomorphic cfg_revised)
-             market100 q_2hop));
+    query "match/homo/2hop/n=100"
+      (Config.with_match_mode Config.Homomorphic cfg_revised)
+      market100 q_2hop;
     (* create/* *)
-    t "create/100-paths" (fun () ->
+    t "create/100-paths" (fun () () ->
         Sys.opaque_identity
           (run_q cfg_revised Graph.empty
              (parse_q "UNWIND range(1, 100) AS x CREATE (:A {v: x})-[:T]->(:B)")));
     (* set/* : the price of atomicity *)
-    t "set/legacy/100" (fun () ->
-        Sys.opaque_identity (run_q cfg_cypher9 set_graph q_set));
-    t "set/atomic/100" (fun () ->
-        Sys.opaque_identity (run_q cfg_revised set_graph q_set));
+    query "set/legacy/100" cfg_cypher9 set_graph q_set;
+    query "set/atomic/100" cfg_revised set_graph q_set;
     (* delete/* *)
-    t "delete/legacy/detach" (fun () ->
-        Sys.opaque_identity (run_q cfg_cypher9 market100 q_delete));
-    t "delete/atomic/detach" (fun () ->
-        Sys.opaque_identity (run_q cfg_revised market100 q_delete));
+    query "delete/legacy/detach" cfg_cypher9 market100 q_delete;
+    query "delete/atomic/detach" cfg_revised market100 q_delete;
     (* stats/* : the same update workloads with counter collection
        enabled — the marginal cost of recording and finalizing *)
-    t "set/atomic/100/stats=on" (fun () ->
-        Sys.opaque_identity (run_q cfg_revised_stats set_graph q_set));
-    t "create/100-paths/stats=on" (fun () ->
+    query "set/atomic/100/stats=on" cfg_revised_stats set_graph q_set;
+    t "create/100-paths/stats=on" (fun () () ->
         Sys.opaque_identity
           (run_q cfg_revised_stats Graph.empty
              (parse_q "UNWIND range(1, 100) AS x CREATE (:A {v: x})-[:T]->(:B)")));
-    t "delete/atomic/detach/stats=on" (fun () ->
-        Sys.opaque_identity (run_q cfg_revised_stats market100 q_delete));
+    query "delete/atomic/detach/stats=on" cfg_revised_stats market100 q_delete;
     (* merge/<variant> on the Example-5 import workload *)
-    t "merge/legacy/100" (legacy_merge orders100);
-    t "merge/all/100" (merge_graph Merge_all orders100);
-    t "merge/grouping/100" (merge_graph Merge_grouping orders100);
-    t "merge/weak/100" (merge_graph Merge_weak_collapse orders100);
-    t "merge/collapse/100" (merge_graph Merge_collapse orders100);
-    t "merge/same/100" (merge_graph Merge_same orders100);
-    t "merge/all/1000" (merge_graph Merge_all orders1000);
-    t "merge/same/1000" (merge_graph Merge_same orders1000);
+    merge_entry "merge/legacy/100" ~config:cfg_cypher9 Merge_legacy orders100;
+    merge_entry "merge/all/100" Merge_all orders100;
+    merge_entry "merge/grouping/100" Merge_grouping orders100;
+    merge_entry "merge/weak/100" Merge_weak_collapse orders100;
+    merge_entry "merge/collapse/100" Merge_collapse orders100;
+    merge_entry "merge/same/100" Merge_same orders100;
+    merge_entry "merge/all/1000" Merge_all orders1000;
+    merge_entry "merge/same/1000" Merge_same orders1000;
     (* quotient/* *)
     t "quotient/300-nodes" (fun () ->
-        let g, new_nodes = quotient_300 in
-        Sys.opaque_identity
-          (Quotient.apply g ~new_nodes ~new_rels:[] ~node_pos_matters:false
-             ~rel_pos_matters:false));
+        let g, new_nodes = quotient_input 300 in
+        fun () ->
+          Sys.opaque_identity
+            (Quotient.apply g ~new_nodes ~new_rels:[] ~node_pos_matters:false
+               ~rel_pos_matters:false));
     (* project/* : UNWIND + WITH...WHERE row mapping *)
-    t "project/unwind-filter/n=5000" (fun () ->
-        Sys.opaque_identity (run_q cfg_revised Graph.empty q_project));
+    query "project/unwind-filter/n=5000" cfg_revised (Lazy.from_val Graph.empty) q_project;
     (* endtoend/* *)
-    t "endtoend/session/n=100" (fun () ->
-        Sys.opaque_identity (run_q cfg_revised market100 q_session));
+    query "endtoend/session/n=100" cfg_revised market100 q_session;
     (* io/* : dump and reload the 100-node marketplace *)
     t "io/dump/n=100" (fun () ->
-        Sys.opaque_identity (Dump.to_cypher market100));
-    t "io/load/n=100"
-      (let script = Dump.to_cypher market100 in
-       fun () ->
-         Sys.opaque_identity
-           (Api.run_program ~config:cfg_revised Graph.empty script));
+        let g = Lazy.force market100 in
+        fun () -> Sys.opaque_identity (Dump.to_cypher g));
+    t "io/load/n=100" (fun () ->
+        let script = Dump.to_cypher (Lazy.force market100) in
+        fun () -> Sys.opaque_identity (Api.run_program ~config:cfg_revised Graph.empty script));
     (* the same script decoded, as snapshot loading does *)
-    t "io/decode/n=100"
-      (let script = Dump.to_cypher market100 in
-       fun () -> Sys.opaque_identity (Dump.of_cypher Graph.empty script));
-    t "io/decode/n=1e4"
-      (let script = Dump.to_cypher market10k in
-       fun () -> Sys.opaque_identity (Dump.of_cypher Graph.empty script));
+    t "io/decode/n=100" (fun () ->
+        let script = Dump.to_cypher (Lazy.force market100) in
+        fun () -> Sys.opaque_identity (Dump.of_cypher Graph.empty script));
+    t "io/decode/n=1e4" (fun () ->
+        let script = Dump.to_cypher (Lazy.force market10k) in
+        fun () -> Sys.opaque_identity (Dump.of_cypher Graph.empty script));
     (* the same graph as CSV through the bulk loader, in memory *)
-    t "io/bulk/n=1e4"
-      (let nodes, rels = bulk_csvs market10k in
-       let load () =
-         Cypher_storage.Bulk.load_strings
-           (Session.create ~config:cfg_revised Graph.empty)
-           ~nodes ~rels
-       in
-       (* a refused load would time the validator alone *)
-       (match load () with Ok _ -> () | Error e -> failwith (Errors.to_string e));
-       fun () -> Sys.opaque_identity (load ()));
+    t "io/bulk/n=1e4" (fun () ->
+        let nodes, rels = bulk_csvs (Lazy.force market10k) in
+        let load () =
+          Cypher_storage.Bulk.load_strings
+            (Session.create ~config:cfg_revised Graph.empty)
+            ~nodes ~rels
+        in
+        (* a refused load would time the validator alone *)
+        (match load () with Ok _ -> () | Error e -> failwith (Errors.to_string e));
+        fun () -> Sys.opaque_identity (load ()));
     (* io/* durability: journal append under both regimes, atomic
        snapshot write (tmp + fsync + rename), and full crash recovery
        (journal scan + checked replay, in memory) *)
     t "io/wal-append/buffered" (fun () ->
-        Sys.opaque_identity (Wal.append wal_writer_buffered [ wal_record ]));
+        let w = wal_writer Config.Buffered in
+        fun () -> Sys.opaque_identity (Wal.append w [ wal_record ]));
     t "io/wal-append/fsync" (fun () ->
-        Sys.opaque_identity (Wal.append wal_writer_fsync [ wal_record ]));
+        let w = wal_writer Config.Fsync in
+        fun () -> Sys.opaque_identity (Wal.append w [ wal_record ]));
     t "io/snapshot-write/n=100" (fun () ->
-        Sys.opaque_identity (Snapshot.write snapshot_path market100));
+        let path = bench_tmp ".cy" and g = Lazy.force market100 in
+        fun () -> Sys.opaque_identity (Snapshot.write path g));
     t "io/recover/journal-50" (fun () ->
-        Sys.opaque_identity (Recovery.recover_strings ~wal:wal_bytes_50 ()));
+        let wal = wal_bytes_50 () in
+        fun () -> Sys.opaque_identity (Recovery.recover_strings ~wal ()));
     t "io/recover/snapshot+journal" (fun () ->
-        Sys.opaque_identity
-          (Recovery.recover_strings ~snapshot:snapshot_100 ~wal:wal_bytes_50 ()));
+        let snapshot = Snapshot.to_string (Lazy.force market100) and wal = wal_bytes_50 () in
+        fun () -> Sys.opaque_identity (Recovery.recover_strings ~snapshot ~wal ()));
     (* figures/* : the paper's exact workloads *)
-    t "figures/E6-legacy-merge" (fun () ->
+    t "figures/E6-legacy-merge" (fun () () ->
         Sys.opaque_identity
           (Runner.run_merge_mode cfg_cypher9 ~mode:Merge_legacy
              Fixtures.example3_merge
              (Fixtures.example3_graph, Fixtures.example3_table)));
-    t "figures/E8-merge-same" (fun () ->
+    t "figures/E8-merge-same" (fun () () ->
         Sys.opaque_identity
           (Runner.run_merge_mode cfg_permissive ~mode:Merge_same
              Fixtures.example5_merge
              (Graph.empty, Fixtures.example5_table)));
-    t "figures/E9-merge-collapse" (fun () ->
+    t "figures/E9-merge-collapse" (fun () () ->
         Sys.opaque_identity
           (Runner.run_merge_mode cfg_permissive ~mode:Merge_collapse
              Fixtures.example6_merge
              (Graph.empty, Fixtures.example6_table)));
-    t "figures/E10-merge-same" (fun () ->
+    t "figures/E10-merge-same" (fun () () ->
         Sys.opaque_identity
           (Runner.run_merge_mode cfg_permissive ~mode:Merge_same
              Fixtures.example7_merge
              (Fixtures.example7_graph, Fixtures.example7_table)));
   ]
-
 
 (* ------------------------------------------------------------------ *)
 (* Tier 5: n = 10^5 nodes                                              *)
@@ -696,166 +661,6 @@ let run_large () =
     ("large_graph_live_words", string_of_int graph_words);
     ("large_2hop_persistent_s", Printf.sprintf "%.3f" persistent_s);
   ]
-
-(* ------------------------------------------------------------------ *)
-(* Server tier: group-commit throughput and snapshot-read latency     *)
-(* ------------------------------------------------------------------ *)
-
-module Shared = Cypher_server.Shared
-module Service = Cypher_server.Service
-
-(** Commit throughput under 16 concurrent writer connections, against a
-    real [Fsync] WAL writer — once with group commit off (every commit
-    pays its own fsync: the baseline) and once with it on (concurrent
-    commits share one append + one fsync).  One-shot wall clock over
-    the whole workload; the interesting number is the ratio. *)
-let server_throughput ~batching dir name =
-  let writers = 16 and per_writer = 100 in
-  let commits = writers * per_writer in
-  let run k =
-    let wal = Filename.concat dir (Printf.sprintf "%s-%d.wal" name k) in
-    let w = Wal.open_writer wal in
-    let sink entries = Wal.append w (List.map Wal.record_of_entry entries) in
-    let shared = Shared.create ~batching ~sink Graph.empty in
-    let _, dt =
-      timed (fun () ->
-          let threads =
-            List.init writers (fun i ->
-                Thread.create
-                  (fun () ->
-                    let svc = Service.create ~config:cfg_revised shared in
-                    (* constant statement text: the hot path of a writer
-                       is a repeated (prepared) statement, so the session
-                       plan cache hits and the committer's serial work is
-                       the graph update plus the flush, not re-parsing *)
-                    let stmt = Printf.sprintf "CREATE (:B {w: %d})" i in
-                    for _ = 1 to per_writer do
-                      ignore (Service.handle svc stmt : string list)
-                    done)
-                  ())
-          in
-          List.iter Thread.join threads)
-    in
-    let ws = Wal.writer_stats w in
-    Wal.close_writer w;
-    let s = Shared.stats shared in
-    if s.Shared.commits <> commits then
-      failwith
-        (Printf.sprintf "%s: %d of %d commits lost" name s.Shared.commits
-           commits);
-    (dt *. 1e9 /. float_of_int commits, ws, s)
-  in
-  (* best of 3: the host timeshares its single core, so any run can eat
-     a contention spike — the fastest run is the committer's capability *)
-  let runs = List.init 3 run in
-  let ((per_commit_ns, ws, s) as best) =
-    List.fold_left
-      (fun ((b, _, _) as acc) ((c, _, _) as r) -> if c < b then r else acc)
-      (List.hd runs) (List.tl runs)
-  in
-  Printf.printf "%-32s %13s   (%d commits, %d fsyncs, max batch %d)\n%!"
-    ("server/throughput/" ^ name)
-    (pretty_time per_commit_ns)
-    commits ws.Wal.fsyncs s.Shared.max_batch;
-  best
-
-(** p99 latency of a read statement on a connection, while 4 writer
-    connections keep committing: reads pin the head and never enter the
-    committer, so the tail must stay flat. *)
-let server_read_p99 () =
-  let run () =
-    let shared = Shared.create Graph.empty in
-    let seed = Service.create ~config:cfg_revised shared in
-    ignore
-      (Service.handle seed "UNWIND range(1, 500) AS i CREATE (:R {k: i})"
-        : string list);
-    let stop = Atomic.make false in
-    let writers =
-      List.init 4 (fun i ->
-          Thread.create
-            (fun () ->
-              let svc = Service.create ~config:cfg_revised shared in
-              let j = ref 0 in
-              while not (Atomic.get stop) do
-                incr j;
-                ignore
-                  (Service.handle svc
-                     (Printf.sprintf "CREATE (:W {w: %d, j: %d})" i !j)
-                    : string list)
-              done)
-            ())
-    in
-    let reader = Service.create ~config:cfg_revised shared in
-    let reads = 400 in
-    let samples =
-      List.init reads (fun _ ->
-          snd
-            (timed (fun () ->
-                 Service.handle reader "MATCH (n:R) RETURN count(n) AS c")))
-    in
-    Atomic.set stop true;
-    List.iter Thread.join writers;
-    let sorted = List.sort compare samples in
-    (List.nth sorted (reads * 99 / 100) *. 1e9, reads)
-  in
-  (* best of 3, like the throughput entries: a co-tenant's CPU burst
-     lands square in a 400-read tail *)
-  let runs = List.init 3 (fun _ -> run ()) in
-  let p99, reads =
-    List.fold_left
-      (fun ((b, _) as acc) ((p, _) as r) -> if p < b then r else acc)
-      (List.hd runs) (List.tl runs)
-  in
-  Printf.printf "%-32s %13s   (%d reads vs 4 writers)\n%!" "server/read-p99"
-    (pretty_time p99) reads;
-  p99
-
-let server_tier () =
-  Printf.printf "\n-- server tier: 16 writers vs one WAL --\n%!";
-  let dir = Filename.temp_file "cypher_bench_srv" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  (* mirror the server binary's GC profile (bin/cypher_server.ml): a
-     8M-word minor heap keeps minor collections out of the committer's
-     serial section.  Restored afterwards so the other tiers measure
-     under the default runtime. *)
-  let gc0 = Gc.get () in
-  Gc.set { gc0 with Gc.minor_heap_size = 8 * 1024 * 1024 };
-  Fun.protect
-    ~finally:(fun () ->
-      Gc.set gc0;
-      Array.iter
-        (fun f -> try Sys.remove (Filename.concat dir f) with _ -> ())
-        (Sys.readdir dir);
-      try Unix.rmdir dir with _ -> ())
-    (fun () ->
-      let fsync_ns, _, _ = server_throughput ~batching:false dir "fsync" in
-      let group_ns, gw, gs =
-        server_throughput ~batching:true dir "group-commit"
-      in
-      let p99 = server_read_p99 () in
-      let speedup = fsync_ns /. group_ns in
-      let amortization =
-        float_of_int gw.Wal.records /. float_of_int (max 1 gw.Wal.fsyncs)
-      in
-      Printf.printf
-        "group commit: %.1fx the per-commit-fsync throughput (%.1f records/fsync, max batch %d)\n%!"
-        speedup amortization gs.Shared.max_batch;
-      let entries =
-        [
-          ("server/throughput/fsync", Some fsync_ns);
-          ("server/throughput/group-commit", Some group_ns);
-          ("server/read-p99", Some p99);
-        ]
-      in
-      let meta =
-        [
-          ("server_group_commit_speedup", Printf.sprintf "%.1f" speedup);
-          ("server_records_per_fsync", Printf.sprintf "%.1f" amortization);
-          ("server_max_batch", string_of_int gs.Shared.max_batch);
-        ]
-      in
-      (entries, meta))
 
 (* ------------------------------------------------------------------ *)
 (* Runner and report                                                  *)
@@ -1003,14 +808,12 @@ let check_overhead ~threshold pinned_path =
   let ratios =
     List.filter_map
       (fun name ->
-        let test =
-          List.find_opt (fun test -> Test.name test = name) tests
-        in
-        match (test, Hashtbl.find_opt pinned name) with
+        match (List.assoc_opt name tests, Hashtbl.find_opt pinned name) with
         | None, _ | _, None ->
             Printf.printf "%-28s %13s\n" name "(no baseline)";
             None
-        | Some test, Some base -> (
+        | Some make, Some base -> (
+            let test = make () in
             let estimates =
               List.concat_map
                 (fun _ ->
@@ -1053,7 +856,7 @@ let check_overhead ~threshold pinned_path =
 let () =
   let json_path = ref None and sha = ref "unknown" in
   let overhead = ref None and large = ref false in
-  let server_only = ref false and only = ref [] in
+  let only = ref [] in
   let rec parse_args = function
     | [] -> ()
     | "--json" :: path :: rest when String.length path >= 2
@@ -1076,9 +879,9 @@ let () =
     | "--large" :: rest ->
         large := true;
         parse_args rest
-    | "--server" :: rest ->
-        server_only := true;
-        parse_args rest
+    | "--footprint" :: dir :: _ ->
+        footprint dir;
+        exit 0
     | "--only" :: names :: rest ->
         only := String.split_on_char ',' names;
         parse_args rest
@@ -1088,12 +891,6 @@ let () =
   (match !overhead with
   | Some path -> check_overhead ~threshold:1.02 path
   | None -> ());
-  (* --server: just the server tier, for iterating on the committer
-     without paying for the full suite *)
-  if !server_only then begin
-    ignore (server_tier () : (string * float option) list * (string * string) list);
-    exit 0
-  end;
   (* --only A,B: just those entries, for an interleaved A/B
      (bench/ab.sh) — Bechamel entries and tier-5 one-shots, no other
      tiers, and JSON only when --json is given *)
@@ -1106,8 +903,8 @@ let () =
     let results =
       List.concat_map
         (fun name ->
-          match List.find_opt (fun test -> Test.name test = name) tests with
-          | Some test -> run_test test
+          match List.assoc_opt name tests with
+          | Some make -> run_test (make ())
           | None when List.mem_assoc name tier5_cases -> []
           | None ->
               Printf.eprintf "no benchmark entry %S\n" name;
@@ -1129,11 +926,10 @@ let () =
   (* the 1e5 tier is timed first, before the Bechamel loop has grown
      the heap (see median_time) *)
   let tier5_entries, tier5_meta = tier5 () in
-  let server_entries, server_meta = server_tier () in
   let results =
     List.concat_map
-      (fun test ->
-        let rs = run_test test in
+      (fun (_, make) ->
+        let rs = run_test (make ()) in
         List.iter
           (fun (name, est) ->
             let time =
@@ -1143,11 +939,9 @@ let () =
           rs;
         rs)
       tests
-    @ tier5_entries @ server_entries
+    @ tier5_entries
   in
-  let extra =
-    tier5_meta @ server_meta @ (if !large then run_large () else [])
-  in
+  let extra = tier5_meta @ if !large then run_large () else [] in
   match json_path with
   | None -> ()
   | Some path ->

@@ -32,7 +32,7 @@ if [ "$sha" != unknown ] && [ -n "$(git status --porcelain 2>/dev/null)" ]; then
   sha="$sha-dirty"
 fi
 dune build @bench
-# a run that writes no results (--server, --check-overhead) leaves the
+# a run that writes no results (--check-overhead, --footprint) leaves the
 # results file older than this stamp and the history untouched
 stamp=$(mktemp)
 trap 'rm -f "$stamp"' EXIT

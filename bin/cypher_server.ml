@@ -2,7 +2,7 @@
 
     {v
     cypher_server [--port N] [--host A] [--db DIR] [--no-fsync]
-                  [--readers N] [--no-group-commit]
+                  [--readers N]
     v}
 
     Protocol: newline-delimited text, one request per line (a Cypher
@@ -17,9 +17,7 @@
 open Cypher_core
 open Cypher_server
 
-let usage =
-  "cypher_server [--port N] [--host A] [--db DIR] [--no-fsync] [--readers N] \
-   [--no-group-commit]"
+let usage = "cypher_server [--port N] [--host A] [--db DIR] [--no-fsync] [--readers N]"
 
 let () =
   let port = ref 0 in
@@ -27,7 +25,6 @@ let () =
   let db = ref None in
   let fsync = ref true in
   let readers = ref (Cypher_util.Pool.recommended ()) in
-  let batching = ref true in
   let spec =
     [
       ("--port", Arg.Set_int port, "N listen port (default: ephemeral)");
@@ -41,9 +38,6 @@ let () =
       ( "--readers",
         Arg.Set_int readers,
         "N domain-pool width for read statements (default: cores)" );
-      ( "--no-group-commit",
-        Arg.Clear batching,
-        " flush every commit on its own (baseline mode)" );
     ]
   in
   Arg.parse spec
@@ -67,7 +61,7 @@ let () =
             ( Session.graph session,
               Some (Cypher_storage.Store.append_entries store) ))
   in
-  let shared = Shared.create ~batching:!batching ?sink graph in
+  let shared = Shared.create ?sink graph in
   let make_service () = Service.create ~readers:!readers ~config shared in
   match Server.start ~host:!host ~port:!port ~make_service () with
   | Error m ->

@@ -110,26 +110,6 @@ let check_params_supplied params required =
           name line col)
     required
 
-(** [run_string_full ~config graph src] parses (recognising an optional
-    EXPLAIN / PROFILE prefix), validates and executes one statement.
-    Statements referencing parameters absent from [config.params] are
-    rejected up front with the [$param]'s source position. *)
-let run_string_full ?(config = Config.revised) graph src =
-  match Parser.parse_statement_params src with
-  | Error e -> Error (Errors.Parse_error (Parser.error_to_string e))
-  | Ok (prefix, q, required) -> (
-      match Validate.validate config.Config.dialect q with
-      | Error m -> Error (Errors.Validation_error m)
-      | Ok q ->
-          if prefix <> Parser.Explain then
-            match
-              wrap_errors (fun () ->
-                  check_params_supplied config.Config.params required)
-            with
-            | Error e -> Error e
-            | Ok () -> run_validated ~config ~prefix graph q
-          else run_validated ~config ~prefix graph q)
-
 (* ------------------------------------------------------------------ *)
 (* Prepared statements                                                *)
 (* ------------------------------------------------------------------ *)
@@ -215,6 +195,16 @@ let execute_full (p : prepared) params graph :
         run_validated ~memo:p.p_memo ~config ~prefix:p.p_prefix graph
           p.p_query
   else run_validated ~memo:p.p_memo ~config ~prefix:p.p_prefix graph p.p_query
+
+(** [run_string_full ~config graph src] parses (recognising an optional
+    EXPLAIN / PROFILE prefix), validates and executes one statement: a
+    {!prepare} followed by one {!execute_full} with no extra bindings.
+    Statements referencing parameters absent from [config.params] are
+    rejected up front with the [$param]'s source position. *)
+let run_string_full ?(config = Config.revised) graph src =
+  match prepare ~config src with
+  | Error e -> Error e
+  | Ok p -> execute_full p Smap.empty graph
 
 (** [execute p params graph] is {!execute_full} reduced to the updated
     graph and output table. *)

@@ -197,6 +197,6 @@ let apply (g : Graph.t) ~(new_nodes : (int * position) list)
     let graph =
       Graph.rebuild
         ~prop_indexes:(Graph.prop_index_keys g)
-        ~next_id:(Graph.next_id g) ~tombs:(Graph.tombstones g) nodes rels
+        ~next_id:(Graph.next_id g) nodes rels
     in
     { graph; node_map; rel_map }

@@ -239,7 +239,7 @@ let planner_equivalence ?(match_mode = Config.Isomorphic) g q :
 (** Recomputes {!Cypher_core.Stats.t} from first principles: a
     structural diff of the input and output graphs, knowing nothing
     about what the statement did.  Entity ids are never reused (the
-    store tombstones deletions), so id-set differences are exactly the
+    id supply only grows), so id-set differences are exactly the
     creations/deletions; properties and labels of created entities are
     folded into the created counts, surviving entities contribute their
     net per-key changes.  This is deliberately redundant with the
@@ -1073,8 +1073,7 @@ let tripled g =
           (copy r.Graph.r_id))
       (Graph.rels g)
   in
-  Graph.rebuild ~prop_indexes:(Graph.prop_index_keys g) ~next_id:(3 * span)
-    ~tombs:(Graph.tombstones g) nodes rels
+  Graph.rebuild ~prop_indexes:(Graph.prop_index_keys g) ~next_id:(3 * span) nodes rels
 
 let wellformed_on g q : (unit, string) result =
   match run revised_planned g q with
@@ -1089,7 +1088,7 @@ let wellformed_on g q : (unit, string) result =
       let reference =
         Graph.rebuild
           ~prop_indexes:(Graph.prop_index_keys g')
-          ~next_id:(Graph.next_id g') ~tombs:(Graph.tombstones g')
+          ~next_id:(Graph.next_id g')
           (Graph.nodes g') (Graph.rels g')
       in
       let* () = representation_ok g' in

@@ -115,7 +115,7 @@ let query_candidates q =
 let rebuild_like g nodes rels =
   Graph.rebuild
     ~prop_indexes:(Graph.prop_index_keys g)
-    ~next_id:(Graph.next_id g) ~tombs:(Graph.tombstones g) nodes rels
+    ~next_id:(Graph.next_id g) nodes rels
 
 let graph_candidates g =
   let nodes = Graph.nodes g and rels = Graph.rels g in

@@ -13,9 +13,10 @@
 
     The store additionally supports the *legacy* (Cypher 9) behaviours the
     paper criticises: {!remove_node_force} can leave dangling
-    relationships (Section 4.2), and deleted entities leave tombstones so
-    that a driving table can still reference them (the "empty node"
-    observation of Section 4.2). *)
+    relationships (Section 4.2), and a driving table can still reference
+    a deleted entity: its id reads as absent ({!node} is [None],
+    {!labels_of} is [[]]) — the "empty node" observation of Section 4.2
+    — and is never reused, because [next_id] only grows. *)
 
 open Cypher_util.Maps
 
@@ -31,9 +32,6 @@ type rel = {
   r_type : string;
   r_props : Props.t;
 }
-
-(** What kind of entity a tombstoned id used to be. *)
-type tomb = Tomb_node | Tomb_rel
 
 (** Maps keyed by property values, under the total value order — the
     exact-value property indexes below are served from these. *)
@@ -64,7 +62,6 @@ type t = {
          force-delete; maintained so the per-statement well-formedness
          check is O(1) instead of a full relationship sweep *)
   next_id : int;
-  tombs : tomb Imap.t;
 }
 
 let empty =
@@ -79,7 +76,6 @@ let empty =
     prop_index = Smap.empty;
     dangling = Ids.empty;
     next_id = 0;
-    tombs = Imap.empty;
   }
 
 (* --- label index maintenance -------------------------------------- *)
@@ -203,9 +199,7 @@ let rel_exn g id =
 
 let has_node g id = Imap.mem id g.nodes
 let next_id g = g.next_id
-let tombstones g = g.tombs
 let has_rel g id = Imap.mem id g.rels
-let is_tombstoned g id = Imap.mem id g.tombs
 let node_count g = g.node_count
 let rel_count g = Imap.cardinal g.rels
 let nodes g = List.map snd (Imap.bindings g.nodes)
@@ -545,7 +539,6 @@ let remove_rel g id =
         in_typed = tadj_remove r.tgt r.r_type id g.in_typed;
         type_counts = count r.r_type (-1) g.type_counts;
         dangling = Ids.remove id g.dangling;
-        tombs = Imap.add id Tomb_rel g.tombs;
       }
 
 (** Strict node removal: refuses (returns [Error rels]) when relationships
@@ -565,7 +558,6 @@ let remove_node g id =
               in_typed = Imap.remove id g.in_typed;
               label_index = unindex_node n g.label_index;
               prop_index = pindex_node_remove n g.prop_index;
-              tombs = Imap.add id Tomb_node g.tombs;
             }
       | attached -> Error attached)
 
@@ -586,7 +578,6 @@ let remove_node_force g id =
         prop_index = pindex_node_remove n g.prop_index;
         (* the still-attached relationships lose an endpoint *)
         dangling = Ids.union (incident_ids g id) g.dangling;
-        tombs = Imap.add id Tomb_node g.tombs;
       }
 
 (** Detaching removal: deletes all incident relationships first. *)
@@ -678,19 +669,19 @@ let count_with_prop g ~label ~key v =
 (* Wholesale reconstruction                                           *)
 (* ------------------------------------------------------------------ *)
 
-(** [rebuild ~next_id ~tombs nodes rels] constructs a graph from entity
+(** [rebuild ~next_id nodes rels] constructs a graph from entity
     lists in one bottom-up pass, as {!add_batch} does, recomputing
     adjacency and every index.  Every relationship
     endpoint must be present in [nodes].  Used by the MERGE SAME
     quotient, which keeps only class representatives and remaps
     endpoints (Section 8.2).  [prop_indexes] re-registers (and rebuilds)
     the given property indexes on the result. *)
-let rebuild ?(prop_indexes = []) ~next_id ~tombs (node_list : node list)
+let rebuild ?(prop_indexes = []) ~next_id (node_list : node list)
     (rel_list : rel list) =
   let g =
     List.fold_left
       (fun g (label, key) -> add_prop_index ~label ~key g)
-      { empty with next_id; tombs }
+      { empty with next_id }
       prop_indexes
   in
   let nodes = Array.of_list node_list and rels = Array.of_list rel_list in
@@ -702,7 +693,7 @@ let rebuild ?(prop_indexes = []) ~next_id ~tombs (node_list : node list)
 (* Entity views for the evaluator                                     *)
 (* ------------------------------------------------------------------ *)
 
-(** λ of a node as a sorted list; empty for tombstoned/unknown ids (the
+(** λ of a node as a sorted list; empty for deleted/unknown ids (the
     "empty node" a legacy query can still observe after deletion). *)
 let labels_of g id =
   match node g id with Some n -> Sset.elements n.labels | None -> []
@@ -796,6 +787,5 @@ let footprint g =
     ("type_counts", w g.type_counts);
     ("prop_index", w g.prop_index);
     ("dangling", w g.dangling);
-    ("tombs", w g.tombs);
     ("total", w g);
   ]

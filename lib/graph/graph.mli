@@ -8,9 +8,10 @@
 
     The store additionally supports the *legacy* (Cypher 9) behaviours
     the paper criticises: {!remove_node_force} can leave dangling
-    relationships (Section 4.2), and deleted entities leave tombstones so
-    that a driving table can still reference them (the "empty node"
-    observation of Section 4.2). *)
+    relationships (Section 4.2), and a driving table can still reference
+    a deleted entity: its id reads as absent ({!node} is [None],
+    {!labels_of} is [[]]) — the "empty node" observation of Section 4.2
+    — and is never reused, because {!next_id} only grows. *)
 
 open Cypher_util.Maps
 
@@ -26,9 +27,6 @@ type rel = {
   r_type : string;
   r_props : Props.t;
 }
-
-(** What kind of entity a tombstoned id used to be. *)
-type tomb = Tomb_node | Tomb_rel
 
 type t
 
@@ -56,9 +54,6 @@ val has_rel : t -> rel_id -> bool
 
 (** The id supply; ids below this may have existed at some point. *)
 val next_id : t -> int
-
-val tombstones : t -> tomb Imap.t
-val is_tombstoned : t -> int -> bool
 
 (** The number of nodes, kept with the graph: O(1). *)
 val node_count : t -> int
@@ -217,7 +212,7 @@ val count_with_prop :
 
 (** {1 Wholesale reconstruction} *)
 
-(** [rebuild ~next_id ~tombs nodes rels] constructs a graph from entity
+(** [rebuild ~next_id nodes rels] constructs a graph from entity
     lists in one bottom-up pass, as {!add_batch} does, recomputing
     adjacency and every index.  Every relationship
     endpoint must be present in [nodes].  Used by the MERGE SAME
@@ -227,14 +222,13 @@ val count_with_prop :
 val rebuild :
   ?prop_indexes:(string * string) list ->
   next_id:int ->
-  tombs:tomb Imap.t ->
   node list ->
   rel list ->
   t
 
 (** {1 Entity views for the evaluator} *)
 
-(** λ of a node as a sorted list; empty for tombstoned/unknown ids (the
+(** λ of a node as a sorted list; empty for deleted/unknown ids (the
     "empty node" a legacy query can still observe after deletion). *)
 val labels_of : t -> node_id -> string list
 

@@ -207,8 +207,7 @@ let merge_same g t patterns =
       (Graph.rels g')
   in
   let g'' =
-    Graph.rebuild ~next_id:(Graph.next_id g') ~tombs:(Graph.tombstones g')
-      nodes rels
+    Graph.rebuild ~next_id:(Graph.next_id g') nodes rels
   in
   (* T'' replaces every occurrence of x by [x] *)
   let table'' =

@@ -54,10 +54,6 @@ type t = {
   mutable head : Graph.t;
   mutable version : int;
   mutable flushing : bool;  (** a leader is executing / flushing a batch *)
-  mutable batching : bool;
-      (** group commit on/off; off makes every leader take exactly one
-          request — the per-commit-fsync baseline the bench compares
-          against *)
   mutable commits : int;
   mutable flushes : int;
   mutable max_batch : int;
@@ -69,7 +65,7 @@ type t = {
           even though the queue looks empty right now *)
 }
 
-let create ?(batching = true) ?sink graph =
+let create ?sink graph =
   {
     lock = Mutex.create ();
     resolved = Condition.create ();
@@ -78,7 +74,6 @@ let create ?(batching = true) ?sink graph =
     head = graph;
     version = 0;
     flushing = false;
-    batching;
     commits = 0;
     flushes = 0;
     max_batch = 0;
@@ -107,21 +102,13 @@ let stats t =
   Mutex.unlock t.lock;
   r
 
-let set_batching t b =
-  Mutex.lock t.lock;
-  t.batching <- b;
-  Mutex.unlock t.lock
-
 (* must hold the lock; takes the batch the leader will execute *)
 let drain t =
-  if t.batching then begin
-    let xs = ref [] in
-    while not (Queue.is_empty t.queue) do
-      xs := Queue.pop t.queue :: !xs
-    done;
-    List.rev !xs
-  end
-  else [ Queue.pop t.queue ]
+  let xs = ref [] in
+  while not (Queue.is_empty t.queue) do
+    xs := Queue.pop t.queue :: !xs
+  done;
+  List.rev !xs
 
 (** [commit t exec] runs one transaction through the committer and
     blocks until its batch resolves.  [exec head] is called on the
@@ -181,12 +168,9 @@ let commit t exec : (int, string) result =
              blocking sleep (a plain yield does not reliably hand the
              core to the resolving connections); a lone committer
              (no siblings, last batch of one) never pays it. *)
-          let target =
-            if t.batching then max (Queue.length t.queue) t.last_batch
-            else 1
-          in
+          let target = max (Queue.length t.queue) t.last_batch in
           take_and_exec ();
-          if t.batching && target > 1 then begin
+          if target > 1 then begin
             let rec settle tries =
               if tries > 0 && !taken < target then begin
                 Mutex.unlock t.lock;

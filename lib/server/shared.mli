@@ -29,23 +29,16 @@ type stats = {
   flush_failures : int;  (** batches rolled back by a failing sink *)
 }
 
-(** [create ?batching ?sink graph] makes a shared state whose initial
-    head is [graph] at version 0.  [sink] (e.g. [Store.append_entries])
-    is the durability hook — one call per batch; omitted, the server
-    runs purely in memory.  [batching] (default true) enables group
-    commit; with it off every batch carries exactly one transaction —
-    the per-commit-fsync baseline. *)
-val create :
-  ?batching:bool ->
-  ?sink:(Session.journal_entry list -> unit) ->
-  Graph.t ->
-  t
+(** [create ?sink graph] makes a shared state whose initial head is
+    [graph] at version 0.  [sink] (e.g. [Store.append_entries]) is the
+    durability hook — one call per batch; omitted, the server runs
+    purely in memory. *)
+val create : ?sink:(Session.journal_entry list -> unit) -> Graph.t -> t
 
 (** [current t] is the latest committed [(version, head)].  O(1). *)
 val current : t -> int * Graph.t
 
 val stats : t -> stats
-val set_batching : t -> bool -> unit
 
 (** [commit t exec] runs one transaction through the committer,
     blocking until its batch resolves.  [exec head] runs on the

@@ -66,9 +66,6 @@ let sink t entries =
 let append_entries t (entries : Session.journal_entry list) : unit =
   if entries <> [] then sink t entries
 
-(** Writer counters ([None] once the store is closed). *)
-let wal_stats t = Option.map Wal.writer_stats t.writer
-
 (** [open_db ?config dir] opens (creating if needed) the database at
     [dir], recovers its graph, and returns the store paired with a
     session wired for write-ahead journaling.  [config] (default

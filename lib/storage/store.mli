@@ -28,10 +28,6 @@ val dir : t -> string
     No-op on [[]]; raises [Errors.Error] when the store is closed. *)
 val append_entries : t -> Session.journal_entry list -> unit
 
-(** Journal writer counters ([None] once the store is closed):
-    [records / fsyncs] is the achieved group-commit amortization. *)
-val wal_stats : t -> Wal.writer_stats option
-
 (** [compact t session] folds the journal into a fresh snapshot of the
     session's current graph and empties the journal.  Refused inside a
     transaction. *)

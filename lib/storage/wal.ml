@@ -333,29 +333,17 @@ let read_file path : record list * int * torn option =
     (dropping a torn tail). *)
 let truncate_file path n = if Sys.file_exists path then Unix.truncate path n
 
-(** Writer-side counters: how many {!append} calls ran, how many
-    records they carried, and how many fsyncs they cost.  The ratio
-    [records / fsyncs] is the group-commit amortization factor the
-    server's bench reports. *)
-type writer_stats = { appends : int; records : int; fsyncs : int }
-
 type writer = {
   fd : Unix.file_descr;
   durability : Config.durability;
   mutable closed : bool;
-  mutable appends : int;
-  mutable records : int;
-  mutable fsyncs : int;
 }
 
 (** [open_writer ~durability path] opens [path] for appending, creating
     it if needed. *)
 let open_writer ?(durability = Config.Fsync) path : writer =
   let fd = Unix.openfile path [ Unix.O_WRONLY; O_CREAT; O_APPEND ] 0o644 in
-  { fd; durability; closed = false; appends = 0; records = 0; fsyncs = 0 }
-
-let writer_stats (w : writer) : writer_stats =
-  { appends = w.appends; records = w.records; fsyncs = w.fsyncs }
+  { fd; durability; closed = false }
 
 let write_all fd s =
   let len = String.length s in
@@ -372,12 +360,8 @@ let write_all fd s =
 let append (w : writer) (records : record list) : unit =
   if w.closed then invalid_arg "Wal.append: writer is closed";
   write_all w.fd (String.concat "" (List.map encode records));
-  w.appends <- w.appends + 1;
-  w.records <- w.records + List.length records;
   match w.durability with
-  | Config.Fsync ->
-      Unix.fsync w.fd;
-      w.fsyncs <- w.fsyncs + 1
+  | Config.Fsync -> Unix.fsync w.fd
   | Config.Buffered -> ()
 
 let close_writer (w : writer) =

@@ -77,16 +77,9 @@ val truncate_file : string -> int -> unit
 
 type writer
 
-(** Writer-side counters: {!append} calls, records carried, fsyncs
-    paid.  [records / fsyncs] is the group-commit amortization factor
-    the server bench reports. *)
-type writer_stats = { appends : int; records : int; fsyncs : int }
-
 (** [open_writer ~durability path] opens [path] for appending, creating
     it if needed.  [durability] defaults to {!Config.Fsync}. *)
 val open_writer : ?durability:Config.durability -> string -> writer
-
-val writer_stats : writer -> writer_stats
 
 (** [append w records] writes all [records] with a single [write] (a
     crash can only tear the tail), then — under [Fsync] durability —

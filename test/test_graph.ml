@@ -1,5 +1,6 @@
 (** The property-graph store: construction, adjacency, deletion flavours,
-    tombstones and the dangling-relationship diagnostics. *)
+    deleted ids reading as absent and the dangling-relationship
+    diagnostics. *)
 
 open Cypher_graph
 open Test_util
@@ -59,14 +60,22 @@ let suite =
         Alcotest.(check int) "nodes" 1 (Graph.node_count g);
         Alcotest.(check int) "rels" 0 (Graph.rel_count g);
         Alcotest.(check bool) "wellformed" true (Graph.is_wellformed g));
-    case "deleted entities leave tombstones" (fun () ->
+    case "deleted entities read as absent" (fun () ->
         let g, a, _, r = two_nodes_one_rel () in
+        let g = Graph.add_label g a "A" in
         let g = Graph.remove_rel g r in
         let g = Graph.remove_node_detach g a in
-        Alcotest.(check bool) "node tomb" true (Graph.is_tombstoned g a);
-        Alcotest.(check bool) "rel tomb" true (Graph.is_tombstoned g r);
+        Alcotest.(check bool) "node gone" true (Option.is_none (Graph.node g a));
+        Alcotest.(check bool) "rel gone" true (Option.is_none (Graph.rel g r));
         Alcotest.(check (list string)) "labels read as empty" []
-          (Graph.labels_of g a));
+          (Graph.labels_of g a);
+        let g2 =
+          Graph.rebuild ~next_id:(Graph.next_id g) (Graph.nodes g) (Graph.rels g)
+        in
+        Alcotest.(check int) "rebuild keeps next_id" (Graph.next_id g)
+          (Graph.next_id g2);
+        Alcotest.(check bool) "still absent after rebuild" true
+          (Option.is_none (Graph.node g2 a) && Option.is_none (Graph.rel g2 r)));
     case "ids are never reused after deletion" (fun () ->
         let a, g = Graph.create_node Graph.empty in
         let g = Graph.remove_node_detach g a in
@@ -96,7 +105,7 @@ let suite =
     case "rebuild reconstructs adjacency" (fun () ->
         let g, a, b, _ = two_nodes_one_rel () in
         let g2 =
-          Graph.rebuild ~next_id:(Graph.next_id g) ~tombs:(Graph.tombstones g)
+          Graph.rebuild ~next_id:(Graph.next_id g)
             (Graph.nodes g) (Graph.rels g)
         in
         Alcotest.(check int) "out degree preserved" 1
@@ -122,7 +131,7 @@ let suite =
         Alcotest.(check int) "one left" 1
           (List.length (Graph.nodes_with_label g "A"));
         let g2 =
-          Graph.rebuild ~next_id:(Graph.next_id g) ~tombs:(Graph.tombstones g)
+          Graph.rebuild ~next_id:(Graph.next_id g)
             (Graph.nodes g) (Graph.rels g)
         in
         Alcotest.(check int) "index rebuilt" 1
@@ -211,8 +220,7 @@ let typed_adjacency_tests =
         let b, g = Graph.create_node g in
         let t, g = Graph.create_rel ~src:a ~tgt:b ~r_type:"T" g in
         let g' =
-          Graph.rebuild ~next_id:(Graph.next_id g)
-            ~tombs:(Graph.tombstones g) (Graph.nodes g) (Graph.rels g)
+          Graph.rebuild ~next_id:(Graph.next_id g) (Graph.nodes g) (Graph.rels g)
         in
         Alcotest.(check (list int))
           "same bucket" [ t ]
@@ -378,7 +386,7 @@ let prop_index_tests =
         let g' =
           Graph.rebuild
             ~prop_indexes:(Graph.prop_index_keys g)
-            ~next_id:(Graph.next_id g) ~tombs:(Graph.tombstones g)
+            ~next_id:(Graph.next_id g)
             (Graph.nodes g) (Graph.rels g)
         in
         Alcotest.(check (list (pair string string)))
@@ -437,8 +445,7 @@ let batch_tests =
           let rng = Random.State.make [| seed |] in
           let g = random_base rng ~size:(10 + Random.State.int rng 40) in
           let g' =
-            Graph.rebuild ~prop_indexes:(Graph.prop_index_keys g) ~next_id:(Graph.next_id g)
-              ~tombs:(Graph.tombstones g) (List.rev (Graph.nodes g)) (Graph.rels g)
+            Graph.rebuild ~prop_indexes:(Graph.prop_index_keys g) ~next_id:(Graph.next_id g) (List.rev (Graph.nodes g)) (Graph.rels g)
           in
           check_same_graph (Printf.sprintf "seed %d" seed) g g'
         done);

@@ -151,20 +151,17 @@ let shared_tests =
           (Printf.sprintf "some batch grouped (max %d)" s.Shared.max_batch)
           true
           (s.Shared.max_batch > 1));
-    case "batching off degenerates to one flush per commit" (fun () ->
-        let shared = Shared.create ~batching:false
-            ~sink:(fun _ -> ()) Graph.empty in
-        let threads =
-          List.init 4 (fun i ->
-              Thread.create
-                (fun () ->
-                  let svc = Service.create shared in
-                  ignore
-                    (req svc (Printf.sprintf "CREATE (:W {i: %d})" i)))
-                ())
-        in
-        List.iter Thread.join threads;
+    case "a lone committer flushes once per commit" (fun () ->
+        (* sequential auto-commits on one connection: every leader finds
+           no siblings and a previous batch of one, so it flushes its
+           own commit without the commit delay *)
+        let shared = Shared.create ~sink:(fun _ -> ()) Graph.empty in
+        let svc = Service.create shared in
+        for i = 1 to 5 do
+          expect_ok "auto-commit" (req svc (Printf.sprintf "CREATE (:W {i: %d})" i))
+        done;
         let s = Shared.stats shared in
+        Alcotest.(check int) "every commit landed" 5 s.Shared.commits;
         Alcotest.(check int) "flush per commit" s.Shared.commits
           s.Shared.flushes;
         Alcotest.(check int) "no grouping" 1 s.Shared.max_batch);
