@@ -277,4 +277,3 @@ let rec pp_query ppf q =
 let query_to_string q = Fmt.str "@[<h>%a@]" pp_query q
 let expr_to_string e = Fmt.str "%a" pp_expr e
 let clause_to_string c = Fmt.str "@[<h>%a@]" pp_clause c
-let pattern_to_string p = Fmt.str "%a" pp_pattern p

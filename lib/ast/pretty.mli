@@ -21,4 +21,3 @@ val pp_query : Format.formatter -> query -> unit
 val query_to_string : query -> string
 val expr_to_string : expr -> string
 val clause_to_string : clause -> string
-val pattern_to_string : pattern -> string

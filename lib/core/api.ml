@@ -120,7 +120,6 @@ let check_params_supplied params required =
     {!prepare}, executed many times with {!execute} /
     {!execute_full}. *)
 type prepared = {
-  p_src : string;
   p_prefix : Parser.prefix;
   p_query : Cypher_ast.Ast.query;
   p_config : Config.t;
@@ -144,7 +143,6 @@ let prepare ?(config = Config.revised) src :
       | Ok q ->
           Ok
             {
-              p_src = src;
               p_prefix = prefix;
               p_query = q;
               p_config = config;
@@ -155,8 +153,6 @@ let prepare ?(config = Config.revised) src :
 (** Parameters the compiled statement references: name and (line,
     column) of the first occurrence, in first-occurrence order. *)
 let prepared_params p = p.p_params
-
-let prepared_source p = p.p_src
 
 (** [prepared_updates p] is true when the compiled statement contains an
     update clause in any UNION branch.  EXPLAIN never executes, so it is

@@ -104,9 +104,6 @@ val execute_full :
     column) of the first occurrence, in first-occurrence order. *)
 val prepared_params : prepared -> (string * (int * int)) list
 
-(** The statement text the compilation started from, verbatim. *)
-val prepared_source : prepared -> string
-
 (** [prepared_updates p] is true when the compiled statement contains an
     update clause in any UNION branch — EXPLAIN statements never execute
     and are always reads. *)

@@ -104,7 +104,3 @@ let stats t =
     evictions = t.evictions;
     invalidations = t.invalidations;
   }
-
-let pp_stats ppf (s : stats) =
-  Format.fprintf ppf "hits=%d misses=%d evictions=%d invalidations=%d" s.hits
-    s.misses s.evictions s.invalidations

@@ -37,4 +37,3 @@ val add : 'a t -> string -> 'a -> unit
 val invalidate : 'a t -> unit
 
 val stats : 'a t -> stats
-val pp_stats : Format.formatter -> stats -> unit

@@ -46,10 +46,6 @@ type journal_entry = {
     step when a journal sink was attached mid-transaction). *)
 type tx_frame = {
   fr_snapshot : Graph.t;  (** graph to restore on rollback / failed flush *)
-  fr_journaled : bool;
-      (** whether a journal sink was attached when this transaction
-          began; statements run while [false] keep the legacy
-          flush-immediately behaviour *)
   mutable fr_entries : journal_entry list;  (** newest-first *)
 }
 
@@ -144,7 +140,6 @@ let register_prop_index s ~label ~key =
   s.graph <- Graph.add_prop_index ~label ~key s.graph;
   Plan_cache.invalidate s.cache
 let set_journal s sink = s.journal <- sink
-let journal_attached s = s.journal <> None
 
 (** Transaction depth: 0 outside any transaction. *)
 let depth s = List.length s.frames
@@ -153,7 +148,7 @@ let in_transaction s = s.frames <> []
 
 let begin_tx s =
   s.frames <-
-    { fr_snapshot = s.graph; fr_journaled = s.journal <> None; fr_entries = [] }
+    { fr_snapshot = s.graph; fr_entries = [] }
     :: s.frames
 
 let flush s entries =
@@ -216,6 +211,22 @@ let rollback s =
 let effective_config s =
   if s.journal <> None then Config.with_stats true s.config else s.config
 
+(* Buffers [entry] in the innermost open transaction, or writes it ahead
+   outside one, then moves the graph to [graph']; a failed append leaves
+   the graph where it was. *)
+let record s entry graph' =
+  match s.frames with
+  | frame :: _ ->
+      frame.fr_entries <- entry :: frame.fr_entries;
+      s.graph <- graph';
+      Ok ()
+  | [] -> (
+      match flush s [ entry ] with
+      | Ok () ->
+          s.graph <- graph';
+          Ok ()
+      | Error e -> Error e)
+
 (** Records a successful statement into the journal (write-ahead when
     outside a transaction) and advances the session graph.  Read-only
     statements — no net update — journal nothing. *)
@@ -233,17 +244,7 @@ let advance s ~src (r : Api.result) =
         je_kind = `Statement;
       }
     in
-    match s.frames with
-    | frame :: _ when frame.fr_journaled ->
-        frame.fr_entries <- entry :: frame.fr_entries;
-        s.graph <- r.Api.r_graph;
-        Ok r
-    | _ -> (
-        match flush s [ entry ] with
-        | Ok () ->
-            s.graph <- r.Api.r_graph;
-            Ok r
-        | Error e -> Error e)
+    Result.map (fun () -> r) (record s entry r.Api.r_graph)
 
 (** [advance_bulk s ~src ~stats graph'] journals one externally-applied
     bulk batch — [src] is the frame payload ([Cypher_storage.Bulk]'s
@@ -260,17 +261,7 @@ let advance_bulk s ~src ~stats graph' =
     let entry =
       { je_src = src; je_stats = stats; je_config = s.config; je_kind = `Bulk }
     in
-    match s.frames with
-    | frame :: _ when frame.fr_journaled ->
-        frame.fr_entries <- entry :: frame.fr_entries;
-        s.graph <- graph';
-        Ok ()
-    | _ -> (
-        match flush s [ entry ] with
-        | Ok () ->
-            s.graph <- graph';
-            Ok ()
-        | Error e -> Error e)
+    record s entry graph'
 
 (* Compile through the plan cache: a hit skips lexing, parsing,
    validation and (via the statement's plan memo) match planning.

@@ -55,12 +55,12 @@ val register_prop_index : t -> label:string -> key:string -> unit
 
 (** [set_journal s sink] attaches (or, with [None], detaches) the
     journal sink.  While attached, update-counter collection is forced
-    on (the counters decide what to journal).  A sink that raises makes
-    the triggering statement or commit fail without advancing the
-    graph. *)
+    on (the counters decide what to journal).  Inside a transaction,
+    entries buffer in the innermost open frame, also in one begun
+    before the sink was attached, so a rollback journals nothing.  A
+    sink that raises makes the triggering statement or commit fail
+    without advancing the graph. *)
 val set_journal : t -> (journal_entry list -> unit) option -> unit
-
-val journal_attached : t -> bool
 
 (** Transaction depth: 0 outside any transaction. *)
 val depth : t -> int

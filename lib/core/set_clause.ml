@@ -49,12 +49,12 @@ let resolve_props config g row e : Props.t =
         (Value.to_string v)
 
 (* ------------------------------------------------------------------ *)
-(* Legacy: immediate application                                      *)
+(* Writes                                                             *)
 (* ------------------------------------------------------------------ *)
 
 (* The apply_* helpers are the single point every property/label write
-   funnels through (legacy immediate application, atomic apply_change,
-   MERGE's ON CREATE / ON MATCH), so the stats touches recorded here are
+   funnels through (apply_change, under both semantics and MERGE's
+   ON CREATE / ON MATCH), so the stats touches recorded here are
    exhaustive.  Touches are recorded only for entities that exist at
    write time — a legacy SET on a deleted node is a graph no-op
    (Section 4.2's "empty node") and must be a stats no-op too. *)
@@ -94,13 +94,6 @@ let apply_replace ~stats g target props =
   | T_node id -> Graph.replace_node_props g id props
   | T_rel id -> Graph.replace_rel_props g id props
 
-let apply_merge ~stats g target props =
-  (if Stats.enabled stats && target_alive g target then
-     List.iter (fun (k, _) -> touch_prop stats g target k) (Props.bindings props));
-  match target with
-  | T_node id -> Graph.merge_node_props g id props
-  | T_rel id -> Graph.merge_rel_props g id props
-
 let apply_labels ~stats g target labels =
   match target with
   | T_node id ->
@@ -111,37 +104,6 @@ let apply_labels ~stats g target labels =
       Graph.add_labels g id labels
   | T_rel _ ->
       Errors.update_error "labels can only be set on nodes"
-
-let legacy_item config ~stats g row item =
-  match item with
-  | Set_prop (e, k, ve) -> (
-      match resolve_target config g row e with
-      | None -> g
-      | Some t ->
-          let v = Eval.eval (Runtime.ctx config g row) ve in
-          apply_prop ~stats g t k v)
-  | Set_all_props (e, me) -> (
-      match resolve_target config g row e with
-      | None -> g
-      | Some t -> apply_replace ~stats g t (resolve_props config g row me))
-  | Set_merge_props (e, me) -> (
-      match resolve_target config g row e with
-      | None -> g
-      | Some t -> apply_merge ~stats g t (resolve_props config g row me))
-  | Set_labels (e, ls) -> (
-      match resolve_target config g row e with
-      | None -> g
-      | Some t -> apply_labels ~stats g t ls)
-
-let run_legacy config ~stats (g, t) items =
-  let rows = Config.arrange_rows config (Table.rows t) in
-  let g =
-    List.fold_left
-      (fun g row ->
-        List.fold_left (fun g item -> legacy_item config ~stats g row item) g items)
-      g rows
-  in
-  (g, t)
 
 (* ------------------------------------------------------------------ *)
 (* Revised: collect, check, apply                                     *)
@@ -253,6 +215,26 @@ let run_atomic config ~stats (g, t) items =
   let order = function C_replace _ -> 0 | C_prop _ -> 1 | C_labels _ -> 2 in
   let changes = List.stable_sort (fun a b -> compare (order a) (order b)) changes in
   let g = List.fold_left (apply_change ~stats) g changes in
+  (g, t)
+
+(* ------------------------------------------------------------------ *)
+(* Legacy: immediate application                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* one item under one record, collected against the current graph and
+   applied at once, so the next item sees it *)
+let legacy_item config ~stats g row item =
+  List.fold_left (apply_change ~stats) g
+    (List.rev (collect_item config g row item []))
+
+let run_legacy config ~stats (g, t) items =
+  let rows = Config.arrange_rows config (Table.rows t) in
+  let g =
+    List.fold_left
+      (fun g row ->
+        List.fold_left (fun g item -> legacy_item config ~stats g row item) g items)
+      g rows
+  in
   (g, t)
 
 let run config ~stats (g, t) items =

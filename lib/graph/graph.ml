@@ -262,7 +262,6 @@ let incident_rels_typed g id ty =
        (tset_find ty (tmap_find id g.in_typed)))
 
 let out_degree_typed g id ty = Ids.cardinal (tset_find ty (tmap_find id g.out_typed))
-let in_degree_typed g id ty = Ids.cardinal (tset_find ty (tmap_find id g.in_typed))
 
 let type_count g ty = Option.value (Smap.find_opt ty g.type_counts) ~default:0
 let label_count g label = Ids.cardinal (tset_find label g.label_index)
@@ -508,12 +507,6 @@ let replace_node_props g id props =
   update_node g id (fun n -> { n with n_props = props })
 
 let replace_rel_props g id props = update_rel_props g id (fun _ -> props)
-
-let merge_node_props g id extra =
-  update_node g id (fun n -> { n with n_props = Props.merge_into n.n_props extra })
-
-let merge_rel_props g id extra =
-  update_rel_props g id (fun p -> Props.merge_into p extra)
 
 let add_label g id label =
   update_node g id (fun n -> { n with labels = Sset.add label n.labels })

@@ -105,7 +105,6 @@ val in_rels_typed : t -> node_id -> string -> rel list
 val incident_rels_typed : t -> node_id -> string -> rel list
 
 val out_degree_typed : t -> node_id -> string -> int
-val in_degree_typed : t -> node_id -> string -> int
 
 (** Raw adjacency id-sets, for callers that fold over neighbours without
     materialising relationship lists (the matcher's hop enumeration).
@@ -159,8 +158,6 @@ val remove_node_prop : t -> node_id -> string -> t
 val remove_rel_prop : t -> rel_id -> string -> t
 val replace_node_props : t -> node_id -> Props.t -> t
 val replace_rel_props : t -> rel_id -> Props.t -> t
-val merge_node_props : t -> node_id -> Props.t -> t
-val merge_rel_props : t -> rel_id -> Props.t -> t
 val add_label : t -> node_id -> string -> t
 val add_labels : t -> node_id -> string list -> t
 val remove_label : t -> node_id -> string -> t

@@ -58,11 +58,6 @@ type t = {
   mutable flushes : int;
   mutable max_batch : int;
   mutable flush_failures : int;
-  mutable last_batch : int;
-      (** size of the most recent batch — the commit-delay heuristic:
-          when the previous flush carried siblings, the writers it
-          resolved are mid-turnaround and worth waiting a tick for,
-          even though the queue looks empty right now *)
 }
 
 let create ?sink graph =
@@ -78,7 +73,6 @@ let create ?sink graph =
     flushes = 0;
     max_batch = 0;
     flush_failures = 0;
-    last_batch = 0;
   }
 
 (** [current t] pins the latest committed state: [(version, head)].
@@ -102,14 +96,6 @@ let stats t =
   Mutex.unlock t.lock;
   r
 
-(* must hold the lock; takes the batch the leader will execute *)
-let drain t =
-  let xs = ref [] in
-  while not (Queue.is_empty t.queue) do
-    xs := Queue.pop t.queue :: !xs
-  done;
-  List.rev !xs
-
 (** [commit t exec] runs one transaction through the committer and
     blocks until its batch resolves.  [exec head] is called on the
     committer's thread with the graph the transaction ends up stacked
@@ -121,117 +107,72 @@ let commit t exec : (int, string) result =
   let rq = { rq_exec = exec; rq_result = None } in
   Mutex.lock t.lock;
   Queue.add rq t.queue;
+  (* an unresolved request with no flush in flight is still queued: the
+     only leader that could have taken it resolves it before clearing
+     [flushing] *)
   let rec wait_or_lead () =
     match rq.rq_result with
     | Some r -> r
+    | None when t.flushing ->
+        Condition.wait t.resolved t.lock;
+        wait_or_lead ()
     | None ->
-        if t.flushing || Queue.is_empty t.queue then begin
-          Condition.wait t.resolved t.lock;
-          wait_or_lead ()
-        end
-        else begin
-          (* leader: take a batch and run it outside the lock, so
-             readers pinning the head never wait behind an fsync *)
-          t.flushing <- true;
-          let working = ref t.head in
-          let applied_rev = ref [] and failed_rev = ref [] in
-          let taken = ref 0 in
-          (* drains whatever is queued and executes it immediately —
-             called under the lock, executes outside it.  Members are
-             executed as they arrive, so execution rides inside the
-             commit-delay window instead of extending the round after
-             it. *)
-          let take_and_exec () =
-            let batch = drain t in
-            taken := !taken + List.length batch;
-            Mutex.unlock t.lock;
+        (* leader: take the queue once and run it outside the lock, so
+           readers pinning the head never wait behind an fsync;
+           requests arriving meanwhile wait for the next leader *)
+        t.flushing <- true;
+        let batch = List.of_seq (Queue.to_seq t.queue) in
+        Queue.clear t.queue;
+        let working = ref t.head in
+        Mutex.unlock t.lock;
+        let applied_rev = ref [] and failed = ref [] in
+        List.iter
+          (fun r ->
+            match r.rq_exec !working with
+            | Ok (g, entries) ->
+                working := g;
+                applied_rev := (r, g, entries) :: !applied_rev
+            | Error m -> failed := (r, m) :: !failed
+            | exception e -> failed := (r, Printexc.to_string e) :: !failed)
+          batch;
+        let applied = List.rev !applied_rev in
+        let entries = List.concat_map (fun (_, _, es) -> es) applied in
+        let flushed =
+          match t.sink with
+          | Some sink when entries <> [] -> (
+              try
+                sink entries;
+                Ok ()
+              with
+              | Errors.Error e -> Error (Errors.to_string e)
+              | e -> Error (Printexc.to_string e))
+          | _ -> Ok ()
+        in
+        Mutex.lock t.lock;
+        t.flushes <- t.flushes + 1;
+        t.max_batch <- max t.max_batch (List.length batch);
+        List.iter (fun (r, m) -> r.rq_result <- Some (Error m)) !failed;
+        (match flushed with
+        | Ok () ->
             List.iter
-              (fun r ->
-                match r.rq_exec !working with
-                | Ok (g, entries) ->
-                    working := g;
-                    applied_rev := (r, g, entries) :: !applied_rev
-                | Error m -> failed_rev := (r, m) :: !failed_rev
-                | exception e ->
-                    failed_rev := (r, Printexc.to_string e) :: !failed_rev)
-              batch;
-            Mutex.lock t.lock
-          in
-          (* commit delay: when other committers are queued (siblings)
-             or the previous batch carried some — in which case the
-             writers it resolved are mid-turnaround right now — hold
-             the flush for a tick while requests keep arriving, so the
-             batch carries them too.  Without the look-behind the
-             committer alternates full and singleton flushes: after a
-             full batch resolves, the first re-submitter finds an
-             empty queue and fsyncs alone.  The sleep is a real
-             blocking sleep (a plain yield does not reliably hand the
-             core to the resolving connections); a lone committer
-             (no siblings, last batch of one) never pays it. *)
-          let target = max (Queue.length t.queue) t.last_batch in
-          take_and_exec ();
-          if target > 1 then begin
-            let rec settle tries =
-              if tries > 0 && !taken < target then begin
-                Mutex.unlock t.lock;
-                (* the kernel rounds any nanosleep up to ~80us here;
-                   ask for the minimum — one tick is enough for every
-                   runnable connection to answer its client and
-                   re-enqueue *)
-                Thread.delay 1e-6;
-                Mutex.lock t.lock;
-                if not (Queue.is_empty t.queue) then begin
-                  take_and_exec ();
-                  settle (tries - 1)
-                end
-                (* no arrivals in a whole tick: flush what we have *)
-              end
-            in
-            settle 8
-          end;
-          Mutex.unlock t.lock;
-          let applied = List.rev !applied_rev in
-          let failed = !failed_rev in
-          let entries = List.concat_map (fun (_, _, es) -> es) applied in
-          let flushed =
-            match t.sink with
-            | Some sink when entries <> [] -> (
-                try
-                  sink entries;
-                  Ok ()
-                with
-                | Errors.Error e -> Error (Errors.to_string e)
-                | e -> Error (Printexc.to_string e))
-            | _ -> Ok ()
-          in
-          Mutex.lock t.lock;
-          t.flushes <- t.flushes + 1;
-          let n = !taken in
-          if n > t.max_batch then t.max_batch <- n;
-          t.last_batch <- n;
-          List.iter (fun (r, m) -> r.rq_result <- Some (Error m)) failed;
-          (match flushed with
-          | Ok () ->
-              List.iter
-                (fun (r, g, _) ->
-                  t.version <- t.version + 1;
-                  t.head <- g;
-                  t.commits <- t.commits + 1;
-                  r.rq_result <- Some (Ok t.version))
-                applied
-          | Error m ->
-              (* the whole batch rolls back: the head never moved and
-                 nothing durable was written for it.  Members-only by
-                 construction — later requests are still unexecuted. *)
-              t.flush_failures <- t.flush_failures + 1;
-              List.iter
-                (fun (r, _, _) ->
-                  r.rq_result <- Some (Error ("journal flush failed: " ^ m)))
-                applied);
-          t.flushing <- false;
-          Condition.broadcast t.resolved;
-          wait_or_lead ()
-        end
+              (fun (r, g, _) ->
+                t.version <- t.version + 1;
+                t.head <- g;
+                t.commits <- t.commits + 1;
+                r.rq_result <- Some (Ok t.version))
+              applied
+        | Error m ->
+            (* the whole batch rolls back: the head never moved and
+               nothing durable was written for it.  Members-only by
+               construction — later requests are still unexecuted. *)
+            t.flush_failures <- t.flush_failures + 1;
+            List.iter
+              (fun (r, _, _) ->
+                r.rq_result <- Some (Error ("journal flush failed: " ^ m)))
+              applied);
+        t.flushing <- false;
+        Condition.broadcast t.resolved;
+        wait_or_lead ()
   in
   let r = wait_or_lead () in
   Mutex.unlock t.lock;

@@ -15,9 +15,6 @@ type t = { columns : string list; rows : Record.t list }
     statement (Section 8.1). *)
 let unit = { columns = []; rows = [ Record.empty ] }
 
-(** The empty table: no rows at all. *)
-let empty_over columns = { columns; rows = [] }
-
 let columns t = t.columns
 let rows t = t.rows
 let row_count t = List.length t.rows
@@ -106,8 +103,6 @@ let union t1 t2 = distinct (bag_union t1 t2)
 (** [project names t] is the projection π_names(t) (bag semantics: row
     count is preserved). *)
 let project names t = make names t.rows
-
-let order_by cmp t = { t with rows = List.stable_sort cmp t.rows }
 
 let skip n t = { t with rows = Cypher_util.Listx.drop n t.rows }
 let limit n t = { t with rows = Cypher_util.Listx.take n t.rows }

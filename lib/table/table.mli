@@ -12,9 +12,6 @@ type t
     every statement (Section 8.1). *)
 val unit : t
 
-(** The empty table: no rows at all. *)
-val empty_over : string list -> t
-
 val columns : t -> string list
 
 (** [dedup_columns columns] drops repeated names, first occurrence
@@ -62,7 +59,6 @@ val union : t -> t -> t
     count is preserved). *)
 val project : string list -> t -> t
 
-val order_by : (Record.t -> Record.t -> int) -> t -> t
 val skip : int -> t -> t
 val limit : int -> t -> t
 

@@ -85,9 +85,9 @@ let suite =
         let a, g = Graph.create_node ~props:(Props.of_list [ ("x", vint 1); ("y", vint 2) ]) Graph.empty in
         let g = Graph.set_node_prop g a "x" (vint 10) in
         check_value "set" (vint 10) (Props.get (Graph.node_props_of g a) "x");
-        let g = Graph.merge_node_props g a (Props.of_list [ ("z", vint 3) ]) in
-        check_value "merged keeps y" (vint 2) (Props.get (Graph.node_props_of g a) "y");
-        check_value "merged adds z" (vint 3) (Props.get (Graph.node_props_of g a) "z");
+        let g = Graph.set_node_prop g a "z" (vint 3) in
+        check_value "set keeps y" (vint 2) (Props.get (Graph.node_props_of g a) "y");
+        check_value "set adds z" (vint 3) (Props.get (Graph.node_props_of g a) "z");
         let g = Graph.replace_node_props g a (Props.of_list [ ("only", vint 9) ]) in
         Alcotest.(check (list string)) "replace" [ "only" ]
           (Props.keys (Graph.node_props_of g a)));
@@ -277,7 +277,7 @@ let derived_adjacency_tests =
         let r, g = Graph.create_rel ~src:a ~tgt:b ~r_type:"T" g in
         let _, g = Graph.create_rel ~src:b ~tgt:a ~r_type:"U" g in
         let g = Graph.set_rel_prop g r "w" (vint 1) in
-        let g = Graph.merge_rel_props g r (Props.of_list [ ("v", vint 2) ]) in
+        let g = Graph.set_rel_prop g r "v" (vint 2) in
         let g = Graph.remove_rel_prop g r "w" in
         let g = Graph.replace_rel_props g r (Props.of_list [ ("z", vint 3) ]) in
         check_adjacency "after updates" g;

@@ -36,6 +36,54 @@ let expect_err name lines =
     Alcotest.failf "%s: expected ERR, got %s" name
       (String.concat " / " lines)
 
+(* One grouped round: a holder's commit parks its leader in the first
+   sink call; meanwhile three good writers and one whose statement fails
+   at execution queue up, so the next leader takes all four as one
+   batch.  [fail_grouped] makes the sink fail on that second flush.
+   Returns the shared state, the good writers' responses and the bad
+   writer's. *)
+let grouped_round ~fail_grouped =
+  let calls = Atomic.make 0 and released = Atomic.make false in
+  let sink _ =
+    match Atomic.fetch_and_add calls 1 with
+    | 0 ->
+        while not (Atomic.get released) do
+          Thread.delay 0.001
+        done
+    | 1 when fail_grouped -> failwith "disk full"
+    | _ -> ()
+  in
+  let shared = Shared.create ~sink Graph.empty in
+  let held = ref [] in
+  let holder =
+    Thread.create (fun () -> held := req (Service.create shared) "CREATE (:H)") ()
+  in
+  while Atomic.get calls = 0 do
+    Thread.delay 0.001
+  done;
+  let stmts =
+    [ "CREATE (:X {k: (1 / 0)})"; "CREATE (:G {i: 1})"; "CREATE (:G {i: 2})";
+      "CREATE (:G {i: 3})" ]
+  in
+  let responses = Array.make (List.length stmts) [] in
+  let writers =
+    List.mapi
+      (fun i stmt ->
+        Thread.create
+          (fun () -> responses.(i) <- req (Service.create shared) stmt)
+          ())
+      stmts
+  in
+  (* the writers only parse and enqueue; give them ample time to queue
+     behind the parked leader before releasing it *)
+  Thread.delay 0.3;
+  Atomic.set released true;
+  List.iter Thread.join (holder :: writers);
+  expect_ok "holder" !held;
+  match Array.to_list responses with
+  | bad :: good -> (shared, good, bad)
+  | [] -> assert false
+
 let shared_tests =
   [
     case "auto-commit updates advance the shared head" (fun () ->
@@ -152,9 +200,8 @@ let shared_tests =
           true
           (s.Shared.max_batch > 1));
     case "a lone committer flushes once per commit" (fun () ->
-        (* sequential auto-commits on one connection: every leader finds
-           no siblings and a previous batch of one, so it flushes its
-           own commit without the commit delay *)
+        (* sequential auto-commits on one connection: each commit finds
+           only itself queued, so every round flushes one commit *)
         let shared = Shared.create ~sink:(fun _ -> ()) Graph.empty in
         let svc = Service.create shared in
         for i = 1 to 5 do
@@ -195,6 +242,36 @@ let shared_tests =
           (Graph.node_count (snd (Shared.current shared)));
         Alcotest.(check int) "version only bumped once" 1
           (fst (Shared.current shared)));
+    case "a failing member of a grouped batch aborts alone" (fun () ->
+        let shared, good, bad = grouped_round ~fail_grouped:false in
+        List.iter (expect_ok "good writer") good;
+        expect_err "bad writer" bad;
+        let s = Shared.stats shared in
+        Alcotest.(check int) "holder's flush, then one grouped flush" 2
+          s.Shared.flushes;
+        Alcotest.(check bool)
+          (Printf.sprintf "the writers were grouped (max %d)" s.Shared.max_batch)
+          true
+          (s.Shared.max_batch >= 2);
+        let _, head = Shared.current shared in
+        Alcotest.(check int) "good writers' nodes" 3 (Graph.label_count head "G");
+        Alcotest.(check int) "no bad node" 0 (Graph.label_count head "X");
+        Alcotest.(check int) "holder plus good writers" 4
+          (Graph.node_count head));
+    case "a failing grouped flush rolls back every member" (fun () ->
+        let shared, good, bad = grouped_round ~fail_grouped:true in
+        List.iter (expect_err "batch member") (bad :: good);
+        let s = Shared.stats shared in
+        Alcotest.(check int) "one flush failure" 1 s.Shared.flush_failures;
+        Alcotest.(check bool)
+          (Printf.sprintf "the writers were grouped (max %d)" s.Shared.max_batch)
+          true
+          (s.Shared.max_batch >= 2);
+        Alcotest.(check int) "only the holder committed" 1
+          (Graph.node_count (snd (Shared.current shared)));
+        expect_ok "later commit" (req (Service.create shared) "CREATE (:G)");
+        Alcotest.(check int) "later commit lands" 1
+          (Graph.label_count (snd (Shared.current shared)) "G"));
     case "concurrent snapshot readers overlap a writer cleanly" (fun () ->
         (* tier-1 smoke for the read path: several reader threads pin
            snapshots and re-read them while a writer thread commits;

@@ -353,6 +353,17 @@ let session_journal_tests =
         Alcotest.(check int) "empty journal" 0 (List.length !log);
         Alcotest.(check int) "graph rolled back" 0
           (Graph.node_count (Session.graph s)));
+    case "a sink attached mid-transaction journals nothing on rollback"
+      (fun () ->
+        let log = ref [] in
+        let s = Session.create Graph.empty in
+        Session.begin_tx s;
+        Session.set_journal s (sink_into log);
+        ignore (run_ok s "CREATE (:A)");
+        (match Session.rollback s with Ok () -> () | Error m -> Alcotest.fail m);
+        Alcotest.(check (list string)) "sink received nothing" [] (srcs log);
+        Alcotest.(check int) "graph rolled back" 0
+          (Graph.node_count (Session.graph s)));
     case "inner rollback drops only the inner entries" (fun () ->
         let log = ref [] in
         let s = Session.create Graph.empty in
