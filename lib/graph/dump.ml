@@ -39,11 +39,23 @@ let is_plain_ident s =
        (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false)
        s
 
+(* a backtick inside the identifier is escaped by doubling it *)
+let add_ident buf s =
+  if is_plain_ident s then Buffer.add_string buf s
+  else begin
+    Buffer.add_char buf '`';
+    String.iter
+      (fun ch -> if ch = '`' then Buffer.add_string buf "``" else Buffer.add_char buf ch)
+      s;
+    Buffer.add_char buf '`'
+  end
+
 let quote_ident s =
   if is_plain_ident s then s
   else
-    (* a backtick inside the identifier is escaped by doubling it *)
-    "`" ^ String.concat "``" (String.split_on_char '`' s) ^ "`"
+    let buf = Buffer.create (String.length s + 2) in
+    add_ident buf s;
+    Buffer.contents buf
 
 (* [%.12g] first (shorter and usually exact), [%.17g] when the short
    form does not reparse to the same float.  An integral float below
@@ -58,51 +70,91 @@ let float_literal f =
       let long = Printf.sprintf "%.17g" f in
       if String.exists (fun ch -> ch = '.' || ch = 'e') long then long else long ^ ".0"
 
-(** A Cypher expression that evaluates back to exactly [v].  Raises
-    [Invalid_argument] on entity references ([Node]/[Rel]/[Path]), which
-    are identities into a particular graph, not storable values. *)
-let rec value_literal (v : Value.t) : string =
+(* [(-4611686018427387903 - 1)] on 64 bits *)
+let min_int_literal = Printf.sprintf "(-%d - 1)" max_int
+
+(* [iter] calls its argument on each entry in key order *)
+let rec add_entries buf iter =
+  Buffer.add_char buf '{';
+  let first = ref true in
+  iter (fun k v ->
+      if not !first then Buffer.add_string buf ", ";
+      first := false;
+      add_ident buf k;
+      Buffer.add_string buf ": ";
+      add_value buf v);
+  Buffer.add_char buf '}'
+
+(** [add_value buf v] appends [value_literal v] to [buf]: the one writer
+    behind literals, snapshot property maps and bulk frames. *)
+and add_value buf (v : Value.t) =
   match v with
-  | Value.Null -> "null"
-  | Value.Bool b -> if b then "true" else "false"
+  | Value.Null -> Buffer.add_string buf "null"
+  | Value.Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Value.Int i ->
-      if i = min_int then Printf.sprintf "(-%d - 1)" max_int
-      else string_of_int i
+      Buffer.add_string buf (if i = min_int then min_int_literal else string_of_int i)
   | Value.Float f ->
-      if Float.is_nan f then "(0.0 / 0.0)"
-      else if f = Float.infinity then "(1.0 / 0.0)"
-      else if f = Float.neg_infinity then "(-1.0 / 0.0)"
-      else float_literal f
-  | Value.String s -> "'" ^ Value.escape_string s ^ "'"
-  | Value.List l -> "[" ^ String.concat ", " (List.map value_literal l) ^ "]"
-  | Value.Map m ->
-      "{"
-      ^ String.concat ", "
-          (List.map
-             (fun (k, x) -> quote_ident k ^ ": " ^ value_literal x)
-             (Smap.bindings m))
-      ^ "}"
+      Buffer.add_string buf
+        (if Float.is_nan f then "(0.0 / 0.0)"
+         else if f = Float.infinity then "(1.0 / 0.0)"
+         else if f = Float.neg_infinity then "(-1.0 / 0.0)"
+         else float_literal f)
+  | Value.String s ->
+      Buffer.add_char buf '\'';
+      Value.add_escaped buf s;
+      Buffer.add_char buf '\''
+  | Value.List l ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i x ->
+          if i > 0 then Buffer.add_string buf ", ";
+          add_value buf x)
+        l;
+      Buffer.add_char buf ']'
+  | Value.Map m -> add_entries buf (fun f -> Smap.iter f m)
   | Value.Node _ | Value.Rel _ | Value.Path _ ->
       invalid_arg
         ("Dump.to_cypher: entity reference " ^ Value.to_string v
        ^ " is not a storable property value")
 
-let add_props buf props =
-  if not (Props.is_empty props) then
-    Printf.bprintf buf " {%s}"
-      (String.concat ", "
-         (List.map (fun (k, v) -> quote_ident k ^ ": " ^ value_literal v) (Props.bindings props)))
+(** A Cypher expression that evaluates back to exactly [v].  Raises
+    [Invalid_argument] on entity references ([Node]/[Rel]/[Path]), which
+    are identities into a particular graph, not storable values. *)
+let value_literal (v : Value.t) : string =
+  let buf = Buffer.create 16 in
+  add_value buf v;
+  Buffer.contents buf
+
+(** [add_props buf props] appends [props] as a map literal, in key
+    order; an empty map is [{}]. *)
+let add_props buf props = add_entries buf (fun f -> Props.iter f props)
 
 let add_node buf (n : Graph.node) =
-  Printf.bprintf buf "(n%d" n.Graph.n_id;
-  Sset.iter (fun l -> Printf.bprintf buf ":%s" (quote_ident l)) n.Graph.labels;
-  add_props buf n.Graph.n_props;
+  Buffer.add_string buf "(n";
+  Buffer.add_string buf (string_of_int n.Graph.n_id);
+  Sset.iter
+    (fun l ->
+      Buffer.add_char buf ':';
+      add_ident buf l)
+    n.Graph.labels;
+  if not (Props.is_empty n.Graph.n_props) then begin
+    Buffer.add_char buf ' ';
+    add_props buf n.Graph.n_props
+  end;
   Buffer.add_char buf ')'
 
 let add_rel buf (r : Graph.rel) =
-  Printf.bprintf buf "(n%d)-[:%s" r.Graph.src (quote_ident r.Graph.r_type);
-  add_props buf r.Graph.r_props;
-  Printf.bprintf buf "]->(n%d)" r.Graph.tgt
+  Buffer.add_string buf "(n";
+  Buffer.add_string buf (string_of_int r.Graph.src);
+  Buffer.add_string buf ")-[:";
+  add_ident buf r.Graph.r_type;
+  if not (Props.is_empty r.Graph.r_props) then begin
+    Buffer.add_char buf ' ';
+    add_props buf r.Graph.r_props
+  end;
+  Buffer.add_string buf "]->(n";
+  Buffer.add_string buf (string_of_int r.Graph.tgt);
+  Buffer.add_char buf ')'
 
 (* the script below, written entity by entity into [buf] *)
 let add_cypher buf (g : Graph.t) =

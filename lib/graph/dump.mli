@@ -27,6 +27,10 @@ val add_cypher : Buffer.t -> Graph.t -> unit
     @raise Invalid_argument on [Node]/[Rel]/[Path] values. *)
 val value_literal : Value.t -> string
 
+(** [add_props buf p] appends [value_literal (Props.to_value p)] to
+    [buf]: the map literal of [p], in key order. *)
+val add_props : Buffer.t -> Props.t -> unit
+
 (** [quote_ident s] backtick-quotes [s] unless it is a plain identifier;
     embedded backticks are doubled. *)
 val quote_ident : string -> string

@@ -87,15 +87,7 @@ let to_map p =
 
 let bindings p = List.init (Array.length p.keys) (fun i -> (p.keys.(i), p.vals.(i)))
 let keys p = Array.to_list p.keys
-
-(** [merge_into base extra] is the semantics of [SET n += map]: keys of
-    [extra] overwrite those of [base]. *)
-let merge_into base extra =
-  if is_empty base then extra
-  else
-    let acc = ref base in
-    Array.iteri (fun i k -> acc := set !acc k extra.vals.(i)) extra.keys;
-    !acc
+let iter f p = Array.iteri (fun i k -> f k p.vals.(i)) p.keys
 
 (** Strict equality of property maps (null-free by construction, so
     structural equality of stored values suffices).  This is the equality

@@ -47,11 +47,10 @@ val bindings : t -> (string * Value.t) list
 (** In ascending order. *)
 val keys : t -> string list
 
-val is_empty : t -> bool
+(** [iter f p] calls [f k v] on each binding, in key order. *)
+val iter : (string -> Value.t -> unit) -> t -> unit
 
-(** [merge_into base extra] is the semantics of [SET n += map]: keys of
-    [extra] overwrite those of [base]. *)
-val merge_into : t -> t -> t
+val is_empty : t -> bool
 
 (** The equality used by the collapsibility relation of Section 8.2:
     ι′(x1,k) = ι′(x2,k) for every key k, absent keys being null. *)

@@ -83,6 +83,9 @@ val compare_tri : t -> t -> (int, unit) result
     re-lexes to exactly [s]. *)
 val escape_string : string -> string
 
+(** [add_escaped buf s] appends [escape_string s] to [buf]. *)
+val add_escaped : Buffer.t -> string -> unit
+
 (** Prints in Cypher literal syntax where one exists. *)
 val pp : Format.formatter -> t -> unit
 

@@ -48,11 +48,24 @@
     {!apply_frame} threads an id map (raw id → created node) across the
     frames of a replay; a later load reusing a raw id simply overwrites
     the entry, which is exactly the binding its own relationships saw at
-    original execution.  The loader itself applies the very frames it
-    journals, so load and recovery share one code path. *)
+    original execution.
+
+    {2 Load and replay}
+
+    The loader does not read its frames back: validation interns every
+    row's labels, type, property map and scalars through one {!Share}
+    table, and each batch becomes node and relationship records
+    directly — node row [i] gets id [next_id + i], relationship row [j]
+    [next_id + n_nodes + j] — in one {!Graph.add_batch}, while the same
+    rows are written out as the batch's frame text.  {!apply_frame} is
+    recovery's reader only.  The invariant that joins the two paths —
+    replaying a load's frames on the same base rebuilds the graph the
+    load built, down to the ids and the snapshot bytes — is checked by
+    the "a load replays to itself" tests. *)
 
 open Cypher_graph
 open Cypher_core
+open Cypher_util.Maps
 module Csv = Cypher_csv.Csv
 
 type report = {
@@ -62,7 +75,7 @@ type report = {
 }
 
 (** Raw CSV id → internal node id, threaded across the frames of one
-    load (or one recovery replay). *)
+    recovery replay. *)
 type idmap = (string, Graph.node_id) Hashtbl.t
 
 let create_idmap () : idmap = Hashtbl.create 1024
@@ -91,13 +104,18 @@ let fail_file file fmt =
     fmt
 
 (* ------------------------------------------------------------------ *)
-(* Frame encoding                                                     *)
+(* Frame fields                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let enc_opt s = if s = "" then "-" else Wal.pct_encode s
-
-let enc_props (props : Props.t) =
-  if Props.is_empty props then "-" else Wal.encode_params (Props.to_map props)
+(* [-], or the map literal percent-encoded as {!Wal.encode_params}
+   would; [lit] is scratch space for the literal *)
+let add_props_field buf ~lit props =
+  if Props.is_empty props then Buffer.add_char buf '-'
+  else begin
+    Buffer.clear lit;
+    Dump.add_props lit props;
+    Wal.add_pct_encoded buf (Buffer.contents lit)
+  end
 
 let dec_opt s =
   if s = "-" then Some "" else Wal.pct_decode s
@@ -108,26 +126,16 @@ let dec_props share s : Props.t option =
 
 let split_labels s = List.filter (fun l -> l <> "") (String.split_on_char ';' s)
 
-let node_line ~id ~labels ~props =
-  Printf.sprintf "N %s %s %s" (Wal.pct_encode id)
-    (enc_opt (String.concat ";" labels))
-    (enc_props props)
-
-let rel_line ~src ~tgt ~ty ~props =
-  Printf.sprintf "R %s %s %s %s" (Wal.pct_encode src) (Wal.pct_encode tgt)
-    (Wal.pct_encode ty) (enc_props props)
-
 (* ------------------------------------------------------------------ *)
-(* Frame application (shared by load and recovery replay)             *)
+(* Frame application (recovery replay)                                *)
 (* ------------------------------------------------------------------ *)
 
 (** [apply_frame ~ids g payload] applies one bulk frame to [g],
     recording created nodes in [ids] and resolving relationship
     endpoints through it.  Returns the new graph and the frame's net
     update counters (the journal checksum).  [Error] on a malformed
-    line or an endpoint [ids] cannot resolve — during a load that is
-    unreachable (frames are self-generated after validation); during
-    recovery it means journal corruption the CRC did not see. *)
+    line or an endpoint [ids] cannot resolve: journal corruption the
+    CRC did not see. *)
 let apply_frame ~(ids : idmap) (g : Graph.t) (payload : string) :
     (Graph.t * Stats.t, string) result =
   let exception Bad of string in
@@ -190,9 +198,23 @@ let apply_frame ~(ids : idmap) (g : Graph.t) (payload : string) :
 (* Validation                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(** A validated row, ready to frame. *)
-type vnode = { vn_id : string; vn_labels : string list; vn_props : Props.t }
-type vrel = { vr_src : string; vr_tgt : string; vr_ty : string; vr_props : Props.t }
+(** A validated row: the raw fields it frames as, and the interned
+    pieces of the record it becomes. *)
+type vnode = {
+  vn_id : string;
+  vn_labels : string list;  (** as framed, [;]-joined *)
+  vn_label_set : Sset.t;
+  vn_props : Props.t;
+}
+
+type vrel = {
+  vr_src : string;
+  vr_tgt : string;  (** raw ids, as framed *)
+  vr_src_row : int;
+  vr_tgt_row : int;  (** their rows in the node file, from 0 *)
+  vr_ty : string;
+  vr_props : Props.t;
+}
 
 let parse_csv file src =
   match Csv.parse_numbered src with
@@ -220,8 +242,6 @@ let split_header file (line, header) ~required ~special =
   List.mapi (fun i c -> (c, i)) header
   |> List.filter (fun (c, _) -> not (List.mem c special))
 
-let field row i = List.nth row i
-
 let pos header c =
   let rec go i = function
     | [] -> invalid_arg "pos"
@@ -230,16 +250,25 @@ let pos header c =
   in
   go 0 header
 
-let check_width file width (line, row) =
-  let n = List.length row in
+(* the row's fields, once its width matches the header's *)
+let fields file width (line, row) =
+  let row = Array.of_list row in
+  let n = Array.length row in
   if n <> width then
-    fail_at file line "row has %d fields, header has %d" n width
+    fail_at file line "row has %d fields, header has %d" n width;
+  row
 
-let typed_props props_cols row : Props.t =
-  Props.of_list
-    (List.map (fun (c, i) -> (c, Csv.type_field (field row i))) props_cols)
+(* empty fields are null and store nothing *)
+let typed_props share props_cols row : Props.t =
+  Share.props share
+    (List.fold_left
+       (fun m (c, i) ->
+         match Csv.type_field row.(i) with
+         | Value.Null -> m
+         | v -> Smap.add c (Share.value share v) m)
+       Smap.empty props_cols)
 
-let validate_nodes file src : vnode list =
+let validate_nodes share file src : vnode list =
   let header, rows = parse_csv file src in
   let hline, hcols = header in
   let props_cols =
@@ -252,25 +281,26 @@ let validate_nodes file src : vnode list =
   let seen = Hashtbl.create (List.length rows) in
   List.map
     (fun (line, row) ->
-      check_width file width (line, row);
-      let id = field row id_i in
+      let row = fields file width (line, row) in
+      let id = row.(id_i) in
       if id = "" then fail_at file line "empty node id";
       (match Hashtbl.find_opt seen id with
       | Some first ->
           fail_at file line "duplicate node id %S (first seen at line %d)" id
             first
       | None -> Hashtbl.add seen id line);
+      let labels =
+        match labels_i with None -> [] | Some i -> split_labels row.(i)
+      in
       {
         vn_id = id;
-        vn_labels =
-          (match labels_i with
-          | None -> []
-          | Some i -> split_labels (field row i));
-        vn_props = typed_props props_cols row;
+        vn_labels = labels;
+        vn_label_set = Share.labels share labels;
+        vn_props = typed_props share props_cols row;
       })
     rows
 
-let validate_rels file ~(node_ids : (string, int) Hashtbl.t) src : vrel list =
+let validate_rels share file ~(node_rows : (string, int) Hashtbl.t) src : vrel list =
   let header, rows = parse_csv file src in
   let hline, hcols = header in
   let props_cols =
@@ -284,14 +314,24 @@ let validate_rels file ~(node_ids : (string, int) Hashtbl.t) src : vrel list =
   let width = List.length hcols in
   List.map
     (fun (line, row) ->
-      check_width file width (line, row);
-      let s = field row src_i and t = field row tgt_i and ty = field row ty_i in
+      let row = fields file width (line, row) in
+      let s = row.(src_i) and t = row.(tgt_i) and ty = row.(ty_i) in
       if ty = "" then fail_at file line "empty relationship type";
-      if not (Hashtbl.mem node_ids s) then
-        fail_at file line "unknown source node id %S" s;
-      if not (Hashtbl.mem node_ids t) then
-        fail_at file line "unknown target node id %S" t;
-      { vr_src = s; vr_tgt = t; vr_ty = ty; vr_props = typed_props props_cols row })
+      let node_row what id =
+        match Hashtbl.find_opt node_rows id with
+        | Some i -> i
+        | None -> fail_at file line "unknown %s node id %S" what id
+      in
+      let vr_src_row = node_row "source" s in
+      let vr_tgt_row = node_row "target" t in
+      {
+        vr_src = s;
+        vr_tgt = t;
+        vr_src_row;
+        vr_tgt_row;
+        vr_ty = Share.name share ty;
+        vr_props = typed_props share props_cols row;
+      })
     rows
 
 (* ------------------------------------------------------------------ *)
@@ -307,6 +347,16 @@ let chunks size l =
   in
   go [] [] 0 l
 
+(* one frame: its lines, newline-separated, written by [add_line] *)
+let frame buf add_line batch =
+  Buffer.clear buf;
+  List.iteri
+    (fun k x ->
+      if k > 0 then Buffer.add_char buf '\n';
+      add_line x)
+    batch;
+  Buffer.contents buf
+
 (** [load_strings session ~nodes ~rels] validates and applies the two
     CSV images.  [nodes_name]/[rels_name] label errors (default
     ["<nodes>"], ["<rels>"]). *)
@@ -315,48 +365,98 @@ let load_strings ?(batch_size = default_batch_size) ?(nodes_name = "<nodes>")
     ~(rels : string) : (report, Errors.t) result =
   try
     if batch_size <= 0 then invalid_arg "Bulk.load_strings: batch_size";
-    (* phase 1: validate everything before touching the graph *)
-    let vnodes = validate_nodes nodes_name nodes in
-    let node_ids = Hashtbl.create (List.length vnodes) in
-    List.iteri (fun i n -> Hashtbl.add node_ids n.vn_id i) vnodes;
-    let vrels = validate_rels rels_name ~node_ids rels in
-    (* phase 2: frame in batches — all nodes before any relationship,
-       so endpoint resolution never sees a forward reference *)
-    let frames =
-      List.map
-        (fun batch ->
-          String.concat "\n"
-            (List.map
-               (fun n ->
-                 node_line ~id:n.vn_id ~labels:n.vn_labels ~props:n.vn_props)
-               batch))
-        (chunks batch_size vnodes)
-      @ List.map
-          (fun batch ->
-            String.concat "\n"
-              (List.map
-                 (fun r ->
-                   rel_line ~src:r.vr_src ~tgt:r.vr_tgt ~ty:r.vr_ty
-                     ~props:r.vr_props)
-                 batch))
-          (chunks batch_size vrels)
-    in
-    (* phase 3: apply each frame and journal it, inside one transaction
-       so a journal failure (e.g. a closed store) rolls everything back
-       — and so the outermost commit flushes all frames with a single
-       sink call, hence a single journal write *)
+    (* phase 1: validate everything before touching the graph; equal
+       labels, types, key sets and scalars are stored once *)
+    let share = Share.create () in
+    let vnodes = validate_nodes share nodes_name nodes in
+    let node_rows = Hashtbl.create (List.length vnodes) in
+    List.iteri (fun i n -> Hashtbl.add node_rows n.vn_id i) vnodes;
+    let vrels = validate_rels share rels_name ~node_rows rels in
+    (* phase 2: per batch, nodes before relationships, add the records
+       and journal the frame.  One transaction: a journal failure (e.g.
+       a closed store) rolls everything back, and the outermost commit
+       flushes all frames with a single sink call, hence a single
+       journal write *)
     Session.begin_tx session;
-    let ids = create_idmap () in
+    let base = Graph.next_id (Session.graph session) in
+    let next = ref base in
+    let fresh () =
+      let id = !next in
+      incr next;
+      id
+    in
+    let buf = Buffer.create 65536 and lit = Buffer.create 256 in
+    let apply src nodes rels =
+      let g = Graph.add_batch (Session.graph session) nodes rels in
+      (* following the net-diff convention of [Stats]: properties and
+         labels of created entities fold into the created counts *)
+      let stats =
+        {
+          Stats.empty with
+          Stats.nodes_created = List.length nodes;
+          rels_created = List.length rels;
+        }
+      in
+      match Session.advance_bulk session ~src ~stats g with
+      | Ok () -> ()
+      | Error e -> raise (Abort e)
+    in
+    let node_line n =
+      Buffer.add_string buf "N ";
+      Wal.add_pct_encoded buf n.vn_id;
+      Buffer.add_char buf ' ';
+      (match n.vn_labels with
+      | [] -> Buffer.add_char buf '-'
+      | l :: rest ->
+          (* [;] needs no escape, so each label encodes on its own *)
+          Wal.add_pct_encoded buf l;
+          List.iter
+            (fun l ->
+              Buffer.add_char buf ';';
+              Wal.add_pct_encoded buf l)
+            rest);
+      Buffer.add_char buf ' ';
+      add_props_field buf ~lit n.vn_props
+    in
+    let rel_line r =
+      Buffer.add_string buf "R ";
+      Wal.add_pct_encoded buf r.vr_src;
+      Buffer.add_char buf ' ';
+      Wal.add_pct_encoded buf r.vr_tgt;
+      Buffer.add_char buf ' ';
+      Wal.add_pct_encoded buf r.vr_ty;
+      Buffer.add_char buf ' ';
+      add_props_field buf ~lit r.vr_props
+    in
+    let node_batches = chunks batch_size vnodes
+    and rel_batches = chunks batch_size vrels in
     (try
        List.iter
-         (fun payload ->
-           match apply_frame ~ids (Session.graph session) payload with
-           | Error m -> raise (Abort (Errors.Update_error ("bulk load: " ^ m)))
-           | Ok (g', stats) -> (
-               match Session.advance_bulk session ~src:payload ~stats g' with
-               | Ok () -> ()
-               | Error e -> raise (Abort e)))
-         frames;
+         (fun batch ->
+           let nodes =
+             List.map
+               (fun n ->
+                 { Graph.n_id = fresh (); labels = n.vn_label_set; n_props = n.vn_props })
+               batch
+           in
+           apply (frame buf node_line batch) nodes [])
+         node_batches;
+       List.iter
+         (fun batch ->
+           let rels =
+             List.map
+               (fun r ->
+                 {
+                   Graph.r_id = fresh ();
+                   src = base + r.vr_src_row;
+                   tgt = base + r.vr_tgt_row;
+                   r_type = r.vr_ty;
+                   r_props = r.vr_props;
+                 })
+               batch
+           in
+           apply (frame buf rel_line batch) [] rels)
+         rel_batches;
        match Session.commit session with
        | Ok () -> ()
        | Error m -> raise (Abort (Errors.Update_error ("bulk load: " ^ m)))
@@ -367,7 +467,7 @@ let load_strings ?(batch_size = default_batch_size) ?(nodes_name = "<nodes>")
       {
         nodes_created = List.length vnodes;
         rels_created = List.length vrels;
-        batches = List.length frames;
+        batches = List.length node_batches + List.length rel_batches;
       }
   with
   | Errors.Error e -> Error e

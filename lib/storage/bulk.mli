@@ -13,7 +13,9 @@
 
     Frame payloads use raw CSV ids for relationship endpoints, resolved
     through an {!idmap} threaded across frames, so replay is immune to
-    the internal-id remapping a snapshot compaction performs.  See the
+    the internal-id remapping a snapshot compaction performs.  The
+    loader builds its records from the validated rows and never reads
+    its frames back; {!apply_frame} is recovery's reader.  See the
     implementation header for the frame grammar. *)
 
 open Cypher_graph
@@ -26,7 +28,7 @@ type report = {
 }
 
 (** Raw CSV id → internal node id, threaded across the frames of one
-    load (or one recovery replay). *)
+    recovery replay. *)
 type idmap
 
 val create_idmap : unit -> idmap

@@ -144,15 +144,24 @@ let decode_match = function
 (* Percent-encoding for the [p=] field: the metadata line is split on
    spaces and terminated by a newline, so those bytes (and '%' itself,
    plus CR for symmetry) must not appear in the encoded value. *)
+let add_pct_encoded buf s =
+  let n = String.length s in
+  let rec go start i =
+    if i = n then Buffer.add_substring buf s start (i - start)
+    else
+      match s.[i] with
+      | '%' | ' ' | '\n' | '\r' as c ->
+          Buffer.add_substring buf s start (i - start);
+          Buffer.add_string buf
+            (match c with '%' -> "%25" | ' ' -> "%20" | '\n' -> "%0a" | _ -> "%0d");
+          go (i + 1) (i + 1)
+      | _ -> go start (i + 1)
+  in
+  go 0 0
+
 let pct_encode s =
   let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '%' | ' ' | '\n' | '\r' ->
-          Buffer.add_string buf (Printf.sprintf "%%%02x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  add_pct_encoded buf s;
   Buffer.contents buf
 
 let pct_decode s : string option =

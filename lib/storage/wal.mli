@@ -46,6 +46,9 @@ val encode : record -> string
     the bulk loader's frame line format. *)
 val pct_encode : string -> string
 
+(** [add_pct_encoded buf s] appends [pct_encode s] to [buf]. *)
+val add_pct_encoded : Buffer.t -> string -> unit
+
 (** Inverse of {!pct_encode}; [None] on a malformed escape. *)
 val pct_decode : string -> string option
 

@@ -321,28 +321,33 @@ let csv_field = function
 
 let csv_props props = List.map (fun k -> csv_field (Props.get props k)) [ "k"; "w" ]
 
+(* seed [seed]'s random entity script, its two CSV images and a batch
+   size of 1-7 *)
+let random_load seed =
+  let rng = Random.State.make [| seed |] in
+  let steps =
+    Test_util.random_steps rng ~nodes:[||] ~next_id:0 ~count:(1 + Random.State.int rng 60)
+  in
+  let row fields = String.concat "," fields ^ "\n" in
+  let nodes = Buffer.create 256 and rels = Buffer.create 256 in
+  Buffer.add_string nodes (row [ "id"; "labels"; "k"; "w" ]);
+  Buffer.add_string rels (row [ "src"; "tgt"; "type"; "k"; "w" ]);
+  List.iteri
+    (fun i -> function
+      | Test_util.Step_node (labels, props) ->
+          Buffer.add_string nodes
+            (row ((Printf.sprintf "v%d" i :: [ String.concat ";" labels ]) @ csv_props props))
+      | Test_util.Step_rel (src, tgt, ty, props) ->
+          Buffer.add_string rels
+            (row ([ Printf.sprintf "v%d" src; Printf.sprintf "v%d" tgt; ty ] @ csv_props props)))
+    steps;
+  (steps, Buffer.contents nodes, Buffer.contents rels, 1 + Random.State.int rng 7)
+
 let equivalence_tests =
   [
     Test_util.case "a batched load equals the per-entity create sequence" (fun () ->
         for seed = 1 to 30 do
-          let rng = Random.State.make [| seed |] in
-          let steps =
-            Test_util.random_steps rng ~nodes:[||] ~next_id:0
-              ~count:(1 + Random.State.int rng 60)
-          in
-          let row fields = String.concat "," fields ^ "\n" in
-          let nodes = Buffer.create 256 and rels = Buffer.create 256 in
-          Buffer.add_string nodes (row [ "id"; "labels"; "k"; "w" ]);
-          Buffer.add_string rels (row [ "src"; "tgt"; "type"; "k"; "w" ]);
-          List.iteri
-            (fun i -> function
-              | Test_util.Step_node (labels, props) ->
-                  Buffer.add_string nodes
-                    (row ((Printf.sprintf "v%d" i :: [ String.concat ";" labels ]) @ csv_props props))
-              | Test_util.Step_rel (src, tgt, ty, props) ->
-                  Buffer.add_string rels
-                    (row ([ Printf.sprintf "v%d" src; Printf.sprintf "v%d" tgt; ty ] @ csv_props props)))
-            steps;
+          let steps, nodes, rels, batch_size = random_load seed in
           (* the reference: nodes in file order, then relationships *)
           let base = Test_util.indexed_base () in
           let ids = Hashtbl.create 16 in
@@ -369,10 +374,7 @@ let equivalence_tests =
               expected steps
           in
           let s = Session.create ~config:Config.revised base in
-          (match
-             load ~batch_size:(1 + Random.State.int rng 7) s ~nodes:(Buffer.contents nodes)
-               ~rels:(Buffer.contents rels)
-           with
+          (match load ~batch_size s ~nodes ~rels with
           | Ok _ -> ()
           | Error e -> Alcotest.failf "seed %d: load: %s" seed (Errors.to_string e));
           Test_util.check_same_graph (Printf.sprintf "seed %d" seed) expected (Session.graph s)
@@ -513,5 +515,122 @@ let sharing_tests =
                  persons));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* A load replays to itself                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The loader builds its records from the validated rows and never
+   reads its frames back, so nothing but these cases ties what it
+   builds to what recovery rebuilds from its journal. *)
+
+(* awkward raw ids, labels, keys and values: every escape either
+   encoding layer makes *)
+let awkward_csv =
+  ( "id,labels,note,odd key`,f,n,b\n\
+     \"a b\",A;;B,\"x% y\",1,0.1,-7,true\n\
+     \"c%d\",,\"multi\r\nline\",`x,-0.0,4611686018427387903,FALSE\n\
+     e,\"L 1;L`2\",'q\\\\',,1e300,,null\n\
+     f,Z;A;Z,caf\xc3\xa9 \xe2\x82\xac,2.5,nan,0,\n",
+    "src,tgt,type,w,s\n\"a b\",\"c%d\",\"HAS SPACE\",1.5,x\na b,e,T,,\ne,f,`T`,-3,\"y z\"\nf,f,T,inf,\n" )
+
+(* loads onto [base] with a journal sink attached: the graph and the
+   captured frames *)
+let load_capturing ?batch_size base ~nodes ~rels =
+  let log = ref [] in
+  let s = Session.create ~config:Config.revised base in
+  Session.set_journal s (Some (fun entries -> log := !log @ entries));
+  (match load ?batch_size s ~nodes ~rels with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "load: %s" (Errors.to_string e));
+  (Session.graph s, !log)
+
+let frames_md5 entries =
+  Digest.to_hex (Digest.string (String.concat "\000" (List.map (fun e -> e.Session.je_src) entries)))
+
+(* [base] goes through a snapshot first, so the load and the replay
+   start from the very graph recovery decodes *)
+let check_replays_to_itself msg ?batch_size base ~nodes ~rels =
+  let image = Cypher_storage.Snapshot.to_string base in
+  let base =
+    match Cypher_storage.Snapshot.parse image with Ok g -> g | Error m -> Alcotest.fail m
+  in
+  let loaded, entries = load_capturing ?batch_size base ~nodes ~rels in
+  let wal = String.concat "" (List.map (fun e -> Wal.encode (Wal.record_of_entry e)) entries) in
+  match Cypher_storage.Recovery.recover_strings ~snapshot:image ~wal () with
+  | Error m -> Alcotest.failf "%s: recovery: %s" msg m
+  | Ok r ->
+      Alcotest.(check int) (msg ^ ": frames replayed") (List.length entries) r.Cypher_storage.Recovery.replayed;
+      Test_util.check_same_graph msg loaded r.Cypher_storage.Recovery.graph;
+      Alcotest.(check string) (msg ^ ": snapshot image")
+        (Cypher_storage.Snapshot.to_string loaded)
+        (Cypher_storage.Snapshot.to_string r.Cypher_storage.Recovery.graph)
+
+let replay_tests =
+  [
+    Test_util.case "a load replays to itself, byte for byte" (fun () ->
+        for seed = 1 to 30 do
+          let _, nodes, rels, batch_size = random_load seed in
+          check_replays_to_itself (Printf.sprintf "seed %d" seed) ~batch_size
+            (Test_util.indexed_base ()) ~nodes ~rels
+        done;
+        let nodes, rels = bench_shaped_csv ~persons:40 in
+        check_replays_to_itself "bench-shaped" ~batch_size:50 (Test_util.indexed_base ()) ~nodes
+          ~rels;
+        let nodes, rels = awkward_csv in
+        check_replays_to_itself "awkward" ~batch_size:2 (Test_util.indexed_base ()) ~nodes ~rels);
+    (* captured before records were built without the frames: the frame
+       bytes, and so every journal a load writes, did not change *)
+    Test_util.case "frame bytes are pinned" (fun () ->
+        let md5 ?batch_size (nodes, rels) =
+          frames_md5 (snd (load_capturing ?batch_size Graph.empty ~nodes ~rels))
+        in
+        Alcotest.(check string) "bench-shaped, 7 frames" "0580eb6c67341d8a510ca3db9b196fd2"
+          (md5 ~batch_size:50 (bench_shaped_csv ~persons:40));
+        Alcotest.(check string) "bench-shaped, default batches" "d299bcebe32d38f4f7edf66e597a82d3"
+          (md5 (bench_shaped_csv ~persons:40));
+        Alcotest.(check string) "awkward" "b444a2f7a06aea709dbaafad0ede5e32"
+          (md5 ~batch_size:2 awkward_csv));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Loading from files                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let write_file path contents =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc contents)
+
+let file_tests =
+  [
+    Test_util.case "load_files: counts, error paths and a missing file" (fun () ->
+        with_tmpdir (fun dir ->
+            let nodes_path = Filename.concat dir "nodes.csv"
+            and rels_path = Filename.concat dir "rels.csv" in
+            write_file nodes_path nodes_csv;
+            write_file rels_path rels_csv;
+            let s = fresh_session () in
+            (match
+               ( Bulk.load_files ~batch_size:2 s ~nodes_path ~rels_path,
+                 load ~batch_size:2 (fresh_session ()) ~nodes:nodes_csv ~rels:rels_csv )
+             with
+            | Ok r, Ok expected ->
+                Alcotest.(check (list int)) "report"
+                  [ expected.Bulk.nodes_created; expected.Bulk.rels_created; expected.Bulk.batches ]
+                  [ r.Bulk.nodes_created; r.Bulk.rels_created; r.Bulk.batches ];
+                Alcotest.(check int) "nodes" 3 (Graph.node_count (Session.graph s))
+            | Error e, _ | _, Error e -> Alcotest.failf "load: %s" (Errors.to_string e));
+            write_file rels_path "src,tgt,type\nu1,u2,R\nu1,ghost,R\n";
+            check_error
+              ~sub:(Printf.sprintf "bulk load (%s:3): unknown target node id \"ghost\"" rels_path)
+              (Bulk.load_files (fresh_session ()) ~nodes_path ~rels_path);
+            let missing = Filename.concat dir "absent.csv" in
+            match Bulk.load_files (fresh_session ()) ~nodes_path:missing ~rels_path with
+            | Ok _ -> Alcotest.fail "loaded a missing file"
+            | Error (Errors.Update_error m) ->
+                Alcotest.(check bool) (Printf.sprintf "%S names the file" m) true
+                  (contains ~sub:"bulk load: " m && contains ~sub:missing m)
+            | Error e -> Alcotest.failf "expected Update_error, got %s" (Errors.to_string e)));
+  ]
+
 let suite =
   validation_tests @ storage_tests @ frame_tests @ equivalence_tests @ sharing_tests
+  @ replay_tests @ file_tests

@@ -11,7 +11,6 @@ open Test_util
 module Ref = struct
   let set m k v = if Value.is_null v then Smap.remove k m else Smap.add k v m
   let of_list l = List.fold_left (fun m (k, v) -> set m k v) Smap.empty l
-  let merge_into base extra = Smap.fold (fun k v m -> set m k v) extra base
   let compare = Smap.compare Value.compare_total
   let equal = Cypher_util.Maps.smap_equal Value.equal_strict
 
@@ -25,7 +24,6 @@ type op =
   | Set of string * Value.t
   | Remove of string
   | Of_list of (string * Value.t) list
-  | Merge of (string * Value.t) list
 
 let pool_keys = [ "a"; "age"; "b"; "name"; "z" ]
 
@@ -51,7 +49,6 @@ let gen_op =
         (4, map (fun (k, v) -> Set (k, v)) gen_binding);
         (2, map (fun k -> Remove k) (oneofl pool_keys));
         (1, map (fun l -> Of_list l) (list_size (int_bound 6) gen_binding));
-        (2, map (fun l -> Merge l) (list_size (int_bound 4) gen_binding));
       ])
 
 let pp_binding (k, v) = k ^ ": " ^ Value.to_string v
@@ -60,7 +57,6 @@ let pp_op = function
   | Set (k, v) -> "set " ^ pp_binding (k, v)
   | Remove k -> "remove " ^ k
   | Of_list l -> "of_list [" ^ String.concat ", " (List.map pp_binding l) ^ "]"
-  | Merge l -> "merge [" ^ String.concat ", " (List.map pp_binding l) ^ "]"
 
 (* ops apply alternately to two maps, so comparisons meet equal,
    prefix-related and unrelated pairs *)
@@ -73,7 +69,6 @@ let apply (p, m) = function
   | Set (k, v) -> (Props.set p k v, Ref.set m k v)
   | Remove k -> (Props.remove p k, Smap.remove k m)
   | Of_list l -> (Props.of_list l, Ref.of_list l)
-  | Merge l -> (Props.merge_into p (Props.of_list l), Ref.merge_into m (Ref.of_list l))
 
 let same_value v w = Value.compare_total v w = 0
 
@@ -83,6 +78,11 @@ let agrees (p, m) =
        (fun (k, v) (k', v') -> k = k' && same_value v v')
        (Props.bindings p) (Smap.bindings m)
   && Props.keys p = List.map fst (Smap.bindings m)
+  && (let seen = ref [] in
+      Props.iter (fun k v -> seen := (k, v) :: !seen) p;
+      List.equal
+        (fun (k, v) (k', v') -> k = k' && same_value v v')
+        (List.rev !seen) (Smap.bindings m))
   && List.for_all
        (fun k ->
          same_value (Props.get p k)
@@ -115,8 +115,6 @@ let suite =
     case "an update to a present key keeps the key array" (fun () ->
         let p = Props.of_list [ ("a", vint 1); ("b", vint 2) ] in
         Alcotest.(check bool) "set" true (Props.shares_keys p (Props.set p "a" (vint 9)));
-        Alcotest.(check bool) "merge" true
-          (Props.shares_keys p (Props.merge_into p (Props.of_list [ ("b", vint 3) ])));
         Alcotest.(check bool) "new key" false (Props.shares_keys p (Props.set p "c" (vint 3))));
     case "a 5-key map on a shared key array costs 9 words" (fun () ->
         let p =
@@ -139,13 +137,6 @@ let suite =
     case "of_list drops null values" (fun () ->
         let p = Props.of_list [ ("a", vint 1); ("b", vnull) ] in
         Alcotest.(check (list string)) "keys" [ "a" ] (Props.keys p));
-    case "merge_into overwrites and removes" (fun () ->
-        let base = Props.of_list [ ("a", vint 1); ("b", vint 2) ] in
-        let extra = Props.of_list [ ("b", vint 20); ("c", vint 3) ] in
-        let merged = Props.merge_into base extra in
-        check_value "a kept" (vint 1) (Props.get merged "a");
-        check_value "b overwritten" (vint 20) (Props.get merged "b");
-        check_value "c added" (vint 3) (Props.get merged "c"));
     case "equality ignores binding order" (fun () ->
         let p1 = Props.of_list [ ("a", vint 1); ("b", vint 2) ] in
         let p2 = Props.of_list [ ("b", vint 2); ("a", vint 1) ] in
