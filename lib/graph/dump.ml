@@ -39,23 +39,11 @@ let is_plain_ident s =
        (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false)
        s
 
-(* a backtick inside the identifier is escaped by doubling it *)
-let add_ident buf s =
-  if is_plain_ident s then Buffer.add_string buf s
-  else begin
-    Buffer.add_char buf '`';
-    String.iter
-      (fun ch -> if ch = '`' then Buffer.add_string buf "``" else Buffer.add_char buf ch)
-      s;
-    Buffer.add_char buf '`'
-  end
-
 let quote_ident s =
   if is_plain_ident s then s
   else
-    let buf = Buffer.create (String.length s + 2) in
-    add_ident buf s;
-    Buffer.contents buf
+    (* a backtick inside the identifier is escaped by doubling it *)
+    "`" ^ String.concat "``" (String.split_on_char '`' s) ^ "`"
 
 (* [%.12g] first (shorter and usually exact), [%.17g] when the short
    form does not reparse to the same float.  An integral float below
@@ -70,9 +58,6 @@ let float_literal f =
       let long = Printf.sprintf "%.17g" f in
       if String.exists (fun ch -> ch = '.' || ch = 'e') long then long else long ^ ".0"
 
-(* [(-4611686018427387903 - 1)] on 64 bits *)
-let min_int_literal = Printf.sprintf "(-%d - 1)" max_int
-
 (* [iter] calls its argument on each entry in key order *)
 let rec add_entries buf iter =
   Buffer.add_char buf '{';
@@ -80,7 +65,7 @@ let rec add_entries buf iter =
   iter (fun k v ->
       if not !first then Buffer.add_string buf ", ";
       first := false;
-      add_ident buf k;
+      Buffer.add_string buf (quote_ident k);
       Buffer.add_string buf ": ";
       add_value buf v);
   Buffer.add_char buf '}'
@@ -92,7 +77,8 @@ and add_value buf (v : Value.t) =
   | Value.Null -> Buffer.add_string buf "null"
   | Value.Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Value.Int i ->
-      Buffer.add_string buf (if i = min_int then min_int_literal else string_of_int i)
+      Buffer.add_string buf
+        (if i = min_int then Printf.sprintf "(-%d - 1)" max_int else string_of_int i)
   | Value.Float f ->
       Buffer.add_string buf
         (if Float.is_nan f then "(0.0 / 0.0)"
@@ -129,32 +115,23 @@ let value_literal (v : Value.t) : string =
     order; an empty map is [{}]. *)
 let add_props buf props = add_entries buf (fun f -> Props.iter f props)
 
-let add_node buf (n : Graph.node) =
-  Buffer.add_string buf "(n";
-  Buffer.add_string buf (string_of_int n.Graph.n_id);
-  Sset.iter
-    (fun l ->
-      Buffer.add_char buf ':';
-      add_ident buf l)
-    n.Graph.labels;
-  if not (Props.is_empty n.Graph.n_props) then begin
+(* [ {...}] after an entity's labels or type, unless it has no properties *)
+let add_entity_props buf props =
+  if not (Props.is_empty props) then begin
     Buffer.add_char buf ' ';
-    add_props buf n.Graph.n_props
-  end;
+    add_props buf props
+  end
+
+let add_node buf (n : Graph.node) =
+  Printf.bprintf buf "(n%d" n.Graph.n_id;
+  Sset.iter (fun l -> Printf.bprintf buf ":%s" (quote_ident l)) n.Graph.labels;
+  add_entity_props buf n.Graph.n_props;
   Buffer.add_char buf ')'
 
 let add_rel buf (r : Graph.rel) =
-  Buffer.add_string buf "(n";
-  Buffer.add_string buf (string_of_int r.Graph.src);
-  Buffer.add_string buf ")-[:";
-  add_ident buf r.Graph.r_type;
-  if not (Props.is_empty r.Graph.r_props) then begin
-    Buffer.add_char buf ' ';
-    add_props buf r.Graph.r_props
-  end;
-  Buffer.add_string buf "]->(n";
-  Buffer.add_string buf (string_of_int r.Graph.tgt);
-  Buffer.add_char buf ')'
+  Printf.bprintf buf "(n%d)-[:%s" r.Graph.src (quote_ident r.Graph.r_type);
+  add_entity_props buf r.Graph.r_props;
+  Printf.bprintf buf "]->(n%d)" r.Graph.tgt
 
 (* the script below, written entity by entity into [buf] *)
 let add_cypher buf (g : Graph.t) =

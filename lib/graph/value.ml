@@ -267,34 +267,23 @@ let rec compare_tri a b : (int, unit) result =
 (* Printing                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* the escape for a quote, a backslash or a control character [c] *)
-let escape = function
-  | '\'' -> "\\'"
-  | '\\' -> "\\\\"
-  | '\n' -> "\\n"
-  | '\t' -> "\\t"
-  | '\r' -> "\\r"
-  | '\b' -> "\\b"
-  | '\012' -> "\\f"
-  | c ->
-      (* remaining control characters: \uXXXX so the literal
-         round-trips through the lexer *)
-      Printf.sprintf "\\u%04x" (Char.code c)
-
-(* runs of plain bytes go in with one [add_substring] each *)
 let add_escaped buf s =
-  let n = String.length s in
-  let rec go start i =
-    if i = n then Buffer.add_substring buf s start (i - start)
-    else
-      match s.[i] with
-      | '\'' | '\\' | '\000' .. '\031' as c ->
-          Buffer.add_substring buf s start (i - start);
-          Buffer.add_string buf (escape c);
-          go (i + 1) (i + 1)
-      | _ -> go start (i + 1)
-  in
-  go 0 0
+  String.iter
+    (fun c ->
+      match c with
+      | '\'' -> Buffer.add_string buf "\\'"
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\b' -> Buffer.add_string buf "\\b"
+      | '\012' -> Buffer.add_string buf "\\f"
+      | c when c < ' ' ->
+          (* remaining control characters: \uXXXX so the literal
+             round-trips through the lexer *)
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s
 
 let escape_string s =
   let buf = Buffer.create (String.length s + 2) in

@@ -13,7 +13,8 @@
 
     Nodes: the header must contain an [id] column (the file-local
     identifier relationships refer to); an optional [labels] column
-    holds [;]-separated labels; every other column is a property, typed
+    holds [;]-separated labels, a lone [-] meaning none (the frame's
+    absent marker); every other column is a property, typed
     like any CSV import ({!Cypher_csv.Csv.type_field} — empty fields are
     null and store nothing).
 
@@ -60,8 +61,10 @@
     rows are written out as the batch's frame text.  {!apply_frame} is
     recovery's reader only.  The invariant that joins the two paths —
     replaying a load's frames on the same base rebuilds the graph the
-    load built, down to the ids and the snapshot bytes — is checked by
-    the "a load replays to itself" tests. *)
+    load built, down to the ids, the snapshot bytes and the bits of
+    every float — is checked by the "a load replays to itself" tests.
+    Where the frame text is lossy the loader stores what replay reads:
+    a lone [-] label field is no labels, and every nan is [Float.nan]. *)
 
 open Cypher_graph
 open Cypher_core
@@ -258,13 +261,16 @@ let fields file width (line, row) =
     fail_at file line "row has %d fields, header has %d" n width;
   row
 
-(* empty fields are null and store nothing *)
+(* empty fields are null and store nothing; a nan frames as
+   [(0.0 / 0.0)], which replay reads as [Float.nan], so any nan the CSV
+   spells ("nan", "-nan") is stored as that one *)
 let typed_props share props_cols row : Props.t =
   Share.props share
     (List.fold_left
        (fun m (c, i) ->
          match Csv.type_field row.(i) with
          | Value.Null -> m
+         | Value.Float f when Float.is_nan f -> Smap.add c (Value.Float Float.nan) m
          | v -> Smap.add c (Share.value share v) m)
        Smap.empty props_cols)
 
@@ -295,7 +301,9 @@ let validate_nodes share file src : vnode list =
       {
         vn_id = id;
         vn_labels = labels;
-        vn_label_set = Share.labels share labels;
+        (* a lone [-] label frames as the field [-], which replay reads
+           as "no labels" *)
+        vn_label_set = Share.labels share (if labels = [ "-" ] then [] else labels);
         vn_props = typed_props share props_cols row;
       })
     rows

@@ -4,7 +4,8 @@
 
     Node CSV: required [id] column (the file-local identifier the
     relationship file refers to), optional [labels] column
-    ([;]-separated), every other column a typed property.  Relationship
+    ([;]-separated; a lone [-] means no labels), every other column a
+    typed property.  Relationship
     CSV: required [src] / [tgt] / [type] columns, every other column a
     typed property.  A failed load — malformed CSV, missing or duplicate
     columns, ragged rows, duplicate node ids, unknown endpoints, a

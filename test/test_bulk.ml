@@ -530,7 +530,8 @@ let awkward_csv =
      \"a b\",A;;B,\"x% y\",1,0.1,-7,true\n\
      \"c%d\",,\"multi\r\nline\",`x,-0.0,4611686018427387903,FALSE\n\
      e,\"L 1;L`2\",'q\\\\',,1e300,,null\n\
-     f,Z;A;Z,caf\xc3\xa9 \xe2\x82\xac,2.5,nan,0,\n",
+     f,Z;A;Z,caf\xc3\xa9 \xe2\x82\xac,2.5,nan,0,\n\
+     g,-,-,-,-nan,-,-\n",
     "src,tgt,type,w,s\n\"a b\",\"c%d\",\"HAS SPACE\",1.5,x\na b,e,T,,\ne,f,`T`,-3,\"y z\"\nf,f,T,inf,\n" )
 
 (* loads onto [base] with a journal sink attached: the graph and the
@@ -547,6 +548,33 @@ let load_capturing ?batch_size base ~nodes ~rels =
 let frames_md5 entries =
   Digest.to_hex (Digest.string (String.concat "\000" (List.map (fun e -> e.Session.je_src) entries)))
 
+(* equal property maps, floats compared bit for bit: a nan's sign shows
+   in [toString] though every printer of the graph hides it *)
+let check_same_values msg loaded replayed =
+  let same_props what a b =
+    let same (k, x) (k', y) =
+      k = k'
+      &&
+      match (x, y) with
+      | Value.Float f, Value.Float f' -> Int64.bits_of_float f = Int64.bits_of_float f'
+      | _ -> Value.equal_strict x y
+    in
+    if not (List.equal same (Props.bindings a) (Props.bindings b)) then
+      Alcotest.failf "%s: %s properties differ" msg what
+  in
+  Graph.fold_nodes
+    (fun n () ->
+      match Graph.node replayed n.Graph.n_id with
+      | Some n' -> same_props (Printf.sprintf "node %d" n.Graph.n_id) n.Graph.n_props n'.Graph.n_props
+      | None -> Alcotest.failf "%s: node %d not replayed" msg n.Graph.n_id)
+    loaded ();
+  Graph.fold_rels
+    (fun r () ->
+      match Graph.rel replayed r.Graph.r_id with
+      | Some r' -> same_props (Printf.sprintf "rel %d" r.Graph.r_id) r.Graph.r_props r'.Graph.r_props
+      | None -> Alcotest.failf "%s: rel %d not replayed" msg r.Graph.r_id)
+    loaded ()
+
 (* [base] goes through a snapshot first, so the load and the replay
    start from the very graph recovery decodes *)
 let check_replays_to_itself msg ?batch_size base ~nodes ~rels =
@@ -561,6 +589,7 @@ let check_replays_to_itself msg ?batch_size base ~nodes ~rels =
   | Ok r ->
       Alcotest.(check int) (msg ^ ": frames replayed") (List.length entries) r.Cypher_storage.Recovery.replayed;
       Test_util.check_same_graph msg loaded r.Cypher_storage.Recovery.graph;
+      check_same_values msg loaded r.Cypher_storage.Recovery.graph;
       Alcotest.(check string) (msg ^ ": snapshot image")
         (Cypher_storage.Snapshot.to_string loaded)
         (Cypher_storage.Snapshot.to_string r.Cypher_storage.Recovery.graph)
@@ -588,7 +617,7 @@ let replay_tests =
           (md5 ~batch_size:50 (bench_shaped_csv ~persons:40));
         Alcotest.(check string) "bench-shaped, default batches" "d299bcebe32d38f4f7edf66e597a82d3"
           (md5 (bench_shaped_csv ~persons:40));
-        Alcotest.(check string) "awkward" "b444a2f7a06aea709dbaafad0ede5e32"
+        Alcotest.(check string) "awkward" "814d6e54e07491b2594a7cdacc8630be"
           (md5 ~batch_size:2 awkward_csv));
   ]
 
