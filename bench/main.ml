@@ -467,6 +467,17 @@ let tests =
     t "io/decode/n=1e4" (fun () ->
         let script = Dump.to_cypher (Lazy.force market10k) in
         fun () -> Sys.opaque_identity (Dump.of_cypher Graph.empty script));
+    (* the graph construction alone that decoding and bulk frames end
+       in, on an empty graph with two registered property indexes *)
+    t "io/add-batch/n=1e4" (fun () ->
+        let g = Lazy.force market10k in
+        let base =
+          Graph.empty
+          |> Graph.add_prop_index ~label:"User" ~key:"id"
+          |> Graph.add_prop_index ~label:"Product" ~key:"id"
+        and nodes = Graph.nodes g
+        and rels = Graph.rels g in
+        fun () -> Sys.opaque_identity (Graph.add_batch base nodes rels));
     (* the same graph as CSV through the bulk loader, in memory *)
     t "io/bulk/n=1e4" (fun () ->
         let nodes, rels = bulk_csvs (Lazy.force market10k) in

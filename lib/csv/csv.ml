@@ -95,10 +95,20 @@ let parse_numbered src : (int * string list) list =
 (** [parse_string src] is {!parse_numbered} without the line numbers. *)
 let parse_string src : string list list = List.map snd (parse_numbered src)
 
+(* a first byte no number, boolean or null starts with: a letter, but
+   none of those that begin nan, inf(inity), true, false and null *)
+let starts_no_literal = function
+  | 'n' | 'N' | 'i' | 'I' | 't' | 'T' | 'f' | 'F' -> false
+  | 'a' .. 'z' | 'A' .. 'Z' -> true
+  | _ -> false
+
 (** Types a raw field: empty → null; integer / float / boolean literals
-    are recognised; anything else is a string. *)
+    are recognised; anything else is a string.  A field that starts with
+    a letter no literal starts with (names, cities) is a string at once,
+    without trying the parsers. *)
 let type_field s : Value.t =
   if s = "" then Value.Null
+  else if starts_no_literal s.[0] then Value.String s
   else
     match int_of_string_opt s with
     | Some i -> Value.Int i

@@ -35,9 +35,14 @@ val add_props : Buffer.t -> Props.t -> unit
     embedded backticks are doubled. *)
 val quote_ident : string -> string
 
+(** The nan {!read_value} and {!of_cypher} read for [(0.0 / 0.0)], the
+    only spelling of a nan: the one evaluating that expression gives,
+    whose sign bit is the platform's. *)
+val nan : float
+
 (** [read_value s] is the value the literal [s] denotes — the inverse of
-    {!value_literal}, so [read_value (value_literal v) = Ok v] (nan
-    reads back as a nan).  [Error] on anything outside the literal
+    {!value_literal}, so [read_value (value_literal v) = Ok v] (every
+    nan reads back as {!nan}).  [Error] on anything outside the literal
     grammar, including bad escapes, duplicate map keys, unterminated
     input and trailing bytes; never raises.  Names and scalars are built
     through [share] (default: a fresh table), so a caller decoding many

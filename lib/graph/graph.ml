@@ -317,9 +317,11 @@ let create_rel ~src ~tgt ~r_type ?(props = Props.empty) g =
    path of the persistent tree, and in a graph too big for the minor
    heap most of those copies are promoted before they die, leaving the
    major heap half slack.  The batch path below builds each structure
-   once instead: maps take their new keys in ascending order (only the
-   right spine is ever copied), and every id set is built whole from a
-   sorted run of the batch, then unioned into the set already there. *)
+   once instead: the node and relationship maps are built whole from
+   the batch's ascending ids, other maps take their new keys in
+   ascending order (only the right spine is ever copied), and every id
+   set is built whole from a sorted run of the batch, then unioned into
+   the set already there. *)
 
 (* [runs same a lo hi f] calls [f i j] for each maximal run
    [a.(i) .. a.(j - 1)] of [a.(lo) .. a.(hi - 1)] whose elements [same]
@@ -361,35 +363,89 @@ let index_batch (nodes : node array) idx =
     (group (fun f -> Array.iter (fun n -> Sset.iter (fun l -> f l n.n_id) n.labels) nodes))
     idx
 
-(* typed adjacency on one side ([endpoint] is [src] or [tgt]) *)
-let adj_batch endpoint (rels : rel array) typed =
-  let a = Array.copy rels in
-  Array.stable_sort
-    (fun x y ->
-      match Int.compare (endpoint x) (endpoint y) with
-      | 0 -> String.compare x.r_type y.r_type
-      | c -> c)
-    a;
-  let rid r = r.r_id in
+(* [by_endpoint endpoint rels] is the permutation of [rels]' positions
+   that sorts them stably by endpoint.  A counting sort over the
+   endpoints' range [lo, hi] needs a count array of [hi - lo + 2] ints
+   besides the permutation, so it runs only while that range is at
+   most eight times the batch; a batch touching a few far-apart nodes
+   (node 0 and node 10^6) takes a comparison sort instead. *)
+let by_endpoint endpoint (rels : rel array) =
+  let n = Array.length rels in
+  let lo = Array.fold_left (fun m r -> Int.min m (endpoint r)) max_int rels
+  and hi = Array.fold_left (fun m r -> Int.max m (endpoint r)) min_int rels in
+  if n = 0 || hi - lo > 8 * n then begin
+    let perm = Array.init n Fun.id in
+    Array.stable_sort (fun i j -> Int.compare (endpoint rels.(i)) (endpoint rels.(j))) perm;
+    perm
+  end
+  else begin
+    (* [start.(e - lo)]: first position of endpoint [e] in the sorted
+       order, advanced as its relationships are placed *)
+    let start = Array.make (hi - lo + 2) 0 in
+    Array.iter (fun r -> let k = endpoint r - lo + 1 in start.(k) <- start.(k) + 1) rels;
+    for k = 1 to hi - lo + 1 do
+      start.(k) <- start.(k) + start.(k - 1)
+    done;
+    let perm = Array.make n 0 in
+    Array.iteri
+      (fun i r ->
+        let k = endpoint r - lo in
+        perm.(start.(k)) <- i;
+        start.(k) <- start.(k) + 1)
+      rels;
+    perm
+  end
+
+(* the type buckets of one endpoint's relationships [rels.(perm.(i))
+   .. rels.(perm.(j - 1))], which ascend by id: one bucket when they
+   share a type (the common case), else a stable sort of the run by
+   type *)
+let buckets (rels : rel array) perm i j =
+  let ty k = rels.(perm.(k)).r_type in
+  let set_of positions i j = set_of_run (fun p -> rels.(p).r_id) positions i j in
+  let rec one_type k = k = j || (String.equal (ty k) (ty i) && one_type (k + 1)) in
+  if one_type (i + 1) then Smap.singleton (ty i) (set_of perm i j)
+  else begin
+    let run = Array.sub perm i (j - i) in
+    Array.stable_sort (fun p q -> String.compare rels.(p).r_type rels.(q).r_type) run;
+    let by_type = ref Smap.empty in
+    runs
+      (fun p q -> String.equal rels.(p).r_type rels.(q).r_type)
+      run 0 (Array.length run)
+      (fun i j -> by_type := Smap.add rels.(run.(i)).r_type (set_of run i j) !by_type);
+    !by_type
+  end
+
+(* typed adjacency on one side ([endpoint] is [src] or [tgt]), calling
+   [check] once on each distinct endpoint *)
+let adj_batch ~check endpoint (rels : rel array) typed =
+  let perm = by_endpoint endpoint rels in
   let typed = ref typed in
   runs
-    (fun x y -> endpoint x = endpoint y)
-    a 0 (Array.length a)
+    (fun p q -> endpoint rels.(p) = endpoint rels.(q))
+    perm 0 (Array.length perm)
     (fun i j ->
-      let n = endpoint a.(i) in
-      let by_type = ref Smap.empty in
-      runs
-        (fun x y -> x.r_type = y.r_type)
-        a i j
-        (fun i j -> by_type := Smap.add a.(i).r_type (set_of_run rid a i j) !by_type);
+      let n = endpoint rels.(perm.(i)) in
+      check n;
+      let by_type = buckets rels perm i j in
       typed :=
         Imap.update n
           (function
-            | None -> Some !by_type
-            | Some old ->
-                Some (Smap.union (fun _ s t -> Some (Ids.union s t)) old !by_type))
+            | None -> Some by_type
+            | Some old -> Some (Smap.union (fun _ s t -> Some (Ids.union s t)) old by_type))
           !typed);
   !typed
+
+(* the per-type counts, each type's batch total added once *)
+let count_batch (rels : rel array) counts =
+  let totals = Hashtbl.create 8 in
+  Array.iter
+    (fun r ->
+      match Hashtbl.find_opt totals r.r_type with
+      | Some c -> incr c
+      | None -> Hashtbl.add totals r.r_type (ref 1))
+    rels;
+  Hashtbl.fold (fun ty c counts -> count ty !c counts) totals counts
 
 (* the registered property indexes, fed the batch's non-null values *)
 let pindex_batch (nodes : node array) pidx =
@@ -424,29 +480,49 @@ let pindex_batch (nodes : node array) pidx =
         Smap.add l (Smap.add key !vmap keys) pidx)
       (group pairs) pidx
 
+(* [of_ascending key a] maps [key x] to [x] for each [x] of [a], whose
+   keys strictly ascend, built by halving unions in linear time:
+   ascending [add]s would copy a root-to-leaf path each *)
+let of_ascending key a =
+  let rec build lo hi =
+    match hi - lo with
+    | 0 -> Imap.empty
+    | 1 -> Imap.singleton (key a.(lo)) a.(lo)
+    | len ->
+        let mid = lo + (len / 2) in
+        Imap.union (fun _ x _ -> Some x) (build lo mid) (build mid hi)
+  in
+  build 0 (Array.length a)
+
 (* Adds fresh entities — ids absent from [g], each array ascending —
    in one bottom-up pass.  A relationship endpoint found neither in [g]
    nor in [nodes] is an [Invalid_argument] naming [caller]. *)
 let insert_batch ~caller g (nodes : node array) (rels : rel array) =
-  let node_map = Array.fold_left (fun m n -> Imap.add n.n_id n m) g.nodes nodes in
-  let endpoint side id =
+  (* fresh ids sort after [g]'s, so each union walks one spine *)
+  let add_fresh key a m = Imap.union (fun _ _ x -> Some x) m (of_ascending key a) in
+  let node_map = add_fresh (fun n -> n.n_id) nodes g.nodes in
+  (* each distinct endpoint is looked up once; on a miss the scan in
+     batch order names the first bad relationship, source before target *)
+  let check id =
     if not (Imap.mem id node_map) then
-      invalid_arg (Printf.sprintf "%s: no %s node %d" caller side id)
+      Array.iter
+        (fun r ->
+          List.iter
+            (fun (side, id) ->
+              if not (Imap.mem id node_map) then
+                invalid_arg (Printf.sprintf "%s: no %s node %d" caller side id))
+            [ ("source", r.src); ("target", r.tgt) ])
+        rels
   in
-  Array.iter
-    (fun r ->
-      endpoint "source" r.src;
-      endpoint "target" r.tgt)
-    rels;
   {
     g with
     nodes = node_map;
     node_count = g.node_count + Array.length nodes;
-    rels = Array.fold_left (fun m r -> Imap.add r.r_id r m) g.rels rels;
-    out_typed = adj_batch (fun r -> r.src) rels g.out_typed;
-    in_typed = adj_batch (fun r -> r.tgt) rels g.in_typed;
+    rels = add_fresh (fun r -> r.r_id) rels g.rels;
+    out_typed = adj_batch ~check (fun r -> r.src) rels g.out_typed;
+    in_typed = adj_batch ~check (fun r -> r.tgt) rels g.in_typed;
     label_index = index_batch nodes g.label_index;
-    type_counts = Array.fold_left (fun c r -> count r.r_type 1 c) g.type_counts rels;
+    type_counts = count_batch rels g.type_counts;
     prop_index = pindex_batch nodes g.prop_index;
   }
 

@@ -64,7 +64,7 @@
     load built, down to the ids, the snapshot bytes and the bits of
     every float — is checked by the "a load replays to itself" tests.
     Where the frame text is lossy the loader stores what replay reads:
-    a lone [-] label field is no labels, and every nan is [Float.nan]. *)
+    a lone [-] label field is no labels, and every nan is {!Dump.nan}. *)
 
 open Cypher_graph
 open Cypher_core
@@ -262,7 +262,7 @@ let fields file width (line, row) =
   row
 
 (* empty fields are null and store nothing; a nan frames as
-   [(0.0 / 0.0)], which replay reads as [Float.nan], so any nan the CSV
+   [(0.0 / 0.0)], which replay reads as [Dump.nan], so any nan the CSV
    spells ("nan", "-nan") is stored as that one *)
 let typed_props share props_cols row : Props.t =
   Share.props share
@@ -270,7 +270,7 @@ let typed_props share props_cols row : Props.t =
        (fun m (c, i) ->
          match Csv.type_field row.(i) with
          | Value.Null -> m
-         | Value.Float f when Float.is_nan f -> Smap.add c (Value.Float Float.nan) m
+         | Value.Float f when Float.is_nan f -> Smap.add c (Value.Float Dump.nan) m
          | v -> Smap.add c (Share.value share v) m)
        Smap.empty props_cols)
 

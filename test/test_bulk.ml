@@ -548,33 +548,6 @@ let load_capturing ?batch_size base ~nodes ~rels =
 let frames_md5 entries =
   Digest.to_hex (Digest.string (String.concat "\000" (List.map (fun e -> e.Session.je_src) entries)))
 
-(* equal property maps, floats compared bit for bit: a nan's sign shows
-   in [toString] though every printer of the graph hides it *)
-let check_same_values msg loaded replayed =
-  let same_props what a b =
-    let same (k, x) (k', y) =
-      k = k'
-      &&
-      match (x, y) with
-      | Value.Float f, Value.Float f' -> Int64.bits_of_float f = Int64.bits_of_float f'
-      | _ -> Value.equal_strict x y
-    in
-    if not (List.equal same (Props.bindings a) (Props.bindings b)) then
-      Alcotest.failf "%s: %s properties differ" msg what
-  in
-  Graph.fold_nodes
-    (fun n () ->
-      match Graph.node replayed n.Graph.n_id with
-      | Some n' -> same_props (Printf.sprintf "node %d" n.Graph.n_id) n.Graph.n_props n'.Graph.n_props
-      | None -> Alcotest.failf "%s: node %d not replayed" msg n.Graph.n_id)
-    loaded ();
-  Graph.fold_rels
-    (fun r () ->
-      match Graph.rel replayed r.Graph.r_id with
-      | Some r' -> same_props (Printf.sprintf "rel %d" r.Graph.r_id) r.Graph.r_props r'.Graph.r_props
-      | None -> Alcotest.failf "%s: rel %d not replayed" msg r.Graph.r_id)
-    loaded ()
-
 (* [base] goes through a snapshot first, so the load and the replay
    start from the very graph recovery decodes *)
 let check_replays_to_itself msg ?batch_size base ~nodes ~rels =
@@ -589,7 +562,6 @@ let check_replays_to_itself msg ?batch_size base ~nodes ~rels =
   | Ok r ->
       Alcotest.(check int) (msg ^ ": frames replayed") (List.length entries) r.Cypher_storage.Recovery.replayed;
       Test_util.check_same_graph msg loaded r.Cypher_storage.Recovery.graph;
-      check_same_values msg loaded r.Cypher_storage.Recovery.graph;
       Alcotest.(check string) (msg ^ ": snapshot image")
         (Cypher_storage.Snapshot.to_string loaded)
         (Cypher_storage.Snapshot.to_string r.Cypher_storage.Recovery.graph)

@@ -6,8 +6,55 @@ open Cypher_table
 open Cypher_csv
 open Test_util
 
+(* the typing before its first-byte dispatch: every parser on every field *)
+let reference_type_field s : Value.t =
+  if s = "" then Value.Null
+  else
+    match int_of_string_opt s with
+    | Some i -> Value.Int i
+    | None -> (
+        match float_of_string_opt s with
+        | Some f -> Value.Float f
+        | None -> (
+            match String.lowercase_ascii s with
+            | "true" -> Value.Bool true
+            | "false" -> Value.Bool false
+            | "null" -> Value.Null
+            | _ -> Value.String s))
+
+(* fields the parsers accept in unexpected ways, and words near the
+   recognised ones *)
+let typing_edge_cases =
+  [ ""; " 1.5"; "1.5 "; "_1"; "1_000"; ".5"; "5."; "+5"; "-"; "-0"; "-0.0"; "1e5"; "e5"; "E5";
+    "0x1F"; "0x1p3"; "0b101"; "0o17"; "0u5"; "inf"; "-inf"; "Inf"; "INFINITY"; "infinity";
+    "infinit"; "nan"; "NaN"; "-nan"; "+nan"; "nan(1)"; "true"; "TRUE"; "True"; "truex"; "false";
+    "FALSE"; "null"; "NULL"; "Null"; "nul"; "abc"; "x1"; "Nope"; "ilk"; "tea"; "fig"; "\t1";
+    "\n"; "Zürich"; "9223372036854775807"; "4611686018427387904"; "-4611686018427387905" ]
+
+let typing_property =
+  let alphabet = "0123456789+-._ eExXpPbBoOuUnNaAiIfFtTlLrRsSyYzZ\t\xc3" in
+  let field =
+    QCheck.Gen.(
+      frequency
+        [ (3, string_size ~gen:(map (String.get alphabet) (int_bound (String.length alphabet - 1))) (int_bound 8));
+          (1, string_size ~gen:printable (int_bound 8));
+          (1, oneofl typing_edge_cases) ])
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:2000 ~name:"type_field equals trying every parser on every field"
+       (QCheck.make ~print:(Printf.sprintf "%S") field)
+       (fun s -> same_bits (reference_type_field s) (Csv.type_field s)))
+
 let suite =
   [
+    typing_property;
+    case "type_field equals trying every parser on its edge cases" (fun () ->
+        List.iter
+          (fun s ->
+            if not (same_bits (reference_type_field s) (Csv.type_field s)) then
+              Alcotest.failf "%S types as %s, not %s" s (Value.to_string (Csv.type_field s))
+                (Value.to_string (reference_type_field s)))
+          typing_edge_cases);
     case "basic parsing" (fun () ->
         Alcotest.(check (list (list string)))
           "rows"

@@ -372,6 +372,11 @@ let sharing_tests =
         Alcotest.(check int64) "-0.0" (Int64.bits_of_float (-0.0)) (bits (prop g 1 "f"));
         Alcotest.(check bool) "nan" true
           (Float.is_nan (Int64.float_of_bits (bits (prop g 2 "f")))));
+    case "(0.0 / 0.0) reads as the nan evaluating it gives, sign bit included" (fun () ->
+        let evaluated = first_cell (run_table Graph.empty "RETURN 0.0 / 0.0 AS x") in
+        match Dump.read_value "(0.0 / 0.0)" with
+        | Ok v -> Alcotest.(check int64) "bits" (bits evaluated) (bits v)
+        | Error m -> Alcotest.fail m);
     case "an update on one node leaves the other's shared value alone" (fun () ->
         let g = decoded Graph.empty script in
         let before = (node g 1).Graph.n_props in

@@ -410,6 +410,98 @@ let random_base rng ~size =
     (fun g id -> if Random.State.int rng 5 = 0 then Graph.remove_node_detach g id else g)
     g (Graph.node_ids g)
 
+(* [check_batch msg base steps]: one [add_batch] of [steps] equals the
+   create sequence, and every id set it stores is in canonical form *)
+let check_batch msg base steps =
+  let g = batch_steps base steps in
+  check_same_graph msg (apply_steps base steps) g;
+  Graph.fold_id_sets
+    (fun where s () -> if not (Ids.is_canonical s) then Alcotest.failf "%s: %s is not canonical" msg where)
+    g ()
+
+let batch_node id = { Graph.n_id = id; labels = Cypher_util.Maps.Sset.empty; n_props = Props.empty }
+let batch_rel id src tgt = { Graph.r_id = id; src; tgt; r_type = "T"; r_props = Props.empty }
+let leaves n = List.init n (fun _ -> Step_node ([ "B" ], Props.empty))
+
+(* the shapes a batch's adjacency must sort into buckets: a bucket big
+   enough to be a tree, several types at one endpoint in interleaved
+   order, self-loops, base nodes that already have buckets, and
+   endpoints far apart in a gapped id space *)
+let batch_shape_tests =
+  let p = Props.of_list [ ("k", vint 1) ] in
+  [
+    case "add_batch: a hub with a one-type bucket above the array size" (fun () ->
+        (* node 0 has 20 :R out and 20 :R in *)
+        let rels = List.concat_map (fun k -> [ Step_rel (0, k, "R", Props.empty); Step_rel (k, 0, "R", p) ]) (List.init 20 succ) in
+        check_batch "hub" Graph.empty ((Step_node ([ "A" ], p) :: leaves 20) @ rels));
+    case "add_batch: endpoints carrying several types" (fun () ->
+        let types = [| "T"; "R"; "S"; "R"; "T"; "T"; "S" |] in
+        let rels =
+          List.init 60 (fun k ->
+              let ty = types.(k mod Array.length types) in
+              if k mod 3 = 0 then Step_rel (1 + (k mod 2), 0, ty, Props.empty)
+              else Step_rel (0, 1 + (k mod 2), ty, p))
+        in
+        (* one endpoint whose relationships share a type but the last *)
+        let tail = List.init 5 (fun _ -> Step_rel (2, 1, "R", Props.empty)) @ [ Step_rel (2, 1, "Q", p) ] in
+        check_batch "types" Graph.empty ((Step_node ([ "A" ], p) :: leaves 2) @ rels @ tail));
+    case "add_batch: self-loops alone and among other relationships" (fun () ->
+        let loops = List.init 20 (fun k -> Step_rel (0, 0, (if k mod 4 = 0 then "S" else "R"), Props.empty)) in
+        check_batch "self-loops" Graph.empty
+          ((Step_node ([ "A" ], p) :: leaves 2) @ loops
+          @ [ Step_rel (1, 1, "R", p); Step_rel (0, 1, "R", Props.empty); Step_rel (1, 0, "R", Props.empty) ]));
+    case "add_batch: onto base nodes that already have buckets" (fun () ->
+        let base =
+          apply_steps (Graph.add_prop_index ~label:"A" ~key:"k" Graph.empty)
+            ((Step_node ([ "A" ], p) :: leaves 3)
+            @ List.init 18 (fun k -> Step_rel (0, 1 + (k mod 3), "R", Props.empty))
+            @ [ Step_rel (1, 0, "S", p); Step_rel (2, 2, "R", Props.empty) ])
+        in
+        let next = Graph.next_id base in
+        (* a tree bucket grows, an array bucket grows into a tree, a
+           one-id bucket grows, a base node gains a type, and new nodes
+           join old ones *)
+        let steps =
+          leaves 2
+          @ List.init 6 (fun k -> Step_rel (0, 1 + (k mod 3), "R", Props.empty))
+          @ List.init 17 (fun k -> Step_rel (1 + (k mod 2), 0, "S", Props.empty))
+          @ [ Step_rel (2, 2, "R", p); Step_rel (0, next, "T", p); Step_rel (next + 1, 3, "R", Props.empty) ]
+        in
+        check_batch "base buckets" base steps);
+    case "add_batch: endpoints spread over a wide, gapped id range" (fun () ->
+        (* three nodes left of 3000, so a batch of a dozen relationships
+           spans an endpoint range far wider than itself *)
+        let base = apply_steps Graph.empty (leaves 3000) in
+        let base =
+          List.fold_left
+            (fun g id -> if id mod 1499 = 0 then g else Graph.remove_node_detach g id)
+            base (Graph.node_ids base)
+        in
+        Alcotest.(check (list int)) "base nodes" [ 0; 1499; 2998 ] (Graph.node_ids base);
+        let far = [| 0; 1499; 2998; 3000; 3001 |] in
+        let rels =
+          List.init 12 (fun k ->
+              Step_rel (far.(k mod 5), far.((k * 3 + 1) mod 5), (if k mod 3 = 0 then "S" else "R"), Props.empty))
+        in
+        check_batch "wide range" base (leaves 2 @ rels);
+        check_batch "one far relationship" base [ Step_rel (2998, 0, "R", p) ]);
+    case "add_batch names the first bad relationship, source before target" (fun () ->
+        let refuses what msg nodes rels =
+          Alcotest.check_raises what (Invalid_argument ("Graph.add_batch: " ^ msg)) (fun () ->
+              ignore (Graph.add_batch Graph.empty nodes rels))
+        in
+        let nodes = [ batch_node 0 ] in
+        refuses "bad target, then a bad source" "no target node 7" nodes
+          [ batch_rel 1 0 7; batch_rel 2 9 0 ];
+        refuses "both endpoints bad" "no source node 8" nodes [ batch_rel 1 8 7 ];
+        refuses "bad sources out of endpoint order" "no source node 9" nodes
+          [ batch_rel 1 9 0; batch_rel 2 3 0 ];
+        refuses "a good relationship, then a bad target, then both bad" "no target node 5" nodes
+          [ batch_rel 1 0 0; batch_rel 2 0 5; batch_rel 3 4 6 ];
+        Alcotest.check_raises "rebuild, in id order" (Invalid_argument "Graph.rebuild: no source node 6") (fun () ->
+            ignore (Graph.rebuild ~next_id:4 [ batch_node 0 ] [ batch_rel 3 0 2; batch_rel 1 6 0 ])));
+  ]
+
 let batch_tests =
   [
     case "add_batch equals the per-entity create sequence" (fun () ->
@@ -538,4 +630,4 @@ let type_count_tests =
 
 let suite =
   suite @ histogram_tests @ typed_adjacency_tests @ derived_adjacency_tests @ prop_index_tests
-  @ batch_tests @ node_count_tests @ type_count_tests
+  @ batch_tests @ batch_shape_tests @ node_count_tests @ type_count_tests

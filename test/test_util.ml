@@ -129,17 +129,41 @@ let scanned_type_histogram g =
     g Cypher_util.Maps.Smap.empty
   |> Cypher_util.Maps.Smap.bindings
 
+(** [same_bits x y]: equal values of the same type, floats compared bit
+    for bit at any depth (a nan's sign shows in [toString] though every
+    printer of the graph hides it). *)
+let rec same_bits x y =
+  match (x, y) with
+  | Value.Float f, Value.Float f' -> Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float f')
+  | Value.Int i, Value.Int i' -> Int.equal i i'
+  | Value.List l, Value.List l' -> List.equal same_bits l l'
+  | Value.Map m, Value.Map m' -> Cypher_util.Maps.Smap.equal same_bits m m'
+  | (Value.Int _ | Value.Float _ | Value.List _ | Value.Map _), _ -> false
+  | _ -> Value.equal_strict x y
+
 (** [check_same_graph msg expected actual] fails unless the two graphs
     agree on everything a read can observe: the printed graph, ids and
-    the id supply, each graph's maintained node count against its node
-    map, label and type histograms and every registered
-    property index bucket; and each graph's adjacency views agree with
-    a scan of its own relationships. *)
+    the id supply, every property value bit for bit, each graph's
+    maintained node count against its node map, label and type
+    histograms and every registered property index bucket; and each
+    graph's adjacency views agree with a scan of its own
+    relationships. *)
 let check_same_graph msg expected actual =
   let check_eq what eq a b = if not (eq a b) then Alcotest.failf "%s: %s differ" msg what in
   Alcotest.(check string) (msg ^ ": graph") (Graph.to_string expected) (Graph.to_string actual);
   check_eq "node ids" ( = ) (Graph.node_ids expected) (Graph.node_ids actual);
   check_eq "rel ids" ( = ) (Graph.rel_ids expected) (Graph.rel_ids actual);
+  let same_props (k, x) (k', y) = String.equal k k' && same_bits x y in
+  let props what id p p' =
+    check_eq (Printf.sprintf "%s %d properties" what id) (List.equal same_props)
+      (Props.bindings p) (Props.bindings p')
+  in
+  Graph.fold_nodes
+    (fun n () -> props "node" n.Graph.n_id n.Graph.n_props (Graph.node_props_of actual n.Graph.n_id))
+    expected ();
+  Graph.fold_rels
+    (fun r () -> props "rel" r.Graph.r_id r.Graph.r_props (Graph.rel_props_of actual r.Graph.r_id))
+    expected ();
   List.iter
     (fun g ->
       check_eq "node count" ( = ) (Graph.node_count g) (List.length (Graph.node_ids g)))
