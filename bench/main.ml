@@ -640,11 +640,11 @@ let large_csvs () =
   done;
   (Buffer.contents nodes, Buffer.contents rels)
 
-(** One-shot timings at n = 10^6: bulk load through the batching
-    loader (in-memory session — journal throughput has its own io/*
-    entries), then the 2-hop count on the loaded graph.  Single runs, wall clock: at this scale a run takes
-    seconds, which Bechamel's quota would multiply needlessly.  Returns
-    meta pairs for the JSON block. *)
+(** One-shot timings at n = 10^6: bulk load (in-memory session —
+    journal throughput has its own io/* entries), then the 2-hop count
+    on the loaded graph.  Single runs, wall clock: at this scale a run
+    takes seconds, which Bechamel's quota would multiply needlessly.
+    Returns meta pairs for the JSON block. *)
 let run_large () =
   Printf.printf "\n-- tier 6 (--large): n=1e6 one-shot timings --\n%!";
   let (nodes, rels), gen_s = timed large_csvs in
@@ -658,9 +658,8 @@ let run_large () =
   in
   let graph_words = live_words () - w0 in
   let g = Session.graph session in
-  Printf.printf "bulk-load/n=1e6: %d nodes + %d rels in %.2f s (%d batches, csv gen %.2f s)\n%!"
-    report.Bulk.nodes_created report.Bulk.rels_created load_s
-    report.Bulk.batches gen_s;
+  Printf.printf "bulk-load/n=1e6: %d nodes + %d rels in %.2f s (csv gen %.2f s)\n%!"
+    report.Bulk.nodes_created report.Bulk.rels_created load_s gen_s;
   Printf.printf "graph footprint: %d live words (%.1f MB)\n%!" graph_words
     (float_of_int (graph_words * 8) /. 1e6);
   let _, persistent_s = timed (fun () -> run_q cfg_revised g q_2hop) in

@@ -84,7 +84,8 @@ let with_order order t = { t with order }
 let with_match_mode match_mode t = { t with match_mode }
 let with_planner planner t = { t with planner }
 let with_durability durability t = { t with durability }
-let with_stats collect_stats t = { t with collect_stats }
+let with_stats collect_stats t =
+  if t.collect_stats = collect_stats then t else { t with collect_stats }
 let with_params params t = { t with params }
 
 let with_param name v t = { t with params = Smap.add name v t.params }

@@ -71,7 +71,8 @@ val with_planner : planner -> t -> t
 (** [with_durability d t] sets the journal durability regime. *)
 val with_durability : durability -> t -> t
 
-(** [with_stats b t] toggles update-counter collection. *)
+(** [with_stats b t] toggles update-counter collection; [t] itself when
+    it already collects as [b] says. *)
 val with_stats : bool -> t -> t
 val with_params : Value.t Smap.t -> t -> t
 val with_param : string -> Value.t -> t -> t

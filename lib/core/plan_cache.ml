@@ -41,7 +41,6 @@ let create capacity =
     invalidations = 0;
   }
 
-let capacity t = t.capacity
 let length t = Hashtbl.length t.tbl
 
 let tick t =

@@ -18,7 +18,6 @@ type 'a t
     entries (clamped at 0; a zero-capacity cache stores nothing). *)
 val create : int -> 'a t
 
-val capacity : 'a t -> int
 val length : 'a t -> int
 
 (** [find t key] looks the key up, counting a hit (and refreshing the

@@ -247,7 +247,7 @@ let advance s ~src (r : Api.result) =
     Result.map (fun () -> r) (record s entry r.Api.r_graph)
 
 (** [advance_bulk s ~src ~stats graph'] journals one externally-applied
-    bulk batch — [src] is the frame payload ([Cypher_storage.Bulk]'s
+    bulk load — [src] is its frame payload ([Cypher_storage.Bulk]'s
     line format, not Cypher), [stats] its net counters — and advances
     the session graph to [graph'].  Write-ahead discipline matches
     {!advance}: immediate flush outside a transaction, buffered inside

@@ -98,13 +98,14 @@ val run : t -> string -> (Api.result, Errors.t) result
 val prepare : t -> string -> (Api.prepared, Errors.t) result
 
 (** [advance_bulk s ~src ~stats graph'] journals one externally-applied
-    bulk batch — [src] is the batch's frame payload (the bulk loader's
-    line format, not Cypher), [stats] its net update counters — and
-    advances the session graph to [graph'].  Journaling follows the same
+    bulk load — [src] is its frame payload (the bulk loader's line
+    format, not Cypher), [stats] its net update counters — and advances
+    the session graph to [graph'].  Journaling follows the same
     discipline as statements: write-ahead flush outside a transaction,
-    buffered until the outermost commit inside one.  The entry carries
-    [je_kind = `Bulk] so recovery replays it through the bulk loader
-    instead of the parser. *)
+    and the graph does not move when that flush fails; buffered until
+    the outermost commit inside one, and dropped by a rollback.  The
+    entry carries [je_kind = `Bulk] so recovery replays it through the
+    bulk loader instead of the parser. *)
 val advance_bulk :
   t -> src:string -> stats:Stats.t -> Graph.t -> (unit, Errors.t) result
 

@@ -32,7 +32,10 @@ let rec display_string v =
   | Value.Bool b -> string_of_bool b
   | Value.Int i -> string_of_int i
   | Value.Float f ->
-      if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+      (* every nan reads "nan", as in [Value.pp]: the C library prints
+         the sign bit ("-nan"), which no nan comparison can see *)
+      if Float.is_nan f then "nan"
+      else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
       else string_of_float f
   | Value.Null -> "null"
   | Value.List l -> "[" ^ String.concat ", " (List.map display_string l) ^ "]"

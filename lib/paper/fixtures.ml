@@ -87,11 +87,6 @@ let example1_swap =
   "MATCH (p1:Product {name: 'laptop'}), (p2:Product {name: 'tablet'})\n\
    SET p1.id = p2.id, p2.id = p1.id"
 
-let example1_sequential =
-  "MATCH (p1:Product {name: 'laptop'}), (p2:Product {name: 'tablet'})\n\
-   SET p1.id = p2.id\n\
-   SET p2.id = p1.id"
-
 let example2_ambiguous =
   "MATCH (p1:Product {id: 85}), (p2:Product {id: 125})\n\
    SET p1.name = p2.name"

@@ -33,7 +33,6 @@ val query5_legacy : string
 (** {1 Examples 1 and 2: SET} *)
 
 val example1_swap : string
-val example1_sequential : string
 val example2_ambiguous : string
 
 (** {1 Section 4.2: the deleted-node query} *)

@@ -942,28 +942,9 @@ let parse_program src : (query list, error) result =
     counts and wall-time alongside the plan. *)
 type prefix = Plain | Explain | Profile
 
-(** [parse_statement src] parses one statement, recognising an optional
-    [EXPLAIN] / [PROFILE] prefix before the query proper. *)
-let parse_statement src : (prefix * query, error) result =
-  match Lexer.tokenize src with
-  | Error { Lexer.message; line; col } -> Error { message; line; col }
-  | Ok toks -> (
-      let st = make_state toks in
-      try
-        let prefix =
-          if eat_kw st "EXPLAIN" then Explain
-          else if eat_kw st "PROFILE" then Profile
-          else Plain
-        in
-        let q = parse_query st in
-        let _ = parse_statement_end st in
-        if cur_kind st <> Token.Eof then
-          fail st "unexpected %s after query" (Token.describe (cur_kind st));
-        Ok (prefix, q)
-      with Parse_error e -> Error e)
-
-(** [parse_statement_params src] is {!parse_statement} plus the list of
-    [$name] parameters the statement references, each with the source
+(** [parse_statement_params src] parses one statement, recognising an
+    optional [EXPLAIN] / [PROFILE] prefix before the query proper, and
+    lists the [$name] parameters it references, each with the source
     position (line, column) of its first occurrence, in first-occurrence
     order. *)
 let parse_statement_params src :
@@ -994,7 +975,7 @@ let parse_statement_params src :
 
 (** [parse_statements src] parses a [;]-separated sequence of
     statements, recognising the [EXPLAIN] / [PROFILE] prefix on each
-    (the script-file counterpart of {!parse_statement}). *)
+    (the script-file counterpart of {!parse_statement_params}). *)
 let parse_statements src : ((prefix * query) list, error) result =
   match Lexer.tokenize src with
   | Error { Lexer.message; line; col } -> Error { message; line; col }

@@ -19,14 +19,10 @@ val parse_string : string -> (Cypher_ast.Ast.query, error) result
     counts and wall-time alongside the plan. *)
 type prefix = Plain | Explain | Profile
 
-(** [parse_statement src] parses one statement, recognising an optional
-    [EXPLAIN] / [PROFILE] prefix (a trailing [;] is allowed). *)
-val parse_statement :
-  string -> (prefix * Cypher_ast.Ast.query, error) result
-
-(** [parse_statement_params src] is {!parse_statement} plus the list of
-    [$name] parameters the statement references, each with the (line,
-    column) of its first occurrence, in first-occurrence order. *)
+(** [parse_statement_params src] parses one statement, recognising an
+    optional [EXPLAIN] / [PROFILE] prefix (a trailing [;] is allowed),
+    and lists the [$name] parameters it references, each with the
+    (line, column) of its first occurrence, in first-occurrence order. *)
 val parse_statement_params :
   string ->
   (prefix * Cypher_ast.Ast.query * (string * (int * int)) list, error) result

@@ -1,4 +1,4 @@
-(** Streaming bulk loader: CSV files → graph, bypassing the parser.
+(** Bulk loader: CSV files → graph, bypassing the parser.
 
     The paper motivates MERGE by bulk import ("a graph database may be
     initially populated by importing data from a relational database or
@@ -6,8 +6,8 @@
     per-statement Cypher — one parse, one plan, one journal frame and
     one fsync per entity — is the wrong tool.  This module is the right
     one: it validates two CSV files (nodes, then relationships) in
-    full, then applies them in batches, journaling one {!Wal} frame per
-    batch ([k=b] records) instead of one per statement.
+    full, then adds them as one graph batch, journaled as one {!Wal}
+    frame (a [k=b] record) instead of one per statement.
 
     {2 CSV formats}
 
@@ -27,12 +27,16 @@
     Both files are parsed and validated completely — empty file, missing
     required columns, ragged rows, duplicate node ids, unknown endpoints
     all fail with a structured error naming file and line — before the
-    first entity is created, and application runs inside a transaction,
-    so a failed load never leaves a partial graph behind.
+    session is touched.  The load then moves the session in one
+    {!Session.advance_bulk}, which leaves the graph where it was when
+    the journal append fails, and buffers the frame in the caller's
+    transaction when one is open; so a failed load never leaves a
+    partial graph behind.
 
     {2 Frame format and replay}
 
-    Each batch journals as one payload of lines
+    A load journals one payload of lines, its node lines first, then its
+    relationship lines, each in file order:
 
     {v
     N <id> <labels|-> <props|->
@@ -49,44 +53,38 @@
     {!apply_frame} threads an id map (raw id → created node) across the
     frames of a replay; a later load reusing a raw id simply overwrites
     the entry, which is exactly the binding its own relationships saw at
-    original execution.
+    original execution.  Journals written before a load became one frame
+    hold one frame per batch of rows, node batches before relationship
+    batches; joined with newlines, those frames are the one frame the
+    load writes now, and they replay through the same map.
 
     {2 Load and replay}
 
-    The loader does not read its frames back: validation interns every
-    row's labels, type, property map and scalars through one {!Share}
-    table, and each batch becomes node and relationship records
-    directly — node row [i] gets id [next_id + i], relationship row [j]
-    [next_id + n_nodes + j] — in one {!Graph.add_batch}, while the same
-    rows are written out as the batch's frame text.  {!apply_frame} is
-    recovery's reader only.  The invariant that joins the two paths —
-    replaying a load's frames on the same base rebuilds the graph the
-    load built, down to the ids, the snapshot bytes and the bits of
-    every float — is checked by the "a load replays to itself" tests.
-    Where the frame text is lossy the loader stores what replay reads:
-    a lone [-] label field is no labels, and every nan is {!Dump.nan}. *)
+    The loader does not read its frame back.  One pass over each file
+    validates a row, interns its labels, type, property map and scalars
+    through one {!Share} table, builds its record — node row [i] gets id
+    [next_id + i], relationship row [j] [next_id + n_nodes + j] — and
+    writes its frame line.  The records go into the graph in one
+    {!Graph.add_batch}.  {!apply_frame} is recovery's reader only.  The
+    invariant that joins the two paths — replaying a load's frame on the
+    same base rebuilds the graph the load built, down to the ids, the
+    snapshot bytes and the bits of every float — is checked by the "a
+    load replays to itself" tests.  Where the frame text is lossy the
+    loader stores what replay reads: a lone [-] label field is no
+    labels, and every nan is {!Dump.nan}. *)
 
 open Cypher_graph
 open Cypher_core
 open Cypher_util.Maps
 module Csv = Cypher_csv.Csv
 
-type report = {
-  nodes_created : int;
-  rels_created : int;
-  batches : int;  (** journal frames written *)
-}
+type report = { nodes_created : int; rels_created : int }
 
 (** Raw CSV id → internal node id, threaded across the frames of one
     recovery replay. *)
 type idmap = (string, Graph.node_id) Hashtbl.t
 
 let create_idmap () : idmap = Hashtbl.create 1024
-let default_batch_size = 10_000
-
-(* Structured-error carrier for the load loop: lets the transaction body
-   unwind through rollback before the error surfaces as a [result]. *)
-exception Abort of Errors.t
 
 (* ------------------------------------------------------------------ *)
 (* Errors                                                             *)
@@ -198,26 +196,8 @@ let apply_frame ~(ids : idmap) (g : Graph.t) (payload : string) :
   with Bad m -> Error m
 
 (* ------------------------------------------------------------------ *)
-(* Validation                                                         *)
+(* Loading                                                            *)
 (* ------------------------------------------------------------------ *)
-
-(** A validated row: the raw fields it frames as, and the interned
-    pieces of the record it becomes. *)
-type vnode = {
-  vn_id : string;
-  vn_labels : string list;  (** as framed, [;]-joined *)
-  vn_label_set : Sset.t;
-  vn_props : Props.t;
-}
-
-type vrel = {
-  vr_src : string;
-  vr_tgt : string;  (** raw ids, as framed *)
-  vr_src_row : int;
-  vr_tgt_row : int;  (** their rows in the node file, from 0 *)
-  vr_ty : string;
-  vr_props : Props.t;
-}
 
 let parse_csv file src =
   match Csv.parse_numbered src with
@@ -274,8 +254,14 @@ let typed_props share props_cols row : Props.t =
          | v -> Smap.add c (Share.value share v) m)
        Smap.empty props_cols)
 
-let validate_nodes share file src : vnode list =
-  let header, rows = parse_csv file src in
+(* the frame's lines are newline-separated *)
+let start_line buf = if Buffer.length buf > 0 then Buffer.add_char buf '\n'
+
+(** The node file in one pass: row [i] is checked, its record built
+    with id [base + i], its raw id entered in the returned table (raw
+    id → node id, line) and its frame line written to [buf]. *)
+let load_nodes share ~buf ~lit ~base file src =
+  let header, body = parse_csv file src in
   let hline, hcols = header in
   let props_cols =
     split_header file (hline, hcols) ~required:[ "id" ]
@@ -284,32 +270,52 @@ let validate_nodes share file src : vnode list =
   let id_i = pos hcols "id" in
   let labels_i = if List.mem "labels" hcols then Some (pos hcols "labels") else None in
   let width = List.length hcols in
-  let seen = Hashtbl.create (List.length rows) in
-  List.map
-    (fun (line, row) ->
-      let row = fields file width (line, row) in
-      let id = row.(id_i) in
-      if id = "" then fail_at file line "empty node id";
-      (match Hashtbl.find_opt seen id with
-      | Some first ->
-          fail_at file line "duplicate node id %S (first seen at line %d)" id
-            first
-      | None -> Hashtbl.add seen id line);
-      let labels =
-        match labels_i with None -> [] | Some i -> split_labels row.(i)
-      in
-      {
-        vn_id = id;
-        vn_labels = labels;
+  let ids = Hashtbl.create (List.length body) in
+  let nodes =
+    List.mapi
+      (fun i (line, row) ->
+        let row = fields file width (line, row) in
+        let id = row.(id_i) in
+        if id = "" then fail_at file line "empty node id";
+        let n_id = base + i in
+        (match Hashtbl.find_opt ids id with
+        | Some (_, first) ->
+            fail_at file line "duplicate node id %S (first seen at line %d)" id
+              first
+        | None -> Hashtbl.add ids id (n_id, line));
+        let labels =
+          match labels_i with None -> [] | Some i -> split_labels row.(i)
+        in
+        let n_props = typed_props share props_cols row in
+        start_line buf;
+        Buffer.add_string buf "N ";
+        Wal.add_pct_encoded buf id;
+        Buffer.add_char buf ' ';
+        (match labels with
+        | [] -> Buffer.add_char buf '-'
+        | l :: rest ->
+            (* [;] needs no escape, so each label encodes on its own *)
+            Wal.add_pct_encoded buf l;
+            List.iter
+              (fun l ->
+                Buffer.add_char buf ';';
+                Wal.add_pct_encoded buf l)
+              rest);
+        Buffer.add_char buf ' ';
+        add_props_field buf ~lit n_props;
         (* a lone [-] label frames as the field [-], which replay reads
            as "no labels" *)
-        vn_label_set = Share.labels share (if labels = [ "-" ] then [] else labels);
-        vn_props = typed_props share props_cols row;
-      })
-    rows
+        let labels = Share.labels share (if labels = [ "-" ] then [] else labels) in
+        { Graph.n_id; labels; n_props })
+      body
+  in
+  (nodes, ids)
 
-let validate_rels share file ~(node_rows : (string, int) Hashtbl.t) src : vrel list =
-  let header, rows = parse_csv file src in
+(** The relationship file in one pass: row [j] is checked, its endpoints
+    resolved through [ids], its record built with id [first + j] and
+    its frame line written to [buf]. *)
+let load_rels share ~buf ~lit ~ids ~first file src =
+  let header, body = parse_csv file src in
   let hline, hcols = header in
   let props_cols =
     split_header file (hline, hcols)
@@ -320,166 +326,60 @@ let validate_rels share file ~(node_rows : (string, int) Hashtbl.t) src : vrel l
   let tgt_i = pos hcols "tgt" in
   let ty_i = pos hcols "type" in
   let width = List.length hcols in
-  List.map
-    (fun (line, row) ->
+  List.mapi
+    (fun j (line, row) ->
       let row = fields file width (line, row) in
       let s = row.(src_i) and t = row.(tgt_i) and ty = row.(ty_i) in
       if ty = "" then fail_at file line "empty relationship type";
-      let node_row what id =
-        match Hashtbl.find_opt node_rows id with
-        | Some i -> i
+      let node what id =
+        match Hashtbl.find_opt ids id with
+        | Some (n_id, _) -> n_id
         | None -> fail_at file line "unknown %s node id %S" what id
       in
-      let vr_src_row = node_row "source" s in
-      let vr_tgt_row = node_row "target" t in
-      {
-        vr_src = s;
-        vr_tgt = t;
-        vr_src_row;
-        vr_tgt_row;
-        vr_ty = Share.name share ty;
-        vr_props = typed_props share props_cols row;
-      })
-    rows
+      let src = node "source" s in
+      let tgt = node "target" t in
+      let r_props = typed_props share props_cols row in
+      start_line buf;
+      Buffer.add_string buf "R ";
+      Wal.add_pct_encoded buf s;
+      Buffer.add_char buf ' ';
+      Wal.add_pct_encoded buf t;
+      Buffer.add_char buf ' ';
+      Wal.add_pct_encoded buf ty;
+      Buffer.add_char buf ' ';
+      add_props_field buf ~lit r_props;
+      { Graph.r_id = first + j; src; tgt; r_type = Share.name share ty; r_props })
+    body
 
-(* ------------------------------------------------------------------ *)
-(* Loading                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let chunks size l =
-  let rec go acc cur n = function
-    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-    | x :: rest ->
-        if n = size then go (List.rev cur :: acc) [ x ] 1 rest
-        else go acc (x :: cur) (n + 1) rest
-  in
-  go [] [] 0 l
-
-(* one frame: its lines, newline-separated, written by [add_line] *)
-let frame buf add_line batch =
-  Buffer.clear buf;
-  List.iteri
-    (fun k x ->
-      if k > 0 then Buffer.add_char buf '\n';
-      add_line x)
-    batch;
-  Buffer.contents buf
-
-(** [load_strings session ~nodes ~rels] validates and applies the two
-    CSV images.  [nodes_name]/[rels_name] label errors (default
-    ["<nodes>"], ["<rels>"]). *)
-let load_strings ?(batch_size = default_batch_size) ?(nodes_name = "<nodes>")
-    ?(rels_name = "<rels>") (session : Session.t) ~(nodes : string)
-    ~(rels : string) : (report, Errors.t) result =
+(** [load_strings session ~nodes ~rels] validates both CSV images, then
+    applies them as one batch journaled as one frame.
+    [nodes_name]/[rels_name] label errors (default ["<nodes>"],
+    ["<rels>"]). *)
+let load_strings ?(nodes_name = "<nodes>") ?(rels_name = "<rels>")
+    (session : Session.t) ~(nodes : string) ~(rels : string) :
+    (report, Errors.t) result =
   try
-    if batch_size <= 0 then invalid_arg "Bulk.load_strings: batch_size";
-    (* phase 1: validate everything before touching the graph; equal
-       labels, types, key sets and scalars are stored once *)
+    (* equal labels, types, key sets and scalars are stored once *)
     let share = Share.create () in
-    let vnodes = validate_nodes share nodes_name nodes in
-    let node_rows = Hashtbl.create (List.length vnodes) in
-    List.iteri (fun i n -> Hashtbl.add node_rows n.vn_id i) vnodes;
-    let vrels = validate_rels share rels_name ~node_rows rels in
-    (* phase 2: per batch, nodes before relationships, add the records
-       and journal the frame.  One transaction: a journal failure (e.g.
-       a closed store) rolls everything back, and the outermost commit
-       flushes all frames with a single sink call, hence a single
-       journal write *)
-    Session.begin_tx session;
-    let base = Graph.next_id (Session.graph session) in
-    let next = ref base in
-    let fresh () =
-      let id = !next in
-      incr next;
-      id
-    in
     let buf = Buffer.create 65536 and lit = Buffer.create 256 in
-    let apply src nodes rels =
+    let base = Graph.next_id (Session.graph session) in
+    let nodes, ids = load_nodes share ~buf ~lit ~base nodes_name nodes in
+    let n = List.length nodes in
+    let rels = load_rels share ~buf ~lit ~ids ~first:(base + n) rels_name rels in
+    let m = List.length rels in
+    let report = { nodes_created = n; rels_created = m } in
+    (* a relationship needs an endpoint, so an empty node file is an
+       empty load, which journals nothing *)
+    if n = 0 then Ok report
+    else
       let g = Graph.add_batch (Session.graph session) nodes rels in
       (* following the net-diff convention of [Stats]: properties and
          labels of created entities fold into the created counts *)
-      let stats =
-        {
-          Stats.empty with
-          Stats.nodes_created = List.length nodes;
-          rels_created = List.length rels;
-        }
-      in
-      match Session.advance_bulk session ~src ~stats g with
-      | Ok () -> ()
-      | Error e -> raise (Abort e)
-    in
-    let node_line n =
-      Buffer.add_string buf "N ";
-      Wal.add_pct_encoded buf n.vn_id;
-      Buffer.add_char buf ' ';
-      (match n.vn_labels with
-      | [] -> Buffer.add_char buf '-'
-      | l :: rest ->
-          (* [;] needs no escape, so each label encodes on its own *)
-          Wal.add_pct_encoded buf l;
-          List.iter
-            (fun l ->
-              Buffer.add_char buf ';';
-              Wal.add_pct_encoded buf l)
-            rest);
-      Buffer.add_char buf ' ';
-      add_props_field buf ~lit n.vn_props
-    in
-    let rel_line r =
-      Buffer.add_string buf "R ";
-      Wal.add_pct_encoded buf r.vr_src;
-      Buffer.add_char buf ' ';
-      Wal.add_pct_encoded buf r.vr_tgt;
-      Buffer.add_char buf ' ';
-      Wal.add_pct_encoded buf r.vr_ty;
-      Buffer.add_char buf ' ';
-      add_props_field buf ~lit r.vr_props
-    in
-    let node_batches = chunks batch_size vnodes
-    and rel_batches = chunks batch_size vrels in
-    (try
-       List.iter
-         (fun batch ->
-           let nodes =
-             List.map
-               (fun n ->
-                 { Graph.n_id = fresh (); labels = n.vn_label_set; n_props = n.vn_props })
-               batch
-           in
-           apply (frame buf node_line batch) nodes [])
-         node_batches;
-       List.iter
-         (fun batch ->
-           let rels =
-             List.map
-               (fun r ->
-                 {
-                   Graph.r_id = fresh ();
-                   src = base + r.vr_src_row;
-                   tgt = base + r.vr_tgt_row;
-                   r_type = r.vr_ty;
-                   r_props = r.vr_props;
-                 })
-               batch
-           in
-           apply (frame buf rel_line batch) [] rels)
-         rel_batches;
-       match Session.commit session with
-       | Ok () -> ()
-       | Error m -> raise (Abort (Errors.Update_error ("bulk load: " ^ m)))
-     with e ->
-       (match Session.rollback session with _ -> ());
-       raise e);
-    Ok
-      {
-        nodes_created = List.length vnodes;
-        rels_created = List.length vrels;
-        batches = List.length node_batches + List.length rel_batches;
-      }
-  with
-  | Errors.Error e -> Error e
-  | Abort e -> Error e
+      let stats = { Stats.empty with Stats.nodes_created = n; rels_created = m } in
+      match Session.advance_bulk session ~src:(Buffer.contents buf) ~stats g with
+      | Ok () -> Ok report
+      | Error e -> Error (Errors.Update_error ("bulk load: " ^ Errors.to_string e))
+  with Errors.Error e -> Error e
 
 let read_file path =
   let ic = open_in_bin path in
@@ -489,10 +389,10 @@ let read_file path =
 
 (** [load_files session ~nodes_path ~rels_path] is {!load_strings} over
     files; errors cite the file paths. *)
-let load_files ?batch_size (session : Session.t) ~nodes_path ~rels_path :
+let load_files (session : Session.t) ~nodes_path ~rels_path :
     (report, Errors.t) result =
   match (read_file nodes_path, read_file rels_path) with
   | nodes, rels ->
-      load_strings ?batch_size ~nodes_name:nodes_path ~rels_name:rels_path
-        session ~nodes ~rels
+      load_strings ~nodes_name:nodes_path ~rels_name:rels_path session ~nodes
+        ~rels
   | exception Sys_error m -> Error (Errors.Update_error ("bulk load: " ^ m))

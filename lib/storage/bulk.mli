@@ -1,6 +1,7 @@
-(** Streaming bulk loader: two CSV files (nodes, relationships) →
-    graph, validated in full before anything is applied, journaled as
-    one {!Wal} frame per batch instead of one per statement.
+(** Bulk loader: two CSV files (nodes, relationships) → graph,
+    validated in full before anything is applied, then added as one
+    graph batch journaled as one {!Wal} frame, instead of one frame per
+    statement.
 
     Node CSV: required [id] column (the file-local identifier the
     relationship file refers to), optional [labels] column
@@ -10,30 +11,26 @@
     typed property.  A failed load — malformed CSV, missing or duplicate
     columns, ragged rows, duplicate node ids, unknown endpoints, a
     closed store — returns a structured error naming file and line and
-    leaves the graph untouched (application runs inside a transaction).
+    leaves the graph untouched.
 
     Frame payloads use raw CSV ids for relationship endpoints, resolved
-    through an {!idmap} threaded across frames, so replay is immune to
-    the internal-id remapping a snapshot compaction performs.  The
-    loader builds its records from the validated rows and never reads
-    its frames back; {!apply_frame} is recovery's reader.  See the
-    implementation header for the frame grammar. *)
+    through an {!idmap} threaded across the frames of a replay, so
+    replay is immune to the internal-id remapping a snapshot compaction
+    performs.  The loader builds its records as it validates the rows
+    and never reads its frame back; {!apply_frame} is recovery's
+    reader.  See the implementation header for the frame grammar. *)
 
 open Cypher_graph
 open Cypher_core
 
-type report = {
-  nodes_created : int;
-  rels_created : int;
-  batches : int;  (** journal frames written *)
-}
+type report = { nodes_created : int; rels_created : int }
 
 (** Raw CSV id → internal node id, threaded across the frames of one
-    recovery replay. *)
+    recovery replay: journals written before a load became one frame
+    hold several frames per load, relationships after nodes. *)
 type idmap
 
 val create_idmap : unit -> idmap
-val default_batch_size : int
 
 (** [apply_frame ~ids g payload] applies one bulk frame to [g],
     recording created nodes in [ids] and resolving relationship
@@ -46,12 +43,15 @@ val default_batch_size : int
 val apply_frame :
   ids:idmap -> Graph.t -> string -> (Graph.t * Stats.t, string) result
 
-(** [load_strings session ~nodes ~rels] validates and applies the two
-    CSV images to [session], journaling one frame per [batch_size] rows
-    (default {!default_batch_size}).  [nodes_name] / [rels_name] label
-    error messages (defaults ["<nodes>"] / ["<rels>"]). *)
+(** [load_strings session ~nodes ~rels] validates the two CSV images,
+    then adds them to [session]'s graph in one {!Session.advance_bulk}:
+    one frame, node lines before relationship lines, each in file
+    order.  Outside a transaction the frame is written ahead and a
+    failed append leaves the graph unchanged; inside one it is buffered
+    until the caller's commit, and a rollback drops it with the load.
+    A load with no rows journals nothing.  [nodes_name] / [rels_name]
+    label error messages (defaults ["<nodes>"] / ["<rels>"]). *)
 val load_strings :
-  ?batch_size:int ->
   ?nodes_name:string ->
   ?rels_name:string ->
   Session.t ->
@@ -62,7 +62,6 @@ val load_strings :
 (** [load_files session ~nodes_path ~rels_path] is {!load_strings} over
     files; errors cite the file paths. *)
 val load_files :
-  ?batch_size:int ->
   Session.t ->
   nodes_path:string ->
   rels_path:string ->

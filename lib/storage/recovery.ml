@@ -56,8 +56,9 @@ let config_of_record (r : Wal.record) : Config.t =
 let replay (base : Graph.t) (records : Wal.record list) :
     (Graph.t, string) result =
   (* one id map across the whole replay: bulk frames resolve
-     relationship endpoints by raw CSV id, and a load's relationship
-     batches follow its node batches as separate records *)
+     relationship endpoints by raw CSV id, and in journals written
+     before a load became one frame, a load's relationship batches
+     follow its node batches as separate records *)
   let bulk_ids = Bulk.create_idmap () in
   let check i (recorded : Stats.t) (replayed : Stats.t) k =
     if not (Stats.equal replayed recorded) then

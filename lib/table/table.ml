@@ -21,8 +21,7 @@ let row_count t = List.length t.rows
 let is_empty t = t.rows = []
 
 let dedup_columns columns =
-  (* set-based membership: [of_rows] feeds this the concatenated key
-     lists of every record, so the accumulator can get wide *)
+  (* set-based membership, so a wide column list stays cheap *)
   let rec loop seen acc = function
     | [] -> List.rev acc
     | c :: rest ->
@@ -50,11 +49,6 @@ let make_rev columns rows_rev =
   let columns = dedup_columns columns in
   let project = Record.project (Slots.of_names columns) in
   { columns; rows = List.rev_map project rows_rev }
-
-(** [of_rows rows] infers the column set as the union of all keys. *)
-let of_rows rows =
-  let columns = dedup_columns (List.concat_map Record.keys rows) in
-  make columns rows
 
 let map f t = { t with rows = List.map f t.rows }
 

@@ -32,9 +32,6 @@ val make : string list -> Record.t list -> t
     reverse order (the matcher's fold). *)
 val make_rev : string list -> Record.t list -> t
 
-(** [of_rows rows] infers the column set as the union of all keys. *)
-val of_rows : Record.t list -> t
-
 val map : (Record.t -> Record.t) -> t -> t
 
 (** [concat_map columns f t] expands every row into several rows; the

@@ -1,7 +1,8 @@
-(** The streaming bulk loader: CSV validation (structured errors with
-    file and line, never a partial graph), batching into [`Bulk]
-    journal frames, the closed-store failure mode, and durability of a
-    bulk load through crash recovery. *)
+(** The bulk loader: CSV validation (structured errors with file and
+    line, never a partial graph), one [`Bulk] journal frame per load,
+    the closed-store failure mode, loads inside a caller's transaction,
+    durability of a bulk load through crash recovery, and the replay of
+    journals that hold several frames per load. *)
 
 open Cypher_graph
 module Config = Cypher_core.Config
@@ -39,8 +40,14 @@ let rels_csv =
 
 let fresh_session () = Session.create ~config:Config.revised Graph.empty
 
-let load ?batch_size session ~nodes ~rels =
-  Bulk.load_strings ?batch_size session ~nodes ~rels
+let load session ~nodes ~rels = Bulk.load_strings session ~nodes ~rels
+
+(* a session on [base] whose journal sink appends to the returned log *)
+let logging_session base =
+  let log = ref [] in
+  let s = Session.create ~config:Config.revised base in
+  Session.set_journal s (Some (fun entries -> log := !log @ entries));
+  (s, log)
 
 let contains ~sub s =
   let n = String.length s and m = String.length sub in
@@ -59,15 +66,18 @@ let check_error ~sub result =
 let validation_tests =
   [
     Test_util.case "happy path: graph, report and batching" (fun () ->
-        let s = fresh_session () in
-        match load ~batch_size:2 s ~nodes:nodes_csv ~rels:rels_csv with
+        let s, log = logging_session Graph.empty in
+        match load s ~nodes:nodes_csv ~rels:rels_csv with
         | Error e -> Alcotest.failf "load: %s" (Errors.to_string e)
         | Ok r ->
             Alcotest.(check int) "nodes" 3 r.Bulk.nodes_created;
             Alcotest.(check int) "rels" 3 r.Bulk.rels_created;
-            (* 3 nodes + 3 rels at batch_size 2: 2 node frames, 2 rel
-               frames *)
-            Alcotest.(check int) "frames" 4 r.Bulk.batches;
+            (* the whole load is one [`Bulk] entry carrying its counters *)
+            (match !log with
+            | [ { Session.je_kind = `Bulk; je_stats; _ } ] ->
+                Alcotest.(check (pair int int)) "entry counters" (3, 3)
+                  (je_stats.Cypher_core.Stats.nodes_created, je_stats.Cypher_core.Stats.rels_created)
+            | entries -> Alcotest.failf "expected one bulk entry, got %d entries" (List.length entries));
             let g = Session.graph s in
             Alcotest.(check int) "node count" 3 (Graph.node_count g);
             Alcotest.(check int) "rel count" 3 (Graph.rel_count g);
@@ -163,9 +173,14 @@ let storage_tests =
                 Store.close store;
                 (match load session ~nodes:"id\nu1\n" ~rels:"src,tgt,type\n" with
                 | Ok _ -> Alcotest.fail "load succeeded on a closed store"
-                | Error e ->
-                    Alcotest.(check bool) "structured" true
-                      (match e with Errors.Update_error _ -> true | _ -> false));
+                | Error (Errors.Update_error m) ->
+                    Alcotest.(check string) "message"
+                      (Printf.sprintf
+                         "bulk load: update error: store at %s is closed: reopen it or detach the \
+                          journal (Session.set_journal session None) to continue in memory"
+                         (Filename.concat dir "db"))
+                      m
+                | Error e -> Alcotest.failf "expected Update_error, got %s" (Errors.to_string e));
                 Alcotest.(check int) "graph unchanged" 0
                   (Graph.node_count (Session.graph session))));
     Test_util.case "bulk load survives close/reopen (journal replay)"
@@ -179,7 +194,7 @@ let storage_tests =
                   (match Session.run session "CREATE (:Seed {id: 0})" with
                   | Ok _ -> ()
                   | Error e -> Alcotest.failf "%s" (Errors.to_string e));
-                  (match load ~batch_size:2 session ~nodes:nodes_csv ~rels:rels_csv with
+                  (match load session ~nodes:nodes_csv ~rels:rels_csv with
                   | Ok _ -> ()
                   | Error e -> Alcotest.failf "load: %s" (Errors.to_string e));
                   (* and a statement on top of the bulk data *)
@@ -321,8 +336,7 @@ let csv_field = function
 
 let csv_props props = List.map (fun k -> csv_field (Props.get props k)) [ "k"; "w" ]
 
-(* seed [seed]'s random entity script, its two CSV images and a batch
-   size of 1-7 *)
+(* seed [seed]'s random entity script and its two CSV images *)
 let random_load seed =
   let rng = Random.State.make [| seed |] in
   let steps =
@@ -341,13 +355,13 @@ let random_load seed =
           Buffer.add_string rels
             (row ([ Printf.sprintf "v%d" src; Printf.sprintf "v%d" tgt; ty ] @ csv_props props)))
     steps;
-  (steps, Buffer.contents nodes, Buffer.contents rels, 1 + Random.State.int rng 7)
+  (steps, Buffer.contents nodes, Buffer.contents rels)
 
 let equivalence_tests =
   [
     Test_util.case "a batched load equals the per-entity create sequence" (fun () ->
         for seed = 1 to 30 do
-          let steps, nodes, rels, batch_size = random_load seed in
+          let steps, nodes, rels = random_load seed in
           (* the reference: nodes in file order, then relationships *)
           let base = Test_util.indexed_base () in
           let ids = Hashtbl.create 16 in
@@ -374,7 +388,7 @@ let equivalence_tests =
               expected steps
           in
           let s = Session.create ~config:Config.revised base in
-          (match load ~batch_size s ~nodes ~rels with
+          (match load s ~nodes ~rels with
           | Ok _ -> ()
           | Error e -> Alcotest.failf "seed %d: load: %s" seed (Errors.to_string e));
           Test_util.check_same_graph (Printf.sprintf "seed %d" seed) expected (Session.graph s)
@@ -435,7 +449,7 @@ let sharing_tests =
     Test_util.case "loaded entities share equal label sets and scalars" (fun () ->
         let nodes, rels = bench_shaped_csv ~persons:40 in
         let s = fresh_session () in
-        (match load ~batch_size:1000 s ~nodes ~rels with
+        (match load s ~nodes ~rels with
         | Ok _ -> ()
         | Error e -> Alcotest.failf "load: %s" (Errors.to_string e));
         let g = Session.graph s in
@@ -497,7 +511,7 @@ let sharing_tests =
     Test_util.case "a bench-shaped image re-images to the same bytes" (fun () ->
         let nodes, rels = bench_shaped_csv ~persons:60 in
         let s = fresh_session () in
-        (match load ~batch_size:100 s ~nodes ~rels with
+        (match load s ~nodes ~rels with
         | Ok _ -> ()
         | Error e -> Alcotest.failf "load: %s" (Errors.to_string e));
         Session.register_prop_index s ~label:"Person" ~key:"pid";
@@ -536,26 +550,21 @@ let awkward_csv =
 
 (* loads onto [base] with a journal sink attached: the graph and the
    captured frames *)
-let load_capturing ?batch_size base ~nodes ~rels =
-  let log = ref [] in
-  let s = Session.create ~config:Config.revised base in
-  Session.set_journal s (Some (fun entries -> log := !log @ entries));
-  (match load ?batch_size s ~nodes ~rels with
+let load_capturing base ~nodes ~rels =
+  let s, log = logging_session base in
+  (match load s ~nodes ~rels with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "load: %s" (Errors.to_string e));
   (Session.graph s, !log)
 
-let frames_md5 entries =
-  Digest.to_hex (Digest.string (String.concat "\000" (List.map (fun e -> e.Session.je_src) entries)))
-
 (* [base] goes through a snapshot first, so the load and the replay
    start from the very graph recovery decodes *)
-let check_replays_to_itself msg ?batch_size base ~nodes ~rels =
+let check_replays_to_itself msg base ~nodes ~rels =
   let image = Cypher_storage.Snapshot.to_string base in
   let base =
     match Cypher_storage.Snapshot.parse image with Ok g -> g | Error m -> Alcotest.fail m
   in
-  let loaded, entries = load_capturing ?batch_size base ~nodes ~rels in
+  let loaded, entries = load_capturing base ~nodes ~rels in
   let wal = String.concat "" (List.map (fun e -> Wal.encode (Wal.record_of_entry e)) entries) in
   match Cypher_storage.Recovery.recover_strings ~snapshot:image ~wal () with
   | Error m -> Alcotest.failf "%s: recovery: %s" msg m
@@ -570,27 +579,77 @@ let replay_tests =
   [
     Test_util.case "a load replays to itself, byte for byte" (fun () ->
         for seed = 1 to 30 do
-          let _, nodes, rels, batch_size = random_load seed in
-          check_replays_to_itself (Printf.sprintf "seed %d" seed) ~batch_size
-            (Test_util.indexed_base ()) ~nodes ~rels
+          let _, nodes, rels = random_load seed in
+          check_replays_to_itself (Printf.sprintf "seed %d" seed) (Test_util.indexed_base ()) ~nodes
+            ~rels
         done;
         let nodes, rels = bench_shaped_csv ~persons:40 in
-        check_replays_to_itself "bench-shaped" ~batch_size:50 (Test_util.indexed_base ()) ~nodes
-          ~rels;
+        check_replays_to_itself "bench-shaped" (Test_util.indexed_base ()) ~nodes ~rels;
         let nodes, rels = awkward_csv in
-        check_replays_to_itself "awkward" ~batch_size:2 (Test_util.indexed_base ()) ~nodes ~rels);
-    (* captured before records were built without the frames: the frame
-       bytes, and so every journal a load writes, did not change *)
+        check_replays_to_itself "awkward" (Test_util.indexed_base ()) ~nodes ~rels);
+    (* the MD5s of the frames a load wrote when it journaled one frame
+       per batch of rows, joined with newlines: the one frame a load
+       writes now is exactly that join (at any batch size the join was
+       the same) *)
     Test_util.case "frame bytes are pinned" (fun () ->
-        let md5 ?batch_size (nodes, rels) =
-          frames_md5 (snd (load_capturing ?batch_size Graph.empty ~nodes ~rels))
+        let md5 (nodes, rels) =
+          match snd (load_capturing Graph.empty ~nodes ~rels) with
+          | [ e ] -> Digest.to_hex (Digest.string e.Session.je_src)
+          | entries -> Alcotest.failf "expected one frame, got %d" (List.length entries)
         in
-        Alcotest.(check string) "bench-shaped, 7 frames" "0580eb6c67341d8a510ca3db9b196fd2"
-          (md5 ~batch_size:50 (bench_shaped_csv ~persons:40));
-        Alcotest.(check string) "bench-shaped, default batches" "d299bcebe32d38f4f7edf66e597a82d3"
+        Alcotest.(check string) "bench-shaped" "05e990e6d1f61dd878632d920aed59f9"
           (md5 (bench_shaped_csv ~persons:40));
-        Alcotest.(check string) "awkward" "814d6e54e07491b2594a7cdacc8630be"
-          (md5 ~batch_size:2 awkward_csv));
+        Alcotest.(check string) "awkward" "88c2884679d1007c3461a96b5217c335" (md5 awkward_csv));
+    (* journals written when a load was one frame per batch of rows:
+       [awkward_csv] at 2 rows a frame (5 frames) and
+       [bench_shaped_csv ~persons:40] at 50 (7 frames), each loaded onto
+       an empty graph *)
+    Test_util.case "multi-frame journals replay to the one-frame load" (fun () ->
+        List.iter
+          (fun (file, frames, (nodes, rels)) ->
+            let wal = In_channel.with_open_bin (Filename.concat "journals" file) In_channel.input_all in
+            let loaded, _ = load_capturing Graph.empty ~nodes ~rels in
+            match Cypher_storage.Recovery.recover_strings ~wal () with
+            | Error m -> Alcotest.failf "%s: recovery: %s" file m
+            | Ok r ->
+                let recovered = r.Cypher_storage.Recovery.graph in
+                Alcotest.(check int) (file ^ ": frames replayed") frames r.Cypher_storage.Recovery.replayed;
+                Test_util.check_same_graph file loaded recovered;
+                Alcotest.(check string) (file ^ ": snapshot image")
+                  (Cypher_storage.Snapshot.to_string loaded)
+                  (Cypher_storage.Snapshot.to_string recovered))
+          [
+            ("bulk_awkward_batch2.wal", 5, awkward_csv);
+            ("bulk_bench_shaped_batch50.wal", 7, bench_shaped_csv ~persons:40);
+          ]);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* A load inside a caller's transaction                               *)
+(* ------------------------------------------------------------------ *)
+
+let transaction_tests =
+  [
+    Test_util.case "a load inside a transaction journals with its commit" (fun () ->
+        let s, log = logging_session Graph.empty in
+        let before = Session.graph s in
+        Session.begin_tx s;
+        (match load s ~nodes:nodes_csv ~rels:rels_csv with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "load: %s" (Errors.to_string e));
+        Alcotest.(check int) "buffered, not written" 0 (List.length !log);
+        (match Session.rollback s with Ok () -> () | Error m -> Alcotest.fail m);
+        Alcotest.(check int) "rollback journals nothing" 0 (List.length !log);
+        Alcotest.(check bool) "rollback restores the graph" true (Session.graph s == before);
+        Session.begin_tx s;
+        (match load s ~nodes:nodes_csv ~rels:rels_csv with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "load: %s" (Errors.to_string e));
+        (match Session.commit s with Ok () -> () | Error m -> Alcotest.fail m);
+        match !log with
+        | [ { Session.je_kind = `Bulk; _ } ] ->
+            Alcotest.(check int) "committed nodes" 3 (Graph.node_count (Session.graph s))
+        | entries -> Alcotest.failf "expected one bulk frame, got %d entries" (List.length entries));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -610,13 +669,13 @@ let file_tests =
             write_file rels_path rels_csv;
             let s = fresh_session () in
             (match
-               ( Bulk.load_files ~batch_size:2 s ~nodes_path ~rels_path,
-                 load ~batch_size:2 (fresh_session ()) ~nodes:nodes_csv ~rels:rels_csv )
+               ( Bulk.load_files s ~nodes_path ~rels_path,
+                 load (fresh_session ()) ~nodes:nodes_csv ~rels:rels_csv )
              with
             | Ok r, Ok expected ->
                 Alcotest.(check (list int)) "report"
-                  [ expected.Bulk.nodes_created; expected.Bulk.rels_created; expected.Bulk.batches ]
-                  [ r.Bulk.nodes_created; r.Bulk.rels_created; r.Bulk.batches ];
+                  [ expected.Bulk.nodes_created; expected.Bulk.rels_created ]
+                  [ r.Bulk.nodes_created; r.Bulk.rels_created ];
                 Alcotest.(check int) "nodes" 3 (Graph.node_count (Session.graph s))
             | Error e, _ | _, Error e -> Alcotest.failf "load: %s" (Errors.to_string e));
             write_file rels_path "src,tgt,type\nu1,u2,R\nu1,ghost,R\n";
@@ -634,4 +693,4 @@ let file_tests =
 
 let suite =
   validation_tests @ storage_tests @ frame_tests @ equivalence_tests @ sharing_tests
-  @ replay_tests @ file_tests
+  @ replay_tests @ transaction_tests @ file_tests

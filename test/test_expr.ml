@@ -243,6 +243,10 @@ let edge_tests =
         check "xor chain" (vbool false) "true XOR true XOR false");
     case "float formatting round-trips through toString" (fun () ->
         check "whole float" (vstr "2.0") "toString(2.0)");
+    case "toString prints every nan as nan, whatever its sign bit" (fun () ->
+        check "0.0 / 0.0" (vstr "nan") "toString(0.0 / 0.0)";
+        check "toFloat('nan')" (vstr "nan") "toString(toFloat('nan'))";
+        check "in a list" (vstr "[nan, nan]") "toString([0.0 / 0.0, -(0.0 / 0.0)])");
     case "unicode-ish bytes survive string functions" (fun () ->
         check "size counts bytes" (vint 3) "size('日')";
         check "concat" (vstr "日x") "'日' + 'x'");

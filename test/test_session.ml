@@ -124,6 +124,14 @@ let session_tests =
         Alcotest.(check bool) "profile present" true (r.Api.r_profile <> None);
         Alcotest.(check int) "profile executes" 2
           (Graph.node_count (Session.graph s)));
+    case "with_stats returns the config itself when it already collects so" (fun () ->
+        (* a journaled session forces counters on through [with_stats]; a
+           new record would miss the plan cache's [config == s.config]
+           fast path on every statement *)
+        Alcotest.(check bool) "collecting" true (Config.with_stats true Config.revised == Config.revised);
+        let off = Config.with_stats false Config.revised in
+        Alcotest.(check bool) "not collecting" true (Config.with_stats false off == off);
+        Alcotest.(check bool) "a toggle is a new config" false off.Config.collect_stats);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -500,6 +500,24 @@ let store_tests =
             let store2, session2 = open_ok dir in
             Alcotest.check graph_iso_testable "iso" live (Session.graph session2);
             Store.close store2));
+    case "a nan reads the same through toString after compaction and reopen" (fun () ->
+        with_tmpdir (fun dir ->
+            let to_string session =
+              match
+                Cypher_table.Table.rows
+                  (run_ok session "MATCH (a:A) RETURN toString(a.f) AS s").Cypher_core.Api.r_table
+              with
+              | [ row ] -> Cypher_table.Record.find row "s"
+              | rows -> Alcotest.failf "expected 1 row, got %d" (List.length rows)
+            in
+            let store, session = open_ok dir in
+            ignore (run_ok session "CREATE (:A {f: toFloat('nan')})");
+            Test_util.check_value "live" (Value.String "nan") (to_string session);
+            ok_or_fail (Store.compact store session);
+            Store.close store;
+            let store2, session2 = open_ok dir in
+            Test_util.check_value "reopened" (Value.String "nan") (to_string session2);
+            Store.close store2));
     case "a compacted and reopened store counts types as a scan does" (fun () ->
         with_tmpdir (fun dir ->
             let store, session = open_ok dir in

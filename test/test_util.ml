@@ -130,8 +130,7 @@ let scanned_type_histogram g =
   |> Cypher_util.Maps.Smap.bindings
 
 (** [same_bits x y]: equal values of the same type, floats compared bit
-    for bit at any depth (a nan's sign shows in [toString] though every
-    printer of the graph hides it). *)
+    for bit at any depth (a nan's sign, which every printer hides). *)
 let rec same_bits x y =
   match (x, y) with
   | Value.Float f, Value.Float f' -> Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float f')
