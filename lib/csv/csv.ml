@@ -5,9 +5,11 @@
     a CSV file" (Section 6), and Example 3's assumption of a
     pre-populated driving table "reflects the way in which a graph
     database may be initially populated".  This module provides that
-    import path: an RFC-4180-style reader and conversion of rows to
-    driving tables, with automatic typing (integers, floats, booleans,
-    null for empty fields). *)
+    import path: an RFC-4180-style reader that hands each row over as
+    soon as it is parsed, the header and width check every importer
+    shares, and conversion of rows to driving tables, with automatic
+    typing (integers, floats, booleans, null for empty fields).  No
+    importer holds the rows of a file: each folds over them. *)
 
 open Cypher_graph
 open Cypher_table
@@ -18,33 +20,37 @@ let error_to_string e = Printf.sprintf "CSV error at line %d: %s" e.line e.messa
 
 exception Csv_error of error
 
-(** [parse_numbered src] splits CSV text into rows of raw string
-    fields, each paired with the 1-based line its first field starts on
-    (quoted fields may span lines, so row index and line number
-    diverge).  Handles quoted fields (with embedded commas, newlines and
-    doubled quotes) and both LF and CRLF line endings. *)
-let parse_numbered src : (int * string list) list =
-  let rows = ref [] in
-  let fields = ref [] in
+(** [fold f init src] splits CSV text into rows of raw string fields
+    and hands each row to [f] as soon as it ends, with the 1-based line
+    its first field starts on (quoted fields may span lines, so row
+    index and line number diverge).  Handles quoted fields (with
+    embedded commas, newlines and doubled quotes) and both LF and CRLF
+    line endings. *)
+let fold f init src =
+  let n = String.length src in
   let buf = Buffer.create 32 in
+  (* the current row's fields, in the first [width] cells *)
+  let cells = ref (Array.make 16 "") and width = ref 0 in
+  let acc = ref init in
   let line = ref 1 in
   let row_line = ref 1 in
-  let n = String.length src in
   let flush_field () =
-    fields := Buffer.contents buf :: !fields;
+    if !width = Array.length !cells then cells := Array.append !cells (Array.make !width "");
+    !cells.(!width) <- Buffer.contents buf;
+    incr width;
     Buffer.clear buf
   in
   let flush_row () =
     flush_field ();
-    rows := (!row_line, List.rev !fields) :: !rows;
-    fields := [];
+    let fields = Array.sub !cells 0 !width in
+    width := 0;
+    acc := f !row_line fields !acc;
     (* the terminating newline was already counted, so [line] is where
        the next row starts *)
     row_line := !line
   in
   let rec plain i =
-    if i >= n then (if !fields <> [] || Buffer.length buf > 0 then flush_row ())
-    else
+    if i < n then
       match src.[i] with
       | ',' ->
           flush_field ();
@@ -90,10 +96,39 @@ let parse_numbered src : (int * string list) list =
           quoted ~open_line (i + 1)
   in
   plain 0;
-  List.rev !rows
+  (* the scan ended outside quotes, so a final newline ended a row; any
+     other final byte, a closing quote included, belongs to a last row
+     with no line ending *)
+  if n > 0 && src.[n - 1] <> '\n' then flush_row ();
+  !acc
 
-(** [parse_string src] is {!parse_numbered} without the line numbers. *)
-let parse_string src : string list list = List.map snd (parse_numbered src)
+(** [parse_string src] is every row of [src], without the line numbers. *)
+let parse_string src : string list list =
+  List.rev (fold (fun _ fields rows -> Array.to_list fields :: rows) [] src)
+
+(** [fold_table header init src] folds over CSV text whose first row is
+    the header: [header line names] returns the function every later
+    row goes to, with its line, once its width is the header's. *)
+let fold_table header init src =
+  let names = ref None and row = ref (fun _ _ acc -> acc) in
+  let acc =
+    fold
+      (fun line fields acc ->
+        match !names with
+        | None ->
+            names := Some fields;
+            row := header line fields;
+            acc
+        | Some names ->
+            let n = Array.length fields and width = Array.length names in
+            if n <> width then
+              raise
+                (Csv_error
+                   { message = Printf.sprintf "row has %d fields, header has %d" n width; line });
+            !row line fields acc)
+      init src
+  in
+  Option.map (fun names -> (names, acc)) !names
 
 (* a first byte no number, boolean or null starts with: a letter, but
    none of those that begin nan, inf(inity), true, false and null *)
@@ -122,73 +157,22 @@ let type_field s : Value.t =
             | "null" -> Value.Null
             | _ -> Value.String s))
 
-(** [table_of_string ~typed src] reads CSV text whose first row is the
-    header and produces a driving table (one column per header field).
-    With [typed = false] all fields stay strings (empty still null). *)
-let table_of_string ?(typed = true) src : Table.t =
-  match parse_string src with
-  | [] -> Table.unit
-  | header :: rows ->
-      let convert s =
-        if typed then type_field s
-        else if s = "" then Value.Null
-        else Value.String s
-      in
-      let tab = Slots.of_names header in
-      let to_record i fields =
-        if List.length fields <> List.length header then
-          raise
-            (Csv_error
-               {
-                 message =
-                   Printf.sprintf "row has %d fields, header has %d"
-                     (List.length fields) (List.length header);
-                 line = i + 2;
-               })
-        else begin
-          (* a repeated header name keeps its last field *)
-          let cells = Array.make (Slots.width tab) Slots.absent in
-          List.iter2
-            (fun k v -> cells.(Slots.index tab k) <- convert v)
-            header fields;
-          Record.of_slots tab cells
-        end
-      in
-      Table.make header (List.mapi to_record rows)
+(** [table_of_string src] reads CSV text whose first row is the header
+    and produces a driving table (one column per header field). *)
+let table_of_string src : Table.t =
+  let record _ names =
+    let tab = Slots.of_names (Array.to_list names) in
+    let slots = Array.map (Slots.index tab) names in
+    fun _ fields rows ->
+      (* a repeated header name keeps its last field *)
+      let cells = Array.make (Slots.width tab) Slots.absent in
+      Array.iteri (fun i v -> cells.(slots.(i)) <- type_field v) fields;
+      Record.of_slots tab cells :: rows
+  in
+  match fold_table record [] src with
+  | None -> Table.unit
+  | Some (names, rows) -> Table.make_rev (Array.to_list names) rows
 
-let table_of_file ?typed path : Table.t =
-  let ic = open_in path in
-  let content =
-    (* the channel must not leak when reading (or the length probe)
-       raises — e.g. the file shrinking underneath us *)
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  table_of_string ?typed content
-
-(** [to_string table] renders a driving table back to CSV (strings are
-    quoted when needed; null becomes the empty field). *)
-let to_string (t : Table.t) : string =
-  let quote s =
-    if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
-      "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
-    else s
-  in
-  let field = function
-    | Value.Null -> ""
-    | Value.String s -> quote s
-    | v -> quote (Value.to_string v)
-  in
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (String.concat "," (List.map quote (Table.columns t)));
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun r ->
-      let cells =
-        List.map (fun c -> field (Record.find r c)) (Table.columns t)
-      in
-      Buffer.add_string buf (String.concat "," cells);
-      Buffer.add_char buf '\n')
-    (Table.rows t);
-  Buffer.contents buf
+let table_of_file path : Table.t =
+  let read ic = really_input_string ic (in_channel_length ic) in
+  table_of_string (In_channel.with_open_bin path read)

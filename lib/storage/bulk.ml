@@ -6,8 +6,9 @@
     per-statement Cypher — one parse, one plan, one journal frame and
     one fsync per entity — is the wrong tool.  This module is the right
     one: it validates two CSV files (nodes, then relationships) in
-    full, then adds them as one graph batch, journaled as one {!Wal}
-    frame (a [k=b] record) instead of one per statement.
+    full, row by row as {!Cypher_csv.Csv.fold_table} parses them, then
+    adds them as one graph batch, journaled as one {!Wal} frame (a
+    [k=b] record) instead of one per statement.
 
     {2 CSV formats}
 
@@ -24,10 +25,11 @@
 
     {2 Atomicity}
 
-    Both files are parsed and validated completely — empty file, missing
-    required columns, ragged rows, duplicate node ids, unknown endpoints
-    all fail with a structured error naming file and line — before the
-    session is touched.  The load then moves the session in one
+    Both files are parsed and validated completely — empty file, CSV
+    syntax, missing required columns, ragged rows, duplicate node ids,
+    unknown endpoints all fail with a structured error naming file and
+    line, the first fault in file order — before the session is
+    touched.  The load then moves the session in one
     {!Session.advance_bulk}, which leaves the graph where it was when
     the journal append fails, and buffers the frame in the caller's
     transaction when one is open; so a failed load never leaves a
@@ -60,12 +62,12 @@
 
     {2 Load and replay}
 
-    The loader does not read its frame back.  One pass over each file
-    validates a row, interns its labels, type, property map and scalars
-    through one {!Share} table, builds its record — node row [i] gets id
-    [next_id + i], relationship row [j] [next_id + n_nodes + j] — and
-    writes its frame line.  The records go into the graph in one
-    {!Graph.add_batch}.  {!apply_frame} is recovery's reader only.  The
+    The loader does not read its frame back, and holds no file's rows.
+    One fold over each file validates each row as it is parsed, interns
+    its labels, type, property map and scalars through one {!Share}
+    table, builds its record — node row [i] gets id [next_id + i],
+    relationship row [j] [next_id + n_nodes + j] — and writes its frame
+    line.  The records go into the graph in one {!Graph.add_batch}.  {!apply_frame} is recovery's reader only.  The
     invariant that joins the two paths — replaying a load's frame on the
     same base rebuilds the graph the load built, down to the ids, the
     snapshot bytes and the bits of every float — is checked by the "a
@@ -199,15 +201,17 @@ let apply_frame ~(ids : idmap) (g : Graph.t) (payload : string) :
 (* Loading                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let parse_csv file src =
-  match Csv.parse_numbered src with
-  | [] -> fail_file file "empty file (expected a header row)"
-  | header :: rows -> (header, rows)
+(* [Csv.fold_table] with the header as a list, and its faults and an
+   empty file reported as [file]'s *)
+let fold_file file header init src =
+  match Csv.fold_table (fun line names -> header line (Array.to_list names)) init src with
+  | Some (_, acc) -> acc
+  | None -> fail_file file "empty file (expected a header row)"
   | exception Csv.Csv_error e -> fail_at file e.Csv.line "%s" e.Csv.message
 
 (** Positions of the required/special columns, plus [(column, position)]
     for the property columns. *)
-let split_header file (line, header) ~required ~special =
+let split_header file line header ~required ~special =
   List.iter
     (fun c ->
       if not (List.mem c header) then
@@ -233,14 +237,6 @@ let pos header c =
   in
   go 0 header
 
-(* the row's fields, once its width matches the header's *)
-let fields file width (line, row) =
-  let row = Array.of_list row in
-  let n = Array.length row in
-  if n <> width then
-    fail_at file line "row has %d fields, header has %d" n width;
-  row
-
 (* empty fields are null and store nothing; a nan frames as
    [(0.0 / 0.0)], which replay reads as [Dump.nan], so any nan the CSV
    spells ("nan", "-nan") is stored as that one *)
@@ -257,78 +253,68 @@ let typed_props share props_cols row : Props.t =
 (* the frame's lines are newline-separated *)
 let start_line buf = if Buffer.length buf > 0 then Buffer.add_char buf '\n'
 
-(** The node file in one pass: row [i] is checked, its record built
-    with id [base + i], its raw id entered in the returned table (raw
-    id → node id, line) and its frame line written to [buf]. *)
-let load_nodes share ~buf ~lit ~base file src =
-  let header, body = parse_csv file src in
-  let hline, hcols = header in
-  let props_cols =
-    split_header file (hline, hcols) ~required:[ "id" ]
-      ~special:[ "id"; "labels" ]
+(** The node file in one fold: each row is checked as it is parsed, its
+    record built with the id [fresh ()] gives, its raw id entered in the
+    returned table (raw id → node id, line) and its frame line written
+    to [buf]. *)
+let load_nodes share ~buf ~lit ~fresh file src =
+  let ids = Hashtbl.create 1024 in
+  let node hline header =
+    let props_cols =
+      split_header file hline header ~required:[ "id" ] ~special:[ "id"; "labels" ]
+    in
+    let id_i = pos header "id" in
+    let labels_i = if List.mem "labels" header then Some (pos header "labels") else None in
+    fun line row nodes ->
+      let id = row.(id_i) in
+      if id = "" then fail_at file line "empty node id";
+      let n_id = fresh () in
+      (match Hashtbl.find_opt ids id with
+      | Some (_, first) ->
+          fail_at file line "duplicate node id %S (first seen at line %d)" id first
+      | None -> Hashtbl.add ids id (n_id, line));
+      let labels =
+        match labels_i with None -> [] | Some i -> split_labels row.(i)
+      in
+      let n_props = typed_props share props_cols row in
+      start_line buf;
+      Buffer.add_string buf "N ";
+      Wal.add_pct_encoded buf id;
+      Buffer.add_char buf ' ';
+      (match labels with
+      | [] -> Buffer.add_char buf '-'
+      | l :: rest ->
+          (* [;] needs no escape, so each label encodes on its own *)
+          Wal.add_pct_encoded buf l;
+          List.iter
+            (fun l ->
+              Buffer.add_char buf ';';
+              Wal.add_pct_encoded buf l)
+            rest);
+      Buffer.add_char buf ' ';
+      add_props_field buf ~lit n_props;
+      (* a lone [-] label frames as the field [-], which replay reads
+         as "no labels" *)
+      let labels = Share.labels share (if labels = [ "-" ] then [] else labels) in
+      { Graph.n_id; labels; n_props } :: nodes
   in
-  let id_i = pos hcols "id" in
-  let labels_i = if List.mem "labels" hcols then Some (pos hcols "labels") else None in
-  let width = List.length hcols in
-  let ids = Hashtbl.create (List.length body) in
-  let nodes =
-    List.mapi
-      (fun i (line, row) ->
-        let row = fields file width (line, row) in
-        let id = row.(id_i) in
-        if id = "" then fail_at file line "empty node id";
-        let n_id = base + i in
-        (match Hashtbl.find_opt ids id with
-        | Some (_, first) ->
-            fail_at file line "duplicate node id %S (first seen at line %d)" id
-              first
-        | None -> Hashtbl.add ids id (n_id, line));
-        let labels =
-          match labels_i with None -> [] | Some i -> split_labels row.(i)
-        in
-        let n_props = typed_props share props_cols row in
-        start_line buf;
-        Buffer.add_string buf "N ";
-        Wal.add_pct_encoded buf id;
-        Buffer.add_char buf ' ';
-        (match labels with
-        | [] -> Buffer.add_char buf '-'
-        | l :: rest ->
-            (* [;] needs no escape, so each label encodes on its own *)
-            Wal.add_pct_encoded buf l;
-            List.iter
-              (fun l ->
-                Buffer.add_char buf ';';
-                Wal.add_pct_encoded buf l)
-              rest);
-        Buffer.add_char buf ' ';
-        add_props_field buf ~lit n_props;
-        (* a lone [-] label frames as the field [-], which replay reads
-           as "no labels" *)
-        let labels = Share.labels share (if labels = [ "-" ] then [] else labels) in
-        { Graph.n_id; labels; n_props })
-      body
-  in
-  (nodes, ids)
+  let nodes = fold_file file node [] src in
+  (List.rev nodes, ids)
 
-(** The relationship file in one pass: row [j] is checked, its endpoints
-    resolved through [ids], its record built with id [first + j] and
-    its frame line written to [buf]. *)
-let load_rels share ~buf ~lit ~ids ~first file src =
-  let header, body = parse_csv file src in
-  let hline, hcols = header in
-  let props_cols =
-    split_header file (hline, hcols)
-      ~required:[ "src"; "tgt"; "type" ]
-      ~special:[ "src"; "tgt"; "type" ]
-  in
-  let src_i = pos hcols "src" in
-  let tgt_i = pos hcols "tgt" in
-  let ty_i = pos hcols "type" in
-  let width = List.length hcols in
-  List.mapi
-    (fun j (line, row) ->
-      let row = fields file width (line, row) in
+(** The relationship file in one fold: each row is checked as it is
+    parsed, its endpoints resolved through [ids], its record built with
+    the id [fresh ()] gives and its frame line written to [buf]. *)
+let load_rels share ~buf ~lit ~ids ~fresh file src =
+  let rel hline header =
+    let props_cols =
+      split_header file hline header
+        ~required:[ "src"; "tgt"; "type" ]
+        ~special:[ "src"; "tgt"; "type" ]
+    in
+    let src_i = pos header "src" in
+    let tgt_i = pos header "tgt" in
+    let ty_i = pos header "type" in
+    fun line row rels ->
       let s = row.(src_i) and t = row.(tgt_i) and ty = row.(ty_i) in
       if ty = "" then fail_at file line "empty relationship type";
       let node what id =
@@ -348,8 +334,9 @@ let load_rels share ~buf ~lit ~ids ~first file src =
       Wal.add_pct_encoded buf ty;
       Buffer.add_char buf ' ';
       add_props_field buf ~lit r_props;
-      { Graph.r_id = first + j; src; tgt; r_type = Share.name share ty; r_props })
-    body
+      { Graph.r_id = fresh (); src; tgt; r_type = Share.name share ty; r_props } :: rels
+  in
+  List.rev (fold_file file rel [] src)
 
 (** [load_strings session ~nodes ~rels] validates both CSV images, then
     applies them as one batch journaled as one frame.
@@ -362,11 +349,16 @@ let load_strings ?(nodes_name = "<nodes>") ?(rels_name = "<rels>")
     (* equal labels, types, key sets and scalars are stored once *)
     let share = Share.create () in
     let buf = Buffer.create 65536 and lit = Buffer.create 256 in
-    let base = Graph.next_id (Session.graph session) in
-    let nodes, ids = load_nodes share ~buf ~lit ~base nodes_name nodes in
-    let n = List.length nodes in
-    let rels = load_rels share ~buf ~lit ~ids ~first:(base + n) rels_name rels in
-    let m = List.length rels in
+    (* node rows take the next ids in file order, then relationship rows *)
+    let next = ref (Graph.next_id (Session.graph session)) in
+    let fresh () =
+      let id = !next in
+      incr next;
+      id
+    in
+    let nodes, ids = load_nodes share ~buf ~lit ~fresh nodes_name nodes in
+    let rels = load_rels share ~buf ~lit ~ids ~fresh rels_name rels in
+    let n = Hashtbl.length ids and m = List.length rels in
     let report = { nodes_created = n; rels_created = m } in
     (* a relationship needs an endpoint, so an empty node file is an
        empty load, which journals nothing *)
@@ -381,17 +373,14 @@ let load_strings ?(nodes_name = "<nodes>") ?(rels_name = "<rels>")
       | Error e -> Error (Errors.Update_error ("bulk load: " ^ Errors.to_string e))
   with Errors.Error e -> Error e
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (** [load_files session ~nodes_path ~rels_path] is {!load_strings} over
     files; errors cite the file paths. *)
 let load_files (session : Session.t) ~nodes_path ~rels_path :
     (report, Errors.t) result =
-  match (read_file nodes_path, read_file rels_path) with
+  let read path =
+    In_channel.with_open_bin path (fun ic -> really_input_string ic (in_channel_length ic))
+  in
+  match (read nodes_path, read rels_path) with
   | nodes, rels ->
       load_strings ~nodes_name:nodes_path ~rels_name:rels_path session ~nodes
         ~rels

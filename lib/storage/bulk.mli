@@ -10,14 +10,14 @@
     CSV: required [src] / [tgt] / [type] columns, every other column a
     typed property.  A failed load — malformed CSV, missing or duplicate
     columns, ragged rows, duplicate node ids, unknown endpoints, a
-    closed store — returns a structured error naming file and line and
-    leaves the graph untouched.
+    closed store — returns a structured error naming file and line (the
+    first fault in file order) and leaves the graph untouched.
 
     Frame payloads use raw CSV ids for relationship endpoints, resolved
     through an {!idmap} threaded across the frames of a replay, so
     replay is immune to the internal-id remapping a snapshot compaction
-    performs.  The loader builds its records as it validates the rows
-    and never reads its frame back; {!apply_frame} is recovery's
+    performs.  The loader builds its records as it validates each row,
+    as the row is parsed, and never reads its frame back; {!apply_frame} is recovery's
     reader.  See the implementation header for the frame grammar. *)
 
 open Cypher_graph

@@ -330,13 +330,8 @@ let scan_string (s : string) : record list * int * torn option =
 let read_file path : record list * int * torn option =
   if not (Sys.file_exists path) then ([], 0, None)
   else
-    let ic = open_in_bin path in
-    let content =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    scan_string content
+    let read ic = really_input_string ic (in_channel_length ic) in
+    scan_string (In_channel.with_open_bin path read)
 
 (** [truncate_file path n] cuts the journal back to its first [n] bytes
     (dropping a torn tail). *)

@@ -117,6 +117,17 @@ let validation_tests =
         let s = fresh_session () in
         check_error ~sub:"(<nodes>:3): row has 3 fields, header has 2"
           (load s ~nodes:"id,name\nu1,a\nu2,b,EXTRA\n" ~rels:"src,tgt,type\n"));
+    Test_util.case "a last empty quoted id is a row, line ending or not" (fun () ->
+        List.iter
+          (fun nodes ->
+            check_error ~sub:"bulk load (<nodes>:3): empty node id"
+              (load (fresh_session ()) ~nodes ~rels:"src,tgt,type\n"))
+          [ "id\na\n\"\""; "id\na\n\"\"\n" ]);
+    Test_util.case "the first fault in file order is reported" (fun () ->
+        (* the duplicate on line 3 comes before the unterminated quote
+           on line 4 *)
+        check_error ~sub:"bulk load (<nodes>:3): duplicate node id \"u1\" (first seen at line 2)"
+          (load (fresh_session ()) ~nodes:"id\nu1\nu1\n\"oops\n" ~rels:"src,tgt,type\n"));
     Test_util.case "unknown endpoint carries its line" (fun () ->
         let s = fresh_session () in
         check_error ~sub:"(<rels>:3): unknown target node id \"ghost\""

@@ -1,5 +1,5 @@
-(** The CSV substrate: parsing, typing, driving-table conversion,
-    round-trip. *)
+(** The CSV substrate: the row fold against a reference parser,
+    typing, driving-table conversion. *)
 
 open Cypher_graph
 open Cypher_table
@@ -45,9 +45,97 @@ let typing_property =
        (QCheck.make ~print:(Printf.sprintf "%S") field)
        (fun s -> same_bits (reference_type_field s) (Csv.type_field s)))
 
+(* the parser before it became a fold: it builds the whole row list,
+   and drops a last row made of one empty quoted field when no line
+   ending follows it *)
+let reference_parse_numbered src : (int * string list) list =
+  let rows = ref [] in
+  let fields = ref [] in
+  let buf = Buffer.create 32 in
+  let line = ref 1 in
+  let row_line = ref 1 in
+  let n = String.length src in
+  let flush_field () =
+    fields := Buffer.contents buf :: !fields;
+    Buffer.clear buf
+  in
+  let flush_row () =
+    flush_field ();
+    rows := (!row_line, List.rev !fields) :: !rows;
+    fields := [];
+    row_line := !line
+  in
+  let rec plain i =
+    if i >= n then (if !fields <> [] || Buffer.length buf > 0 then flush_row ())
+    else
+      match src.[i] with
+      | ',' ->
+          flush_field ();
+          plain (i + 1)
+      | '\r' when i + 1 < n && src.[i + 1] = '\n' ->
+          incr line;
+          flush_row ();
+          plain (i + 2)
+      | '\n' ->
+          incr line;
+          flush_row ();
+          plain (i + 1)
+      | '"' when Buffer.length buf = 0 -> quoted ~open_line:!line (i + 1)
+      | c ->
+          Buffer.add_char buf c;
+          plain (i + 1)
+  and quoted ~open_line i =
+    if i >= n then
+      raise
+        (Csv.Csv_error
+           {
+             message =
+               Printf.sprintf "unterminated quoted field (quote opened at line %d)" open_line;
+             line = open_line;
+           })
+    else
+      match src.[i] with
+      | '"' when i + 1 < n && src.[i + 1] = '"' ->
+          Buffer.add_char buf '"';
+          quoted ~open_line (i + 2)
+      | '"' -> plain (i + 1)
+      | '\n' ->
+          incr line;
+          Buffer.add_char buf '\n';
+          quoted ~open_line (i + 1)
+      | c ->
+          Buffer.add_char buf c;
+          quoted ~open_line (i + 1)
+  in
+  plain 0;
+  List.rev !rows
+
+let numbered src =
+  match List.rev (Csv.fold (fun line fields rows -> (line, Array.to_list fields) :: rows) [] src) with
+  | rows -> Ok rows
+  | exception Csv.Csv_error e -> Error e
+
+let fold_property =
+  let alphabet = ",\"\n\rab01" in
+  let input =
+    QCheck.Gen.(
+      map
+        (fun s -> s ^ "\n")
+        (string_size ~gen:(map (String.get alphabet) (int_bound (String.length alphabet - 1))) (int_bound 24)))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:5000 ~name:"fold yields the reference parser's numbered rows"
+       (QCheck.make ~print:(Printf.sprintf "%S") input)
+       (fun src ->
+         numbered src
+         = match reference_parse_numbered src with
+           | rows -> Ok rows
+           | exception Csv.Csv_error e -> Error e))
+
 let suite =
   [
     typing_property;
+    fold_property;
     case "type_field equals trying every parser on its edge cases" (fun () ->
         List.iter
           (fun s ->
@@ -84,18 +172,18 @@ let suite =
         check_rows "two rows" 2 t;
         let second = List.nth (Table.rows t) 1 in
         check_value "empty is null" vnull (Record.find second "pid"));
-    case "untyped mode keeps strings" (fun () ->
-        let t = Csv.table_of_string ~typed:false "a\n42\n" in
-        check_value "string kept" (vstr "42")
-          (Record.find (List.hd (Table.rows t)) "a"));
     case "ragged rows are rejected" (fun () ->
         match Csv.table_of_string "a,b\n1\n" with
         | exception Csv.Csv_error _ -> ()
         | _ -> Alcotest.fail "should have raised");
-    case "render round-trip" (fun () ->
-        let t = Csv.table_of_string "a,b\n1,x\n,true\n" in
-        let t2 = Csv.table_of_string (Csv.to_string t) in
-        Alcotest.(check bool) "same bag" true (Table.equal_as_bags t t2));
+    case "a ragged row reports the line it starts on" (fun () ->
+        (* the quoted field spans lines 2-3, so the short row starts on
+           line 4, not at its row index + 2 *)
+        match Csv.table_of_string "a,b\n\"x\ny\",1\n2\n" with
+        | exception Csv.Csv_error e ->
+            Alcotest.(check int) "line" 4 e.Csv.line;
+            Alcotest.(check string) "message" "row has 1 fields, header has 2" e.Csv.message
+        | _ -> Alcotest.fail "should have raised");
     case "unterminated quote is an error" (fun () ->
         match Csv.parse_string "\"oops" with
         | exception Csv.Csv_error _ -> ()
@@ -130,6 +218,13 @@ let suite =
         (* a quoted field ending exactly at a trailing CRLF *)
         Alcotest.(check (list (list string)))
           "quoted before crlf" [ [ "a" ] ] (Csv.parse_string "\"a\"\r\n"));
+    case "a last row of one empty quoted field needs no line ending" (fun () ->
+        Alcotest.(check (list (list string)))
+          "no newline" [ [ "a" ]; [ "" ] ] (Csv.parse_string "a\n\"\"");
+        Alcotest.(check (list (list string)))
+          "newline" [ [ "a" ]; [ "" ] ] (Csv.parse_string "a\n\"\"\n");
+        Alcotest.(check (list (list string)))
+          "alone" [ [ "" ] ] (Csv.parse_string "\"\""));
   ]
 
 let file_tests =
@@ -143,10 +238,9 @@ let file_tests =
         check_rows "rows" 2 t;
         Alcotest.(check (list string)) "columns" [ "a"; "b" ] (Table.columns t));
     case "example orders.csv loads" (fun () ->
-        if Sys.file_exists "../../examples/data/orders.csv" then
-          let t = Csv.table_of_file "../../examples/data/orders.csv" in
-          Alcotest.(check bool) "has rows" true (Table.row_count t > 0)
-        else ());
+        let t = Csv.table_of_file "../examples/data/orders.csv" in
+        check_rows "rows" 12 t;
+        Alcotest.(check (list string)) "columns" [ "cid"; "pid"; "date" ] (Table.columns t));
   ]
 
 let suite = suite @ file_tests
