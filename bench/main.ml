@@ -467,6 +467,16 @@ let tests =
     t "io/decode/n=1e4" (fun () ->
         let script = Dump.to_cypher (Lazy.force market10k) in
         fun () -> Sys.opaque_identity (Dump.of_cypher Graph.empty script));
+    (* what opening a store runs on its snapshot: the CRC, the index
+       lines and the decode, onto two registered property indexes *)
+    t "io/open/n=1e4" (fun () ->
+        let image =
+          Snapshot.to_string
+            (Lazy.force market10k
+            |> Graph.add_prop_index ~label:"User" ~key:"id"
+            |> Graph.add_prop_index ~label:"Product" ~key:"id")
+        in
+        fun () -> Sys.opaque_identity (Snapshot.parse image));
     (* the graph construction alone that decoding and bulk frames end
        in, on an empty graph with two registered property indexes *)
     t "io/add-batch/n=1e4" (fun () ->
@@ -475,8 +485,8 @@ let tests =
           Graph.empty
           |> Graph.add_prop_index ~label:"User" ~key:"id"
           |> Graph.add_prop_index ~label:"Product" ~key:"id"
-        and nodes = Graph.nodes g
-        and rels = Graph.rels g in
+        and nodes = Array.of_list (Graph.nodes g)
+        and rels = Array.of_list (Graph.rels g) in
         fun () -> Sys.opaque_identity (Graph.add_batch base nodes rels));
     (* the same graph as CSV through the bulk loader, in memory *)
     t "io/bulk/n=1e4" (fun () ->

@@ -31,6 +31,7 @@
     first place). *)
 
 open Cypher_util.Maps
+module Vec = Cypher_util.Vec
 
 let is_plain_ident s =
   s <> ""
@@ -200,16 +201,21 @@ let is_ident_char = function
   | _ -> false
 
 let skip_ws c =
-  while match peek c with ' ' | '\t' | '\n' | '\r' -> true | _ -> false do
-    c.i <- c.i + 1
-  done
+  let s = c.s and i = ref c.i in
+  while !i < String.length s && match s.[!i] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false do
+    incr i
+  done;
+  c.i <- !i
 
 let looking_at c w =
   let n = String.length w in
   c.i + n <= String.length c.s
   &&
-  let rec go k = k = n || (c.s.[c.i + k] = w.[k] && go (k + 1)) in
-  go 0
+  let k = ref 0 in
+  while !k < n && c.s.[c.i + !k] = w.[!k] do
+    incr k
+  done;
+  !k = n
 
 (* [expect c w] skips whitespace, then consumes the token [w] *)
 let expect c w =
@@ -250,6 +256,35 @@ let read_ident c =
 
 (* labels, keys and types, which the graph keeps *)
 let read_name c = Share.name c.share (read_ident c)
+
+(* the end of the plain identifier starting at [i] *)
+let ident_end s i =
+  let j = ref i in
+  while !j < String.length s && is_ident_char s.[!j] do
+    incr j
+  done;
+  !j
+
+let same_bytes s lo w =
+  let n = String.length w in
+  let k = ref 0 in
+  while !k < n && s.[lo + !k] = w.[!k] do
+    incr k
+  done;
+  !k = n
+
+(* [read_name_as c guess]: {!read_name}, which is [guess] itself when
+   the script spells [guess] there *)
+let read_name_as c guess =
+  skip_ws c;
+  match peek c with
+  | 'a' .. 'z' | 'A' .. 'Z' | '_' ->
+      let start = c.i in
+      let stop = ident_end c.s start in
+      c.i <- stop;
+      if stop - start = String.length guess && same_bytes c.s start guess then guess
+      else Share.name c.share (String.sub c.s start (stop - start))
+  | _ -> read_name c
 
 let hex_digit c =
   let d =
@@ -317,41 +352,51 @@ let read_string c =
       go ();
       Buffer.contents buf
 
+(* skips a run of digits, failing on none *)
+let digits c =
+  let from = c.i in
+  while is_digit (peek c) do
+    c.i <- c.i + 1
+  done;
+  if c.i = from then fail c "expected a digit"
+
+(* the digits [s.[lo] .. s.[hi - 1]] as an int, or -1 beyond [max_int] *)
+let int_of_digits s lo hi =
+  let n = ref 0 and i = ref lo in
+  while !i < hi && !n >= 0 do
+    let d = Char.code s.[!i] - Char.code '0' in
+    n := if !n > (max_int - d) / 10 then -1 else (!n * 10) + d;
+    incr i
+  done;
+  !n
+
 let read_number c =
   let start = c.i in
   let neg = peek c = '-' in
   if neg then c.i <- c.i + 1;
-  let digits () =
-    let from = c.i in
-    while is_digit (peek c) do
-      c.i <- c.i + 1
-    done;
-    if c.i = from then fail c "expected a digit"
-  in
-  digits ();
+  digits c;
   let int_end = c.i in
   let fraction =
     peek c = '.'
     && c.i + 1 < String.length c.s
     && is_digit c.s.[c.i + 1]
     && (c.i <- c.i + 1;
-        digits ();
+        digits c;
         true)
   in
   let exponent =
     (match peek c with 'e' | 'E' -> true | _ -> false)
     && (c.i <- c.i + 1;
         (match peek c with '+' | '-' -> c.i <- c.i + 1 | _ -> ());
-        digits ();
+        digits c;
         true)
   in
   if fraction || exponent then
     Value.Float (float_of_string (String.sub c.s start (c.i - start)))
   else
-    let unsigned = if neg then start + 1 else start in
-    match int_of_string_opt (String.sub c.s unsigned (int_end - unsigned)) with
-    | Some n -> Value.Int (if neg then -n else n)
-    | None -> fail c "integer literal out of range"
+    match int_of_digits c.s (if neg then start + 1 else start) int_end with
+    | -1 -> fail c "integer literal out of range"
+    | n -> Value.Int (if neg then -n else n)
 
 (* what evaluating [(0.0 / 0.0)] gives, so a decoded image equals the
    executed one bit for bit: on x86-64 this nan carries the sign bit,
@@ -363,6 +408,42 @@ let constants =
   List.map
     (fun v -> (value_literal v, v))
     Value.[ Int min_int; Float nan; Float Float.infinity; Float Float.neg_infinity ]
+
+(* A map as read: [count] entries in script order, [nulls] of them
+   [null]; [ascending] while each key is above the one before it.  The
+   decoder reads every entity's map into one. *)
+type entries = {
+  mutable keys : string array;
+  mutable vals : Value.t array;
+  mutable count : int;
+  mutable nulls : int;
+  mutable ascending : bool;
+}
+
+let new_entries () = { keys = [||]; vals = [||]; count = 0; nulls = 0; ascending = true }
+
+(* [key] is about to be the next entry: refuse it if it is there already.
+   A key above the one before is above them all, so the earlier keys are
+   only searched once the keys stop ascending. *)
+let check_key c e key =
+  let k = e.count in
+  if k > 0 && not (e.ascending && String.compare e.keys.(k - 1) key < 0) then begin
+    e.ascending <- false;
+    for m = 0 to k - 1 do
+      if String.equal e.keys.(m) key then fail c "duplicate map key %S" key
+    done
+  end
+
+let push_entry e key v =
+  let k = e.count in
+  if k = Array.length e.keys then begin
+    e.keys <- Array.append e.keys (Array.make (max 8 k) "");
+    e.vals <- Array.append e.vals (Array.make (max 8 k) Value.Null)
+  end;
+  e.keys.(k) <- key;
+  e.vals.(k) <- v;
+  e.count <- k + 1;
+  if Value.is_null v then e.nulls <- e.nulls + 1
 
 let rec read_value_at c : Value.t =
   skip_ws c;
@@ -410,30 +491,40 @@ let rec read_value_at c : Value.t =
       | _ when c.i >= String.length c.s -> fail c "expected a value, got end of input"
       | _ -> fail c "expected a value")
 
-(* at the opening brace *)
+(* at the opening brace; a map value keeps its [null]s *)
 and read_map c : Value.t Smap.t =
+  let e = new_entries () in
+  read_entries c e [||];
+  let m = ref Smap.empty in
+  for i = 0 to e.count - 1 do
+    m := Smap.add e.keys.(i) e.vals.(i) !m
+  done;
+  !m
+
+(* at the opening brace: the map's entries into [e], each key guessed
+   to be the one at its position in [guess] *)
+and read_entries c e (guess : string array) =
   c.i <- c.i + 1;
+  e.count <- 0;
+  e.nulls <- 0;
+  e.ascending <- true;
   skip_ws c;
-  if peek c = '}' then (
-    c.i <- c.i + 1;
-    Smap.empty)
+  if peek c = '}' then c.i <- c.i + 1
   else
-    let rec entries m =
-      let key = read_name c in
-      if Smap.mem key m then fail c "duplicate map key %S" key;
+    let more = ref true in
+    while !more do
+      let key = read_name_as c (if e.count < Array.length guess then guess.(e.count) else "") in
+      check_key c e key;
       expect c ":";
-      let m = Smap.add key (read_value_at c) m in
+      push_entry e key (read_value_at c);
       skip_ws c;
       match peek c with
-      | ',' ->
-          c.i <- c.i + 1;
-          entries m
+      | ',' -> c.i <- c.i + 1
       | '}' ->
           c.i <- c.i + 1;
-          m
+          more := false
       | _ -> fail c "expected ',' or '}' in a map"
-    in
-    entries Smap.empty
+    done
 
 let cursor ?(share = Share.create ()) s = { s; i = 0; share }
 
@@ -452,22 +543,181 @@ let read_value ?share (s : string) : (Value.t, string) result =
     Ok v
   with Bad m -> Error ("value literal: " ^ m)
 
-(* [(var:L… {…})]: the variable, labels and property map as written *)
-let read_node_pattern c =
-  expect c "(";
-  let var = read_ident c in
-  let rec labels acc =
-    skip_ws c;
-    if peek c = ':' then (
-      c.i <- c.i + 1;
-      labels (read_name c :: acc))
-    else List.rev acc
-  in
-  let labels = labels [] in
+(* ------------------------------------------------------------------ *)
+(* The script decoder                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* [of_cypher] reads the script in one pass into two growable arrays of
+   entities, building each property map straight into the arrays a
+   {!Props.t} holds, and hands both to one {!Graph.add_batch}.  What
+   repeats from one entity to the next (its labels, keys and type) is
+   recognised in place, without copying the name out of the script or
+   looking it up, and a node variable is read as a number when it is
+   the writer's [n<id>].  Nothing is sized from a snapshot header's
+   counts: the CRC does not cover the header. *)
+
+(* [numbered s lo hi] is [k] when [s.[lo] .. s.[hi - 1]] spells [n<k>]
+   as the writer does (no leading zero, at most 18 digits), else -1 *)
+let numbered s lo hi =
+  let digits = hi - lo - 1 in
+  if digits < 1 || digits > 18 || s.[lo] <> 'n' || (digits > 1 && s.[lo + 1] = '0') then -1
+  else
+    let k = ref 0 and i = ref (lo + 1) in
+    while !i < hi && !k >= 0 do
+      (match s.[!i] with
+      | '0' .. '9' as ch -> k := (!k * 10) + Char.code ch - Char.code '0'
+      | _ -> k := -1);
+      incr i
+    done;
+    !k
+
+(* The node variables bound so far.  A variable is a key: [k] for
+   [n<k>], a negative number for any other name.  Keys bound in
+   ascending order (all of them, in a script the writer wrote) fill
+   [keys]/[ids] and are found by binary search; the rest go to
+   [others]. *)
+type vars = {
+  keys : int Vec.t;
+  ids : Graph.node_id Vec.t;
+  others : (int, Graph.node_id) Hashtbl.t;
+  names : (string, int) Hashtbl.t;  (** a name not [n<k>] → its key *)
+}
+
+let key_of_name vars name =
+  match numbered name 0 (String.length name) with
+  | -1 -> (
+      match Hashtbl.find_opt vars.names name with
+      | Some k -> k
+      | None ->
+          let k = -1 - Hashtbl.length vars.names in
+          Hashtbl.add vars.names name k;
+          k)
+  | k -> k
+
+(* for messages *)
+let name_of_key vars k =
+  if k >= 0 then "n" ^ string_of_int k
+  else Hashtbl.fold (fun name k' found -> if k = k' then name else found) vars.names ""
+
+(* the variable of a node pattern, as a key *)
+let read_var c vars =
   skip_ws c;
-  let props = if peek c = '{' then read_map c else Smap.empty in
+  match peek c with
+  | 'a' .. 'z' | 'A' .. 'Z' | '_' -> (
+      let start = c.i in
+      let stop = ident_end c.s start in
+      c.i <- stop;
+      match numbered c.s start stop with
+      | -1 -> key_of_name vars (String.sub c.s start (stop - start))
+      | k -> k)
+  | _ -> key_of_name vars (read_ident c)
+
+let rec search keys k lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) lsr 1 in
+    let m = Vec.get keys mid in
+    if m = k then mid else if k < m then search keys k lo mid else search keys k (mid + 1) hi
+
+(* the node bound to key [k], or -1 *)
+let find_var vars k =
+  let n = Vec.length vars.keys in
+  let at =
+    if k < 0 || n = 0 then -1
+    else
+      (* ids without gaps put [k] at [k - keys.(0)] *)
+      let guess = k - Vec.get vars.keys 0 in
+      if guess < n && guess >= 0 && Vec.get vars.keys guess = k then guess
+      else search vars.keys k 0 n
+  in
+  if at >= 0 then Vec.get vars.ids at
+  else match Hashtbl.find_opt vars.others k with Some id -> id | None -> -1
+
+let bind_var c vars k id =
+  let n = Vec.length vars.keys in
+  if k >= 0 && (n = 0 || k > Vec.get vars.keys (n - 1)) then begin
+    (* above every key in [keys], so above every key in [others] too *)
+    Vec.push vars.keys k;
+    Vec.push vars.ids id
+  end
+  else if find_var vars k >= 0 then fail c "variable `%s` is bound twice" (name_of_key vars k)
+  else Hashtbl.add vars.others k id
+
+let no_entries e =
+  e.count <- 0;
+  e.nulls <- 0
+
+let rec same_keys (a : string array) b i =
+  i = Array.length b || (String.equal a.(i) b.(i) && same_keys a b (i + 1))
+
+(* the non-null entries of [e] as a key array and its values, in key
+   order; the key array is [prev] when equal to it, else the share
+   table's *)
+let entry_arrays share e (prev : string array) =
+  let n = e.count - e.nulls in
+  if n = 0 then ([||], [||])
+  else if e.nulls = 0 && e.ascending && n = Array.length prev && same_keys e.keys prev 0 then
+    (prev, Array.sub e.vals 0 n)
+  else begin
+    let order = Array.make n 0 and j = ref 0 in
+    for i = 0 to e.count - 1 do
+      if not (Value.is_null e.vals.(i)) then begin
+        order.(!j) <- i;
+        incr j
+      end
+    done;
+    if not e.ascending then
+      Array.sort (fun p q -> String.compare e.keys.(p) e.keys.(q)) order;
+    ( Share.keys share (Array.map (fun i -> e.keys.(i)) order),
+      Array.map (fun i -> e.vals.(i)) order )
+  end
+
+(* What one entity predicts of the next of its kind: its labels (and
+   their set), its key arrays and its type. *)
+type decoder = {
+  c : cursor;
+  vars : vars;
+  e : entries;
+  mutable labels : string list;
+  mutable label_set : Sset.t;
+  mutable node_keys : string array;
+  mutable rel_keys : string array;
+  mutable r_type : string;
+}
+
+let rec read_labels c guess acc =
+  skip_ws c;
+  if peek c = ':' then begin
+    c.i <- c.i + 1;
+    match guess with
+    | g :: guess -> read_labels c guess (read_name_as c g :: acc)
+    | [] -> read_labels c [] (read_name_as c "" :: acc)
+  end
+  else List.rev acc
+
+(* [(var:L… {…})]: the variable's key and the labels as written; the
+   map is left in [d.e] *)
+let read_node_pattern d =
+  let c = d.c in
+  expect c "(";
+  let var = read_var c d.vars in
+  let labels = read_labels c d.labels [] in
+  skip_ws c;
+  if peek c = '{' then read_entries c d.e d.node_keys else no_entries d.e;
   expect c ")";
-  (var, labels, props)
+  (var, labels)
+
+let props_of d prev =
+  let keys, vals = entry_arrays d.c.share d.e prev in
+  if Array.length keys = 0 then (prev, Props.empty) else (keys, Props.of_arrays keys vals)
+
+let endpoint d what (var, labels) =
+  let c = d.c in
+  if labels <> [] || d.e.count > 0 then
+    fail c "relationship %s `%s` carries labels or properties" what (name_of_key d.vars var);
+  match find_var d.vars var with
+  | -1 -> fail c "relationship %s `%s` is unbound" what (name_of_key d.vars var)
+  | id -> id
 
 (** [of_cypher g s] applies the script [s], as written by {!to_cypher},
     to [g]: nodes and relationships get ids in file order and are added
@@ -482,66 +732,78 @@ let of_cypher ?(pos = 0) (g : Graph.t) (s : string) : (Graph.t, string) result
     =
   let c = cursor s in
   c.i <- pos;
-  let vars : (string, Graph.node_id) Hashtbl.t = Hashtbl.create 1024 in
-  (* the script's entities, newest first, with the ids creating them in
-     file order would assign; the graph is built from them in one batch *)
-  let next = ref (Graph.next_id g) and nodes = ref [] and rels = ref [] in
-  let fresh () =
-    let id = !next in
-    incr next;
-    id
+  let d =
+    {
+      c;
+      vars =
+        {
+          keys = Vec.create ();
+          ids = Vec.create ();
+          others = Hashtbl.create 16;
+          names = Hashtbl.create 16;
+        };
+      e = new_entries ();
+      labels = [];
+      label_set = Share.labels c.share [];
+      node_keys = [||];
+      rel_keys = [||];
+      r_type = "";
+    }
   in
-  let endpoint what (var, labels, props) =
-    if labels <> [] || not (Smap.is_empty props) then
-      fail c "relationship %s `%s` carries labels or properties" what var;
-    match Hashtbl.find_opt vars var with
-    | Some id -> id
-    | None -> fail c "relationship %s `%s` is unbound" what var
-  in
-  let rec fragments () =
-    let ((var, labels, props) as node) = read_node_pattern c in
-    skip_ws c;
-    if peek c = '-' then begin
-      let src = endpoint "source" node in
-      expect c "-";
-      expect c "[";
-      expect c ":";
-      let r_type = read_name c in
-      skip_ws c;
-      let props = if peek c = '{' then read_map c else Smap.empty in
-      expect c "]";
-      expect c "->";
-      let tgt = endpoint "target" (read_node_pattern c) in
-      let r_props = Share.props c.share props in
-      rels := { Graph.r_id = fresh (); src; tgt; r_type; r_props } :: !rels
-    end
-    else begin
-      if Hashtbl.mem vars var then fail c "variable `%s` is bound twice" var;
-      let n_id = fresh () in
-      nodes :=
-        { Graph.n_id; labels = Share.labels c.share labels; n_props = Share.props c.share props }
-        :: !nodes;
-      Hashtbl.add vars var n_id
-    end;
-    skip_ws c;
-    match peek c with
-    | ',' ->
-        c.i <- c.i + 1;
-        fragments ()
-    | ';' -> c.i <- c.i + 1
-    | _ -> fail c "expected ',' or ';' after a pattern"
-  in
+  (* the script's entities in file order, with the ids creating them in
+     that order would assign; the graph is built from them in one batch *)
+  let nodes = Vec.create () and rels = Vec.create () in
+  let next = ref (Graph.next_id g) in
   try
     if pos < 0 || pos > String.length s then fail c "start offset out of range";
     skip_ws c;
     if c.i >= String.length s then Ok g
     else begin
       expect c "CREATE";
-      fragments ();
+      let more = ref true in
+      while !more do
+        let ((var, labels) as pattern) = read_node_pattern d in
+        skip_ws c;
+        if peek c = '-' then begin
+          let src = endpoint d "source" pattern in
+          expect c "-";
+          expect c "[";
+          expect c ":";
+          let r_type = read_name_as c d.r_type in
+          d.r_type <- r_type;
+          skip_ws c;
+          if peek c = '{' then read_entries c d.e d.rel_keys else no_entries d.e;
+          let keys, r_props = props_of d d.rel_keys in
+          d.rel_keys <- keys;
+          expect c "]";
+          expect c "->";
+          let tgt = endpoint d "target" (read_node_pattern d) in
+          Vec.push rels { Graph.r_id = !next; src; tgt; r_type; r_props };
+          incr next
+        end
+        else begin
+          bind_var c d.vars var !next;
+          if not (List.equal String.equal labels d.labels) then begin
+            d.labels <- labels;
+            d.label_set <- Share.labels c.share labels
+          end;
+          let keys, n_props = props_of d d.node_keys in
+          d.node_keys <- keys;
+          Vec.push nodes { Graph.n_id = !next; labels = d.label_set; n_props };
+          incr next
+        end;
+        skip_ws c;
+        match peek c with
+        | ',' -> c.i <- c.i + 1
+        | ';' ->
+            c.i <- c.i + 1;
+            more := false
+        | _ -> fail c "expected ',' or ';' after a pattern"
+      done;
       at_end c;
       (* every endpoint is a variable the script bound, so the batch's
          own preconditions hold *)
-      Ok (Graph.add_batch g (List.rev !nodes) (List.rev !rels))
+      Ok (Graph.add_batch g (Vec.to_array nodes) (Vec.to_array rels))
     end
   with Bad m -> Error ("dump script: " ^ m)
 

@@ -337,6 +337,23 @@ let runs same a lo hi f =
     i := !j
   done
 
+(* [run_starts same n] is the first position of each maximal run of
+   positions [0 .. n - 1] that [same] relates to the position before,
+   then [n] *)
+let run_starts same n =
+  let count = ref 0 in
+  for k = 0 to n - 1 do
+    if k = 0 || not (same (k - 1) k) then incr count
+  done;
+  let starts = Array.make (!count + 1) n and r = ref 0 in
+  for k = 0 to n - 1 do
+    if k = 0 || not (same (k - 1) k) then begin
+      starts.(!r) <- k;
+      incr r
+    end
+  done;
+  starts
+
 (* runs hold ascending ids: the batch arrays are in id order and every
    sort below is stable *)
 let set_of_run id a i j = Ids.of_sorted (Array.init (j - i) (fun k -> id a.(i + k)))
@@ -447,52 +464,84 @@ let count_batch (rels : rel array) counts =
     rels;
   Hashtbl.fold (fun ty c counts -> count ty !c counts) totals counts
 
-(* the registered property indexes, fed the batch's non-null values *)
-let pindex_batch (nodes : node array) pidx =
-  if Smap.is_empty pidx then pidx
-  else
-    let pairs f =
-      Array.iter
-        (fun n ->
-          Sset.iter
-            (fun l ->
-              match Smap.find_opt l pidx with
-              | None -> ()
-              | Some keys ->
-                  Smap.iter
-                    (fun key _ ->
-                      match Props.get n.n_props key with
-                      | Value.Null -> ()
-                      | v -> f (l, key) (v, n.n_id))
-                    keys)
-            n.labels)
-        nodes
-    in
-    Hashtbl.fold
-      (fun (l, key) (a, _) pidx ->
-        Array.stable_sort (fun (v, _) (w, _) -> Value.compare_total v w) a;
-        let keys = Smap.find l pidx in
-        let vmap = ref (Smap.find key keys) in
-        runs
-          (fun (v, _) (w, _) -> Value.compare_total v w = 0)
-          a 0 (Array.length a)
-          (fun i j -> vmap := Vmap.update (fst a.(i)) (union_set (set_of_run snd a i j)) !vmap);
-        Smap.add l (Smap.add key !vmap keys) pidx)
-      (group pairs) pidx
-
-(* [of_ascending key a] maps [key x] to [x] for each [x] of [a], whose
-   keys strictly ascend, built by halving unions in linear time:
+(* [halving empty join n leaf] joins [leaf 0 .. leaf (n - 1)] by
+   halving: a map of ascending keys built in linear time, where
    ascending [add]s would copy a root-to-leaf path each *)
-let of_ascending key a =
+let halving empty join n leaf =
   let rec build lo hi =
     match hi - lo with
-    | 0 -> Imap.empty
-    | 1 -> Imap.singleton (key a.(lo)) a.(lo)
+    | 0 -> empty
+    | 1 -> leaf lo
     | len ->
         let mid = lo + (len / 2) in
-        Imap.union (fun _ x _ -> Some x) (build lo mid) (build mid hi)
+        join (build lo mid) (build mid hi)
   in
-  build 0 (Array.length a)
+  build 0 n
+
+(* [of_ascending key a] maps [key x] to [x] for each [x] of [a], whose
+   keys strictly ascend *)
+let of_ascending key a =
+  halving Imap.empty
+    (Imap.union (fun _ x _ -> Some x))
+    (Array.length a)
+    (fun i -> Imap.singleton (key a.(i)) a.(i))
+
+(* The one property-index builder.  [vals.(i)] is the indexed value of
+   node [ids.(i)], [ids] ascending; [vmap_of_pairs vals ids] is their
+   value map.  The pairs are sorted by value
+   (stably, so each value's ids still ascend) only when they do not
+   already ascend, as they do when a key numbers its nodes in id order;
+   each run of equal values becomes one id set, and the runs, strictly
+   ascending, one map built by halving. *)
+let vmap_of_pairs (vals : Value.t array) (ids : int array) =
+  let n = Array.length ids in
+  let rec ascending i =
+    i >= n || (Value.compare_total vals.(i - 1) vals.(i) <= 0 && ascending (i + 1))
+  in
+  let vals, ids =
+    if ascending 1 then (vals, ids)
+    else begin
+      let perm = Array.init n Fun.id in
+      Array.stable_sort (fun p q -> Value.compare_total vals.(p) vals.(q)) perm;
+      (Array.map (fun p -> vals.(p)) perm, Array.map (fun p -> ids.(p)) perm)
+    end
+  in
+  let starts = run_starts (fun i j -> Value.compare_total vals.(i) vals.(j) = 0) n in
+  halving Vmap.empty
+    (Vmap.union (fun _ x _ -> Some x))
+    (Array.length starts - 1)
+    (fun r ->
+      let i = starts.(r) and j = starts.(r + 1) in
+      Vmap.singleton vals.(i) (Ids.of_sorted (Array.sub ids i (j - i))))
+
+(* the value map of [key] over the nodes [iter] yields, in ascending id
+   order: one pass counts the non-null values, the next fills exactly
+   sized arrays with them *)
+let vmap_of_nodes key iter =
+  let n = ref 0 in
+  iter (fun node -> if not (Value.is_null (Props.get node.n_props key)) then incr n);
+  let vals = Array.make !n Value.Null and ids = Array.make !n 0 and i = ref 0 in
+  iter (fun node ->
+      match Props.get node.n_props key with
+      | Value.Null -> ()
+      | v ->
+          vals.(!i) <- v;
+          ids.(!i) <- node.n_id;
+          incr i);
+  vmap_of_pairs vals ids
+
+(* [pindex_build nodes pidx] adds the nodes, which ascend by id, to each
+   registered index of [pidx]: one map built by [vmap_of_pairs] per
+   index, unioned into the registered one *)
+let pindex_build (nodes : node array) pidx =
+  Smap.mapi
+    (fun l keys ->
+      let labelled f = Array.iter (fun n -> if Sset.mem l n.labels then f n) nodes in
+      Smap.mapi
+        (fun key vmap ->
+          Vmap.union (fun _ old s -> Some (Ids.union old s)) vmap (vmap_of_nodes key labelled))
+        keys)
+    pidx
 
 (* Adds fresh entities — ids absent from [g], each array ascending —
    in one bottom-up pass.  A relationship endpoint found neither in [g]
@@ -523,7 +572,7 @@ let insert_batch ~caller g (nodes : node array) (rels : rel array) =
     in_typed = adj_batch ~check (fun r -> r.tgt) rels g.in_typed;
     label_index = index_batch nodes g.label_index;
     type_counts = count_batch rels g.type_counts;
-    prop_index = pindex_batch nodes g.prop_index;
+    prop_index = pindex_build nodes g.prop_index;
   }
 
 (** [add_batch g nodes rels] adds fresh node and relationship records
@@ -531,17 +580,16 @@ let insert_batch ~caller g (nodes : node array) (rels : rel array) =
     [next_id g + 1], ... — the ids the same entities would get from
     {!create_node}/{!create_rel} applied in id order, whose result this
     equals.  Relationship endpoints may be in [g] or in [nodes]. *)
-let add_batch g (nodes : node list) (rels : rel list) =
-  let rec supply next (ns : node list) (rs : rel list) =
-    match (ns, rs) with
-    | [], [] -> next
-    | n :: ns, _ when n.n_id = next -> supply (next + 1) ns rs
-    | _, r :: rs when r.r_id = next -> supply (next + 1) ns rs
-    | _ -> invalid_arg (Printf.sprintf "Graph.add_batch: id %d expected" next)
+let add_batch g (nodes : node array) (rels : rel array) =
+  let nn = Array.length nodes and nr = Array.length rels in
+  let rec supply next i j =
+    if i < nn && nodes.(i).n_id = next then supply (next + 1) (i + 1) j
+    else if j < nr && rels.(j).r_id = next then supply (next + 1) i (j + 1)
+    else if i = nn && j = nr then next
+    else invalid_arg (Printf.sprintf "Graph.add_batch: id %d expected" next)
   in
-  let next_id = supply g.next_id nodes rels in
-  insert_batch ~caller:"Graph.add_batch" { g with next_id } (Array.of_list nodes)
-    (Array.of_list rels)
+  let next_id = supply g.next_id 0 0 in
+  insert_batch ~caller:"Graph.add_batch" { g with next_id } nodes rels
 
 (* ------------------------------------------------------------------ *)
 (* In-place modification (persistent: returns a new graph)            *)
@@ -671,16 +719,11 @@ let add_prop_index ~label ~key g =
   if registered then g
   else
     let vmap =
-      Ids.fold
-        (fun id vmap ->
-          match node g id with
-          | None -> vmap
-          | Some n -> (
-              match Props.get n.n_props key with
-              | Value.Null -> vmap
-              | v -> vmap_add v id vmap))
-        (tset_find label g.label_index)
-        Vmap.empty
+      vmap_of_nodes key (fun f ->
+          Ids.fold
+            (fun id () -> match node g id with Some n -> f n | None -> ())
+            (tset_find label g.label_index)
+            ())
     in
     let keys =
       match Smap.find_opt label g.prop_index with

@@ -143,12 +143,13 @@ val create_rel :
     one bottom-up pass: each map takes its new keys in ascending order
     and each id set is built once from the batch.  The records' ids,
     merged in ascending order, must be exactly [next_id g],
-    [next_id g + 1], ... (each list ascending); the result equals
+    [next_id g + 1], ... (each array ascending); the result equals
     applying {!create_node}/{!create_rel} to them in id order.
-    Relationship endpoints may be nodes of [g] or of [nodes].
+    Relationship endpoints may be nodes of [g] or of [nodes].  The
+    graph may keep the arrays' elements but not the arrays.
     @raise Invalid_argument on an id out of sequence or a missing
     endpoint. *)
-val add_batch : t -> node list -> rel list -> t
+val add_batch : t -> node array -> rel array -> t
 
 (** {1 Modification (persistent: returns a new graph)} *)
 

@@ -35,12 +35,22 @@ let search (x : int) a =
   in
   go 0 (Array.length a)
 
+(* the set of [a.(lo) .. a.(hi - 1)], ascending, by halving unions:
+   ascending [add]s would copy the right spine each *)
+let rec iset_of_sorted a lo hi =
+  match hi - lo with
+  | 0 -> Iset.empty
+  | 1 -> Iset.singleton a.(lo)
+  | len ->
+      let mid = lo + (len / 2) in
+      Iset.union (iset_of_sorted a lo mid) (iset_of_sorted a mid hi)
+
 let of_sorted a =
   match Array.length a with
   | 0 -> Empty
   | 1 -> One a.(0)
   | n when n <= small_max -> Small a
-  | n -> Tree { card = n; set = Array.fold_left (fun s x -> Iset.add x s) Iset.empty a }
+  | n -> Tree { card = n; set = iset_of_sorted a 0 n }
 
 let mem x = function
   | Empty -> false

@@ -59,6 +59,8 @@ let set p k v =
         let i = -(i + 1) in
         { keys = insert p.keys i k; vals = insert p.vals i v }
 
+let of_arrays keys vals = { keys; vals }
+
 let of_map ?(intern = Fun.id) m =
   let n = Smap.fold (fun _ v n -> if Value.is_null v then n else n + 1) m 0 in
   if n = 0 then empty

@@ -36,6 +36,12 @@ val of_list : (string * Value.t) list -> t
     and returns an equal one to store, so a caller can share arrays. *)
 val of_map : ?intern:(string array -> string array) -> Value.t Smap.t -> t
 
+(** [of_arrays keys vals] is the map of [keys.(i)] to [vals.(i)].  It
+    keeps both arrays, unchecked: [keys] must strictly ascend and be as
+    long as [vals], which must hold no [null] ({!is_canonical}).  For
+    decoders that build the two arrays themselves. *)
+val of_arrays : string array -> Value.t array -> t
+
 val to_map : t -> Value.t Smap.t
 
 (** [to_value p] is [Map (to_map p)]. *)

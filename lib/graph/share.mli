@@ -27,6 +27,9 @@ val labels : t -> string list -> Sset.t
     never a NaN with itself. *)
 val value : t -> Value.t -> Value.t
 
+(** [keys t a] is the first key array equal to [a] seen by [t]. *)
+val keys : t -> string array -> string array
+
 (** [props t m] is {!Props.of_map} of [m] whose key array is the first
     equal one seen by [t]. *)
 val props : t -> Value.t Smap.t -> Props.t

@@ -79,6 +79,7 @@ open Cypher_graph
 open Cypher_core
 open Cypher_util.Maps
 module Csv = Cypher_csv.Csv
+module Vec = Cypher_util.Vec
 
 type report = { nodes_created : int; rels_created : int }
 
@@ -146,9 +147,9 @@ let apply_frame ~(ids : idmap) (g : Graph.t) (payload : string) :
   let decode what dec s =
     match dec s with Some v -> v | None -> bad "bad %s field %S" what s
   in
-  (* the frame's entities, newest first, with the ids creating them in
-     line order would assign; the graph is built from them in one batch *)
-  let next = ref (Graph.next_id g) and nodes = ref [] and rels = ref [] in
+  (* the frame's entities in line order, with the ids creating them in
+     that order would assign; the graph is built from them in one batch *)
+  let next = ref (Graph.next_id g) and nodes = Vec.create () and rels = Vec.create () in
   let fresh () =
     let id = !next in
     incr next;
@@ -166,7 +167,7 @@ let apply_frame ~(ids : idmap) (g : Graph.t) (payload : string) :
               let labels = split_labels (decode "labels" dec_opt labels) in
               let n_props = decode "props" (dec_props share) props in
               let n_id = fresh () in
-              nodes := { Graph.n_id; labels = Share.labels share labels; n_props } :: !nodes;
+              Vec.push nodes { Graph.n_id; labels = Share.labels share labels; n_props };
               Hashtbl.replace ids id n_id
           | [ "R"; src; tgt; ty; props ] ->
               let src = decode "src" Wal.pct_decode src in
@@ -180,18 +181,17 @@ let apply_frame ~(ids : idmap) (g : Graph.t) (payload : string) :
               in
               let src = resolve "source" src in
               let tgt = resolve "target" tgt in
-              rels := { Graph.r_id = fresh (); src; tgt; r_type; r_props } :: !rels
+              Vec.push rels { Graph.r_id = fresh (); src; tgt; r_type; r_props }
           | _ -> bad "malformed bulk frame line %S" line)
       (String.split_on_char '\n' payload);
-    let nodes = List.rev !nodes and rels = List.rev !rels in
-    let g = Graph.add_batch g nodes rels in
+    let g = Graph.add_batch g (Vec.to_array nodes) (Vec.to_array rels) in
     (* following the net-diff convention of [Stats]: properties and
        labels of created entities fold into the created counts *)
     let stats =
       {
         Stats.empty with
-        Stats.nodes_created = List.length nodes;
-        rels_created = List.length rels;
+        Stats.nodes_created = Vec.length nodes;
+        rels_created = Vec.length rels;
       }
     in
     Ok (g, stats)
@@ -258,14 +258,14 @@ let start_line buf = if Buffer.length buf > 0 then Buffer.add_char buf '\n'
     returned table (raw id → node id, line) and its frame line written
     to [buf]. *)
 let load_nodes share ~buf ~lit ~fresh file src =
-  let ids = Hashtbl.create 1024 in
+  let ids = Hashtbl.create 1024 and nodes = Vec.create () in
   let node hline header =
     let props_cols =
       split_header file hline header ~required:[ "id" ] ~special:[ "id"; "labels" ]
     in
     let id_i = pos header "id" in
     let labels_i = if List.mem "labels" header then Some (pos header "labels") else None in
-    fun line row nodes ->
+    fun line row () ->
       let id = row.(id_i) in
       if id = "" then fail_at file line "empty node id";
       let n_id = fresh () in
@@ -296,15 +296,16 @@ let load_nodes share ~buf ~lit ~fresh file src =
       (* a lone [-] label frames as the field [-], which replay reads
          as "no labels" *)
       let labels = Share.labels share (if labels = [ "-" ] then [] else labels) in
-      { Graph.n_id; labels; n_props } :: nodes
+      Vec.push nodes { Graph.n_id; labels; n_props }
   in
-  let nodes = fold_file file node [] src in
-  (List.rev nodes, ids)
+  fold_file file node () src;
+  (nodes, ids)
 
 (** The relationship file in one fold: each row is checked as it is
     parsed, its endpoints resolved through [ids], its record built with
     the id [fresh ()] gives and its frame line written to [buf]. *)
 let load_rels share ~buf ~lit ~ids ~fresh file src =
+  let rels = Vec.create () in
   let rel hline header =
     let props_cols =
       split_header file hline header
@@ -314,7 +315,7 @@ let load_rels share ~buf ~lit ~ids ~fresh file src =
     let src_i = pos header "src" in
     let tgt_i = pos header "tgt" in
     let ty_i = pos header "type" in
-    fun line row rels ->
+    fun line row () ->
       let s = row.(src_i) and t = row.(tgt_i) and ty = row.(ty_i) in
       if ty = "" then fail_at file line "empty relationship type";
       let node what id =
@@ -334,9 +335,10 @@ let load_rels share ~buf ~lit ~ids ~fresh file src =
       Wal.add_pct_encoded buf ty;
       Buffer.add_char buf ' ';
       add_props_field buf ~lit r_props;
-      { Graph.r_id = fresh (); src; tgt; r_type = Share.name share ty; r_props } :: rels
+      Vec.push rels { Graph.r_id = fresh (); src; tgt; r_type = Share.name share ty; r_props }
   in
-  List.rev (fold_file file rel [] src)
+  fold_file file rel () src;
+  rels
 
 (** [load_strings session ~nodes ~rels] validates both CSV images, then
     applies them as one batch journaled as one frame.
@@ -358,13 +360,13 @@ let load_strings ?(nodes_name = "<nodes>") ?(rels_name = "<rels>")
     in
     let nodes, ids = load_nodes share ~buf ~lit ~fresh nodes_name nodes in
     let rels = load_rels share ~buf ~lit ~ids ~fresh rels_name rels in
-    let n = Hashtbl.length ids and m = List.length rels in
+    let n = Hashtbl.length ids and m = Vec.length rels in
     let report = { nodes_created = n; rels_created = m } in
     (* a relationship needs an endpoint, so an empty node file is an
        empty load, which journals nothing *)
     if n = 0 then Ok report
     else
-      let g = Graph.add_batch (Session.graph session) nodes rels in
+      let g = Graph.add_batch (Session.graph session) (Vec.to_array nodes) (Vec.to_array rels) in
       (* following the net-diff convention of [Stats]: properties and
          labels of created entities fold into the created counts *)
       let stats = { Stats.empty with Stats.nodes_created = n; rels_created = m } in

@@ -618,7 +618,7 @@ let replay_tests =
     Test_util.case "multi-frame journals replay to the one-frame load" (fun () ->
         List.iter
           (fun (file, frames, (nodes, rels)) ->
-            let wal = In_channel.with_open_bin (Filename.concat "journals" file) In_channel.input_all in
+            let wal = In_channel.with_open_bin (Test_util.fixture (Filename.concat "journals" file)) In_channel.input_all in
             let loaded, _ = load_capturing Graph.empty ~nodes ~rels in
             match Cypher_storage.Recovery.recover_strings ~wal () with
             | Error m -> Alcotest.failf "%s: recovery: %s" file m

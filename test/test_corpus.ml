@@ -10,7 +10,7 @@
 open Cypher_fuzz
 open Test_util
 
-let corpus_dir = "corpus"
+let corpus_dir = fixture "corpus"
 
 let corpus_cases =
   if not (Sys.file_exists corpus_dir) then []

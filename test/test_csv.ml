@@ -238,7 +238,7 @@ let file_tests =
         check_rows "rows" 2 t;
         Alcotest.(check (list string)) "columns" [ "a"; "b" ] (Table.columns t));
     case "example orders.csv loads" (fun () ->
-        let t = Csv.table_of_file "../examples/data/orders.csv" in
+        let t = Csv.table_of_file (fixture "../examples/data/orders.csv") in
         check_rows "rows" 12 t;
         Alcotest.(check (list string)) "columns" [ "cid"; "pid"; "date" ] (Table.columns t));
   ]

@@ -490,16 +490,80 @@ let batch_shape_tests =
           Alcotest.check_raises what (Invalid_argument ("Graph.add_batch: " ^ msg)) (fun () ->
               ignore (Graph.add_batch Graph.empty nodes rels))
         in
-        let nodes = [ batch_node 0 ] in
+        let nodes = [| batch_node 0 |] in
         refuses "bad target, then a bad source" "no target node 7" nodes
-          [ batch_rel 1 0 7; batch_rel 2 9 0 ];
-        refuses "both endpoints bad" "no source node 8" nodes [ batch_rel 1 8 7 ];
+          [| batch_rel 1 0 7; batch_rel 2 9 0 |];
+        refuses "both endpoints bad" "no source node 8" nodes [| batch_rel 1 8 7 |];
         refuses "bad sources out of endpoint order" "no source node 9" nodes
-          [ batch_rel 1 9 0; batch_rel 2 3 0 ];
+          [| batch_rel 1 9 0; batch_rel 2 3 0 |];
         refuses "a good relationship, then a bad target, then both bad" "no target node 5" nodes
-          [ batch_rel 1 0 0; batch_rel 2 0 5; batch_rel 3 4 6 ];
+          [| batch_rel 1 0 0; batch_rel 2 0 5; batch_rel 3 4 6 |];
         Alcotest.check_raises "rebuild, in id order" (Invalid_argument "Graph.rebuild: no source node 6") (fun () ->
             ignore (Graph.rebuild ~next_id:4 [ batch_node 0 ] [ batch_rel 3 0 2; batch_rel 1 6 0 ])));
+  ]
+
+(* [check_index_build msg indexes base steps]: with [indexes]
+   registered on [base], one [add_batch] of [steps] equals the create
+   sequence; and registering [indexes] after the create sequence builds
+   the same indexes.  Every id set is canonical. *)
+let check_index_build msg indexes base steps =
+  let register g = List.fold_left (fun g (label, key) -> Graph.add_prop_index ~label ~key g) g indexes in
+  let canonical what g =
+    Graph.fold_id_sets
+      (fun where s () ->
+        if not (Ids.is_canonical s) then Alcotest.failf "%s (%s): %s is not canonical" msg what where)
+      g ()
+  in
+  let created = apply_steps (register base) steps in
+  check_batch (msg ^ ", batch") (register base) steps;
+  let late = register (apply_steps base steps) in
+  check_same_graph (msg ^ ", registered after") created late;
+  canonical "registered after" late
+
+let index_build_tests =
+  let node labels props = Step_node (labels, Props.of_list props) in
+  let k v = [ ("k", v) ] and vfloat f = Value.Float f in
+  let ab = [ ("A", "k"); ("B", "w") ] in
+  [
+    case "index build: values that do not ascend with the ids" (fun () ->
+        check_index_build "descending" ab Graph.empty
+          (List.map (fun v -> node [ "A" ] (k (vint v))) [ 9; 7; 5; 3; 1; 8; 6; 4; 2; 0 ]));
+    case "index build: repeated values, some above the array size" (fun () ->
+        check_index_build "repeats" ab Graph.empty
+          (List.init 40 (fun i -> node [ "A" ] (k (vint (if i mod 7 = 0 then 2 else 1))))));
+    case "index build: ints and floats that compare equal share a bucket" (fun () ->
+        check_index_build "mixed numbers" ab Graph.empty
+          (List.map
+             (fun v -> node [ "A" ] (k v))
+             [ vint 1; vfloat 1.0; vfloat 1.5; vint 2; vfloat 2.0; vint 1; vfloat 0.5; vstr "1" ]));
+    case "index build: nodes without the key or the label" (fun () ->
+        check_index_build "absent" ab Graph.empty
+          [ node [ "A" ] []; node [ "A" ] [ ("w", vint 1) ]; node [ "B" ] (k (vint 1));
+            node [] (k (vint 1)); node [ "A" ] (k (vint 3)); node [ "A" ] (k vnull) ]);
+    case "index build: nodes with two indexed labels" (fun () ->
+        check_index_build "two labels" (("A", "w") :: ab) Graph.empty
+          (List.init 25 (fun i ->
+               node
+                 (if i mod 3 = 0 then [ "A"; "B" ] else if i mod 3 = 1 then [ "B" ] else [ "A" ])
+                 [ ("k", vint (i mod 4)); ("w", vint (i mod 5)) ])));
+    case "index build: a base already holding some of the batch's values" (fun () ->
+        let base =
+          apply_steps Graph.empty
+            (List.init 20 (fun i -> node [ "A"; "B" ] [ ("k", vint (i mod 3)); ("w", vint 1) ]))
+        in
+        check_index_build "base values" ab base
+          (List.init 30 (fun i -> node [ "A"; "B" ] [ ("k", vint (i mod 5)); ("w", vint (i mod 2)) ])));
+    case "index build: random batches onto random indexed bases" (fun () ->
+        for seed = 1 to 40 do
+          let rng = Random.State.make [| seed |] in
+          let base = apply_steps Graph.empty (random_steps rng ~nodes:[||] ~next_id:0 ~count:(Random.State.int rng 30)) in
+          let steps =
+            random_steps rng
+              ~nodes:(Array.of_list (Graph.node_ids base))
+              ~next_id:(Graph.next_id base) ~count:(1 + Random.State.int rng 60)
+          in
+          check_index_build (Printf.sprintf "seed %d" seed) [ ("A", "k"); ("B", "w"); ("C", "k") ] base steps
+        done);
   ]
 
 let batch_tests =
@@ -529,9 +593,9 @@ let batch_tests =
         let node id = { Graph.n_id = id; labels = Cypher_util.Maps.Sset.empty; n_props = Props.empty } in
         let rel id src tgt = { Graph.r_id = id; src; tgt; r_type = "T"; r_props = Props.empty } in
         Alcotest.check_raises "gap" (Invalid_argument "Graph.add_batch: id 1 expected") (fun () ->
-            ignore (Graph.add_batch Graph.empty [ node 0; node 2 ] []));
+            ignore (Graph.add_batch Graph.empty [| node 0; node 2 |] [||]));
         Alcotest.check_raises "missing target" (Invalid_argument "Graph.add_batch: no target node 7")
-          (fun () -> ignore (Graph.add_batch Graph.empty [ node 0 ] [ rel 1 0 7 ])));
+          (fun () -> ignore (Graph.add_batch Graph.empty [| node 0 |] [| rel 1 0 7 |])));
     case "rebuild equals the per-entity create sequence" (fun () ->
         for seed = 1 to 20 do
           let rng = Random.State.make [| seed |] in
@@ -630,4 +694,4 @@ let type_count_tests =
 
 let suite =
   suite @ histogram_tests @ typed_adjacency_tests @ derived_adjacency_tests @ prop_index_tests
-  @ batch_tests @ batch_shape_tests @ node_count_tests @ type_count_tests
+  @ batch_tests @ batch_shape_tests @ index_build_tests @ node_count_tests @ type_count_tests

@@ -654,4 +654,50 @@ let store_tests =
             Store.close store2));
   ]
 
-let suite = wal_tests @ snapshot_tests @ session_journal_tests @ store_tests
+(* ------------------------------------------------------------------ *)
+(* CRC-32                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* the one-table, one-byte-at-a-time CRC the sliced one must equal *)
+let reference_crc ?(pos = 0) s =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let c = ref 0xFFFFFFFF in
+  for i = pos to String.length s - 1 do
+    c := table.((!c lxor Char.code s.[i]) land 0xff) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
+
+let crc_tests =
+  let module Crc32 = Cypher_storage.Crc32 in
+  [
+    case "CRC-32 of the check string is cbf43926" (fun () ->
+        Alcotest.(check string) "check" "cbf43926" (Crc32.to_hex (Crc32.digest "123456789"));
+        Alcotest.(check string) "offset" "cbf43926"
+          (Crc32.to_hex (Crc32.digest ~pos:3 "abc123456789")));
+    case "sliced CRC-32 equals the bytewise one at every offset and length" (fun () ->
+        let rng = Random.State.make [| 29 |] in
+        for len = 0 to 70 do
+          let s = String.init len (fun _ -> Char.chr (Random.State.int rng 256)) in
+          for pos = 0 to len do
+            let want = reference_crc ~pos s and got = Crc32.digest ~pos s in
+            if want <> got then
+              Alcotest.failf "len %d pos %d: %s, expected %s" len pos (Crc32.to_hex got)
+                (Crc32.to_hex want)
+          done
+        done);
+    case "CRC-32 refuses an offset outside the string" (fun () ->
+        List.iter
+          (fun pos ->
+            Alcotest.check_raises (string_of_int pos) (Invalid_argument "Crc32.digest") (fun () ->
+                ignore (Crc32.digest ~pos "abc")))
+          [ -1; 4 ]);
+  ]
+
+let suite = wal_tests @ snapshot_tests @ session_journal_tests @ store_tests @ crc_tests

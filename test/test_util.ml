@@ -17,6 +17,15 @@ let graph_iso_testable : Graph.t Alcotest.testable =
 
 let case name f = Alcotest.test_case name `Quick f
 
+(** [fixture rel] is the path of the fixture [rel], named relative to
+    the test directory ([corpus], [journals/...],
+    [../examples/data/orders.csv]).  [dune runtest] runs the suite there;
+    run from the repository root (as [dune exec test/test_main.exe]
+    does) the same fixture is under [test/]. *)
+let fixture rel =
+  let from_root = Filename.concat "test" rel in
+  if Sys.file_exists rel || not (Sys.file_exists from_root) then rel else from_root
+
 (** [contains_substring s sub] is true when [sub] occurs in [s]. *)
 let contains_substring s sub =
   let n = String.length s and m = String.length sub in
@@ -241,4 +250,4 @@ let batch_steps g steps =
             (ns, { Graph.r_id = id; src; tgt; r_type; r_props } :: rs, id + 1))
       ([], [], next) steps
   in
-  Graph.add_batch g (List.rev nodes) (List.rev rels)
+  Graph.add_batch g (Array.of_list (List.rev nodes)) (Array.of_list (List.rev rels))
