@@ -15,6 +15,13 @@
 # wins (lower time) and a verdict: "gain" ("loss") needs 9 wins
 # (losses) in 10 and a median gap wider than the base's quartile
 # spread; anything else is "no clear change".
+#
+# A side that does not build stops the script, which names the side and
+# prints the compiler's first error.  When the base fails because this
+# tree's bench/main.ml calls a library function REV lacks or has with
+# another signature, compare by hand: build REV's own bench in a
+# `git archive` of it and alternate `main.exe --only` runs of the two
+# binaries.
 set -euo pipefail
 rev=${1:?usage: bench/ab.sh REV [PAIRS] [ENTRIES]}
 pairs=${2:-10}
@@ -27,9 +34,16 @@ base=$out/base-tree
 mkdir -p "$out/results" "$base"
 git archive "$rev" | tar -x -C "$base"
 cp bench/main.ml bench/dune "$base/bench/"
-for dir in "$root" "$base"; do
-  dune build --root "$dir" ./bench/main.exe 2> "$out/build.err" || {
-    echo "ab.sh: build failed in $dir, see $out/build.err" >&2
+for side in head base; do
+  dir=$root
+  [ "$side" = base ] && dir=$base
+  dune build --root "$dir" ./bench/main.exe 2> "$out/build-$side.err" || {
+    echo "ab.sh: the $side side ($dir) does not build with this tree's bench/main.ml;" \
+      "first error (all of it in $out/build-$side.err):" >&2
+    # from the first "File" line up to the next one, else the log's head
+    log=$out/build-$side.err
+    if grep -q '^File ' "$log"; then awk '/^File / { if (seen++) exit } seen' "$log" >&2
+    else head -n 20 "$log" >&2; fi
     exit 1
   }
 done

@@ -17,8 +17,8 @@
        and every adjacency view and both graphs' per-type counts must
        agree with a scan of the relationships ({!adjacency_matches_scan},
        {!type_counts_match_scan}).
-       Both graphs must also store every id set and property map in its
-       canonical form ({!representation_ok}).
+       Both graphs must also store every id set, property map and
+       id-keyed trie in its canonical form ({!representation_ok}).
     5. {!counters}: the statement update counters ({!Cypher_core.Stats})
        reported by a successful run must equal an independently computed
        structural diff of the input and output graphs, under both
@@ -471,11 +471,19 @@ let adjacency_matches_scan (g : Graph.t) : (unit, string) result =
         types)
     (Graph.node_ids g)
 
-(** Checks the store's compact leaves: every id set [g] stores is in the
-    form its contents decide, carrying a cardinal a recount confirms,
-    and every property map has strictly ascending keys and no [null]
-    value. *)
+(** Checks the store's compact leaves: each id-keyed map is a trie of
+    the shape its keys decide ({!Cypher_graph.Idmap.check}), every id
+    set [g] stores is in the form its contents decide, carrying a
+    cardinal a recount confirms, and every property map has strictly
+    ascending keys and no [null] value. *)
 let representation_ok (g : Graph.t) : (unit, string) result =
+  let* () =
+    List.fold_left
+      (fun acc (field, shape) ->
+        let* () = acc in
+        Result.map_error (fun e -> Fmt.str "id map %s: %s" field e) shape)
+      (Ok ()) (Graph.check_id_maps g)
+  in
   let* () =
     Graph.fold_id_sets
       (fun where s acc ->

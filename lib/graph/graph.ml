@@ -42,13 +42,10 @@ module Vmap = Map.Make (struct
 end)
 
 type t = {
-  nodes : node Imap.t;
-  node_count : int;
-      (* [Imap.cardinal nodes], kept so the planner's per-pattern scan
-         estimate is O(1) *)
-  rels : rel Imap.t;
-  out_typed : Ids.t Smap.t Imap.t; (* node id -> type -> rels leaving it *)
-  in_typed : Ids.t Smap.t Imap.t; (* node id -> type -> rels entering it *)
+  nodes : node Idmap.t;
+  rels : rel Idmap.t;
+  out_typed : Ids.t Smap.t Idmap.t; (* node id -> type -> rels leaving it *)
+  in_typed : Ids.t Smap.t Idmap.t; (* node id -> type -> rels entering it *)
       (* the only adjacency index: a node's untyped adjacency is the
          union of its buckets, derived on demand rather than stored *)
   label_index : Ids.t Smap.t; (* label -> ids of nodes carrying it *)
@@ -66,11 +63,10 @@ type t = {
 
 let empty =
   {
-    nodes = Imap.empty;
-    node_count = 0;
-    rels = Imap.empty;
-    out_typed = Imap.empty;
-    in_typed = Imap.empty;
+    nodes = Idmap.empty;
+    rels = Idmap.empty;
+    out_typed = Idmap.empty;
+    in_typed = Idmap.empty;
     label_index = Smap.empty;
     type_counts = Smap.empty;
     prop_index = Smap.empty;
@@ -119,26 +115,27 @@ let count ty d =
 
 (* --- typed adjacency maintenance ---------------------------------- *)
 
-let tmap_find id m = match Imap.find_opt id m with Some sm -> sm | None -> Smap.empty
+let tmap_find id m = match Idmap.find_opt id m with Some sm -> sm | None -> Smap.empty
 
 let tset_find ty sm =
   match Smap.find_opt ty sm with Some s -> s | None -> Ids.empty
 
 let tadj_add id ty rid m =
-  (* single outer-map traversal: creates run hot in MERGE workloads *)
-  Imap.update id
+  Idmap.update id
     (fun sm ->
       let sm = match sm with Some sm -> sm | None -> Smap.empty in
       Some (Smap.add ty (Ids.add rid (tset_find ty sm)) sm))
     m
 
 let tadj_remove id ty rid m =
-  match Imap.find_opt id m with
-  | None -> m
-  | Some sm ->
-      let s = Ids.remove rid (tset_find ty sm) in
-      let sm = if Ids.is_empty s then Smap.remove ty sm else Smap.add ty s sm in
-      if Smap.is_empty sm then Imap.remove id m else Imap.add id sm m
+  Idmap.update id
+    (function
+      | None -> None
+      | Some sm ->
+          let s = Ids.remove rid (tset_find ty sm) in
+          let sm = if Ids.is_empty s then Smap.remove ty sm else Smap.add ty s sm in
+          if Smap.is_empty sm then None else Some sm)
+    m
 
 (* --- property index maintenance ------------------------------------ *)
 
@@ -184,8 +181,8 @@ let pindex_node_remove n pidx = pindex_fold_node vmap_remove n pidx
 (* Lookup                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let node g id = Imap.find_opt id g.nodes
-let rel g id = Imap.find_opt id g.rels
+let node g id = Idmap.find_opt id g.nodes
+let rel g id = Idmap.find_opt id g.rels
 
 let node_exn g id =
   match node g id with
@@ -197,18 +194,20 @@ let rel_exn g id =
   | Some r -> r
   | None -> invalid_arg (Printf.sprintf "Graph.rel_exn: no relationship %d" id)
 
-let has_node g id = Imap.mem id g.nodes
+let has_node g id = Idmap.mem id g.nodes
 let next_id g = g.next_id
-let has_rel g id = Imap.mem id g.rels
-let node_count g = g.node_count
-let rel_count g = Imap.cardinal g.rels
-let nodes g = List.map snd (Imap.bindings g.nodes)
-let rels g = List.map snd (Imap.bindings g.rels)
-let node_ids g = List.map fst (Imap.bindings g.nodes)
-let rel_ids g = List.map fst (Imap.bindings g.rels)
-let fold_nodes f g acc = Imap.fold (fun _ n acc -> f n acc) g.nodes acc
-let fold_node_ids f g acc = Imap.fold (fun id _ acc -> f id acc) g.nodes acc
-let fold_rels f g acc = Imap.fold (fun _ r acc -> f r acc) g.rels acc
+let has_rel g id = Idmap.mem id g.rels
+let node_count g = Idmap.cardinal g.nodes
+let rel_count g = Idmap.cardinal g.rels
+let values m = Idmap.fold_desc (fun _ x acc -> x :: acc) m []
+let keys m = Idmap.fold_desc (fun id _ acc -> id :: acc) m []
+let nodes g = values g.nodes
+let rels g = values g.rels
+let node_ids g = keys g.nodes
+let rel_ids g = keys g.rels
+let fold_nodes f g acc = Idmap.fold (fun _ n acc -> f n acc) g.nodes acc
+let fold_node_ids f g acc = Idmap.fold (fun id _ acc -> f id acc) g.nodes acc
+let fold_rels f g acc = Idmap.fold (fun _ r acc -> f r acc) g.rels acc
 
 (** Cumulative wall-time spent building read snapshots, process-wide.
     The store keeps a single read path (the persistent maps), so nothing
@@ -284,8 +283,7 @@ let create_node ?(labels = []) ?(props = Props.empty) g =
   ( id,
     {
       g with
-      nodes = Imap.add id n g.nodes;
-      node_count = g.node_count + 1;
+      nodes = Idmap.add id n g.nodes;
       label_index = index_node n g.label_index;
       prop_index = pindex_node_add n g.prop_index;
       next_id = id + 1;
@@ -301,7 +299,7 @@ let create_rel ~src ~tgt ~r_type ?(props = Props.empty) g =
   ( id,
     {
       g with
-      rels = Imap.add id r g.rels;
+      rels = Idmap.add id r g.rels;
       out_typed = tadj_add src r_type id g.out_typed;
       in_typed = tadj_add tgt r_type id g.in_typed;
       type_counts = count r_type 1 g.type_counts;
@@ -434,24 +432,24 @@ let buckets (rels : rel array) perm i j =
   end
 
 (* typed adjacency on one side ([endpoint] is [src] or [tgt]), calling
-   [check] once on each distinct endpoint *)
+   [check] once on each distinct endpoint: the endpoints' runs ascend,
+   so the map takes them in one [Idmap.add_ascending] *)
 let adj_batch ~check endpoint (rels : rel array) typed =
   let perm = by_endpoint endpoint rels in
-  let typed = ref typed in
-  runs
-    (fun p q -> endpoint rels.(p) = endpoint rels.(q))
-    perm 0 (Array.length perm)
-    (fun i j ->
-      let n = endpoint rels.(perm.(i)) in
-      check n;
-      let by_type = buckets rels perm i j in
-      typed :=
-        Imap.update n
-          (function
-            | None -> Some by_type
-            | Some old -> Some (Smap.union (fun _ s t -> Some (Ids.union s t)) old by_type))
-          !typed);
-  !typed
+  let starts =
+    run_starts (fun k l -> endpoint rels.(perm.(k)) = endpoint rels.(perm.(l))) (Array.length perm)
+  in
+  let node r = endpoint rels.(perm.(starts.(r))) in
+  Idmap.add_ascending
+    (Array.length starts - 1)
+    node
+    (fun r old ->
+      check (node r);
+      let by_type = buckets rels perm starts.(r) starts.(r + 1) in
+      match old with
+      | None -> by_type
+      | Some old -> Smap.union (fun _ s t -> Some (Ids.union s t)) old by_type)
+    typed
 
 (* the per-type counts, each type's batch total added once *)
 let count_batch (rels : rel array) counts =
@@ -477,14 +475,6 @@ let halving empty join n leaf =
         join (build lo mid) (build mid hi)
   in
   build 0 n
-
-(* [of_ascending key a] maps [key x] to [x] for each [x] of [a], whose
-   keys strictly ascend *)
-let of_ascending key a =
-  halving Imap.empty
-    (Imap.union (fun _ x _ -> Some x))
-    (Array.length a)
-    (fun i -> Imap.singleton (key a.(i)) a.(i))
 
 (* The one property-index builder.  [vals.(i)] is the indexed value of
    node [ids.(i)], [ids] ascending; [vmap_of_pairs vals ids] is their
@@ -547,18 +537,19 @@ let pindex_build (nodes : node array) pidx =
    in one bottom-up pass.  A relationship endpoint found neither in [g]
    nor in [nodes] is an [Invalid_argument] naming [caller]. *)
 let insert_batch ~caller g (nodes : node array) (rels : rel array) =
-  (* fresh ids sort after [g]'s, so each union walks one spine *)
-  let add_fresh key a m = Imap.union (fun _ _ x -> Some x) m (of_ascending key a) in
+  let add_fresh key a m =
+    Idmap.add_ascending (Array.length a) (fun i -> key a.(i)) (fun i _ -> a.(i)) m
+  in
   let node_map = add_fresh (fun n -> n.n_id) nodes g.nodes in
   (* each distinct endpoint is looked up once; on a miss the scan in
      batch order names the first bad relationship, source before target *)
   let check id =
-    if not (Imap.mem id node_map) then
+    if not (Idmap.mem id node_map) then
       Array.iter
         (fun r ->
           List.iter
             (fun (side, id) ->
-              if not (Imap.mem id node_map) then
+              if not (Idmap.mem id node_map) then
                 invalid_arg (Printf.sprintf "%s: no %s node %d" caller side id))
             [ ("source", r.src); ("target", r.tgt) ])
         rels
@@ -566,7 +557,6 @@ let insert_batch ~caller g (nodes : node array) (rels : rel array) =
   {
     g with
     nodes = node_map;
-    node_count = g.node_count + Array.length nodes;
     rels = add_fresh (fun r -> r.r_id) rels g.rels;
     out_typed = adj_batch ~check (fun r -> r.src) rels g.out_typed;
     in_typed = adj_batch ~check (fun r -> r.tgt) rels g.in_typed;
@@ -602,7 +592,7 @@ let update_node g id f =
       let n' = f n in
       {
         g with
-        nodes = Imap.add id n' g.nodes;
+        nodes = Idmap.add id n' g.nodes;
         label_index =
           reindex ~old_labels:n.labels ~new_labels:n'.labels id g.label_index;
         prop_index =
@@ -615,7 +605,7 @@ let update_node g id f =
 let update_rel_props g id f =
   match rel g id with
   | None -> g
-  | Some r -> { g with rels = Imap.add id { r with r_props = f r.r_props } g.rels }
+  | Some r -> { g with rels = Idmap.add id { r with r_props = f r.r_props } g.rels }
 
 let set_node_prop g id k v =
   update_node g id (fun n -> { n with n_props = Props.set n.n_props k v })
@@ -651,7 +641,7 @@ let remove_rel g id =
   | Some r ->
       {
         g with
-        rels = Imap.remove id g.rels;
+        rels = Idmap.remove id g.rels;
         out_typed = tadj_remove r.src r.r_type id g.out_typed;
         in_typed = tadj_remove r.tgt r.r_type id g.in_typed;
         type_counts = count r.r_type (-1) g.type_counts;
@@ -669,10 +659,9 @@ let remove_node g id =
           Ok
             {
               g with
-              nodes = Imap.remove id g.nodes;
-              node_count = g.node_count - 1;
-              out_typed = Imap.remove id g.out_typed;
-              in_typed = Imap.remove id g.in_typed;
+              nodes = Idmap.remove id g.nodes;
+              out_typed = Idmap.remove id g.out_typed;
+              in_typed = Idmap.remove id g.in_typed;
               label_index = unindex_node n g.label_index;
               prop_index = pindex_node_remove n g.prop_index;
             }
@@ -687,10 +676,9 @@ let remove_node_force g id =
   | Some n ->
       {
         g with
-        nodes = Imap.remove id g.nodes;
-        node_count = g.node_count - 1;
-        out_typed = Imap.remove id g.out_typed;
-        in_typed = Imap.remove id g.in_typed;
+        nodes = Idmap.remove id g.nodes;
+        out_typed = Idmap.remove id g.out_typed;
+        in_typed = Idmap.remove id g.in_typed;
         label_index = unindex_node n g.label_index;
         prop_index = pindex_node_remove n g.prop_index;
         (* the still-attached relationships lose an endpoint *)
@@ -865,7 +853,7 @@ let to_string g = Fmt.str "%a" pp g
 
 let fold_id_sets f g acc =
   let buckets dir typed acc =
-    Imap.fold
+    Idmap.fold
       (fun id sm acc ->
         Smap.fold
           (fun ty s acc -> f (Printf.sprintf "%s bucket :%s of node %d" dir ty id) s acc)
@@ -900,4 +888,16 @@ let footprint g =
     ("prop_index", w g.prop_index);
     ("dangling", w g.dangling);
     ("total", w g);
+    ("nodes map", Idmap.words g.nodes);
+    ("rels map", Idmap.words g.rels);
+    ("out_typed map", Idmap.words g.out_typed);
+    ("in_typed map", Idmap.words g.in_typed);
+  ]
+
+let check_id_maps g =
+  [
+    ("nodes", Idmap.check g.nodes);
+    ("rels", Idmap.check g.rels);
+    ("out_typed", Idmap.check g.out_typed);
+    ("in_typed", Idmap.check g.in_typed);
   ]

@@ -272,5 +272,12 @@ val fold_id_sets : (string -> Ids.t -> 'a -> 'a) -> t -> 'a -> 'a
     store ([Obj.reachable_words]), in declaration order, then the whole
     store under ["total"].  Words shared between fields, such as label
     strings that are both node labels and label-index keys, count in
-    each field but once in the total. *)
+    each field but once in the total.  Last come the four id-keyed maps'
+    own words apart from what they hold ({!Idmap.words}), under
+    ["nodes map"], ["rels map"], ["out_typed map"] and ["in_typed map"]. *)
 val footprint : t -> (string * int) list
+
+(** [check_id_maps g] is {!Idmap.check} of each id-keyed map of [g]
+    ([nodes], [rels], [out_typed], [in_typed]), by field name: for the
+    fuzz oracles' checks of the stored representation. *)
+val check_id_maps : t -> (string * (unit, string) result) list

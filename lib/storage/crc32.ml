@@ -28,18 +28,19 @@ let tables =
      done;
      t)
 
-(** [digest ?pos s] is the CRC-32 of [s] from byte [pos] (default 0)
-    to its end. *)
-let digest ?(pos = 0) (s : string) : int =
-  let len = String.length s in
-  if pos < 0 || pos > len then invalid_arg "Crc32.digest";
+(** [digest ?pos ?len s] is the CRC-32 of the [len] bytes of [s] from
+    byte [pos] (defaults: 0, and the rest of [s]). *)
+let digest ?(pos = 0) ?len (s : string) : int =
+  let n = String.length s in
+  let stop = match len with Some l -> pos + l | None -> n in
+  if pos < 0 || pos > n || stop < pos || stop > n then invalid_arg "Crc32.digest";
   let t = Lazy.force tables in
   let byte i = Char.code (String.unsafe_get s i) in
   (* every table index below is masked to a byte, and every byte
-     offset is within [pos, len) *)
+     offset is within [pos, stop) *)
   let tb k x = Array.unsafe_get t ((k * 256) + (x land 0xff)) in
   let c = ref 0xFFFFFFFF and i = ref pos in
-  while !i + 8 <= len do
+  while !i + 8 <= stop do
     let j = !i in
     let x =
       !c lxor (byte j lor (byte (j + 1) lsl 8) lor (byte (j + 2) lsl 16) lor (byte (j + 3) lsl 24))
@@ -50,7 +51,7 @@ let digest ?(pos = 0) (s : string) : int =
       lxor tb 0 (byte (j + 7));
     i := j + 8
   done;
-  for j = !i to len - 1 do
+  for j = !i to stop - 1 do
     c := tb 0 (!c lxor byte j) lxor (!c lsr 8)
   done;
   !c lxor 0xFFFFFFFF

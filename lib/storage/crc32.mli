@@ -2,10 +2,11 @@
     and the snapshot header.  Detects all burst errors up to 32 bits —
     in particular any single corrupted byte. *)
 
-(** [digest ?pos s] is the CRC-32 of [s] from byte [pos] (default 0)
-    to its end.
-    @raise Invalid_argument when [pos] is outside [0 .. String.length s]. *)
-val digest : ?pos:int -> string -> int
+(** [digest ?pos ?len s] is the CRC-32 of the [len] bytes of [s] from
+    byte [pos]: by default from byte 0, to the end of [s].
+    @raise Invalid_argument when [pos] is outside [0 .. String.length s]
+    or [len] is negative or runs past the end of [s]. *)
+val digest : ?pos:int -> ?len:int -> string -> int
 
 (** Zero-padded lowercase hex, 8 digits. *)
 val to_hex : int -> string

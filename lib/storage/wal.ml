@@ -259,13 +259,47 @@ let decode_meta line src : record option =
       | _ -> None)
   | _ -> None
 
+(* [frames rs] is the frames of [rs] back to back, in one buffer of
+   their exact length: [%LEN CRC\n], the payload (metadata, newline,
+   source), [\n].  Each source is copied once, into place, and the CRC
+   reads the payload there. *)
+let frames (rs : record list) : bytes =
+  let parts =
+    List.map
+      (fun r ->
+        let meta = encode_meta r in
+        let plen = String.length meta + 1 + String.length r.src in
+        (meta, r.src, plen, string_of_int plen))
+      rs
+  in
+  (* besides the length digits and the payload: '%', ' ', the 8 CRC
+     digits and two newlines *)
+  let total =
+    List.fold_left (fun acc (_, _, plen, len_s) -> acc + String.length len_s + plen + 12) 0 parts
+  in
+  let buf = Bytes.create total in
+  let put pos (meta, src, plen, len_s) =
+    let crc_at = pos + String.length len_s + 2 in
+    let start = crc_at + 9 in
+    Bytes.set buf pos '%';
+    Bytes.blit_string len_s 0 buf (pos + 1) (String.length len_s);
+    Bytes.set buf (crc_at - 1) ' ';
+    Bytes.set buf (crc_at + 8) '\n';
+    Bytes.blit_string meta 0 buf start (String.length meta);
+    Bytes.set buf (start + String.length meta) '\n';
+    Bytes.blit_string src 0 buf (start + String.length meta + 1) (String.length src);
+    Bytes.set buf (start + plen) '\n';
+    (* the string view is read by [digest] alone, before the next write *)
+    let crc = Crc32.digest ~pos:start ~len:plen (Bytes.unsafe_to_string buf) in
+    Bytes.blit_string (Crc32.to_hex crc) 0 buf crc_at 8;
+    start + plen + 1
+  in
+  ignore (List.fold_left put 0 parts);
+  buf
+
 (** [encode r] is the full frame for [r], header through trailing
     newline. *)
-let encode (r : record) : string =
-  let payload = encode_meta r ^ "\n" ^ r.src in
-  Printf.sprintf "%%%d %s\n%s\n" (String.length payload)
-    (Crc32.to_hex (Crc32.digest payload))
-    payload
+let encode (r : record) : string = Bytes.unsafe_to_string (frames [ r ])
 
 (* ------------------------------------------------------------------ *)
 (* Scanning                                                           *)
@@ -300,23 +334,21 @@ let scan_string (s : string) : record list * int * torn option =
                     (List.rev acc, p, torn p "truncated payload")
                   else if s.[payload_start + plen] <> '\n' then
                     (List.rev acc, p, torn p "missing record terminator")
+                  else if
+                    Crc32.to_hex (Crc32.digest ~pos:payload_start ~len:plen s) <> crc_s
+                  then (List.rev acc, p, torn p "checksum mismatch")
                   else
-                    let payload = String.sub s payload_start plen in
-                    if Crc32.to_hex (Crc32.digest payload) <> crc_s then
-                      (List.rev acc, p, torn p "checksum mismatch")
-                    else
-                      let meta, src =
-                        match String.index_opt payload '\n' with
-                        | Some i ->
-                            ( String.sub payload 0 i,
-                              String.sub payload (i + 1)
-                                (String.length payload - i - 1) )
-                        | None -> (payload, "")
-                      in
-                      (match decode_meta meta src with
-                      | Some r -> loop (r :: acc) (payload_start + plen + 1)
-                      | None ->
-                          (List.rev acc, p, torn p "malformed record metadata")))
+                    let payload_end = payload_start + plen in
+                    let meta, src =
+                      match String.index_from_opt s payload_start '\n' with
+                      | Some i when i < payload_end ->
+                          ( String.sub s payload_start (i - payload_start),
+                            String.sub s (i + 1) (payload_end - i - 1) )
+                      | _ -> (String.sub s payload_start plen, "")
+                    in
+                    (match decode_meta meta src with
+                    | Some r -> loop (r :: acc) (payload_end + 1)
+                    | None -> (List.rev acc, p, torn p "malformed record metadata")))
           | _ -> (List.rev acc, p, torn p "malformed frame header"))
   in
   loop [] 0
@@ -349,11 +381,11 @@ let open_writer ?(durability = Config.Fsync) path : writer =
   let fd = Unix.openfile path [ Unix.O_WRONLY; O_CREAT; O_APPEND ] 0o644 in
   { fd; durability; closed = false }
 
-let write_all fd s =
-  let len = String.length s in
+let write_all fd b =
+  let len = Bytes.length b in
   let rec go off =
     if off < len then
-      let n = Unix.write_substring fd s off (len - off) in
+      let n = Unix.write fd b off (len - off) in
       go (off + n)
   in
   go 0
@@ -363,7 +395,7 @@ let write_all fd s =
     durability — forces them to stable storage before returning. *)
 let append (w : writer) (records : record list) : unit =
   if w.closed then invalid_arg "Wal.append: writer is closed";
-  write_all w.fd (String.concat "" (List.map encode records));
+  write_all w.fd (frames records);
   match w.durability with
   | Config.Fsync -> Unix.fsync w.fd
   | Config.Buffered -> ()

@@ -141,6 +141,11 @@ let wal_tests =
             Wal.append w [ record "CREATE (:A)" ];
             Wal.append w [ record "CREATE (:B)"; record "CREATE (:C)" ];
             Wal.close_writer w;
+            (* several records in one append are the frames [encode] gives, back to back *)
+            Alcotest.(check string) "bytes"
+              (String.concat ""
+                 (List.map (fun s -> Wal.encode (record s)) [ "CREATE (:A)"; "CREATE (:B)"; "CREATE (:C)" ]))
+              (In_channel.with_open_bin path In_channel.input_all);
             let rs, _, torn = Wal.read_file path in
             Alcotest.(check bool) "clean" true (torn = None);
             Alcotest.(check (list string)) "sources"
@@ -689,7 +694,15 @@ let crc_tests =
             let want = reference_crc ~pos s and got = Crc32.digest ~pos s in
             if want <> got then
               Alcotest.failf "len %d pos %d: %s, expected %s" len pos (Crc32.to_hex got)
-                (Crc32.to_hex want)
+                (Crc32.to_hex want);
+            (* a bounded run reads only its [n] bytes *)
+            for n = 0 to len - pos do
+              let want = reference_crc (String.sub s pos n) in
+              let got = Crc32.digest ~pos ~len:n s in
+              if want <> got then
+                Alcotest.failf "len %d pos %d ~len %d: %s, expected %s" len pos n
+                  (Crc32.to_hex got) (Crc32.to_hex want)
+            done
           done
         done);
     case "CRC-32 refuses an offset outside the string" (fun () ->
@@ -697,7 +710,14 @@ let crc_tests =
           (fun pos ->
             Alcotest.check_raises (string_of_int pos) (Invalid_argument "Crc32.digest") (fun () ->
                 ignore (Crc32.digest ~pos "abc")))
-          [ -1; 4 ]);
+          [ -1; 4 ];
+        List.iter
+          (fun (pos, len) ->
+            Alcotest.check_raises
+              (Printf.sprintf "pos %d len %d" pos len)
+              (Invalid_argument "Crc32.digest")
+              (fun () -> ignore (Crc32.digest ~pos ~len "abc")))
+          [ (0, 4); (2, 2); (1, -1); (-1, 1) ]);
   ]
 
 let suite = wal_tests @ snapshot_tests @ session_journal_tests @ store_tests @ crc_tests
