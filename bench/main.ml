@@ -68,23 +68,27 @@ let open_store dir =
   | Ok x -> x
   | Error m -> failwith ("--footprint: " ^ m)
 
-(* this process's peak resident set ([VmHWM]) in kB, from
-   /proc/self/status; [None] where that file is absent *)
-let vm_hwm_kb () =
+(* a kB field of /proc/self/status ([VmHWM], this process's peak
+   resident set, or [VmRSS], its current one); [None] where that file
+   is absent *)
+let vm_kb field =
   match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
   | exception Sys_error _ -> None
   | status ->
       List.find_map
-        (fun l -> Scanf.sscanf_opt l "VmHWM: %d kB" Fun.id)
+        (fun l ->
+          Option.join (Scanf.sscanf_opt l "%s@: %d kB" (fun f kb -> if f = field then Some kb else None)))
         (String.split_on_char '\n' status)
 
 (** Opens the store at [dir] and prints [Graph.footprint] of its graph,
     the process's live heap and the open's peak: the major heap's
     high-water mark ([top_heap_words]) and [VmHWM], before and after
-    [open_db].  A missing [dir] first gets the wire benchmark's store
-    (seed 1), built as bench/load does: bulk load, [Person(pid)] and
-    [Post(postid)] indexes, compaction.  Building sets both peaks, so
-    the open's peak is then not reported: run again on [dir]. *)
+    [open_db]; then [VmRSS] after one [Gc.full_major ()], which is what
+    [cypher_server] holds when it starts listening.  A missing [dir]
+    first gets the wire benchmark's store (seed 1), built as bench/load
+    does: bulk load, [Person(pid)] and [Post(postid)] indexes,
+    compaction.  Building sets both peaks, so the open's peak is then
+    not reported: run again on [dir]. *)
 let footprint dir =
   let built = not (Sys.file_exists dir) in
   if built then begin
@@ -100,24 +104,26 @@ let footprint dir =
     Gc.compact ()
   end;
   let w0 = live_words () in
-  let top0 = (Gc.quick_stat ()).Gc.top_heap_words and hwm0 = vm_hwm_kb () in
+  let top0 = (Gc.quick_stat ()).Gc.top_heap_words and hwm0 = vm_kb "VmHWM" in
   let store, session = open_store dir in
-  let top1 = (Gc.quick_stat ()).Gc.top_heap_words and hwm1 = vm_hwm_kb () in
+  let top1 = (Gc.quick_stat ()).Gc.top_heap_words and hwm1 = vm_kb "VmHWM" in
   let live = live_words () - w0 in
+  let rss = vm_kb "VmRSS" in
   let g = Session.graph session in
   let mb words = float_of_int (words * (Sys.word_size / 8)) /. 1048576. in
   Printf.printf "%d nodes, %d relationships\n" (Graph.node_count g) (Graph.rel_count g);
-  Printf.printf "%-14s %12s %9s\n" "field" "words" "MB";
+  Printf.printf "%-20s %12s %9s\n" "field" "words" "MB";
   List.iter
-    (fun (field, words) -> Printf.printf "%-14s %12d %9.2f\n" field words (mb words))
+    (fun (field, words) -> Printf.printf "%-20s %12d %9.2f\n" field words (mb words))
     (Graph.footprint g);
-  Printf.printf "%-14s %12d %9.2f\n" "heap growth" live (mb live);
+  Printf.printf "%-20s %12d %9.2f\n" "heap growth" live (mb live);
   if built then
     print_endline "open peak: not measured, the store was built in this process; run again on DIR"
   else begin
     let kb = function Some k -> Printf.sprintf "%.2f MB" (float_of_int k /. 1024.) | None -> "n/a" in
     Printf.printf "open peak: top heap %d -> %d words (%.2f -> %.2f MB), VmHWM %s -> %s\n" top0
-      top1 (mb top0) (mb top1) (kb hwm0) (kb hwm1)
+      top1 (mb top0) (mb top1) (kb hwm0) (kb hwm1);
+    Printf.printf "after Gc.full_major: VmRSS %s\n" (kb rss)
   end;
   Store.close store
 

@@ -61,6 +61,15 @@ let () =
             ( Session.graph session,
               Some (Cypher_storage.Store.append_entries store) ))
   in
+  (* The open leaves its garbage in the major heap: the image string
+     (4.5 MB for the wire benchmark's store) and the decode's arrays.
+     Uncollected, it lasted until the first requests had allocated on
+     top of it (VmHWM 36.2-36.6 MB within 0.1 s of listening, VmRSS
+     31.4-32.1 MB once it was freed).  Collected here, once, before any
+     thread starts (20-27 ms on that store), it set no peak: the
+     benchmark's peak_rss_mb fell 2.2-2.4 MB on every workload
+     (DESIGN.md, "Server memory"). *)
+  Gc.full_major ();
   let shared = Shared.create ?sink graph in
   let make_service () = Service.create ~readers:!readers ~config shared in
   match Server.start ~host:!host ~port:!port ~make_service () with

@@ -481,8 +481,8 @@ let representation_ok (g : Graph.t) : (unit, string) result =
     List.fold_left
       (fun acc (field, shape) ->
         let* () = acc in
-        Result.map_error (fun e -> Fmt.str "id map %s: %s" field e) shape)
-      (Ok ()) (Graph.check_id_maps g)
+        Result.map_error (fun e -> Fmt.str "%s: %s" field e) shape)
+      (Ok ()) (Graph.check_shapes g)
   in
   let* () =
     Graph.fold_id_sets
@@ -1062,10 +1062,16 @@ let prepared (g : Graph.t) q : (unit, string) result =
 (* Three disjoint copies of [g].  A generated graph has at most 6 nodes,
    too few for a stored id set to outgrow the array form
    ({!Ids.small_max}); on three copies a statement's creates and deletes
-   move label, type and property-index sets across it both ways. *)
+   move label, type and property-index sets across it both ways.  The
+   copies lie [stride] ids apart, a multiple of 1 056 = 1 024 + 32, so
+   copy [c] of an id sits in another 32-id bitmap and another 1 024-id
+   trie node than copy [c - 1]: the larger sets then span several
+   bitmaps and trie paths, as the ids of a real store do. *)
+let stride g = 1056 * (1 + (Graph.next_id g / 1056))
+
 let tripled g =
-  let span = Graph.next_id g in
-  let copy k = List.init 3 (fun c -> k + (c * span)) in
+  let stride = stride g in
+  let copy k = List.init 3 (fun c -> k + (c * stride)) in
   let nodes =
     List.concat_map
       (fun (n : Graph.node) ->
@@ -1077,11 +1083,13 @@ let tripled g =
       (fun (r : Graph.rel) ->
         List.mapi
           (fun c r_id ->
-            { r with Graph.r_id; src = r.Graph.src + (c * span); tgt = r.Graph.tgt + (c * span) })
+            { r with Graph.r_id; src = r.Graph.src + (c * stride); tgt = r.Graph.tgt + (c * stride) })
           (copy r.Graph.r_id))
       (Graph.rels g)
   in
-  Graph.rebuild ~prop_indexes:(Graph.prop_index_keys g) ~next_id:(3 * span) nodes rels
+  Graph.rebuild ~prop_indexes:(Graph.prop_index_keys g)
+    ~next_id:((2 * stride) + Graph.next_id g)
+    nodes rels
 
 let wellformed_on g q : (unit, string) result =
   match run revised_planned g q with

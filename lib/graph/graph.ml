@@ -33,25 +33,23 @@ type rel = {
   r_props : Props.t;
 }
 
-(** Maps keyed by property values, under the total value order — the
-    exact-value property indexes below are served from these. *)
-module Vmap = Map.Make (struct
-  type t = Value.t
-
-  let compare = Value.compare_total
-end)
+(* A node's relationships in one direction, by type.  Most nodes have
+   one type per direction, so that type and its set are stored alone;
+   the map serves two or more types.  The form is decided by the
+   contents, and no set is empty. *)
+type buckets = One_type of string * Ids.t | Types of Ids.t Smap.t
 
 type t = {
   nodes : node Idmap.t;
   rels : rel Idmap.t;
-  out_typed : Ids.t Smap.t Idmap.t; (* node id -> type -> rels leaving it *)
-  in_typed : Ids.t Smap.t Idmap.t; (* node id -> type -> rels entering it *)
+  out_typed : buckets Idmap.t; (* node id -> type -> rels leaving it *)
+  in_typed : buckets Idmap.t; (* node id -> type -> rels entering it *)
       (* the only adjacency index: a node's untyped adjacency is the
          union of its buckets, derived on demand rather than stored *)
   label_index : Ids.t Smap.t; (* label -> ids of nodes carrying it *)
   type_counts : int Smap.t;
       (* type -> how many rels carry it (no id list: hops read the typed buckets) *)
-  prop_index : Ids.t Vmap.t Smap.t Smap.t;
+  prop_index : Vindex.t Smap.t Smap.t;
       (* label -> key -> value -> node ids; an entry for (label, key)
          exists iff that index has been registered, even when empty *)
   dangling : Ids.t;
@@ -115,43 +113,46 @@ let count ty d =
 
 (* --- typed adjacency maintenance ---------------------------------- *)
 
-let tmap_find id m = match Idmap.find_opt id m with Some sm -> sm | None -> Smap.empty
-
 let tset_find ty sm =
   match Smap.find_opt ty sm with Some s -> s | None -> Ids.empty
 
-let tadj_add id ty rid m =
-  Idmap.update id
-    (fun sm ->
-      let sm = match sm with Some sm -> sm | None -> Smap.empty in
-      Some (Smap.add ty (Ids.add rid (tset_find ty sm)) sm))
-    m
+(* the set of type [ty] in a node's buckets *)
+let bucket ty = function
+  | Some (One_type (t, s)) -> if String.equal t ty then s else Ids.empty
+  | Some (Types m) -> tset_find ty m
+  | None -> Ids.empty
 
-let tadj_remove id ty rid m =
-  Idmap.update id
-    (function
-      | None -> None
-      | Some sm ->
-          let s = Ids.remove rid (tset_find ty sm) in
-          let sm = if Ids.is_empty s then Smap.remove ty sm else Smap.add ty s sm in
-          if Smap.is_empty sm then None else Some sm)
-    m
+let fold_buckets f b acc =
+  match b with One_type (ty, s) -> f ty s acc | Types m -> Smap.fold f m acc
+
+(* the form of a type map's bindings: none, one type alone, or the map *)
+let of_types m =
+  match Smap.min_binding_opt m with
+  | None -> None
+  | Some (ty, s) -> if Smap.cardinal m = 1 then Some (One_type (ty, s)) else Some (Types m)
+
+(* [b] with type [ty]'s set replaced by [s], which may be empty *)
+let set_bucket ty s b =
+  match b with
+  | None -> if Ids.is_empty s then None else Some (One_type (ty, s))
+  | Some (One_type (t, old)) when not (String.equal t ty) ->
+      if Ids.is_empty s then b else Some (Types (Smap.add ty s (Smap.singleton t old)))
+  | Some (One_type _) -> if Ids.is_empty s then None else Some (One_type (ty, s))
+  | Some (Types m) -> of_types (if Ids.is_empty s then Smap.remove ty m else Smap.add ty s m)
+
+let tmap_find id ty m = bucket ty (Idmap.find_opt id m)
+let tadj_add id ty rid m = Idmap.update id (fun b -> set_bucket ty (Ids.add rid (bucket ty b)) b) m
+let tadj_remove id ty rid m = Idmap.update id (fun b -> set_bucket ty (Ids.remove rid (bucket ty b)) b) m
 
 (* --- property index maintenance ------------------------------------ *)
 
 let vmap_add v id vmap =
-  Vmap.update v
+  Vindex.update v
     (function None -> Some (Ids.singleton id) | Some s -> Some (Ids.add id s))
     vmap
 
-let vmap_remove v id vmap =
-  Vmap.update v
-    (function
-      | None -> None
-      | Some s ->
-          let s = Ids.remove id s in
-          if Ids.is_empty s then None else Some s)
-    vmap
+(* an emptied set unbinds its value *)
+let vmap_remove v id vmap = Vindex.update v (Option.map (Ids.remove id)) vmap
 
 (** Folds [f] over the registered (key, value map) pairs of the labels a
     node carries.  Null-valued (= absent) properties are never indexed:
@@ -218,10 +219,13 @@ let csr_build_ns_total () = 0L
 let rels_of_set g s = Ids.fold (fun r acc -> rel_exn g r :: acc) s [] |> List.rev
 
 (* A node's untyped adjacency: the union of its type buckets, in id
-   order.  [Ids.union s Ids.empty] is [s] itself, so a node with a
-   single bucket (most nodes) gets that bucket back unallocated. *)
+   order.  A node with a single type (most nodes) gets that bucket back
+   unallocated. *)
 let all_buckets id typed =
-  Smap.fold (fun _ s acc -> Ids.union s acc) (tmap_find id typed) Ids.empty
+  match Idmap.find_opt id typed with
+  | None -> Ids.empty
+  | Some (One_type (_, s)) -> s
+  | Some (Types m) -> Smap.fold (fun _ s acc -> Ids.union s acc) m Ids.empty
 
 (* raw adjacency id-sets, for callers that fold without materialising
    relationship lists (the matcher's hop enumeration) *)
@@ -242,25 +246,22 @@ let degree g id = Ids.cardinal (incident_ids g id)
 
 (* --- typed adjacency views ----------------------------------------- *)
 
-let out_rel_ids_typed g id ty = tset_find ty (tmap_find id g.out_typed)
-let in_rel_ids_typed g id ty = tset_find ty (tmap_find id g.in_typed)
+let out_rel_ids_typed g id ty = tmap_find id ty g.out_typed
+let in_rel_ids_typed g id ty = tmap_find id ty g.in_typed
 
 (** Relationships of type [ty] leaving node [id], in id order — served
     from the typed adjacency map, so a hop with a type label never
     enumerates differently-typed neighbours. *)
-let out_rels_typed g id ty = rels_of_set g (tset_find ty (tmap_find id g.out_typed))
+let out_rels_typed g id ty = rels_of_set g (out_rel_ids_typed g id ty)
 
 (** Relationships of type [ty] entering node [id], in id order. *)
-let in_rels_typed g id ty = rels_of_set g (tset_find ty (tmap_find id g.in_typed))
+let in_rels_typed g id ty = rels_of_set g (in_rel_ids_typed g id ty)
 
 (** Relationships of type [ty] incident to node [id] (self-loops once). *)
 let incident_rels_typed g id ty =
-  rels_of_set g
-    (Ids.union
-       (tset_find ty (tmap_find id g.out_typed))
-       (tset_find ty (tmap_find id g.in_typed)))
+  rels_of_set g (Ids.union (out_rel_ids_typed g id ty) (in_rel_ids_typed g id ty))
 
-let out_degree_typed g id ty = Ids.cardinal (tset_find ty (tmap_find id g.out_typed))
+let out_degree_typed g id ty = Ids.cardinal (out_rel_ids_typed g id ty)
 
 let type_count g ty = Option.value (Smap.find_opt ty g.type_counts) ~default:0
 let label_count g label = Ids.cardinal (tset_find label g.label_index)
@@ -419,7 +420,7 @@ let buckets (rels : rel array) perm i j =
   let ty k = rels.(perm.(k)).r_type in
   let set_of positions i j = set_of_run (fun p -> rels.(p).r_id) positions i j in
   let rec one_type k = k = j || (String.equal (ty k) (ty i) && one_type (k + 1)) in
-  if one_type (i + 1) then Smap.singleton (ty i) (set_of perm i j)
+  if one_type (i + 1) then One_type (ty i, set_of perm i j)
   else begin
     let run = Array.sub perm i (j - i) in
     Array.stable_sort (fun p q -> String.compare rels.(p).r_type rels.(q).r_type) run;
@@ -428,7 +429,7 @@ let buckets (rels : rel array) perm i j =
       (fun p q -> String.equal rels.(p).r_type rels.(q).r_type)
       run 0 (Array.length run)
       (fun i j -> by_type := Smap.add rels.(run.(i)).r_type (set_of run i j) !by_type);
-    !by_type
+    Types !by_type
   end
 
 (* typed adjacency on one side ([endpoint] is [src] or [tgt]), calling
@@ -448,7 +449,9 @@ let adj_batch ~check endpoint (rels : rel array) typed =
       let by_type = buckets rels perm starts.(r) starts.(r + 1) in
       match old with
       | None -> by_type
-      | Some old -> Smap.union (fun _ s t -> Some (Ids.union s t)) old by_type)
+      | Some old ->
+          let union ty s b = set_bucket ty (Ids.union (bucket ty b) s) b in
+          Option.get (fold_buckets union by_type (Some old)))
     typed
 
 (* the per-type counts, each type's batch total added once *)
@@ -462,27 +465,13 @@ let count_batch (rels : rel array) counts =
     rels;
   Hashtbl.fold (fun ty c counts -> count ty !c counts) totals counts
 
-(* [halving empty join n leaf] joins [leaf 0 .. leaf (n - 1)] by
-   halving: a map of ascending keys built in linear time, where
-   ascending [add]s would copy a root-to-leaf path each *)
-let halving empty join n leaf =
-  let rec build lo hi =
-    match hi - lo with
-    | 0 -> empty
-    | 1 -> leaf lo
-    | len ->
-        let mid = lo + (len / 2) in
-        join (build lo mid) (build mid hi)
-  in
-  build 0 n
-
 (* The one property-index builder.  [vals.(i)] is the indexed value of
    node [ids.(i)], [ids] ascending; [vmap_of_pairs vals ids] is their
    value map.  The pairs are sorted by value
    (stably, so each value's ids still ascend) only when they do not
    already ascend, as they do when a key numbers its nodes in id order;
    each run of equal values becomes one id set, and the runs, strictly
-   ascending, one map built by halving. *)
+   ascending, one B-tree built bottom-up. *)
 let vmap_of_pairs (vals : Value.t array) (ids : int array) =
   let n = Array.length ids in
   let rec ascending i =
@@ -497,12 +486,12 @@ let vmap_of_pairs (vals : Value.t array) (ids : int array) =
     end
   in
   let starts = run_starts (fun i j -> Value.compare_total vals.(i) vals.(j) = 0) n in
-  halving Vmap.empty
-    (Vmap.union (fun _ x _ -> Some x))
-    (Array.length starts - 1)
-    (fun r ->
-      let i = starts.(r) and j = starts.(r + 1) in
-      Vmap.singleton vals.(i) (Ids.of_sorted (Array.sub ids i (j - i))))
+  let runs = Array.length starts - 1 in
+  Vindex.of_sorted
+    (Array.init runs (fun r -> vals.(starts.(r))))
+    (Array.init runs (fun r ->
+         let i = starts.(r) and j = starts.(r + 1) in
+         Ids.of_sorted (Array.sub ids i (j - i))))
 
 (* the value map of [key] over the nodes [iter] yields, in ascending id
    order: one pass counts the non-null values, the next fills exactly
@@ -522,14 +511,21 @@ let vmap_of_nodes key iter =
 
 (* [pindex_build nodes pidx] adds the nodes, which ascend by id, to each
    registered index of [pidx]: one map built by [vmap_of_pairs] per
-   index, unioned into the registered one *)
+   index, taken as it is by an empty registered one (as at an open) and
+   added to a non-empty one value by value *)
 let pindex_build (nodes : node array) pidx =
   Smap.mapi
     (fun l keys ->
       let labelled f = Array.iter (fun n -> if Sset.mem l n.labels then f n) nodes in
       Smap.mapi
         (fun key vmap ->
-          Vmap.union (fun _ old s -> Some (Ids.union old s)) vmap (vmap_of_nodes key labelled))
+          let fresh = vmap_of_nodes key labelled in
+          if Vindex.is_empty vmap then fresh
+          else
+            Vindex.fold
+              (fun v s vmap ->
+                Vindex.update v (fun old -> Some (Ids.union (Option.value old ~default:Ids.empty) s)) vmap)
+              fresh vmap)
         keys)
     pidx
 
@@ -725,12 +721,15 @@ let has_prop_index g ~label ~key =
   | Some keys -> Smap.mem key keys
   | None -> false
 
-(** The registered (label, key) index pairs, alphabetically. *)
-let prop_index_keys g =
+(* every registered index with its label and key, alphabetically *)
+let prop_indexes g =
   Smap.fold
-    (fun l keys acc -> Smap.fold (fun k _ acc -> (l, k) :: acc) keys acc)
+    (fun l keys acc -> Smap.fold (fun k vmap acc -> (l, k, vmap) :: acc) keys acc)
     g.prop_index []
   |> List.rev
+
+(** The registered (label, key) index pairs, alphabetically. *)
+let prop_index_keys g = List.map (fun (l, k, _) -> (l, k)) (prop_indexes g)
 
 (** [nodes_with_prop g ~label ~key v] is [Some ids] — the nodes carrying
     [label] whose [key] property equals [v], in id order — when the
@@ -743,12 +742,7 @@ let nodes_with_prop g ~label ~key v =
       match Smap.find_opt key keys with
       | None -> None
       | Some vmap ->
-          if Value.is_null v then Some []
-          else
-            Some
-              (match Vmap.find_opt v vmap with
-              | Some s -> Ids.elements s
-              | None -> []))
+          if Value.is_null v then Some [] else Some (Ids.elements (Vindex.find v vmap)))
 
 (** Cardinality of the index bucket for [v]; [None] when unindexed. *)
 let count_with_prop g ~label ~key v =
@@ -758,12 +752,7 @@ let count_with_prop g ~label ~key v =
       match Smap.find_opt key keys with
       | None -> None
       | Some vmap ->
-          if Value.is_null v then Some 0
-          else
-            Some
-              (match Vmap.find_opt v vmap with
-              | Some s -> Ids.cardinal s
-              | None -> 0))
+          if Value.is_null v then Some 0 else Some (Ids.cardinal (Vindex.find v vmap)))
 
 (* ------------------------------------------------------------------ *)
 (* Wholesale reconstruction                                           *)
@@ -854,10 +843,10 @@ let to_string g = Fmt.str "%a" pp g
 let fold_id_sets f g acc =
   let buckets dir typed acc =
     Idmap.fold
-      (fun id sm acc ->
-        Smap.fold
+      (fun id b acc ->
+        fold_buckets
           (fun ty s acc -> f (Printf.sprintf "%s bucket :%s of node %d" dir ty id) s acc)
-          sm acc)
+          b acc)
       typed acc
   in
   acc
@@ -868,13 +857,15 @@ let fold_id_sets f g acc =
        (fun l keys acc ->
          Smap.fold
            (fun key vmap acc ->
-             Vmap.fold
+             Vindex.fold
                (fun v s acc ->
                  f (Printf.sprintf "property index %s(%s) = %s" l key (Value.to_string v)) s acc)
                vmap acc)
            keys acc)
        g.prop_index
   |> f "dangling set" g.dangling
+
+let ( let* ) = Result.bind
 
 let footprint g =
   let w x = Obj.reachable_words (Obj.repr x) in
@@ -892,12 +883,35 @@ let footprint g =
     ("rels map", Idmap.words g.rels);
     ("out_typed map", Idmap.words g.out_typed);
     ("in_typed map", Idmap.words g.in_typed);
+    ("label sets", Smap.fold (fun _ s acc -> acc + Ids.words s) g.label_index 0);
   ]
+  @ List.map
+      (fun (l, k, vmap) -> (Printf.sprintf "%s(%s) index" l k, Vindex.words vmap))
+      (prop_indexes g)
 
-let check_id_maps g =
+(* a node's buckets are in the form their types decide: one type alone,
+   or a map of two or more; no set is empty *)
+let buckets_ok typed =
+  Idmap.fold
+    (fun id b acc ->
+      let* () = acc in
+      let fail what = Error (Printf.sprintf "node %d: %s" id what) in
+      match b with
+      | One_type (_, s) when Ids.is_empty s -> fail "an empty bucket"
+      | Types m when Smap.cardinal m < 2 -> fail "a type map of fewer than two types"
+      | Types m when Smap.exists (fun _ s -> Ids.is_empty s) m -> fail "an empty bucket"
+      | One_type _ | Types _ -> Ok ())
+    typed (Ok ())
+
+let check_shapes g =
   [
     ("nodes", Idmap.check g.nodes);
     ("rels", Idmap.check g.rels);
     ("out_typed", Idmap.check g.out_typed);
     ("in_typed", Idmap.check g.in_typed);
+    ("out_typed buckets", buckets_ok g.out_typed);
+    ("in_typed buckets", buckets_ok g.in_typed);
   ]
+  @ List.map
+      (fun (l, k, vmap) -> (Printf.sprintf "index %s(%s)" l k, Vindex.check vmap))
+      (prop_indexes g)

@@ -73,7 +73,8 @@ val fold_rels : (rel -> 'a -> 'a) -> t -> 'a -> 'a
 (** {1 Adjacency}
 
     The store keeps one adjacency index per direction: per node, one
-    id set ({!Ids.t}) per relationship type.  The untyped views below
+    id set ({!Ids.t}) per relationship type, stored with its type alone
+    when the node has one type in that direction.  The untyped views below
     are the union of a node's buckets, in id order; for a node whose
     relationships all share one type that is the bucket itself.  Every
     count below is O(1): each stored set carries its cardinal. *)
@@ -272,12 +273,19 @@ val fold_id_sets : (string -> Ids.t -> 'a -> 'a) -> t -> 'a -> 'a
     store ([Obj.reachable_words]), in declaration order, then the whole
     store under ["total"].  Words shared between fields, such as label
     strings that are both node labels and label-index keys, count in
-    each field but once in the total.  Last come the four id-keyed maps'
+    each field but once in the total.  Then come the four id-keyed maps'
     own words apart from what they hold ({!Idmap.words}), under
-    ["nodes map"], ["rels map"], ["out_typed map"] and ["in_typed map"]. *)
+    ["nodes map"], ["rels map"], ["out_typed map"] and ["in_typed map"];
+    the label index's id sets ({!Ids.words}) under ["label sets"]; and
+    each property index's own words apart from its values
+    ({!Vindex.words}), alphabetically, under ["Label(key) index"]. *)
 val footprint : t -> (string * int) list
 
-(** [check_id_maps g] is {!Idmap.check} of each id-keyed map of [g]
-    ([nodes], [rels], [out_typed], [in_typed]), by field name: for the
-    fuzz oracles' checks of the stored representation. *)
-val check_id_maps : t -> (string * (unit, string) result) list
+(** [check_shapes g] checks every stored structure whose shape
+    {!fold_id_sets} does not reach, by name: {!Idmap.check} of each
+    id-keyed map ([nodes], [rels], [out_typed], [in_typed]); the form
+    of each node's buckets per direction (one type stored alone, a map
+    only for two or more, no empty set); and {!Vindex.check} of each
+    property index ["index Label(key)"].  For the fuzz oracles' checks
+    of the stored representation. *)
+val check_shapes : t -> (string * (unit, string) result) list

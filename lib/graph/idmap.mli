@@ -18,6 +18,13 @@
 
 type 'a t
 
+(** Key bits per level: 5, so a node fans out [1 lsl level] = 32 ways.
+    {!Ids} keys its bitmap trie by [id lsr level] with the same shape. *)
+val level : int
+
+(** [popcount b] is the number of set bits of the 32-bit bitmap [b]. *)
+val popcount : int -> int
+
 val empty : 'a t
 
 (** O(1): the map carries its binding count. *)

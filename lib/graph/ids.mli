@@ -8,7 +8,11 @@
     - empty;
     - one id;
     - a strictly ascending [int array] of 2 to {!small_max} ids;
-    - a tree ([Iset.t]) carrying its cardinal, above {!small_max} ids.
+    - above {!small_max} ids, a bitmap trie carrying its cardinal: an
+      {!Idmap} from [id lsr Idmap.level] to the 32-bit presence bitmap
+      of those 32 ids, with no value per id.  A dense run of ids costs
+      about 0.04 words per id; the label index of a store whose labels
+      are contiguous id runs is a few hundred words per label.
 
     Every operation returns the canonical form, so two equal sets have
     the same form.  Enumeration is always in ascending id order, and
@@ -50,8 +54,15 @@ val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 (** The ids in ascending order. *)
 val elements : t -> int list
 
+(** [words s] is the heap words of [s]'s own blocks: 0 for the empty
+    set, 2 for one id, 3 + n for an array of n ids, and for a trie its
+    3-word block plus {!Idmap.words} (a bitmap is an immediate int, so
+    it costs its one slot in a leaf's array). *)
+val words : t -> int
+
 (** [is_canonical s] holds when [s] is in the form its contents decide:
-    arrays strictly ascending with 2 to {!small_max} ids, trees above
-    that with the cardinal they carry.  Every set the operations above
+    arrays strictly ascending with 2 to {!small_max} ids, tries above
+    that in the shape {!Idmap.check} accepts, with no empty or wider
+    than 32-bit bitmap, and carrying the cardinal their bits count.  Every set the operations above
     return is canonical; the fuzz oracles check the store's sets. *)
 val is_canonical : t -> bool

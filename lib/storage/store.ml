@@ -15,9 +15,15 @@
     {!compact} folds the journal into a fresh snapshot: write the
     current graph image atomically (rename commits it), then reset the
     journal to empty.  A crash between the two steps leaves the old
-    journal next to the new snapshot; replaying those already-folded
-    statements fails the counter checksum, so {!open_db} surfaces the
-    inconsistency loudly instead of silently double-applying. *)
+    journal next to the new snapshot, and {!open_db} replays those
+    already-folded statements a second time.  The counter checksum
+    catches a replay only when it changes what a statement counts: a
+    [MERGE ALL] that created the first time finds its own work the
+    second time, and the open fails ("record N diverged").  A replay
+    that counts the same is not caught: two [CREATE] records reopen
+    silently as four nodes.  ROADMAP item 18 has the reproduction and
+    the fix (a commit sequence number in the snapshot header and in
+    each record). *)
 
 open Cypher_core
 

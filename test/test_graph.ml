@@ -692,6 +692,70 @@ let type_count_tests =
         done);
   ]
 
+(* [check_forms msg g]: every stored structure is in its canonical form
+   (fuzz oracle 4's check, bucket forms among them) and the adjacency
+   views agree with a scan of the relationships *)
+let check_forms msg g =
+  (match Cypher_fuzz.Oracles.representation_ok g with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "%s: %s" msg e);
+  check_adjacency msg g
+
+(* a node's buckets in one direction are one type stored alone or a
+   map of two or more; creates and deletes move them between the two *)
+let bucket_form_tests =
+  [
+    case "buckets move between one type and several under create and delete" (fun () ->
+        let a, g = Graph.create_node Graph.empty in
+        let b, g = Graph.create_node g in
+        let rel ty g = Graph.create_rel ~src:a ~tgt:b ~r_type:ty g in
+        let r1, g = rel "R" g in
+        check_forms "one type" g;
+        let s1, g = rel "S" g in
+        check_forms "two types" g;
+        let t1, g = rel "T" g in
+        check_forms "three types" g;
+        let g = Graph.remove_rel g s1 in
+        check_forms "back to two" g;
+        let g = Graph.remove_rel g r1 in
+        check_forms "back to one" g;
+        Alcotest.(check (list int)) "out of a" [ t1 ] (rel_ids (Graph.out_rels g a));
+        Alcotest.(check bool) "the one type's set is the untyped view" true
+          (Graph.in_rel_ids g b == Graph.in_rel_ids_typed g b "T");
+        let g = Graph.remove_rel g t1 in
+        check_forms "none" g;
+        Alcotest.(check int) "degree" 0 (Graph.degree g a);
+        (* a batch adds a second type to a node's lone bucket *)
+        let g = batch_steps g [ Step_rel (a, b, "T", Props.empty); Step_rel (a, a, "U", Props.empty) ] in
+        check_forms "batch onto none" g;
+        let g = batch_steps g [ Step_rel (a, b, "R", Props.empty) ] in
+        check_forms "batch onto one" g;
+        let g = Graph.remove_node_detach g b in
+        check_forms "detach" g);
+    case "random creates and deletes keep every bucket in its form" (fun () ->
+        for seed = 1 to 30 do
+          let rng = Random.State.make [| seed |] in
+          let g = ref (random_base rng ~size:(Random.State.int rng 12)) in
+          for step = 1 to 60 do
+            let nodes = Array.of_list (Graph.node_ids !g) in
+            let rels = Array.of_list (Graph.rel_ids !g) in
+            let pick a = a.(Random.State.int rng (Array.length a)) in
+            (g :=
+               match Random.State.int rng 6 with
+               | (0 | 1) when nodes <> [||] ->
+                   let r_type = [| "R"; "S" |].(Random.State.int rng 2) in
+                   snd (Graph.create_rel ~src:(pick nodes) ~tgt:(pick nodes) ~r_type !g)
+               | (2 | 3) when rels <> [||] -> Graph.remove_rel !g (pick rels)
+               | 4 when nodes <> [||] -> Graph.remove_node_detach !g (pick nodes)
+               | _ ->
+                   batch_steps !g
+                     (random_steps rng ~nodes ~next_id:(Graph.next_id !g)
+                        ~count:(Random.State.int rng 6)));
+            check_forms (Printf.sprintf "seed %d step %d" seed step) !g
+          done
+        done);
+  ]
+
 let suite =
-  suite @ histogram_tests @ typed_adjacency_tests @ derived_adjacency_tests @ prop_index_tests
+  suite @ histogram_tests @ bucket_form_tests @ typed_adjacency_tests @ derived_adjacency_tests @ prop_index_tests
   @ batch_tests @ batch_shape_tests @ index_build_tests @ node_count_tests @ type_count_tests
