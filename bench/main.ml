@@ -84,10 +84,11 @@ let vm_kb field =
     the process's live heap and the open's peak: the major heap's
     high-water mark ([top_heap_words]) and [VmHWM], before and after
     [open_db]; then [VmRSS] after one [Gc.full_major ()], which is what
-    [cypher_server] holds when it starts listening.  A missing [dir]
-    first gets the wire benchmark's store (seed 1), built as bench/load
-    does: bulk load, [Person(pid)] and [Post(postid)] indexes,
-    compaction.  Building sets both peaks, so the open's peak is then
+    [cypher_server] holds when it starts listening; then the sizes of
+    the two files the open read and the image's bytes per entity.  A
+    missing [dir] first gets the wire benchmark's store (seed 1), built
+    as bench/load does: bulk load, [Person(pid)] and [Post(postid)]
+    indexes, compaction.  Building sets both peaks, so the open's peak is then
     not reported: run again on [dir]. *)
 let footprint dir =
   let built = not (Sys.file_exists dir) in
@@ -103,6 +104,12 @@ let footprint dir =
     Store.close store;
     Gc.compact ()
   end;
+  (* the files as the open finds them *)
+  let size file =
+    let path = Filename.concat dir file in
+    if Sys.file_exists path then Some (Unix.stat path).Unix.st_size else None
+  in
+  let image = size "snapshot.cy" and journal = size "journal.wal" in
   let w0 = live_words () in
   let top0 = (Gc.quick_stat ()).Gc.top_heap_words and hwm0 = vm_kb "VmHWM" in
   let store, session = open_store dir in
@@ -125,6 +132,13 @@ let footprint dir =
       top1 (mb top0) (mb top1) (kb hwm0) (kb hwm1);
     Printf.printf "after Gc.full_major: VmRSS %s\n" (kb rss)
   end;
+  let bytes = function Some n -> Printf.sprintf "%d bytes" n | None -> "absent" in
+  Printf.printf "snapshot.cy: %s" (bytes image);
+  (match (image, Graph.node_count g + Graph.rel_count g) with
+  | Some n, entities when entities > 0 ->
+      Printf.printf ", %.1f bytes per entity" (float_of_int n /. float_of_int entities)
+  | _ -> ());
+  Printf.printf "\njournal.wal: %s\n" (bytes journal);
   Store.close store
 
 (* ------------------------------------------------------------------ *)

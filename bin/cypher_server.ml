@@ -62,7 +62,8 @@ let () =
               Some (Cypher_storage.Store.append_entries store) ))
   in
   (* The open leaves its garbage in the major heap: the image string
-     (4.5 MB for the wire benchmark's store) and the decode's arrays.
+     (3.8 MB for the wire benchmark's store; 4.5 MB when the figures
+     below were taken) and the decode's arrays.
      Uncollected, it lasted until the first requests had allocated on
      top of it (VmHWM 36.2-36.6 MB within 0.1 s of listening, VmRSS
      31.4-32.1 MB once it was freed).  Collected here, once, before any

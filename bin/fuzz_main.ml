@@ -6,8 +6,10 @@
    durability fault injection, prepared-statement equivalence,
    concurrent-workload linearizability, fused-vs-materialised reads)
    and exits non-zero on any failure.  With [-corpus DIR], shrunk
-   failures are appended as replayable corpus entries.  Wired to the
-   [@fuzz] dune alias. *)
+   failures are appended as replayable corpus entries.  Each case is
+   named by its own stream seed ({!Fuzz.case_seed}): the case printed
+   as seed S, or written as fuzz_<oracle>_seedS.cy, replays as
+   [-seed S -n 1].  Wired to the [@fuzz] dune alias. *)
 
 module Fuzz = Cypher_fuzz.Fuzz
 module Corpus = Cypher_fuzz.Corpus
@@ -39,10 +41,11 @@ let () =
     "fuzz_main [-n COUNT] [-seed SEED] [-corpus DIR] [-dump]";
   if !dump then (
     for i = 0 to !count - 1 do
-      let rng = Cypher_fuzz.Rng.make (!seed + i) in
+      let case_seed = Fuzz.case_seed ~seed:!seed i in
+      let rng = Cypher_fuzz.Rng.make case_seed in
       let g = Cypher_fuzz.Gen.graph rng in
       let q = Cypher_fuzz.Gen.statement rng in
-      Fmt.pr "-- seed %d --@.%a@.%s@." (!seed + i)
+      Fmt.pr "-- seed %d --@.%a@.%s@." case_seed
         Cypher_graph.Graph.pp g
         (Cypher_ast.Pretty.query_to_string q);
       let actors = Cypher_fuzz.Gen.actors rng in
@@ -65,7 +68,8 @@ let () =
      let module Oracles = Cypher_fuzz.Oracles in
      let fails = ref 0 in
      for i = 0 to !count - 1 do
-       let rng = Cypher_fuzz.Rng.make (!seed + i) in
+       let case_seed = Fuzz.case_seed ~seed:!seed i in
+       let rng = Cypher_fuzz.Rng.make case_seed in
        let g = Cypher_fuzz.Gen.graph rng in
        let q = Cypher_fuzz.Gen.statement rng in
        let outcome =
@@ -95,7 +99,7 @@ let () =
        | Ok () -> ()
        | Error d ->
            incr fails;
-           Fmt.pr "seed %d: FAIL %s@.statement: %s@." (!seed + i) d
+           Fmt.pr "seed %d: FAIL %s@.statement: %s@." case_seed d
              (Cypher_ast.Pretty.query_to_string q)
      done;
      Fmt.pr "oracle %s: %d cases from seed %d, %d failure(s)@." !oracle_only
@@ -121,8 +125,7 @@ let () =
               | _ -> Corpus.Wellformed
             in
             let name =
-              Printf.sprintf "fuzz_%s_seed%d_%d" f.Fuzz.oracle !seed
-                f.Fuzz.iteration
+              Printf.sprintf "fuzz_%s_seed%d" f.Fuzz.oracle f.Fuzz.case_seed
             in
             let entry =
               Corpus.entry_of_failure ~name ~oracle ~graph:f.Fuzz.graph

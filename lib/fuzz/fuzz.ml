@@ -1,8 +1,8 @@
 (** The fuzzing driver: generate, run all nine oracles, shrink
     failures.
 
-    One iteration derives a fresh splitmix64 stream from
-    [seed + iteration], generates a (graph, statement) case and runs
+    Iteration [i] derives a fresh splitmix64 stream from
+    [case_seed ~seed i], generates a (graph, statement) case and runs
     the round-trip, planner-equivalence, divergence-classification,
     well-formedness, update-counter, durability, prepared-statement,
     concurrent-workload and fused-vs-materialised oracles
@@ -20,9 +20,22 @@
 module Graph = Cypher_graph.Graph
 module Pretty = Cypher_ast.Pretty
 
+(* An odd 62-bit stride, unrelated to splitmix64's increment: the case
+   seeds of base seeds less than 2.5e12 apart never meet within a
+   million cases (under [seed + i], consecutive base seeds share all
+   but one), and neighbouring cases do not start on each other's
+   stream a few draws in *)
+let case_stride = 0x2545F4914F6CDD1D
+
+(** [case_seed ~seed i] is the stream seed of case [i] of a run from base
+    [seed].  Case 0 is [seed] itself, so the case printed as seed [s]
+    replays as case 0 of a run from [s] ([fuzz_main -seed s -n 1]). *)
+let case_seed ~seed i = seed + (i * case_stride)
+
 type failure = {
   oracle : string;
   iteration : int;
+  case_seed : int;  (** replays as case 0 of a run from this seed *)
   graph : Graph.t;
   query : Cypher_ast.Ast.query;
   detail : string;
@@ -48,10 +61,12 @@ let run ?(seed = 0) ~count () =
   let record ~oracle ~iteration ~fails g q detail =
     let fails g q = never_raises (fun () -> fails g q) in
     let g, q = if fails g q then Shrink.minimize ~fails g q else (g, q) in
-    failures := { oracle; iteration; graph = g; query = q; detail } :: !failures
+    failures :=
+      { oracle; iteration; case_seed = case_seed ~seed iteration; graph = g; query = q; detail }
+      :: !failures
   in
   for i = 0 to count - 1 do
-    let rng = Rng.make (seed + i) in
+    let rng = Rng.make (case_seed ~seed i) in
     let g = Gen.graph rng in
     let q = Gen.statement rng in
     (match Oracles.roundtrip q with
@@ -132,8 +147,8 @@ let run ?(seed = 0) ~count () =
   }
 
 let pp_failure ppf f =
-  Fmt.pf ppf "@[<v>[%s] iteration %d: %s@,statement: %s@,graph:@,%a@]" f.oracle
-    f.iteration f.detail
+  Fmt.pf ppf "@[<v>[%s] iteration %d (seed %d): %s@,statement: %s@,graph:@,%a@]"
+    f.oracle f.iteration f.case_seed f.detail
     (Pretty.query_to_string f.query)
     Graph.pp f.graph
 

@@ -3,7 +3,11 @@
     [to_cypher g] produces a single CREATE statement that rebuilds [g]
     (up to entity ids) when executed on the empty graph — the repository
     analogue of a database dump, and the substrate of snapshot files
-    (see [Cypher_storage.Snapshot]).
+    (see [Cypher_storage.Snapshot]).  The script carries no layout:
+    one entity per line, each line after the first at column 0 and the
+    one before it ending in [,].  Whitespace between tokens means
+    nothing to the grammar, and the reader below skips it, so scripts
+    written with the older 7-space continuation indent read the same.
 
     The dump is *round-trip exact*: dump → parse → execute on the empty
     graph yields a graph isomorphic to the input ({!Iso.isomorphic}),
@@ -147,7 +151,7 @@ let add_cypher buf (g : Graph.t) =
               (List.map (fun (r : Graph.rel) -> string_of_int r.Graph.r_id) rels))));
   let first = ref true in
   let next add x () =
-    Buffer.add_string buf (if !first then "CREATE " else ",\n       ");
+    Buffer.add_string buf (if !first then "CREATE " else ",\n");
     first := false;
     add buf x
   in

@@ -102,8 +102,9 @@ let smoke_cases =
         match report.Fuzz.failures with
         | [] -> ()
         | f :: _ ->
-            Alcotest.failf "fuzz failure [%s] at iteration %d: %s\nstatement: %s"
-              f.Fuzz.oracle f.Fuzz.iteration f.Fuzz.detail
+            Alcotest.failf
+              "fuzz failure [%s] at iteration %d (seed %d): %s\nstatement: %s"
+              f.Fuzz.oracle f.Fuzz.iteration f.Fuzz.case_seed f.Fuzz.detail
               (Cypher_ast.Pretty.query_to_string f.Fuzz.query));
   ]
 

@@ -4,7 +4,8 @@
       typed errors;
     - 1-hop match counts agree with a brute-force count over the
       relationship list;
-    - homomorphic matching only ever adds embeddings. *)
+    - homomorphic matching only ever adds embeddings;
+    - the fuzzer's acceptance seeds run disjoint cases. *)
 
 open Cypher_graph
 open Cypher_table
@@ -152,4 +153,42 @@ let matcher_tests =
         undirected = directed);
   ]
 
-let suite = List.map QCheck_alcotest.to_alcotest (parser_fuzz @ matcher_tests)
+(* --- case seeds ------------------------------------------------------- *)
+
+module Fuzz = Cypher_fuzz.Fuzz
+module Rng = Cypher_fuzz.Rng
+
+(* the base seeds the @fuzz alias runs, 1000 cases each *)
+let acceptance_seeds = [ 1; 7; 100; 2026 ]
+
+let case_seeds =
+  List.concat_map
+    (fun seed -> List.init 1000 (fun i -> Fuzz.case_seed ~seed i))
+    acceptance_seeds
+
+let distinct l = List.length (List.sort_uniq compare l)
+
+let seed_tests =
+  [
+    Alcotest.test_case "acceptance seeds x 1000 run 4000 distinct cases" `Quick
+      (fun () ->
+        Alcotest.(check int) "distinct case seeds" 4000 (distinct case_seeds);
+        (* no stream is another one shifted by a few draws *)
+        let draws =
+          List.concat_map
+            (fun s ->
+              let rng = Rng.make s in
+              List.init 8 (fun _ -> Rng.next_int64 rng))
+            case_seeds
+        in
+        Alcotest.(check int) "distinct first 8 draws" 32000 (distinct draws));
+    Alcotest.test_case "case 0 of a run is its base seed" `Quick (fun () ->
+        List.iter
+          (fun seed ->
+            let s = Fuzz.case_seed ~seed 537 in
+            Alcotest.(check int) "replay seed" s (Fuzz.case_seed ~seed:s 0))
+          acceptance_seeds);
+  ]
+
+let suite =
+  List.map QCheck_alcotest.to_alcotest (parser_fuzz @ matcher_tests) @ seed_tests

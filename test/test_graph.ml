@@ -396,6 +396,136 @@ let prop_index_tests =
           (Graph.nodes_with_prop g' ~label:"User" ~key:"id" (vint 7)));
   ]
 
+(* One property index driven through [Graph] past the 32 entries of a
+   [Vindex] leaf and back: creates, value-changing SETs, REMOVEs and
+   deletes, the index's shape and every probe checked after each step.
+   Three phases: creates with fresh values (past 100 distinct values,
+   so leaves split and the root gains a level), a mix at that size,
+   then mostly deletes (so nodes fall below 16 entries and join). *)
+
+type vop =
+  | Create of bool * vval  (** labelled?, value *)
+  | Set of int * vval  (** the (i mod live)-th node *)
+  | Unset of int
+  | Delete of int
+
+and vval = Fresh | Copy of int  (** a new value, or that of a node *)
+
+(* Int, Float and String keys, the Float of every sixth key equal to
+   the Int before it, so one index key carries both *)
+let vval_of k =
+  match k mod 6 with
+  | 0 -> Value.String (Printf.sprintf "v%04d" k)
+  | 3 -> Value.Float (float_of_int (k - 1))
+  | _ -> Value.Int k
+
+let show_vop = function
+  | Create (l, Fresh) -> Printf.sprintf "create%s fresh" (if l then "" else " unlabelled")
+  | Create (l, Copy j) -> Printf.sprintf "create%s copy %d" (if l then "" else " unlabelled") j
+  | Set (i, Fresh) -> Printf.sprintf "set %d fresh" i
+  | Set (i, Copy j) -> Printf.sprintf "set %d copy %d" i j
+  | Unset i -> Printf.sprintf "unset %d" i
+  | Delete i -> Printf.sprintf "delete %d" i
+
+let gen_vops =
+  QCheck.Gen.(
+    let vval = frequency [ (3, return Fresh); (1, map (fun j -> Copy j) nat) ] in
+    let create = map2 (fun l v -> Create (l, v)) (frequency [ (7, return true); (1, return false) ]) vval in
+    let set = map2 (fun i v -> Set (i, v)) nat vval in
+    let grow = frequency [ (9, map (fun l -> Create (l, Fresh)) (frequency [ (9, return true); (1, return false) ])); (1, create) ] in
+    let mix = frequency [ (2, create); (3, set); (1, map (fun i -> Unset i) nat); (2, map (fun i -> Delete i) nat) ] in
+    let shrink = frequency [ (6, map (fun i -> Delete i) nat); (2, set); (1, map (fun i -> Unset i) nat); (1, create) ] in
+    map3 (fun a b c -> a @ b @ c) (list_repeat 180 grow) (list_repeat 150 mix) (list_repeat 200 shrink))
+
+let index_probe_tests =
+  let label = "P" and key = "k" in
+  let key_of g id =
+    match Props.get (Graph.node_props_of g id) key with Value.Null -> None | v -> Some v
+  in
+  (* the index as a scan: each key's ids, ascending *)
+  let scan g =
+    let m =
+      Graph.fold_label
+        (fun id acc ->
+          match key_of g id with
+          | Some v -> (v, id) :: acc
+          | None -> acc)
+        g label []
+    in
+    let sorted = List.stable_sort (fun (v, _) (w, _) -> Value.compare_total v w) (List.rev m) in
+    (* runs of one key; ids stay ascending in each *)
+    List.fold_right
+      (fun (v, id) acc ->
+        match acc with
+        | (w, ids) :: rest when Value.compare_total v w = 0 -> (v, id :: ids) :: rest
+        | _ -> (v, [ id ]) :: acc)
+      sorted []
+  in
+  let check_step g touched =
+    List.iter
+      (fun (name, r) -> match r with Ok () -> () | Error e -> QCheck.Test.fail_reportf "%s: %s" name e)
+      (Graph.check_shapes g);
+    let expected = scan g in
+    let probe v want =
+      let got = Graph.nodes_with_prop g ~label ~key v in
+      if got <> Some want then
+        QCheck.Test.fail_reportf "probe %s: index [%s], scan [%s]" (Value.to_string v)
+          (match got with None -> "none" | Some l -> String.concat "; " (List.map string_of_int l))
+          (String.concat "; " (List.map string_of_int want))
+    in
+    List.iter (fun (v, ids) -> probe v ids) expected;
+    List.iter
+      (fun v ->
+        probe v
+          (match List.find_opt (fun (w, _) -> Value.compare_total v w = 0) expected with
+          | Some (_, ids) -> ids
+          | None -> []))
+      touched;
+    List.length expected
+  in
+  let run ops =
+    let fresh = ref 0 in
+    let value g live = function
+      | Fresh ->
+          incr fresh;
+          vval_of !fresh
+      | Copy j when live <> [||] -> (
+          match key_of g live.(j mod Array.length live) with Some v -> v | None -> vval_of 0)
+      | Copy _ -> vval_of 0
+    in
+    let g = Graph.add_prop_index ~label ~key Graph.empty in
+    let _, peak =
+      List.fold_left
+        (fun (g, peak) op ->
+          let live = Array.of_list (Graph.node_ids g) in
+          let pick i = live.(i mod Array.length live) in
+          let old i = Option.to_list (key_of g (pick i)) in
+          let g, touched =
+            match op with
+            | Create (labelled, v) ->
+                let v = value g live v in
+                let labels = if labelled then [ label ] else [ "Q" ] in
+                (snd (Graph.create_node ~labels ~props:(Props.of_list [ (key, v) ]) g), [ v ])
+            | _ when live = [||] -> (g, [])
+            | Set (i, v) ->
+                let v = value g live v in
+                (Graph.set_node_prop g (pick i) key v, v :: old i)
+            | Unset i -> (Graph.remove_node_prop g (pick i) key, old i)
+            | Delete i -> (Graph.remove_node_detach g (pick i), old i)
+          in
+          (g, max peak (check_step g touched)))
+        (g, 0) ops
+    in
+    if peak < 100 then QCheck.Test.fail_reportf "the index peaked at %d distinct values" peak;
+    true
+  in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"a property index past 100 values and back agrees with a scan" ~count:15
+         (QCheck.make ~print:(fun ops -> String.concat "\n" (List.map show_vop ops)) gen_vops)
+         run);
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Batch construction                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -758,4 +888,4 @@ let bucket_form_tests =
 
 let suite =
   suite @ histogram_tests @ bucket_form_tests @ typed_adjacency_tests @ derived_adjacency_tests @ prop_index_tests
-  @ batch_tests @ batch_shape_tests @ index_build_tests @ node_count_tests @ type_count_tests
+  @ index_probe_tests @ batch_tests @ batch_shape_tests @ index_build_tests @ node_count_tests @ type_count_tests

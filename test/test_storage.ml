@@ -312,6 +312,70 @@ let snapshot_tests =
           ]);
   ]
 
+(* An image in the layout written before entities lost their
+   continuation indent (",\n       " between patterns, now ",\n"),
+   kept under snapshots/: it must still open, to the graph its source
+   script builds, and re-image to the new layout. *)
+let indented_source =
+  "CREATE (a:Person:`odd label\nwith a space` {name: 'Ann', id: 1, s: 'it\\'s a \\\\ \"q\"\\ttab\\nline'}),\n\
+  \  (b:Person {name: 'Bob', id: 2, nan: 0.0 / 0.0, inf: 1.0 / 0.0, ninf: -1.0 / 0.0, mi: -4611686018427387903 - 1}),\n\
+  \  (c:Item {sku: 'x-1', nested: [1, [2.5, 'two'], [], [[true, 'u\\u00e9']]], m: {`a key`: [1, {b: 'c'}], z: -0.0}}),\n\
+  \  (d:Item:`odd label\nwith a space` {sku: 'x-2', name: 'Dee'}),\n\
+  \  (e),\n\
+  \  (a)-[:KNOWS {since: 2001}]->(b),\n\
+  \  (a)-[:KNOWS {since: 2002}]->(b),\n\
+  \  (b)-[:KNOWS]->(a),\n\
+  \  (c)-[:SELF {w: 1.5e300}]->(c),\n\
+  \  (d)-[:`odd type`]->(d)"
+
+let indented_indexes = [ ("Person", "id"); ("odd label\nwith a space", "name") ]
+
+(* [s] with every occurrence of [sub] replaced by [by] *)
+let replace_all ~sub ~by s =
+  let b = Buffer.create (String.length s) in
+  let n = String.length sub in
+  let rec go i =
+    if i > String.length s - n then Buffer.add_string b (String.sub s i (String.length s - i))
+    else if String.sub s i n = sub then (
+      Buffer.add_string b by;
+      go (i + n))
+    else (
+      Buffer.add_char b s.[i];
+      go (i + 1))
+  in
+  go 0;
+  Buffer.contents b
+
+let layout_tests =
+  [
+    case "an indented image opens to its script's graph and re-images unindented" (fun () ->
+        let path = fixture "snapshots/indented_v1.cy" in
+        let old = In_channel.with_open_bin path In_channel.input_all in
+        let g =
+          match Snapshot.read path with
+          | Ok (Some g) -> g
+          | Ok None -> Alcotest.failf "%s missing" path
+          | Error m -> Alcotest.fail m
+        in
+        let executed =
+          run_graph
+            (List.fold_left
+               (fun g (label, key) -> Graph.add_prop_index ~label ~key g)
+               Graph.empty indented_indexes)
+            indented_source
+        in
+        check_same_graph "opened" executed g;
+        (* the new image: the old body without the indents, under a
+           header whose CRC is the new body's *)
+        let nl = String.index old '\n' in
+        let body = replace_all ~sub:",\n       " ~by:",\n" (String.sub old (nl + 1) (String.length old - nl - 1)) in
+        Alcotest.(check bool) "the fixture is indented" true (String.length body < String.length old - nl - 1);
+        let header = String.sub old 0 (nl - 8) ^ Cypher_storage.Crc32.(to_hex (digest body)) in
+        let img = Snapshot.to_string g in
+        Alcotest.(check string) "re-imaged" (header ^ "\n" ^ body) img;
+        Alcotest.(check string) "fixpoint" img (Snapshot.to_string (ok_or_fail (Snapshot.parse img))));
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Session journal sink                                               *)
 (* ------------------------------------------------------------------ *)
@@ -720,4 +784,4 @@ let crc_tests =
           [ (0, 4); (2, 2); (1, -1); (-1, 1) ]);
   ]
 
-let suite = wal_tests @ snapshot_tests @ session_journal_tests @ store_tests @ crc_tests
+let suite = wal_tests @ snapshot_tests @ layout_tests @ session_journal_tests @ store_tests @ crc_tests
