@@ -294,22 +294,17 @@ module Recovery = Cypher_storage.Recovery
 
 let wal_record =
   {
-    Wal.src = "MATCH (u:User {id: 100007}) SET u.seen = true";
-    stats = { Stats.empty with Stats.props_set = 1 };
-    mode = Config.Atomic;
-    order = Config.Forward;
-    match_mode = Config.Isomorphic;
-    params = Cypher_util.Maps.Smap.empty;
-    kind = `Statement;
+    Session.je_src = "MATCH (u:User {id: 100007}) SET u.seen = true";
+    je_stats = { Stats.empty with Stats.props_set = 1 };
+    je_config = Config.revised;
+    je_kind = `Statement;
   }
 
 let wal_bytes_50 () =
   let buf = Buffer.create 4096 in
   let session = Session.create ~config:Config.revised Graph.empty in
   Session.set_journal session
-    (Some
-       (List.iter (fun e ->
-            Buffer.add_string buf (Wal.encode (Wal.record_of_entry e)))));
+    (Some (List.iter (fun e -> Buffer.add_string buf (Wal.encode e))));
   for i = 1 to 50 do
     match
       Session.run session

@@ -302,6 +302,13 @@ let profile_clause profile c f =
         :: !acc;
       (g, t)
 
+(** Executes a query on a graph–table pair.  UNION branches run
+    left-to-right, each on the unit table against the graph produced by
+    the previous branch; their output tables are combined by bag union
+    (UNION ALL) or set union (UNION), as in Section 8.2.  [memo] (with
+    [counter] numbering the top-level clauses) lets repeated executions
+    of the same compiled query reuse hoisted match plans; see
+    {!Plan_memo}. *)
 let rec exec_query config ~stats ?profile ?memo ~counter (g, t) (q : query) =
   let exec_one (g, t) c =
     let key = !counter in

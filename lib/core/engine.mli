@@ -29,21 +29,6 @@ val exec_clause :
   stats:Stats.collector ->
   Graph.t * Table.t -> Cypher_ast.Ast.clause -> Graph.t * Table.t
 
-(** Executes a query on a graph–table pair.  UNION branches run
-    left-to-right, each on the unit table against the graph produced by
-    the previous branch; their output tables are combined by bag union
-    (UNION ALL) or set union (UNION), as in Section 8.2.  [memo] (with
-    [counter] numbering the top-level clauses) lets repeated executions
-    of the same compiled query reuse hoisted match plans; see
-    {!Plan_memo}. *)
-val exec_query :
-  Config.t ->
-  stats:Stats.collector ->
-  ?profile:Stats.profile_entry list ref ->
-  ?memo:Plan_memo.t ->
-  counter:int ref ->
-  Graph.t * Table.t -> Cypher_ast.Ast.query -> Graph.t * Table.t
-
 (** [output ?stats ?profile config g q] is output(Q, G) of Section 8.1:
     runs the whole statement on the unit table.  Under the legacy
     regime, graph validity is only checked here, at the statement

@@ -10,10 +10,6 @@
 open Cypher_graph
 open Cypher_table
 
-(** Output column name of a projection item: the alias, the variable
-    name, or the printed expression. *)
-val item_name : Cypher_ast.Ast.proj_item -> string
-
 (** An aggregating projection being folded, one input row at a time. *)
 type aggregation
 

@@ -9,16 +9,10 @@ open Cypher_util.Maps
 open Cypher_graph
 open Cypher_table
 
-(** [map_entities ~node ~rel v] rewrites every node/relationship
-    reference in [v], descending into lists, maps and paths.  [node] and
+(** [record ~node ~rel r] rewrites every node/relationship reference
+    in [r]'s values, descending into lists, maps and paths.  [node] and
     [rel] return [None] to null the reference out; a path with a deleted
     component becomes null as a whole. *)
-val map_entities :
-  node:(Value.node_id -> Value.node_id option) ->
-  rel:(Value.rel_id -> Value.rel_id option) ->
-  Value.t ->
-  Value.t
-
 val record :
   node:(Value.node_id -> Value.node_id option) ->
   rel:(Value.rel_id -> Value.rel_id option) ->

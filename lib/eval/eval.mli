@@ -11,9 +11,6 @@ open Cypher_ast.Ast
     @raise Ctx.Error on non-boolean, non-null values. *)
 val truth : Value.t -> Tri.t
 
-val of_truth : Tri.t -> Value.t
-val lit_value : lit -> Value.t
-
 (** Binary arithmetic with Cypher's null propagation and type rules
     (string and list concatenation under [+], integer division, float
     power). *)

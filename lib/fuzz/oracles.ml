@@ -683,11 +683,7 @@ let durability ?(extra = []) (g : Graph.t) q : (unit, string) result =
   let wal_buf = Buffer.create 256 in
   let session = Session.create ~config:durability_config g in
   Session.set_journal session
-    (Some
-       (fun entries ->
-         List.iter
-           (fun e -> Buffer.add_string wal_buf (Wal.encode (Wal.record_of_entry e)))
-           entries));
+    (Some (List.iter (fun e -> Buffer.add_string wal_buf (Wal.encode e))));
   let boundaries = ref [ g ] in
   List.iter
     (fun q ->
@@ -1157,11 +1153,7 @@ let serial_apply g actors =
 let concurrent (g : Graph.t) (actors : Gen.actor list) : (unit, string) result
     =
   let wal_buf = Buffer.create 256 in
-  let sink entries =
-    List.iter
-      (fun e -> Buffer.add_string wal_buf (Wal.encode (Wal.record_of_entry e)))
-      entries
-  in
+  let sink = List.iter (fun e -> Buffer.add_string wal_buf (Wal.encode e)) in
   let shared = Shared.create ~sink g in
   let run_actor a () =
     let svc = Service.create ~config:concurrent_config shared in

@@ -1,11 +1,16 @@
 (** Per-connection protocol logic, independent of sockets.
 
     One [Service.t] holds everything a connected client is: a
-    {!Cypher_core.Session} (plan cache + working graph), the pinned
-    base snapshot of its open transaction, and the explicit stack of
-    recorded update statements — the transaction state the tentpole
-    lifts out of the mutable session record, so the committer can
-    replay a transaction against whatever head its batch lands on.
+    {!Cypher_core.Session} (plan cache + working graph) and, while a
+    transaction is open, one [tx] value: the committed version pinned
+    at the outermost [:begin] and a stack of levels, one per open
+    [:begin], each the working graph at that [:begin] plus the update
+    statements recorded at that level; the outermost level's graph is
+    the pinned base.  The session itself never opens a transaction: a
+    [:rollback] puts the session back on its level's graph, and the
+    outermost [:commit] hands the recorded statements to the
+    committer, which replays them against whatever head its batch
+    lands on.
 
     Protocol (newline-delimited, shell-compatible): one request per
     line — either a [:]-command ([:begin] [:commit] [:rollback]
@@ -42,17 +47,23 @@ module Pool = Cypher_util.Pool
    path re-derives them by re-execution. *)
 type recorded = { rs_src : string; rs_stats : Stats.t }
 
+(* One open [:begin]: the working graph when it opened (what its
+   [:rollback] restores) and the update statements recorded at this
+   level, newest first. *)
+type level = { lv_graph : Graph.t; lv_stmts : recorded list }
+
+(* An open transaction: the committed version it pinned, its innermost
+   level, and the levels below that, innermost first.  The outermost
+   level's graph is the pinned base. *)
+type tx = { version : int; top : level; below : level list }
+
 type t = {
   shared : Shared.t;
   session : Session.t;
   readers : int;
       (** pool width read statements are submitted under; [<= 1] runs
           them inline on the connection thread *)
-  mutable pinned : (int * Graph.t) option;
-      (** base snapshot of the open transaction, [None] outside one *)
-  mutable frames : recorded list list;
-      (** recorded update statements, one frame per open transaction
-          level, innermost first, each newest-first *)
+  mutable tx : tx option;  (** [None] outside a transaction *)
   mutable closed : bool;  (** [:quit] seen *)
 }
 
@@ -65,13 +76,11 @@ let create ?(readers = 1) ?(config = Config.revised) shared =
     shared;
     session;
     readers;
-    pinned = None;
-    frames = [];
+    tx = None;
     closed = false;
   }
 
 let closed t = t.closed
-let in_tx t = t.pinned <> None
 let session t = t.session
 
 (* ------------------------------------------------------------------ *)
@@ -149,8 +158,8 @@ let on_pool t f = Pool.await (Pool.submit ~parallelism:t.readers f)
 
 let exec_read t p =
   let version, graph =
-    match t.pinned with
-    | Some (v, _) -> (v, Session.graph t.session)
+    match t.tx with
+    | Some tx -> (tx.version, Session.graph t.session)
     | None -> Shared.current t.shared
   in
   match on_pool t (fun () -> Session.run_prepared_on t.session graph p) with
@@ -162,17 +171,15 @@ let exec_read t p =
    its outcome — for replay at commit: a statement that was a no-op or
    an error on this snapshot may do real work against the head the
    commit lands on, and serial-order equivalence needs it re-run *)
-let exec_tx_update t src =
-  let version = match t.pinned with Some (v, _) -> v | None -> 0 in
+let exec_tx_update t tx src =
   let outcome = on_pool t (fun () -> Session.run t.session src) in
   let stats =
     match outcome with Ok r -> r.Api.r_stats | Error _ -> Stats.empty
   in
-  (match t.frames with
-  | f :: rest -> t.frames <- ({ rs_src = src; rs_stats = stats } :: f) :: rest
-  | [] -> ());
+  let stmt = { rs_src = src; rs_stats = stats } in
+  t.tx <- Some { tx with top = { tx.top with lv_stmts = stmt :: tx.top.lv_stmts } };
   match outcome with
-  | Ok r -> render r ~version
+  | Ok r -> render r ~version:tx.version
   | Error e -> [ err_line (Errors.to_string e) ]
 
 (* an auto-commit update is executed entirely by the committer, against
@@ -203,45 +210,42 @@ let exec_auto_update t src p =
 (* Transactions                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* the session never holds a transaction of its own, so repositioning
+   it cannot fail *)
+let reposition t g = ignore (Session.set_graph t.session g : (unit, string) result)
+
 let begin_tx t =
-  if in_tx t then begin
-    Session.begin_tx t.session;
-    t.frames <- [] :: t.frames
-  end
-  else begin
-    let v, head = Shared.current t.shared in
-    (match Session.set_graph t.session head with Ok () -> () | Error _ -> ());
-    Session.begin_tx t.session;
-    t.pinned <- Some (v, head);
-    t.frames <- [ [] ]
-  end
+  match t.tx with
+  | Some tx ->
+      let top = { lv_graph = Session.graph t.session; lv_stmts = [] } in
+      t.tx <- Some { tx with top; below = tx.top :: tx.below }
+  | None ->
+      let version, head = Shared.current t.shared in
+      reposition t head;
+      t.tx <- Some { version; top = { lv_graph = head; lv_stmts = [] }; below = [] }
 
 let rollback_tx t =
-  match t.frames with
-  | [] -> Error "no transaction in progress"
-  | [ _ ] ->
-      ignore (Session.rollback t.session : (unit, string) result);
-      t.pinned <- None;
-      t.frames <- [];
-      Ok ()
-  | _ :: rest ->
-      ignore (Session.rollback t.session : (unit, string) result);
-      t.frames <- rest;
+  match t.tx with
+  | None -> Error "no transaction in progress"
+  | Some tx ->
+      reposition t tx.top.lv_graph;
+      (t.tx <-
+         match tx.below with
+         | [] -> None
+         | top :: below -> Some { tx with top; below });
       Ok ()
 
 let commit_tx t =
-  match (t.pinned, t.frames) with
-  | None, _ | _, [] -> Error "no transaction in progress"
-  | Some _, frame :: (outer :: _ as rest) ->
+  match t.tx with
+  | None -> Error "no transaction in progress"
+  | Some ({ top; below = outer :: below; _ } as tx) ->
       (* nested commit: fold the recorded statements into the enclosing
          level; only the outermost commit reaches the committer *)
-      (match Session.commit t.session with
-      | Ok () -> ()
-      | Error _ -> ());
-      t.frames <- (frame @ outer) :: List.tl rest;
+      let top = { outer with lv_stmts = top.lv_stmts @ outer.lv_stmts } in
+      t.tx <- Some { tx with top; below };
       Ok 0
-  | Some (_, base), [ frame ] -> (
-      let stmts = List.rev frame in
+  | Some { top = { lv_graph = base; lv_stmts }; below = []; _ } -> (
+      let stmts = List.rev lv_stmts in
       let working = Session.graph t.session in
       let config = Session.config t.session in
       let final = ref working in
@@ -282,27 +286,24 @@ let commit_tx t =
         end
       in
       let outcome = Shared.commit t.shared exec in
-      (* the transaction is over either way: pop the session frame back
-         to the pinned base, then reposition on the commit's result
-         (success) or stay on the base (abort) *)
-      ignore (Session.rollback t.session : (unit, string) result);
-      t.pinned <- None;
-      t.frames <- [];
+      (* the transaction is over either way: the session moves onto the
+         commit's result (success) or back to the pinned base (abort) *)
+      t.tx <- None;
       match outcome with
       | Ok v ->
-          (match Session.set_graph t.session !final with
-          | Ok () -> ()
-          | Error _ -> ());
+          reposition t !final;
           Ok v
-      | Error m -> Error m)
+      | Error m ->
+          reposition t base;
+          Error m)
 
 (* ------------------------------------------------------------------ *)
 (* Requests                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let current_version t =
-  match t.pinned with
-  | Some (v, _) -> v
+  match t.tx with
+  | Some tx -> tx.version
   | None -> fst (Shared.current t.shared)
 
 (* [rss_kb=<VmRSS> hwm_kb=<VmHWM>] from /proc/self/status — the
@@ -351,7 +352,8 @@ let command t line =
           Printf.sprintf "commits=%d flushes=%d max_batch=%d flush_failures=%d"
             s.Shared.commits s.Shared.flushes s.Shared.max_batch
             s.Shared.flush_failures;
-          Printf.sprintf "depth=%d" (List.length t.frames);
+          Printf.sprintf "depth=%d"
+            (match t.tx with Some tx -> 1 + List.length tx.below | None -> 0);
         ]
         @ Option.to_list (memory_line ())
       in
@@ -370,5 +372,7 @@ let handle t line : string list =
     match classify t line with
     | Error m -> [ err_line m ]
     | Ok (`Read, p) -> exec_read t p
-    | Ok (`Update, _) when in_tx t -> exec_tx_update t line
-    | Ok (`Update, p) -> exec_auto_update t line p
+    | Ok (`Update, p) -> (
+        match t.tx with
+        | Some tx -> exec_tx_update t tx line
+        | None -> exec_auto_update t line p)

@@ -34,7 +34,5 @@ val handle : t -> string -> string list
 (** Whether [:quit] has been received (the connection should close). *)
 val closed : t -> bool
 
-val in_tx : t -> bool
-
 (** The connection's session (tests reach through for its graph). *)
 val session : t -> Session.t

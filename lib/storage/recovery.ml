@@ -1,8 +1,8 @@
 (** Crash recovery: snapshot load + journal replay.
 
     Recovery rebuilds the last durable state of a database: load the
-    snapshot (if any), then re-execute every journal record on top of
-    it, each under the semantics recorded in the record.  Torn or
+    snapshot (if any), then re-execute every journal entry on top of
+    it, each under the semantics recorded in its frame.  Torn or
     corrupt trailing journal records — the only damage an append-only
     journal can suffer from a crash — are detected by the frame CRC,
     reported precisely (byte offset, reason, bytes dropped) and
@@ -32,28 +32,11 @@ type t = {
   dropped : int;  (** journal bytes discarded after the tear *)
 }
 
-(* Each record replays under the semantics it was originally executed
-   with — including its recorded parameter bindings, so parameterized
-   statements re-execute with exactly the values they originally saw.
-   The dialect is permissive because validation already happened at
-   original execution time, and stricter dialects must not reject a
-   statement the journal proves was accepted.  Counters are forced on —
-   they are the replay checksum. *)
-let config_of_record (r : Wal.record) : Config.t =
-  {
-    Config.permissive with
-    mode = r.Wal.mode;
-    order = r.Wal.order;
-    match_mode = r.Wal.match_mode;
-    collect_stats = true;
-    params = r.Wal.params;
-  }
-
-(** [replay base records] re-executes [records] in order on top of
-    [base], verifying each record's counter checksum.  [Error] on a
-    statement failure or a checksum mismatch (both mean replay diverged
-    from the original execution). *)
-let replay (base : Graph.t) (records : Wal.record list) :
+(** [replay base entries] re-executes [entries] in order on top of
+    [base], each under its own [je_config], verifying each entry's
+    counter checksum.  [Error] on a statement failure or a checksum
+    mismatch (both mean replay diverged from the original execution). *)
+let replay (base : Graph.t) (entries : Session.journal_entry list) :
     (Graph.t, string) result =
   (* one id map across the whole replay: bulk frames resolve
      relationship endpoints by raw CSV id, and in journals written
@@ -70,41 +53,41 @@ let replay (base : Graph.t) (records : Wal.record list) :
   in
   let rec go g i = function
     | [] -> Ok g
-    | (r : Wal.record) :: rest -> (
-        match r.Wal.kind with
+    | (e : Session.journal_entry) :: rest -> (
+        match e.Session.je_kind with
         | `Bulk -> (
-            match Bulk.apply_frame ~ids:bulk_ids g r.Wal.src with
+            match Bulk.apply_frame ~ids:bulk_ids g e.Session.je_src with
             | Error m ->
                 Error (Printf.sprintf "replay: bulk record %d failed: %s" i m)
             | Ok (g', stats) ->
-                check i r.Wal.stats stats (fun () -> go g' (i + 1) rest))
+                check i e.Session.je_stats stats (fun () -> go g' (i + 1) rest))
         | `Statement -> (
             match
-              Api.run_string_full ~config:(config_of_record r) g r.Wal.src
+              Api.run_string_full ~config:e.Session.je_config g e.Session.je_src
             with
-            | Error e ->
+            | Error err ->
                 Error
                   (Printf.sprintf "replay: record %d failed: %s" i
-                     (Errors.to_string e))
+                     (Errors.to_string err))
             | Ok res ->
-                check i r.Wal.stats res.Api.r_stats (fun () ->
+                check i e.Session.je_stats res.Api.r_stats (fun () ->
                     go res.Api.r_graph (i + 1) rest)))
   in
-  go base 0 records
+  go base 0 entries
 
-let build ~snapshot ~(wal : Wal.record list * int * Wal.torn option)
+let build ~snapshot ~(wal : Session.journal_entry list * int * Wal.torn option)
     ~(total_len : int) : (t, string) result =
-  let records, clean_len, torn = wal in
+  let entries, clean_len, torn = wal in
   let base, snapshot_loaded =
     match snapshot with Some g -> (g, true) | None -> (Graph.empty, false)
   in
-  match replay base records with
+  match replay base entries with
   | Error e -> Error e
   | Ok graph ->
       Ok
         {
           graph;
-          replayed = List.length records;
+          replayed = List.length entries;
           snapshot_loaded;
           clean_len;
           torn;

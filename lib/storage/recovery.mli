@@ -18,15 +18,12 @@ type t = {
   dropped : int;  (** journal bytes discarded after the tear *)
 }
 
-(** The configuration a journal record replays under: the semantics
-    recorded in the record, permissive dialect, counters forced on. *)
-val config_of_record : Wal.record -> Config.t
-
-(** [replay base records] re-executes [records] in order on top of
-    [base], verifying each record's counter checksum.  [Error] on a
-    statement failure or checksum mismatch (replay diverged from the
-    original execution). *)
-val replay : Graph.t -> Wal.record list -> (Graph.t, string) result
+(** [replay base entries] re-executes [entries] in order on top of
+    [base], each under its own [je_config] (a decoded entry's replay
+    configuration, see {!Wal}), verifying each entry's counter
+    checksum.  [Error] on a statement failure or checksum mismatch
+    (replay diverged from the original execution). *)
+val replay : Graph.t -> Session.journal_entry list -> (Graph.t, string) result
 
 (** [recover_strings ?snapshot ~wal ()] is recovery over in-memory
     images (the fault-injection surface of fuzz oracle 7): [snapshot]

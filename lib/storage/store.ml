@@ -6,7 +6,8 @@
     applied since that snapshot).  {!open_db} recovers the graph from
     both (truncating a crash-torn journal tail after reporting it),
     opens the journal for appending, and hands back a session whose
-    journal sink write-aheads every graph-changing statement; from then
+    journal sink ({!append_entries}) writes every graph-changing
+    statement's journal entry ahead of the graph; from then
     on the in-memory session and the on-disk state move in lockstep —
     killing the process at any instant loses at most the statement
     whose journal append had not completed, and that statement's graph
@@ -49,28 +50,24 @@ let rec mkdir_p dir =
     with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-(* A closed store must fail the triggering statement with a structured
-   error (the session surfaces sink exceptions as the statement's
-   failure), not a bare [Failure] that callers cannot classify. *)
-let sink t entries =
-  match t.writer with
-  | Some w -> Wal.append w (List.map Wal.record_of_entry entries)
-  | None ->
+(** [append_entries t entries] journals [entries] as one WAL frame
+    batch: a single [write] + (under [Fsync]) a single fsync, whatever
+    the batch size.  It is both the session's journal sink and the
+    group committer's durability call — the server batches the entries
+    of several concurrently committing transactions into one call here.
+    A closed store fails with a structured error, not a bare [Failure],
+    so the session reports it as the triggering statement's failure. *)
+let append_entries t (entries : Session.journal_entry list) : unit =
+  match (entries, t.writer) with
+  | [], _ -> ()
+  | _, Some w -> Wal.append w entries
+  | _, None ->
       Errors.fail
         (Errors.Update_error
            (Printf.sprintf
               "store at %s is closed: reopen it or detach the journal \
                (Session.set_journal session None) to continue in memory"
               t.dir))
-
-(** [append_entries t entries] journals [entries] as one WAL frame
-    batch: a single [write] + (under [Fsync]) a single fsync, whatever
-    the batch size.  This is the group committer's durability call —
-    the server batches the entries of several concurrently committing
-    transactions into one call here.  Raises a structured error when
-    the store is closed, like the session sink. *)
-let append_entries t (entries : Session.journal_entry list) : unit =
-  if entries <> [] then sink t entries
 
 (** [open_db ?config dir] opens (creating if needed) the database at
     [dir], recovers its graph, and returns the store paired with a
@@ -105,7 +102,7 @@ let open_db ?(config = Config.revised) dir : (t * Session.t, string) result =
             }
           in
           let session = Session.create ~config recovery.Recovery.graph in
-          Session.set_journal session (Some (sink t));
+          Session.set_journal session (Some (append_entries t));
           Ok (t, session)
   with
   | Unix.Unix_error (err, fn, arg) ->

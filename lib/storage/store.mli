@@ -23,8 +23,9 @@ val dir : t -> string
 
 (** [append_entries t entries] journals [entries] as one WAL frame
     batch — a single [write] + (under [Fsync]) a single fsync, whatever
-    the batch size.  The server's group committer batches the entries
-    of several concurrently committing transactions into one call.
+    the batch size.  It is the journal sink of the session {!open_db}
+    returns, and the server's group committer batches the entries of
+    several concurrently committing transactions into one call.
     No-op on [[]]; raises [Errors.Error] when the store is closed. *)
 val append_entries : t -> Session.journal_entry list -> unit
 

@@ -1,14 +1,15 @@
 (** The write-ahead statement journal.
 
-    The journal is an append-only text file of framed records, one per
-    successfully applied graph-changing statement.  Each record stores
-    the statement's *source text* — replaying the journal means
-    re-executing the statements through the ordinary [Api] — together
-    with the semantics it ran under (mode / order / match mode, because
-    a shell session can switch semantics mid-stream) and the statement's
-    update counters as a semantic checksum: recovery re-derives the
-    counters and any disagreement means replay diverged from the
-    original execution.
+    The journal is an append-only text file of framed
+    [Session.journal_entry] values, one per successfully applied
+    graph-changing statement or bulk load.  Each frame stores the
+    entry's *source text* — replaying the journal means re-executing
+    the statements through the ordinary [Api] — together with the
+    semantics it ran under (mode / order / match mode, because a shell
+    session can switch semantics mid-stream) and the entry's update
+    counters as a semantic checksum: recovery re-derives the counters
+    and any disagreement means replay diverged from the original
+    execution.
 
     Frame format (all text, so a journal is greppable and debuggable
     with standard tools):
@@ -18,8 +19,7 @@
     <payload>\n
     v}
 
-    where the payload is one metadata line followed by the statement
-    source:
+    where the payload is one metadata line followed by the source:
 
     {v
     m=<legacy|atomic> o=<fwd|rev|seed:N> x=<iso|homo> s=<11 counters> [p=<params>] [k=b]\n
@@ -35,36 +35,27 @@
     {!decode_meta} accepts both.  Parameters must be storable values
     (graph entities cannot outlive the statement): journaling a
     statement whose bindings contain a node, relationship or path
-    fails the statement rather than writing an unreplayable record.
+    fails the statement rather than writing an unreplayable frame.
+
+    Only those four configuration fields reach the disk.  A decoded
+    entry's [je_config] is the configuration it replays under:
+    [Config.permissive] with the recorded fields, counters on.
 
     The CRC-32 covers the payload bytes exactly.  A crash can only
-    damage the journal's tail (the file is append-only and records are
+    damage the journal's tail (the file is append-only and frames are
     written with a single [write]); {!scan_string} accepts the longest
-    valid prefix of whole records and reports the first damaged byte
+    valid prefix of whole frames and reports the first damaged byte
     offset, which recovery uses to truncate the tail away.  The CRC
-    catches every single-byte corruption, so a damaged record is never
+    catches every single-byte corruption, so a damaged frame is never
     silently replayed. *)
 
 open Cypher_util.Maps
 open Cypher_graph
 open Cypher_core
 
-type record = {
-  src : string;  (** statement source text *)
-  stats : Stats.t;  (** update counters recorded at original execution *)
-  mode : Config.mode;
-  order : Config.order;
-  match_mode : Config.match_mode;
-  params : Value.t Smap.t;
-      (** parameter bindings the statement ran under (empty when none) *)
-  kind : Session.journal_kind;
-      (** how [src] replays: Cypher source re-executed through the
-          [Api], or a bulk-load frame applied by [Bulk.apply_frame] *)
-}
-
 (** Where and why a scan stopped before the end of the input. *)
 type torn = {
-  t_offset : int;  (** byte offset of the first unusable record *)
+  t_offset : int;  (** byte offset of the first unusable frame *)
   t_reason : string;
 }
 
@@ -207,20 +198,21 @@ let decode_params ?share s : Value.t Smap.t option =
   | Some (Ok (Value.Map m)) -> Some m
   | _ -> None
 
-let encode_meta r =
+let encode_meta (e : Session.journal_entry) =
+  let c = e.Session.je_config in
   let base =
-    Printf.sprintf "m=%s o=%s x=%s s=%s" (encode_mode r.mode)
-      (encode_order r.order)
-      (encode_match r.match_mode)
-      (encode_stats r.stats)
+    Printf.sprintf "m=%s o=%s x=%s s=%s" (encode_mode c.Config.mode)
+      (encode_order c.Config.order)
+      (encode_match c.Config.match_mode)
+      (encode_stats e.Session.je_stats)
   in
   let base =
-    if Smap.is_empty r.params then base
-    else base ^ " p=" ^ encode_params r.params
+    if Smap.is_empty c.Config.params then base
+    else base ^ " p=" ^ encode_params c.Config.params
   in
-  match r.kind with `Statement -> base | `Bulk -> base ^ " k=b"
+  match e.Session.je_kind with `Statement -> base | `Bulk -> base ^ " k=b"
 
-let decode_meta line src : record option =
+let decode_meta line src : Session.journal_entry option =
   let field prefix s =
     let pl = String.length prefix in
     if String.length s > pl && String.sub s 0 pl = prefix then
@@ -228,7 +220,7 @@ let decode_meta line src : record option =
     else None
   in
   (* the four positional fields are mandatory; trailing options ([p=]
-     parameters, [k=] record kind) appear in any order and default to
+     parameters, [k=] entry kind) appear in any order and default to
      "no parameters" / "statement", so pre-parameter and pre-bulk
      journals still decode *)
   match String.split_on_char ' ' line with
@@ -255,22 +247,41 @@ let decode_meta line src : record option =
       with
       | Some mode, Some order, Some match_mode, Some stats, Some (params, kind)
         ->
-          Some { src; stats; mode; order; match_mode; params; kind }
+          (* an entry replays under the semantics it ran with, its
+             parameter bindings included; the dialect is permissive
+             because validation happened at original execution, and
+             counters are on because they are the replay checksum *)
+          Some
+            {
+              Session.je_src = src;
+              je_stats = stats;
+              je_config =
+                {
+                  Config.permissive with
+                  mode;
+                  order;
+                  match_mode;
+                  collect_stats = true;
+                  params;
+                };
+              je_kind = kind;
+            }
       | _ -> None)
   | _ -> None
 
-(* [frames rs] is the frames of [rs] back to back, in one buffer of
+(* [frames es] is the frames of [es] back to back, in one buffer of
    their exact length: [%LEN CRC\n], the payload (metadata, newline,
    source), [\n].  Each source is copied once, into place, and the CRC
    reads the payload there. *)
-let frames (rs : record list) : bytes =
+let frames (es : Session.journal_entry list) : bytes =
   let parts =
     List.map
-      (fun r ->
-        let meta = encode_meta r in
-        let plen = String.length meta + 1 + String.length r.src in
-        (meta, r.src, plen, string_of_int plen))
-      rs
+      (fun (e : Session.journal_entry) ->
+        let meta = encode_meta e in
+        let src = e.Session.je_src in
+        let plen = String.length meta + 1 + String.length src in
+        (meta, src, plen, string_of_int plen))
+      es
   in
   (* besides the length digits and the payload: '%', ' ', the 8 CRC
      digits and two newlines *)
@@ -297,19 +308,19 @@ let frames (rs : record list) : bytes =
   ignore (List.fold_left put 0 parts);
   buf
 
-(** [encode r] is the full frame for [r], header through trailing
+(** [encode e] is the full frame for [e], header through trailing
     newline. *)
-let encode (r : record) : string = Bytes.unsafe_to_string (frames [ r ])
+let encode (e : Session.journal_entry) : string = Bytes.unsafe_to_string (frames [ e ])
 
 (* ------------------------------------------------------------------ *)
 (* Scanning                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(** [scan_string s] parses records from the front of [s].  Returns
-    [(records, clean_len, torn)]: the records of the longest valid
+(** [scan_string s] decodes entries from the front of [s].  Returns
+    [(entries, clean_len, torn)]: the entries of the longest valid
     prefix, the byte length of that prefix, and — unless the prefix is
     all of [s] — where and why the scan stopped.  Never raises. *)
-let scan_string (s : string) : record list * int * torn option =
+let scan_string (s : string) : Session.journal_entry list * int * torn option =
   let len = String.length s in
   let torn at reason = Some { t_offset = at; t_reason = reason } in
   let rec loop acc p =
@@ -330,7 +341,9 @@ let scan_string (s : string) : record list * int * torn option =
               | None -> (List.rev acc, p, torn p "malformed frame header")
               | Some plen ->
                   let payload_start = nl + 1 in
-                  if payload_start + plen + 1 > len then
+                  (* [plen] may be near [max_int]: compare without
+                     adding to it *)
+                  if plen > len - payload_start - 1 then
                     (List.rev acc, p, torn p "truncated payload")
                   else if s.[payload_start + plen] <> '\n' then
                     (List.rev acc, p, torn p "missing record terminator")
@@ -347,7 +360,7 @@ let scan_string (s : string) : record list * int * torn option =
                       | _ -> (String.sub s payload_start plen, "")
                     in
                     (match decode_meta meta src with
-                    | Some r -> loop (r :: acc) (payload_end + 1)
+                    | Some e -> loop (e :: acc) (payload_end + 1)
                     | None -> (List.rev acc, p, torn p "malformed record metadata")))
           | _ -> (List.rev acc, p, torn p "malformed frame header"))
   in
@@ -359,7 +372,7 @@ let scan_string (s : string) : record list * int * torn option =
 
 (** [read_file path] scans the whole journal file; a missing file is an
     empty journal. *)
-let read_file path : record list * int * torn option =
+let read_file path : Session.journal_entry list * int * torn option =
   if not (Sys.file_exists path) then ([], 0, None)
   else
     let read ic = really_input_string ic (in_channel_length ic) in
@@ -390,12 +403,13 @@ let write_all fd b =
   in
   go 0
 
-(** [append w records] writes all [records] as one [write] (a crash can
-    only tear the tail, never interleave), then — under [Fsync]
-    durability — forces them to stable storage before returning. *)
-let append (w : writer) (records : record list) : unit =
+(** [append w entries] writes the frames of all [entries] as one
+    [write] (a crash can only tear the tail, never interleave), then —
+    under [Fsync] durability — forces them to stable storage before
+    returning. *)
+let append (w : writer) (entries : Session.journal_entry list) : unit =
   if w.closed then invalid_arg "Wal.append: writer is closed";
-  write_all w.fd (frames records);
+  write_all w.fd (frames entries);
   match w.durability with
   | Config.Fsync -> Unix.fsync w.fd
   | Config.Buffered -> ()
@@ -405,19 +419,3 @@ let close_writer (w : writer) =
     w.closed <- true;
     Unix.close w.fd
   end
-
-(* ------------------------------------------------------------------ *)
-(* Bridges                                                            *)
-(* ------------------------------------------------------------------ *)
-
-(** A journal record for a session journal entry. *)
-let record_of_entry (e : Session.journal_entry) : record =
-  {
-    src = e.Session.je_src;
-    stats = e.Session.je_stats;
-    mode = e.Session.je_config.Config.mode;
-    order = e.Session.je_config.Config.order;
-    match_mode = e.Session.je_config.Config.match_mode;
-    params = e.Session.je_config.Config.params;
-    kind = e.Session.je_kind;
-  }

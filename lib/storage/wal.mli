@@ -1,45 +1,36 @@
 (** The write-ahead statement journal: an append-only file of framed
-    records, one per successfully applied graph-changing statement.
-    Each record carries the statement source text, the semantics it ran
-    under, and its update counters as a semantic checksum for replay.
+    {!Session.journal_entry} values, one per successfully applied
+    graph-changing statement or bulk load.  A frame carries the entry's
+    source text, the semantics it ran under, and its update counters as
+    a semantic checksum for replay.
 
     Frame format (text): [%<payload-bytes> <crc32-hex>\n<payload>\n],
-    payload = one metadata line + the statement source.  The CRC-32
-    covers the payload; {!scan_string} accepts the longest valid prefix
-    of whole records, so a crash-torn tail is detected, reported, and
-    truncated away by recovery — never silently replayed. *)
+    payload = one metadata line + the source.  The CRC-32 covers the
+    payload; {!scan_string} accepts the longest valid prefix of whole
+    frames, so a crash-torn tail is detected, reported, and truncated
+    away by recovery — never silently replayed.
+
+    Encoding writes the entry's mode, order, match mode and parameter
+    bindings (a [p=] field, percent-encoded Cypher map literal, omitted
+    when empty; bindings must be storable values — an entry whose
+    bindings hold a graph entity cannot be encoded) and its kind (a
+    [k=b] field for [`Bulk]).  Decoding gives each entry the
+    configuration it replays under: {!Config.permissive} with the
+    recorded mode, order, match mode and parameters, and counter
+    collection on. *)
 
 open Cypher_graph
 open Cypher_core
 
-type record = {
-  src : string;  (** statement source text *)
-  stats : Stats.t;  (** update counters recorded at original execution *)
-  mode : Config.mode;
-  order : Config.order;
-  match_mode : Config.match_mode;
-  params : Value.t Cypher_util.Maps.Smap.t;
-      (** parameter bindings the statement ran under (empty when none);
-          encoded as a percent-encoded Cypher map literal in an optional
-          [p=] metadata field, so pre-parameter journals still decode.
-          Bindings must be storable values — a record whose bindings
-          contain a graph entity cannot be encoded. *)
-  kind : Session.journal_kind;
-      (** how [src] replays: [`Statement] re-executes Cypher source
-          through the [Api]; [`Bulk] applies a bulk-load frame via
-          [Bulk.apply_frame].  Encoded as an optional [k=b] metadata
-          field, so pre-bulk journals still decode. *)
-}
-
 (** Where and why a scan stopped before the end of the input. *)
 type torn = {
-  t_offset : int;  (** byte offset of the first unusable record *)
+  t_offset : int;  (** byte offset of the first unusable frame *)
   t_reason : string;
 }
 
-(** [encode r] is the full frame for [r], header through trailing
+(** [encode e] is the full frame for [e], header through trailing
     newline. *)
-val encode : record -> string
+val encode : Session.journal_entry -> string
 
 (** Percent-encoding used for metadata values that must stay single-line
     and space-free (['%'], [' '], CR and LF become [%XX]).  Shared with
@@ -64,15 +55,15 @@ val encode_params : Value.t Cypher_util.Maps.Smap.t -> string
 val decode_params :
   ?share:Share.t -> string -> Value.t Cypher_util.Maps.Smap.t option
 
-(** [scan_string s] parses records from the front of [s]: the records of
-    the longest valid prefix, the byte length of that prefix, and —
+(** [scan_string s] decodes entries from the front of [s]: the entries
+    of the longest valid prefix, the byte length of that prefix, and —
     unless the prefix is all of [s] — where and why the scan stopped.
     Never raises. *)
-val scan_string : string -> record list * int * torn option
+val scan_string : string -> Session.journal_entry list * int * torn option
 
 (** [read_file path] scans the whole journal file; a missing file is an
     empty journal. *)
-val read_file : string -> record list * int * torn option
+val read_file : string -> Session.journal_entry list * int * torn option
 
 (** [truncate_file path n] cuts the journal back to its first [n] bytes
     (dropping a torn tail). *)
@@ -84,12 +75,9 @@ type writer
     it if needed.  [durability] defaults to {!Config.Fsync}. *)
 val open_writer : ?durability:Config.durability -> string -> writer
 
-(** [append w records] writes all [records] with a single [write] (a
-    crash can only tear the tail), then — under [Fsync] durability —
-    forces them to stable storage before returning. *)
-val append : writer -> record list -> unit
+(** [append w entries] writes the frames of all [entries] with a single
+    [write] (a crash can only tear the tail), then — under [Fsync]
+    durability — forces them to stable storage before returning. *)
+val append : writer -> Session.journal_entry list -> unit
 
 val close_writer : writer -> unit
-
-(** A journal record for a session journal entry. *)
-val record_of_entry : Session.journal_entry -> record

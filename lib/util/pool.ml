@@ -7,6 +7,8 @@
     global mutex, which gives the necessary happens-before edges. *)
 
 let recommended () = Domain.recommended_domain_count ()
+
+(* hard cap on spawned worker domains: callers beyond it share them *)
 let max_workers = 15
 
 (* ------------------------------------------------------------------ *)

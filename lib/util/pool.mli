@@ -7,8 +7,8 @@
 
     Worker domains are spawned lazily on first use and reused for the
     lifetime of the process; [parallelism] counts the caller, so a
-    width of [n] spawns at most [n - 1] workers (hard-capped at
-    {!max_workers}).  An exception raised by a job is caught on the
+    width of [n] spawns at most [n - 1] workers (hard-capped at 15;
+    callers beyond that share them).  An exception raised by a job is caught on the
     worker and re-raised on the caller of {!await} with its original
     backtrace.  A submission from inside a worker runs inline, so the
     pool can never deadlock on its own job queue. *)
@@ -16,9 +16,6 @@
 (** [recommended ()] is [Domain.recommended_domain_count ()]: the
     hardware-sized default for the server's reader pool. *)
 val recommended : unit -> int
-
-(** Hard cap on spawned worker domains (callers beyond this share). *)
-val max_workers : int
 
 (** A single job submitted to the pool. *)
 type 'a task

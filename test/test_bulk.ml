@@ -576,7 +576,7 @@ let check_replays_to_itself msg base ~nodes ~rels =
     match Cypher_storage.Snapshot.parse image with Ok g -> g | Error m -> Alcotest.fail m
   in
   let loaded, entries = load_capturing base ~nodes ~rels in
-  let wal = String.concat "" (List.map (fun e -> Wal.encode (Wal.record_of_entry e)) entries) in
+  let wal = String.concat "" (List.map (fun e -> Wal.encode e) entries) in
   match Cypher_storage.Recovery.recover_strings ~snapshot:image ~wal () with
   | Error m -> Alcotest.failf "%s: recovery: %s" msg m
   | Ok r ->

@@ -353,13 +353,10 @@ let cache_tests =
 
 let wal_record ?(params = Smap.empty) src =
   {
-    Wal.src;
-    stats = Cypher_core.Stats.empty;
-    mode = Config.Atomic;
-    order = Config.Forward;
-    match_mode = Config.Isomorphic;
-    params;
-    kind = `Statement;
+    Session.je_src = src;
+    je_stats = Cypher_core.Stats.empty;
+    je_config = Config.with_params params Config.revised;
+    je_kind = `Statement;
   }
 
 let wal_tests =
@@ -388,9 +385,9 @@ let wal_tests =
         Alcotest.(check bool) "clean" true (torn = None);
         match records with
         | [ r' ] ->
-            Alcotest.(check string) "src" r.Wal.src r'.Wal.src;
+            Alcotest.(check string) "src" r.Session.je_src r'.Session.je_src;
             Alcotest.(check bool) "params survive" true
-              (Smap.equal Value.equal_strict params r'.Wal.params)
+              (Smap.equal Value.equal_strict params r'.Session.je_config.Config.params)
         | rs -> Alcotest.failf "expected 1 record, got %d" (List.length rs));
     case "a frame whose bindings do not read back is refused" (fun () ->
         List.iter
@@ -422,7 +419,7 @@ let wal_tests =
         Session.set_journal s
           (Some
              (List.iter (fun e ->
-                  Buffer.add_string buf (Wal.encode (Wal.record_of_entry e)))));
+                  Buffer.add_string buf (Wal.encode e))));
         ignore (run_ok s "CREATE (:N {v: $v})");
         Session.set_config s (config_with [ ("v", vint 2) ]);
         ignore (run_ok s "CREATE (:N {v: $v})");

@@ -152,6 +152,37 @@ let shared_tests =
           (Graph.node_count (snd (Shared.current shared)));
         Alcotest.(check int) "one version step" 1
           (fst (Shared.current shared)));
+    case "a nested rollback on a moved head drops only the inner level" (fun () ->
+        let entries = ref [] in
+        let shared =
+          Shared.create ~sink:(fun es -> entries := !entries @ es) Graph.empty
+        in
+        let a = Service.create shared in
+        let b = Service.create shared in
+        expect_ok "begin" (req a ":begin");
+        expect_ok "outer" (req a "CREATE (:Outer)");
+        expect_ok "begin inner" (req a ":begin");
+        expect_ok "inner" (req a "CREATE (:Inner)");
+        expect_ok "inner rollback" (req a ":rollback");
+        (* b commits first: a's pinned base is now stale *)
+        expect_ok "other" (req b "CREATE (:Other)");
+        let before = List.length !entries in
+        expect_ok "outer commit" (req a ":commit");
+        let _, head = Shared.current shared in
+        let count label =
+          match Cypher_core.Api.run_string head ("MATCH (n:" ^ label ^ ") RETURN n") with
+          | Ok o -> Cypher_table.Table.row_count o.Cypher_core.Api.table
+          | Error _ -> -1
+        in
+        Alcotest.(check (list int)) "Other, Outer, no Inner" [ 1; 1; 0 ]
+          (List.map count [ "Other"; "Outer"; "Inner" ]);
+        Alcotest.(check (list string)) "one entry for the transaction"
+          [ "CREATE (:Outer)" ]
+          (List.filteri (fun i _ -> i >= before) !entries
+          |> List.map (fun e -> e.Session.je_src));
+        let stats = req a ":stats" in
+        expect_ok ":stats" stats;
+        Alcotest.(check bool) "depth=0" true (List.mem "depth=0" stats));
     case "rollback publishes nothing and journals nothing" (fun () ->
         let flushed = ref 0 in
         let shared =

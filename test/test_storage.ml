@@ -39,7 +39,12 @@ let run_ok s src =
 let record ?(mode = Config.Atomic) ?(order = Config.Forward)
     ?(match_mode = Config.Isomorphic) ?(stats = Stats.empty)
     ?(params = Cypher_util.Maps.Smap.empty) src =
-  { Wal.src; stats; mode; order; match_mode; params; kind = `Statement }
+  {
+    Session.je_src = src;
+    je_stats = stats;
+    je_config = { Config.permissive with mode; order; match_mode; params };
+    je_kind = `Statement;
+  }
 
 let some_stats =
   {
@@ -72,12 +77,11 @@ let wal_tests =
         Alcotest.(check int) "clean length" (String.length bytes) clean;
         Alcotest.(check int) "count" 3 (List.length rs');
         List.iter2
-          (fun (a : Wal.record) (b : Wal.record) ->
-            Alcotest.(check string) "src" a.Wal.src b.Wal.src;
-            Alcotest.(check bool) "stats" true (Stats.equal a.Wal.stats b.Wal.stats);
-            Alcotest.(check bool) "config tag" true
-              (a.Wal.mode = b.Wal.mode && a.Wal.order = b.Wal.order
-             && a.Wal.match_mode = b.Wal.match_mode))
+          (fun (a : Session.journal_entry) (b : Session.journal_entry) ->
+            Alcotest.(check string) "src" a.Session.je_src b.Session.je_src;
+            Alcotest.(check bool) "stats" true (Stats.equal a.Session.je_stats b.Session.je_stats);
+            (* [record] builds the replay configuration decoding gives *)
+            Alcotest.(check bool) "config" true (a.Session.je_config = b.Session.je_config))
           rs rs');
     case "empty input scans to the empty journal" (fun () ->
         Alcotest.(check bool) "empty" true (Wal.scan_string "" = ([], 0, None)));
@@ -150,7 +154,37 @@ let wal_tests =
             Alcotest.(check bool) "clean" true (torn = None);
             Alcotest.(check (list string)) "sources"
               [ "CREATE (:A)"; "CREATE (:B)"; "CREATE (:C)" ]
-              (List.map (fun (r : Wal.record) -> r.Wal.src) rs)));
+              (List.map (fun (e : Session.journal_entry) -> e.Session.je_src) rs)));
+    case "a frame length past the end of the input is a torn tail" (fun () ->
+        match Wal.scan_string "%4611686018427387903 00000000\nm=atomic\n" with
+        | [], 0, Some t -> Alcotest.(check string) "reason" "truncated payload" t.Wal.t_reason
+        | kept, _, _ -> Alcotest.failf "%d record(s) kept" (List.length kept));
+    (* a journal written through a journaling session: both update
+       regimes, reversed and seeded order, homomorphic matching,
+       parameters that need percent-encoding, and one bulk frame *)
+    case "statements_v1.wal decodes, re-encodes byte for byte and replays" (fun () ->
+        let wal = In_channel.with_open_bin (fixture "journals/statements_v1.wal") In_channel.input_all in
+        let entries, clean, torn = Wal.scan_string wal in
+        Alcotest.(check bool) "no tear" true (torn = None);
+        Alcotest.(check int) "clean length" (String.length wal) clean;
+        Alcotest.(check int) "frames" 11 (List.length entries);
+        let ends =
+          List.fold_left
+            (fun off e ->
+              let frame = Wal.encode e in
+              Alcotest.(check string)
+                (Printf.sprintf "frame at %d" off)
+                (String.sub wal off (String.length frame))
+                frame;
+              off + String.length frame)
+            0 entries
+        in
+        Alcotest.(check int) "frames cover the file" (String.length wal) ends;
+        match Recovery.recover_strings ~wal () with
+        | Error m -> Alcotest.fail m
+        | Ok r ->
+            Alcotest.(check string) "image MD5" "2a3d0242424eae4a1cf207162d5b5f5c"
+              (Digest.to_hex (Digest.string (Snapshot.to_string r.Recovery.graph))));
     case "read_file on a missing path is the empty journal" (fun () ->
         Alcotest.(check bool) "empty" true
           (Wal.read_file "/nonexistent/journal.wal" = ([], 0, None)));
