@@ -345,17 +345,14 @@ let reset s =
   s.frames <- []
 
 (* ------------------------------------------------------------------ *)
-(* Server support: execution against explicit graphs                  *)
+(* Execution against explicit graphs                                  *)
 (* ------------------------------------------------------------------ *)
 
 (** [run_on s graph src] compiles [src] through the session's plan
     cache and executes it against [graph] — not the session graph — and
     does not advance the session or touch the journal.  Update-counter
-    collection is forced on so the caller can classify and journal the
-    statement itself.  This is the concurrent server's executor: the
-    per-connection transaction state lives outside the session, and the
-    group committer replays buffered statements against whatever head
-    the batch is stacked on. *)
+    collection is forced on, so the caller can tell from the counters
+    whether the statement changed [graph]. *)
 let run_on s graph src : (Api.result, Errors.t) result =
   let config = Config.with_stats true s.config in
   match compile s config src with
@@ -365,21 +362,19 @@ let run_on s graph src : (Api.result, Errors.t) result =
       | Ok r -> Ok (annotate_plan status r)
       | Error e -> Error e)
 
-(** [run_prepared_on s graph p] is {!run_on} for a statement already
-    compiled through this session's {!prepare}: execution pays no
-    second cache lookup.  The server classifies every request by
-    compiling it, so by execution time the compiled statement is
-    already in hand — and the committer's serial section is exactly
-    where a redundant lookup per batch member would hurt. *)
+(** [run_prepared_on s graph p] executes a statement compiled by this
+    session's {!prepare} against [graph], under the session's current
+    parameters, without a cache lookup: the compiled statement is in
+    hand, and runs even after the cache has evicted it.  Neither the
+    session nor the journal is touched. *)
 let run_prepared_on s graph (p : Api.prepared) :
     (Api.result, Errors.t) result =
   Api.execute_full p s.config.Config.params graph
 
-(** [set_graph s g] repositions the session on a new base graph — the
-    server moves its per-connection session onto the latest committed
-    head.  Refused inside a transaction: the open frames hold snapshots
-    of the graph being replaced, and rolling back across a reposition
-    would resurrect the old line of history. *)
+(** [set_graph s g] replaces the session graph with [g].  Refused
+    inside a transaction: the open frames hold snapshots of the graph
+    being replaced, and rolling back across a reposition would
+    resurrect the old line of history. *)
 let set_graph s g =
   if in_transaction s then Error "cannot reposition a session inside a transaction"
   else begin

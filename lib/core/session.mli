@@ -124,23 +124,23 @@ val reset : t -> unit
 (** [run_on s graph src] compiles [src] through the session's plan
     cache and executes it against [graph] instead of the session graph;
     the session does not advance and nothing is journaled.
-    Update-counter collection is forced on so the caller can classify
-    and journal the statement itself.  This is the concurrent server's
-    executor: per-connection transaction state lives outside the
-    session, and the group committer replays buffered statements
-    against whatever head its batch is stacked on. *)
+    Update-counter collection is forced on, so the caller can tell from
+    the result's counters whether the statement changed [graph].  Under
+    EXPLAIN / PROFILE the rendered plan gains the cache-status line, as
+    with {!run}. *)
 val run_on : t -> Graph.t -> string -> (Api.result, Errors.t) result
 
-(** [run_prepared_on s graph p] is {!run_on} for a statement already
-    compiled through this session's {!prepare} — execution pays no
-    second plan-cache lookup.  [p] must come from a session configured
-    with update-counter collection on (the server forces it at
-    connection setup) for the result's counters to be populated. *)
+(** [run_prepared_on s graph p] executes [p], compiled by this
+    session's {!prepare}, against [graph] under the session's current
+    parameters: the statement as a function of the graph it is given.
+    The session does not advance and nothing is journaled.  No
+    plan-cache lookup happens, so [p] still runs after the cache has
+    evicted it, and the rendered plan carries no cache-status line.
+    The result's counters are populated only if [p] was compiled with
+    update-counter collection on. *)
 val run_prepared_on :
   t -> Graph.t -> Api.prepared -> (Api.result, Errors.t) result
 
-(** [set_graph s g] repositions the session on a new base graph (the
-    server moves sessions onto the latest committed head).  Fails
-    inside a transaction — open snapshots must not survive a
-    reposition. *)
+(** [set_graph s g] replaces the session graph with [g].  Fails inside
+    a transaction — open snapshots must not survive a reposition. *)
 val set_graph : t -> Graph.t -> (unit, string) result

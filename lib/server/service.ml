@@ -1,14 +1,18 @@
 (** Per-connection protocol logic, independent of sockets.
 
     One [Service.t] holds everything a connected client is: a
-    {!Cypher_core.Session} (plan cache + working graph) and, while a
-    transaction is open, one [tx] value: the committed version pinned
-    at the outermost [:begin] and a stack of levels, one per open
-    [:begin], each the working graph at that [:begin] plus the update
-    statements recorded at that level; the outermost level's graph is
-    the pinned base.  The session itself never opens a transaction: a
-    [:rollback] puts the session back on its level's graph, and the
-    outermost [:commit] hands the recorded statements to the
+    {!Cypher_core.Session} that serves only as the connection's plan
+    cache and configuration, and, while a transaction is open, one [tx]
+    value: the committed version pinned at the outermost [:begin], the
+    working graph (pinned base plus the transaction's own writes) and
+    a stack of levels, one per open [:begin], each the working graph
+    at that [:begin] plus the update statements recorded at that
+    level; the outermost level's graph is the pinned base.  Every
+    statement is compiled once, by {!classify}, and run with
+    {!Session.run_prepared_on} on an explicit graph: the committed
+    head outside a transaction, its working graph inside one.  A
+    [:rollback] restores its level's graph as the working graph, and
+    the outermost [:commit] hands the recorded statements to the
     committer, which replays them against whatever head its batch
     lands on.
 
@@ -42,20 +46,22 @@ module Ast = Cypher_ast.Ast
 module Pool = Cypher_util.Pool
 
 (* One update statement recorded inside an open transaction: its source
-   and the counters its first execution (against the pinned snapshot)
-   produced.  The counters serve the commit fast path; the conflict
-   path re-derives them by re-execution. *)
-type recorded = { rs_src : string; rs_stats : Stats.t }
+   (what the journal stores), the statement [classify] compiled, and the
+   counters its first execution (against the working graph) produced.
+   The counters serve the commit fast path; the conflict path re-derives
+   them by re-running the compiled statement. *)
+type recorded = { rs_src : string; rs_prepared : Api.prepared; rs_stats : Stats.t }
 
 (* One open [:begin]: the working graph when it opened (what its
    [:rollback] restores) and the update statements recorded at this
    level, newest first. *)
 type level = { lv_graph : Graph.t; lv_stmts : recorded list }
 
-(* An open transaction: the committed version it pinned, its innermost
-   level, and the levels below that, innermost first.  The outermost
-   level's graph is the pinned base. *)
-type tx = { version : int; top : level; below : level list }
+(* An open transaction: the committed version it pinned, the working
+   graph every statement inside it runs on, its innermost level, and the
+   levels below that, innermost first.  The outermost level's graph is
+   the pinned base. *)
+type tx = { version : int; working : Graph.t; top : level; below : level list }
 
 type t = {
   shared : Shared.t;
@@ -68,10 +74,11 @@ type t = {
 }
 
 let create ?(readers = 1) ?(config = Config.revised) shared =
-  let _, head = Shared.current shared in
-  (* counters decide what the committer journals, so collection is
-     forced on for the connection's whole lifetime *)
-  let session = Session.create ~config:(Config.with_stats true config) head in
+  (* the session's own graph is never read: every statement runs on a
+     graph passed explicitly.  Counters decide what the committer
+     journals, so collection is forced on for the connection's whole
+     lifetime *)
+  let session = Session.create ~config:(Config.with_stats true config) Graph.empty in
   {
     shared;
     session;
@@ -90,8 +97,8 @@ let session t = t.session
 (* Classification compiles through the session's plan cache: a
    connection's hot path is a repeated statement, and re-parsing every
    request just to dispatch it would dominate the committer's serial
-   work.  The compiled statement is cached, so the execution that
-   follows hits too. *)
+   work.  The compiled statement is what runs, live and at a commit's
+   replay, so no statement is looked up twice. *)
 let classify t src =
   match Session.prepare t.session src with
   | Error e -> Error (Errors.to_string e)
@@ -143,13 +150,13 @@ let render (r : Api.result) ~version =
 (* Execution                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* the journal entry of a statement that ran with [stats]; none when it
+   changed nothing *)
 let entry_of ~config src stats =
-  {
-    Session.je_src = src;
-    je_stats = stats;
-    je_config = config;
-    je_kind = `Statement;
-  }
+  if Stats.contains_updates stats then
+    Some
+      { Session.je_src = src; je_stats = stats; je_config = config; je_kind = `Statement }
+  else None
 
 (* read statements run on the domain pool: connection threads are
    systhreads sharing one domain's runtime lock, so CPU-bound query
@@ -159,25 +166,31 @@ let on_pool t f = Pool.await (Pool.submit ~parallelism:t.readers f)
 let exec_read t p =
   let version, graph =
     match t.tx with
-    | Some tx -> (tx.version, Session.graph t.session)
+    | Some tx -> (tx.version, tx.working)
     | None -> Shared.current t.shared
   in
   match on_pool t (fun () -> Session.run_prepared_on t.session graph p) with
   | Ok r -> render r ~version
   | Error e -> [ err_line (Errors.to_string e) ]
 
-(* an update inside a transaction executes against the session's
-   working graph (pinned base + own writes) and is recorded — whatever
-   its outcome — for replay at commit: a statement that was a no-op or
-   an error on this snapshot may do real work against the head the
-   commit lands on, and serial-order equivalence needs it re-run *)
-let exec_tx_update t tx src =
-  let outcome = on_pool t (fun () -> Session.run t.session src) in
-  let stats =
-    match outcome with Ok r -> r.Api.r_stats | Error _ -> Stats.empty
+(* an update inside a transaction runs on its working graph, which
+   advances on success and stays put on failure; the statement is
+   recorded whatever its outcome, for replay at commit: a statement that
+   was a no-op or an error on this snapshot may do real work against the
+   head the commit lands on, and serial-order equivalence needs it
+   re-run *)
+let exec_tx_update t tx src p =
+  let outcome =
+    on_pool t (fun () -> Session.run_prepared_on t.session tx.working p)
   in
-  let stmt = { rs_src = src; rs_stats = stats } in
-  t.tx <- Some { tx with top = { tx.top with lv_stmts = stmt :: tx.top.lv_stmts } };
+  let working, stats =
+    match outcome with
+    | Ok r -> (r.Api.r_graph, r.Api.r_stats)
+    | Error _ -> (tx.working, Stats.empty)
+  in
+  let stmt = { rs_src = src; rs_prepared = p; rs_stats = stats } in
+  t.tx <-
+    Some { tx with working; top = { tx.top with lv_stmts = stmt :: tx.top.lv_stmts } };
   match outcome with
   | Ok r -> render r ~version:tx.version
   | Error e -> [ err_line (Errors.to_string e) ]
@@ -193,12 +206,7 @@ let exec_auto_update t src p =
     match Session.run_prepared_on t.session head p with
     | Ok r ->
         payload := Some r;
-        let entries =
-          if Stats.contains_updates r.Api.r_stats then
-            [ entry_of ~config src r.Api.r_stats ]
-          else []
-        in
-        Ok (r.Api.r_graph, entries)
+        Ok (r.Api.r_graph, Option.to_list (entry_of ~config src r.Api.r_stats))
     | Error e -> Error (Errors.to_string e)
   in
   match (Shared.commit t.shared exec, !payload) with
@@ -210,29 +218,25 @@ let exec_auto_update t src p =
 (* Transactions                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* the session never holds a transaction of its own, so repositioning
-   it cannot fail *)
-let reposition t g = ignore (Session.set_graph t.session g : (unit, string) result)
-
 let begin_tx t =
   match t.tx with
   | Some tx ->
-      let top = { lv_graph = Session.graph t.session; lv_stmts = [] } in
+      let top = { lv_graph = tx.working; lv_stmts = [] } in
       t.tx <- Some { tx with top; below = tx.top :: tx.below }
   | None ->
       let version, head = Shared.current t.shared in
-      reposition t head;
-      t.tx <- Some { version; top = { lv_graph = head; lv_stmts = [] }; below = [] }
+      t.tx <-
+        Some
+          { version; working = head; top = { lv_graph = head; lv_stmts = [] }; below = [] }
 
 let rollback_tx t =
   match t.tx with
   | None -> Error "no transaction in progress"
   | Some tx ->
-      reposition t tx.top.lv_graph;
       (t.tx <-
          match tx.below with
          | [] -> None
-         | top :: below -> Some { tx with top; below });
+         | top :: below -> Some { tx with working = tx.top.lv_graph; top; below });
       Ok ()
 
 let commit_tx t =
@@ -243,59 +247,37 @@ let commit_tx t =
          level; only the outermost commit reaches the committer *)
       let top = { outer with lv_stmts = top.lv_stmts @ outer.lv_stmts } in
       t.tx <- Some { tx with top; below };
-      Ok 0
-  | Some { top = { lv_graph = base; lv_stmts }; below = []; _ } -> (
+      Ok tx.version
+  | Some { working; top = { lv_graph = base; lv_stmts }; below = []; _ } ->
+      (* the transaction is over whatever the commit's outcome *)
+      t.tx <- None;
       let stmts = List.rev lv_stmts in
-      let working = Session.graph t.session in
       let config = Session.config t.session in
-      let final = ref working in
-      let exec head =
-        if head == base then begin
-          (* fast path: the head never moved under this transaction —
-             its working graph is already the serial outcome *)
-          final := working;
-          Ok
-            ( working,
+      Shared.commit t.shared (fun head ->
+          if head == base then
+            (* fast path: the head never moved under this transaction —
+               its working graph is already the serial outcome *)
+            Ok
+              ( working,
+                List.filter_map (fun r -> entry_of ~config r.rs_src r.rs_stats) stmts )
+          else begin
+            (* conflict path: replay every recorded update statement, in
+               order, against the new head; statement-level atomicity
+               holds at replay exactly as it did live (a failing
+               statement leaves the graph unchanged and is skipped) *)
+            let g = ref head in
+            let entries =
               List.filter_map
                 (fun r ->
-                  if Stats.contains_updates r.rs_stats then
-                    Some (entry_of ~config r.rs_src r.rs_stats)
-                  else None)
-                stmts )
-        end
-        else begin
-          (* conflict path: replay every recorded update statement, in
-             order, against the new head; statement-level atomicity
-             holds at replay exactly as it did live (a failing
-             statement leaves the graph unchanged and is skipped) *)
-          let g = ref head in
-          let entries =
-            List.filter_map
-              (fun r ->
-                match Session.run_on t.session !g r.rs_src with
-                | Ok res ->
-                    g := res.Api.r_graph;
-                    if Stats.contains_updates res.Api.r_stats then
-                      Some (entry_of ~config r.rs_src res.Api.r_stats)
-                    else None
-                | Error _ -> None)
-              stmts
-          in
-          final := !g;
-          Ok (!g, entries)
-        end
-      in
-      let outcome = Shared.commit t.shared exec in
-      (* the transaction is over either way: the session moves onto the
-         commit's result (success) or back to the pinned base (abort) *)
-      t.tx <- None;
-      match outcome with
-      | Ok v ->
-          reposition t !final;
-          Ok v
-      | Error m ->
-          reposition t base;
-          Error m)
+                  match Session.run_prepared_on t.session !g r.rs_prepared with
+                  | Ok res ->
+                      g := res.Api.r_graph;
+                      entry_of ~config r.rs_src res.Api.r_stats
+                  | Error _ -> None)
+                stmts
+            in
+            Ok (!g, entries)
+          end)
 
 (* ------------------------------------------------------------------ *)
 (* Requests                                                           *)
@@ -338,8 +320,7 @@ let command t line =
       [ ok_line ~rows:0 ~version:(current_version t) ]
   | ":commit" -> (
       match commit_tx t with
-      | Ok v ->
-          [ ok_line ~rows:0 ~version:(if v = 0 then current_version t else v) ]
+      | Ok v -> [ ok_line ~rows:0 ~version:v ]
       | Error m -> [ err_line m ])
   | ":rollback" -> (
       match rollback_tx t with
@@ -374,5 +355,5 @@ let handle t line : string list =
     | Ok (`Read, p) -> exec_read t p
     | Ok (`Update, p) -> (
         match t.tx with
-        | Some tx -> exec_tx_update t tx line
+        | Some tx -> exec_tx_update t tx line p
         | None -> exec_auto_update t line p)

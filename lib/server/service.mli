@@ -22,9 +22,11 @@ open Cypher_core
 type t
 
 (** [create ?readers ?config shared] makes the per-connection state:
-    a fresh session (plan cache, update-counter collection forced on)
-    positioned on the current head.  [readers] (default 1 = inline) is
-    the pool width read statements are submitted under. *)
+    a fresh session under [config] with update-counter collection
+    forced on, used for its plan cache only; every statement runs on an
+    explicit graph (the committed head, or an open transaction's
+    working graph).  [readers] (default 1 = inline) is the pool width
+    read statements are submitted under. *)
 val create : ?readers:int -> ?config:Config.t -> Shared.t -> t
 
 (** [handle t line] answers one request with its full response lines
@@ -34,5 +36,6 @@ val handle : t -> string -> string list
 (** Whether [:quit] has been received (the connection should close). *)
 val closed : t -> bool
 
-(** The connection's session (tests reach through for its graph). *)
+(** The connection's session, whose {!Session.cache_stats} are the
+    connection's plan-cache counters. *)
 val session : t -> Session.t

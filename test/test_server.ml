@@ -345,6 +345,88 @@ let shared_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* One compiled statement per request, on the transaction's graph     *)
+(* ------------------------------------------------------------------ *)
+
+(* a response without its terminator *)
+let payload lines = List.filteri (fun i _ -> i < List.length lines - 1) lines
+
+let label_count shared label = Graph.label_count (snd (Shared.current shared)) label
+
+let tx_tests =
+  [
+    case "a transaction's updates compile once, live and at replay" (fun () ->
+        let shared = Shared.create Graph.empty in
+        let a = Service.create shared in
+        let b = Service.create shared in
+        let cache () = Session.cache_stats (Service.session a) in
+        let hits () = (cache ()).Cypher_core.Plan_cache.hits in
+        expect_ok "auto-commit" (req a "CREATE (:A)");
+        Alcotest.(check int) "one miss" 1 (cache ()).Cypher_core.Plan_cache.misses;
+        expect_ok "begin" (req a ":begin");
+        let h0 = hits () in
+        expect_ok "first update" (req a "CREATE (:A)");
+        Alcotest.(check int) "one hit for the first" (h0 + 1) (hits ());
+        expect_ok "second update" (req a "CREATE (:A)");
+        Alcotest.(check int) "one hit for the second" (h0 + 2) (hits ());
+        (* b moves the head, so a's commit replays both updates *)
+        expect_ok "b write" (req b "CREATE (:B)");
+        expect_ok "commit" (req a ":commit");
+        Alcotest.(check int) "the replay looks nothing up" (h0 + 2) (hits ());
+        Alcotest.(check (list int)) "3 :A and 1 :B" [ 3; 1 ]
+          (List.map (label_count shared) [ "A"; "B" ]));
+    case "PROFILE of an update answers alike inside a transaction" (fun () ->
+        let shared = Shared.create Graph.empty in
+        let a = Service.create shared in
+        let auto = req a "PROFILE CREATE (:C)" in
+        expect_ok "auto-commit" auto;
+        expect_ok "begin" (req a ":begin");
+        let inside = req a "PROFILE CREATE (:C)" in
+        expect_ok "inside" inside;
+        Alcotest.(check (list string)) "same payload" (payload auto) (payload inside);
+        expect_ok "commit" (req a ":commit");
+        Alcotest.(check int) "both land" 2 (label_count shared "C"));
+    case "a transaction reads its own writes past a failed update and a rollback"
+      (fun () ->
+        let shared = Shared.create Graph.empty in
+        let a = Service.create shared in
+        (* a count answers exactly like the literal it should equal *)
+        let check_count name n =
+          Alcotest.(check (list string)) name
+            (req a (Printf.sprintf "RETURN %d AS c" n))
+            (req a "MATCH (n:A) RETURN count(n) AS c")
+        in
+        expect_ok "begin" (req a ":begin");
+        expect_ok "create" (req a "CREATE (:A)");
+        expect_err "SET conflict" (req a "MATCH (a:A) SET a.x = 1, a.x = 2");
+        check_count "the failed update changed nothing" 1;
+        expect_ok "inner begin" (req a ":begin");
+        expect_ok "inner create" (req a "CREATE (:A)");
+        check_count "the inner level's write" 2;
+        expect_ok "inner rollback" (req a ":rollback");
+        check_count "back to the outer level" 1;
+        expect_ok "commit" (req a ":commit");
+        Alcotest.(check (list string)) "one :A committed, x unset"
+          (req a "RETURN 1 AS c")
+          (req a "MATCH (n:A) WHERE n.x IS NULL RETURN count(n) AS c"));
+    case "a recorded update replays after the plan cache evicted it" (fun () ->
+        let shared = Shared.create Graph.empty in
+        let config = Cypher_core.Config.(with_plan_cache_capacity 1 revised) in
+        let a = Service.create ~config shared in
+        let b = Service.create shared in
+        expect_ok "begin" (req a ":begin");
+        expect_ok "create" (req a "CREATE (:X)");
+        expect_ok "evicting read" (req a "MATCH (n) RETURN count(n) AS c");
+        Alcotest.(check bool) "evicted" true
+          ((Session.cache_stats (Service.session a)).Cypher_core.Plan_cache.evictions
+          >= 1);
+        expect_ok "b write" (req b "CREATE (:Y)");
+        expect_ok "commit" (req a ":commit");
+        Alcotest.(check (list int)) ":X lands on the moved head" [ 1; 1 ]
+          (List.map (label_count shared) [ "X"; "Y" ]));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* TCP front end                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -463,4 +545,4 @@ let stats_tests =
         else Alcotest.(check int) "no memory line" 0 (List.length memory));
   ]
 
-let suite = shared_tests @ tcp_tests @ oracle_tests @ stats_tests
+let suite = shared_tests @ tx_tests @ tcp_tests @ oracle_tests @ stats_tests
