@@ -40,7 +40,8 @@ let cfg_revised = pin Config.revised
 let cfg_permissive = pin Config.permissive
 
 (* enabled-collection variant: quantifies what the counters cost when
-   they are actually recorded *)
+   they are on, i.e. the diff of each statement's input and output
+   graphs (Stats.diff) *)
 let cfg_revised_stats = Config.with_stats true cfg_revised
 
 (* what the host offers, recorded in the JSON meta *)
@@ -804,9 +805,9 @@ let load_pinned path =
   close_in ic;
   tbl
 
-(* the update-path entries: every one runs through the stats-threaded
-   code with collection disabled, so their ratio against the pinned
-   pre-observability numbers is the disabled-collector overhead.  The
+(* the update-path entries: every one runs with collection disabled,
+   which skips the counters' diff, so their ratio against the pinned
+   pre-observability numbers is what the counters cost when off.  The
    two read-path entries at the end hold the row pipeline (match
    expansion, UNWIND and projection over slot rows) to the same
    budget *)

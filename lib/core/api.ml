@@ -54,9 +54,7 @@ let run_validated ?memo ~config ~prefix graph (q : Cypher_ast.Ast.query) :
             r_profile = None;
           }
       | Parser.Plain | Parser.Profile ->
-          let stats =
-            if config.Config.collect_stats then Stats.make () else Stats.null
-          in
+          let stats = Stats.make () in
           let profile =
             match prefix with Parser.Profile -> Some (ref []) | _ -> None
           in
@@ -72,7 +70,11 @@ let run_validated ?memo ~config ~prefix graph (q : Cypher_ast.Ast.query) :
           {
             r_graph = graph';
             r_table = table;
-            r_stats = Stats.finalize stats graph';
+            r_stats =
+              (if config.Config.collect_stats then
+                 Stats.finalize stats ~before:graph ~after:graph'
+                   ~rows:(Table.row_count table)
+               else Stats.empty);
             r_plan = plan;
             r_profile = Option.map (fun acc -> List.rev !acc) profile;
           })

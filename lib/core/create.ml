@@ -19,7 +19,7 @@ let ctx_of config graph row = Runtime.ctx config graph row
 
 (** Resolves the node position [np]: reuse when bound, create when not.
     Returns the graph, updated row and the node id. *)
-let resolve_node config ~stats g row (np : node_pat) =
+let resolve_node config g row (np : node_pat) =
   let bound =
     match np.np_var with
     | Some v -> Record.find_opt row v
@@ -46,7 +46,6 @@ let resolve_node config ~stats g row (np : node_pat) =
   | None ->
       let props = Eval.eval_props (ctx_of config g row) np.np_props in
       let id, g = Graph.create_node ~labels:np.np_labels ~props g in
-      Stats.node_created stats id;
       let row =
         match np.np_var with
         | None -> row
@@ -54,7 +53,7 @@ let resolve_node config ~stats g row (np : node_pat) =
       in
       (g, row, id)
 
-let create_rel config ~stats g row (rp : rel_pat) ~src ~tgt =
+let create_rel config g row (rp : rel_pat) ~src ~tgt =
   (match rp.rp_var with
   | Some v when Record.mem row v ->
       Errors.update_error
@@ -74,7 +73,6 @@ let create_rel config ~stats g row (rp : rel_pat) ~src ~tgt =
   let src, tgt = match rp.rp_dir with In -> (tgt, src) | Out | Undirected -> (src, tgt) in
   let props = Eval.eval_props (ctx_of config g row) rp.rp_props in
   let id, g = Graph.create_rel ~src ~tgt ~r_type ~props g in
-  Stats.rel_created stats id;
   let row =
     match rp.rp_var with
     | None -> row
@@ -83,15 +81,15 @@ let create_rel config ~stats g row (rp : rel_pat) ~src ~tgt =
   (g, row, id)
 
 (** Instantiates one pattern for one record. *)
-let create_pattern config ~stats g row (p : pattern) =
-  let g, row, start_id = resolve_node config ~stats g row p.pat_start in
+let create_pattern config g row (p : pattern) =
+  let g, row, start_id = resolve_node config g row p.pat_start in
   let g, row, nodes_rev, rels_rev =
     List.fold_left
       (fun (g, row, nodes_rev, rels_rev) (rp, np) ->
         let prev = match nodes_rev with n :: _ -> n | [] -> assert false in
-        let g, row, next_id = resolve_node config ~stats g row np in
+        let g, row, next_id = resolve_node config g row np in
         let g, row, rel_id =
-          create_rel config ~stats g row rp ~src:prev ~tgt:next_id
+          create_rel config g row rp ~src:prev ~tgt:next_id
         in
         (g, row, next_id :: nodes_rev, rel_id :: rels_rev))
       (g, row, [ start_id ], [])
@@ -110,17 +108,17 @@ let create_pattern config ~stats g row (p : pattern) =
   in
   (g, row)
 
-let create_row config ~stats g row patterns =
+let create_row config g row patterns =
   List.fold_left
-    (fun (g, row) p -> create_pattern config ~stats g row p)
+    (fun (g, row) p -> create_pattern config g row p)
     (g, row) patterns
 
-(** [run config ~stats (g, t) patterns] is [[CREATE π]](G, T). *)
-let run config ~stats (g, t) (patterns : pattern list) =
+(** [run config (g, t) patterns] is [[CREATE π]](G, T). *)
+let run config (g, t) (patterns : pattern list) =
   let g, rows_rev =
     List.fold_left
       (fun (g, acc) row ->
-        let g, row = create_row config ~stats g row patterns in
+        let g, row = create_row config g row patterns in
         (g, row :: acc))
       (g, []) (Table.rows t)
   in

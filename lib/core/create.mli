@@ -16,11 +16,9 @@ open Cypher_ast.Ast
     once, for a single record; used by legacy MERGE's create branch. *)
 val create_row :
   Config.t ->
-  stats:Stats.collector ->
   Graph.t -> Record.t -> pattern list -> Graph.t * Record.t
 
 (** [run config (g, t) patterns] is [[CREATE π]](G, T). *)
 val run :
   Config.t ->
-  stats:Stats.collector ->
   Graph.t * Table.t -> pattern list -> Graph.t * Table.t

@@ -43,38 +43,25 @@ let rec collect_value (nodes, rels) v =
 (* Legacy                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let legacy_delete_value ~stats ~detach g v =
+let legacy_delete_value ~detach g v =
   let nodes, rels = collect_value (Iset.empty, Iset.empty) v in
-  let g =
-    Iset.fold
-      (fun id g ->
-        if Graph.has_rel g id then Stats.rel_deleted stats id;
-        Graph.remove_rel g id)
-      rels g
-  in
+  let g = Iset.fold (fun id g -> Graph.remove_rel g id) rels g in
   Iset.fold
     (fun id g ->
-      if Graph.has_node g id then begin
-        (* DETACH also takes the incident relationships with it; a bare
-           legacy DELETE leaves them dangling (still present). *)
-        if detach then
-          List.iter
-            (fun (r : Graph.rel) -> Stats.rel_deleted stats r.Graph.r_id)
-            (Graph.incident_rels g id);
-        Stats.node_deleted stats id
-      end;
+      (* DETACH also takes the incident relationships with it; a bare
+         legacy DELETE leaves them dangling (still present). *)
       if detach then Graph.remove_node_detach g id
       else Graph.remove_node_force g id)
     nodes g
 
-let run_legacy config ~stats (g, t) ~detach targets =
+let run_legacy config (g, t) ~detach targets =
   let rows = Config.arrange_rows config (Table.rows t) in
   let g =
     List.fold_left
       (fun g row ->
         List.fold_left
           (fun g e ->
-            legacy_delete_value ~stats ~detach g (eval_target config g row e))
+            legacy_delete_value ~detach g (eval_target config g row e))
           g targets)
       g rows
   in
@@ -85,7 +72,7 @@ let run_legacy config ~stats (g, t) ~detach targets =
 (* Revised                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let run_atomic config ~stats (g, t) ~detach targets =
+let run_atomic config (g, t) ~detach targets =
   let nodes, rels =
     Table.fold
       (fun row acc ->
@@ -124,10 +111,6 @@ let run_atomic config ~stats (g, t) ~detach targets =
                  rels = List.map (fun (r : Graph.rel) -> r.Graph.r_id) attached;
                }))
       nodes;
-  if Stats.enabled stats then begin
-    Iset.iter (fun id -> if Graph.has_rel g id then Stats.rel_deleted stats id) rels;
-    Iset.iter (fun id -> if Graph.has_node g id then Stats.node_deleted stats id) nodes
-  end;
   let g = Iset.fold (fun id g -> Graph.remove_rel g id) rels g in
   let g =
     Iset.fold
@@ -139,7 +122,7 @@ let run_atomic config ~stats (g, t) ~detach targets =
   in
   (g, Rewrite.null_deleted ~nodes ~rels t)
 
-let run config ~stats (g, t) ~detach targets =
+let run config (g, t) ~detach targets =
   match config.Config.mode with
-  | Config.Legacy -> run_legacy config ~stats (g, t) ~detach targets
-  | Config.Atomic -> run_atomic config ~stats (g, t) ~detach targets
+  | Config.Legacy -> run_legacy config (g, t) ~detach targets
+  | Config.Atomic -> run_atomic config (g, t) ~detach targets

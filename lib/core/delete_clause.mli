@@ -17,6 +17,5 @@ open Cypher_table
 
 val run :
   Config.t ->
-  stats:Stats.collector ->
   Graph.t * Table.t -> detach:bool -> Cypher_ast.Ast.expr list ->
   Graph.t * Table.t

@@ -234,11 +234,10 @@ let rec exec_clause config ~stats (g, t) (c : clause) =
       exec_match config (g, t) ~optional ~patterns ~where
   | Unwind { source; alias } -> exec_unwind config (g, t) ~source ~alias
   | With proj | Return proj -> Projection.run config (g, t) proj
-  | Create patterns -> Create.run config ~stats (g, t) patterns
-  | Set items -> Set_clause.run config ~stats (g, t) items
-  | Remove items -> Remove_clause.run config ~stats (g, t) items
-  | Delete { detach; targets } ->
-      Delete_clause.run config ~stats (g, t) ~detach targets
+  | Create patterns -> Create.run config (g, t) patterns
+  | Set items -> Set_clause.run config (g, t) items
+  | Remove items -> Remove_clause.run config (g, t) items
+  | Delete { detach; targets } -> Delete_clause.run config (g, t) ~detach targets
   | Merge { mode; patterns; on_create; on_match } ->
       Merge.run config ~stats (g, t) ~mode ~patterns ~on_create ~on_match
   | Foreach { fe_var; fe_source; fe_body } ->
@@ -361,11 +360,10 @@ let rec exec_query config ~stats ?profile ?memo ~counter (g, t) (q : query) =
     statement on the unit table.  Under the legacy regime, graph validity
     is only checked here, at the statement boundary — mirroring Neo4j's
     commit-time dangling check (Section 4.2). *)
-let output ?(stats = Stats.null) ?profile ?memo config g (q : query) =
+let output ~stats ?profile ?memo config g (q : query) =
   let g', t' =
     exec_query config ~stats ?profile ?memo ~counter:(ref 0) (g, Table.unit) q
   in
-  Stats.set_rows stats (Table.row_count t');
   (match config.Config.mode with
   | Config.Legacy ->
       let dangling = Graph.dangling_rels g' in

@@ -42,11 +42,11 @@ let ctx_of config graph row = Runtime.ctx config graph row
 (* Legacy MERGE                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let apply_set_legacy config ~stats g rows items =
+let apply_set_legacy config g rows items =
   List.fold_left
     (fun g row ->
       List.fold_left
-        (fun g item -> Set_clause.legacy_item config ~stats g row item)
+        (fun g item -> Set_clause.legacy_item config g row item)
         g items)
     g rows
 
@@ -58,13 +58,13 @@ let run_legacy config ~stats (g, t) ~patterns ~on_create ~on_match =
         let matches = Matcher.match_patterns ~mode:(Runtime.match_mode_of config) ~planner:(Runtime.planner_on config) (ctx_of config g row) patterns in
         if matches <> [] then begin
           Stats.merge_matched stats 1;
-          let g = apply_set_legacy config ~stats g matches on_match in
+          let g = apply_set_legacy config g matches on_match in
           (g, List.rev_append matches acc)
         end
         else begin
           Stats.merge_created stats 1;
-          let g, row' = Create.create_row config ~stats g row patterns in
-          let g = apply_set_legacy config ~stats g [ row' ] on_create in
+          let g, row' = Create.create_row config g row patterns in
+          let g = apply_set_legacy config g [ row' ] on_create in
           (g, row' :: acc)
         end)
       (g, []) rows
@@ -87,7 +87,7 @@ let no_created = { c_nodes = []; c_rels = [] }
     the instance to existing nodes; everything else is created fresh.
     Property expressions are evaluated against the *input* graph [g0].
     Returns created entity ids tagged with their pattern positions. *)
-let instantiate config ~stats g0 g row (patterns : pattern list) =
+let instantiate config g0 g row (patterns : pattern list) =
   let created = ref no_created in
   let resolve_node g row pat_idx elem_idx (np : node_pat) =
     let bound =
@@ -107,7 +107,6 @@ let instantiate config ~stats g0 g row (patterns : pattern list) =
     | None ->
         let props = Eval.eval_props (ctx_of config g0 row) np.np_props in
         let id, g = Graph.create_node ~labels:np.np_labels ~props g in
-        Stats.node_created stats id;
         created :=
           { !created with c_nodes = (id, (pat_idx, elem_idx)) :: !created.c_nodes };
         let row =
@@ -145,7 +144,6 @@ let instantiate config ~stats g0 g row (patterns : pattern list) =
               in
               let props = Eval.eval_props (ctx_of config g0 row) rp.rp_props in
               let rel_id, g = Graph.create_rel ~src ~tgt ~r_type ~props g in
-              Stats.rel_created stats rel_id;
               created :=
                 {
                   !created with
@@ -218,11 +216,11 @@ type row_outcome =
   | Matched of Record.t list
   | Created of Record.t  (** filled in after instantiation *)
 
-let apply_set_atomic config ~stats g rows columns items =
+let apply_set_atomic config g rows columns items =
   if items = [] || rows = [] then g
   else
     let t = Table.make columns rows in
-    let g, _ = Set_clause.run_atomic config ~stats (g, t) items in
+    let g, _ = Set_clause.run_atomic config (g, t) items in
     g
 
 let run_revised config ~stats (g0, t) ~mode ~patterns ~on_create ~on_match =
@@ -312,7 +310,7 @@ let run_revised config ~stats (g0, t) ~mode ~patterns ~on_create ~on_match =
                   (g, Created row' :: acc, all_created)
               | None ->
                   let g, row', created =
-                    instantiate config ~stats g0 g row patterns
+                    instantiate config g0 g row patterns
                   in
                   add_group key (row', created);
                   ( g,
@@ -322,7 +320,7 @@ let run_revised config ~stats (g0, t) ~mode ~patterns ~on_create ~on_match =
                       c_rels = created.c_rels @ all_created.c_rels;
                     } ))
             else
-              let g, row', created = instantiate config ~stats g0 g row patterns in
+              let g, row', created = instantiate config g0 g row patterns in
               ( g,
                 Created row' :: acc,
                 {
@@ -350,13 +348,6 @@ let run_revised config ~stats (g0, t) ~mode ~patterns ~on_create ~on_match =
           ~rel_pos_matters:false
   in
   let g = quotient.Quotient.graph in
-  (* fold the created-entity sets through the quotient so collapsed
-     instances count once *)
-  (match mode with
-  | Merge_all | Merge_grouping | Merge_legacy -> ()
-  | Merge_weak_collapse | Merge_collapse | Merge_same ->
-      Stats.remap_created stats ~node_map:quotient.Quotient.node_map
-        ~rel_map:quotient.Quotient.rel_map);
   (* remap every outcome row through the quotient exactly once; the
      remapped rows feed both the ON MATCH / ON CREATE sub-tables and the
      final result table.  The non-collapsing modes use the identity
@@ -389,8 +380,8 @@ let run_revised config ~stats (g0, t) ~mode ~patterns ~on_create ~on_match =
   in
   let columns = Table.columns t @ List.concat_map pattern_vars patterns in
   (* 4. ON MATCH / ON CREATE as atomic SETs over the two sub-tables *)
-  let g = apply_set_atomic config ~stats g matched_rows columns on_match in
-  let g = apply_set_atomic config ~stats g created_rows columns on_create in
+  let g = apply_set_atomic config g matched_rows columns on_match in
+  let g = apply_set_atomic config g created_rows columns on_create in
   (* 5. result table: Tmatch â Tcreate, in original record order *)
   let rows =
     List.concat_map

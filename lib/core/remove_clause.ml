@@ -20,37 +20,23 @@ let resolve config g row e =
       Errors.eval_error "REMOVE target must be a node or relationship, got %s"
         (Value.to_string v)
 
-let apply_item config ~stats g row = function
+let apply_item config g row = function
   | Rem_prop (e, k) -> (
       match resolve config g row e with
       | None -> g
-      | Some (`Node id) ->
-          if Stats.enabled stats && Graph.has_node g id then
-            Stats.prop_touched stats (Stats.Tnode id) k
-              ~orig:(Props.get (Graph.node_props_of g id) k);
-          Graph.remove_node_prop g id k
-      | Some (`Rel id) ->
-          if Stats.enabled stats && Graph.has_rel g id then
-            Stats.prop_touched stats (Stats.Trel id) k
-              ~orig:(Props.get (Graph.rel_props_of g id) k);
-          Graph.remove_rel_prop g id k)
+      | Some (`Node id) -> Graph.remove_node_prop g id k
+      | Some (`Rel id) -> Graph.remove_rel_prop g id k)
   | Rem_labels (e, ls) -> (
       match resolve config g row e with
       | None -> g
-      | Some (`Node id) ->
-          if Stats.enabled stats && Graph.has_node g id then
-            List.iter
-              (fun l ->
-                Stats.label_touched stats id l ~had:(Graph.has_label g id l))
-              ls;
-          List.fold_left (fun g l -> Graph.remove_label g id l) g ls
+      | Some (`Node id) -> List.fold_left (fun g l -> Graph.remove_label g id l) g ls
       | Some (`Rel _) -> Errors.update_error "labels can only be removed from nodes")
 
-let run config ~stats (g, t) items =
+let run config (g, t) items =
   let g =
     Table.fold
       (fun row g ->
-        List.fold_left (fun g item -> apply_item config ~stats g row item) g items)
+        List.fold_left (fun g item -> apply_item config g row item) g items)
       t g
   in
   (g, t)

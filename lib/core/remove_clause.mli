@@ -9,5 +9,4 @@ open Cypher_table
 
 val run :
   Config.t ->
-  stats:Stats.collector ->
   Graph.t * Table.t -> Cypher_ast.Ast.remove_item list -> Graph.t * Table.t

@@ -52,56 +52,22 @@ let resolve_props config g row e : Props.t =
 (* Writes                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The apply_* helpers are the single point every property/label write
-   funnels through (apply_change, under both semantics and MERGE's
-   ON CREATE / ON MATCH), so the stats touches recorded here are
-   exhaustive.  Touches are recorded only for entities that exist at
-   write time — a legacy SET on a deleted node is a graph no-op
-   (Section 4.2's "empty node") and must be a stats no-op too. *)
+(* A write to an entity that no longer exists is a graph no-op: a
+   legacy SET on a deleted node leaves Section 4.2's "empty node". *)
 
-let stats_target = function
-  | T_node id -> Stats.Tnode id
-  | T_rel id -> Stats.Trel id
-
-let target_alive g = function
-  | T_node id -> Graph.has_node g id
-  | T_rel id -> Graph.has_rel g id
-
-let props_of g = function
-  | T_node id -> Graph.node_props_of g id
-  | T_rel id -> Graph.rel_props_of g id
-
-let touch_prop stats g target k =
-  if Stats.enabled stats && target_alive g target then
-    Stats.prop_touched stats (stats_target target) k
-      ~orig:(Props.get (props_of g target) k)
-
-let apply_prop ~stats g target k v =
-  touch_prop stats g target k;
+let apply_prop g target k v =
   match target with
   | T_node id -> Graph.set_node_prop g id k v
   | T_rel id -> Graph.set_rel_prop g id k v
 
-let apply_replace ~stats g target props =
-  (if Stats.enabled stats && target_alive g target then
-     (* every key of the old and the new map is potentially changed *)
-     let keys =
-       List.map fst (Props.bindings (props_of g target))
-       @ List.map fst (Props.bindings props)
-     in
-     List.iter (fun k -> touch_prop stats g target k) keys);
+let apply_replace g target props =
   match target with
   | T_node id -> Graph.replace_node_props g id props
   | T_rel id -> Graph.replace_rel_props g id props
 
-let apply_labels ~stats g target labels =
+let apply_labels g target labels =
   match target with
-  | T_node id ->
-      if Stats.enabled stats && Graph.has_node g id then
-        List.iter
-          (fun l -> Stats.label_touched stats id l ~had:(Graph.has_label g id l))
-          labels;
-      Graph.add_labels g id labels
+  | T_node id -> Graph.add_labels g id labels
   | T_rel _ ->
       Errors.update_error "labels can only be set on nodes"
 
@@ -196,12 +162,12 @@ let check_conflicts changes =
                  }))
     tbl
 
-let apply_change ~stats g = function
-  | C_prop (t, k, v) -> apply_prop ~stats g t k v
-  | C_replace (t, props) -> apply_replace ~stats g t props
-  | C_labels (t, ls) -> apply_labels ~stats g t ls
+let apply_change g = function
+  | C_prop (t, k, v) -> apply_prop g t k v
+  | C_replace (t, props) -> apply_replace g t props
+  | C_labels (t, ls) -> apply_labels g t ls
 
-let run_atomic config ~stats (g, t) items =
+let run_atomic config (g, t) items =
   let changes =
     List.fold_left
       (fun acc row ->
@@ -214,7 +180,7 @@ let run_atomic config ~stats (g, t) items =
      assignments agreeing with a replacement must survive it *)
   let order = function C_replace _ -> 0 | C_prop _ -> 1 | C_labels _ -> 2 in
   let changes = List.stable_sort (fun a b -> compare (order a) (order b)) changes in
-  let g = List.fold_left (apply_change ~stats) g changes in
+  let g = List.fold_left apply_change g changes in
   (g, t)
 
 (* ------------------------------------------------------------------ *)
@@ -223,21 +189,21 @@ let run_atomic config ~stats (g, t) items =
 
 (* one item under one record, collected against the current graph and
    applied at once, so the next item sees it *)
-let legacy_item config ~stats g row item =
-  List.fold_left (apply_change ~stats) g
+let legacy_item config g row item =
+  List.fold_left apply_change g
     (List.rev (collect_item config g row item []))
 
-let run_legacy config ~stats (g, t) items =
+let run_legacy config (g, t) items =
   let rows = Config.arrange_rows config (Table.rows t) in
   let g =
     List.fold_left
       (fun g row ->
-        List.fold_left (fun g item -> legacy_item config ~stats g row item) g items)
+        List.fold_left (fun g item -> legacy_item config g row item) g items)
       g rows
   in
   (g, t)
 
-let run config ~stats (g, t) items =
+let run config (g, t) items =
   match config.Config.mode with
-  | Config.Legacy -> run_legacy config ~stats (g, t) items
-  | Config.Atomic -> run_atomic config ~stats (g, t) items
+  | Config.Legacy -> run_legacy config (g, t) items
+  | Config.Atomic -> run_atomic config (g, t) items

@@ -19,17 +19,15 @@ open Cypher_ast.Ast
 (** Applies one set item to one record immediately (legacy semantics);
     also used by legacy MERGE's ON CREATE / ON MATCH subclauses. *)
 val legacy_item :
-  Config.t -> stats:Stats.collector -> Graph.t -> Record.t -> set_item -> Graph.t
+  Config.t -> Graph.t -> Record.t -> set_item -> Graph.t
 
 (** The two-phase atomic semantics, independent of [config.mode]; used
     by revised MERGE's ON CREATE / ON MATCH subclauses. *)
 val run_atomic :
   Config.t ->
-  stats:Stats.collector ->
   Graph.t * Table.t -> set_item list -> Graph.t * Table.t
 
 (** Dispatches on [config.mode]. *)
 val run :
   Config.t ->
-  stats:Stats.collector ->
   Graph.t * Table.t -> set_item list -> Graph.t * Table.t

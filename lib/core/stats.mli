@@ -1,23 +1,29 @@
 (** Statement update counters (the observability substrate).
 
-    Every update module records what it does into a {!collector}; at the
-    statement boundary {!finalize} turns the recorded touches into a
-    {!t} of *net* counts against the result graph.  The counts are
-    defined to equal the structural diff of the statement's input and
-    output graphs:
+    The counts are the structural diff of the statement's input and
+    output graphs, computed once at the statement boundary ({!diff}):
 
-    - an entity created and later deleted in the same statement counts
-      for nothing;
-    - a property set twice counts once; set back to its original value,
-      zero times;
-    - properties and labels of entities created (or deleted) by the
-      statement are folded into the created/deleted counts, not into
-      [props_set]/[labels_removed].
+    - an id only the output graph has is a created entity; its
+      properties count into [props_set] and its labels into
+      [labels_added], so [CREATE (:A {x: 1, y: 2})] answers "Created 1
+      node, set 2 properties, added 1 label";
+    - an id only the input graph has is a deleted entity, and counts
+      for that alone: its properties and labels vanish with it;
+    - on an id both graphs have, each key whose value changed under
+      {!Value.equal_strict} counts once, into [props_removed] when the
+      new value is absent and into [props_set] otherwise, and each label
+      gained or lost counts once.
 
-    This "net diff" reading is what makes the counters checkable: the
-    [counters] fuzz oracle recomputes the diff from the two graphs and
-    the two numbers must agree (see DESIGN.md).  [merge_matched],
-    [merge_created] and [rows] are execution facts, not diff facts. *)
+    So an entity created and deleted in one statement counts for
+    nothing, a property set twice counts once, and one set back to its
+    original value not at all.  The [counters] fuzz oracle recomputes
+    the diff by a full scan of both graphs and the two must agree (see
+    DESIGN.md).  [merge_matched], [merge_created] and [rows] are
+    execution facts, not diff facts.
+
+    A bulk-load frame ([Bulk], in the storage library) counts only
+    [nodes_created] and [rels_created]: its properties and labels are
+    not counted. *)
 
 open Cypher_graph
 
@@ -52,61 +58,30 @@ val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 (* ------------------------------------------------------------------ *)
-(* Collection                                                         *)
+(* Counting                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(** A mutable collector threaded through the update modules.  All
-    recording functions are no-ops on a disabled collector, so the
-    disabled path costs one branch per recorded event. *)
+(** [diff ~before ~after] is the structural diff of two graphs, with
+    [merge_matched], [merge_created] and [rows] zero.  It visits only
+    the nodes and relationships whose records differ physically
+    ({!Graph.fold_node_changes}), so a statement's diff costs about what
+    it changed. *)
+val diff : before:Graph.t -> after:Graph.t -> t
+
+(** The two execution counts a MERGE clause records while it runs. *)
 type collector
 
 val make : unit -> collector
 
-(** The shared disabled collector: recording into it does nothing.
-    Callers that do not want counters pass this. *)
-val null : collector
-
-val enabled : collector -> bool
-
-(** Identity of a touched property/label carrier. *)
-type target = Tnode of int | Trel of int
-
-val node_created : collector -> int -> unit
-val rel_created : collector -> int -> unit
-
-(** [node_deleted c id] / [rel_deleted c id]: call only when the entity
-    actually existed at deletion time.  Deleting an entity the statement
-    itself created cancels the creation instead of counting a delete. *)
-val node_deleted : collector -> int -> unit
-
-val rel_deleted : collector -> int -> unit
-
-(** [prop_touched c target key ~orig] records the first-touch original
-    value ([Value.Null] = absent) of a property the statement writes or
-    removes.  Touches on entities the statement created are ignored —
-    their final properties are counted wholesale at {!finalize}. *)
-val prop_touched : collector -> target -> string -> orig:Value.t -> unit
-
-(** [label_touched c id label ~had] likewise for a node label;
-    [had] is whether the node carried the label before the touch. *)
-val label_touched : collector -> int -> string -> had:bool -> unit
-
+(** [merge_matched c n] / [merge_created c n]: [n] more MERGE driving
+    records found a match / went down the create path. *)
 val merge_matched : collector -> int -> unit
+
 val merge_created : collector -> int -> unit
 
-(** [remap_created c ~node_map ~rel_map] maps the created-entity sets
-    through a MERGE collapsibility quotient (ids of collapsed entities
-    fold onto their class representative). *)
-val remap_created :
-  collector -> node_map:(int -> int) -> rel_map:(int -> int) -> unit
-
-val set_rows : collector -> int -> unit
-
-(** [finalize c g_out] closes the collector against the statement's
-    result graph: created entities contribute their final labels and
-    properties; touched properties/labels on surviving pre-existing
-    entities are compared first-touch-original vs final. *)
-val finalize : collector -> Graph.t -> t
+(** [finalize c ~before ~after ~rows] is {!diff} with [c]'s MERGE counts
+    and the statement's output row count. *)
+val finalize : collector -> before:Graph.t -> after:Graph.t -> rows:int -> t
 
 (* ------------------------------------------------------------------ *)
 (* Profiling                                                          *)

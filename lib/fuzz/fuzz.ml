@@ -10,8 +10,8 @@
     more generated statements (a three-statement workload makes
     multi-record journals, so truncation sweeps cross record
     boundaries); the concurrent oracle generates 2–3 whole actor
-    workloads and checks the server outcome against every serial order
-    (linearizability).  Failures are shrunk with {!Shrink.minimize}
+    workloads and checks the server outcome against the serial run of
+    the committed actors in commit order.  Failures are shrunk with {!Shrink.minimize}
     under a predicate that reproduces the same oracle's failure, so the
     reported case is (locally) minimal — except concurrent failures,
     which thread interleaving makes nondeterministic; they are

@@ -655,9 +655,7 @@ let statement rng =
     or an explicit transaction of several statements. *)
 type actor = Auto of query | Tx of query list
 
-(** [actors rng] generates 2–3 concurrent clients (at most 3! = 6
-    serial orders, so the linearizability oracle can check every
-    permutation).  Statements come from the same closed vocabulary as
+(** [actors rng] generates 2–3 concurrent clients.  Statements come from the same closed vocabulary as
     {!statement}, so concurrent actors collide on the same labels,
     keys and entities — the interesting regime for a committer. *)
 let actors rng : actor list =

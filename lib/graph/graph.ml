@@ -209,6 +209,8 @@ let rel_ids g = keys g.rels
 let fold_nodes f g acc = Idmap.fold (fun _ n acc -> f n acc) g.nodes acc
 let fold_node_ids f g acc = Idmap.fold (fun id _ acc -> f id acc) g.nodes acc
 let fold_rels f g acc = Idmap.fold (fun _ r acc -> f r acc) g.rels acc
+let fold_node_changes f a b acc = Idmap.fold_diff f a.nodes b.nodes acc
+let fold_rel_changes f a b acc = Idmap.fold_diff f a.rels b.rels acc
 
 (** Cumulative wall-time spent building read snapshots, process-wide.
     The store keeps a single read path (the persistent maps), so nothing

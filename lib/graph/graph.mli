@@ -70,6 +70,18 @@ val fold_nodes : (node -> 'a -> 'a) -> t -> 'a -> 'a
 val fold_node_ids : (node_id -> 'a -> 'a) -> t -> 'a -> 'a
 val fold_rels : (rel -> 'a -> 'a) -> t -> 'a -> 'a
 
+(** [fold_node_changes f before after acc] calls [f id (node before id)
+    (node after id)] for every node id whose record differs physically
+    between the two graphs, in id order.  [after] derived from [before]
+    by a statement shares every record it did not touch, so the fold
+    visits about what the statement changed ({!Idmap.fold_diff}). *)
+val fold_node_changes :
+  (node_id -> node option -> node option -> 'a -> 'a) -> t -> t -> 'a -> 'a
+
+(** [fold_rel_changes] likewise for relationships. *)
+val fold_rel_changes :
+  (rel_id -> rel option -> rel option -> 'a -> 'a) -> t -> t -> 'a -> 'a
+
 (** {1 Adjacency}
 
     The store keeps one adjacency index per direction: per node, one

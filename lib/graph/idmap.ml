@@ -253,26 +253,29 @@ let add_ascending n key f m =
 
 (* --- enumeration --------------------------------------------------- *)
 
-let fold f m acc =
-  let rec go shift base node acc =
-    match node with
-    | Nil -> acc
-    | Leaf { bits; vals } ->
-        let rec slots s i acc =
-          if bits lsr s = 0 then acc
-          else if bits land (1 lsl s) = 0 then slots (s + 1) i acc
-          else slots (s + 1) (i + 1) (f (base lor s) vals.(i) acc)
-        in
-        slots 0 0 acc
-    | Inner { bits; kids } ->
-        let rec slots s i acc =
-          if bits lsr s = 0 then acc
-          else if bits land (1 lsl s) = 0 then slots (s + 1) i acc
-          else slots (s + 1) (i + 1) (go (shift - level) (base lor (s lsl shift)) kids.(i) acc)
-        in
-        slots 0 0 acc
-  in
-  go m.shift 0 m.root acc
+(* the bindings under [node], which sits at [shift] and covers the keys
+   from [base] *)
+let rec fold_node f shift base node acc =
+  match node with
+  | Nil -> acc
+  | Leaf { bits; vals } ->
+      let rec slots s i acc =
+        if bits lsr s = 0 then acc
+        else if bits land (1 lsl s) = 0 then slots (s + 1) i acc
+        else slots (s + 1) (i + 1) (f (base lor s) vals.(i) acc)
+      in
+      slots 0 0 acc
+  | Inner { bits; kids } ->
+      let rec slots s i acc =
+        if bits lsr s = 0 then acc
+        else if bits land (1 lsl s) = 0 then slots (s + 1) i acc
+        else
+          slots (s + 1) (i + 1)
+            (fold_node f (shift - level) (base lor (s lsl shift)) kids.(i) acc)
+      in
+      slots 0 0 acc
+
+let fold f m acc = fold_node f m.shift 0 m.root acc
 
 let fold_desc f m acc =
   let rec go shift base node acc =
@@ -294,6 +297,51 @@ let fold_desc f m acc =
         slots mask (Array.length kids - 1) acc
   in
   go m.shift 0 m.root acc
+
+(* --- difference -------------------------------------------------- *)
+
+(* [root] at [shift], raised to [top] the way [grow] raises a root: as
+   slot 0 of each new level *)
+let rec lift shift top root =
+  if shift >= top || root == Nil then root
+  else lift (shift + level) top (Inner { bits = 1; kids = [| root |] })
+
+let fold_diff f a b acc =
+  let only_a = fold_node (fun k v acc -> f k (Some v) None acc)
+  and only_b = fold_node (fun k v acc -> f k None (Some v) acc) in
+  (* [na] and [nb] sit at [shift] and cover the keys from [base]; at one
+     shift both are leaves or both inner nodes *)
+  let rec go shift base na nb acc =
+    if na == nb then acc
+    else
+      match (na, nb) with
+      | _, Nil -> only_a shift base na acc
+      | Nil, _ -> only_b shift base nb acc
+      | Leaf { bits = ba; vals = va }, Leaf { bits = bb; vals = vb } ->
+          let get bits vals s = if bits land (1 lsl s) = 0 then None else Some vals.(index bits s) in
+          let rec slots s acc =
+            if (ba lor bb) lsr s = 0 then acc
+            else
+              slots (s + 1)
+                (match (get ba va s, get bb vb s) with
+                | None, None -> acc
+                | Some x, Some y when x == y -> acc
+                | x, y -> f (base lor s) x y acc)
+          in
+          slots 0 acc
+      | Inner { bits = ba; kids = ka }, Inner { bits = bb; kids = kb } ->
+          let kid bits kids s = if bits land (1 lsl s) = 0 then Nil else kids.(index bits s) in
+          let rec slots s acc =
+            if (ba lor bb) lsr s = 0 then acc
+            else
+              slots (s + 1)
+                (go (shift - level) (base lor (s lsl shift)) (kid ba ka s) (kid bb kb s) acc)
+          in
+          slots 0 acc
+      | _ -> assert false
+  in
+  let shift = max a.shift b.shift in
+  go shift 0 (lift a.shift shift a.root) (lift b.shift shift b.root) acc
 
 (* --- footprint and shape ------------------------------------------- *)
 

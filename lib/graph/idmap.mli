@@ -62,6 +62,13 @@ val fold : (int -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
     reversal. *)
 val fold_desc : (int -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
 
+(** [fold_diff f a b acc] calls [f key (find_opt key a) (find_opt key b)]
+    for every key whose bindings in [a] and [b] are not physically
+    equal, in ascending key order.  It never descends into a subtree the
+    two maps share, so diffing a map against one derived from it by [k]
+    updates costs about [k] root-to-leaf paths, not a scan. *)
+val fold_diff : (int -> 'a option -> 'a option -> 'b -> 'b) -> 'a t -> 'a t -> 'b -> 'b
+
 (** [words m] is the heap words of [m]'s own blocks — the trie's nodes,
     bitmaps and arrays — apart from the values it holds. *)
 val words : 'a t -> int

@@ -105,6 +105,21 @@ let equal p1 p2 =
   in
   n = Array.length p2.keys && go 0
 
+let changes p1 p2 =
+  let n1 = Array.length p1.keys and n2 = Array.length p2.keys in
+  let rec go i j set removed =
+    if i = n1 then (set + n2 - j, removed)
+    else if j = n2 then (set, removed + n1 - i)
+    else
+      let c = String.compare p1.keys.(i) p2.keys.(j) in
+      if c < 0 then go (i + 1) j set (removed + 1)
+      else if c > 0 then go i (j + 1) (set + 1) removed
+      else
+        let same = Value.equal_strict p1.vals.(i) p2.vals.(j) in
+        go (i + 1) (j + 1) (if same then set else set + 1) removed
+  in
+  if p1 == p2 then (0, 0) else go 0 0 0 0
+
 (* the order [Smap.compare Value.compare_total] gives: bindings compared
    pairwise in key order, a prefix first *)
 let compare p1 p2 =

@@ -62,6 +62,12 @@ val is_empty : t -> bool
     ι′(x1,k) = ι′(x2,k) for every key k, absent keys being null. *)
 val equal : t -> t -> bool
 
+(** [changes before after] is [(set, removed)]: the keys [after] binds
+    to a value other than [before]'s under {!Value.equal_strict} (a key
+    new to [after] included), and the keys [before] binds that [after]
+    does not.  One merge of the two sorted key arrays. *)
+val changes : t -> t -> int * int
+
 (** The order of the maps' bindings under [String.compare] and
     {!Value.compare_total}, as [Smap.compare Value.compare_total] gives
     it. *)

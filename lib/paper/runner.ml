@@ -21,7 +21,7 @@ let parse_clause src : Cypher_ast.Ast.clause =
 (** [run_clause config src (g, t)] executes the clause denoted by [src]
     on the given graph–table pair. *)
 let run_clause config src (g, t) : Graph.t * Table.t =
-  Engine.exec_clause config ~stats:Stats.null (g, t) (parse_clause src)
+  Engine.exec_clause config ~stats:(Stats.make ()) (g, t) (parse_clause src)
 
 (** [run_merge_mode config ~mode src (g, t)] executes the MERGE clause in
     [src] but overriding its semantics with [mode] — this is how the
@@ -29,7 +29,7 @@ let run_clause config src (g, t) : Graph.t * Table.t =
 let run_merge_mode config ~mode src (g, t) : Graph.t * Table.t =
   match parse_clause src with
   | Cypher_ast.Ast.Merge { patterns; on_create; on_match; _ } ->
-      Merge.run config ~stats:Stats.null (g, t) ~mode ~patterns ~on_create
+      Merge.run config ~stats:(Stats.make ()) (g, t) ~mode ~patterns ~on_create
         ~on_match
   | _ -> Errors.fail (Errors.Validation_error "expected a MERGE clause")
 

@@ -185,8 +185,9 @@ let apply_frame ~(ids : idmap) (g : Graph.t) (payload : string) :
           | _ -> bad "malformed bulk frame line %S" line)
       (String.split_on_char '\n' payload);
     let g = Graph.add_batch g (Vec.to_array nodes) (Vec.to_array rels) in
-    (* following the net-diff convention of [Stats]: properties and
-       labels of created entities fold into the created counts *)
+    (* a bulk frame counts the nodes and relationships it creates and
+       nothing else, unlike a statement, whose counters also count the
+       created entities' properties and labels *)
     let stats =
       {
         Stats.empty with
@@ -367,8 +368,8 @@ let load_strings ?(nodes_name = "<nodes>") ?(rels_name = "<rels>")
     if n = 0 then Ok report
     else
       let g = Graph.add_batch (Session.graph session) (Vec.to_array nodes) (Vec.to_array rels) in
-      (* following the net-diff convention of [Stats]: properties and
-         labels of created entities fold into the created counts *)
+      (* a frame's counters: nodes and relationships only (see
+         [apply_frame]) *)
       let stats = { Stats.empty with Stats.nodes_created = n; rels_created = m } in
       match Session.advance_bulk session ~src:(Buffer.contents buf) ~stats g with
       | Ok () -> Ok report

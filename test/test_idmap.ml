@@ -26,9 +26,17 @@ let pp_op = function
   | Fresh l -> "fresh " ^ String.concat "," (List.map string_of_int l)
 
 (* mostly a dense range that adds and removes keep crossing leaf
-   boundaries in, some ids a few levels up, a few up to 2^40 *)
+   boundaries in, some ids a few levels up, some around 2^15, a few up
+   to 2^40 *)
 let gen_key =
-  QCheck.Gen.(frequency [ (8, int_bound 200); (2, int_bound 5000); (1, int_bound (1 lsl 40)) ])
+  QCheck.Gen.(
+    frequency
+      [
+        (8, int_bound 200);
+        (2, int_bound 5000);
+        (1, int_range ((1 lsl 15) - 40) ((1 lsl 15) + 40));
+        (1, int_bound (1 lsl 40));
+      ])
 
 let gen_batch =
   QCheck.Gen.(
@@ -111,6 +119,60 @@ let model_prop ops =
   in
   let ok, _, _ = List.fold_left step (true, Idmap.empty, Imap.empty) ops in
   ok
+
+(* [ops] applied to [m], without a model *)
+let apply ops m =
+  List.fold_left
+    (fun m op ->
+      match op with
+      | Add (k, v) -> Idmap.add k v m
+      | Remove k -> Idmap.remove k m
+      | Bump k -> Idmap.update k bump m
+      | Find _ -> m
+      | Batch l -> fst (batch l m Imap.empty)
+      | Fresh gaps ->
+          let top = Idmap.fold (fun k _ _ -> k) m (-1) in
+          let _, fresh =
+            List.fold_left (fun (k, acc) g -> (k + g, (k + g, (k + g) land 7) :: acc)) (top, []) gaps
+          in
+          fst (batch (List.rev fresh) m Imap.empty))
+    m ops
+
+(* [b] derived from [a] (sharing its untouched subtrees) or built on its
+   own, then with every key from 1024 up removed when [truncate] is set,
+   which lowers the root of a map that reached past it *)
+let arb_diff_case =
+  QCheck.make
+    ~print:(fun (ops_a, ops_b, derived, truncate) ->
+      Printf.sprintf "a: %s\nb (%s%s): %s"
+        (String.concat "; " (List.map pp_op ops_a))
+        (if derived then "from a" else "from empty")
+        (if truncate then ", truncated" else "")
+        (String.concat "; " (List.map pp_op ops_b)))
+    QCheck.Gen.(
+      quad (list_size (int_range 1 60) gen_op) (list_size (int_range 0 20) gen_op) bool bool)
+
+(* [fold_diff] calls [f] on exactly the keys whose bindings differ, in
+   ascending order, with both bindings; an [int] binding is physically
+   equal to another exactly when the two are equal *)
+let diff_prop (ops_a, ops_b, derived, truncate) =
+  let a = apply ops_a Idmap.empty in
+  let b = apply ops_b (if derived then a else Idmap.empty) in
+  let b =
+    if truncate then Idmap.fold (fun k _ m -> if k >= 1024 then Idmap.remove k m else m) b b
+    else b
+  in
+  let keys_of m s = Idmap.fold (fun k _ s -> Iset.add k s) m s in
+  let keys = Iset.elements (keys_of b (keys_of a Iset.empty)) in
+  let expected =
+    List.filter_map
+      (fun k ->
+        let x = Idmap.find_opt k a and y = Idmap.find_opt k b in
+        if x = y then None else Some (k, x, y))
+      keys
+  in
+  let calls = List.rev (Idmap.fold_diff (fun k x y acc -> (k, x, y) :: acc) a b []) in
+  Idmap.check b = Ok () && calls = expected
 
 let of_range lo hi = Idmap.add_ascending (hi - lo) (fun i -> lo + i) (fun i _ -> i) Idmap.empty
 
@@ -211,4 +273,25 @@ let suite =
         (* both new graphs are still live here, and hold what they should *)
         Alcotest.(check int) "nodes left" 5 (Graph.node_count g1);
         Alcotest.(check (list int)) "relationships left" [ 6; 8 ] (Graph.rel_ids g2));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:500
+         ~name:"fold_diff visits the keys whose bindings differ, in order, against find_opt"
+         arb_diff_case diff_prop);
+    case "fold_diff skips what the two maps share" (fun () ->
+        (* boxed values: equal bindings the maps do not share would be
+           visited *)
+        let m =
+          Idmap.add_ascending 3000 (fun i -> i * 11) (fun i _ -> ref i) Idmap.empty
+        in
+        let visits a b = List.rev (Idmap.fold_diff (fun k _ _ acc -> k :: acc) a b []) in
+        Alcotest.(check (list int)) "a map against itself" [] (visits m m);
+        Alcotest.(check (list int)) "one updated key" [ 5500 ] (visits m (Idmap.add 5500 (ref 0) m));
+        Alcotest.(check (list int)) "one removed key" [ 22 ] (visits m (Idmap.remove 22 m));
+        (* keys reach past 2^15: the root sits at shift 15 *)
+        Alcotest.(check (list int))
+          "a key that raises the root" [ 1 lsl 20 ]
+          (visits m (Idmap.add (1 lsl 20) (ref 0) m));
+        Alcotest.(check (list int))
+          "the same key, the higher root first" [ 1 lsl 20 ]
+          (visits (Idmap.add (1 lsl 20) (ref 0) m) m));
   ]

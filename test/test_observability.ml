@@ -32,6 +32,16 @@ let check_counts name st ~expect =
       ("labels_removed", st.Stats.labels_removed, expect.Stats.labels_removed);
     ]
 
+(* the statement's counters read [expect], and apart from the execution
+   counts they equal the oracle's full-scan diff of the two graphs *)
+let check_diff g src ~expect =
+  match Api.run_string_full g src with
+  | Error e -> Alcotest.failf "query failed: %s" (Errors.to_string e)
+  | Ok r ->
+      let st = r.Api.r_stats in
+      Alcotest.(check string) "counters" expect (Stats.to_string st);
+      check_counts "diff" st ~expect:(Cypher_fuzz.Oracles.graph_diff g r.Api.r_graph)
+
 let counter_tests =
   [
     case "create counts nodes, rels, props and labels" (fun () ->
@@ -182,4 +192,25 @@ let error_tests =
         | e -> Alcotest.failf "unexpected error: %s" (Errors.to_string e));
   ]
 
-let suite = counter_tests @ explain_tests @ error_tests
+let diff_tests =
+  [
+    (* MERGE SAME collapsing across groups rebuilds the graph, and a
+       FOREACH runs its body clause by clause: neither output shares
+       structure with its input the way one update clause's does *)
+    case "MERGE SAME collapsing across groups counts as the diff" (fun () ->
+        check_diff (graph_of "CREATE (:A {k: 9})-[:S]->(:B {k: 9}), (:A {k: 1}), (:C {x: 1})")
+          "UNWIND [[1,2],[1,3]] AS p MERGE SAME (:A {k:p[0]})-[:S]->(:B {k:p[1]})"
+          ~expect:"+3n -0n +2r -0r props +3 -0 labels +3 -0 merge 0m/2c rows 2");
+    case "FOREACH over MERGE, SET, REMOVE and DETACH DELETE counts as the diff"
+      (fun () ->
+        check_diff
+          (graph_of
+             "CREATE (a:A:Tag {old: 1, n: 0})-[:R]->(:B {k: 1}), (:B {k: 2})-[:R]->(:M {k: 1}), \
+              (:M {k: 3})")
+          "MATCH (a:A) FOREACH (i IN [1, 2, 3] | MERGE ALL (m:M {k: i}) SET m.seen = i, \
+           a.n = a.n + i REMOVE a.old, a:Tag) WITH a MATCH (b:B) FOREACH (x IN [b] | SET \
+           x:Gone, x.k = null DETACH DELETE x)"
+          ~expect:"+1n -2n +0r -2r props +5 -1 labels +1 -1 merge 2m/1c rows 2");
+  ]
+
+let suite = counter_tests @ explain_tests @ error_tests @ diff_tests
