@@ -227,24 +227,27 @@ let record s entry graph' =
           Ok ()
       | Error e -> Error e)
 
+(* A statement that consumed ids must be journaled even when its
+   counters net to zero ([CREATE (n) DELETE n]): replay has to consume
+   the same ids, or every later record that names an id meets another
+   entity *)
+let journal_entry_of ~config ~src ~before (r : Api.result) =
+  if
+    Stats.contains_updates r.Api.r_stats
+    || Graph.next_id r.Api.r_graph <> Graph.next_id before
+  then Some { je_src = src; je_stats = r.Api.r_stats; je_config = config; je_kind = `Statement }
+  else None
+
 (** Records a successful statement into the journal (write-ahead when
-    outside a transaction) and advances the session graph.  Read-only
-    statements — no net update — journal nothing. *)
+    outside a transaction) and advances the session graph.  A statement
+    that left nothing to replay journals nothing. *)
 let advance s ~src (r : Api.result) =
-  if s.journal = None || not (Stats.contains_updates r.Api.r_stats) then begin
-    s.graph <- r.Api.r_graph;
-    Ok r
-  end
-  else
-    let entry =
-      {
-        je_src = src;
-        je_stats = r.Api.r_stats;
-        je_config = s.config;
-        je_kind = `Statement;
-      }
-    in
-    Result.map (fun () -> r) (record s entry r.Api.r_graph)
+  match journal_entry_of ~config:s.config ~src ~before:s.graph r with
+  | Some entry when s.journal <> None ->
+      Result.map (fun () -> r) (record s entry r.Api.r_graph)
+  | _ ->
+      s.graph <- r.Api.r_graph;
+      Ok r
 
 (** [advance_bulk s ~src ~stats graph'] journals one externally-applied
     bulk load — [src] is its frame payload ([Cypher_storage.Bulk]'s

@@ -34,6 +34,15 @@ type journal_entry = {
   je_kind : journal_kind;
 }
 
+(** [journal_entry_of ~config ~src ~before r] is the entry that
+    journals statement [src], which took [before] to [r]'s graph under
+    [config]: [Some] when its counters show a change or it moved
+    {!Graph.next_id} (consumed ids that replay must consume too), [None]
+    when it left nothing to replay.  Every journaling path, the
+    server's included, decides by this one rule. *)
+val journal_entry_of :
+  config:Config.t -> src:string -> before:Graph.t -> Api.result -> journal_entry option
+
 val create : ?config:Config.t -> Graph.t -> t
 val graph : t -> Graph.t
 val config : t -> Config.t

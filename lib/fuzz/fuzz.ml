@@ -1,21 +1,19 @@
 (** The fuzzing driver: generate, run all nine oracles, shrink
     failures.
 
-    Iteration [i] derives a fresh splitmix64 stream from
-    [case_seed ~seed i], generates a (graph, statement) case and runs
-    the round-trip, planner-equivalence, divergence-classification,
-    well-formedness, update-counter, durability, prepared-statement,
-    concurrent-workload and fused-vs-materialised oracles
-    ({!Oracles}).  The durability oracle extends the case with two
-    more generated statements (a three-statement workload makes
-    multi-record journals, so truncation sweeps cross record
-    boundaries); the concurrent oracle generates 2–3 whole actor
-    workloads and checks the server outcome against the serial run of
-    the committed actors in commit order.  Failures are shrunk with {!Shrink.minimize}
-    under a predicate that reproduces the same oracle's failure, so the
-    reported case is (locally) minimal — except concurrent failures,
-    which thread interleaving makes nondeterministic; they are
-    reported unshrunk. *)
+    Iteration [i] draws the case {!Gen.case} from stream seed
+    [case_seed ~seed i] and runs the round-trip, planner-equivalence,
+    divergence-classification, well-formedness, update-counter,
+    durability, prepared-statement, concurrent-workload and
+    fused-vs-materialised oracles ({!Oracles}).  The durability oracle
+    extends the case's statement with its two extra statements (a
+    three-statement workload makes multi-record journals, so truncation
+    sweeps cross record boundaries); the concurrent oracle interleaves
+    the case's 2–3 actor workloads in the order its schedule seed picks
+    and checks the server outcome against the serial run of the
+    committed actors in commit order.  Failures are shrunk with
+    {!Shrink.minimize} under a predicate that reproduces the same
+    oracle's failure, so the reported case is (locally) minimal. *)
 
 module Graph = Cypher_graph.Graph
 module Pretty = Cypher_ast.Pretty
@@ -49,99 +47,71 @@ type report = {
   failures : failure list;  (** shrunk; empty on a clean run *)
 }
 
-let never_raises f = try f () with _ -> false
+(** The oracles' names, in the order {!run} runs them. *)
+let oracles =
+  [ "roundtrip"; "planner"; "divergence"; "wellformed"; "counters"; "prepared"; "fused";
+    "durability"; "concurrent" ]
+
+(** [check oracle c] is [oracle]'s verdict on case [c]; a sanctioned
+    divergence passes. *)
+let check oracle (c : Gen.case) =
+  let g = c.graph and q = c.statement in
+  match oracle with
+  | "roundtrip" -> Oracles.roundtrip q
+  | "planner" -> Oracles.planner_equivalence g q
+  | "divergence" -> (
+      match Oracles.divergence g q with Oracles.Unclassified d -> Error d | _ -> Ok ())
+  | "wellformed" -> Oracles.wellformed g q
+  | "counters" -> Oracles.counters g q
+  | "prepared" -> Oracles.prepared g q
+  | "fused" -> Oracles.fused g q
+  | "durability" -> Oracles.durability ~extra:c.extra g q
+  | "concurrent" -> Oracles.concurrent ~schedule:c.schedule g c.actors
+  | o -> invalid_arg ("Fuzz.check: no oracle " ^ o)
 
 let run ?(seed = 0) ~count () =
   let failures = ref [] in
-  let agreements = ref 0 in
-  let counts = Hashtbl.create 8 in
-  let bump cat =
-    Hashtbl.replace counts cat (1 + Option.value ~default:0 (Hashtbl.find_opt counts cat))
-  in
-  let record ~oracle ~iteration ~fails g q detail =
-    let fails g q = never_raises (fun () -> fails g q) in
-    let g, q = if fails g q then Shrink.minimize ~fails g q else (g, q) in
-    failures :=
-      { oracle; iteration; case_seed = case_seed ~seed iteration; graph = g; query = q; detail }
-      :: !failures
-  in
+  let passed = ref [] (* the divergence oracle's agreements and sanctioned divergences *) in
   for i = 0 to count - 1 do
-    let rng = Rng.make (case_seed ~seed i) in
-    let g = Gen.graph rng in
-    let q = Gen.statement rng in
-    (match Oracles.roundtrip q with
-    | Ok () -> ()
-    | Error detail ->
-        record ~oracle:"roundtrip" ~iteration:i
-          ~fails:(fun _ q -> Result.is_error (Oracles.roundtrip q))
-          g q detail);
-    (match Oracles.planner_equivalence g q with
-    | Ok () -> ()
-    | Error detail ->
-        record ~oracle:"planner" ~iteration:i
-          ~fails:(fun g q -> Result.is_error (Oracles.planner_equivalence g q))
-          g q detail);
-    (match Oracles.divergence g q with
-    | Oracles.Agree -> incr agreements
-    | Oracles.Classified cat -> bump cat
-    | Oracles.Unclassified detail ->
-        record ~oracle:"divergence" ~iteration:i
-          ~fails:(fun g q ->
-            match Oracles.divergence g q with
-            | Oracles.Unclassified _ -> true
-            | _ -> false)
-          g q detail);
-    (match Oracles.wellformed g q with
-    | Ok () -> ()
-    | Error detail ->
-        record ~oracle:"wellformed" ~iteration:i
-          ~fails:(fun g q -> Result.is_error (Oracles.wellformed g q))
-          g q detail);
-    (match Oracles.counters g q with
-    | Ok () -> ()
-    | Error detail ->
-        record ~oracle:"counters" ~iteration:i
-          ~fails:(fun g q -> Result.is_error (Oracles.counters g q))
-          g q detail);
-    (match Oracles.prepared g q with
-    | Ok () -> ()
-    | Error detail ->
-        record ~oracle:"prepared" ~iteration:i
-          ~fails:(fun g q -> Result.is_error (Oracles.prepared g q))
-          g q detail);
-    (match Oracles.fused g q with
-    | Ok () -> ()
-    | Error detail ->
-        record ~oracle:"fused" ~iteration:i
-          ~fails:(fun g q -> Result.is_error (Oracles.fused g q))
-          g q detail);
-    let extra = [ Gen.statement rng; Gen.statement rng ] in
-    (match Oracles.durability ~extra g q with
-    | Ok () -> ()
-    | Error detail ->
-        record ~oracle:"durability" ~iteration:i
-          ~fails:(fun g q -> Result.is_error (Oracles.durability ~extra g q))
-          g q detail);
-    let actors = Gen.actors rng in
-    match Oracles.concurrent g actors with
-    | Ok () -> ()
-    | Error detail ->
-        (* thread interleaving makes reproduction nondeterministic:
-           report the failing case unshrunk *)
-        record ~oracle:"concurrent" ~iteration:i
-          ~fails:(fun _ _ -> false)
-          g q detail
+    let c = Gen.case (case_seed ~seed i) in
+    let verdict = function
+      | "divergence" -> (
+          match Oracles.divergence c.graph c.statement with
+          | Oracles.Unclassified d -> Error d
+          | o ->
+              passed := o :: !passed;
+              Ok ())
+      | oracle -> check oracle c
+    in
+    List.iter
+      (fun oracle ->
+        match verdict oracle with
+        | Ok () -> ()
+        | Error detail ->
+            (* the actors, not the statement, make a concurrent case:
+               no statement candidate counts as failing, so only its
+               graph shrinks *)
+            let fails g q =
+              (oracle <> "concurrent" || q == c.statement)
+              && try Result.is_error (check oracle { c with graph = g; statement = q }) with _ -> false
+            in
+            let g, q =
+              if fails c.graph c.statement then Shrink.minimize ~fails c.graph c.statement
+              else (c.graph, c.statement)
+            in
+            failures :=
+              { oracle; iteration = i; case_seed = case_seed ~seed i; graph = g; query = q; detail }
+              :: !failures)
+      oracles
   done;
+  let tally o = List.length (List.filter (( = ) o) !passed) in
   {
     seed;
     iterations = count;
-    agreements = !agreements;
+    agreements = tally Oracles.Agree;
     classified =
       List.filter_map
-        (fun cat ->
-          match Hashtbl.find_opt counts cat with
-          | Some n -> Some (cat, n)
-          | None -> None)
+        (fun cat -> match tally (Oracles.Classified cat) with 0 -> None | n -> Some (cat, n))
         Oracles.all_categories;
     failures = List.rev !failures;
   }

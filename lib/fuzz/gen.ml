@@ -16,8 +16,8 @@
     stays on integer-valued keys — so that runs mostly exercise update
     semantics rather than dying in the expression evaluator.
 
-    All randomness flows through {!Rng}; a (seed, iteration) pair fully
-    determines the generated (graph, statement) case. *)
+    All randomness flows through {!Rng}; a case seed fully determines
+    the generated {!case}. *)
 
 open Cypher_ast.Ast
 module Graph = Cypher_graph.Graph
@@ -648,7 +648,7 @@ let statement rng =
   { clauses; union = None }
 
 (* ------------------------------------------------------------------ *)
-(* Concurrent workloads (fuzz oracle 9)                               *)
+(* Concurrent workloads (fuzz oracle 8)                               *)
 (* ------------------------------------------------------------------ *)
 
 (** One client of a concurrent workload: a single auto-commit statement
@@ -663,3 +663,18 @@ let actors rng : actor list =
   List.init n (fun _ ->
       if Rng.bool rng then Auto (statement rng)
       else Tx (List.init (Rng.range rng 1 3) (fun _ -> statement rng)))
+
+(** One generated case: everything any oracle reads.  [extra] extends
+    the durability workload; [schedule] seeds the actors' interleaving. *)
+type case =
+  { graph : Graph.t; statement : query; extra : query list; actors : actor list; schedule : int }
+
+(** [case seed] draws a case from stream [seed], always in this order,
+    so a case seed names the same case wherever it is drawn. *)
+let case seed =
+  let rng = Rng.make seed in
+  let g = graph rng in
+  let q = statement rng in
+  let extra = [ statement rng; statement rng ] in
+  let actors = actors rng in
+  { graph = g; statement = q; extra; actors; schedule = Int64.to_int (Rng.next_int64 rng) }

@@ -22,9 +22,9 @@
     5. {!counters}: the statement update counters ({!Cypher_core.Stats})
        reported by a successful run must equal an independently computed
        structural diff of the input and output graphs, under both
-       regimes.  The engine computes counters *inside* the update
-       modules (net-of-cancellation identity tracking); the oracle
-       recomputes them from the outside and the two must agree.
+       regimes.  The engine's counters are its own diff of the two
+       graphs' id tries; the oracle's are a full scan of both, and the
+       two must agree.
     6. {!durability}: crash-recovery fault injection.  The workload runs
        through a journaling session against an in-memory journal; the
        oracle then checks that (a) the snapshot image reloads
@@ -41,9 +41,10 @@
        execution reuses the statement's memoized match plans — and both
        executions must be byte-identical to the direct run (graph,
        table, counters, error).
-    8. {!concurrent}: generated actors run against one shared server;
-       the outcome must match the serial run of their commits in the
-       order the server committed them.
+    8. {!concurrent}: generated actors run against one shared server,
+       their requests interleaved in an order the case's schedule seed
+       picks; the outcome must match the serial run of their commits in
+       the order the server committed them.
     9. {!fused}: a read statement run plain (MATCH folded straight into
        an aggregating projection) and under [PROFILE] (clause by clause,
        materialising) must produce byte-identical tables. *)
@@ -1145,43 +1146,55 @@ let committed_version answer =
   | last :: _ -> Scanf.sscanf_opt last "OK rows=%_d version=%d%!" Fun.id
   | [] -> None
 
-(** Oracle 8.  Runs the generated actors against one shared server
-    state, each on its own thread through its own {!Service}
-    connection, then checks (a) {e serializability in commit order}:
-    the final head is isomorphic to running the committed actors one
-    after another, ordered by the version their commit answered with —
-    an auto-commit update's [OK], or a transaction's [:commit]; an
-    [ERR] answer and an auto-commit read change nothing; and (b)
-    {e durability}: replaying the WAL the group committer wrote —
-    whose per-record counter checksums are validated by replay itself —
-    reproduces the final head.  Thread interleaving makes runs
-    nondeterministic, so failures are reported unshrunk. *)
-let concurrent (g : Graph.t) (actors : Gen.actor list) : (unit, string) result
-    =
+(** [interleave ~schedule shared actors] runs the actors against
+    [shared], each through its own {!Service} connection, on the calling
+    thread.  An actor's requests are its statement, or [:begin], its
+    statements and [:commit]; an {!Rng} seeded with [schedule] picks
+    which unfinished actor sends its next request, and each request runs
+    to its answer before the next is sent.  Returns each actor's
+    answers, newest first. *)
+let interleave ~schedule shared (actors : Gen.actor list) =
+  let requests = function
+    | Gen.Auto q -> [ Pretty.query_to_string q ]
+    | Gen.Tx qs -> (":begin" :: List.map Pretty.query_to_string qs) @ [ ":commit" ]
+  in
+  let todo = Array.of_list (List.map requests actors) in
+  let conns = Array.map (fun _ -> Service.create ~config:concurrent_config shared) todo in
+  let answers = Array.map (fun _ -> []) todo in
+  let rng = Rng.make schedule in
+  let rec step () =
+    match List.filter (fun i -> todo.(i) <> []) (List.init (Array.length todo) Fun.id) with
+    | [] -> answers
+    | ready ->
+        let i = Rng.pick_list rng ready in
+        answers.(i) <- Service.handle conns.(i) (List.hd todo.(i)) :: answers.(i);
+        todo.(i) <- List.tl todo.(i);
+        step ()
+  in
+  step ()
+
+(** Oracle 8.  {!interleave}s the actors on one shared server state,
+    then checks (a) {e serializability in commit order}: the final head
+    is isomorphic to running the committed actors one after another,
+    ordered by the version their commit answered with — an auto-commit
+    update's [OK], or a transaction's [:commit]; an [ERR] answer and an
+    auto-commit read change nothing; and (b) {e durability}: replaying
+    the WAL the group committer wrote — whose per-record counter
+    checksums are validated by replay itself — reproduces the final
+    head.  The case and [schedule] replay the same run. *)
+let concurrent ~schedule (g : Graph.t) (actors : Gen.actor list) :
+    (unit, string) result =
   let wal_buf = Buffer.create 256 in
   let sink = List.iter (fun e -> Buffer.add_string wal_buf (Wal.encode e)) in
   let shared = Shared.create ~sink g in
-  (* the version each actor committed at, if it committed *)
-  let committed = Array.make (List.length actors) None in
-  let run_actor i a () =
-    let svc = Service.create ~config:concurrent_config shared in
-    let send line = Service.handle svc line in
-    committed.(i) <-
-      (match a with
-      | Gen.Auto q ->
-          let answer = send (Pretty.query_to_string q) in
-          if query_is_update q then committed_version answer else None
-      | Gen.Tx qs ->
-          ignore (send ":begin" : string list);
-          List.iter (fun q -> ignore (send (Pretty.query_to_string q) : string list)) qs;
-          committed_version (send ":commit"))
-  in
-  let threads = List.mapi (fun i a -> Thread.create (run_actor i a) ()) actors in
-  List.iter Thread.join threads;
+  let answers = interleave ~schedule shared actors in
   let _, final = Shared.current shared in
   let order =
-    List.combine (Array.to_list committed) actors
-    |> List.filter_map (fun (v, a) -> Option.map (fun v -> (v, a)) v)
+    List.combine actors (Array.to_list answers)
+    |> List.filter_map (fun (a, answers) ->
+           match a with
+           | Gen.Auto q when not (query_is_update q) -> None
+           | _ -> Option.map (fun v -> (v, a)) (committed_version (List.hd answers)))
     |> List.sort (fun (v, _) (w, _) -> Int.compare v w)
   in
   let* () =

@@ -47,10 +47,14 @@ module Pool = Cypher_util.Pool
 
 (* One update statement recorded inside an open transaction: its source
    (what the journal stores), the statement [classify] compiled, and the
-   counters its first execution (against the working graph) produced.
-   The counters serve the commit fast path; the conflict path re-derives
-   them by re-running the compiled statement. *)
-type recorded = { rs_src : string; rs_prepared : Api.prepared; rs_stats : Stats.t }
+   journal entry its first execution (against the working graph) made.
+   The entry serves the commit fast path; the conflict path re-derives
+   it by re-running the compiled statement. *)
+type recorded = {
+  rs_src : string;
+  rs_prepared : Api.prepared;
+  rs_entry : Session.journal_entry option;
+}
 
 (* One open [:begin]: the working graph when it opened (what its
    [:rollback] restores) and the update statements recorded at this
@@ -150,13 +154,10 @@ let render (r : Api.result) ~version =
 (* Execution                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* the journal entry of a statement that ran with [stats]; none when it
-   changed nothing *)
-let entry_of ~config src stats =
-  if Stats.contains_updates stats then
-    Some
-      { Session.je_src = src; je_stats = stats; je_config = config; je_kind = `Statement }
-  else None
+(* the journal entry of statement [src] that took [before] to [r]'s
+   graph; none when it left nothing to replay *)
+let entry_of t src ~before r =
+  Session.journal_entry_of ~config:(Session.config t.session) ~src ~before r
 
 (* read statements run on the domain pool: connection threads are
    systhreads sharing one domain's runtime lock, so CPU-bound query
@@ -183,12 +184,12 @@ let exec_tx_update t tx src p =
   let outcome =
     on_pool t (fun () -> Session.run_prepared_on t.session tx.working p)
   in
-  let working, stats =
+  let working, entry =
     match outcome with
-    | Ok r -> (r.Api.r_graph, r.Api.r_stats)
-    | Error _ -> (tx.working, Stats.empty)
+    | Ok r -> (r.Api.r_graph, entry_of t src ~before:tx.working r)
+    | Error _ -> (tx.working, None)
   in
-  let stmt = { rs_src = src; rs_prepared = p; rs_stats = stats } in
+  let stmt = { rs_src = src; rs_prepared = p; rs_entry = entry } in
   t.tx <-
     Some { tx with working; top = { tx.top with lv_stmts = stmt :: tx.top.lv_stmts } };
   match outcome with
@@ -200,13 +201,12 @@ let exec_tx_update t tx src p =
    classification, so the committer's serial section pays no cache
    lookup *)
 let exec_auto_update t src p =
-  let config = Session.config t.session in
   let payload = ref None in
   let exec head =
     match Session.run_prepared_on t.session head p with
     | Ok r ->
         payload := Some r;
-        Ok (r.Api.r_graph, Option.to_list (entry_of ~config src r.Api.r_stats))
+        Ok (r.Api.r_graph, Option.to_list (entry_of t src ~before:head r))
     | Error e -> Error (Errors.to_string e)
   in
   match (Shared.commit t.shared exec, !payload) with
@@ -252,14 +252,11 @@ let commit_tx t =
       (* the transaction is over whatever the commit's outcome *)
       t.tx <- None;
       let stmts = List.rev lv_stmts in
-      let config = Session.config t.session in
       Shared.commit t.shared (fun head ->
           if head == base then
             (* fast path: the head never moved under this transaction —
                its working graph is already the serial outcome *)
-            Ok
-              ( working,
-                List.filter_map (fun r -> entry_of ~config r.rs_src r.rs_stats) stmts )
+            Ok (working, List.filter_map (fun r -> r.rs_entry) stmts)
           else begin
             (* conflict path: replay every recorded update statement, in
                order, against the new head; statement-level atomicity
@@ -271,8 +268,9 @@ let commit_tx t =
                 (fun r ->
                   match Session.run_prepared_on t.session !g r.rs_prepared with
                   | Ok res ->
+                      let entry = entry_of t r.rs_src ~before:!g res in
                       g := res.Api.r_graph;
-                      entry_of ~config r.rs_src res.Api.r_stats
+                      entry
                   | Error _ -> None)
                 stmts
             in

@@ -97,7 +97,7 @@ let build ~snapshot ~(wal : Session.journal_entry list * int * Wal.torn option)
 (** [recover_strings ?snapshot ~wal ()] is recovery over in-memory
     images: [snapshot] is a snapshot file image (as produced by
     {!Snapshot.to_string}), [wal] the raw journal bytes.  This is the
-    fault-injection surface of fuzz oracle 7 — byte-level damage is
+    fault-injection surface of fuzz oracle 6 — byte-level damage is
     applied to these strings directly, no filesystem involved. *)
 let recover_strings ?snapshot ~(wal : string) () : (t, string) result =
   let snapshot_graph =

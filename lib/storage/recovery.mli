@@ -26,7 +26,7 @@ type t = {
 val replay : Graph.t -> Session.journal_entry list -> (Graph.t, string) result
 
 (** [recover_strings ?snapshot ~wal ()] is recovery over in-memory
-    images (the fault-injection surface of fuzz oracle 7): [snapshot]
+    images (the fault-injection surface of fuzz oracle 6): [snapshot]
     a {!Snapshot.to_string} image, [wal] raw journal bytes. *)
 val recover_strings : ?snapshot:string -> wal:string -> unit -> (t, string) result
 

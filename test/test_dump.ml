@@ -184,7 +184,7 @@ let shape_tests =
   ]
 
 (* the fuzz generator's graphs, across many seeds: the same population
-   oracle 7 snapshots, checked here directly against the dump contract *)
+   oracle 6 snapshots, checked here directly against the dump contract *)
 let fuzz_population_tests =
   [
     case "fuzz-generated graphs round-trip (300 seeds)" (fun () ->

@@ -152,6 +152,27 @@ let shared_tests =
           (Graph.node_count (snd (Shared.current shared)));
         Alcotest.(check int) "one version step" 1
           (fst (Shared.current shared)));
+    case "statements that net to zero but consume ids are journaled" (fun () ->
+        let entries = ref [] in
+        let shared =
+          Shared.create ~sink:(fun es -> entries := !entries @ es) Graph.empty
+        in
+        let a = Service.create shared in
+        let b = Service.create shared in
+        let send svc lines = List.iter (fun l -> expect_ok l (req svc l)) lines in
+        let zero = "CREATE (n) DELETE n" in
+        send a [ zero ];
+        (* fast path: the head stays where the transaction pinned it *)
+        send a [ ":begin"; zero; ":commit" ];
+        (* conflict path: b commits while a's transaction is open *)
+        send a [ ":begin"; zero ];
+        send b [ "CREATE (:B)" ];
+        send a [ ":commit" ];
+        send b [ "CREATE (:C)" ];
+        let _, head = Shared.current shared in
+        match Cypher_storage.Recovery.replay Graph.empty !entries with
+        | Error e -> Alcotest.fail e
+        | Ok g -> check_same_graph "replayed journal" head g);
     case "a nested rollback on a moved head drops only the inner level" (fun () ->
         let entries = ref [] in
         let shared =
@@ -505,20 +526,45 @@ let tcp_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Oracle 9 smoke                                                     *)
+(* Oracle 8 smoke                                                     *)
 (* ------------------------------------------------------------------ *)
+
+let smoke_cases = List.init 60 (fun i -> (20260809 + i, Cypher_fuzz.Gen.case (20260809 + i)))
 
 let oracle_tests =
   [
-    case "oracle 9 smoke: 60 concurrent workloads" (fun () ->
-        for i = 0 to 59 do
-          let rng = Cypher_fuzz.Rng.make (20260809 + i) in
-          let g = Cypher_fuzz.Gen.graph rng in
-          let actors = Cypher_fuzz.Gen.actors rng in
-          match Cypher_fuzz.Oracles.concurrent g actors with
-          | Ok () -> ()
-          | Error d -> Alcotest.failf "seed %d: %s" (20260809 + i) d
-        done);
+    case "oracle 8 smoke: 60 concurrent workloads" (fun () ->
+        List.iter
+          (fun (seed, (c : Cypher_fuzz.Gen.case)) ->
+            match Cypher_fuzz.Oracles.concurrent ~schedule:c.schedule c.graph c.actors with
+            | Ok () -> ()
+            | Error d -> Alcotest.failf "seed %d: %s" seed d)
+          smoke_cases);
+    case "oracle 8 replays its interleaving and commits on a moved head" (fun () ->
+        let run (c : Cypher_fuzz.Gen.case) =
+          let shared = Shared.create c.graph in
+          let answers = Cypher_fuzz.Oracles.interleave ~schedule:c.schedule shared c.actors in
+          (answers, snd (Shared.current shared))
+        in
+        let version answer = Scanf.sscanf (terminator answer) "OK rows=%_d version=%d" Fun.id in
+        let moved = ref 0 in
+        List.iter
+          (fun (seed, (c : Cypher_fuzz.Gen.case)) ->
+            let answers, final = run c in
+            let answers', final' = run c in
+            if answers <> answers' then Alcotest.failf "seed %d: the answers differ" seed;
+            check_same_graph (Printf.sprintf "seed %d" seed) final final';
+            List.iteri
+              (fun i (a : Cypher_fuzz.Gen.actor) ->
+                match (a, answers.(i)) with
+                | Tx _, commit :: rest when is_ok commit ->
+                    (* answers are newest first: the last is :begin's *)
+                    if version commit > version (List.nth rest (List.length rest - 1)) + 1
+                    then incr moved
+                | _ -> ())
+              c.actors)
+          smoke_cases;
+        Alcotest.(check bool) "some transaction commits on a moved head" true (!moved > 0));
   ]
 
 let stats_tests =

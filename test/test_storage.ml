@@ -705,6 +705,22 @@ let store_tests =
             Alcotest.(check int) "only the committed statement" 1
               (Graph.node_count (Session.graph session2));
             Store.close store2));
+    case "a statement that nets to zero but consumed ids is journaled" (fun () ->
+        (* the first statement's counters net to zero, yet it takes id
+           0; unjournaled, replay would give B id 0 and the SET would
+           find nothing *)
+        with_tmpdir (fun dir ->
+            let store, session = open_ok dir in
+            ignore (run_ok session "CREATE (n:A) DELETE n");
+            ignore (run_ok session "CREATE (:B {k: 1})");
+            ignore (run_ok session "MATCH (n) WHERE id(n) = 1 SET n.v = 'hit'");
+            let live = Session.graph session in
+            Store.close store;
+            let store2, session2 = open_ok dir in
+            Test_util.check_same_graph "reopened" live (Session.graph session2);
+            Alcotest.(check int) "all three statements replayed" 3
+              (Store.recovery store2).Recovery.replayed;
+            Store.close store2));
     case "a corrupt snapshot fails open_db loudly" (fun () ->
         with_tmpdir (fun dir ->
             let store, session = open_ok dir in
