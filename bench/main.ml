@@ -47,8 +47,11 @@ let cfg_revised_stats = Config.with_stats true cfg_revised
 (* what the host offers, recorded in the JSON meta *)
 let effective_domains = Cypher_util.Pool.recommended ()
 
+(* a parsed statement runs as its printed text, the one way statements
+   enter the engine: each run pays print, parse and validate on top of
+   the execution *)
 let run_q config g q =
-  match Api.run_query ~config g q with
+  match Api.run_string ~config g (Cypher_ast.Pretty.query_to_string q) with
   | Ok o -> o
   | Error e -> failwith (Errors.to_string e)
 
@@ -421,7 +424,7 @@ let tests =
           rebind_flip := not !rebind_flip;
           let uid = if !rebind_flip then 100042 else 100043 in
           Sys.opaque_identity
-            (Api.run_string_full
+            (Api.run_string
                ~config:(Config.with_params (Smap.add "uid" (Value.Int uid) Smap.empty) cfg_revised)
                g param_src));
     query "match/figure1-query1" cfg_revised (Lazy.from_val Fixtures.figure1_graph) q_read;

@@ -173,12 +173,16 @@ let rec run_chunk st src =
     | Ok r -> print_result st r
     | Error e -> (
         (* a chunk may pack several ;-separated statements on one
-           line — fall back to the multi-statement parser *)
+           line — split it with the multi-statement parser and run each
+           statement as its printed text, the text it journals *)
         match Cypher_parser.Parser.parse_statements src with
         | Ok ((_ :: _ :: _) as statements) ->
             List.iter
-              (fun (prefix, q) ->
-                match Session.run_query ~prefix st.session q with
+              (fun statement ->
+                match
+                  Session.run st.session
+                    (Cypher_parser.Parser.statement_to_string statement)
+                with
                 | Ok r -> print_result st r
                 | Error e -> Fmt.epr "error: %s@." (Errors.to_string e))
               statements

@@ -47,22 +47,10 @@ let () =
     let case_seed = Fuzz.case_seed ~seed:!seed i in
     (case_seed, Gen.case case_seed)
   in
-  let pp_query ppf q = Fmt.string ppf (Cypher_ast.Pretty.query_to_string q) in
   if !dump then (
     for i = 0 to !count - 1 do
       let case_seed, c = case i in
-      Fmt.pr "-- seed %d --@.%a@.%a@." case_seed Cypher_graph.Graph.pp c.graph pp_query
-        c.statement;
-      List.iter (Fmt.pr "extra: %a@." pp_query) c.extra;
-      List.iteri
-        (fun j (a : Gen.actor) ->
-          match a with
-          | Gen.Auto q -> Fmt.pr "actor %d (auto): %a@." j pp_query q
-          | Gen.Tx qs ->
-              Fmt.pr "actor %d (tx):@." j;
-              List.iter (Fmt.pr "  %a@." pp_query) qs)
-        c.actors;
-      Fmt.pr "schedule %d@." c.schedule
+      Fmt.pr "-- seed %d --@.%a@." case_seed (Fuzz.pp_case ?oracle:None) c
     done;
     exit 0);
   if !oracle_only <> "" then (
@@ -76,7 +64,7 @@ let () =
       | Ok () -> ()
       | Error d ->
           incr fails;
-          Fmt.pr "seed %d: FAIL %s@.statement: %a@." case_seed d pp_query c.statement
+          Fmt.pr "seed %d: FAIL %s@.%a@." case_seed d (Fuzz.pp_case ~oracle:!oracle_only) c
     done;
     Fmt.pr "oracle %s: %d cases from seed %d, %d failure(s)@." !oracle_only !count !seed !fails;
     exit (if !fails = 0 then 0 else 1));
@@ -91,7 +79,8 @@ let () =
             let write oracle =
               let name = Printf.sprintf "fuzz_%s_seed%d" f.oracle f.case_seed in
               let entry =
-                Corpus.entry_of_failure ~name ~oracle ~graph:f.graph ~query:f.query
+                Corpus.entry_of_failure ~name ~oracle ~graph:f.case.graph
+                  ~query:f.case.statement
               in
               let path = Filename.concat !corpus_dir (name ^ ".cy") in
               Out_channel.with_open_text path (fun oc ->

@@ -26,7 +26,7 @@ let scrubbed_profile entries =
 
 let run g src =
   Printf.printf "> %s\n" src;
-  match Api.run_string_full ~config g src with
+  match Api.run_string ~config g src with
   | Error e ->
       Printf.printf "error: %s\n\n" (Errors.to_string e);
       g
@@ -51,7 +51,7 @@ let () =
         (p1)-[:OF]->(v1), (p2)-[:OF]->(v1), (p3)-[:OF]->(v2), \
         (u1)-[:ORDERED]->(p1), (u2)-[:ORDERED]->(p1), \
         (u3)-[:ORDERED]->(p2), (u4)-[:ORDERED]->(p3)")
-      .Api.graph
+      .Api.r_graph
   in
   let g =
     List.fold_left run g

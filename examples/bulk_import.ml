@@ -99,5 +99,5 @@ let () =
       "MATCH (u:User)-[:ORDERED]->(p:Product)\n\
        RETURN u.id AS user, count(*) AS orders ORDER BY user"
   with
-  | Ok o -> Fmt.pr "@.Orders per user:@.%a@." Table.pp o.Api.table
+  | Ok o -> Fmt.pr "@.Orders per user:@.%a@." Table.pp o.Api.r_table
   | Error e -> Fmt.epr "error: %s@." (Errors.to_string e)

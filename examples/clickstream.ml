@@ -44,7 +44,7 @@ let () =
   Fmt.pr "%s@.@." Fixtures.example7_match;
   let count g =
     match Api.run_string ~config:Config.revised g Fixtures.example7_match with
-    | Ok o -> Cypher_table.Table.row_count o.Api.table
+    | Ok o -> Cypher_table.Table.row_count o.Api.r_table
     | Error e -> failwith (Errors.to_string e)
   in
   Fmt.pr "rows on the Collapse graph        : %d@." (count collapse);

@@ -12,15 +12,15 @@ open Cypher_core
 
 let banner title = Fmt.pr "@.=== %s ===@." title
 
-let show_outcome { Api.graph; table } =
-  Fmt.pr "%a@." Cypher_table.Table.pp table;
-  graph
+let show_result { Api.r_graph; r_table; _ } =
+  Fmt.pr "%a@." Cypher_table.Table.pp r_table;
+  r_graph
 
 let run config g (title, src) =
   banner title;
   Fmt.pr "%s@.@." src;
   match Api.run_string ~config g src with
-  | Ok outcome -> show_outcome outcome
+  | Ok r -> show_result r
   | Error e ->
       Fmt.pr "error: %s@." (Errors.to_string e);
       g
@@ -40,7 +40,7 @@ let () =
   in
   let g =
     match Api.run_string ~config:Config.revised Graph.empty setup with
-    | Ok o -> o.Api.graph
+    | Ok o -> o.Api.r_graph
     | Error e -> failwith (Errors.to_string e)
   in
   Fmt.pr "%a@." Graph.pp g;

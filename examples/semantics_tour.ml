@@ -15,15 +15,15 @@ let show config g src =
   Fmt.pr "@.> %s@." src;
   match Api.run_string ~config g src with
   | Ok o ->
-      Fmt.pr "%a@." Cypher_table.Table.pp o.Api.table;
-      Some o.Api.graph
+      Fmt.pr "%a@." Cypher_table.Table.pp o.Api.r_table;
+      Some o.Api.r_graph
   | Error e ->
       Fmt.pr "ERROR: %s@." (Errors.to_string e);
       None
 
 let marketplace () =
   match Api.run_string ~config:Config.revised Graph.empty Fixtures.figure1_setup with
-  | Ok o -> o.Api.graph
+  | Ok o -> o.Api.r_graph
   | Error e -> failwith (Errors.to_string e)
 
 let () =

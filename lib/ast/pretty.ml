@@ -8,13 +8,19 @@ open Ast
 
 let pp_escaped ppf s = Fmt.pf ppf "'%s'" (Cypher_graph.Value.escape_string s)
 
+(* names print bare when plain and backtick-quoted otherwise, so a name
+   such as [My Label] re-parses to itself *)
+let ident = Cypher_graph.Dump.quote_ident
+let pp_ident ppf s = Fmt.string ppf (ident s)
+let labels ls = String.concat "" (List.map (fun l -> ":" ^ ident l) ls)
+
 let pp_lit ppf = function
   | L_null -> Fmt.string ppf "null"
   | L_bool b -> Fmt.bool ppf b
   | L_int i -> Fmt.int ppf i
   | L_float f ->
-      if Float.is_integer f && Float.abs f < 1e15 then Fmt.pf ppf "%.1f" f
-      else Fmt.float ppf f
+      (* the snapshot writer's literal, which re-parses bit-exactly *)
+      Fmt.string ppf (Cypher_graph.Dump.value_literal (Cypher_graph.Value.Float f))
   | L_string s -> pp_escaped ppf s
 
 let binop_sym = function
@@ -50,12 +56,10 @@ let agg_name = function
    level; this avoids a precedence table and still round-trips. *)
 let rec pp_expr ppf = function
   | Lit l -> pp_lit ppf l
-  | Var v -> Fmt.string ppf v
+  | Var v -> pp_ident ppf v
   | Param p -> Fmt.pf ppf "$%s" p
-  | Prop (e, k) -> Fmt.pf ppf "%a.%s" pp_atom e k
-  | Has_labels (e, ls) ->
-      Fmt.pf ppf "%a%s" pp_atom e
-        (String.concat "" (List.map (fun l -> ":" ^ l) ls))
+  | Prop (e, k) -> Fmt.pf ppf "%a.%a" pp_atom e pp_ident k
+  | Has_labels (e, ls) -> Fmt.pf ppf "%a%s" pp_atom e (labels ls)
   | Not e -> Fmt.pf ppf "(NOT %a)" pp_atom e
   | And (a, b) -> Fmt.pf ppf "(%a AND %a)" pp_expr a pp_expr b
   | Or (a, b) -> Fmt.pf ppf "(%a OR %a)" pp_expr a pp_expr b
@@ -95,7 +99,7 @@ let rec pp_expr ppf = function
       Option.iter (fun e -> Fmt.pf ppf " ELSE %a" pp_expr e) case_default;
       Fmt.pf ppf " END"
   | List_comp { comp_var; comp_source; comp_where; comp_body } ->
-      Fmt.pf ppf "[%s IN %a" comp_var pp_expr comp_source;
+      Fmt.pf ppf "[%a IN %a" pp_ident comp_var pp_expr comp_source;
       Option.iter (fun e -> Fmt.pf ppf " WHERE %a" pp_expr e) comp_where;
       Option.iter (fun e -> Fmt.pf ppf " | %a" pp_expr e) comp_body;
       Fmt.pf ppf "]"
@@ -107,11 +111,11 @@ let rec pp_expr ppf = function
         | Q_none -> "none"
         | Q_single -> "single"
       in
-      Fmt.pf ppf "%s(%s IN %a WHERE %a)" kw q_var pp_expr q_source pp_expr
-        q_pred
+      Fmt.pf ppf "%s(%a IN %a WHERE %a)" kw pp_ident q_var pp_expr q_source
+        pp_expr q_pred
   | Reduce { red_acc; red_init; red_var; red_source; red_body } ->
-      Fmt.pf ppf "reduce(%s = %a, %s IN %a | %a)" red_acc pp_expr red_init
-        red_var pp_expr red_source pp_expr red_body
+      Fmt.pf ppf "reduce(%a = %a, %a IN %a | %a)" pp_ident red_acc pp_expr
+        red_init pp_ident red_var pp_expr red_source pp_expr red_body
   | Pattern_pred patterns ->
       Fmt.pf ppf "exists(%a)"
         Fmt.(list ~sep:(any ", ") pp_pattern)
@@ -135,7 +139,7 @@ and pp_atom ppf e =
 and pp_map ppf kvs =
   Fmt.pf ppf "{%a}"
     Fmt.(
-      list ~sep:(any ", ") (fun ppf (k, e) -> pf ppf "%s: %a" k pp_expr e))
+      list ~sep:(any ", ") (fun ppf (k, e) -> pf ppf "%a: %a" pp_ident k pp_expr e))
     kvs
 
 (* ------------------------------------------------------------------ *)
@@ -144,18 +148,18 @@ and pp_map ppf kvs =
 
 and pp_node_pat ppf np =
   Fmt.pf ppf "(%s%s%s)"
-    (Option.value ~default:"" np.np_var)
-    (String.concat "" (List.map (fun l -> ":" ^ l) np.np_labels))
+    (Option.fold ~none:"" ~some:ident np.np_var)
+    (labels np.np_labels)
     (if np.np_props = [] then ""
      else Fmt.str " %a" (fun ppf -> pp_map ppf) np.np_props)
 
 and pp_rel_pat ppf rp =
   let body ppf () =
-    let name = Option.value ~default:"" rp.rp_var in
+    let name = Option.fold ~none:"" ~some:ident rp.rp_var in
     let types =
       match rp.rp_types with
       | [] -> ""
-      | ts -> ":" ^ String.concat "|" ts
+      | ts -> ":" ^ String.concat "|" (List.map ident ts)
     in
     let range =
       match rp.rp_range with
@@ -176,7 +180,7 @@ and pp_rel_pat ppf rp =
   | Undirected -> Fmt.pf ppf "-%a-" body ()
 
 and pp_pattern ppf p =
-  Option.iter (fun v -> Fmt.pf ppf "%s = " v) p.pat_var;
+  Option.iter (fun v -> Fmt.pf ppf "%a = " pp_ident v) p.pat_var;
   pp_node_pat ppf p.pat_start;
   List.iter
     (fun (rp, np) -> Fmt.pf ppf "%a%a" pp_rel_pat rp pp_node_pat np)
@@ -189,23 +193,19 @@ let pp_patterns ppf ps = Fmt.(list ~sep:(any ", ") pp_pattern) ppf ps
 (* ------------------------------------------------------------------ *)
 
 let pp_set_item ppf = function
-  | Set_prop (e, k, v) -> Fmt.pf ppf "%a.%s = %a" pp_atom e k pp_expr v
+  | Set_prop (e, k, v) -> Fmt.pf ppf "%a.%a = %a" pp_atom e pp_ident k pp_expr v
   | Set_all_props (e, v) -> Fmt.pf ppf "%a = %a" pp_atom e pp_expr v
   | Set_merge_props (e, v) -> Fmt.pf ppf "%a += %a" pp_atom e pp_expr v
-  | Set_labels (e, ls) ->
-      Fmt.pf ppf "%a%s" pp_atom e
-        (String.concat "" (List.map (fun l -> ":" ^ l) ls))
+  | Set_labels (e, ls) -> Fmt.pf ppf "%a%s" pp_atom e (labels ls)
 
 let pp_remove_item ppf = function
-  | Rem_prop (e, k) -> Fmt.pf ppf "%a.%s" pp_atom e k
-  | Rem_labels (e, ls) ->
-      Fmt.pf ppf "%a%s" pp_atom e
-        (String.concat "" (List.map (fun l -> ":" ^ l) ls))
+  | Rem_prop (e, k) -> Fmt.pf ppf "%a.%a" pp_atom e pp_ident k
+  | Rem_labels (e, ls) -> Fmt.pf ppf "%a%s" pp_atom e (labels ls)
 
 let pp_proj_item ppf { item_expr; item_alias } =
   match item_alias with
   | None -> pp_expr ppf item_expr
-  | Some a -> Fmt.pf ppf "%a AS %s" pp_expr item_expr a
+  | Some a -> Fmt.pf ppf "%a AS %a" pp_expr item_expr pp_ident a
 
 let pp_projection keyword ppf p =
   Fmt.pf ppf "%s %s" keyword (if p.proj_distinct then "DISTINCT " else "");
@@ -239,7 +239,7 @@ let rec pp_clause ppf = function
         patterns;
       Option.iter (fun e -> Fmt.pf ppf " WHERE %a" pp_expr e) where
   | Unwind { source; alias } ->
-      Fmt.pf ppf "UNWIND %a AS %s" pp_expr source alias
+      Fmt.pf ppf "UNWIND %a AS %a" pp_expr source pp_ident alias
   | With p -> pp_projection "WITH" ppf p
   | Return p -> pp_projection "RETURN" ppf p
   | Create ps -> Fmt.pf ppf "CREATE %a" pp_patterns ps
@@ -263,7 +263,7 @@ let rec pp_clause ppf = function
           Fmt.(list ~sep:(any ", ") pp_set_item)
           on_match
   | Foreach { fe_var; fe_source; fe_body } ->
-      Fmt.pf ppf "FOREACH (%s IN %a | %a)" fe_var pp_expr fe_source
+      Fmt.pf ppf "FOREACH (%a IN %a | %a)" pp_ident fe_var pp_expr fe_source
         Fmt.(list ~sep:(any " ") pp_clause)
         fe_body
 

@@ -328,17 +328,9 @@ let run s src : (Api.result, Errors.t) result =
   match compile s config src with
   | Error e -> Error e
   | Ok (p, status) -> (
-      match Api.execute_full p config.Config.params s.graph with
+      match Api.execute p config.Config.params s.graph with
       | Ok r -> advance s ~src (annotate_plan status r)
       | Error e -> Error e)
-
-(** [run_query s q] is {!run} for a pre-parsed query.  Journaled source
-    text is the pretty-printed statement (print/parse round-tripping is
-    oracle 1 of the fuzz suite). *)
-let run_query ?prefix s q : (Api.result, Errors.t) result =
-  match Api.run_query_full ~config:(effective_config s) ?prefix s.graph q with
-  | Ok r -> advance s ~src:(Cypher_ast.Pretty.query_to_string q) r
-  | Error e -> Error e
 
 (** [reset s] drops the graph and any open transactions (buffered
     journal entries included — the caller owning the sink is responsible
@@ -361,7 +353,7 @@ let run_on s graph src : (Api.result, Errors.t) result =
   match compile s config src with
   | Error e -> Error e
   | Ok (p, status) -> (
-      match Api.execute_full p config.Config.params graph with
+      match Api.execute p config.Config.params graph with
       | Ok r -> Ok (annotate_plan status r)
       | Error e -> Error e)
 
@@ -372,7 +364,7 @@ let run_on s graph src : (Api.result, Errors.t) result =
     session nor the journal is touched. *)
 let run_prepared_on s graph (p : Api.prepared) :
     (Api.result, Errors.t) result =
-  Api.execute_full p s.config.Config.params graph
+  Api.execute p s.config.Config.params graph
 
 (** [set_graph s g] replaces the session graph with [g].  Refused
     inside a transaction: the open frames hold snapshots of the graph

@@ -12,7 +12,13 @@
     in-memory graph advances (write-ahead).  Inside transactions entries
     buffer and reach the sink only at the outermost {!commit};
     {!rollback} journals nothing.  The durable storage layer
-    ([Cypher_storage.Store]) builds on this hook. *)
+    ([Cypher_storage.Store]) builds on this hook.
+
+    Statements enter as text only, compiled by {!Api.prepare} through
+    the session's plan cache, so a statement runs live exactly as
+    recovery replays its journaled text: the same compile, the same
+    up-front parameter check.  A caller holding an AST prints it
+    ([Cypher_parser.Parser.statement_to_string]) and runs the text. *)
 
 open Cypher_graph
 
@@ -117,14 +123,6 @@ val prepare : t -> string -> (Api.prepared, Errors.t) result
     bulk loader instead of the parser. *)
 val advance_bulk :
   t -> src:string -> stats:Stats.t -> Graph.t -> (unit, Errors.t) result
-
-(** [run_query s q] is {!run} for a pre-parsed query; [prefix]
-    defaults to [Plain]. *)
-val run_query :
-  ?prefix:Cypher_parser.Parser.prefix ->
-  t ->
-  Cypher_ast.Ast.query ->
-  (Api.result, Errors.t) result
 
 (** [reset s] drops the graph, any open transactions, and any buffered
     journal entries. *)

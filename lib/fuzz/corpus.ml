@@ -283,7 +283,7 @@ let build_graph e : (Graph.t, string) result =
     (fun acc stmt ->
       Result.bind acc (fun g ->
           match Api.run_string ~config:Config.permissive g stmt with
-          | Ok o -> Ok o.Api.graph
+          | Ok o -> Ok o.Api.r_graph
           | Error err ->
               Error
                 (Printf.sprintf "%s: setup %S failed: %s" e.name stmt
@@ -331,11 +331,11 @@ let check e : (unit, string) result =
   | Dump -> (
       (* run the statement to build the graph under test, then check the
          dump round-trip on the result *)
-      match Api.run_query ~config:Config.permissive g q with
+      match Oracles.run Config.permissive g q with
       | Error err ->
           Error (Printf.sprintf "%s: execution failed: %s" e.name
                    (Errors.to_string err))
-      | Ok o -> Oracles.dump_roundtrip o.Api.graph)
+      | Ok o -> Oracles.dump_roundtrip o.Api.r_graph)
   | Durability -> Oracles.durability g q
   | Prepared -> Oracles.prepared g q
   | Fused -> Oracles.fused g q
@@ -345,12 +345,12 @@ let check e : (unit, string) result =
       | Oracles.Unclassified detail ->
           Error (e.name ^ ": unclassified divergence: " ^ detail))
   | Eval expected -> (
-      match Api.run_query ~config:Config.permissive g q with
+      match Oracles.run Config.permissive g q with
       | Error err ->
           Error (Printf.sprintf "%s: execution failed: %s" e.name
                    (Errors.to_string err))
       | Ok o ->
-          let got = render_table o.Api.table in
+          let got = render_table o.Api.r_table in
           if got = expected then Ok ()
           else
             Error

@@ -13,7 +13,10 @@
     and checks the server outcome against the serial run of the
     committed actors in commit order.  Failures are shrunk with
     {!Shrink.minimize} under a predicate that reproduces the same
-    oracle's failure, so the reported case is (locally) minimal. *)
+    oracle's failure, so the reported case is (locally) minimal.  A
+    generated statement whose printed text does not parse
+    ({!Oracles.Harness_error}) fails the oracle that met it, as a
+    harness error, and is never shrunk. *)
 
 module Graph = Cypher_graph.Graph
 module Pretty = Cypher_ast.Pretty
@@ -34,8 +37,7 @@ type failure = {
   oracle : string;
   iteration : int;
   case_seed : int;  (** replays as case 0 of a run from this seed *)
-  graph : Graph.t;
-  query : Cypher_ast.Ast.query;
+  case : Gen.case;  (** graph and statement shrunk *)
   detail : string;
 }
 
@@ -52,9 +54,8 @@ let oracles =
   [ "roundtrip"; "planner"; "divergence"; "wellformed"; "counters"; "prepared"; "fused";
     "durability"; "concurrent" ]
 
-(** [check oracle c] is [oracle]'s verdict on case [c]; a sanctioned
-    divergence passes. *)
-let check oracle (c : Gen.case) =
+(* [oracle]'s verdict on case [c], raising {!Oracles.Harness_error} *)
+let verdict oracle (c : Gen.case) =
   let g = c.graph and q = c.statement in
   match oracle with
   | "roundtrip" -> Oracles.roundtrip q
@@ -69,38 +70,53 @@ let check oracle (c : Gen.case) =
   | "concurrent" -> Oracles.concurrent ~schedule:c.schedule g c.actors
   | o -> invalid_arg ("Fuzz.check: no oracle " ^ o)
 
+let harness f =
+  try f () with Oracles.Harness_error m -> Error ("harness error: " ^ m)
+
+(** [check oracle c] is [oracle]'s verdict on case [c]; a sanctioned
+    divergence passes, a harness error fails. *)
+let check oracle c = harness (fun () -> verdict oracle c)
+
 let run ?(seed = 0) ~count () =
   let failures = ref [] in
   let passed = ref [] (* the divergence oracle's agreements and sanctioned divergences *) in
   for i = 0 to count - 1 do
     let c = Gen.case (case_seed ~seed i) in
-    let verdict = function
+    (* [verdict], tallying the divergence oracle's passes *)
+    let tallied = function
       | "divergence" -> (
           match Oracles.divergence c.graph c.statement with
           | Oracles.Unclassified d -> Error d
           | o ->
               passed := o :: !passed;
               Ok ())
-      | oracle -> check oracle c
+      | oracle -> verdict oracle c
     in
     List.iter
       (fun oracle ->
-        match verdict oracle with
+        match harness (fun () -> tallied oracle) with
         | Ok () -> ()
         | Error detail ->
             (* the actors, not the statement, make a concurrent case:
                no statement candidate counts as failing, so only its
-               graph shrinks *)
+               graph shrinks; a candidate that raises, a harness error
+               included, does not fail *)
             let fails g q =
               (oracle <> "concurrent" || q == c.statement)
-              && try Result.is_error (check oracle { c with graph = g; statement = q }) with _ -> false
+              && try Result.is_error (verdict oracle { c with graph = g; statement = q }) with _ -> false
             in
             let g, q =
               if fails c.graph c.statement then Shrink.minimize ~fails c.graph c.statement
               else (c.graph, c.statement)
             in
             failures :=
-              { oracle; iteration = i; case_seed = case_seed ~seed i; graph = g; query = q; detail }
+              {
+                oracle;
+                iteration = i;
+                case_seed = case_seed ~seed i;
+                case = { c with graph = g; statement = q };
+                detail;
+              }
               :: !failures)
       oracles
   done;
@@ -116,11 +132,32 @@ let run ?(seed = 0) ~count () =
     failures = List.rev !failures;
   }
 
+(** [pp_case ?oracle] prints the parts of a case that [oracle] reads —
+    a concurrent case's actors and schedule, the durability workload's
+    statement and extra statements, another oracle's statement — then
+    its graph; without [oracle], every part. *)
+let pp_case ?oracle ppf (c : Gen.case) =
+  let reads o = oracle = None || oracle = Some o in
+  let pp_q ppf q = Fmt.string ppf (Pretty.query_to_string q) in
+  Fmt.pf ppf "@[<v>";
+  if oracle <> Some "concurrent" then Fmt.pf ppf "statement: %a@," pp_q c.statement;
+  if reads "durability" then List.iter (Fmt.pf ppf "extra: %a@," pp_q) c.extra;
+  if reads "concurrent" then begin
+    List.iteri
+      (fun j (a : Gen.actor) ->
+        match a with
+        | Gen.Auto q -> Fmt.pf ppf "actor %d (auto): %a@," j pp_q q
+        | Gen.Tx qs ->
+            Fmt.pf ppf "actor %d (tx):@," j;
+            List.iter (Fmt.pf ppf "  %a@," pp_q) qs)
+      c.actors;
+    Fmt.pf ppf "schedule: %d@," c.schedule
+  end;
+  Fmt.pf ppf "graph:@,%a@]" Graph.pp c.graph
+
 let pp_failure ppf f =
-  Fmt.pf ppf "@[<v>[%s] iteration %d (seed %d): %s@,statement: %s@,graph:@,%a@]"
-    f.oracle f.iteration f.case_seed f.detail
-    (Pretty.query_to_string f.query)
-    Graph.pp f.graph
+  Fmt.pf ppf "@[<v>[%s] iteration %d (seed %d): %s@,%a@]" f.oracle f.iteration
+    f.case_seed f.detail (pp_case ~oracle:f.oracle) f.case
 
 let pp_report ppf r =
   Fmt.pf ppf "@[<v>fuzz: seed %d, %d cases x 9 oracles@," r.seed r.iterations;

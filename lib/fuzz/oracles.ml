@@ -47,7 +47,12 @@
        the order the server committed them.
     9. {!fused}: a read statement run plain (MATCH folded straight into
        an aggregating projection) and under [PROFILE] (clause by clause,
-       materialising) must produce byte-identical tables. *)
+       materialising) must produce byte-identical tables.
+
+    Every oracle runs a generated statement as its printed text
+    ({!text}), the one way a statement enters the engine, so each run
+    takes the compile path and the up-front parameter check users
+    get. *)
 
 open Cypher_ast.Ast
 open Cypher_util.Maps
@@ -170,7 +175,26 @@ let legacy_config =
 let revised_naive = { Config.permissive with planner = Config.Off }
 let revised_planned = { Config.permissive with planner = Config.On }
 
-let run config g q = Api.run_query ~config g q
+(** Raised when a generated statement's printed text does not parse:
+    a fault of the printer or the generator, never a verdict on the
+    engine.  No oracle passes on it, and the shrinker keeps no candidate
+    for it. *)
+exception Harness_error of string
+
+(** [text ?prefix q] is the printed text of [q] under [prefix] (default
+    none), checked to parse back.
+    @raise Harness_error when it does not. *)
+let text ?(prefix = Parser.Plain) q =
+  let src = Parser.statement_to_string (prefix, q, []) in
+  match Parser.parse_statement_params src with
+  | Ok _ -> src
+  | Error e ->
+      raise
+        (Harness_error
+           (Printf.sprintf "printed statement %S does not parse: %s" src
+              (Parser.error_to_string e)))
+
+let run ?prefix config g q = Api.run_string ~config g (text ?prefix q)
 
 (* ------------------------------------------------------------------ *)
 (* Oracle 1: print/parse round-trip                                   *)
@@ -191,10 +215,10 @@ let roundtrip q : (unit, string) result =
 (* Oracle 2: planner-on vs planner-off                                *)
 (* ------------------------------------------------------------------ *)
 
-let outcome_summary (o : Api.outcome) =
+let result_summary (r : Api.result) =
   Fmt.str "columns=[%s] rows=%d"
-    (String.concat "," (Table.columns o.table))
-    (Table.row_count o.table)
+    (String.concat "," (Table.columns r.Api.r_table))
+    (Table.row_count r.Api.r_table)
 
 let planner_equivalence ?(match_mode = Config.Isomorphic) g q :
     (unit, string) result =
@@ -215,24 +239,24 @@ let planner_equivalence ?(match_mode = Config.Isomorphic) g q :
       Error (Fmt.str "planner-on fails (%s) where planner-off succeeds"
                (Errors.to_string e))
   | Ok o1, Ok o2 ->
-      if not (Iso.isomorphic o1.graph o2.graph) then
+      if not (Iso.isomorphic o1.Api.r_graph o2.Api.r_graph) then
         Error "planner-on and planner-off result graphs are not isomorphic"
       else if query_is_update q || has_skip_limit q then
         (* created entity ids (and, under SKIP/LIMIT, the surviving tie
            rows) may legitimately differ; compare shapes *)
         if
-          Table.columns o1.table = Table.columns o2.table
-          && Table.row_count o1.table = Table.row_count o2.table
+          Table.columns o1.Api.r_table = Table.columns o2.Api.r_table
+          && Table.row_count o1.Api.r_table = Table.row_count o2.Api.r_table
         then Ok ()
         else
           Error
             (Fmt.str "planner tables differ in shape: %s vs %s"
-               (outcome_summary o1) (outcome_summary o2))
-      else if Table.equal_as_bags o1.table o2.table then Ok ()
+               (result_summary o1) (result_summary o2))
+      else if Table.equal_as_bags o1.Api.r_table o2.Api.r_table then Ok ()
       else
         Error
           (Fmt.str "planner changed the result row set: %s vs %s"
-             (outcome_summary o1) (outcome_summary o2))
+             (result_summary o1) (result_summary o2))
 
 (* ------------------------------------------------------------------ *)
 (* Oracle 5: update counters vs structural graph diff                 *)
@@ -319,7 +343,7 @@ let graph_diff (g_in : Graph.t) (g_out : Graph.t) : Cypher_core.Stats.t =
 let counters g q : (unit, string) result =
   let module Stats = Cypher_core.Stats in
   let check_one name config q =
-    match Api.run_query_full ~config g q with
+    match run config g q with
     | Error _ -> Ok ()
     | Ok r ->
         let stats = r.Api.r_stats in
@@ -400,20 +424,20 @@ let divergence g q : divergence_outcome =
   | Error e, Ok _ ->
       classify (Fmt.str "only legacy fails: %s" (Errors.to_string e))
   | Ok o1, Ok o2 ->
-      let same_graph = Iso.isomorphic o1.graph o2.graph in
+      let same_graph = Iso.isomorphic o1.Api.r_graph o2.Api.r_graph in
       let same_table =
         if query_is_update q then
           (* created ids may differ between regimes even when the result
              is semantically the same; compare table shapes only *)
-          Table.columns o1.table = Table.columns o2.table
-          && Table.row_count o1.table = Table.row_count o2.table
-        else Table.equal_as_bags o1.table o2.table
+          Table.columns o1.Api.r_table = Table.columns o2.Api.r_table
+          && Table.row_count o1.Api.r_table = Table.row_count o2.Api.r_table
+        else Table.equal_as_bags o1.Api.r_table o2.Api.r_table
       in
       if same_graph && same_table then Agree
       else
         classify
           (Fmt.str "results differ (%s vs %s; graphs %s)"
-             (outcome_summary o1) (outcome_summary o2)
+             (result_summary o1) (result_summary o2)
              (if same_graph then "isomorphic" else "differ"))
 
 (* ------------------------------------------------------------------ *)
@@ -692,7 +716,7 @@ let durability ?(extra = []) (g : Graph.t) q : (unit, string) result =
   List.iter
     (fun q ->
       let before = Buffer.length wal_buf in
-      (match Session.run_query session q with Ok _ | Error _ -> ());
+      (match Session.run session (text q) with Ok _ | Error _ -> ());
       if Buffer.length wal_buf > before then
         boundaries := Session.graph session :: !boundaries)
     (q :: extra);
@@ -992,11 +1016,6 @@ let parameterize q =
   let q' = query q in
   (q', !bindings)
 
-let result_summary (r : Cypher_core.Api.result) =
-  Fmt.str "columns=[%s] rows=%d"
-    (String.concat "," (Table.columns r.Api.r_table))
-    (Table.row_count r.Api.r_table)
-
 (** Oracle 7.  Lifts every (eligible) literal of the statement into a
     [$p0..$pn] binding, compiles the rewritten text once with
     {!Api.prepare}, executes it twice with the extracted bindings —
@@ -1008,8 +1027,8 @@ let result_summary (r : Cypher_core.Api.result) =
     bound check, and plan reuse. *)
 let prepared (g : Graph.t) q : (unit, string) result =
   let q', params = parameterize q in
-  let src = Pretty.query_to_string q' in
-  let direct = Api.run_query_full ~config:revised_planned g q in
+  let src = text q' in
+  let direct = run revised_planned g q in
   let compare_run ~label (run : (Api.result, Errors.t) result) =
     match (direct, run) with
     | Error e1, Error e2 ->
@@ -1053,11 +1072,11 @@ let prepared (g : Graph.t) q : (unit, string) result =
           Error
             (Fmt.str "prepare of %S failed: %s" src (Errors.to_string e)))
   | Ok p -> (
-      match compare_run ~label:"first execute" (Api.execute_full p params g) with
+      match compare_run ~label:"first execute" (Api.execute p params g) with
       | Error _ as e -> e
       | Ok () ->
           compare_run ~label:"second (memoized) execute"
-            (Api.execute_full p params g))
+            (Api.execute p params g))
 
 (* Three disjoint copies of [g].  A generated graph has at most 6 nodes,
    too few for a stored id set to outgrow the array form
@@ -1095,7 +1114,7 @@ let wellformed_on g q : (unit, string) result =
   match run revised_planned g q with
   | Error _ -> Ok () (* failed statements leave no result graph to audit *)
   | Ok o ->
-      let g' = o.Api.graph in
+      let g' = o.Api.r_graph in
       let* () =
         check (Graph.is_wellformed g') (fun () ->
             Fmt.str "result graph has %d dangling relationship(s)"
@@ -1133,8 +1152,8 @@ let serial_apply g actors =
       let stmts = match a with Gen.Auto q -> [ q ] | Gen.Tx qs -> qs in
       List.fold_left
         (fun g q ->
-          match Api.run_query ~config:concurrent_config g q with
-          | Ok o -> o.Api.graph
+          match run concurrent_config g q with
+          | Ok o -> o.Api.r_graph
           | Error _ -> g)
         g stmts)
     g actors
@@ -1155,8 +1174,8 @@ let committed_version answer =
     answers, newest first. *)
 let interleave ~schedule shared (actors : Gen.actor list) =
   let requests = function
-    | Gen.Auto q -> [ Pretty.query_to_string q ]
-    | Gen.Tx qs -> (":begin" :: List.map Pretty.query_to_string qs) @ [ ":commit" ]
+    | Gen.Auto q -> [ text q ]
+    | Gen.Tx qs -> (":begin" :: List.map text qs) @ [ ":commit" ]
   in
   let todo = Array.of_list (List.map requests actors) in
   let conns = Array.map (fun _ -> Service.create ~config:concurrent_config shared) todo in
@@ -1234,10 +1253,7 @@ let concurrent ~schedule (g : Graph.t) (actors : Gen.actor list) :
 let fused (g : Graph.t) q : (unit, string) result =
   if query_is_update q then Ok ()
   else
-    let run prefix =
-      Api.run_query_full ~config:revised_planned ~prefix g q
-    in
-    match (run Cypher_parser.Parser.Plain, run Cypher_parser.Parser.Profile) with
+    match (run revised_planned g q, run ~prefix:Parser.Profile revised_planned g q) with
     | Error e1, Error e2 ->
         check (error_kind e1 = error_kind e2) (fun () ->
             Fmt.str "fused run fails with %s but PROFILE with %s"

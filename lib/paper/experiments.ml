@@ -43,14 +43,14 @@ let run_ok config g src =
 (* ------------------------------------------------------------------ *)
 
 let e1 () =
-  let g0 = (run_ok Config.revised Graph.empty Fixtures.figure1_setup).Api.graph in
+  let g0 = (run_ok Config.revised Graph.empty Fixtures.figure1_setup).Api.r_graph in
   let built_ok = Iso.isomorphic g0 Fixtures.figure1_graph in
   (* Query (1): exactly one vendor, cStore *)
   let q1 = run_ok Config.revised g0 Fixtures.query1 in
   let q1_ok =
-    Table.row_count q1.Api.table = 1
+    Table.row_count q1.Api.r_table = 1
     &&
-    match Record.find (List.hd (Table.rows q1.Api.table)) "v" with
+    match Record.find (List.hd (Table.rows q1.Api.r_table)) "v" with
     | Value.Node id ->
         Value.equal_strict
           (Props.get (Graph.node_props_of g0 id) "name")
@@ -58,7 +58,7 @@ let e1 () =
     | _ -> false
   in
   (* Queries (2) and (3): insert p4 and evolve it into a smartphone *)
-  let g2 = (run_ok Config.revised g0 Fixtures.query2).Api.graph in
+  let g2 = (run_ok Config.revised g0 Fixtures.query2).Api.r_graph in
   let q2_ok =
     Graph.node_count g2 = 7
     && Graph.rel_count g2 = 6
@@ -66,7 +66,7 @@ let e1 () =
          (fun n acc -> acc || Cypher_util.Maps.Sset.mem "New_Product" n.Graph.labels)
          g2 false
   in
-  let g3 = (run_ok Config.revised g2 Fixtures.query3).Api.graph in
+  let g3 = (run_ok Config.revised g2 Fixtures.query3).Api.r_graph in
   let smartphone =
     Graph.fold_nodes
       (fun n acc ->
@@ -91,7 +91,7 @@ let e1 () =
     | _ -> false
   in
   (* ...while Query (4) (DETACH DELETE) restores the original graph *)
-  let g4 = (run_ok Config.revised g3 Fixtures.query4).Api.graph in
+  let g4 = (run_ok Config.revised g3 Fixtures.query4).Api.r_graph in
   let q4_ok = Iso.isomorphic g4 Fixtures.figure1_graph in
   let passed = built_ok && q1_ok && q2_ok && q3_ok && strict_delete_fails && q4_ok in
   report "E1" "Queries (1)-(4) on the Figure 1 marketplace"
@@ -108,7 +108,7 @@ let e1 () =
 (* ------------------------------------------------------------------ *)
 
 let e2 () =
-  let g0 = (run_ok Config.revised Graph.empty Fixtures.figure1_setup).Api.graph in
+  let g0 = (run_ok Config.revised Graph.empty Fixtures.figure1_setup).Api.r_graph in
   (* legacy MERGE under Cypher 9 *)
   let legacy = run_ok Config.cypher9 g0 Fixtures.query5_legacy in
   (* revised MERGE SAME under the new dialect *)
@@ -132,10 +132,10 @@ let e2 () =
     in
     g
   in
-  let ok_l, obs_l = check_iso ~expected legacy.Api.graph in
-  let ok_r, obs_r = check_iso ~expected revised.Api.graph in
+  let ok_l, obs_l = check_iso ~expected legacy.Api.r_graph in
+  let ok_r, obs_r = check_iso ~expected revised.Api.r_graph in
   let rows_ok =
-    Table.row_count legacy.Api.table = 3 && Table.row_count revised.Api.table = 3
+    Table.row_count legacy.Api.r_table = 3 && Table.row_count revised.Api.r_table = 3
   in
   report "E2" "Query (5): MERGE pairs every product with a vendor"
     "p1, p2 match vendor v1; p3 gets a fresh vendor v2 with an :OFFERS \
@@ -157,9 +157,9 @@ let product_ids g =
     g []
 
 let e3 () =
-  let g0 = (run_ok Config.revised Graph.empty Fixtures.figure1_setup).Api.graph in
-  let atomic = (run_ok Config.revised g0 Fixtures.example1_swap).Api.graph in
-  let legacy = (run_ok Config.cypher9 g0 Fixtures.example1_swap).Api.graph in
+  let g0 = (run_ok Config.revised Graph.empty Fixtures.figure1_setup).Api.r_graph in
+  let atomic = (run_ok Config.revised g0 Fixtures.example1_swap).Api.r_graph in
+  let legacy = (run_ok Config.cypher9 g0 Fixtures.example1_swap).Api.r_graph in
   let id_of g name = List.assoc name (product_ids g) in
   let atomic_swapped =
     Value.equal_strict (id_of atomic "laptop") (Value.Int 85)
@@ -185,7 +185,7 @@ let e3 () =
 (* ------------------------------------------------------------------ *)
 
 let e4 () =
-  let g0 = (run_ok Config.revised Graph.empty Fixtures.figure1_setup).Api.graph in
+  let g0 = (run_ok Config.revised Graph.empty Fixtures.figure1_setup).Api.r_graph in
   let atomic = Api.run_string ~config:Config.revised g0 Fixtures.example2_ambiguous in
   let legacy = Api.run_string ~config:Config.cypher9 g0 Fixtures.example2_ambiguous in
   let atomic_errors =
@@ -214,15 +214,15 @@ let e5 () =
     | Ok o -> (
         (* the query "goes through without an error and returns an empty
            node without any labels or properties" *)
-        match Table.rows o.Api.table with
+        match Table.rows o.Api.r_table with
         | [ row ] -> (
             match Record.find row "user" with
             | Value.Node id ->
                 let empty_node =
-                  Graph.labels_of o.Api.graph id = []
-                  && Props.is_empty (Graph.node_props_of o.Api.graph id)
+                  Graph.labels_of o.Api.r_graph id = []
+                  && Props.is_empty (Graph.node_props_of o.Api.r_graph id)
                 in
-                ( empty_node && Graph.node_count o.Api.graph = 1,
+                ( empty_node && Graph.node_count o.Api.r_graph = 1,
                   Printf.sprintf
                     "legacy returns node %d, labels=[] props={} -> empty node; \
                      graph keeps only the product"
@@ -422,13 +422,13 @@ let e10 () =
   let strong = run Merge_same in
   let rematch =
     match Api.run_string ~config:Config.revised strong Fixtures.example7_match with
-    | Ok o -> Table.row_count o.Api.table
+    | Ok o -> Table.row_count o.Api.r_table
     | Error _ -> -1
   in
   let weak = run Merge_collapse in
   let rematch_weak =
     match Api.run_string ~config:Config.revised weak Fixtures.example7_match with
-    | Ok o -> Table.row_count o.Api.table
+    | Ok o -> Table.row_count o.Api.r_table
     | Error _ -> -1
   in
   let figures_ok = List.for_all (fun (_, ok, _) -> ok) results in
@@ -461,7 +461,7 @@ let e11 () =
   in
   let rematch config g =
     match Api.run_string ~config g Fixtures.example7_match with
-    | Ok o -> Table.row_count o.Api.table
+    | Ok o -> Table.row_count o.Api.r_table
     | Error _ -> -1
   in
   let modes =

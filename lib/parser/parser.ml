@@ -21,7 +21,7 @@ type state = {
   mutable idx : int;
   mutable params : (string * (int * int)) list;
       (* every [$name] occurrence with its source position, in reverse
-         token order; harvested by [parse_statement_params] *)
+         token order; harvested statement by statement *)
 }
 
 let make_state toks = { toks = Array.of_list toks; idx = 0; params = [] }
@@ -917,88 +917,72 @@ let parse_string src : (query, error) result =
         Ok q
       with Parse_error e -> Error e)
 
-(** [parse_program src] parses a [;]-separated sequence of queries. *)
-let parse_program src : (query list, error) result =
-  match Lexer.tokenize src with
-  | Error { Lexer.message; line; col } -> Error { message; line; col }
-  | Ok toks -> (
-      let st = make_state toks in
-      try
-        let rec loop acc =
-          if cur_kind st = Token.Eof then List.rev acc
-          else if cur_kind st = Token.Semi then (
-            advance st;
-            loop acc)
-          else
-            let q = parse_query st in
-            let _ = parse_statement_end st in
-            loop (q :: acc)
-        in
-        Ok (loop [])
-      with Parse_error e -> Error e)
-
 (** Statement prefix: [EXPLAIN] renders the execution plan without
     running the statement; [PROFILE] runs it and reports per-clause row
     counts and wall-time alongside the plan. *)
 type prefix = Plain | Explain | Profile
 
-(** [parse_statement_params src] parses one statement, recognising an
-    optional [EXPLAIN] / [PROFILE] prefix before the query proper, and
-    lists the [$name] parameters it references, each with the source
-    position (line, column) of its first occurrence, in first-occurrence
-    order. *)
-let parse_statement_params src :
-    (prefix * query * (string * (int * int)) list, error) result =
-  match Lexer.tokenize src with
-  | Error { Lexer.message; line; col } -> Error { message; line; col }
-  | Ok toks -> (
-      let st = make_state toks in
-      try
-        let prefix =
-          if eat_kw st "EXPLAIN" then Explain
-          else if eat_kw st "PROFILE" then Profile
-          else Plain
-        in
-        let q = parse_query st in
-        let _ = parse_statement_end st in
-        if cur_kind st <> Token.Eof then
-          fail st "unexpected %s after query" (Token.describe (cur_kind st));
-        let params =
-          List.fold_left
-            (fun acc (name, pos) ->
-              if List.mem_assoc name acc then acc else (name, pos) :: acc)
-            []
-            (List.rev st.params)
-        in
-        Ok (prefix, q, List.rev params)
-      with Parse_error e -> Error e)
+type statement = prefix * query * (string * (int * int)) list
 
-(** [parse_statements src] parses a [;]-separated sequence of
-    statements, recognising the [EXPLAIN] / [PROFILE] prefix on each
-    (the script-file counterpart of {!parse_statement_params}). *)
-let parse_statements src : ((prefix * query) list, error) result =
+(* One statement: an optional prefix, the query, and the [$name]
+   parameters it references, each with the position of its first
+   occurrence, in first-occurrence order *)
+let parse_statement st : statement =
+  st.params <- [];
+  let prefix =
+    if eat_kw st "EXPLAIN" then Explain
+    else if eat_kw st "PROFILE" then Profile
+    else Plain
+  in
+  let q = parse_query st in
+  let params =
+    List.fold_left
+      (fun acc (name, pos) ->
+        if List.mem_assoc name acc then acc else (name, pos) :: acc)
+      [] (List.rev st.params)
+  in
+  (prefix, q, List.rev params)
+
+(* The one statement loop; [single] takes exactly one statement and
+   rejects anything after it *)
+let statements ~single src : (statement list, error) result =
   match Lexer.tokenize src with
   | Error { Lexer.message; line; col } -> Error { message; line; col }
   | Ok toks -> (
       let st = make_state toks in
       try
         let rec loop acc =
-          if cur_kind st = Token.Eof then List.rev acc
-          else if cur_kind st = Token.Semi then (
-            advance st;
-            loop acc)
-          else
-            let prefix =
-              if eat_kw st "EXPLAIN" then Explain
-              else if eat_kw st "PROFILE" then Profile
-              else Plain
-            in
-            let q = parse_query st in
-            let _ = parse_statement_end st in
-            loop ((prefix, q) :: acc)
+          match cur_kind st with
+          | Token.Eof when not single -> List.rev acc
+          | Token.Semi when not single ->
+              advance st;
+              loop acc
+          | _ ->
+              let s = parse_statement st in
+              let _ = parse_statement_end st in
+              if not single then loop (s :: acc)
+              else if cur_kind st <> Token.Eof then
+                fail st "unexpected %s after query" (Token.describe (cur_kind st))
+              else [ s ]
         in
         Ok (loop [])
       with Parse_error e -> Error e)
+
+(** [parse_statements src] parses a [;]-separated sequence of
+    statements, each with an optional [EXPLAIN] / [PROFILE] prefix and
+    its own parameter list, positioned in [src]. *)
+let parse_statements src = statements ~single:false src
+
+(** [parse_statement_params src] is {!parse_statements} of a source
+    that holds exactly one statement (a trailing [;] is allowed). *)
+let parse_statement_params src =
+  Result.map List.hd (statements ~single:true src)
+
+(** [statement_to_string s] prints [s]'s prefix and query: one
+    statement's text, which parses back to them. *)
+let statement_to_string ((prefix, q, _) : statement) =
+  (match prefix with Plain -> "" | Explain -> "EXPLAIN " | Profile -> "PROFILE ")
+  ^ Cypher_ast.Pretty.query_to_string q
 
 (** [parse_expr_string src] parses a standalone expression (tests). *)
 let parse_expr_string src : (expr, error) result =

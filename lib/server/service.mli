@@ -1,5 +1,5 @@
 (** Per-connection protocol logic, independent of sockets — the unit
-    the TCP front end, the tests and fuzz oracle 9 all drive.
+    the TCP front end, the tests and fuzz oracle 8 all drive.
 
     Protocol: one request per line — a [:]-command ([:begin] [:commit]
     [:rollback] [:ping] [:stats] [:quit]) or a Cypher statement.  Each

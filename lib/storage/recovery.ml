@@ -63,7 +63,7 @@ let replay (base : Graph.t) (entries : Session.journal_entry list) :
                 check i e.Session.je_stats stats (fun () -> go g' (i + 1) rest))
         | `Statement -> (
             match
-              Api.run_string_full ~config:e.Session.je_config g e.Session.je_src
+              Api.run_string ~config:e.Session.je_config g e.Session.je_src
             with
             | Error err ->
                 Error

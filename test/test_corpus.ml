@@ -101,11 +101,7 @@ let smoke_cases =
         let report = Fuzz.run ~seed:20260807 ~count:60 () in
         match report.Fuzz.failures with
         | [] -> ()
-        | f :: _ ->
-            Alcotest.failf
-              "fuzz failure [%s] at iteration %d (seed %d): %s\nstatement: %s"
-              f.Fuzz.oracle f.Fuzz.iteration f.Fuzz.case_seed f.Fuzz.detail
-              (Cypher_ast.Pretty.query_to_string f.Fuzz.query));
+        | f :: _ -> Alcotest.failf "fuzz failure %a" Fuzz.pp_failure f);
   ]
 
 let suite = corpus_cases @ roundtrip_cases @ header_cases @ smoke_cases

@@ -24,7 +24,7 @@ let merge_stats config mode src (g, t) =
   | _ -> Alcotest.failf "not a MERGE clause: %s" src
 
 let api_line name config g src =
-  match Api.run_string_full ~config g src with
+  match Api.run_string ~config g src with
   | Ok r -> (Printf.sprintf "%s | %s" name (Stats.to_string r.Api.r_stats), Some r.Api.r_graph)
   | Error e -> (Printf.sprintf "%s | error %s" name (Errors.to_string e), None)
 

@@ -67,8 +67,8 @@ let atomic_tests =
           run pair "MATCH (a:A)-[r]->(b) DETACH DELETE a SET a.x = 1 RETURN a"
         in
         Alcotest.(check int) "one node left" 1
-          (Graph.node_count o.Cypher_core.Api.graph);
-        check_value "returned null" vnull (first_cell o.Cypher_core.Api.table));
+          (Graph.node_count o.Cypher_core.Api.r_graph);
+        check_value "returned null" vnull (first_cell o.Cypher_core.Api.r_table));
   ]
 
 let legacy_tests =
@@ -112,7 +112,7 @@ let legacy_tests =
         | Error e -> Alcotest.failf "wrong error: %s" (Errors.to_string e)
         | Ok o ->
             Alcotest.failf "expected commit-time failure, got %d rows"
-              (Table.row_count o.Cypher_core.Api.table));
+              (Table.row_count o.Cypher_core.Api.r_table));
   ]
 
 let suite = atomic_tests @ legacy_tests

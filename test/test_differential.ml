@@ -181,7 +181,7 @@ let update_queries =
 
 let run_with config src =
   match Api.run_string ~config sweep_graph src with
-  | Ok { Api.graph; table } -> (graph, table)
+  | Ok { Api.r_graph; r_table; _ } -> (r_graph, r_table)
   | Error e -> Alcotest.failf "query failed: %s" (Cypher_core.Errors.to_string e)
 
 (* bag equality of tables: rows as sorted binding lists *)

@@ -83,7 +83,7 @@ let engine_count ?(config = Config.revised) g la ty lb =
   in
   match Api.run_string ~config g q with
   | Ok o -> (
-      match Record.find (List.hd (Table.rows o.Api.table)) "n" with
+      match Record.find (List.hd (Table.rows o.Api.r_table)) "n" with
       | Value.Int n -> n
       | _ -> -1)
   | Error _ -> -1
@@ -112,7 +112,7 @@ let matcher_tests =
         let count config =
           match Api.run_string ~config g q with
           | Ok o -> (
-              match Record.find (List.hd (Table.rows o.Api.table)) "n" with
+              match Record.find (List.hd (Table.rows o.Api.r_table)) "n" with
               | Value.Int n -> n
               | _ -> -1)
           | Error _ -> -1
@@ -145,7 +145,7 @@ let matcher_tests =
               "MATCH (a:A)-[:T]-(b:B) RETURN count(*) AS n"
           with
           | Ok o -> (
-              match Record.find (List.hd (Table.rows o.Api.table)) "n" with
+              match Record.find (List.hd (Table.rows o.Api.r_table)) "n" with
               | Value.Int n -> n
               | _ -> -1)
           | Error _ -> -1
@@ -190,5 +190,53 @@ let seed_tests =
           acceptance_seeds);
   ]
 
+(* --- failure reports ----------------------------------------------------- *)
+
+let report_tests =
+  [
+    Alcotest.test_case "a failure prints the parts of the case its oracle reads" `Quick
+      (fun () ->
+        let c = Cypher_fuzz.Gen.case 1 in
+        let printed oracle =
+          Fmt.str "%a" Fuzz.pp_failure
+            { Fuzz.oracle; iteration = 0; case_seed = 1; case = c; detail = "d" }
+        in
+        let has s sub = Test_util.contains_substring s sub in
+        let concurrent = printed "concurrent" in
+        Alcotest.(check bool) "actors" true (has concurrent "actor 0 (");
+        Alcotest.(check bool) "schedule" true
+          (has concurrent (Printf.sprintf "schedule: %d" c.schedule));
+        Alcotest.(check bool) "no statement oracle 8 never runs" false
+          (has concurrent "statement:");
+        let planner = printed "planner" in
+        Alcotest.(check bool) "statement" true
+          (has planner ("statement: " ^ Cypher_ast.Pretty.query_to_string c.statement));
+        Alcotest.(check bool) "no actors" false (has planner "actor 0");
+        Alcotest.(check bool) "durability adds its extra statements" true
+          (has (printed "durability") "extra: "));
+    Alcotest.test_case "a statement whose print does not parse fails every oracle" `Quick
+      (fun () ->
+        (* a function name with a space prints bare, and no parser reads it
+           back: the statement never reaches the engine, and no oracle may
+           count that as a pass, not even one that passes failing runs *)
+        let q =
+          match Cypher_parser.Parser.parse_string "RETURN f(1) AS x" with
+          | Ok ({ clauses = [ Cypher_ast.Ast.Return p ]; _ } as q) ->
+              let item = List.hd p.proj_items in
+              let item_expr = Cypher_ast.Ast.Fn ("f g", [ Cypher_ast.Ast.Lit (L_int 1) ]) in
+              { q with clauses = [ Return { p with proj_items = [ { item with item_expr } ] } ] }
+          | _ -> Alcotest.fail "parse"
+        in
+        let c = { (Cypher_fuzz.Gen.case 1) with statement = q } in
+        List.iter
+          (fun oracle ->
+            match Fuzz.check oracle c with
+            | Error d when oracle = "roundtrip" || Test_util.contains_substring d "harness error" -> ()
+            | Error d -> Alcotest.failf "%s: not a harness error: %s" oracle d
+            | Ok () -> Alcotest.failf "%s passed an unparseable statement" oracle)
+          (List.filter (( <> ) "concurrent") Fuzz.oracles));
+  ]
+
 let suite =
   List.map QCheck_alcotest.to_alcotest (parser_fuzz @ matcher_tests) @ seed_tests
+  @ report_tests

@@ -108,7 +108,7 @@ let suite =
              = 0 SET n:Even WITH count(*) AS evens MATCH (e:Even) RETURN \
              evens, count(e) AS relabeled"
         in
-        let row = List.hd (Table.rows o.Api.table) in
+        let row = List.hd (Table.rows o.Api.r_table) in
         check_value "evens" (vint 3) (Record.find row "evens");
         check_value "relabeled" (vint 3) (Record.find row "relabeled"));
     case "merge all then merge same interplay" (fun () ->
@@ -129,7 +129,7 @@ let suite =
              o.items | CREATE (o)-[:HAS]->(:Item {sku: i})) WITH o MATCH \
              (o)-[:HAS]->(i) RETURN count(i) AS items"
         in
-        check_value "three items" (vint 3) (first_cell o.Api.table));
+        check_value "three items" (vint 3) (first_cell o.Api.r_table));
     case "union across semantics boundaries" (fun () ->
         let t =
           run_table Graph.empty

@@ -16,7 +16,7 @@ let fusion_graph config =
     (fun g src ->
       match Api.run_string ~config g src with
       | Error e -> Alcotest.failf "%s: %s" src (Cypher_core.Errors.to_string e)
-      | Ok o -> o.Api.graph)
+      | Ok o -> o.Api.r_graph)
     Graph.empty
     [
       "CREATE (a:User {id: 1})-[:KNOWS {since: 2001}]->(b:User {id: \
@@ -184,10 +184,10 @@ let suite =
                   | Error e ->
                       Alcotest.failf "%s [%s]: %s" q cname
                         (Cypher_core.Errors.to_string e)
-                  | Ok o -> Cypher_table.Table.to_string o.Api.table
+                  | Ok o -> Cypher_table.Table.to_string o.Api.r_table
                 in
                 let unfused =
-                  match Api.run_string_full ~config g ("PROFILE " ^ q) with
+                  match Api.run_string ~config g ("PROFILE " ^ q) with
                   | Error e ->
                       Alcotest.failf "PROFILE %s [%s]: %s" q cname
                         (Cypher_core.Errors.to_string e)
@@ -207,7 +207,7 @@ let suite =
 let table_of config g q =
   match Api.run_string ~config g q with
   | Error e -> Alcotest.failf "%s: %s" q (Cypher_core.Errors.to_string e)
-  | Ok o -> Cypher_table.Table.to_string o.Api.table
+  | Ok o -> Cypher_table.Table.to_string o.Api.r_table
 
 (* one case per counting query: the fused count served from the plan
    cache, with the match plans memoized by the first run, prints the
@@ -248,7 +248,7 @@ let run_workload config =
   let g =
     List.fold_left
       (fun g src ->
-        match Api.run_string_full ~config g src with
+        match Api.run_string ~config g src with
         | Error e -> Alcotest.failf "%s: %s" src (Cypher_core.Errors.to_string e)
         | Ok r ->
             Buffer.add_string outs (Cypher_table.Table.to_string r.Api.r_table);
@@ -313,7 +313,7 @@ let domain_tests =
                      in
                      match Api.run_string ~config:Config.revised base q with
                      | Error e -> Error (Cypher_core.Errors.to_string e)
-                     | Ok o -> Ok (count o.Api.graph))))
+                     | Ok o -> Ok (count o.Api.r_graph))))
         in
         List.iteri
           (fun k r ->

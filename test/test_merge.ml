@@ -95,7 +95,7 @@ let revised_tests =
           (Graph.node_ids g));
     case "non-collapsing MERGE SAME counts what MERGE ALL counts" (fun () ->
         let stats src =
-          match Cypher_core.Api.run_string_full Graph.empty src with
+          match Cypher_core.Api.run_string Graph.empty src with
           | Ok r -> r.Cypher_core.Api.r_stats
           | Error e -> Alcotest.fail (Errors.to_string e)
         in

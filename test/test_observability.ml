@@ -13,7 +13,7 @@ let contains ~sub s =
   n = 0 || go 0
 
 let stats ?config g src =
-  match Api.run_string_full ?config g src with
+  match Api.run_string ?config g src with
   | Ok r -> r.Api.r_stats
   | Error e -> Alcotest.failf "query failed: %s" (Errors.to_string e)
 
@@ -35,7 +35,7 @@ let check_counts name st ~expect =
 (* the statement's counters read [expect], and apart from the execution
    counts they equal the oracle's full-scan diff of the two graphs *)
 let check_diff g src ~expect =
-  match Api.run_string_full g src with
+  match Api.run_string g src with
   | Error e -> Alcotest.failf "query failed: %s" (Errors.to_string e)
   | Ok r ->
       let st = r.Api.r_stats in
@@ -110,7 +110,7 @@ let explain_tests =
   [
     case "EXPLAIN renders a plan and does not execute" (fun () ->
         let g = graph_of "CREATE (:A), (:A), (:B)" in
-        match Api.run_string_full g "EXPLAIN MATCH (a:A) CREATE (:C)" with
+        match Api.run_string g "EXPLAIN MATCH (a:A) CREATE (:C)" with
         | Error e -> Alcotest.failf "explain failed: %s" (Errors.to_string e)
         | Ok r ->
             Alcotest.(check bool) "plan present" true (r.Api.r_plan <> None);
@@ -123,7 +123,7 @@ let explain_tests =
     case "PROFILE executes and reports per-clause rows" (fun () ->
         let g = graph_of "CREATE (:A), (:A)" in
         match
-          Api.run_string_full g "PROFILE MATCH (a:A) SET a.x = 1 RETURN a.x"
+          Api.run_string g "PROFILE MATCH (a:A) SET a.x = 1 RETURN a.x"
         with
         | Error e -> Alcotest.failf "profile failed: %s" (Errors.to_string e)
         | Ok r ->
@@ -138,7 +138,7 @@ let explain_tests =
     case "EXPLAIN without planner reports naive enumeration" (fun () ->
         let g = graph_of "CREATE (:A)" in
         let config = Config.with_planner Config.Off Config.revised in
-        match Api.run_string_full ~config g "EXPLAIN MATCH (a:A) RETURN a" with
+        match Api.run_string ~config g "EXPLAIN MATCH (a:A) RETURN a" with
         | Error e -> Alcotest.failf "explain failed: %s" (Errors.to_string e)
         | Ok r ->
             let plan = Option.get r.Api.r_plan in

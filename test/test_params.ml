@@ -134,8 +134,24 @@ let unbound_tests =
            $p — the strict check must still reject the statement *)
         let e = run_err Graph.empty "MATCH (g:Ghost) WHERE g.x = $p RETURN g" in
         check_contains "rejected up front" "$p" (Errors.to_string e));
+    case "a program checks each statement as run_string does, span included"
+      (fun () ->
+        (* no :Nope node exists, so no row reaches $x: only the up-front
+           check can reject the statement, and both entries make it *)
+        let src = "CREATE (:A) WITH 1 AS one MATCH (n:Nope) SET n.v = $x" in
+        let single = run_err Graph.empty src in
+        check_contains "span" "(line 1, column 52)" (Errors.to_string single);
+        (match Api.run_program Graph.empty src with
+        | Ok _ -> Alcotest.fail "run_program ran a statement with an unbound $x"
+        | Error e ->
+            Alcotest.(check string) "same error" (Errors.to_string single)
+              (Errors.to_string e));
+        (* a later statement's span is positioned in the program text *)
+        match Api.run_program Graph.empty ("CREATE (:B);\n" ^ src) with
+        | Ok _ -> Alcotest.fail "run_program ran a statement with an unbound $x"
+        | Error e -> check_contains "span" "(line 2, column 52)" (Errors.to_string e));
     case "EXPLAIN skips the bound check" (fun () ->
-        match Api.run_string_full Graph.empty "EXPLAIN RETURN $later" with
+        match Api.run_string Graph.empty "EXPLAIN RETURN $later" with
         | Ok r -> Alcotest.(check bool) "has a plan" true (r.Api.r_plan <> None)
         | Error e ->
             Alcotest.failf "EXPLAIN rejected: %s" (Errors.to_string e));
@@ -160,10 +176,10 @@ let prepared_tests =
     case "prepare once, execute under fresh bindings" (fun () ->
         let p = prepare_ok "CREATE (n:K {v: $x}) RETURN n.v AS v" in
         let o1 = execute_ok p [ ("x", vint 1) ] Graph.empty in
-        check_value "first" (vint 1) (first_cell o1.Api.table);
-        let o2 = execute_ok p [ ("x", vint 2) ] o1.Api.graph in
-        check_value "rebound" (vint 2) (first_cell o2.Api.table);
-        Alcotest.(check int) "both applied" 2 (Graph.node_count o2.Api.graph));
+        check_value "first" (vint 1) (first_cell o1.Api.r_table);
+        let o2 = execute_ok p [ ("x", vint 2) ] o1.Api.r_graph in
+        check_value "rebound" (vint 2) (first_cell o2.Api.r_table);
+        Alcotest.(check int) "both applied" 2 (Graph.node_count o2.Api.r_graph));
     case "prepared_params reports names and positions" (fun () ->
         let p = prepare_ok "MATCH (u {id: $uid}) WHERE u.x > $min RETURN u" in
         Alcotest.(check (list (pair string (pair int int))))
@@ -182,10 +198,10 @@ let prepared_tests =
           prepare_ok ~config:(config_with [ ("x", vint 1) ]) "RETURN $x AS x"
         in
         let o = execute_ok p [ ("x", vint 99) ] Graph.empty in
-        check_value "override wins" (vint 99) (first_cell o.Api.table);
+        check_value "override wins" (vint 99) (first_cell o.Api.r_table);
         (* and with no explicit binding the preparation config's is used *)
         let o' = execute_ok p [] Graph.empty in
-        check_value "config binding" (vint 1) (first_cell o'.Api.table));
+        check_value "config binding" (vint 1) (first_cell o'.Api.r_table));
     case "a prepared statement stays correct after index registration"
       (fun () ->
         let g =
@@ -199,15 +215,15 @@ let prepared_tests =
             "MATCH (u:User {id: $uid}) RETURN u.id AS id"
         in
         let o1 = execute_ok p [ ("uid", vint 17) ] g in
-        check_value "before index" (vint 17) (first_cell o1.Api.table);
+        check_value "before index" (vint 17) (first_cell o1.Api.r_table);
         (* registering the index changes the optimal plan; the memoized
            plan must not survive the fingerprint change *)
         let g' = Graph.add_prop_index ~label:"User" ~key:"id" g in
         check_contains "plan now uses the index" "prop index"
           (Api.prepared_plan p g');
         let o2 = execute_ok p [ ("uid", vint 17) ] g' in
-        check_value "after index" (vint 17) (first_cell o2.Api.table);
-        Alcotest.(check int) "one row" 1 (Cypher_table.Table.row_count o2.Api.table));
+        check_value "after index" (vint 17) (first_cell o2.Api.r_table);
+        Alcotest.(check int) "one row" 1 (Cypher_table.Table.row_count o2.Api.r_table));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -298,9 +298,22 @@ let clause_tests =
         | { union = Some (true, _); _ } -> ()
         | _ -> Alcotest.fail "union all");
     case "programs split on semicolons" (fun () ->
-        match Parser.parse_program "RETURN 1; RETURN 2;" with
+        match Parser.parse_statements "RETURN 1; RETURN 2;" with
         | Ok [ _; _ ] -> ()
         | Ok qs -> Alcotest.failf "expected 2 queries, got %d" (List.length qs)
+        | Error e -> Alcotest.failf "parse failed: %s" (Parser.error_to_string e));
+    case "each statement of a program carries its own parameters" (fun () ->
+        match
+          Parser.parse_statements
+            "MATCH (n) WHERE n.a = $x RETURN n;\nPROFILE RETURN $y, $x, $y"
+        with
+        | Ok [ (Parser.Plain, _, first); (Parser.Profile, _, second) ] ->
+            let params = Alcotest.(list (pair string (pair int int))) in
+            Alcotest.check params "first" [ ("x", (1, 23)) ] first;
+            Alcotest.check params "second, positioned in the program"
+              [ ("y", (2, 16)); ("x", (2, 20)) ]
+              second
+        | Ok _ -> Alcotest.fail "expected a plain and a PROFILE statement"
         | Error e -> Alcotest.failf "parse failed: %s" (Parser.error_to_string e));
     case "parse errors carry positions" (fun () ->
         match Parser.parse_string "MATCH (n) RETURN" with

@@ -46,6 +46,13 @@ let hand_written =
     "RETURN 'it\\'s a \\\\ backslash' AS s";
     "RETURN 'tab\\tnl\\ncr\\rbs\\bff\\fvt\\u000b' AS s";
     "RETURN 'unicode \\u00e9\\u20ac' AS s";
+    (* names that are not plain identifiers print backtick-quoted, and
+       floats print as exactly the float parsed *)
+    "MATCH (`my node`:`My Label` {`a key`: 1})-[`r``1`:`HAS A`]->(b) SET \
+     `my node`.`the k` = 2 REMOVE b:`Old One` RETURN `my node`.`a key` AS `the \
+     value`";
+    "UNWIND [1] AS `an x` FOREACH (`y z` IN [`an x`] | CREATE (:A {v: `y z`}))";
+    "RETURN 9007199254740992.0 AS a, 3.14159265358979 AS b, 0.1 AS c, 1e300 AS d";
   ]
 
 let unit_tests =

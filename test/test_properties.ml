@@ -206,7 +206,7 @@ let create_delete_tests =
           (Api.run_exn Graph.empty
              (Printf.sprintf
                 "UNWIND range(1, %d) AS x CREATE (:A {v: x})-[:T]->(:B)" n))
-            .Api.graph
+            .Api.r_graph
         in
         Graph.node_count g = 2 * n && Graph.rel_count g = n);
     QCheck.Test.make ~name:"revised DETACH DELETE never leaves dangling"
@@ -216,12 +216,12 @@ let create_delete_tests =
         let g =
           (Api.run_exn Graph.empty
              "UNWIND range(1, 6) AS x CREATE (:A {v: x})-[:T]->(:B {v: x})")
-            .Api.graph
+            .Api.r_graph
         in
         let g =
           (Api.run_exn g
              (Printf.sprintf "MATCH (a:A) WHERE a.v <= %d DETACH DELETE a" k))
-            .Api.graph
+            .Api.r_graph
         in
         Graph.is_wellformed g);
     QCheck.Test.make
@@ -230,15 +230,15 @@ let create_delete_tests =
         let g =
           (Api.run_exn Graph.empty
              "UNWIND range(1, 5) AS x CREATE (:N {v: x})")
-            .Api.graph
+            .Api.r_graph
         in
         let q = "MATCH (n:N) SET n.w = n.v * 2" in
-        let forward = (Api.run_exn ~config:Config.revised g q).Api.graph in
+        let forward = (Api.run_exn ~config:Config.revised g q).Api.r_graph in
         let seeded =
           (Api.run_exn
              ~config:(Config.with_order (Config.Seeded seed) Config.revised)
              g q)
-            .Api.graph
+            .Api.r_graph
         in
         Iso.isomorphic forward seeded);
   ]

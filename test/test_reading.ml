@@ -171,8 +171,8 @@ let unwind_union_tests =
           run Graph.empty
             "CREATE (n:A) RETURN 1 AS x UNION CREATE (m:B) RETURN 2 AS x"
         in
-        Alcotest.(check int) "both created" 2 (Graph.node_count o.Api.graph);
-        check_rows "rows unioned" 2 o.Api.table);
+        Alcotest.(check int) "both created" 2 (Graph.node_count o.Api.r_graph);
+        check_rows "rows unioned" 2 o.Api.r_table);
   ]
 
 let suite = projection_tests @ aggregation_tests @ unwind_union_tests
@@ -347,7 +347,7 @@ let fused_tests =
   let same src =
     let run prefix =
       match
-        Api.run_string_full ~config:Cypher_core.Config.revised people (prefix ^ src)
+        Api.run_string ~config:Cypher_core.Config.revised people (prefix ^ src)
       with
       | Ok r -> Table.to_string r.Api.r_table
       | Error e -> Alcotest.failf "%s: %s" src (Cypher_core.Errors.to_string e)

@@ -130,7 +130,7 @@ let shared_tests =
           match Cypher_core.Api.run_string head
                   ("MATCH (n:" ^ label ^ ") RETURN n")
           with
-          | Ok o -> Cypher_table.Table.row_count o.Cypher_core.Api.table
+          | Ok o -> Cypher_table.Table.row_count o.Cypher_core.Api.r_table
           | Error _ -> -1
         in
         (* serial order b; a — both effects land *)
@@ -192,7 +192,7 @@ let shared_tests =
         let _, head = Shared.current shared in
         let count label =
           match Cypher_core.Api.run_string head ("MATCH (n:" ^ label ^ ") RETURN n") with
-          | Ok o -> Cypher_table.Table.row_count o.Cypher_core.Api.table
+          | Ok o -> Cypher_table.Table.row_count o.Cypher_core.Api.r_table
           | Error _ -> -1
         in
         Alcotest.(check (list int)) "Other, Outer, no Inner" [ 1; 1; 0 ]

@@ -204,7 +204,7 @@ let goldens =
 
 let run config g src =
   match Api.run_string ~config g src with
-  | Ok o -> (o.Api.graph, o.Api.table)
+  | Ok o -> (o.Api.r_graph, o.Api.r_table)
   | Error e ->
       Alcotest.failf "query failed: %s" (Cypher_core.Errors.to_string e)
 

@@ -721,6 +721,41 @@ let store_tests =
             Alcotest.(check int) "all three statements replayed" 3
               (Store.recovery store2).Recovery.replayed;
             Store.close store2));
+    case "a program's unbound parameter is rejected live and the store reopens"
+      (fun () ->
+        (* a script line holding two statements runs as the shell runs
+           it: split, and each statement's printed text run in turn.  No
+           row reaches the SET, but the first statement is still
+           rejected up front, as replay would reject it, so only the
+           second is journaled *)
+        with_tmpdir (fun dir ->
+            let program =
+              "CREATE (:A) WITH 1 AS one MATCH (n:Nope) SET n.v = $x; CREATE (:B);"
+            in
+            let store, session = open_ok dir in
+            let results =
+              match Cypher_parser.Parser.parse_statements program with
+              | Ok statements ->
+                  List.map
+                    (fun st ->
+                      Session.run session (Cypher_parser.Parser.statement_to_string st))
+                    statements
+              | Error e -> Alcotest.fail (Cypher_parser.Parser.error_to_string e)
+            in
+            (match results with
+            | [ Error e; Ok _ ] ->
+                Alcotest.(check string) "rejected with the span"
+                  "evaluation error: parameter $x was not supplied (line 1, column 52)"
+                  (Cypher_core.Errors.to_string e)
+            | _ -> Alcotest.fail "expected the first statement rejected, the second run");
+            let live = Session.graph session in
+            Store.close store;
+            let store2, session2 = open_ok dir in
+            Test_util.check_same_graph "reopened" live (Session.graph session2);
+            Alcotest.(check int) "one statement replayed" 1
+              (Store.recovery store2).Recovery.replayed;
+            Alcotest.(check int) "the :B node" 1 (Graph.node_count (Session.graph session2));
+            Store.close store2));
     case "a corrupt snapshot fails open_db loudly" (fun () ->
         with_tmpdir (fun dir ->
             let store, session = open_ok dir in

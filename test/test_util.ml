@@ -38,8 +38,8 @@ let run ?(config = Config.revised) graph src =
   | Ok o -> o
   | Error e -> Alcotest.failf "query failed: %s\nquery: %s" (Errors.to_string e) src
 
-let run_graph ?config graph src = (run ?config graph src).Api.graph
-let run_table ?config graph src = (run ?config graph src).Api.table
+let run_graph ?config graph src = (run ?config graph src).Api.r_graph
+let run_table ?config graph src = (run ?config graph src).Api.r_table
 
 (** [run_cached ?config graph src] is the second run of [src] in one
     {!Session} on [graph], compiled through {!Session.prepare} and
