@@ -1,22 +1,19 @@
 (* Command-line driver for the fuzzing/cross-validation subsystem.
 
-   Runs [n] generated cases through all nine oracles (round-trip,
-   planner equivalence, legacy/revised divergence classification,
-   result-graph well-formedness, update counters vs graph diff,
-   durability fault injection, prepared-statement equivalence,
-   concurrent-workload linearizability, fused-vs-materialised reads)
-   and exits non-zero on any failure.  With [-corpus DIR], shrunk
-   failures are appended as replayable corpus entries; a concurrent
-   failure, which has no corpus format, prints its replay command
-   instead.  Each case is named by its own stream seed
-   ({!Fuzz.case_seed}) and drawn by {!Cypher_fuzz.Gen.case} in every
-   mode: the case printed as seed S, or written as
-   fuzz_<oracle>_seedS.cy, replays as [-seed S -n 1], with or without
-   [-oracle].  Wired to the [@fuzz] dune alias. *)
+   Runs [n] generated cases through every oracle of the table
+   {!Cypher_fuzz.Oracles.all} and exits non-zero on any failure.  With
+   [-corpus DIR], shrunk failures are appended as replayable corpus
+   entries; the failure of an oracle that reads actors, which have no
+   corpus format, prints its replay command instead.  Each case is
+   named by its own stream seed ({!Fuzz.case_seed}) and drawn by
+   {!Cypher_fuzz.Gen.case} in every mode: the case printed as seed S,
+   or written as fuzz_<oracle>_seedS.cy, replays as [-seed S -n 1],
+   with or without [-oracle].  Wired to the [@fuzz] dune alias. *)
 
 module Fuzz = Cypher_fuzz.Fuzz
 module Gen = Cypher_fuzz.Gen
 module Corpus = Cypher_fuzz.Corpus
+module Oracles = Cypher_fuzz.Oracles
 
 let () =
   let count = ref 1000 in
@@ -36,8 +33,9 @@ let () =
         " print the generated cases without running the oracles" );
       ( "-oracle",
         Arg.Set_string oracle_only,
-        "NAME run only one oracle \
-         (roundtrip|planner|divergence|wellformed|counters|durability|prepared|concurrent|fused)" );
+        "NAME run only one oracle ("
+        ^ String.concat "|" (List.map (fun (o : Oracles.oracle) -> o.name) Oracles.all)
+        ^ ")" );
     ]
   in
   Arg.parse spec
@@ -54,17 +52,21 @@ let () =
     done;
     exit 0);
   if !oracle_only <> "" then (
-    if not (List.mem !oracle_only Fuzz.oracles) then (
-      prerr_endline ("fuzz_main: unknown oracle " ^ !oracle_only);
-      exit 2);
+    let oracle =
+      match Oracles.find !oracle_only with
+      | Some o -> o
+      | None ->
+          prerr_endline ("fuzz_main: unknown oracle " ^ !oracle_only);
+          exit 2
+    in
     let fails = ref 0 in
     for i = 0 to !count - 1 do
       let case_seed, c = case i in
-      match Fuzz.check !oracle_only c with
+      match Fuzz.check oracle c with
       | Ok () -> ()
       | Error d ->
           incr fails;
-          Fmt.pr "seed %d: FAIL %s@.%a@." case_seed d (Fuzz.pp_case ~oracle:!oracle_only) c
+          Fmt.pr "seed %d: FAIL %s@.%a@." case_seed d (Fuzz.pp_case ~oracle) c
     done;
     Fmt.pr "oracle %s: %d cases from seed %d, %d failure(s)@." !oracle_only !count !seed !fails;
     exit (if !fails = 0 then 0 else 1));
@@ -76,30 +78,14 @@ let () =
       if !corpus_dir <> "" then
         List.iter
           (fun (f : Fuzz.failure) ->
-            let write oracle =
-              let name = Printf.sprintf "fuzz_%s_seed%d" f.oracle f.case_seed in
-              let entry =
-                Corpus.entry_of_failure ~name ~oracle ~graph:f.case.graph
-                  ~query:f.case.statement
-              in
-              let path = Filename.concat !corpus_dir (name ^ ".cy") in
-              Out_channel.with_open_text path (fun oc ->
-                  Out_channel.output_string oc (Corpus.render_entry entry));
-              Fmt.pr "wrote %s@." path
-            in
-            match f.oracle with
-            | "roundtrip" -> write Corpus.Roundtrip
-            | "planner" -> write Corpus.Planner
-            | "divergence" -> write Corpus.Divergence
-            | "wellformed" -> write Corpus.Wellformed
-            | "counters" -> write Corpus.Counters
-            | "durability" -> write Corpus.Durability
-            | "prepared" -> write Corpus.Prepared
-            | "fused" -> write Corpus.Fused
-            | "concurrent" ->
-                (* an actor workload has no corpus format: its case seed replays it *)
-                Fmt.pr "not written: replay with fuzz_main -oracle concurrent -seed %d -n 1@."
-                  f.case_seed
-            | o -> invalid_arg ("fuzz_main: no corpus entry for oracle " ^ o))
+            match Corpus.entry_of_failure f with
+            | None ->
+                Fmt.pr "not written: replay with fuzz_main -oracle %s -seed %d -n 1@."
+                  f.oracle.name f.case_seed
+            | Some entry ->
+                let path = Filename.concat !corpus_dir (entry.name ^ ".cy") in
+                Out_channel.with_open_text path (fun oc ->
+                    Out_channel.output_string oc (Corpus.render_entry entry));
+                Fmt.pr "wrote %s@." path)
           failures;
       exit 1

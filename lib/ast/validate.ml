@@ -75,8 +75,9 @@ let check_update_pattern ~clause ~directed (p : pattern) =
 
 (** The variables a clause brings into scope, folded over a clause
     sequence.  Only boundness is tracked (enough for the FOREACH
-    shadowing check): patterns and UNWIND add their variables, a
-    projection without [*] resets the scope to its output columns. *)
+    shadowing check and EXPLAIN's planner probe): patterns and UNWIND
+    add their variables, a projection without [*] resets the scope to
+    its output columns. *)
 let scope_after scope = function
   | Match { patterns; _ } | Create patterns | Merge { patterns; _ } ->
       List.concat_map pattern_vars patterns @ scope

@@ -18,5 +18,10 @@ type dialect = Cypher9 | Revised | Permissive
 
 type error = { message : string }
 
+(** [scope_after scope c] is the scope after clause [c]: patterns and
+    UNWIND add their variables, a projection without [*] resets it to
+    its output columns.  Only boundness is tracked. *)
+val scope_after : string list -> Ast.clause -> string list
+
 (** [validate dialect q] checks [q] against [dialect]'s restrictions. *)
 val validate : dialect -> Ast.query -> (Ast.query, string) result

@@ -24,28 +24,6 @@ let clause_label c =
   let s = Pretty.clause_to_string c in
   if String.length s <= 72 then s else String.sub s 0 69 ^ "..."
 
-(** The variables a clause adds to (or, for projections, resets) the
-    scope — enough for boundness probing; validation proper happens in
-    {!Cypher_ast.Validate}. *)
-let scope_after bound (c : clause) =
-  let add vars = List.fold_left (fun acc v -> v :: acc) bound vars in
-  match c with
-  | Match { patterns; _ } | Create patterns ->
-      add (List.concat_map pattern_vars patterns)
-  | Merge { patterns; _ } -> add (List.concat_map pattern_vars patterns)
-  | Unwind { alias; _ } -> add [ alias ]
-  | With proj | Return proj ->
-      let aliases =
-        List.filter_map
-          (fun it ->
-            match it.item_alias with
-            | Some a -> Some a
-            | None -> ( match it.item_expr with Var v -> Some v | _ -> None))
-          proj.proj_items
-      in
-      if proj.proj_star then add aliases else aliases
-  | Set _ | Remove _ | Delete _ | Foreach _ -> bound
-
 let probe_row bound = Record.of_list (List.map (fun v -> (v, Value.Null)) bound)
 
 let indent prefix s =
@@ -99,7 +77,7 @@ let render ?(profiled = false) config g (q : query) =
           | Match { patterns; _ } | Merge { patterns; _ } ->
               describe_patterns config g bound patterns buf
           | _ -> ());
-          scope_after bound c)
+          Cypher_ast.Validate.scope_after bound c)
         bound q.clauses
     in
     match q.union with

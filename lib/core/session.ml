@@ -227,15 +227,26 @@ let record s entry graph' =
           Ok ()
       | Error e -> Error e)
 
+(* [src] printed without its PROFILE prefix: recovery replays the
+   statement, it does not profile it *)
+let unprofiled src =
+  let module Parser = Cypher_parser.Parser in
+  match Parser.parse_statement_params src with
+  | Ok (_, q, params) -> Parser.statement_to_string (Parser.Plain, q, params)
+  | Error _ -> src (* it compiled, so it parses *)
+
 (* A statement that consumed ids must be journaled even when its
    counters net to zero ([CREATE (n) DELETE n]): replay has to consume
    the same ids, or every later record that names an id meets another
-   entity *)
+   entity.  Only a profiled statement is re-parsed and printed: a plain
+   one is journaled as it came *)
 let journal_entry_of ~config ~src ~before (r : Api.result) =
   if
     Stats.contains_updates r.Api.r_stats
     || Graph.next_id r.Api.r_graph <> Graph.next_id before
-  then Some { je_src = src; je_stats = r.Api.r_stats; je_config = config; je_kind = `Statement }
+  then
+    let src = if Option.is_none r.Api.r_profile then src else unprofiled src in
+    Some { je_src = src; je_stats = r.Api.r_stats; je_config = config; je_kind = `Statement }
   else None
 
 (** Records a successful statement into the journal (write-ahead when

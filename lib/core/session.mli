@@ -44,8 +44,9 @@ type journal_entry = {
     journals statement [src], which took [before] to [r]'s graph under
     [config]: [Some] when its counters show a change or it moved
     {!Graph.next_id} (consumed ids that replay must consume too), [None]
-    when it left nothing to replay.  Every journaling path, the
-    server's included, decides by this one rule. *)
+    when it left nothing to replay.  A [PROFILE] statement is journaled
+    without its prefix.  Every journaling path, the server's included,
+    decides by this one rule. *)
 val journal_entry_of :
   config:Config.t -> src:string -> before:Graph.t -> Api.result -> journal_entry option
 

@@ -5,22 +5,26 @@
     statement under test.
 
     {v
-    // oracle: roundtrip | planner | divergence | wellformed | counters
-    //         | dump | durability | prepared | fused | eval | error
-    // index: A id                     (zero or more; property indexes,
-    //                                  names quoted as in a dump)
-    // graph: CREATE (:A {k: 1})       (zero or more; setup statements)
-    // match: homomorphic              ('planner' oracle only; optional)
-    // expect: eq=false                ('eval': rendered table;
-    //                                  'error': expected error kind,
-    //                                  e.g. validation or eval)
+    // oracle: planner             (a fuzz oracle of Oracles.all that
+    //                              reads no actors, or one of the
+    //                              corpus-only kinds dump | eval | error)
+    // index: A id                 (zero or more; property indexes,
+    //                              names quoted as in a dump)
+    // graph: CREATE (:A {k: 1})   (zero or more; setup statements)
+    // match: homomorphic          (optional; the case's match mode,
+    //                              which only the planner oracle reads)
+    // expect: eq=false            ('eval': rendered table;
+    //                              'error': expected error kind,
+    //                              e.g. validation or eval)
     MATCH (n:A) RETURN n.k = 1 AS eq
     v}
 
-    Entries come from two sources: hand-written regressions (the Value
-    comparison bugs of this PR fail on the pre-fix tree exactly through
-    their entries here) and shrunk fuzzer failures appended by
-    [fuzz_main -corpus].  The whole directory is replayed by tier-1. *)
+    A fuzz oracle's entry runs that oracle's verdict on the case built
+    from the entry's graph and statement.  Entries come from two
+    sources: hand-written regressions (the Value comparison bugs fail
+    on a tree without their fixes exactly through their entries here)
+    and shrunk fuzzer failures appended by [fuzz_main -corpus].  The
+    whole directory is replayed by tier-1. *)
 
 module Graph = Cypher_graph.Graph
 module Dump = Cypher_graph.Dump
@@ -31,40 +35,29 @@ module Api = Cypher_core.Api
 module Config = Cypher_core.Config
 module Errors = Cypher_core.Errors
 module Pretty = Cypher_ast.Pretty
-open Cypher_ast.Ast
 
-type oracle =
-  | Roundtrip
-  | Planner
-  | Divergence
-  | Wellformed
-  | Counters  (** update counters vs graph diff ({!Oracles.counters}) *)
+type kind =
+  | Oracle of string
+      (** the name of a row of {!Oracles.all} that reads no actors *)
   | Dump
       (** the setup graph must survive dump → reload isomorphically
           ({!Oracles.dump_roundtrip}); the statement runs first to let
           entries build adversarial graphs beyond plain CREATE *)
-  | Durability
-      (** journal + snapshot fault injection over the statement as a
-          one-statement workload ({!Oracles.durability}) *)
-  | Prepared
-      (** literal-lifted prepare/execute must be byte-identical to the
-          direct run ({!Oracles.prepared}) *)
-  | Fused
-      (** the plain run must be byte-identical to the clause-by-clause
-          PROFILE run ({!Oracles.fused}) *)
   | Eval of string  (** expected canonical rendering of the result table *)
   | Expect_error of string
       (** the statement must fail, with this {!Oracles.kind_name} *)
 
 type entry = {
   name : string;
-  oracle : oracle;
+  oracle : kind;
   indexes : (string * string) list;  (** (label, key) property indexes *)
   setup : string list;  (** statements building the input graph *)
-  homomorphic : bool;
-      (** run the oracle under homomorphic matching (planner oracle) *)
+  homomorphic : bool;  (** the case's match mode is homomorphic *)
   statement : string;
 }
+
+(* an actor workload has no corpus format: its case seed replays it *)
+let writable (o : Oracles.oracle) = not (List.mem Oracles.Actors o.reads)
 
 (* ------------------------------------------------------------------ *)
 (* Parsing and rendering                                              *)
@@ -141,38 +134,28 @@ let parse_entry ~name text : (entry, string) result =
         }
     in
     match (!oracle, !expect) with
-    | Some "roundtrip", _ -> entry Roundtrip
-    | Some "planner", _ -> entry Planner
-    | Some "divergence", _ -> entry Divergence
-    | Some "wellformed", _ -> entry Wellformed
-    | Some "counters", _ -> entry Counters
     | Some "dump", _ -> entry Dump
-    | Some "durability", _ -> entry Durability
-    | Some "prepared", _ -> entry Prepared
-    | Some "fused", _ -> entry Fused
     | Some "eval", Some expected -> entry (Eval expected)
     | Some "eval", None -> Error (name ^ ": eval entry without // expect:")
     | Some "error", Some kind -> entry (Expect_error kind)
     | Some "error", None -> Error (name ^ ": error entry without // expect:")
-    | Some o, _ -> Error (name ^ ": unknown oracle " ^ o)
+    | Some o, _ -> (
+        match Oracles.find o with
+        | Some row when writable row -> entry (Oracle o)
+        | Some _ -> Error (name ^ ": oracle " ^ o ^ " has no corpus format")
+        | None -> Error (name ^ ": unknown oracle " ^ o))
     | None, _ -> Error (name ^ ": missing // oracle: header")
-
-let oracle_keyword = function
-  | Roundtrip -> "roundtrip"
-  | Planner -> "planner"
-  | Divergence -> "divergence"
-  | Wellformed -> "wellformed"
-  | Counters -> "counters"
-  | Dump -> "dump"
-  | Durability -> "durability"
-  | Prepared -> "prepared"
-  | Fused -> "fused"
-  | Eval _ -> "eval"
-  | Expect_error _ -> "error"
 
 let render_entry e =
   let b = Buffer.create 256 in
-  Buffer.add_string b ("// oracle: " ^ oracle_keyword e.oracle ^ "\n");
+  let keyword =
+    match e.oracle with
+    | Oracle o -> o
+    | Dump -> "dump"
+    | Eval _ -> "eval"
+    | Expect_error _ -> "error"
+  in
+  Buffer.add_string b ("// oracle: " ^ keyword ^ "\n");
   List.iter
     (fun (l, k) ->
       Buffer.add_string b
@@ -189,72 +172,34 @@ let render_entry e =
   Buffer.add_char b '\n';
   Buffer.contents b
 
-(* ------------------------------------------------------------------ *)
-(* Graph serialisation (for appending shrunk fuzzer failures)         *)
-(* ------------------------------------------------------------------ *)
-
-let rec lit_of_value = function
-  | Value.Int i -> Lit (L_int i)
-  | Value.Float f -> Lit (L_float f)
-  | Value.String s -> Lit (L_string s)
-  | Value.Bool b -> Lit (L_bool b)
-  | Value.List l -> List_lit (List.map lit_of_value l)
-  | _ -> Lit L_null
-
-let props_exprs props =
-  List.map (fun (k, v) -> (k, lit_of_value v))
-    (Cypher_graph.Props.bindings props)
-
-(** Renders a graph as (indexes, setup statements): one CREATE binding
-    every node to a variable [v<id>], then anchoring every relationship
-    on those variables.  Entity ids are not preserved — corpus replays
-    care about shapes, not identities. *)
-let graph_to_setup g =
-  let indexes = Graph.prop_index_keys g in
-  let var id = Printf.sprintf "v%d" id in
-  let node_pat (n : Graph.node) =
-    {
-      pat_var = None;
-      pat_start =
-        {
-          np_var = Some (var n.Graph.n_id);
-          np_labels = Cypher_util.Maps.Sset.elements n.Graph.labels;
-          np_props = props_exprs n.Graph.n_props;
-        };
-      pat_steps = [];
-    }
-  in
-  let anchor id = { np_var = Some (var id); np_labels = []; np_props = [] } in
-  let rel_pat (r : Graph.rel) =
-    {
-      pat_var = None;
-      pat_start = anchor r.Graph.src;
-      pat_steps =
-        [
-          ( {
-              rp_var = None;
-              rp_types = [ r.Graph.r_type ];
-              rp_props = props_exprs r.Graph.r_props;
-              rp_dir = Out;
-              rp_range = None;
-            },
-            anchor r.Graph.tgt );
-        ];
-    }
-  in
-  let patterns =
-    List.map node_pat (Graph.nodes g) @ List.map rel_pat (Graph.rels g)
-  in
-  let setup =
-    if patterns = [] then []
-    else [ Pretty.query_to_string { clauses = [ Create patterns ]; union = None } ]
-  in
-  (indexes, setup)
-
-let entry_of_failure ~name ~oracle ~graph ~query =
-  let indexes, setup = graph_to_setup graph in
-  { name; oracle; indexes; setup; homomorphic = false;
-    statement = Pretty.query_to_string query }
+(** [entry_of_failure f] is the corpus entry replaying fuzz failure
+    [f]: its graph as {!Dump.to_cypher} writes it, on one [// graph:]
+    line, and its statement.  [None] when [f]'s oracle reads actors,
+    which have no corpus format.  Entity ids are not preserved — corpus
+    replays care about shapes, not identities. *)
+let entry_of_failure (f : Fuzz.failure) =
+  if not (writable f.oracle) then None
+  else
+    let g = f.case.graph in
+    let setup =
+      match Dump.to_cypher g with
+      | "" -> []
+      | script ->
+          (* one [CREATE ...,\n...;\n]: its strings are escaped and
+             the generator's names are plain, so its only newlines
+             separate entities *)
+          let body = String.sub script 0 (String.length script - 2) in
+          [ String.concat " " (String.split_on_char '\n' body) ]
+    in
+    Some
+      {
+        name = Printf.sprintf "fuzz_%s_seed%d" f.oracle.name f.case_seed;
+        oracle = Oracle f.oracle.name;
+        indexes = Graph.prop_index_keys g;
+        setup;
+        homomorphic = f.case.match_mode = Config.Homomorphic;
+        statement = Pretty.query_to_string f.case.statement;
+      }
 
 (* ------------------------------------------------------------------ *)
 (* Checking                                                           *)
@@ -320,14 +265,15 @@ let check e : (unit, string) result =
   in
   match e.oracle with
   | Expect_error _ -> assert false (* handled above *)
-  | Roundtrip -> Oracles.roundtrip q
-  | Planner ->
-      let match_mode =
-        if e.homomorphic then Config.Homomorphic else Config.Isomorphic
-      in
-      Oracles.planner_equivalence ~match_mode g q
-  | Wellformed -> Oracles.wellformed g q
-  | Counters -> Oracles.counters g q
+  | Oracle o -> (
+      match Oracles.find o with
+      | None -> Error (e.name ^ ": unknown oracle " ^ o)
+      | Some row ->
+          let match_mode = if e.homomorphic then Config.Homomorphic else Config.Isomorphic in
+          let case =
+            { Gen.graph = g; statement = q; extra = []; actors = []; schedule = 0; match_mode }
+          in
+          Result.map_error (fun d -> e.name ^ ": " ^ d) (Fuzz.check row case))
   | Dump -> (
       (* run the statement to build the graph under test, then check the
          dump round-trip on the result *)
@@ -336,14 +282,6 @@ let check e : (unit, string) result =
           Error (Printf.sprintf "%s: execution failed: %s" e.name
                    (Errors.to_string err))
       | Ok o -> Oracles.dump_roundtrip o.Api.r_graph)
-  | Durability -> Oracles.durability g q
-  | Prepared -> Oracles.prepared g q
-  | Fused -> Oracles.fused g q
-  | Divergence -> (
-      match Oracles.divergence g q with
-      | Oracles.Agree | Oracles.Classified _ -> Ok ()
-      | Oracles.Unclassified detail ->
-          Error (e.name ^ ": unclassified divergence: " ^ detail))
   | Eval expected -> (
       match Oracles.run Config.permissive g q with
       | Error err ->

@@ -1,22 +1,19 @@
-(** The fuzzing driver: generate, run all nine oracles, shrink
-    failures.
+(** The fuzzing driver: generate, run every oracle of {!Oracles.all},
+    shrink failures.
 
     Iteration [i] draws the case {!Gen.case} from stream seed
-    [case_seed ~seed i] and runs the round-trip, planner-equivalence,
-    divergence-classification, well-formedness, update-counter,
-    durability, prepared-statement, concurrent-workload and
-    fused-vs-materialised oracles ({!Oracles}).  The durability oracle
-    extends the case's statement with its two extra statements (a
-    three-statement workload makes multi-record journals, so truncation
-    sweeps cross record boundaries); the concurrent oracle interleaves
-    the case's 2–3 actor workloads in the order its schedule seed picks
-    and checks the server outcome against the serial run of the
-    committed actors in commit order.  Failures are shrunk with
-    {!Shrink.minimize} under a predicate that reproduces the same
-    oracle's failure, so the reported case is (locally) minimal.  A
-    generated statement whose printed text does not parse
-    ({!Oracles.Harness_error}) fails the oracle that met it, as a
-    harness error, and is never shrunk. *)
+    [case_seed ~seed i] and runs it through each row of the oracle
+    table {!Oracles.all}, in table order.  Each row reads the parts of
+    the case it names: most read the statement; the durability oracle
+    also reads the two extra statements (a three-statement workload
+    makes multi-record journals, so truncation sweeps cross record
+    boundaries); the concurrent oracle reads only the 2–3 actor
+    workloads and the schedule seed that interleaves them.  Failures
+    are shrunk with {!Shrink.minimize} under a predicate that
+    reproduces the same oracle's failure, so the reported case is
+    (locally) minimal.  A generated statement whose printed text does
+    not parse ({!Oracles.Harness_error}) fails the oracle that met it,
+    as a harness error, and is never shrunk. *)
 
 module Graph = Cypher_graph.Graph
 module Pretty = Cypher_ast.Pretty
@@ -34,7 +31,7 @@ let case_stride = 0x2545F4914F6CDD1D
 let case_seed ~seed i = seed + (i * case_stride)
 
 type failure = {
-  oracle : string;
+  oracle : Oracles.oracle;
   iteration : int;
   case_seed : int;  (** replays as case 0 of a run from this seed *)
   case : Gen.case;  (** graph and statement shrunk *)
@@ -43,67 +40,36 @@ type failure = {
 
 type report = {
   seed : int;
-  iterations : int;  (** cases run through each of the nine oracles *)
+  iterations : int;  (** cases run through each oracle *)
   agreements : int;  (** divergence-oracle runs where both regimes agree *)
   classified : (Oracles.category * int) list;  (** sanctioned divergences *)
   failures : failure list;  (** shrunk; empty on a clean run *)
 }
-
-(** The oracles' names, in the order {!run} runs them. *)
-let oracles =
-  [ "roundtrip"; "planner"; "divergence"; "wellformed"; "counters"; "prepared"; "fused";
-    "durability"; "concurrent" ]
-
-(* [oracle]'s verdict on case [c], raising {!Oracles.Harness_error} *)
-let verdict oracle (c : Gen.case) =
-  let g = c.graph and q = c.statement in
-  match oracle with
-  | "roundtrip" -> Oracles.roundtrip q
-  | "planner" -> Oracles.planner_equivalence g q
-  | "divergence" -> (
-      match Oracles.divergence g q with Oracles.Unclassified d -> Error d | _ -> Ok ())
-  | "wellformed" -> Oracles.wellformed g q
-  | "counters" -> Oracles.counters g q
-  | "prepared" -> Oracles.prepared g q
-  | "fused" -> Oracles.fused g q
-  | "durability" -> Oracles.durability ~extra:c.extra g q
-  | "concurrent" -> Oracles.concurrent ~schedule:c.schedule g c.actors
-  | o -> invalid_arg ("Fuzz.check: no oracle " ^ o)
 
 let harness f =
   try f () with Oracles.Harness_error m -> Error ("harness error: " ^ m)
 
 (** [check oracle c] is [oracle]'s verdict on case [c]; a sanctioned
     divergence passes, a harness error fails. *)
-let check oracle c = harness (fun () -> verdict oracle c)
+let check (o : Oracles.oracle) c = Result.map ignore (harness (fun () -> o.verdict c))
 
 let run ?(seed = 0) ~count () =
   let failures = ref [] in
-  let passed = ref [] (* the divergence oracle's agreements and sanctioned divergences *) in
+  let passes = ref [] in
   for i = 0 to count - 1 do
     let c = Gen.case (case_seed ~seed i) in
-    (* [verdict], tallying the divergence oracle's passes *)
-    let tallied = function
-      | "divergence" -> (
-          match Oracles.divergence c.graph c.statement with
-          | Oracles.Unclassified d -> Error d
-          | o ->
-              passed := o :: !passed;
-              Ok ())
-      | oracle -> verdict oracle c
-    in
     List.iter
-      (fun oracle ->
-        match harness (fun () -> tallied oracle) with
-        | Ok () -> ()
+      (fun (o : Oracles.oracle) ->
+        match harness (fun () -> o.verdict c) with
+        | Ok pass -> passes := pass :: !passes
         | Error detail ->
-            (* the actors, not the statement, make a concurrent case:
-               no statement candidate counts as failing, so only its
-               graph shrinks; a candidate that raises, a harness error
-               included, does not fail *)
+            (* an oracle that does not read the statement fails on no
+               statement candidate, so only its graph shrinks; a
+               candidate that raises, a harness error included, does
+               not fail *)
             let fails g q =
-              (oracle <> "concurrent" || q == c.statement)
-              && try Result.is_error (verdict oracle { c with graph = g; statement = q }) with _ -> false
+              (List.mem Oracles.Statement o.reads || q == c.statement)
+              && try Result.is_error (o.verdict { c with graph = g; statement = q }) with _ -> false
             in
             let g, q =
               if fails c.graph c.statement then Shrink.minimize ~fails c.graph c.statement
@@ -111,16 +77,16 @@ let run ?(seed = 0) ~count () =
             in
             failures :=
               {
-                oracle;
+                oracle = o;
                 iteration = i;
                 case_seed = case_seed ~seed i;
                 case = { c with graph = g; statement = q };
                 detail;
               }
               :: !failures)
-      oracles
+      Oracles.all
   done;
-  let tally o = List.length (List.filter (( = ) o) !passed) in
+  let tally p = List.length (List.filter (( = ) p) !passes) in
   {
     seed;
     iterations = count;
@@ -132,17 +98,17 @@ let run ?(seed = 0) ~count () =
     failures = List.rev !failures;
   }
 
-(** [pp_case ?oracle] prints the parts of a case that [oracle] reads —
-    a concurrent case's actors and schedule, the durability workload's
-    statement and extra statements, another oracle's statement — then
-    its graph; without [oracle], every part. *)
+(** [pp_case ?oracle] prints the parts of a case that [oracle] reads,
+    then its graph; without [oracle], every part. *)
 let pp_case ?oracle ppf (c : Gen.case) =
-  let reads o = oracle = None || oracle = Some o in
+  let reads part =
+    match oracle with None -> true | Some (o : Oracles.oracle) -> List.mem part o.reads
+  in
   let pp_q ppf q = Fmt.string ppf (Pretty.query_to_string q) in
   Fmt.pf ppf "@[<v>";
-  if oracle <> Some "concurrent" then Fmt.pf ppf "statement: %a@," pp_q c.statement;
-  if reads "durability" then List.iter (Fmt.pf ppf "extra: %a@," pp_q) c.extra;
-  if reads "concurrent" then begin
+  if reads Statement then Fmt.pf ppf "statement: %a@," pp_q c.statement;
+  if reads Extra then List.iter (Fmt.pf ppf "extra: %a@," pp_q) c.extra;
+  if reads Actors then begin
     List.iteri
       (fun j (a : Gen.actor) ->
         match a with
@@ -156,11 +122,12 @@ let pp_case ?oracle ppf (c : Gen.case) =
   Fmt.pf ppf "graph:@,%a@]" Graph.pp c.graph
 
 let pp_failure ppf f =
-  Fmt.pf ppf "@[<v>[%s] iteration %d (seed %d): %s@,%a@]" f.oracle f.iteration
+  Fmt.pf ppf "@[<v>[%s] iteration %d (seed %d): %s@,%a@]" f.oracle.name f.iteration
     f.case_seed f.detail (pp_case ~oracle:f.oracle) f.case
 
 let pp_report ppf r =
-  Fmt.pf ppf "@[<v>fuzz: seed %d, %d cases x 9 oracles@," r.seed r.iterations;
+  Fmt.pf ppf "@[<v>fuzz: seed %d, %d cases x %d oracles@," r.seed r.iterations
+    (List.length Oracles.all);
   Fmt.pf ppf "divergence oracle: %d agree, %d sanctioned divergences@,"
     r.agreements
     (List.fold_left (fun acc (_, n) -> acc + n) 0 r.classified);

@@ -665,9 +665,13 @@ let actors rng : actor list =
       else Tx (List.init (Rng.range rng 1 3) (fun _ -> statement rng)))
 
 (** One generated case: everything any oracle reads.  [extra] extends
-    the durability workload; [schedule] seeds the actors' interleaving. *)
-type case =
-  { graph : Graph.t; statement : query; extra : query list; actors : actor list; schedule : int }
+    the durability workload; [schedule] seeds the actors' interleaving;
+    [match_mode] is the regime the planner oracle matches under, always
+    isomorphic here (a corpus entry's [// match:] header sets it). *)
+type case = {
+  graph : Graph.t; statement : query; extra : query list; actors : actor list; schedule : int;
+  match_mode : Cypher_core.Config.match_mode;
+}
 
 (** [case seed] draws a case from stream [seed], always in this order,
     so a case seed names the same case wherever it is drawn. *)
@@ -677,4 +681,5 @@ let case seed =
   let q = statement rng in
   let extra = [ statement rng; statement rng ] in
   let actors = actors rng in
-  { graph = g; statement = q; extra; actors; schedule = Int64.to_int (Rng.next_int64 rng) }
+  { graph = g; statement = q; extra; actors; schedule = Int64.to_int (Rng.next_int64 rng);
+    match_mode = Cypher_core.Config.Isomorphic }

@@ -1,4 +1,7 @@
-(** The cross-validation oracles run against every generated case.
+(** The cross-validation oracles run against every generated case, and
+    {!all}, the table that names them: one row per oracle with the parts
+    of a case it reads and its verdict.  The fuzzer, the corpus and
+    [fuzz_main] read the table, so an oracle is named nowhere else.
 
     1. {!roundtrip}: pretty-print → re-parse → AST equality.  Guards
        the concrete syntax layer: every AST the generator can build must
@@ -392,28 +395,28 @@ let category_name = function
 
 let all_categories = [ Set_race; Own_writes; Merge_interference; Dangling_delete ]
 
-type divergence_outcome =
-  | Agree
-  | Classified of category
-  | Unclassified of string
+(** How a case passed an oracle: every oracle but {!divergence} only
+    [Held]; a divergence pass says whether the two regimes agreed or
+    differed in a sanctioned way. *)
+type pass = Held | Agree | Classified of category
 
-let divergence g q : divergence_outcome =
+let divergence g q : (pass, string) result =
   let f = query_features q in
   let legacy = run legacy_config g (legacy_query q) in
   let revised = run revised_naive g q in
   let classify detail =
     match (legacy, revised) with
-    | _, Error (Errors.Set_conflict _) -> Classified Set_race
+    | _, Error (Errors.Set_conflict _) -> Ok (Classified Set_race)
     | Error (Errors.Statement_dangling _), _
     | _, Error (Errors.Delete_dangling _) ->
-        Classified Dangling_delete
-    | _ when f.has_delete -> Classified Dangling_delete
-    | _ when f.has_merge -> Classified Merge_interference
-    | _ when f.has_set -> Classified Own_writes
-    | _ -> Unclassified detail
+        Ok (Classified Dangling_delete)
+    | _ when f.has_delete -> Ok (Classified Dangling_delete)
+    | _ when f.has_merge -> Ok (Classified Merge_interference)
+    | _ when f.has_set -> Ok (Classified Own_writes)
+    | _ -> Error detail
   in
   match (legacy, revised) with
-  | Error e1, Error e2 when error_kind e1 = error_kind e2 -> Agree
+  | Error e1, Error e2 when error_kind e1 = error_kind e2 -> Ok Agree
   | Error e1, Error e2 ->
       classify
         (Fmt.str "legacy fails with %s, revised with %s"
@@ -433,7 +436,7 @@ let divergence g q : divergence_outcome =
           && Table.row_count o1.Api.r_table = Table.row_count o2.Api.r_table
         else Table.equal_as_bags o1.Api.r_table o2.Api.r_table
       in
-      if same_graph && same_table then Agree
+      if same_graph && same_table then Ok Agree
       else
         classify
           (Fmt.str "results differ (%s vs %s; graphs %s)"
@@ -1269,3 +1272,44 @@ let fused (g : Graph.t) q : (unit, string) result =
         and t2 = Table.to_string r2.Api.r_table in
         check (String.equal t1 t2) (fun () ->
             Fmt.str "fused table differs from PROFILE:@ %s@ vs@ %s" t1 t2)
+
+(* ------------------------------------------------------------------ *)
+(* The oracle table                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(** The parts of a {!Gen.case} an oracle reads besides its graph. *)
+type part =
+  | Statement
+  | Extra  (** the durability workload's two extra statements *)
+  | Actors  (** the concurrent clients and their schedule seed *)
+
+type oracle = {
+  name : string;  (** as [fuzz_main -oracle] and a corpus [// oracle:] header spell it *)
+  reads : part list;
+  verdict : Gen.case -> (pass, string) result;
+      (** raises {!Harness_error} when a statement's print does not parse *)
+}
+
+let held r = Result.map (fun () -> Held) r
+
+(** Every oracle, in the order [Fuzz.run] runs them: the one place an
+    oracle is named.  The fuzzer, the corpus and [fuzz_main] all read
+    it, so adding an oracle is one row here plus its function above. *)
+let all =
+  let row name reads verdict = { name; reads; verdict } and statement = [ Statement ] in
+  [
+    row "roundtrip" statement (fun c -> held (roundtrip c.Gen.statement));
+    row "planner" statement (fun c ->
+        held (planner_equivalence ~match_mode:c.Gen.match_mode c.graph c.statement));
+    row "divergence" statement (fun c -> divergence c.Gen.graph c.statement);
+    row "wellformed" statement (fun c -> held (wellformed c.Gen.graph c.statement));
+    row "counters" statement (fun c -> held (counters c.Gen.graph c.statement));
+    row "prepared" statement (fun c -> held (prepared c.Gen.graph c.statement));
+    row "fused" statement (fun c -> held (fused c.Gen.graph c.statement));
+    row "durability" [ Statement; Extra ] (fun c ->
+        held (durability ~extra:c.Gen.extra c.graph c.statement));
+    row "concurrent" [ Actors ] (fun c ->
+        held (concurrent ~schedule:c.Gen.schedule c.graph c.actors));
+  ]
+
+let find name = List.find_opt (fun o -> o.name = name) all

@@ -4,7 +4,7 @@
     demonstration (the exact int/float and NaN comparison bugs fail
     here on the pre-fix tree) or a shrunk fuzzer failure appended by
     [fuzz_main -corpus].  The smoke run drives a bounded number of
-    freshly generated cases through all nine oracles so tier-1 keeps
+    freshly generated cases through every oracle so tier-1 keeps
     the whole pipeline honest without the cost of [@fuzz]. *)
 
 open Cypher_fuzz
@@ -64,7 +64,7 @@ let header_cases =
         let e =
           {
             Corpus.name = "e";
-            oracle = Corpus.Planner;
+            oracle = Corpus.Oracle "planner";
             indexes = [ ("My Label", "a key"); ("A", "k`1") ];
             setup = [ "CREATE (:`My Label` {`a key`: 1})" ];
             homomorphic = false;
@@ -95,6 +95,33 @@ let header_cases =
             Alcotest.(check string) "message" "e.cy: missing // oracle: header" msg);
   ]
 
+let writer_cases =
+  [
+    case "a failure's graph is written as its dump and rebuilds isomorphically" (fun () ->
+        let g =
+          (run ~config:Cypher_core.Config.permissive Cypher_graph.Graph.empty
+             "CREATE (a:A {f: 0.1, big: 1e20, l: [1, 2.5, 'x'], s: 'it\\'s \\\\ \\n\\t\"'})\
+              -[:T {w: -1.5}]->(a), (a)-[:U]->(:B {k: 3})").Cypher_core.Api.r_graph
+          |> Cypher_graph.Graph.add_prop_index ~label:"A" ~key:"f"
+        in
+        let oracle = Option.get (Oracles.find "planner") in
+        let f =
+          { Fuzz.oracle; iteration = 0; case_seed = 1; case = { (Gen.case 1) with graph = g };
+            detail = "d" }
+        in
+        let e = Option.get (Corpus.entry_of_failure f) in
+        Alcotest.(check int) "one // graph: line" 1 (List.length e.Corpus.setup);
+        match Corpus.parse_entry ~name:e.Corpus.name (Corpus.render_entry e) with
+        | Error msg -> Alcotest.fail msg
+        | Ok e' -> (
+            match Corpus.build_graph e' with
+            | Error msg -> Alcotest.fail msg
+            | Ok g' ->
+                Alcotest.check graph_iso_testable "rebuilt graph" g g';
+                Alcotest.(check (list (pair string string))) "indexes"
+                  (Cypher_graph.Graph.prop_index_keys g) (Cypher_graph.Graph.prop_index_keys g')));
+  ]
+
 let smoke_cases =
   [
     case "fuzz smoke: 60 cases x 9 oracles" (fun () ->
@@ -104,4 +131,4 @@ let smoke_cases =
         | f :: _ -> Alcotest.failf "fuzz failure %a" Fuzz.pp_failure f);
   ]
 
-let suite = corpus_cases @ roundtrip_cases @ header_cases @ smoke_cases
+let suite = corpus_cases @ roundtrip_cases @ header_cases @ writer_cases @ smoke_cases

@@ -197,7 +197,8 @@ let report_tests =
     Alcotest.test_case "a failure prints the parts of the case its oracle reads" `Quick
       (fun () ->
         let c = Cypher_fuzz.Gen.case 1 in
-        let printed oracle =
+        let printed name =
+          let oracle = Option.get (Cypher_fuzz.Oracles.find name) in
           Fmt.str "%a" Fuzz.pp_failure
             { Fuzz.oracle; iteration = 0; case_seed = 1; case = c; detail = "d" }
         in
@@ -229,14 +230,54 @@ let report_tests =
         in
         let c = { (Cypher_fuzz.Gen.case 1) with statement = q } in
         List.iter
-          (fun oracle ->
-            match Fuzz.check oracle c with
-            | Error d when oracle = "roundtrip" || Test_util.contains_substring d "harness error" -> ()
-            | Error d -> Alcotest.failf "%s: not a harness error: %s" oracle d
-            | Ok () -> Alcotest.failf "%s passed an unparseable statement" oracle)
-          (List.filter (( <> ) "concurrent") Fuzz.oracles));
+          (fun (o : Cypher_fuzz.Oracles.oracle) ->
+            match Fuzz.check o c with
+            | Error d when o.name = "roundtrip" || Test_util.contains_substring d "harness error" -> ()
+            | Error d -> Alcotest.failf "%s: not a harness error: %s" o.name d
+            | Ok () -> Alcotest.failf "%s passed an unparseable statement" o.name)
+          (List.filter
+             (fun (o : Cypher_fuzz.Oracles.oracle) -> List.mem Cypher_fuzz.Oracles.Statement o.reads)
+             Cypher_fuzz.Oracles.all));
+  ]
+
+(* --- the oracle table ------------------------------------------------------ *)
+
+let table_tests =
+  let module Oracles = Cypher_fuzz.Oracles in
+  let module Corpus = Cypher_fuzz.Corpus in
+  let failure (o : Oracles.oracle) =
+    { Fuzz.oracle = o; iteration = 0; case_seed = 1; case = Cypher_fuzz.Gen.case 1; detail = "d" }
+  in
+  let reads_actors (o : Oracles.oracle) = List.mem Oracles.Actors o.reads in
+  [
+    Alcotest.test_case "an oracle without actors round-trips as a corpus entry" `Quick
+      (fun () ->
+        List.iter
+          (fun (o : Oracles.oracle) ->
+            match Corpus.entry_of_failure (failure o) with
+            | None -> Alcotest.failf "%s: not corpus-writable" o.name
+            | Some e -> (
+                match Corpus.parse_entry ~name:e.name (Corpus.render_entry e) with
+                | Error msg -> Alcotest.fail msg
+                | Ok e' -> (
+                    Alcotest.(check bool) (o.name ^ " names its oracle") true
+                      (e'.oracle = Corpus.Oracle o.name);
+                    match Corpus.check e' with
+                    | Ok () -> ()
+                    | Error msg -> Alcotest.failf "%s: %s" o.name msg)))
+          (List.filter (fun o -> not (reads_actors o)) Oracles.all));
+    Alcotest.test_case "an oracle that reads actors is not corpus-writable" `Quick (fun () ->
+        let actor_oracles = List.filter reads_actors Oracles.all in
+        Alcotest.(check bool) "some oracle reads actors" true (actor_oracles <> []);
+        List.iter
+          (fun (o : Oracles.oracle) ->
+            Alcotest.(check bool) o.name true (Option.is_none (Corpus.entry_of_failure (failure o)));
+            match Corpus.parse_entry ~name:"e" ("// oracle: " ^ o.name ^ "\nRETURN 1") with
+            | Ok _ -> Alcotest.failf "a corpus entry for %s parsed" o.name
+            | Error _ -> ())
+          actor_oracles);
   ]
 
 let suite =
   List.map QCheck_alcotest.to_alcotest (parser_fuzz @ matcher_tests) @ seed_tests
-  @ report_tests
+  @ report_tests @ table_tests

@@ -407,6 +407,15 @@ let tx_tests =
         Alcotest.(check (list string)) "same payload" (payload auto) (payload inside);
         expect_ok "commit" (req a ":commit");
         Alcotest.(check int) "both land" 2 (label_count shared "C"));
+    case "a PROFILE update is journaled without its prefix" (fun () ->
+        let entries = ref [] in
+        let shared = Shared.create ~sink:(fun es -> entries := !entries @ es) Graph.empty in
+        let a = Service.create shared in
+        List.iter
+          (fun l -> expect_ok l (req a l))
+          [ "PROFILE CREATE (:C)"; ":begin"; "PROFILE CREATE (:C)"; ":commit" ];
+        Alcotest.(check (list string)) "plain entries" [ "CREATE (:C)"; "CREATE (:C)" ]
+          (List.map (fun e -> e.Session.je_src) !entries));
     case "a transaction reads its own writes past a failed update and a rollback"
       (fun () ->
         let shared = Shared.create Graph.empty in

@@ -721,6 +721,20 @@ let store_tests =
             Alcotest.(check int) "all three statements replayed" 3
               (Store.recovery store2).Recovery.replayed;
             Store.close store2));
+    case "a PROFILE statement is journaled without its prefix" (fun () ->
+        with_tmpdir (fun dir ->
+            let store, session = open_ok dir in
+            ignore (run_ok session "PROFILE CREATE (:A)");
+            let live = Session.graph session in
+            Store.close store;
+            (match Wal.read_file (Filename.concat dir "journal.wal") with
+            | [ e ], _, None ->
+                Alcotest.(check bool) ("no PROFILE in " ^ e.Session.je_src) false
+                  (contains_substring (String.uppercase_ascii e.Session.je_src) "PROFILE")
+            | _ -> Alcotest.fail "expected one clean frame");
+            let store2, session2 = open_ok dir in
+            Test_util.check_same_graph "reopened" live (Session.graph session2);
+            Store.close store2));
     case "a program's unbound parameter is rejected live and the store reopens"
       (fun () ->
         (* a script line holding two statements runs as the shell runs
